@@ -108,43 +108,34 @@ let deps_of it = it.deps
 let items t = List.rev t.items
 let serial_sum t = List.fold_left (fun acc it -> acc +. it.dur) 0.0 (items t)
 
-(* Items are topologically ordered by construction (an item can only
-   depend on previously created items), so one pass in enqueue order
-   computes the schedule. Stream order adds an implicit dependency on
-   the previous item of the same stream. *)
+let dag t =
+  items t
+  |> List.map (fun it ->
+         {
+           Icoe_obs.Prof.idx = it.id;
+           stream = it.stream;
+           phase = it.phase;
+           device = it.device;
+           dur = it.dur;
+           deps = List.map (fun d -> d.id) it.deps;
+         })
+  |> Array.of_list
+
+(* Items can only depend on earlier items, so Prof's one forward pass
+   in enqueue order computes the schedule. *)
 let run t =
   match t.ran with
   | Some m -> m
   | None ->
       let order = items t in
-      let makespan =
-        if t.overlap then begin
-          let ready = Hashtbl.create 8 in
-          List.fold_left
-            (fun acc it ->
-              let stream_ready =
-                Option.value (Hashtbl.find_opt ready it.stream) ~default:0.0
-              in
-              let start =
-                List.fold_left
-                  (fun acc d -> Float.max acc d.finish_s)
-                  stream_ready it.deps
-              in
-              it.start_s <- start;
-              it.finish_s <- start +. it.dur;
-              Hashtbl.replace ready it.stream it.finish_s;
-              Float.max acc it.finish_s)
-            0.0 order
-        end
-        else
-          (* serialized fallback: back-to-back in enqueue order *)
-          List.fold_left
-            (fun now it ->
-              it.start_s <- now;
-              it.finish_s <- now +. it.dur;
-              it.finish_s)
-            0.0 order
+      let starts, finishes, makespan =
+        Icoe_obs.Prof.forward ~overlap:t.overlap (dag t)
       in
+      List.iter
+        (fun it ->
+          it.start_s <- starts.(it.id);
+          it.finish_s <- finishes.(it.id))
+        order;
       (match t.trace with
       | None -> ()
       | Some tr ->
@@ -178,19 +169,6 @@ let makespan t =
 
 let start_time it = it.start_s
 let finish_time it = it.finish_s
-
-let dag t =
-  items t
-  |> List.map (fun it ->
-         {
-           Icoe_obs.Prof.idx = it.id;
-           stream = it.stream;
-           phase = it.phase;
-           device = it.device;
-           dur = it.dur;
-           deps = List.map (fun d -> d.id) it.deps;
-         })
-  |> Array.of_list
 
 let profile t = Icoe_obs.Prof.analyze ~overlap:t.overlap (dag t)
 

@@ -10,12 +10,13 @@
     room every off-path item has (slack), and what a phase is worth
     ("zero phase X → makespan shrinks by Y").
 
-    The schedule model mirrors [Sched.run]: items are topologically
-    ordered by construction (deps point at earlier items only); with
-    [overlap = true] an item starts at the max of its stream's ready
-    time and its deps' finishes; with [overlap = false] items run
-    back-to-back in order, so the critical path is every item and blame
-    degrades bit-identically to the serial per-phase charge breakdown. *)
+    The schedule model is [Sched.run]'s own (it calls [forward]):
+    items are topologically ordered by construction (deps point at
+    earlier items only); with [overlap = true] an item starts at the max
+    of its stream's ready time and its deps' finishes; with [overlap =
+    false] items run back-to-back in order, so the critical path is
+    every item and blame degrades bit-identically to the serial
+    per-phase charge breakdown. *)
 
 type item = {
   idx : int;  (** position in enqueue order *)
@@ -69,9 +70,9 @@ let validate items =
         it.deps)
     items
 
-(* Forward pass: the same schedule [Sched.run] computes, with an
-   optional [zero] predicate for what-if evaluation. Returns
-   (starts, finishes, makespan). *)
+(* The forward pass, shared with [Sched.run], with an optional [zero]
+   predicate for what-if evaluation. Returns (starts, finishes,
+   makespan). *)
 let forward ?(zero = fun (_ : item) -> false) ~overlap items =
   let n = Array.length items in
   let starts = Array.make n 0.0 and finishes = Array.make n 0.0 in

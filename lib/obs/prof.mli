@@ -10,12 +10,13 @@
     room every off-path item has (slack), and what a phase is worth
     ("zero phase X → makespan shrinks by Y").
 
-    The schedule model mirrors [Sched.run]: items are listed in enqueue
-    order and may only depend on earlier items. With [overlap = true] an
-    item starts at the max of its stream's ready time and its deps'
-    finishes; with [overlap = false] items run back-to-back in enqueue
-    order, so the critical path is every item and per-phase blame
-    degrades bit-identically to the serial charge breakdown. *)
+    The schedule model is [Sched.run]'s own ({!forward}): items are
+    listed in enqueue order and may only depend on earlier items. With
+    [overlap = true] an item starts at the max of its stream's ready
+    time and its deps' finishes; with [overlap = false] items run
+    back-to-back in enqueue order, so the critical path is every item
+    and per-phase blame degrades bit-identically to the serial charge
+    breakdown. *)
 
 type item = {
   idx : int;  (** position in enqueue order; must equal the array index *)
@@ -57,6 +58,13 @@ type analysis = {
   stream_blame : blame list;  (** descending seconds; sums to [makespan] *)
   phase_sensitivity : sensitivity list;  (** descending shrink *)
 }
+
+val forward :
+  ?zero:(item -> bool) -> overlap:bool -> item array ->
+  float array * float array * float
+(** The one forward pass, which [Hwsim.Sched.run] schedules through:
+    [(starts, finishes, makespan)] indexed by [idx], with items
+    satisfying [zero] (default: none) run at duration 0. Unvalidated. *)
 
 val analyze : overlap:bool -> item array -> analysis
 (** Recompute the schedule and derive path/blame/slack/sensitivity.

@@ -1,6 +1,7 @@
 (** Cluster-level batch scheduling of the job stream: the Sec 4.7
-    policies generalized from a 16-GPU pool to node allocations on a
-    machine model, plus a partition/gang policy.
+    policies plus a partition/gang policy on node allocations of a
+    machine model, run by the scheduling core the Opt simulator shares
+    ({!Opt.Scheduler.Core}).
 
     Allocation is gang-style: a job holds all its nodes from dispatch to
     completion. Service times are not pre-drawn — each dispatch is

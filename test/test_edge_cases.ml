@@ -76,6 +76,20 @@ let test_scheduler_oversized_job () =
   let m = Opt.Scheduler.simulate ~gpus:4 Opt.Scheduler.Sjf jobs in
   Alcotest.(check int) "not completed" 0 m.Opt.Scheduler.completed
 
+let test_scheduler_oversized_head_does_not_starve () =
+  (* the 9-GPU job at the head of a 4-GPU pool can never start, but it
+     must not block the two 1-GPU jobs behind it under any policy (FCFS
+     used to hold them forever behind the head) *)
+  let job id gpus = { Opt.Scheduler.id; arrival = 0.0; duration = 1.0; gpus } in
+  let jobs = [ job 0 9; job 1 1; job 2 1 ] in
+  List.iter
+    (fun pol ->
+      let m = Opt.Scheduler.simulate ~gpus:4 ~check:true pol jobs in
+      Alcotest.(check int)
+        (Opt.Scheduler.policy_name pol ^ " completes the fitting jobs")
+        2 m.Opt.Scheduler.completed)
+    Opt.Scheduler.[ Fcfs; Fcfs_backfill; Sjf; Sjf_quota 0.5 ]
+
 (* --- melodee --- *)
 
 let test_melodee_division_by_zero () =
@@ -248,6 +262,8 @@ let () =
         [
           Alcotest.test_case "empty workload" `Quick test_scheduler_empty_workload;
           Alcotest.test_case "oversized job" `Quick test_scheduler_oversized_job;
+          Alcotest.test_case "oversized head does not starve" `Quick
+            test_scheduler_oversized_head_does_not_starve;
         ] );
       ( "melodee",
         [

@@ -167,6 +167,63 @@ let test_fcfs_order_respected () =
   Alcotest.(check (float 1e-9)) "makespan" 4.0 m.Scheduler.makespan;
   Alcotest.(check (float 1e-9)) "max wait = 3" 3.0 m.Scheduler.max_wait
 
+(* --- pinned schedules --- *)
+
+(* Whole-schedule digests: every started job's id with the exact bits of
+   its start and finish, then the exact bits of the summary metrics
+   ([mean_wait] also pins the order the waits are summed in). The
+   expected values were recorded from the scheduler before it moved onto
+   the shared scheduling core; a decision that moves changes a digest. *)
+let schedule_digest policy jobs =
+  let m, sched = Scheduler.simulate_schedule policy jobs in
+  let b = Buffer.create 4096 in
+  let bits f = Int64.bits_of_float f in
+  List.iter
+    (fun (id, s, f) -> Printf.bprintf b "%d %Lx %Lx\n" id (bits s) (bits f))
+    sched;
+  Printf.bprintf b "%Lx %Lx %Lx %Lx %d" (bits m.Scheduler.makespan)
+    (bits m.Scheduler.utilization) (bits m.Scheduler.mean_wait)
+    (bits m.Scheduler.max_wait) m.Scheduler.completed;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_streams =
+  let rng = Icoe_util.Rng.create in
+  [
+    ("batch-3", Scheduler.batch_workload ~rng:(rng 3) ~n:400 ());
+    ("batch-4", Scheduler.batch_workload ~rng:(rng 4) ~n:400 ());
+    ( "poisson-5",
+      Scheduler.poisson_workload ~rng:(rng 5) ~rate:6.0 ~horizon:200.0 () );
+  ]
+
+let pinned_digests =
+  [
+    ( "batch-3",
+      [ "cfa2a0a2d180739bdc15bcf8ffad5673"; "8e3926bfd917055d65e7fd0313249a91";
+        "e102cddaa1db0cd4197d682e97e0d0b8"; "34d1aea6881f9b30e396f8e9d9dcee5c" ] );
+    ( "batch-4",
+      [ "432bc7d80882d830484449706325ac92"; "a8e013eeb32d55779b58d7391b397c63";
+        "ef5a41d00bdda71ce1ee21c2ae710660"; "2c4851fdfbab64929ae7616af622b4ce" ] );
+    ( "poisson-5",
+      [ "5660db6135c62dd94ebdc296e5a91d74"; "5660db6135c62dd94ebdc296e5a91d74";
+        "6ada9b08ea36ccea3ccbff7940d4de96"; "6ada9b08ea36ccea3ccbff7940d4de96" ] );
+  ]
+
+let test_pinned_schedules () =
+  let policies =
+    [ Scheduler.Fcfs; Scheduler.Fcfs_backfill; Scheduler.Sjf;
+      Scheduler.Sjf_quota 0.5 ]
+  in
+  List.iter
+    (fun (name, jobs) ->
+      List.iter2
+        (fun pol expected ->
+          Alcotest.(check string)
+            (name ^ " " ^ Scheduler.policy_name pol)
+            expected (schedule_digest pol jobs))
+        policies
+        (List.assoc name pinned_digests))
+    pinned_streams
+
 (* --- topopt --- *)
 
 let test_topopt_volume_constraint () =
@@ -565,6 +622,7 @@ let () =
             test_backfill_spare_capacity;
           Alcotest.test_case "backfill = fcfs when impossible" `Quick
             test_backfill_agrees_with_fcfs_when_impossible;
+          Alcotest.test_case "pinned schedules" `Quick test_pinned_schedules;
           QCheck_alcotest.to_alcotest prop_scheduler_conservation;
           QCheck_alcotest.to_alcotest prop_backfill_never_delays_head;
           QCheck_alcotest.to_alcotest prop_quota_share_bounded;

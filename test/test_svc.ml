@@ -140,6 +140,46 @@ let test_saturation_contract () =
   Alcotest.(check bool) "overload waits dwarf underload waits" true
     (over > 3.0 *. under)
 
+(* Whole-run digests on a small overloaded stream with a fat-tree
+   topology, so placement penalties are exercised: every completed job's
+   id, dispatch/finish bits and placed nodes, every (time, depth, free)
+   sample, the bits of every wait, then the summary metrics. The
+   expected values were recorded before the cluster moved onto the
+   shared scheduling core; a decision that moves changes a digest. *)
+let run_digest (m : Cluster.metrics) =
+  let b = Buffer.create 4096 in
+  let bits f = Int64.bits_of_float f in
+  List.iter
+    (fun (r : Cluster.job_record) ->
+      Printf.bprintf b "%d %Lx %Lx [%s]\n" r.Cluster.job.Workload.id
+        (bits r.Cluster.dispatched) (bits r.Cluster.finished)
+        (String.concat "," (List.map string_of_int r.Cluster.placed)))
+    m.Cluster.log;
+  List.iter
+    (fun (t, depth, free) -> Printf.bprintf b "%Lx %d %d\n" (bits t) depth free)
+    m.Cluster.samples;
+  Array.iter (fun w -> Printf.bprintf b "%Lx\n" (bits w)) m.Cluster.waits;
+  Printf.bprintf b "%d %Lx %Lx %Lx" m.Cluster.completed
+    (bits m.Cluster.makespan) (bits m.Cluster.utilization)
+    (bits m.Cluster.mean_wait);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_digests =
+  [ "278eeae9fb6a87ebaf9852d5d8682a17"; "1c1a9fc3b29f54577e5e1109f7678958";
+    "a63a2eded02846574467cb0ba1bf3e6a"; "419e1af57fbb7548beef95fc212e13c7" ]
+
+let test_pinned_runs () =
+  let topology =
+    Hwsim.Topology.fat_tree ~name:"pin-fat-tree" ~leaf:Hwsim.Link.ib_edr
+      ~spine:Hwsim.Link.ib_edr ~leaf_radix:16 ~pod_radix:4 ()
+  in
+  let jobs = stream ~seed:11 ~mult:1.1 ~horizon:1500.0 in
+  List.iter2
+    (fun pol expected ->
+      let m = Cluster.simulate ~topology ~nodes ~classes pol jobs in
+      Alcotest.(check string) (Cluster.policy_name pol) expected (run_digest m))
+    policies pinned_digests
+
 let prop_svc_conservation =
   QCheck.Test.make ~name:"svc policies complete every submitted job"
     ~count:10
@@ -171,6 +211,7 @@ let () =
           Alcotest.test_case "backfill beats fcfs" `Quick
             test_backfill_beats_fcfs;
           Alcotest.test_case "saturation" `Quick test_saturation_contract;
+          Alcotest.test_case "pinned runs" `Quick test_pinned_runs;
           QCheck_alcotest.to_alcotest prop_svc_conservation;
         ] );
     ]
