@@ -3,24 +3,34 @@
    Part 1 regenerates every table and figure of the paper through
    Icoe.Harness_registry (real workloads + hardware-model pricing),
    printing paper reference values alongside and timing each harness's
-   real wall clock next to its simulated seconds.
+   real wall clock (monotonic) next to its simulated seconds; sw4 and
+   cardioid then run once more under the seed-42 fault plan.
 
    Part 2 runs Bechamel microbenchmarks — real wall-clock time of the core
    computational kernels of each activity on this machine — one Test.make
    per reproduced table/figure's dominant kernel, plus par/* variants
-   sized to exercise the Icoe_par.Pool domain pool — and writes the
-   results plus a metrics-registry snapshot to BENCH_<id>.json, so
-   successive commits leave a machine-readable perf trajectory behind.
+   sized to exercise the Icoe_par.Pool domain pool.
 
-   Flags: --micro-only skips part 1 (the CI smoke run); --alloc-smoke
-   runs only the allocation-budget check (Gc.minor_words delta per
-   steady-state iteration of each zero-alloc kernel against fixed word
-   budgets, exit 1 over budget) and exits. The id comes from
-   the BENCH_ID environment variable when set (CI passes the commit sha),
-   otherwise the Unix timestamp. ICOE_DOMAINS sets the pool size (recorded
-   in the JSON payload); ICOE_METRICS=0 disables the metrics registry for
-   overhead comparisons; ICOE_GC_MINOR_HEAP / ICOE_GC_SPACE_OVERHEAD
-   feed Gc.set at startup (echoed in the header). *)
+   BENCH_<id>.json then records, through Icoe_util.Json: the rows
+   (harness/<id>/wall_ns and /simulated_s, kernel/<name> ns per run,
+   and every row the harnesses recorded themselves), the named checks
+   the harnesses recorded plus three of the bench's own, and a
+   metrics-registry snapshot of the kernels' work — so successive
+   commits leave a machine-readable perf trajectory that
+   `icoe_report --diff` gates.
+
+   Flags: --alloc-smoke runs only the allocation-budget check
+   (Gc.minor_words delta per steady-state iteration of each zero-alloc
+   kernel against fixed word budgets, exit 1 over budget) and exits. The
+   id comes from the BENCH_ID environment variable when set (CI passes
+   the commit sha), otherwise the Unix timestamp. ICOE_DOMAINS sets the
+   pool size (recorded in the JSON payload); ICOE_METRICS=0 disables the
+   metrics registry for overhead comparisons; ICOE_GC_MINOR_HEAP /
+   ICOE_GC_SPACE_OVERHEAD feed Gc.set at startup (echoed in the
+   header). *)
+
+(* bechamel's monotonic clock, bound before [Toolkit] shadows the name *)
+let now_ns = Monotonic_clock.now
 
 open Bechamel
 open Toolkit
@@ -260,335 +270,44 @@ let microbenchmarks () =
   List.rev !out
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_<id>.json emission                                             *)
+(* Part 1: the harnesses                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Seeded resilience runs for the trajectory: always emitted (also under
-   --micro-only, which CI uses), so every BENCH_<id>.json carries the
-   fault-injection acceptance numbers. Deterministic for the fixed
-   seed. *)
-let fault_rows () =
-  let spec = Icoe_fault.Plan.spec 42 in
-  List.map
-    (fun (id, run) ->
-      let _plan, interval, (rep : Icoe_fault.Checkpoint.report), identical =
-        run spec
-      in
-      (id, interval, rep, identical))
-    [
-      ("sw4", Icoe.Harness_sw4.resilience_run);
-      ("cardioid", Icoe.Harness_cardioid.resilience_run);
-    ]
-
-(* Overlap-scheduler model evaluations for the trajectory: always
-   emitted (also under --micro-only, which CI uses), with overlap forced
-   on so every BENCH_<id>.json records the critical-path numbers
-   regardless of the ICOE_OVERLAP setting of the surrounding run.
-   Deterministic: pure cost-model arithmetic, no RNG. *)
-let overlap_rows () =
-  let sw4 =
-    let m =
-      Sw4.Scenario.production_step_model ~overlap:true Hwsim.Node.sierra
-        ~nodes:256 ~grid_points:26.0e9
-    in
-    ("sw4", m.Sw4.Scenario.serial_s, m.Sw4.Scenario.overlapped_s)
-  in
-  let md id scen =
-    let m = Ddcmd.Perf.ddcmd_step_model ~overlap:true scen in
-    (id, m.Ddcmd.Perf.serial_s, m.Ddcmd.Perf.overlapped_s)
-  in
-  let kavg =
-    let m =
-      Dlearn.Distributed.kavg_round_model ~overlap:true ~learners:8 ~k:8
-        ~batch:16 [| 12; 16; 4 |]
-    in
-    ( "kavg",
-      m.Dlearn.Distributed.serial_round_s,
-      m.Dlearn.Distributed.overlapped_round_s )
-  in
-  [
-    sw4;
-    md "ddcmd-1gpu" Ddcmd.Perf.One_gpu;
-    md "ddcmd-4gpu" Ddcmd.Perf.Four_gpu;
-    md "ddcmd-mummi" Ddcmd.Perf.Mummi;
-    kavg;
-  ]
-
-(* Critical-path blame rows for the trajectory: per-phase makespan
-   attribution of the three overlap-wired models, overlap forced on
-   (same evaluations as [overlap_rows]). Deterministic: pure cost-model
-   arithmetic. Blame seconds sum to each model's overlapped makespan, so
-   any model change that moves where the time goes shows up in the
-   regression gate even when the makespan itself barely moves. *)
-let blame_rows () =
-  let analyze id dag =
-    let a = Icoe_obs.Prof.analyze ~overlap:true dag in
-    List.map
-      (fun (b : Icoe_obs.Prof.blame) -> (id, b.key, b.seconds, b.share))
-      a.Icoe_obs.Prof.phase_blame
-  in
-  let sw4 =
-    let m =
-      Sw4.Scenario.production_step_model ~overlap:true Hwsim.Node.sierra
-        ~nodes:256 ~grid_points:26.0e9
-    in
-    analyze "sw4" m.Sw4.Scenario.dag
-  in
-  let md =
-    let m = Ddcmd.Perf.ddcmd_step_model ~overlap:true Ddcmd.Perf.Four_gpu in
-    analyze "ddcmd-4gpu" m.Ddcmd.Perf.dag
-  in
-  let kavg =
-    let m =
-      Dlearn.Distributed.kavg_round_model ~overlap:true ~learners:8 ~k:8
-        ~batch:16 [| 12; 16; 4 |]
-    in
-    analyze "kavg" m.Dlearn.Distributed.dag
-  in
-  sw4 @ md @ kavg
-
-(* Service-simulation rows for the trajectory: always emitted (also
-   under --micro-only, which CI uses), so every BENCH_<id>.json records
-   the per-policy throughput/latency numbers of the multi-tenant
-   machine-as-a-service study. Deterministic: fixed seed, simulated
-   time, no pool involvement. *)
-let service_rows () =
-  let nodes = 256 in
-  let machine = Icoe_svc.Catalog.machine ~nodes () in
-  let classes = Icoe_svc.Catalog.default machine in
-  let zipf_s = 1.1 in
-  let cap = Icoe_svc.Workload.capacity ~classes ~zipf_s ~nodes in
-  let jobs =
-    Icoe_svc.Workload.generate ~rng:(Icoe_util.Rng.create 77) ~classes ~zipf_s
-      ~arrivals:(Icoe_svc.Workload.Poisson (0.9 *. cap)) ~horizon:8_000.0 ()
-  in
-  List.map
-    (fun pol -> Icoe_svc.Cluster.simulate ~nodes ~classes pol jobs)
-    [
-      Icoe_svc.Cluster.Fcfs;
-      Icoe_svc.Cluster.Easy_backfill;
-      Icoe_svc.Cluster.Sjf_quota 0.5;
-      Icoe_svc.Cluster.Partition 0.5;
-    ]
-
-(* Topology rows for the trajectory: the KAVG round re-priced across the
-   machine zoo's interconnects, contiguous vs scattered placement
-   (mirrors the topo harness). Always emitted; deterministic: pure
-   cost-model arithmetic, no RNG. On flat Sierra both placements price
-   identically; on the hierarchical machines a scattered 512+-node gang
-   is strictly slower — CI asserts both from the JSON. *)
-let topology_rows () =
-  let sizes = [| 256; 512; 128; 16 |] in
-  List.concat_map
-    (fun (m : Hwsim.Node.machine) ->
-      let topo = m.Hwsim.Node.topology in
-      List.map
-        (fun nodes ->
-          let round p =
-            (Dlearn.Distributed.kavg_round_model ~overlap:true ~topology:topo
-               ~placement:p ~learners:nodes ~k:8 ~batch:32 sizes)
-              .Dlearn.Distributed.round_s
-          in
-          let c = round Hwsim.Topology.Contiguous
-          and r = round Hwsim.Topology.Random_spread in
-          let hops =
-            Hwsim.Topology.hops topo
-              ~level:
-                (Hwsim.Topology.crossing topo ~nodes
-                   Hwsim.Topology.Random_spread)
-          in
-          (m.Hwsim.Node.node.Hwsim.Node.name, nodes, c, r, r /. c, hops))
-        [ 64; 512; 4096 ])
-    [ Hwsim.Node.sierra; Hwsim.Node.frontier; Hwsim.Node.grace_hopper ]
-
-(* Tuner rows for the trajectory: one exhaustive work-split tuning per
-   machine x kernel over the default lattice (mirrors the tune
-   harness). Always emitted; deterministic: pure cost-model search, the
-   only RNG mode is not used here. CI asserts tuned <= default and
-   speedup >= 1 on every row from the JSON. *)
-let tuner_rows () = Icoe.Harness_tune.bench_rows ()
-
-let write_bench_json ~harnesses ~faults ~overlap ~blame ~service ~topology
-    ~tuner kernels =
-  let id =
-    match Sys.getenv_opt "BENCH_ID" with
-    | Some s when s <> "" -> s
-    | _ -> string_of_int (int_of_float (Unix.time ()))
-  in
-  let file = Fmt.str "BENCH_%s.json" id in
-  let buf = Buffer.create 4096 in
-  Fmt.kstr (Buffer.add_string buf)
-    "{\n  \"id\": \"%s\",\n  \"icoe_domains\": %d,\n  \"harnesses\": [\n"
-    (json_escape id)
-    (Icoe_par.Pool.size (Icoe_par.Pool.get ()));
-  List.iteri
-    (fun i (hid, wall_ns, simulated_s, overlap_eff) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Fmt.kstr (Buffer.add_string buf)
-        "    {\"id\": \"%s\", \"wall_ns\": %.17g, \"simulated_s\": %.17g, \
-         \"overlap_efficiency\": %.17g}"
-        (json_escape hid) wall_ns simulated_s overlap_eff)
-    harnesses;
-  Buffer.add_string buf "\n  ],\n  \"overlap\": [\n";
-  List.iteri
-    (fun i (oid, serial_s, overlapped_s) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Fmt.kstr (Buffer.add_string buf)
-        "    {\"id\": \"%s\", \"serial_s\": %.17g, \"overlapped_s\": %.17g, \
-         \"efficiency\": %.17g}"
-        (json_escape oid) serial_s overlapped_s
-        (if serial_s > 0.0 then overlapped_s /. serial_s else 1.0))
-    overlap;
-  Buffer.add_string buf "\n  ],\n  \"blame\": [\n";
-  List.iteri
-    (fun i (bid, phase, seconds, share) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Fmt.kstr (Buffer.add_string buf)
-        "    {\"id\": \"%s\", \"phase\": \"%s\", \"seconds\": %.17g, \
-         \"share\": %.17g}"
-        (json_escape bid) (json_escape phase) seconds share)
-    blame;
-  Buffer.add_string buf "\n  ],\n  \"service\": [\n";
-  List.iteri
-    (fun i (m : Icoe_svc.Cluster.metrics) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Fmt.kstr (Buffer.add_string buf)
-        "    {\"policy\": \"%s\", \"nodes\": %d, \"submitted\": %d, \
-         \"completed\": %d, \"jobs_per_s\": %.17g, \"utilization\": %.17g, \
-         \"wait_p50_s\": %.17g, \"wait_p90_s\": %.17g, \"wait_p99_s\": \
-         %.17g, \"turn_p50_s\": %.17g, \"turn_p90_s\": %.17g, \
-         \"turn_p99_s\": %.17g}"
-        (json_escape m.Icoe_svc.Cluster.policy)
-        m.Icoe_svc.Cluster.nodes m.Icoe_svc.Cluster.submitted
-        m.Icoe_svc.Cluster.completed m.Icoe_svc.Cluster.jobs_per_s
-        m.Icoe_svc.Cluster.utilization m.Icoe_svc.Cluster.wait_p50
-        m.Icoe_svc.Cluster.wait_p90 m.Icoe_svc.Cluster.wait_p99
-        m.Icoe_svc.Cluster.turn_p50 m.Icoe_svc.Cluster.turn_p90
-        m.Icoe_svc.Cluster.turn_p99)
-    service;
-  Buffer.add_string buf "\n  ],\n  \"topology\": [\n";
-  List.iteri
-    (fun i (machine, nodes, contig_s, random_s, penalty, hops) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Fmt.kstr (Buffer.add_string buf)
-        "    {\"machine\": \"%s\", \"nodes\": %d, \"contiguous_step_s\": \
-         %.17g, \"random_step_s\": %.17g, \"penalty\": %.17g, \"hops\": %d}"
-        (json_escape machine) nodes contig_s random_s penalty hops)
-    topology;
-  Buffer.add_string buf "\n  ],\n  \"tuner\": [\n";
-  List.iteri
-    (fun i (r : Icoe.Harness_tune.row) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Fmt.kstr (Buffer.add_string buf)
-        "    {\"kernel\": \"%s\", \"machine\": \"%s\", \"default_s\": %.17g, \
-         \"tuned_s\": %.17g, \"split\": %.17g, \"comm\": \"%s\", \
-         \"speedup\": %.17g, \"evaluations\": %d, \"mode\": \"%s\"}"
-        (json_escape r.Icoe.Harness_tune.kernel)
-        (json_escape r.Icoe.Harness_tune.machine)
-        r.Icoe.Harness_tune.default_s r.Icoe.Harness_tune.tuned_s
-        r.Icoe.Harness_tune.split
-        (json_escape r.Icoe.Harness_tune.comm)
-        r.Icoe.Harness_tune.speedup r.Icoe.Harness_tune.evaluations
-        (json_escape r.Icoe.Harness_tune.mode))
-    tuner;
-  Buffer.add_string buf "\n  ],\n  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, ns) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      match ns with
-      | Some v when Float.is_finite v ->
-          Fmt.kstr (Buffer.add_string buf)
-            "    {\"name\": \"%s\", \"ns_per_run\": %.17g}" (json_escape name) v
-      | _ ->
-          Fmt.kstr (Buffer.add_string buf)
-            "    {\"name\": \"%s\", \"ns_per_run\": null}" (json_escape name))
-    kernels;
-  Buffer.add_string buf "\n  ],\n  \"faults\": [\n";
-  List.iteri
-    (fun i (fid, interval, (rep : Icoe_fault.Checkpoint.report), identical) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Fmt.kstr (Buffer.add_string buf)
-        "    {\"id\": \"%s\", \"seed\": 42, \"interval\": %d, \"injected\": \
-         %d, \"recovered\": %d, \"checkpoints\": %d, \"ideal_s\": %.17g, \
-         \"achieved_s\": %.17g, \"inflation\": %.17g, \
-         \"checkpoint_overhead_s\": %.17g, \"lost_work_s\": %.17g, \
-         \"identical\": %b}"
-        (json_escape fid) interval rep.Icoe_fault.Checkpoint.injected
-        rep.Icoe_fault.Checkpoint.recovered
-        rep.Icoe_fault.Checkpoint.checkpoints rep.Icoe_fault.Checkpoint.ideal_s
-        rep.Icoe_fault.Checkpoint.achieved_s
-        (Icoe_fault.Checkpoint.inflation rep)
-        rep.Icoe_fault.Checkpoint.checkpoint_overhead_s
-        rep.Icoe_fault.Checkpoint.lost_work_s identical)
-    faults;
-  (* the kernels above ran the instrumented engines, so the registry
-     snapshot records how much work each benchmark did (V-cycles, pair
-     interactions, BFS edges, ...) alongside how long it took *)
-  Buffer.add_string buf "\n  ],\n  \"registry\": ";
-  Buffer.add_string buf (String.trim (Icoe_obs.Metrics.to_json ()));
-  Buffer.add_string buf "\n}\n";
-  (match open_out file with
-  | oc ->
-      Buffer.output_buffer oc buf;
-      close_out oc
-  | exception Sys_error msg -> Fmt.epr "cannot write %s: %s@." file msg);
-  Fmt.pr "@.bench: wrote %d kernel records to %s@." (List.length kernels) file
-
-(* Part 1: every harness through the registry, timing the real wall
-   clock of each run next to the simulated seconds its traces account
-   for. Returns (id, wall_ns, simulated_s, overlap_efficiency) rows for
-   the JSON payload; the efficiency comes from the harness's
-   overlap_efficiency gauge (1.0 when the harness recorded none, e.g.
-   under ICOE_OVERLAP=0 or with the registry disabled). *)
+(* Every harness through the registry, each timed on the monotonic
+   clock, printing the reports, the trace rollups and a wall-clock
+   table. Returns the per-harness wall ns (Wall) and simulated seconds
+   (Sim) rows, and the outcomes. *)
 let run_harnesses () =
-  let rows_and_traces =
+  let runs =
     List.map
       (fun (h : Icoe.Harness.t) ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = now_ns () in
         let o = h.run () in
-        let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+        let wall_ns = Int64.(to_float (sub (now_ns ()) t0)) in
         print_string o.Icoe.Harness.report;
-        let overlap_eff =
-          match
-            Icoe_obs.Metrics.value
-              ~labels:[ ("harness", h.id) ]
-              "overlap_efficiency"
-          with
-          | Some v when v > 0.0 -> v
-          | _ -> 1.0
-        in
-        ( (h.id, wall_ns, Icoe.Harness.simulated_seconds o, overlap_eff),
-          o.Icoe.Harness.traces ))
+        (h.id, o, wall_ns))
       Icoe.Harness_registry.all
   in
-  let rows = List.map fst rows_and_traces in
-  (* the instrumented harnesses recorded span traces: show where the
-     simulated time went, per device and per phase *)
+  let outcomes = List.map (fun (_, o, _) -> o) runs in
   print_string
-    (Icoe.Harness.rollup_report (List.concat_map snd rows_and_traces));
-  Fmt.pr "@.== Harness wall clock (ICOE_DOMAINS=%d) ==@."
-    (Icoe_par.Pool.size (Icoe_par.Pool.get ()));
-  Fmt.pr "%-12s %14s %14s %9s@." "harness" "wall ms" "simulated s" "overlap";
-  Fmt.pr "%s@." (String.make 52 '-');
-  List.iter
-    (fun (id, wall_ns, sim_s, overlap_eff) ->
-      Fmt.pr "%-12s %14.2f %14.3f %9.3f@." id (wall_ns /. 1e6) sim_s
-        overlap_eff)
-    rows;
-  rows
+    (Icoe.Harness.rollup_report
+       (List.concat_map (fun (o : Icoe.Harness.outcome) -> o.traces) outcomes));
+  Fmt.pr "@.== Harness wall clock (ICOE_DOMAINS=%d) ==@.%-12s %14s %14s@.%s@."
+    (Icoe_par.Pool.size (Icoe_par.Pool.get ()))
+    "harness" "wall ms" "simulated s" (String.make 42 '-');
+  let rows =
+    List.concat_map
+      (fun (id, o, wall_ns) ->
+        let sim_s = Icoe.Harness.simulated_seconds o in
+        Fmt.pr "%-12s %14.2f %14.3f@." id (wall_ns /. 1e6) sim_s;
+        let row name unit klass value =
+          { Icoe.Harness.section = "harness"; name = id ^ "/" ^ name; value;
+            unit; klass; higher_better = false }
+        in
+        [ row "simulated_s" "s" Sim sim_s; row "wall_ns" "ns" Wall wall_ns ])
+      runs
+  in
+  (rows, outcomes)
 
 (* --alloc-smoke: the zero-allocation budget gate. After a short warmup
    (scratch arenas sized, cell lists built, stack programs compiled), one
@@ -674,7 +393,6 @@ let alloc_smoke () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let micro_only = List.mem "--micro-only" args in
   (* GC tuning knobs (ICOE_GC_MINOR_HEAP / ICOE_GC_SPACE_OVERHEAD):
      applied before any benchmark runs, reported in the header so a
      BENCH trajectory row can be traced back to its GC configuration. *)
@@ -684,22 +402,61 @@ let () =
     alloc_smoke ();
     exit 0
   end;
-  let harnesses =
-    if micro_only then []
-    else begin
-      Fmt.pr "==========================================================@.";
-      Fmt.pr " iCoE reproduction: every table and figure of the paper@.";
-      Fmt.pr "==========================================================@.@.";
-      run_harnesses ()
-    end
+  Fmt.pr "==========================================================@.";
+  Fmt.pr " iCoE reproduction: every table and figure of the paper@.";
+  Fmt.pr "==========================================================@.@.";
+  let harness_rows, outcomes = run_harnesses () in
+  (* sw4 and cardioid once more under the seed-42 fault plan: their
+     resilience sections record the recovery rows and checks (rows and
+     checks the clean pass already has are dropped by the document) *)
+  let faulted =
+    Icoe_fault.Context.with_spec (Icoe_fault.Plan.spec 42) (fun () ->
+        List.map
+          (fun id -> (Option.get (Icoe.Harness_registry.find id)).run ())
+          [ "sw4"; "cardioid" ])
   in
   Icoe_obs.Metrics.reset ();
   let kernels = microbenchmarks () in
-  let faults = fault_rows () in
-  let overlap = overlap_rows () in
-  let blame = blame_rows () in
-  let service = service_rows () in
-  let topology = topology_rows () in
-  let tuner = tuner_rows () in
-  write_bench_json ~harnesses ~faults ~overlap ~blame ~service ~topology ~tuner
-    kernels
+  let kernel_rows =
+    List.map
+      (fun (name, ns) ->
+        { Icoe.Harness.section = "kernel"; name; unit = "ns"; klass = Wall;
+          value = Option.value ns ~default:Float.nan; higher_better = false })
+      kernels
+  in
+  let outcomes = outcomes @ faulted in
+  let icoe_domains = Icoe_par.Pool.size (Icoe_par.Pool.get ()) in
+  let checks =
+    List.concat_map (fun (o : Icoe.Harness.outcome) -> o.checks) outcomes
+    @ [
+        ( "bench/kernels-measured",
+          List.for_all (fun (_, ns) -> Option.fold ~none:false ~some:Float.is_finite ns) kernels );
+        ("bench/registry-nonempty", Icoe_obs.Metrics.snapshot () <> []);
+        ("bench/icoe_domains>=1", icoe_domains >= 1);
+      ]
+  in
+  let id =
+    match Sys.getenv_opt "BENCH_ID" with
+    | Some s when s <> "" -> s
+    | _ -> string_of_int (int_of_float (Unix.time ()))
+  in
+  let file = Fmt.str "BENCH_%s.json" id in
+  (* the kernels ran the instrumented engines after a reset, so the
+     registry records how much work each benchmark did (V-cycles, pair
+     interactions, BFS edges, ...) alongside how long it took *)
+  let doc =
+    Icoe_obs.Bench_diff.document ~id ~icoe_domains
+      ~registry:(Icoe_util.Json.parse_exn (Icoe_obs.Metrics.to_json ()))
+      (harness_rows @ kernel_rows
+      @ List.concat_map (fun (o : Icoe.Harness.outcome) -> o.rows) outcomes)
+      checks
+  in
+  match open_out file with
+  | oc ->
+      output_string oc (Icoe_util.Json.to_string doc);
+      close_out oc;
+      Fmt.pr "@.bench: wrote %d rows and %d checks to %s@."
+        (List.length (Option.get (Icoe_util.Json.list_member "rows" doc)))
+        (List.length (Option.get (Icoe_util.Json.list_member "checks" doc)))
+        file
+  | exception Sys_error msg -> Fmt.epr "cannot write %s: %s@." file msg

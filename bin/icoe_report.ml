@@ -19,7 +19,11 @@
    record span traces of the simulated machine; after a run the report
    appends per-device/per-phase rollup tables, and --trace FILE exports
    the spans as Chrome trace-event JSON for chrome://tracing /
-   Perfetto. *)
+   Perfetto.
+
+   Harnesses also record named acceptance checks (e.g. "recovered state
+   identical to the fault-free run"). A run prints a one-line check
+   summary on stderr and exits 1 when any check failed. *)
 
 open Cmdliner
 
@@ -190,11 +194,24 @@ let run_ids ids trace_file metrics_file faults_seed events_file occupancy_file =
             "occupancy: no occupancy artifact was recorded (run the 'svc' \
              experiment); skipping write of %s@."
             file));
-  match events_file with
+  (match events_file with
   | None -> ()
   | Some file ->
       Icoe_obs.Events.close ();
-      Fmt.pr "events: wrote event log to %s@." file
+      Fmt.pr "events: wrote event log to %s@." file);
+  (* the acceptance checks the harnesses recorded: summarized on stderr
+     so the report on stdout stays byte-identical, and any failure is
+     the exit status *)
+  let checks =
+    List.concat_map (fun (o : Icoe.Harness.outcome) -> o.checks) outcomes
+  in
+  let failed = List.filter_map (fun (n, ok) -> if ok then None else Some n) checks in
+  if checks <> [] then
+    Fmt.epr "checks: %d of %d hold%s@."
+      (List.length checks - List.length failed)
+      (List.length checks)
+      (if failed = [] then "" else "; failed: " ^ String.concat ", " failed);
+  if failed <> [] then exit 1
 
 let run_cmd =
   let doc =

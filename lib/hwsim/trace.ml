@@ -308,22 +308,6 @@ let span_table ?(title = "top spans") ?(n = 5) t =
 
 (* --- Chrome trace-event export --- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* One Chrome "complete" (ph:"X") event per span; ts/dur are simulated
    microseconds. One process per trace, one thread per device. *)
 let add_events buf ~pid ~pname t =
@@ -332,7 +316,7 @@ let add_events buf ~pid ~pname t =
   sep ();
   add
     {|{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"%s"}}|}
-    pid (json_escape pname);
+    pid (Icoe_util.Json.escape pname);
   let tids = Hashtbl.create 8 in
   Hashtbl.add tids "-" 0;
   let tid_of sp =
@@ -345,13 +329,13 @@ let add_events buf ~pid ~pname t =
         sep ();
         add
           {|{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"%s"}}|}
-          pid i (json_escape dev);
+          pid i (Icoe_util.Json.escape dev);
         i
   in
   let emit sp ~tid =
     sep ();
     add {|{"name":"%s","cat":"sim","ph":"X","ts":%.6f,"dur":%.6f,"pid":%d,"tid":%d|}
-      (json_escape sp.name)
+      (Icoe_util.Json.escape sp.name)
       (sp.start *. 1e6)
       (duration sp *. 1e6)
       pid tid;

@@ -143,10 +143,5 @@ val chrome_json_of_many : (string * t) list -> string
 val to_chrome_json : t -> string
 (** [chrome_json_of_many] for a single trace. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal: quotes,
-    backslash, and every control character below 0x20 (so arbitrary
-    phase/device names can never emit invalid Chrome-trace JSON). *)
-
 val pp : Format.formatter -> t -> unit
 (** Indented span tree, for debugging. *)

@@ -1,10 +1,20 @@
 open Icoe_util
 
+type row = Icoe_obs.Bench_diff.measurement = {
+  section : string;
+  name : string;
+  value : float;
+  unit : string;
+  klass : Icoe_obs.Bench_diff.klass;
+  higher_better : bool;
+}
+
 type outcome = {
   report : string;
   traces : (string * Hwsim.Trace.t) list;
   metrics : Icoe_obs.Metrics.sample list;
-  faults : (string * Icoe_fault.Checkpoint.report) list;
+  rows : row list;
+  checks : (string * bool) list;
   artifacts : (string * (unit -> string)) list;
 }
 
@@ -17,37 +27,72 @@ type t = {
 
 let section title body = Fmt.str "### %s\n%s\n" title body
 
-(* Traces recorded by the harness currently running. Harness bodies run
-   one at a time in the caller's domain (pool workers never run harness
-   code), so a single scoped ref suffices. *)
-let current : (string * Hwsim.Trace.t) list ref = ref []
-let current_faults : (string * Icoe_fault.Checkpoint.report) list ref = ref []
-let current_artifacts : (string * (unit -> string)) list ref = ref []
-let active = ref false
+(* What the harness currently running has recorded, newest first.
+   Harness bodies run one at a time in the caller's domain (pool workers
+   never run harness code), so a single scoped ref suffices. Outside a
+   harness body it is [None] and records are dropped. *)
+let current : outcome option ref = ref None
+let record f = Option.iter (fun o -> current := Some (f o)) !current
 
-let record_trace name tr = if !active then current := (name, tr) :: !current
+let record_trace name tr =
+  record (fun o -> { o with traces = (name, tr) :: o.traces })
 
-let record_faults name r =
-  if !active then current_faults := (name, r) :: !current_faults
+let record_row ~section ~unit ?(klass = Icoe_obs.Bench_diff.Sim)
+    ?(higher_better = false) name value =
+  record (fun o ->
+      { o with rows = { section; name; value; unit; klass; higher_better } :: o.rows })
+
+let record_check name ok =
+  record (fun o -> { o with checks = (name, ok) :: o.checks })
 
 let record_artifact name render =
-  if !active then current_artifacts := (name, render) :: !current_artifacts
+  record (fun o -> { o with artifacts = (name, render) :: o.artifacts })
 
-(* Per-harness comm/compute overlap gauge. Harness bodies call this only
-   when the stream scheduler actually overlapped, so ICOE_OVERLAP=0 runs
-   leave the registry exactly as before the scheduler existed. *)
-let record_overlap id eff =
+(* Per-harness comm/compute overlap gauge and rows. Harness bodies call
+   this only when the stream scheduler actually overlapped, so
+   ICOE_OVERLAP=0 runs leave the registry exactly as before the
+   scheduler existed. *)
+let record_overlap id ~serial_s ~overlapped_s =
+  let eff = overlapped_s /. serial_s in
   Icoe_obs.Metrics.set
     (Icoe_obs.Metrics.gauge
        ~help:"Charged over serial-sum modeled seconds (1 = no overlap)"
        ~labels:[ ("harness", id) ]
        "overlap_efficiency")
-    eff
+    eff;
+  record_row ~section:"overlap" ~unit:"s" (id ^ "/serial_s") serial_s;
+  record_row ~section:"overlap" ~unit:"s" (id ^ "/overlapped_s") overlapped_s;
+  record_check (id ^ "/overlap/hides-work")
+    (overlapped_s > 0.0 && overlapped_s < serial_s);
+  eff
 
-(* Critical-path blame gauges (the prof_ family), same gating contract
-   as [record_overlap]: harness bodies call this only from overlap-gated
-   sections so ICOE_OVERLAP=0 runs never register blame metrics. *)
-let record_blame id analysis = Icoe_obs.Prof.record_metrics ~harness:id analysis
+(* A checkpoint/restart run under a fault plan: its time to solution as
+   a row, and the acceptance properties as checks — the plan struck and
+   every failure was recovered, recovery cost time, and the recovered
+   state is bit-identical to the fault-free run. *)
+let record_recovery id (rep : Icoe_fault.Checkpoint.report) ~identical =
+  record_row ~section:"fault" ~unit:"s" (id ^ "/achieved_s") rep.achieved_s;
+  record_check (id ^ "/fault/recovered")
+    (rep.injected >= 1 && rep.recovered = rep.injected);
+  record_check (id ^ "/fault/inflation>1")
+    (Icoe_fault.Checkpoint.inflation rep > 1.0);
+  record_check (id ^ "/fault/identical") identical
+
+(* Critical-path blame gauges (the prof_ family) and rows, same gating
+   contract as [record_overlap]: harness bodies call this only from
+   overlap-gated sections so ICOE_OVERLAP=0 runs never register blame
+   metrics. *)
+let record_blame id (analysis : Icoe_obs.Prof.analysis) =
+  Icoe_obs.Prof.record_metrics ~harness:id analysis;
+  List.iter
+    (fun (b : Icoe_obs.Prof.blame) ->
+      record_row ~section:"blame" ~unit:"s" (id ^ "/" ^ b.key) b.seconds)
+    analysis.phase_blame;
+  record_check (id ^ "/blame/shares-valid")
+    (List.for_all
+       (fun (b : Icoe_obs.Prof.blame) ->
+         b.seconds >= 0.0 && b.share >= 0.0 && b.share <= 1.0)
+       analysis.phase_blame)
 
 (* Flight-recorder bridge: one "metric" event per changed sample in the
    harness's registry diff. *)
@@ -74,32 +119,27 @@ let emit_metric_events id samples =
 
 let make ~id ~description ?(tags = []) f =
   let run () =
-    let saved_traces = !current
-    and saved_faults = !current_faults
-    and saved_artifacts = !current_artifacts
-    and saved_active = !active in
-    current := [];
-    current_faults := [];
-    current_artifacts := [];
-    active := true;
-    let restore () =
-      current := saved_traces;
-      current_faults := saved_faults;
-      current_artifacts := saved_artifacts;
-      active := saved_active
-    in
-    Fun.protect ~finally:restore (fun () ->
+    let saved = !current in
+    current :=
+      Some
+        { report = ""; traces = []; metrics = []; rows = []; checks = [];
+          artifacts = [] };
+    Fun.protect
+      ~finally:(fun () -> current := saved)
+      (fun () ->
         let before = Icoe_obs.Metrics.snapshot () in
         let report = f () in
         let after = Icoe_obs.Metrics.snapshot () in
         let metrics = Icoe_obs.Metrics.diff ~before ~after in
         emit_metric_events id metrics;
+        let o = Option.get !current in
         {
           report;
-          traces = List.rev !current;
           metrics;
-          faults = List.rev !current_faults;
-          artifacts = List.rev !current_artifacts;
+          traces = List.rev o.traces;
+          rows = List.rev o.rows;
+          checks = List.rev o.checks;
+          artifacts = List.rev o.artifacts;
         })
   in
   { id; description; tags; run }

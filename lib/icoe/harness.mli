@@ -4,13 +4,24 @@
     a human description, a set of tags, and a [run] function returning a
     structured {!outcome} instead of a bare string. The outcome carries
     the rendered report plus everything the observability layers caught
-    while the harness ran — the {!Hwsim.Trace.t}s it recorded and the
-    delta of the {!Icoe_obs.Metrics} default registry — so callers
-    (the CLI, the bench executable, the tests) no longer scrape global
-    state after the fact.
+    while the harness ran — the {!Hwsim.Trace.t}s it recorded, the
+    delta of the {!Icoe_obs.Metrics} default registry, and the typed
+    rows and named checks it computed — so callers (the CLI, the bench
+    executable, the tests) no longer scrape global state or report
+    prose after the fact.
 
     Harnesses are registered in {!Harness_registry.all}; each activity
     contributes its own [Harness_*] module. *)
+
+type row = Icoe_obs.Bench_diff.measurement = {
+  section : string;
+  name : string;
+  value : float;
+  unit : string;
+  klass : Icoe_obs.Bench_diff.klass;
+  higher_better : bool;
+}
+(** One measurement, as it lands in [BENCH_<id>.json]. *)
 
 type outcome = {
   report : string;  (** rendered text, paper reference values alongside *)
@@ -20,10 +31,9 @@ type outcome = {
   metrics : Icoe_obs.Metrics.sample list;
       (** what the run added to the default metrics registry
           ({!Icoe_obs.Metrics.diff} of snapshots taken around [run]) *)
-  faults : (string * Icoe_fault.Checkpoint.report) list;
-      (** checkpoint/restart reports recorded via {!record_faults}
-          during the run — nonempty only when the harness ran under a
-          fault plan (see {!Icoe_fault.Context}) *)
+  rows : row list;  (** recorded via {!record_row}, in order *)
+  checks : (string * bool) list;
+      (** recorded via {!record_check}, in order; [false] failed *)
   artifacts : (string * (unit -> string)) list;
       (** named renderable artifacts (e.g. a cluster-occupancy Chrome
           trace) recorded via {!record_artifact}; kept as thunks so a
@@ -45,36 +55,50 @@ val make :
   (unit -> string) -> t
 (** [make ~id ~description ~tags f] wraps a report-producing function:
     [run] snapshots the default metrics registry around [f ()], scopes
-    {!record_trace} to this run, and assembles the {!outcome}. *)
+    {!record_trace}, {!record_row}, {!record_check} and
+    {!record_artifact} to this run, and assembles the {!outcome}. *)
+
+(** {1 Recording} Each [record_*] attaches to the outcome of the harness
+    currently running; outside a harness body it is dropped. *)
 
 val record_trace : string -> Hwsim.Trace.t -> unit
-(** Attach a named trace to the outcome of the harness currently
-    running. Outside a harness body the trace is dropped. *)
 
-val record_overlap : string -> float -> unit
-(** [record_overlap id eff] sets the [overlap_efficiency{harness=id}]
-    gauge in the default metrics registry: the harness's charged over
-    serial-sum modeled seconds, in (0, 1]. Harnesses call it only when
-    {!Hwsim.Sched.overlap_enabled} — under [ICOE_OVERLAP=0] the gauge is
-    never registered, keeping serialized output bit-identical. *)
+val record_row :
+  section:string -> unit:string -> ?klass:Icoe_obs.Bench_diff.klass ->
+  ?higher_better:bool -> string -> float -> unit
+(** [record_row ~section ~unit name value]; [klass] defaults to [Sim],
+    [higher_better] to [false]. *)
+
+val record_check : string -> bool -> unit
+(** [record_check name ok]: a named acceptance check; [icoe_report run]
+    exits 1 when one is [false]. *)
+
+val record_overlap : string -> serial_s:float -> overlapped_s:float -> float
+(** [record_overlap id ~serial_s ~overlapped_s] returns the overlap
+    efficiency [overlapped_s /. serial_s], sets it as the
+    [overlap_efficiency{harness=id}] gauge, and records the rows
+    [overlap/<id>/serial_s] and [/overlapped_s] and the check
+    [<id>/overlap/hides-work] ([0 < overlapped_s < serial_s]). Harnesses
+    call it only when {!Hwsim.Sched.overlap_enabled}, so
+    [ICOE_OVERLAP=0] output stays bit-identical. *)
 
 val record_blame : string -> Icoe_obs.Prof.analysis -> unit
-(** [record_blame id a] sets the [prof_makespan_seconds],
-    [prof_blame_seconds{phase}] and [prof_sensitivity_seconds{phase}]
-    gauges for harness [id] ({!Icoe_obs.Prof.record_metrics}). Same
-    gating contract as {!record_overlap}: call it only from
-    overlap-gated sections so [ICOE_OVERLAP=0] runs never register
-    [prof_*] metrics. *)
+(** [record_blame id a] sets the [prof_*] gauges for harness [id]
+    ({!Icoe_obs.Prof.record_metrics}) and records one
+    [blame/<id>/<phase>] row per phase and the check
+    [<id>/blame/shares-valid]. Same gating contract as
+    {!record_overlap}. *)
+
+val record_recovery :
+  string -> Icoe_fault.Checkpoint.report -> identical:bool -> unit
+(** A checkpoint/restart run under a fault plan: the row
+    [fault/<id>/achieved_s] and the checks [<id>/fault/recovered] (at
+    least one failure struck, every one recovered),
+    [<id>/fault/inflation>1] and [<id>/fault/identical] (recovered
+    state equals the fault-free run's bit for bit). *)
 
 val record_artifact : string -> (unit -> string) -> unit
-(** Attach a named artifact thunk to the outcome of the harness
-    currently running. The thunk is forced only when a caller writes
-    the artifact out. Outside a harness body it is dropped. *)
-
-val record_faults : string -> Icoe_fault.Checkpoint.report -> unit
-(** Attach a named checkpoint/restart report (time-to-solution
-    inflation, recovery counts, lost work) to the outcome of the
-    harness currently running. Outside a harness body it is dropped. *)
+(** The thunk is forced only when a caller writes the artifact out. *)
 
 val section : string -> string -> string
 (** [section title body] renders one report section ([### title]). *)

@@ -101,7 +101,7 @@ let resilience_run (spec : Icoe_fault.Plan.spec) =
 
 let resilience_section spec =
   let plan, interval, rep, identical = resilience_run spec in
-  Harness.record_faults "cardioid" rep;
+  Harness.record_recovery "cardioid" rep ~identical;
   Harness.section
     "Resilience — whole-heart run under a seeded fault plan"
     (Fmt.str

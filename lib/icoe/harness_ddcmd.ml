@@ -13,8 +13,10 @@ let overlap_section () =
     let tr = Hwsim.Trace.create ~root:"md-overlap" clock in
     let m = Ddcmd.Perf.ddcmd_step_model ~trace:tr Ddcmd.Perf.Four_gpu in
     Harness.record_trace "md-overlap" tr;
-    let eff = m.Ddcmd.Perf.overlapped_s /. m.Ddcmd.Perf.serial_s in
-    Harness.record_overlap "md" eff;
+    let eff =
+      Harness.record_overlap "md" ~serial_s:m.Ddcmd.Perf.serial_s
+        ~overlapped_s:m.Ddcmd.Perf.overlapped_s
+    in
     let blame = Icoe_obs.Prof.analyze ~overlap:true m.Ddcmd.Perf.dag in
     Harness.record_blame "md" blame;
     Harness.section

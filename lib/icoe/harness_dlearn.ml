@@ -55,7 +55,11 @@ let overlap_section sizes =
         sizes
     in
     Harness.record_trace "kavg-overlap" tr;
-    Harness.record_overlap "kavg" m.Dlearn.Distributed.round_efficiency;
+    let eff =
+      Harness.record_overlap "kavg"
+        ~serial_s:m.Dlearn.Distributed.serial_round_s
+        ~overlapped_s:m.Dlearn.Distributed.overlapped_round_s
+    in
     let blame = Icoe_obs.Prof.analyze ~overlap:true m.Dlearn.Distributed.dag in
     Harness.record_blame "kavg" blame;
     Harness.section
@@ -67,7 +71,7 @@ let overlap_section sizes =
          m.Dlearn.Distributed.serial_round_s
          m.Dlearn.Distributed.overlapped_round_s
          (List.length (Dlearn.Distributed.layer_params sizes))
-         m.Dlearn.Distributed.round_efficiency)
+         eff)
     ^ Harness.section
         "Critical-path blame — what the per-round makespan is waiting on"
         (Icoe_obs.Prof.report_section blame)

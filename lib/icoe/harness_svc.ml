@@ -10,7 +10,19 @@ let zipf_s = 1.1
 let nodes = 256
 
 let record_metrics (m : Svc.Cluster.metrics) =
-  let labels = [ ("policy", m.Svc.Cluster.policy) ] in
+  let policy = m.Svc.Cluster.policy in
+  let labels = [ ("policy", policy) ] in
+  Harness.record_row ~section:"service" ~unit:"jobs/s" ~higher_better:true
+    (policy ^ "/jobs_per_s") m.Svc.Cluster.jobs_per_s;
+  Harness.record_row ~section:"service" ~unit:"s" (policy ^ "/wait_p99_s")
+    m.Svc.Cluster.wait_p99;
+  let check what ok = Harness.record_check ("svc/" ^ policy ^ "/" ^ what) ok in
+  check "completed=submitted"
+    (m.Svc.Cluster.completed = m.Svc.Cluster.submitted);
+  check "jobs_per_s>0" (m.Svc.Cluster.jobs_per_s > 0.0);
+  check "utilization-in-(0,1]"
+    (m.Svc.Cluster.utilization > 0.0 && m.Svc.Cluster.utilization <= 1.0);
+  check "wait_p99>=p50" (m.Svc.Cluster.wait_p99 >= m.Svc.Cluster.wait_p50);
   Icoe_obs.Metrics.set
     (Icoe_obs.Metrics.gauge ~labels
        ~help:"Sustained throughput of the service simulation"

@@ -17,10 +17,22 @@ let overlap_section () =
         ~grid_points:26.0e9
     in
     Harness.record_trace "sw4-overlap" tr;
-    let eff = m.Sw4.Scenario.overlapped_s /. m.Sw4.Scenario.serial_s in
-    Harness.record_overlap "sw4" eff;
+    let eff =
+      Harness.record_overlap "sw4" ~serial_s:m.Sw4.Scenario.serial_s
+        ~overlapped_s:m.Sw4.Scenario.overlapped_s
+    in
     let blame = Icoe_obs.Prof.analyze ~overlap:true m.Sw4.Scenario.dag in
     Harness.record_blame "sw4" blame;
+    (* the stencil, not the halo, is what a step waits on *)
+    let phases = blame.Icoe_obs.Prof.phase_blame in
+    let interior =
+      List.fold_left
+        (fun acc (b : Icoe_obs.Prof.blame) ->
+          if b.key = "interior" then b.seconds else acc)
+        neg_infinity phases
+    in
+    Harness.record_check "sw4/blame/interior-dominates"
+      (List.for_all (fun (b : Icoe_obs.Prof.blame) -> b.seconds <= interior) phases);
     Harness.section
       "Overlap — halo exchange hidden under interior compute (per step, 256 \
        Sierra nodes)"
@@ -126,7 +138,7 @@ let resilience_run (spec : Icoe_fault.Plan.spec) =
 
 let resilience_section spec =
   let plan, interval, rep, identical = resilience_run spec in
-  Harness.record_faults "sw4" rep;
+  Harness.record_recovery "sw4" rep ~identical;
   Harness.section
     "Resilience — Hayward campaign under a seeded fault plan"
     (Fmt.str

@@ -34,6 +34,7 @@ let zoo_section () =
 
 let sw4_section () =
   let grid_points = 26.0e9 in
+  let hops_ok = ref true in
   let t =
     Table.create
       ~title:
@@ -63,6 +64,9 @@ let sw4_section () =
           and lr =
             Hwsim.Topology.crossing topo ~nodes Hwsim.Topology.Random_spread
           in
+          let hc = Hwsim.Topology.hops topo ~level:lc
+          and hr = Hwsim.Topology.hops topo ~level:lr in
+          hops_ok := !hops_ok && hc >= 1 && hr >= 1;
           Table.add_row t
             [
               mname m;
@@ -70,9 +74,7 @@ let sw4_section () =
               Table.fcell ~prec:2 (c.Sw4.Scenario.step_s *. 1e3);
               Table.fcell ~prec:1 (c.Sw4.Scenario.halo_s *. 1e6);
               Table.fcell ~prec:1 (r.Sw4.Scenario.halo_s *. 1e6);
-              Fmt.str "%d->%d"
-                (Hwsim.Topology.hops topo ~level:lc)
-                (Hwsim.Topology.hops topo ~level:lr);
+              Fmt.str "%d->%d" hc hr;
             ];
           if nodes = 4096 then begin
             gauge "topo_sw4_step_seconds"
@@ -86,6 +88,7 @@ let sw4_section () =
           end)
         sweep)
     machines;
+  Harness.record_check "topo/hops>=1" !hops_ok;
   Harness.section
     "SW4 across generations — halo priced at the placement's switch crossing"
     (Table.render t)
@@ -148,10 +151,17 @@ let kavg_section () =
           in
           let c = round Hwsim.Topology.Contiguous
           and r = round Hwsim.Topology.Random_spread in
-          if
-            learners >= 512
-            && not (Hwsim.Topology.is_flat m.Hwsim.Node.topology)
-          then strict := !strict && r > c;
+          let flat = Hwsim.Topology.is_flat m.Hwsim.Node.topology in
+          if learners >= 512 && not flat then strict := !strict && r > c;
+          let row = Fmt.str "%s/%dn" (mname m) learners in
+          Harness.record_row ~section:"topology" ~unit:"s"
+            (row ^ "/contiguous_step_s") c;
+          Harness.record_row ~section:"topology" ~unit:"s"
+            (row ^ "/random_step_s") r;
+          (* a flat network prices every placement alike; a hierarchical
+             one never makes scattering cheaper *)
+          Harness.record_check ("topo/" ^ row ^ "/placement-order")
+            (c > 0.0 && if flat then r = c else r >= c);
           Table.add_row t
             [
               mname m; string_of_int learners; Table.fcell ~prec:3 (c *. 1e3);
@@ -167,8 +177,9 @@ let kavg_section () =
           end)
         [ 512; 1024; 4096 ])
     machines;
-  (* the grep-able acceptance line: on both hierarchical machines, a
-     scattered 512+-node gang is strictly slower than a contiguous one *)
+  (* the acceptance line: on both hierarchical machines, a scattered
+     512+-node gang is strictly slower than a contiguous one *)
+  Harness.record_check "topo/random-slower-at-512+" !strict;
   Harness.section "KAVG across generations"
     (Fmt.str
        "%struth: random placement strictly slower than contiguous at >=512 \

@@ -5,10 +5,10 @@
     machines. Tuned vs paper-default placements, exhaustive vs annealed
     search, all in simulated time.
 
-    Acceptance truths (grep-able, asserted by CI): the tuned makespan
-    is never worse than the paper default on any machine x kernel, and
-    the annealer agrees exactly with the exhaustive sweep whenever its
-    budget covers the lattice. *)
+    Acceptance truths (printed, and recorded as checks): the tuned
+    makespan is never worse than the paper default on any machine x
+    kernel, and the annealer agrees exactly with the exhaustive sweep
+    whenever its budget covers the lattice. *)
 
 open Icoe_util
 
@@ -77,8 +77,8 @@ let row_of kernel machine (r : Opt.Autotune.result) =
     mode = r.Opt.Autotune.mode;
   }
 
-(** The bench rows: one exhaustive tuning per machine x kernel on the
-    default 21-point lattice x {dedicated, inline}. Deterministic. *)
+(** One exhaustive tuning per machine x kernel on the default 21-point
+    lattice x {dedicated, inline}. Deterministic. *)
 let bench_rows () =
   List.concat_map
     (fun m ->
@@ -132,9 +132,21 @@ let exhaustive_section () =
         ~help:"tuned makespan per machine x kernel" ~machine:r.machine
         ~kernel:r.kernel r.tuned_s;
       gauge "tuner_split" ~help:"tuned accelerator share per machine x kernel"
-        ~machine:r.machine ~kernel:r.kernel r.split)
+        ~machine:r.machine ~kernel:r.kernel r.split;
+      let name = r.kernel ^ "/" ^ r.machine in
+      Harness.record_row ~section:"tuner" ~unit:"s" (name ^ "/default_s")
+        r.default_s;
+      Harness.record_row ~section:"tuner" ~unit:"s" (name ^ "/tuned_s")
+        r.tuned_s)
     rows;
   let never_worse = List.for_all (fun r -> r.tuned_s <= r.default_s) rows in
+  Harness.record_check "tune/tuned<=default-everywhere" never_worse;
+  Harness.record_check "tune/tuned>0-and-split-in-[0,1]"
+    (List.for_all
+       (fun r -> r.tuned_s > 0.0 && r.split >= 0.0 && r.split <= 1.0)
+       rows);
+  Harness.record_check "tune/tuning-wins-somewhere"
+    (List.exists (fun r -> r.tuned_s < r.default_s) rows);
   Harness.section "Work-partitioning auto-tuner — tuned vs paper default"
     (Fmt.str
        "%struth: tuned makespan <= paper-default makespan on every machine x \
@@ -196,6 +208,9 @@ let anneal_section () =
             ])
         kernels)
     machines;
+  Harness.record_check "tune/anneal=exhaustive-when-budget-covers" !agree;
+  Harness.record_check "tune/fine-anneal<=default-everywhere"
+    !fine_never_worse;
   Harness.section "Annealed vs exhaustive search"
     (Fmt.str
        "%struth: annealing (budget >= lattice) matches exhaustive everywhere: \

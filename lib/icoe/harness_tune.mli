@@ -20,4 +20,5 @@ type row = {
 
 val bench_rows : unit -> row list
 (** One exhaustive tuning per machine x kernel on the default lattice —
-    the ["tuner"] block of [BENCH_<id>.json]. Deterministic. *)
+    the table whose makespans the harness records as [tuner/*] rows.
+    Deterministic. *)

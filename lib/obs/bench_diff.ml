@@ -1,32 +1,27 @@
-(** Differential regression gate over two [BENCH_<id>.json] files.
-
-    The bench harness has emitted a machine-readable perf trajectory
-    since PR 2; this module turns it from a write-only artifact into an
-    enforced contract. Both files are flattened into comparable rows
-    (one per harness/kernel/overlap/fault/service/blame/topology/tuner
-    measurement),
-    each row's relative delta is judged against a threshold, and the
-    result is a verdict table plus an exit decision.
-
-    Two classes of measurement get different treatment: {e simulated}
-    values (model seconds — deterministic, so any drift is a real model
-    change) fail hard at a tight threshold, while {e wall-clock} values
-    (host-dependent ns timings) only warn by default at a loose
-    threshold, because CI machines are noisy. *)
+(* The BENCH document layout and the regression gate over two of them.
+   See the interface for the verdict rules; nothing here knows which
+   sections exist. *)
 
 type klass = Sim | Wall
 
 type verdict = Ok | Improved | Warn | Regression | Added | Removed
 
+type measurement = {
+  section : string;
+  name : string;
+  value : float;
+  unit : string;
+  klass : klass;
+  higher_better : bool;
+}
+
 type row = {
   section : string;
-      (** harness / kernel / overlap / fault / service / blame /
-          topology / tuner *)
-  name : string;  (** row id within the section, e.g. "sw4/interior" *)
+  name : string;
   klass : klass;
-  base : float option;  (** [None]: missing in the baseline *)
-  cur : float option;  (** [None]: missing in the current file *)
-  delta : float;  (** relative delta, [cur/base - 1]; 0 when undefined *)
+  base : float option;
+  cur : float option;
+  delta : float;
   verdict : verdict;
 }
 
@@ -45,221 +40,143 @@ let verdict_name = function
   | Added -> "added"
   | Removed -> "removed"
 
-(* A measurement: section, row name, class, lower-is-better?, value.
-   Almost everything is a time (lower is better); service throughput
-   rows flip the sign. *)
-type meas = {
-  m_section : string;
-  m_name : string;
-  m_klass : klass;
-  m_higher_better : bool;
-  m_value : float;
-}
+let first_by key l =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun x -> (not (Hashtbl.mem seen (key x))) && (Hashtbl.add seen (key x) (); true))
+    l
 
-let meas ?(higher_better = false) ~section ~klass name value =
-  {
-    m_section = section;
-    m_name = name;
-    m_klass = klass;
-    m_higher_better = higher_better;
-    m_value = value;
-  }
+let key (m : measurement) = (m.section, m.name)
 
-(* Flatten one parsed BENCH document into measurements. Sections absent
-   from a file (older baselines predate overlap/service/faults/blame)
-   simply contribute nothing — the pairing step turns one-sided rows
-   into Added/Removed, never failures. *)
-let flatten (j : Icoe_util.Json.t) =
+(* One entry per name, in order of first appearance; a repeated check
+   holds only if every occurrence does. *)
+let merge_checks l =
+  List.map
+    (fun (name, _) -> (name, List.for_all (fun (n, ok) -> n <> name || ok) l))
+    (first_by fst l)
+
+let document ~id ~icoe_domains ~registry rows checks =
   let open Icoe_util.Json in
-  let acc = ref [] in
-  let push m = acc := m :: !acc in
-  let each section f =
-    match list_member section j with
-    | Some rows -> List.iter f rows
-    | None -> ()
+  let row (m : measurement) =
+    Obj
+      [
+        ("section", Str m.section); ("name", Str m.name); ("value", Num m.value);
+        ("unit", Str m.unit);
+        ("class", Str (match m.klass with Sim -> "sim" | Wall -> "wall"));
+        ("higher_better", Bool m.higher_better);
+      ]
   in
-  each "harnesses" (fun r ->
-      match string_member "id" r with
-      | None -> ()
-      | Some id ->
-          Option.iter
-            (fun v -> push (meas ~section:"harness" ~klass:Sim (id ^ "/simulated_s") v))
-            (float_member "simulated_s" r);
-          Option.iter
-            (fun v -> push (meas ~section:"harness" ~klass:Wall (id ^ "/wall_ns") v))
-            (float_member "wall_ns" r));
-  each "kernels" (fun r ->
-      match string_member "name" r with
-      | None -> ()
-      | Some name ->
-          (* ns_per_run is null for kernels skipped under --micro-only *)
-          Option.iter
-            (fun v -> push (meas ~section:"kernel" ~klass:Wall name v))
-            (float_member "ns_per_run" r));
-  each "overlap" (fun r ->
-      match string_member "id" r with
-      | None -> ()
-      | Some id ->
-          Option.iter
-            (fun v -> push (meas ~section:"overlap" ~klass:Sim (id ^ "/serial_s") v))
-            (float_member "serial_s" r);
-          Option.iter
-            (fun v ->
-              push (meas ~section:"overlap" ~klass:Sim (id ^ "/overlapped_s") v))
-            (float_member "overlapped_s" r));
-  each "faults" (fun r ->
-      match string_member "id" r with
-      | None -> ()
-      | Some id ->
-          Option.iter
-            (fun v -> push (meas ~section:"fault" ~klass:Sim (id ^ "/achieved_s") v))
-            (float_member "achieved_s" r));
-  each "service" (fun r ->
-      match string_member "policy" r with
-      | None -> ()
-      | Some policy ->
-          Option.iter
-            (fun v ->
-              push
-                (meas ~higher_better:true ~section:"service" ~klass:Sim
-                   (policy ^ "/jobs_per_s") v))
-            (float_member "jobs_per_s" r);
-          Option.iter
-            (fun v ->
-              push (meas ~section:"service" ~klass:Sim (policy ^ "/wait_p99_s") v))
-            (float_member "wait_p99_s" r));
-  each "blame" (fun r ->
-      match (string_member "id" r, string_member "phase" r) with
-      | Some id, Some phase ->
-          Option.iter
-            (fun v ->
-              push (meas ~section:"blame" ~klass:Sim (id ^ "/" ^ phase) v))
-            (float_member "seconds" r)
-      | _ -> ());
-  each "topology" (fun r ->
-      match string_member "machine" r with
-      | None -> ()
-      | Some machine ->
-          let nodes =
-            match float_member "nodes" r with
-            | Some n -> string_of_int (int_of_float n)
-            | None -> "?"
-          in
-          let field f =
-            Option.iter
-              (fun v ->
-                push
-                  (meas ~section:"topology" ~klass:Sim
-                     (machine ^ "/" ^ nodes ^ "n/" ^ f) v))
-              (float_member f r)
-          in
-          field "contiguous_step_s";
-          field "random_step_s");
-  each "tuner" (fun r ->
-      match (string_member "kernel" r, string_member "machine" r) with
-      | Some kernel, Some machine ->
-          let field f =
-            Option.iter
-              (fun v ->
-                push
-                  (meas ~section:"tuner" ~klass:Sim
-                     (kernel ^ "/" ^ machine ^ "/" ^ f) v))
-              (float_member f r)
-          in
-          field "default_s";
-          field "tuned_s"
-      | _ -> ());
-  List.rev !acc
+  let check (name, ok) = Obj [ ("name", Str name); ("ok", Bool ok) ] in
+  Obj
+    [
+      ("id", Str id);
+      ("icoe_domains", Num (float_of_int icoe_domains));
+      ("rows", Arr (List.map row (first_by key rows)));
+      ("checks", Arr (List.map check (merge_checks checks)));
+      ("registry", registry);
+    ]
 
-let key m = m.m_section ^ "\x00" ^ m.m_name
+let entries field j =
+  Option.value ~default:[] (Icoe_util.Json.list_member field j)
 
-(* Judge one paired row. [delta] is the relative change in the
+let flatten j =
+  let open Icoe_util.Json in
+  List.filter_map
+    (fun r ->
+      match (string_member "section" r, string_member "name" r, float_member "value" r) with
+      | Some section, Some name, Some value ->
+          Some
+            {
+              section;
+              name;
+              value;
+              unit = Option.value ~default:"" (string_member "unit" r);
+              klass = (if string_member "class" r = Some "wall" then Wall else Sim);
+              higher_better = bool_member "higher_better" r = Some true;
+            }
+      | _ -> None)
+    (entries "rows" j)
+
+let checks j =
+  let open Icoe_util.Json in
+  merge_checks
+    (List.filter_map
+       (fun c ->
+         Option.map
+           (fun name -> (name, bool_member "ok" c = Some true))
+           (string_member "name" c))
+       (entries "checks" j))
+
+(* Judge one measurement pair. [delta] is the relative change in the
    worse-direction sense: positive means worse. *)
-let judge ~sim_threshold ~wall_threshold m_base m_cur =
-  let threshold = function Sim -> sim_threshold | Wall -> wall_threshold in
-  match (m_base, m_cur) with
-  | None, None -> assert false
-  | None, Some m ->
-      {
-        section = m.m_section;
-        name = m.m_name;
-        klass = m.m_klass;
-        base = None;
-        cur = Some m.m_value;
-        delta = 0.0;
-        verdict = Added;
-      }
-  | Some m, None ->
-      {
-        section = m.m_section;
-        name = m.m_name;
-        klass = m.m_klass;
-        base = Some m.m_value;
-        cur = None;
-        delta = 0.0;
-        verdict = Removed;
-      }
-  | Some b, Some c ->
-      let worse =
-        (* signed relative delta in the "worse" direction *)
-        if b.m_value = 0.0 then 0.0
-        else begin
-          let d = (c.m_value -. b.m_value) /. Float.abs b.m_value in
-          if b.m_higher_better then -.d else d
-        end
-      in
-      let th = threshold b.m_klass in
-      let verdict =
-        if b.m_value = 0.0 && c.m_value = 0.0 then Ok
-        else if b.m_value = 0.0 then
-          (* a signal appeared where the baseline had none: surface it,
-             but a zero baseline gives no meaningful relative delta *)
-          Warn
-        else if worse > th then
-          match b.m_klass with Sim -> Regression | Wall -> Warn
-        else if worse < -.th then Improved
-        else Ok
-      in
-      {
-        section = b.m_section;
-        name = b.m_name;
-        klass = b.m_klass;
-        base = Some b.m_value;
-        cur = Some c.m_value;
-        delta = worse;
-        verdict;
-      }
+let judge ~sim_threshold ~wall_threshold ~fail_wall (b : measurement option)
+    (c : measurement option) : row =
+  let m = Option.get (if Option.is_some b then b else c) in
+  let value = Option.map (fun (m : measurement) -> m.value) in
+  let delta, verdict =
+    match (b, c) with
+    | None, _ -> (0.0, Added)
+    | _, None -> (0.0, Removed)
+    | Some b, Some c ->
+        let d =
+          if b.value = 0.0 then 0.0 else (c.value -. b.value) /. Float.abs b.value
+        in
+        let worse = if b.higher_better then -.d else d in
+        let th = match b.klass with Sim -> sim_threshold | Wall -> wall_threshold in
+        let verdict =
+          if b.value = 0.0 && c.value = 0.0 then Ok
+          else if b.value = 0.0 then
+            (* a signal appeared where the baseline had none: surface it,
+               but a zero baseline gives no meaningful relative delta *)
+            Warn
+          else if worse > th then
+            match b.klass with Sim -> Regression | Wall -> Warn
+          else if worse < -.th then Improved
+          else Ok
+        in
+        (worse, if fail_wall && b.klass = Wall && verdict = Warn then Regression else verdict)
+  in
+  { section = m.section; name = m.name; klass = m.klass; base = value b;
+    cur = value c; delta; verdict }
+
+(* A check must hold in the current file, and one the baseline carried
+   must not disappear. Shown as 1 (holds) / 0 (failed). *)
+let judge_check name base cur =
+  let num = Option.map (fun ok -> if ok then 1.0 else 0.0) in
+  let verdict =
+    match (base, cur) with
+    | _, Some false | Some _, None -> Regression
+    | None, _ -> Added
+    | Some false, Some true -> Improved
+    | Some true, Some true -> Ok
+  in
+  let delta =
+    match (num base, num cur) with Some b, Some c -> b -. c | _ -> 0.0
+  in
+  { section = "check"; name; klass = Sim; base = num base; cur = num cur;
+    delta; verdict }
+
+(* Pair two keyed lists: every baseline entry in order, then the
+   current-only entries in order. A repeated key pairs its first
+   occurrences. *)
+let pair key base cur =
+  let find l k = List.find_opt (fun x -> key x = k) l in
+  List.map (fun b -> (Some b, find cur (key b))) (first_by key base)
+  @ List.filter_map
+      (fun c -> if find base (key c) = None then Some (None, Some c) else None)
+      (first_by key cur)
 
 let diff ?(sim_threshold = 0.05) ?(wall_threshold = 0.5) ?(fail_wall = false)
     ~base ~cur () =
-  let base_ms = flatten base and cur_ms = flatten cur in
-  let base_tbl = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace base_tbl (key m) m) base_ms;
-  let cur_tbl = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace cur_tbl (key m) m) cur_ms;
-  let seen = Hashtbl.create 64 in
-  let rows = ref [] in
-  let consider m other_tbl ~base_side =
-    let k = key m in
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      let other = Hashtbl.find_opt other_tbl k in
-      let b, c = if base_side then (Some m, other) else (other, Some m) in
-      rows := judge ~sim_threshold ~wall_threshold b c :: !rows
-    end
-  in
-  List.iter (fun m -> consider m cur_tbl ~base_side:true) base_ms;
-  List.iter (fun m -> consider m base_tbl ~base_side:false) cur_ms;
-  let rows = List.rev !rows in
   let rows =
-    if fail_wall then
-      List.map
-        (fun r ->
-          if r.klass = Wall && r.verdict = Warn && r.base <> None && r.cur <> None
-          then { r with verdict = Regression }
-          else r)
-        rows
-    else rows
+    List.map
+      (fun (b, c) -> judge ~sim_threshold ~wall_threshold ~fail_wall b c)
+      (pair key (flatten base) (flatten cur))
+    @ List.map
+        (fun (b, c) ->
+          let name = fst (Option.get (if Option.is_some b then b else c)) in
+          judge_check name (Option.map snd b) (Option.map snd c))
+        (pair fst (checks base) (checks cur))
   in
   let count v = List.length (List.filter (fun r -> r.verdict = v) rows) in
   {

@@ -23,27 +23,9 @@ type field =
   | I of int
   | B of bool
 
-(* Own escaper so icoe_obs stays below hwsim in the dependency order
-   (Trace has one too, for Chrome export). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let field_json = function
-  | S s -> Fmt.str "\"%s\"" (json_escape s)
-  | F f -> if Float.is_finite f then Fmt.str "%.17g" f else "null"
+  | S s -> Fmt.str "\"%s\"" (Icoe_util.Json.escape s)
+  | F f -> Icoe_util.Json.number f
   | I i -> string_of_int i
   | B b -> if b then "true" else "false"
 
@@ -105,12 +87,12 @@ let emit ?t_s ~kind ~source fields =
         Buffer.add_string buf (Fmt.str ",\"t_s\":%.17g" t)
     | _ -> ());
     Buffer.add_string buf
-      (Fmt.str ",\"kind\":\"%s\",\"source\":\"%s\"" (json_escape kind)
-         (json_escape source));
+      (Fmt.str ",\"kind\":\"%s\",\"source\":\"%s\"" (Icoe_util.Json.escape kind)
+         (Icoe_util.Json.escape source));
     List.iter
       (fun (k, v) ->
         Buffer.add_string buf
-          (Fmt.str ",\"%s\":%s" (json_escape k) (field_json v)))
+          (Fmt.str ",\"%s\":%s" (Icoe_util.Json.escape k) (field_json v)))
       fields;
     Buffer.add_char buf '}';
     sink.write (Buffer.contents buf)

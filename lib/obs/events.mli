@@ -54,7 +54,3 @@ val close : unit -> unit
 
 val reset_seq : unit -> unit
 (** Reset the [seq] counter to 0. For deterministic test output. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (quotes,
-    backslash, and all control characters below 0x20). *)

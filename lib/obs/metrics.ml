@@ -408,9 +408,9 @@ let to_prometheus ?(registry = default) () =
     (snapshot ~registry ());
   Buffer.contents buf
 
-let json_float v = if Float.is_finite v then Fmt.str "%.17g" v else "null"
+let json_float = Icoe_util.Json.number
 
-let json_string s = Fmt.str {|"%s"|} (escape_label s)
+let json_string s = Fmt.str {|"%s"|} (Icoe_util.Json.escape s)
 
 let to_json ?(registry = default) () =
   let buf = Buffer.create 2048 in

@@ -173,7 +173,7 @@ let simulate ?check ?topology ?(comm_fraction = 0.2) ~nodes
 (* --- cluster-occupancy Chrome trace: nodes as pids, jobs as spans --- *)
 
 let occupancy_chrome_json (m : metrics) =
-  let esc = Hwsim.Trace.json_escape in
+  let esc = Icoe_util.Json.escape in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   let first = ref true in

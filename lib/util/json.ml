@@ -1,12 +1,13 @@
-(** A minimal JSON reader for the observability tooling.
+(** A minimal JSON reader and writer for the observability tooling.
 
     The container has no yojson; this is the small subset the repo needs
-    to read back its own artifacts — [BENCH_<id>.json] trajectories for
-    the {!Icoe_obs.Bench_diff} regression gate and JSONL event-log lines
-    in tests. It is a strict recursive-descent parser over the whole
-    grammar (objects, arrays, strings with escapes, numbers, booleans,
-    null); numbers all land in [float], which is exactly how the writers
-    emitted them. *)
+    to write its artifacts and read them back — [BENCH_<id>.json]
+    trajectories for the {!Icoe_obs.Bench_diff} regression gate and
+    JSONL event-log lines in tests. The reader is a strict
+    recursive-descent parser over the whole grammar (objects, arrays,
+    strings with escapes, numbers, booleans, null); numbers all land in
+    [float], which is exactly how the writers emitted them. [escape] is
+    the one JSON string escaper every writer in the repo uses. *)
 
 type t =
   | Null
@@ -112,6 +113,9 @@ let parse_string st =
         | Some c -> error "at %d: invalid escape '\\%c'" st.pos c
         | None -> error "at %d: truncated escape" st.pos);
         go ()
+    | Some c when Char.code c < 0x20 ->
+        error "at %d: raw control character 0x%02x in string" st.pos
+          (Char.code c)
     | Some c ->
         advance st;
         Buffer.add_char buf c;
@@ -224,9 +228,70 @@ let member key = function
 
 let to_list = function Arr l -> Some l | _ -> None
 let to_float = function Num f -> Some f | _ -> None
-let to_string = function Str s -> Some s | _ -> None
 let to_bool = function Bool b -> Some b | _ -> None
 
 let float_member key j = Option.bind (member key j) to_float
-let string_member key j = Option.bind (member key j) to_string
+
+let string_member key j =
+  match member key j with Some (Str s) -> Some s | _ -> None
+
 let list_member key j = Option.bind (member key j) to_list
+let bool_member key j = Option.bind (member key j) to_bool
+
+(* --- writer --- *)
+
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+let number f = if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
+
+(* An array of scalars, or an object whose values are scalars or such
+   objects, goes on one line; any other container puts one element per
+   line, indented two spaces per level, so a BENCH file diffs row by
+   row. *)
+let rec inline = function
+  | Arr l -> List.for_all (function Arr _ | Obj _ -> false | _ -> true) l
+  | Obj kvs -> List.for_all (fun (_, v) -> match v with Arr _ -> false | v -> inline v) kvs
+  | _ -> true
+
+let to_string j =
+  let buf = Buffer.create 4096 in
+  let add = Buffer.add_string buf in
+  let str s = add "\""; add (escape s); add "\"" in
+  let rec value ind v =
+    match v with
+    | Null -> add "null"
+    | Bool b -> add (if b then "true" else "false")
+    | Num f -> add (number f)
+    | Str s -> str s
+    | Arr l -> container ind v ("[", "]") (List.map (fun v -> (None, v)) l)
+    | Obj kvs -> container ind v ("{", "}") (List.map (fun (k, v) -> (Some k, v)) kvs)
+  and container ind v (op, cl) items =
+    let one_line = inline v and ind' = ind ^ "  " in
+    add op;
+    List.iteri
+      (fun i (key, v) ->
+        if i > 0 then add (if one_line then ", " else ",");
+        if not one_line then add ("\n" ^ ind');
+        Option.iter (fun k -> str k; add ": ") key;
+        value ind' v)
+      items;
+    if not (one_line || items = []) then add ("\n" ^ ind);
+    add cl
+  in
+  value "" j;
+  add "\n";
+  Buffer.contents buf

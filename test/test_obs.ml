@@ -250,6 +250,28 @@ let test_json_roundtrip () =
   check_float "reread" 1.0e-17
     (float_of_string (Fmt.str "%.17g" (M.counter_value c)))
 
+let test_json_control_char_labels () =
+  (* regression: label values used to go through the Prometheus escaper,
+     which leaves tab and other control bytes raw — invalid JSON *)
+  let r = M.create () in
+  let value = "tab\there\x01ctl\nnl\"q" in
+  let c = M.counter ~registry:r ~labels:[ ("k", value) ] "c_total" in
+  M.inc c;
+  let doc = M.to_json ~registry:r () in
+  Alcotest.(check bool) "no raw control bytes besides line breaks" true
+    (String.for_all (fun ch -> ch = '\n' || Char.code ch >= 0x20) doc);
+  match Icoe_util.Json.parse doc with
+  | Error msg -> Alcotest.failf "to_json is not valid JSON: %s" msg
+  | Ok j ->
+      let label =
+        Option.bind (Icoe_util.Json.list_member "metrics" j) (function
+          | [ m ] ->
+              Option.bind (Icoe_util.Json.member "labels" m)
+                (Icoe_util.Json.string_member "k")
+          | _ -> None)
+      in
+      Alcotest.(check (option string)) "label round-trips" (Some value) label
+
 (* --- scoped timer --- *)
 
 exception Boom
@@ -358,6 +380,8 @@ let () =
         [
           Alcotest.test_case "prometheus" `Quick test_prometheus_format;
           Alcotest.test_case "json" `Quick test_json_roundtrip;
+          Alcotest.test_case "json control-char labels" `Quick
+            test_json_control_char_labels;
         ] );
       ( "timer",
         [

@@ -337,17 +337,30 @@ let test_json_errors () =
   bad "tru";
   bad "1 2";
   bad {|"unterminated|};
-  bad {|{"a" 1}|}
+  bad {|{"a" 1}|};
+  bad "\"raw\ttab\"";
+  bad "\"raw\nnewline\"";
+  bad "\"\x01\""
 
 (* --- Bench_diff --- *)
 
-let bench_doc ?(sim = 1.0) ?(wall = 100.0) ?(jobs_per_s = 2.0) () =
+let bench_doc ?(sim = 1.0) ?(wall = 100.0) ?(jobs_per_s = 2.0) ?(checks = [])
+    () =
   Json.parse_exn
     (Printf.sprintf
-       {|{"harnesses": [{"id": "h", "wall_ns": %.17g, "simulated_s": %.17g}],
-          "kernels": [{"name": "k", "ns_per_run": 50.0}, {"name": "skipped", "ns_per_run": null}],
-          "service": [{"policy": "FCFS", "jobs_per_s": %.17g, "wait_p99_s": 10.0}]}|}
-       wall sim jobs_per_s)
+       {|{"rows": [
+           {"section": "harness", "name": "h/wall_ns", "value": %.17g, "unit": "ns", "class": "wall", "higher_better": false},
+           {"section": "harness", "name": "h/simulated_s", "value": %.17g, "unit": "s", "class": "sim", "higher_better": false},
+           {"section": "kernel", "name": "k", "value": 50.0, "unit": "ns", "class": "wall", "higher_better": false},
+           {"section": "kernel", "name": "skipped", "value": null, "unit": "ns", "class": "wall", "higher_better": false},
+           {"section": "service", "name": "FCFS/jobs_per_s", "value": %.17g, "unit": "jobs/s", "class": "sim", "higher_better": true},
+           {"section": "service", "name": "FCFS/wait_p99_s", "value": 10.0, "unit": "s", "class": "sim", "higher_better": false}],
+          "checks": [%s]}|}
+       wall sim jobs_per_s
+       (String.concat ", "
+          (List.map
+             (fun (n, ok) -> Printf.sprintf {|{"name": "%s", "ok": %b}|} n ok)
+             checks)))
 
 let test_diff_identical_ok () =
   let d = bench_doc () in
@@ -387,7 +400,10 @@ let test_diff_throughput_drop_regresses () =
   Alcotest.(check int) "rise does not" 0 r'.Bench_diff.regressions
 
 let test_diff_missing_sections_never_fail () =
-  let small = Json.parse_exn {|{"harnesses": [{"id": "h", "simulated_s": 1.0}]}|} in
+  let small =
+    Json.parse_exn
+      {|{"rows": [{"section": "harness", "name": "h/simulated_s", "value": 1.0}]}|}
+  in
   let r = Bench_diff.diff ~base:small ~cur:(bench_doc ()) () in
   Alcotest.(check int) "added rows don't fail" 0 r.Bench_diff.regressions;
   let r' = Bench_diff.diff ~base:(bench_doc ()) ~cur:small () in
@@ -403,6 +419,94 @@ let test_diff_small_drift_within_threshold () =
       ~cur:(bench_doc ~sim:1.04 ()) ()
   in
   Alcotest.(check int) "tighter threshold catches" 1 r'.Bench_diff.regressions
+
+let test_diff_false_check_regresses () =
+  let ok = bench_doc ~checks:[ ("c", true) ] () in
+  let bad = bench_doc ~checks:[ ("c", false) ] () in
+  let r = Bench_diff.diff ~base:ok ~cur:bad () in
+  Alcotest.(check int) "false check regresses" 1 r.Bench_diff.regressions;
+  Alcotest.(check int) "exit code" 3 (Bench_diff.exit_code r);
+  let r' = Bench_diff.diff ~base:(bench_doc ()) ~cur:bad () in
+  Alcotest.(check int) "also when new" 1 r'.Bench_diff.regressions;
+  let r'' = Bench_diff.diff ~base:(bench_doc ()) ~cur:ok () in
+  Alcotest.(check int) "a new passing check is fine" 0
+    r''.Bench_diff.regressions
+
+let test_diff_missing_check_regresses () =
+  let r =
+    Bench_diff.diff
+      ~base:(bench_doc ~checks:[ ("c", true); ("d", true) ] ())
+      ~cur:(bench_doc ~checks:[ ("d", true) ] ())
+      ()
+  in
+  Alcotest.(check int) "dropped check regresses" 1 r.Bench_diff.regressions;
+  Alcotest.(check (list string)) "named in the table" [ "c" ]
+    (List.filter_map
+       (fun (row : Bench_diff.row) ->
+         if row.verdict = Bench_diff.Regression then Some row.name else None)
+       r.Bench_diff.rows)
+
+(* Fuzzed row documents: any field may be missing, null (how the writer
+   prints NaN), or of the wrong type. The flattener must skip what it
+   cannot read, never raise, and a document must diff clean against
+   itself. Check names may be malformed too, but a named check always
+   holds here: a failing one is a regression by design. *)
+let gen_bench_doc =
+  let open QCheck.Gen in
+  let junk =
+    oneofl
+      [ Json.Null; Json.Bool false; Json.Num 3.0; Json.Str "x"; Json.Arr [];
+        Json.Obj [] ]
+  in
+  let field key good =
+    frequency
+      [ (4, map (fun v -> [ (key, v) ]) good); (1, return []);
+        (1, map (fun v -> [ (key, v) ]) junk) ]
+  in
+  let value =
+    oneof
+      [ map (fun f -> Json.Num f) (float_range (-1e6) 1e6);
+        return Json.Null (* NaN *); return (Json.Num 0.0) ]
+  in
+  let str = map (fun s -> Json.Str s) (oneofl [ "a"; "b"; "a/b"; "" ]) in
+  let row =
+    map
+      (fun fs -> Json.Obj (List.concat fs))
+      (flatten_l
+         [ field "section" str; field "name" str; field "value" value;
+           field "unit" str;
+           field "class" (map (fun s -> Json.Str s) (oneofl [ "sim"; "wall"; "?" ]));
+           field "higher_better" (map (fun b -> Json.Bool b) bool) ])
+  in
+  let check =
+    frequency
+      [ (3, map (fun n -> Json.Obj [ ("name", Json.Str n); ("ok", Json.Bool true) ])
+              (oneofl [ "c"; "d"; "c/e" ]));
+        (1,
+         map
+           (fun v -> Json.Obj [ ("name", v); ("ok", Json.Bool false) ])
+           (oneofl [ Json.Null; Json.Num 1.0; Json.Arr [] ])) ]
+  in
+  let section key g =
+    frequency
+      [ (4, map (fun l -> [ (key, Json.Arr l) ]) (list_size (0 -- 8) g));
+        (1, return []); (1, map (fun v -> [ (key, v) ]) junk) ]
+  in
+  map
+    (fun (r, c) -> Json.Obj (r @ c))
+    (pair (section "rows" row) (section "checks" check))
+
+let prop_diff_fuzz =
+  QCheck.Test.make ~name:"fuzzed rows never raise, self-diff clean" ~count:300
+    (QCheck.make (QCheck.Gen.pair gen_bench_doc gen_bench_doc))
+    (fun (a, b) ->
+      (* also through the writer and back *)
+      let a' = Json.parse_exn (Json.to_string a) in
+      ignore (Bench_diff.flatten b);
+      ignore (Bench_diff.diff ~base:a ~cur:b ());
+      ignore (Bench_diff.diff ~base:b ~cur:a' ());
+      (Bench_diff.diff ~base:a ~cur:a' ()).Bench_diff.regressions = 0
+      && (Bench_diff.diff ~base:b ~cur:b ()).Bench_diff.regressions = 0)
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in
@@ -457,5 +561,10 @@ let () =
             test_diff_missing_sections_never_fail;
           Alcotest.test_case "threshold" `Quick
             test_diff_small_drift_within_threshold;
+          Alcotest.test_case "false check regresses" `Quick
+            test_diff_false_check_regresses;
+          Alcotest.test_case "missing check regresses" `Quick
+            test_diff_missing_check_regresses;
         ] );
+      ("diff-qcheck", qsuite [ prop_diff_fuzz ]);
     ]

@@ -198,26 +198,6 @@ let test_chrome_export_many () =
     (Astring.String.is_infix ~affix:{|"pid":0|} json
     && Astring.String.is_infix ~affix:{|"pid":1|} json)
 
-let test_json_escape_control_chars () =
-  (* regression: every control char below 0x20 must be escaped, not
-     passed through to break the Chrome trace document *)
-  Alcotest.(check string) "named + numeric escapes"
-    {|a\nb\tc\u0001\"\\ \r\u0008\u000c|}
-    (Trace.json_escape "a\nb\tc\x01\"\\ \r\b\012");
-  for c = 0 to 0x1f do
-    let escaped = Trace.json_escape (String.make 1 (Char.chr c)) in
-    Alcotest.(check bool)
-      (Printf.sprintf "control 0x%02x escaped" c)
-      true
-      (String.length escaped >= 2 && escaped.[0] = '\\')
-  done;
-  (* the escaped form embeds into a valid JSON string literal *)
-  let all = String.init 0x20 Char.chr in
-  let doc = {|{"s": "|} ^ Trace.json_escape all ^ {|"}|} in
-  Alcotest.(check (option string)) "round-trips through the reader"
-    (Some all)
-    (Icoe_util.Json.string_member "s" (Icoe_util.Json.parse_exn doc))
-
 let () =
   Alcotest.run "trace"
     [
@@ -246,7 +226,5 @@ let () =
         [
           Alcotest.test_case "export" `Quick test_chrome_export;
           Alcotest.test_case "export many" `Quick test_chrome_export_many;
-          Alcotest.test_case "json_escape control chars" `Quick
-            test_json_escape_control_chars;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Tests for the shared utility layer: deterministic RNG, statistics,
-   table rendering. *)
+   table rendering, the JSON writer. *)
 
 open Icoe_util
 
@@ -126,6 +126,57 @@ let prop_rng_float_unit =
       let x = Rng.float r in
       x >= 0.0 && x < 1.0)
 
+(* --- JSON writer --- *)
+
+let test_json_escape_control_chars () =
+  (* regression: every control char below 0x20 must be escaped, not
+     passed through to break the document it is embedded in *)
+  Alcotest.(check string) "named + numeric escapes"
+    {|a\nb\tc\u0001\"\\ \r\u0008\u000c|}
+    (Json.escape "a\nb\tc\x01\"\\ \r\b\012");
+  for c = 0 to 0x1f do
+    let escaped = Json.escape (String.make 1 (Char.chr c)) in
+    Alcotest.(check bool)
+      (Printf.sprintf "control 0x%02x escaped" c)
+      true
+      (String.length escaped >= 2 && escaped.[0] = '\\')
+  done;
+  (* the escaped form embeds into a valid JSON string literal *)
+  let all = String.init 0x20 Char.chr in
+  let doc = {|{"s": "|} ^ Json.escape all ^ {|"}|} in
+  Alcotest.(check (option string)) "round-trips through the reader"
+    (Some all)
+    (Json.string_member "s" (Json.parse_exn doc))
+
+let test_json_to_string () =
+  let doc =
+    Json.Obj
+      [
+        ("id", Json.Str "a\"b");
+        ("rows", Json.Arr [ Json.Obj [ ("v", Json.Num 0.1); ("n", Json.Num nan) ] ]);
+        ("empty", Json.Arr []);
+        ("ok", Json.Bool true);
+      ]
+  in
+  let s = Json.to_string doc in
+  Alcotest.(check string) "layout"
+    "{\n  \"id\": \"a\\\"b\",\n  \"rows\": [\n    {\"v\": \
+     0.10000000000000001, \"n\": null}\n  ],\n  \"empty\": [],\n  \"ok\": \
+     true\n}\n"
+    s;
+  match Json.parse_exn s with
+  | Json.Obj [ _; ("rows", Json.Arr [ row ]); _; _ ] ->
+      Alcotest.(check (option (float 0.0))) "%.17g reads back exactly"
+        (Some 0.1) (Json.float_member "v" row);
+      Alcotest.(check bool) "non-finite is null" true
+        (Json.member "n" row = Some Json.Null)
+  | _ -> Alcotest.fail "unexpected shape"
+
+let prop_json_escape_roundtrip =
+  QCheck.Test.make ~name:"escape round-trips any bytes" ~count:500
+    QCheck.(string_of_size Gen.(0 -- 64))
+    (fun s -> Json.parse ("\"" ^ Json.escape s ^ "\"") = Ok (Json.Str s))
+
 let () =
   Alcotest.run "util"
     [
@@ -151,5 +202,12 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "addf pipe cells" `Quick test_table_addf_pipe_cells;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escape control chars" `Quick
+            test_json_escape_control_chars;
+          Alcotest.test_case "to_string" `Quick test_json_to_string;
+          QCheck_alcotest.to_alcotest prop_json_escape_roundtrip;
         ] );
     ]
