@@ -136,6 +136,23 @@ let bench_mlp =
          ignore (Dlearn.Mlp.backward m x ~label:1);
          Dlearn.Mlp.zero_grads m))
 
+let mlp_batch () =
+  (* the KAVG learner's shape and mini-batch *)
+  let rng = Icoe_util.Rng.create 7 in
+  let m = Dlearn.Mlp.create ~rng [| 12; 16; 4 |] in
+  let xs =
+    Array.init 16 (fun k ->
+        Array.init 12 (fun i -> float_of_int ((k + i) mod 12) /. 12.0))
+  in
+  let labels = Array.init 16 (fun k -> k mod 4) in
+  (m, xs, labels)
+
+let bench_mlp_train =
+  let m, xs, labels = mlp_batch () in
+  Test.make ~name:"mlp/train-batch"
+    (Staged.stage (fun () ->
+         ignore (Dlearn.Mlp.train_batch ~momentum:0.9 m ~lr:0.01 xs labels)))
+
 let bench_paradyn =
   let rng = Icoe_util.Rng.create 8 in
   let inputs =
@@ -234,6 +251,7 @@ let microbenchmarks () =
       bench_spmv; bench_amg_vcycle; bench_pa_apply; bench_sw4_step;
       bench_md_forces; bench_reaction_kernel; bench_fft; bench_bfs;
       bench_lda_estep; bench_rate_matrix; bench_cleverleaf; bench_mlp;
+      bench_mlp_train;
       bench_paradyn; bench_topopt_apply; bench_par_spmv; bench_par_sw4_rhs;
       bench_par_reaction; bench_par_md_forces; bench_par_lda_estep;
       bench_fault_plan; bench_fault_checkpoint; bench_fault_retry;
@@ -385,6 +403,10 @@ let alloc_smoke () =
       ignore (Lda.Vem.e_step_doc lm elogb corpus.Lda.Corpus.docs.(0) stats));
   measure "lda/e-step-docs-par" ~budget:par_budget (fun () ->
       ignore (Lda.Vem.e_step_docs lm elogb corpus.Lda.Corpus.docs stats));
+  (* dlearn MLP: a whole mini-batch step through the flat kernels *)
+  let mlp, xs, labels = mlp_batch () in
+  measure "mlp/train-batch-seq" ~budget:seq_budget (fun () ->
+      ignore (Dlearn.Mlp.train_batch ~momentum:0.9 mlp ~lr:0.01 xs labels));
   if !failures > 0 then begin
     Fmt.pr "alloc-smoke: %d kernel(s) over budget@." !failures;
     exit 1

@@ -223,16 +223,7 @@ let asgd ~(rng : Icoe_util.Rng.t) ~learners ~steps ~batch ~lr ~staleness sizes d
     let xs, ls = minibatch ~rng ~batch data in
     Array.iteri (fun k x -> ignore (Mlp.backward worker x ~label:ls.(k))) xs;
     (* apply the stale gradient at the server *)
-    let sp = Mlp.get_params server in
-    Mlp.set_params server sp;
-    (* copy worker grads into server by replaying the sgd step on server
-       weights: transplant gradient buffers *)
-    Array.iteri
-      (fun li lay ->
-        let slay = server.Mlp.layers.(li) in
-        Array.iteri (fun o row -> Array.blit row 0 slay.Mlp.gw.(o) 0 (Array.length row)) lay.Mlp.gw;
-        Array.blit lay.Mlp.gb 0 slay.Mlp.gb 0 (Array.length lay.Mlp.gb))
-      worker.Mlp.layers;
+    Mlp.copy_grads ~src:worker ~dst:server;
     Mlp.zero_grads worker;
     Mlp.sgd_step server ~lr ~batch;
     Queue.push (Mlp.get_params server) history;
@@ -313,14 +304,15 @@ let kavg ~(rng : Icoe_util.Rng.t) ~learners ~rounds ~k ~batch ~lr ?overlap
     match overlap with Some b -> b | None -> Hwsim.Sched.overlap_enabled ()
   in
   let model = kavg_round_model ~overlap:overlapped ~learners ~k ~batch sizes in
+  let workers = Array.map (fun _ -> Mlp.clone center) shards in
   let t = ref 0.0 in
   for _ = 1 to rounds do
     let start = Mlp.get_params center in
     let acc = Array.make params 0.0 in
-    Array.iter
-      (fun sh ->
-        let w = Mlp.clone center in
-        Mlp.set_params w start;
+    Array.iteri
+      (fun wi sh ->
+        let w = workers.(wi) in
+        Mlp.reset w start;
         for _ = 1 to k do
           let xs, ls = minibatch ~rng ~batch sh in
           ignore (Mlp.train_batch w ~lr xs ls)

@@ -17,7 +17,8 @@ type t = {
 }
 
 let create ?(link = Hwsim.Link.nvlink2) ~shards mlp =
-  assert (shards >= 1);
+  if shards < 1 then
+    invalid_arg (Printf.sprintf "Modelparallel.create: %d shards < 1" shards);
   { reference = mlp; shards; clock = Hwsim.Clock.create (); link }
 
 (* slice bounds of shard s over n units *)
@@ -32,30 +33,25 @@ let charge_allgather t ~floats =
   Hwsim.Clock.tick t.clock ~phase:"allgather"
     (hops *. Hwsim.Link.transfer_time t.link ~bytes)
 
-(** Forward pass with each layer's output units computed shard by shard,
-    followed by an all-gather of the assembled activation. Returns the
-    class probabilities. *)
+(** Forward pass with each layer's output units computed shard by shard
+    through {!Mlp.forward_rows}, followed by an all-gather of the
+    assembled activation. Returns the class probabilities. *)
 let predict_proba t x =
   let m = t.reference in
-  let nl = Array.length m.Mlp.layers in
-  let act = ref x in
-  for l = 0 to nl - 1 do
-    let lay = m.Mlp.layers.(l) in
-    let nout = Array.length lay.Mlp.b in
-    let z = Array.make nout 0.0 in
+  let sizes = Mlp.sizes m in
+  let act = ref (Icoe_util.Fbuf.of_array x) in
+  for l = 0 to Array.length sizes - 2 do
+    let nout = sizes.(l + 1) in
+    let z = Icoe_util.Fbuf.create nout in
     (* each shard computes its slice of output units *)
     for s = 0 to t.shards - 1 do
       let lo, hi = slice ~shards:t.shards ~s nout in
-      for o = lo to hi - 1 do
-        let acc = ref lay.Mlp.b.(o) in
-        Array.iteri (fun i v -> acc := !acc +. (lay.Mlp.w.(o).(i) *. v)) !act;
-        z.(o) <- !acc
-      done
+      Mlp.forward_rows m ~layer:l ~src:!act ~dst:z ~lo ~hi
     done;
     charge_allgather t ~floats:nout;
-    act := (if l = nl - 1 then z else Array.map tanh z)
+    act := z
   done;
-  Mlp.softmax !act
+  Mlp.softmax (Icoe_util.Fbuf.to_array !act)
 
 (** Per-batch time model: compute divided across shards, one all-gather
     per layer. Used to produce real strong-scaling curves from the actual
@@ -67,17 +63,15 @@ let batch_time t ~batch =
     /. (Hwsim.Device.v100.Hwsim.Device.peak_gflops *. 1e9 *. 0.3)
     /. float_of_int t.shards
   in
-  let comm =
-    Array.fold_left
-      (fun acc lay ->
-        let nout = Array.length lay.Mlp.b in
-        let bytes = 8.0 *. float_of_int (nout * batch) /. float_of_int t.shards in
-        acc
-        +. (float_of_int (t.shards - 1)
-           *. Hwsim.Link.transfer_time t.link ~bytes))
-      0.0 t.reference.Mlp.layers
-  in
-  compute +. comm
+  let sizes = Mlp.sizes t.reference in
+  let comm = ref 0.0 in
+  for l = 1 to Array.length sizes - 1 do
+    let bytes = 8.0 *. float_of_int (sizes.(l) * batch) /. float_of_int t.shards in
+    comm :=
+      !comm
+      +. (float_of_int (t.shards - 1) *. Hwsim.Link.transfer_time t.link ~bytes)
+  done;
+  compute +. !comm
 
 (** Strong-scaling speedup of [shards] GPUs over one, from the real
     per-batch time model of this network. *)

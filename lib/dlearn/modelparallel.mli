@@ -13,9 +13,11 @@ type t = {
 }
 
 val create : ?link:Hwsim.Link.t -> shards:int -> Mlp.t -> t
+(** Raises [Invalid_argument] when [shards < 1]. *)
 
 val predict_proba : t -> float array -> float array
-(** Sharded forward pass; identical to [Mlp.predict_proba reference]. *)
+(** Sharded forward pass through {!Mlp.forward_rows}; bit-identical to
+    [Mlp.predict_proba reference]. *)
 
 val batch_time : t -> batch:int -> float
 (** Per-batch time: compute divided across shards plus one ring

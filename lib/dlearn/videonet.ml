@@ -139,7 +139,21 @@ type study = {
   stream_accs : float array;  (** on train split, for weighting *)
   train : dataset;
   test : dataset;
+  stacked_train : float array array;
+      (** {!stacked_probs} of every train sample, shared by the stacking
+          combiners *)
+  stacked_test : float array array;
 }
+
+(* stacked log-probability features for sample i of dataset d (log probs
+   are the standard stacking features: linear in them, a combiner can
+   reweight per stream and class) *)
+let stacked_probs stream_models (d : dataset) i =
+  Array.concat
+    (List.init n_streams (fun s ->
+         Array.map
+           (fun p -> log (max 1e-9 p))
+           (Mlp.predict_proba stream_models.(s) d.streams.(s).(i))))
 
 let prepare ?noise ?label_noise ~(rng : Icoe_util.Rng.t) difficulty =
   let data = make ~rng ?noise ?label_noise difficulty in
@@ -148,17 +162,14 @@ let prepare ?noise ?label_noise ~(rng : Icoe_util.Rng.t) difficulty =
   let stream_accs =
     Array.mapi (fun s m -> Mlp.accuracy m train.streams.(s) train.labels) stream_models
   in
-  { stream_models; stream_accs; train; test }
-
-(* stacked log-probability features for sample i of dataset d (log probs
-   are the standard stacking features: linear in them, a combiner can
-   reweight per stream and class) *)
-let stacked_probs st (d : dataset) i =
-  Array.concat
-    (List.init n_streams (fun s ->
-         Array.map
-           (fun p -> log (max 1e-9 p))
-           (Mlp.predict_proba st.stream_models.(s) d.streams.(s).(i))))
+  let stacked (d : dataset) =
+    Array.init (Array.length d.labels) (stacked_probs stream_models d)
+  in
+  {
+    stream_models; stream_accs; train; test;
+    stacked_train = stacked train;
+    stacked_test = stacked test;
+  }
 
 let argmax a =
   let best = ref 0 in
@@ -217,8 +228,6 @@ let evaluate ~(rng : Icoe_util.Rng.t) st comb =
       Mlp.accuracy m txs test.labels
   | Logistic_regression | Shallow_nn ->
       let train = st.train in
-      let ntrain = Array.length train.labels in
-      let xs = Array.init ntrain (stacked_probs st train) in
       let sizes =
         match comb with
         | Shallow_nn -> [| n_streams * train.classes; 16; train.classes |]
@@ -226,10 +235,11 @@ let evaluate ~(rng : Icoe_util.Rng.t) st comb =
       in
       let m = Mlp.create ~rng sizes in
       for _ = 1 to 400 do
-        ignore (Mlp.train_batch ~momentum:0.9 m ~lr:0.05 xs train.labels)
+        ignore
+          (Mlp.train_batch ~momentum:0.9 m ~lr:0.05 st.stacked_train
+             train.labels)
       done;
-      let txs = Array.init ntest (stacked_probs st test) in
-      Mlp.accuracy m txs test.labels
+      Mlp.accuracy m st.stacked_test test.labels
 
 (** Run the full Table 3 grid: returns (combiner, accuracy) rows. *)
 let table3 ?noise ?label_noise ~(rng : Icoe_util.Rng.t) difficulty =

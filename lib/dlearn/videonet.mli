@@ -37,7 +37,9 @@ type study
 
 val prepare : ?noise:float -> ?label_noise:float -> rng:Icoe_util.Rng.t ->
   difficulty -> study
-(** Generate data and train the three stream classifiers. *)
+(** Generate data, train the three stream classifiers, and compute the
+    stacked log-probability features of both splits once, for the
+    stacking combiners. *)
 
 val evaluate : rng:Icoe_util.Rng.t -> study -> combiner -> float
 (** Test accuracy of a combination approach (trains stacking models

@@ -32,16 +32,10 @@ let test_gradient_check () =
   let label = 1 in
   Mlp.zero_grads m;
   ignore (Mlp.backward m x ~label);
-  let analytic = ref [] in
-  Array.iter
-    (fun l ->
-      Array.iter (Array.iter (fun g -> analytic := g :: !analytic)) l.Mlp.gw;
-      Array.iter (fun g -> analytic := g :: !analytic) l.Mlp.gb)
-    m.Mlp.layers;
-  let analytic = Array.of_list (List.rev !analytic) in
+  let analytic = Mlp.get_grads m in
   Mlp.zero_grads m;
-  (* numeric gradient via parameter perturbation, same flattening order as
-     the gradient collection above (w rows then b per layer) *)
+  (* numeric gradient via parameter perturbation: get_grads and
+     get_params share one layout (w rows then b per layer) *)
   let loss_at params =
     let m2 = Mlp.create ~rng:(Icoe_util.Rng.create 1) [| 2; 3; 2 |] in
     Mlp.set_params m2 params;
@@ -50,7 +44,6 @@ let test_gradient_check () =
   in
   let p0 = Mlp.get_params m in
   let eps = 1e-6 in
-  (* note: get_params flattens in the same layer-major (w then b) order *)
   Array.iteri
     (fun k _ ->
       let pp = Array.copy p0 in
@@ -247,10 +240,10 @@ let test_model_parallel_identical () =
     (fun shards ->
       let mp = Modelparallel.create ~shards m in
       let p = Modelparallel.predict_proba mp x in
-      Alcotest.(check bool)
-        (Fmt.str "%d shards identical" shards)
-        true
-        (Icoe_util.Stats.max_abs_diff p reference < 1e-15))
+      Alcotest.(check (array int64))
+        (Fmt.str "%d shards bit-identical" shards)
+        (Array.map Int64.bits_of_float reference)
+        (Array.map Int64.bits_of_float p))
     [ 1; 2; 3; 4 ];
   (* communication charged for multi-shard runs *)
   let mp = Modelparallel.create ~shards:4 m in
@@ -356,6 +349,171 @@ let test_lbann_weak_scaling () =
   let t2 = Lbann.weak_scaling_throughput ~total_gpus:2048 ~g:4 in
   Alcotest.(check bool) "throughput grows" true (t2 > 4.0 *. t1)
 
+(* The plain [float array array] MLP that [Mlp] replaced, kept as the
+   bit-exact oracle of its exact-order contract (like the [*_seq] oracles
+   of the pooled kernels): closures and fresh arrays everywhere, every
+   floating-point operation in the reference order. *)
+module Ref_mlp = struct
+  type layer = {
+    w : float array array;
+    b : float array;
+    gw : float array array;
+    gb : float array;
+    mw : float array array;
+    mb : float array;
+  }
+
+  let create ~rng sizes =
+    Array.init (Array.length sizes - 1) (fun l ->
+        let nin = sizes.(l) and nout = sizes.(l + 1) in
+        let scale = sqrt (2.0 /. float_of_int nin) in
+        {
+          w =
+            Array.init nout (fun _ ->
+                Array.init nin (fun _ -> scale *. Icoe_util.Rng.gaussian rng));
+          b = Array.make nout 0.0;
+          gw = Array.make_matrix nout nin 0.0;
+          gb = Array.make nout 0.0;
+          mw = Array.make_matrix nout nin 0.0;
+          mb = Array.make nout 0.0;
+        })
+
+  let get_params layers =
+    Array.concat
+      (List.concat_map
+         (fun l -> Array.to_list l.w @ [ l.b ])
+         (Array.to_list layers))
+
+  let softmax z =
+    let mx = Array.fold_left max neg_infinity z in
+    let e = Array.map (fun v -> exp (v -. mx)) z in
+    let s = Icoe_util.Stats.sum e in
+    Array.map (fun v -> v /. s) e
+
+  let forward_full layers x =
+    let nl = Array.length layers in
+    let acts = Array.make (nl + 1) [||] in
+    acts.(0) <- x;
+    for l = 0 to nl - 1 do
+      let lay = layers.(l) in
+      let z =
+        Array.mapi
+          (fun o row ->
+            let s = ref lay.b.(o) in
+            Array.iteri (fun i v -> s := !s +. (v *. acts.(l).(i))) row;
+            !s)
+          lay.w
+      in
+      acts.(l + 1) <- (if l = nl - 1 then z else Array.map tanh z)
+    done;
+    acts
+
+  let predict_proba layers x =
+    softmax (forward_full layers x).(Array.length layers)
+
+  let backward layers x ~label =
+    let nl = Array.length layers in
+    let acts = forward_full layers x in
+    let probs = softmax acts.(nl) in
+    let loss = -.log (max 1e-12 probs.(label)) in
+    let delta =
+      ref (Array.mapi (fun i p -> p -. if i = label then 1.0 else 0.0) probs)
+    in
+    for l = nl - 1 downto 0 do
+      let lay = layers.(l) in
+      let a_in = acts.(l) in
+      Array.iteri
+        (fun o d ->
+          lay.gb.(o) <- lay.gb.(o) +. d;
+          Array.iteri
+            (fun i ai -> lay.gw.(o).(i) <- lay.gw.(o).(i) +. (d *. ai))
+            a_in)
+        !delta;
+      if l > 0 then begin
+        let nd = Array.make (Array.length a_in) 0.0 in
+        Array.iteri
+          (fun o d ->
+            Array.iteri (fun i wv -> nd.(i) <- nd.(i) +. (d *. wv)) lay.w.(o))
+          !delta;
+        delta :=
+          Array.mapi (fun i v -> v *. (1.0 -. (a_in.(i) *. a_in.(i)))) nd
+      end
+    done;
+    loss
+
+  let sgd_step ?(momentum = 0.0) ?(weight_decay = 0.0) layers ~lr ~batch =
+    let scale = 1.0 /. float_of_int (max 1 batch) in
+    Array.iter
+      (fun l ->
+        Array.iteri
+          (fun o row ->
+            Array.iteri
+              (fun i _ ->
+                let g = (l.gw.(o).(i) *. scale) +. (weight_decay *. row.(i)) in
+                l.mw.(o).(i) <- (momentum *. l.mw.(o).(i)) -. (lr *. g);
+                row.(i) <- row.(i) +. l.mw.(o).(i))
+              row;
+            let g = l.gb.(o) *. scale in
+            l.mb.(o) <- (momentum *. l.mb.(o)) -. (lr *. g);
+            l.b.(o) <- l.b.(o) +. l.mb.(o))
+          l.w;
+        Array.iter (fun row -> Array.fill row 0 (Array.length row) 0.0) l.gw;
+        Array.fill l.gb 0 (Array.length l.gb) 0.0)
+      layers
+
+  let train_batch ?momentum layers ~lr xs labels =
+    let total = ref 0.0 in
+    Array.iteri
+      (fun k x -> total := !total +. backward layers x ~label:labels.(k))
+      xs;
+    sgd_step ?momentum layers ~lr ~batch:(Array.length xs);
+    !total /. float_of_int (Array.length xs)
+end
+
+let bits a = Array.map Int64.bits_of_float a
+
+let prop_mlp_matches_reference =
+  (* widths 1..9 put every remainder mod 4 in the four-row forward
+     blocks; 1..4 weight layers; with and without momentum *)
+  QCheck.Test.make ~name:"flat mlp bit-identical to the array oracle"
+    ~count:200
+    QCheck.(
+      quad (int_range 1 100_000) (int_range 2 5) (int_range 1 6) bool)
+    (fun (seed, depth, batch, momentum) ->
+      let r = Icoe_util.Rng.create seed in
+      let sizes = Array.init depth (fun _ -> 1 + Icoe_util.Rng.int r 9) in
+      let classes = sizes.(depth - 1) in
+      let momentum = if momentum then 0.9 else 0.0 in
+      let m = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let o = Ref_mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let input () =
+        Array.init sizes.(0) (fun _ -> Icoe_util.Rng.uniform r (-2.0) 2.0)
+      in
+      let same a b = bits a = bits b in
+      let ok = ref (same (Mlp.get_params m) (Ref_mlp.get_params o)) in
+      for _ = 1 to 4 do
+        let xs = Array.init batch (fun _ -> input ()) in
+        let ls = Array.init batch (fun _ -> Icoe_util.Rng.int r classes) in
+        let lm = Mlp.train_batch ~momentum m ~lr:0.3 xs ls in
+        let lo = Ref_mlp.train_batch ~momentum o ~lr:0.3 xs ls in
+        ok := !ok && same [| lm |] [| lo |]
+      done;
+      (* one explicit step with weight decay *)
+      let x = input () and label = Icoe_util.Rng.int r classes in
+      let lm = Mlp.backward m x ~label and lo = Ref_mlp.backward o x ~label in
+      Mlp.sgd_step ~momentum ~weight_decay:1e-3 m ~lr:0.1 ~batch:1;
+      Ref_mlp.sgd_step ~momentum ~weight_decay:1e-3 o ~lr:0.1 ~batch:1;
+      let x = input () in
+      !ok
+      && same [| lm |] [| lo |]
+      && same (Mlp.get_params m) (Ref_mlp.get_params o)
+      && same (Mlp.predict_proba m x) (Ref_mlp.predict_proba o x)
+      && Mlp.predict m x
+         = (let p = Ref_mlp.predict_proba o x in
+            let best = ref 0 in
+            Array.iteri (fun i v -> if v > p.(!best) then best := i) p;
+            !best))
+
 let prop_mlp_probs_normalized =
   QCheck.Test.make ~name:"softmax outputs normalized" ~count:50
     QCheck.(int_range 1 100_000)
@@ -377,6 +535,7 @@ let () =
           Alcotest.test_case "gradient check" `Quick test_gradient_check;
           Alcotest.test_case "learns" `Quick test_learns_separable_task;
           QCheck_alcotest.to_alcotest prop_mlp_probs_normalized;
+          QCheck_alcotest.to_alcotest prop_mlp_matches_reference;
         ] );
       ( "distributed",
         [

@@ -240,6 +240,73 @@ let test_particles_bad_box () =
   expect_assert "box must be positive" (fun () ->
       Ddcmd.Particles.create ~n:8 ~box:(-1.0))
 
+(* --- dlearn: the flat MLP kernels index unchecked, so bad sizes and
+   labels must be rejected, with a message, before they run --- *)
+
+let expect_invalid name f =
+  match f () with
+  | _ -> Alcotest.fail (name ^ ": expected Invalid_argument")
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) (name ^ ": message") true (msg <> "")
+
+let mlp () = Dlearn.Mlp.create ~rng:(Icoe_util.Rng.create 1) [| 3; 5; 2 |]
+
+let test_mlp_bad_sizes () =
+  let create sizes () =
+    Dlearn.Mlp.create ~rng:(Icoe_util.Rng.create 1) sizes
+  in
+  expect_invalid "no layers" (create [||]);
+  expect_invalid "input only" (create [| 4 |]);
+  expect_invalid "zero-width hidden layer" (create [| 4; 0; 2 |]);
+  expect_invalid "negative output width" (create [| 4; -3 |])
+
+let test_mlp_bad_input () =
+  let m = mlp () in
+  List.iter
+    (fun x ->
+      let n = Array.length x in
+      expect_invalid (Fmt.str "predict_proba, %d inputs" n) (fun () ->
+          Dlearn.Mlp.predict_proba m x);
+      expect_invalid (Fmt.str "predict, %d inputs" n) (fun () ->
+          Dlearn.Mlp.predict m x);
+      expect_invalid (Fmt.str "backward, %d inputs" n) (fun () ->
+          Dlearn.Mlp.backward m x ~label:0))
+    [ [||]; [| 1.0; 2.0 |]; Array.make 4 0.5 ];
+  let x = [| 0.1; 0.2; 0.3 |] in
+  expect_invalid "label -1" (fun () -> Dlearn.Mlp.backward m x ~label:(-1));
+  expect_invalid "label = classes" (fun () -> Dlearn.Mlp.backward m x ~label:2);
+  expect_invalid "set_params, short" (fun () ->
+      Dlearn.Mlp.set_params m (Array.make 3 0.0));
+  expect_invalid "forward_rows, rows past the layer" (fun () ->
+      Dlearn.Mlp.forward_rows m ~layer:0 ~src:(Icoe_util.Fbuf.create 3)
+        ~dst:(Icoe_util.Fbuf.create 5) ~lo:0 ~hi:6);
+  expect_invalid "forward_rows, short src" (fun () ->
+      Dlearn.Mlp.forward_rows m ~layer:1 ~src:(Icoe_util.Fbuf.create 3)
+        ~dst:(Icoe_util.Fbuf.create 2) ~lo:0 ~hi:2);
+  expect_invalid "forward_rows, long dst" (fun () ->
+      Dlearn.Mlp.forward_rows m ~layer:1 ~src:(Icoe_util.Fbuf.create 5)
+        ~dst:(Icoe_util.Fbuf.create 3) ~lo:0 ~hi:2);
+  expect_invalid "model-parallel, 0 shards" (fun () ->
+      Dlearn.Modelparallel.create ~shards:0 m);
+  expect_invalid "model-parallel, short input" (fun () ->
+      Dlearn.Modelparallel.predict_proba
+        (Dlearn.Modelparallel.create ~shards:2 m)
+        [| 0.1; 0.2 |]);
+  (* a rejected call leaves the model usable and unchanged *)
+  let before = Dlearn.Mlp.get_params m in
+  expect_invalid "train_batch, one bad label" (fun () ->
+      Dlearn.Mlp.train_batch m ~lr:0.1 [| x; x |] [| 0; 7 |]);
+  Alcotest.(check bool) "params untouched" true
+    (before = Dlearn.Mlp.get_params m)
+
+let test_mlp_batch_length_mismatch () =
+  let m = mlp () in
+  let x = [| 0.1; 0.2; 0.3 |] in
+  expect_invalid "2 inputs, 1 label" (fun () ->
+      Dlearn.Mlp.train_batch m ~lr:0.1 [| x; x |] [| 0 |]);
+  expect_invalid "1 input, 2 labels" (fun () ->
+      Dlearn.Mlp.train_batch m ~lr:0.1 [| x |] [| 0; 1 |])
+
 let () =
   Alcotest.run "edge_cases"
     [
@@ -295,4 +362,11 @@ let () =
         ] );
       ("cretin", [ Alcotest.test_case "tiny ladder" `Quick test_cretin_tiny_ladder_rejected ]);
       ("ddcmd", [ Alcotest.test_case "bad box" `Quick test_particles_bad_box ]);
+      ( "dlearn",
+        [
+          Alcotest.test_case "mlp bad sizes" `Quick test_mlp_bad_sizes;
+          Alcotest.test_case "mlp bad input" `Quick test_mlp_bad_input;
+          Alcotest.test_case "mlp batch length mismatch" `Quick
+            test_mlp_batch_length_mismatch;
+        ] );
     ]
