@@ -11,21 +11,20 @@
    per reproduced table/figure's dominant kernel, plus par/* variants
    sized to exercise the Icoe_par.Pool domain pool.
 
-   BENCH_<id>.json then records, through Icoe_util.Json: the rows
+   BENCH_<id>.json then records, through Icoe_util.Json, the rows
    (harness/<id>/wall_ns and /simulated_s, kernel/<name> ns per run,
-   and every row the harnesses recorded themselves), the named checks
-   the harnesses recorded plus three of the bench's own, and a
-   metrics-registry snapshot of the kernels' work — so successive
+   and every row the harnesses recorded themselves) and the named
+   checks (the harnesses' plus two of the bench's own) — so successive
    commits leave a machine-readable perf trajectory that
-   `icoe_report --diff` gates.
+   `icoe_report --diff` gates. The engine metrics registry is not part
+   of BENCH; `icoe_report run --metrics FILE` writes it.
 
    Flags: --alloc-smoke runs only the allocation-budget check
    (Gc.minor_words delta per steady-state iteration of each zero-alloc
    kernel against fixed word budgets, exit 1 over budget) and exits. The
    id comes from the BENCH_ID environment variable when set (CI passes
    the commit sha), otherwise the Unix timestamp. ICOE_DOMAINS sets the
-   pool size (recorded in the JSON payload); ICOE_METRICS=0 disables the
-   metrics registry for overhead comparisons; ICOE_GC_MINOR_HEAP /
+   pool size (recorded in the JSON payload); ICOE_GC_MINOR_HEAP /
    ICOE_GC_SPACE_OVERHEAD feed Gc.set at startup (echoed in the
    header). *)
 
@@ -437,7 +436,6 @@ let () =
           (fun id -> (Option.get (Icoe.Harness_registry.find id)).run ())
           [ "sw4"; "cardioid" ])
   in
-  Icoe_obs.Metrics.reset ();
   let kernels = microbenchmarks () in
   let kernel_rows =
     List.map
@@ -453,7 +451,6 @@ let () =
     @ [
         ( "bench/kernels-measured",
           List.for_all (fun (_, ns) -> Option.fold ~none:false ~some:Float.is_finite ns) kernels );
-        ("bench/registry-nonempty", Icoe_obs.Metrics.snapshot () <> []);
         ("bench/icoe_domains>=1", icoe_domains >= 1);
       ]
   in
@@ -463,12 +460,8 @@ let () =
     | _ -> string_of_int (int_of_float (Unix.time ()))
   in
   let file = Fmt.str "BENCH_%s.json" id in
-  (* the kernels ran the instrumented engines after a reset, so the
-     registry records how much work each benchmark did (V-cycles, pair
-     interactions, BFS edges, ...) alongside how long it took *)
   let doc =
     Icoe_obs.Bench_diff.document ~id ~icoe_domains
-      ~registry:(Icoe_util.Json.parse_exn (Icoe_obs.Metrics.to_json ()))
       (harness_rows @ kernel_rows
       @ List.concat_map (fun (o : Icoe.Harness.outcome) -> o.rows) outcomes)
       checks

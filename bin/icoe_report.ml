@@ -10,10 +10,11 @@
 
    Experiments are Icoe.Harness values resolved through
    Icoe.Harness_registry; each run returns a structured outcome carrying
-   the rendered report, the span traces it recorded, and its metrics
-   delta. Requested ids are validated and de-duplicated up front: an
-   unknown id fails before any experiment runs, and 'all' expands to the
-   full registry (combining with other ids, duplicates dropped).
+   the rendered report, the span traces it recorded, and its engine
+   metrics delta. Requested ids are validated and de-duplicated up
+   front: an unknown id fails before any experiment runs, and 'all'
+   expands to the full registry (combining with other ids, duplicates
+   dropped).
 
    Instrumented experiments (tag "traced": fig2, table2, fig8, table4)
    record span traces of the simulated machine; after a run the report
@@ -147,22 +148,26 @@ let run_ids ids trace_file metrics_file faults_seed events_file occupancy_file =
     | Some seed -> Icoe_fault.Context.with_spec (Icoe_fault.Plan.spec seed) body
   in
   with_faults @@ fun () ->
-  (match events_file with
-  | None -> ()
-  | Some file -> Icoe_obs.Events.to_file file);
   let ids = resolve_ids ids in
   (* start each invocation from a clean registry so the snapshot reflects
      exactly the requested experiments *)
   Icoe_obs.Metrics.reset ();
-  let outcomes =
-    List.map
-      (fun id ->
-        match Icoe.Harness_registry.find id with
-        | Some h -> h.Icoe.Harness.run ()
-        | None -> assert false (* resolve_ids validated *))
-      ids
+  (* each report is printed as soon as its harness returns, and the event
+     sink is closed however the run ends: a raising harness leaves the
+     earlier reports on stdout and a complete event file *)
+  let run id =
+    let o = (Option.get (Icoe.Harness_registry.find id)).Icoe.Harness.run () in
+    print_string o.report;
+    flush stdout;
+    o
   in
-  List.iter (fun (o : Icoe.Harness.outcome) -> print_string o.report) outcomes;
+  let outcomes =
+    match events_file with
+    | None -> List.map run ids
+    | Some file ->
+        Icoe_obs.Events.to_file file;
+        Fun.protect ~finally:Icoe_obs.Events.close (fun () -> List.map run ids)
+  in
   let traces =
     List.concat_map (fun (o : Icoe.Harness.outcome) -> o.traces) outcomes
   in
@@ -196,9 +201,7 @@ let run_ids ids trace_file metrics_file faults_seed events_file occupancy_file =
             file));
   (match events_file with
   | None -> ()
-  | Some file ->
-      Icoe_obs.Events.close ();
-      Fmt.pr "events: wrote event log to %s@." file);
+  | Some file -> Fmt.pr "events: wrote event log to %s@." file);
   (* the acceptance checks the harnesses recorded: summarized on stderr
      so the report on stdout stays byte-identical, and any failure is
      the exit status *)

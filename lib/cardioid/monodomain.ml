@@ -53,6 +53,13 @@ type t = {
 
 let create ?(nx = 32) ?(ny = 32) ?(dx = 0.02) ?(sigma = 0.001) ?(dt = 0.02)
     ?(variant = Ionic.Rational) () =
+  if nx < 1 || ny < 1 then
+    invalid_arg
+      (Fmt.str "Cardioid.Monodomain.create: need nx, ny >= 1, got %dx%d" nx ny);
+  if not (dt > 0.0 && Float.is_finite dt) then
+    invalid_arg
+      (Fmt.str
+         "Cardioid.Monodomain.create: dt must be positive and finite, got %g" dt);
   let n = nx * ny in
   let state = Fbuf.create (n_planes * n) in
   let init = Ionic.initial_state () in
@@ -203,12 +210,9 @@ let diffusion_step t =
 let m_steps =
   Icoe_obs.Metrics.counter ~help:"Operator-split steps" "cardioid_steps_total"
 
-(* Wall-clock split between the two halves of the operator splitting —
-   the compute-bound vs memory-bound balance the placement study turns on. *)
 let step t =
-  Icoe_obs.Metrics.time "cardioid_reaction_seconds" (fun () -> reaction_step t);
-  Icoe_obs.Metrics.time "cardioid_diffusion_seconds" (fun () ->
-      diffusion_step t);
+  reaction_step t;
+  diffusion_step t;
   Icoe_obs.Metrics.inc m_steps
 
 let run t ~steps =

@@ -44,6 +44,8 @@ type t = {
 val create :
   ?nx:int -> ?ny:int -> ?dx:float -> ?sigma:float -> ?dt:float ->
   ?variant:Ionic.variant -> unit -> t
+(** Raises [Invalid_argument] unless [nx, ny >= 1] and [dt] is positive
+    and finite. *)
 
 val idx : t -> int -> int -> int
 

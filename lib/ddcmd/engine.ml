@@ -47,6 +47,9 @@ let m_drift =
     "md_energy_drift"
 
 let create ?(bonds = []) ?(angles = []) ?(constraints = []) ~dt ~potential p =
+  if not (dt > 0.0 && Float.is_finite dt) then
+    invalid_arg
+      (Fmt.str "Ddcmd.Engine.create: dt must be positive and finite, got %g" dt);
   {
     p;
     potential;

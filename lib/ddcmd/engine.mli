@@ -23,6 +23,7 @@ val create :
   ?bonds:Bonded.bond list -> ?angles:Bonded.angle list ->
   ?constraints:(int * int * float) list -> dt:float -> potential:Potential.t ->
   Particles.t -> t
+(** Raises [Invalid_argument] unless [dt] is positive and finite. *)
 
 val compute_forces : t -> unit
 (** Recompute all forces; updates potential energy and virial.

@@ -26,7 +26,12 @@ type t = {
 }
 
 let create ~n ~box =
-  assert (n > 0 && box > 0.0);
+  if n <= 0 then
+    invalid_arg (Fmt.str "Ddcmd.Particles.create: n must be positive, got %d" n);
+  if not (box > 0.0 && Float.is_finite box) then
+    invalid_arg
+      (Fmt.str "Ddcmd.Particles.create: box must be positive and finite, got %g"
+         box);
   let mass = Fbuf.create n in
   Fbuf.fill mass 1.0;
   {

@@ -21,7 +21,8 @@ type t = {
 }
 
 val create : n:int -> box:float -> t
-(** Requires positive counts and box size. *)
+(** Raises [Invalid_argument] unless [n > 0] and [box] is positive and
+    finite. *)
 
 val wrap : t -> float -> float
 val wrap_all : t -> unit

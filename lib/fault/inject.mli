@@ -6,8 +6,8 @@
     straggler episodes stretch kernels, and transient kernel faults
     force whole re-executions.  The [charge_*] variants emit the clean
     cost under the caller's phase and the fault-induced excess under
-    dedicated [fault:*] phases, so traces and the
-    [hwsim_phase_seconds] metric expose exactly what faults cost. *)
+    dedicated [fault:*] phases, so the trace's per-phase rollups expose
+    exactly what faults cost. *)
 
 val transfer_time : Plan.t -> now:float -> Hwsim.Link.t -> bytes:float -> float
 (** [Link.transfer_time] with the plan's bandwidth/latency factors

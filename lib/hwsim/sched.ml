@@ -9,7 +9,7 @@
     simulated time by the dependency DAG's critical path instead of the
     serial sum — per-stream busy time and per-phase attribution still
     land in the bound {!Clock}/{!Trace} (via {!Trace.scheduled_span}),
-    so rollups, Chrome export, metrics and fault accounting keep working
+    so rollups, Chrome export and fault accounting keep working
     unchanged.
 
     With overlap disabled (the [ICOE_OVERLAP=0] fallback, or
@@ -43,7 +43,7 @@ type t = {
 }
 
 (* ICOE_OVERLAP=0|off|false disables overlap process-wide (read once, at
-   first use, mirroring ICOE_METRICS). *)
+   first use). *)
 let env_enabled =
   lazy
     (match Sys.getenv_opt "ICOE_OVERLAP" with
@@ -151,7 +151,7 @@ let run t =
           end
           else
             (* bit-identical to an engine calling Trace.charge per item:
-               span at now, clock tick (total + phase), metrics bridge *)
+               span at now, clock tick (total + phase) *)
             List.iter
               (fun it ->
                 Trace.scheduled_span tr ~device:it.device ~flops:it.i_flops

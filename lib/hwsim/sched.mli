@@ -18,9 +18,9 @@
 
     Charging: when a {!Trace.t} is bound, {!run} places one leaf span
     per item at its scheduled simulated time ({!Trace.scheduled_span}),
-    attributes per-phase busy seconds to the clock breakdown and the
-    metrics bridge, and advances the clock total once, by the makespan —
-    so rollups, Chrome export and metrics keep working unchanged, and
+    attributes per-phase busy seconds to the clock breakdown, and
+    advances the clock total once, by the makespan — so rollups and
+    Chrome export keep working unchanged, and
     the clock's phase sums minus its total is exactly the hidden time.
 
     Fallback: with overlap disabled ([ICOE_OVERLAP=0], or

@@ -80,25 +80,6 @@ let with_span t ?device name f =
       pop t;
       raise e
 
-(* Bridge to the metrics registry: every simulated second charged to a
-   phase also shows up as hwsim_phase_seconds{phase=...}, so registry
-   snapshots and [by_phase] rollups agree. Counter handles are memoized
-   per phase to keep the charge path cheap. *)
-let phase_counters : (string, Icoe_obs.Metrics.counter) Hashtbl.t =
-  Hashtbl.create 16
-
-let phase_seconds phase =
-  match Hashtbl.find_opt phase_counters phase with
-  | Some c -> c
-  | None ->
-      let c =
-        Icoe_obs.Metrics.counter ~help:"Simulated seconds charged per phase"
-          ~labels:[ ("phase", phase) ]
-          "hwsim_phase_seconds"
-      in
-      Hashtbl.add phase_counters phase c;
-      c
-
 (* Flight-recorder bridge: every charge/span leaf also lands in the
    unified event log when a sink is installed (ICOE_EVENTS=path). The
    [enabled] check keeps the disabled path to one branch. *)
@@ -123,15 +104,14 @@ let emit_span_event ?device ?(flops = 0.0) ?(bytes = 0.0) ~phase ~start dur =
 let charge t ?device ~phase dt =
   let sp = mk_span ?device ~start:(now t) phase in
   Clock.tick t.clock ~phase dt;
-  Icoe_obs.Metrics.inc ~by:(max 0.0 dt) (phase_seconds phase);
   sp.stop <- now t;
   emit_span_event ?device ~phase ~start:sp.start dt;
   add_child t (current t) sp
 
 (* Scheduler charging: a span pinned at an absolute simulated time
    rather than at the clock's now. Busy seconds go to the clock's phase
-   breakdown and the metrics bridge, but the clock total does NOT move —
-   the scheduler advances it once, by the critical path, via [advance]. *)
+   breakdown, but the clock total does NOT move — the scheduler
+   advances it once, by the critical path, via [advance]. *)
 let scheduled_span t ?device ?(flops = 0.0) ?(bytes = 0.0) ?bound ~phase
     ~start dur =
   assert (dur >= 0.0);
@@ -141,7 +121,6 @@ let scheduled_span t ?device ?(flops = 0.0) ?(bytes = 0.0) ?bound ~phase
   sp.bytes <- bytes;
   sp.bound <- bound;
   Clock.attribute t.clock ~phase dur;
-  Icoe_obs.Metrics.inc ~by:dur (phase_seconds phase);
   emit_span_event ?device ~flops ~bytes ~phase ~start dur;
   add_child t (current t) sp
 
@@ -157,7 +136,6 @@ let charge_kernel t ?eff ?lanes_used ?phase (d : Device.t) (k : Kernel.t) =
   register_device t d;
   let sp = mk_span ~device:d.Device.name ~start:(now t) phase in
   Clock.tick t.clock ~phase dt;
-  Icoe_obs.Metrics.inc ~by:(max 0.0 dt) (phase_seconds phase);
   sp.stop <- now t;
   sp.flops <- k.Kernel.flops;
   sp.bytes <- k.Kernel.bytes;

@@ -69,7 +69,7 @@ val scheduled_span :
 (** [scheduled_span t ~phase ~start dur] records a leaf span pinned at
     absolute simulated time [start .. start +. dur] under the innermost
     open span, charging [dur] busy seconds to the clock's [phase]
-    breakdown (and the metrics bridge) WITHOUT advancing the clock
+    breakdown WITHOUT advancing the clock
     total. {!Sched} places overlapped work items with this and then
     {!advance}s the clock once by the schedule's critical path, so the
     per-phase rollups show busy time while the total shows makespan. *)

@@ -48,23 +48,15 @@ let record_check name ok =
 let record_artifact name render =
   record (fun o -> { o with artifacts = (name, render) :: o.artifacts })
 
-(* Per-harness comm/compute overlap gauge and rows. Harness bodies call
-   this only when the stream scheduler actually overlapped, so
-   ICOE_OVERLAP=0 runs leave the registry exactly as before the
-   scheduler existed. *)
+(* Per-harness comm/compute overlap rows. Harness bodies call this only
+   when the stream scheduler actually overlapped, so ICOE_OVERLAP=0 runs
+   record none. *)
 let record_overlap id ~serial_s ~overlapped_s =
-  let eff = overlapped_s /. serial_s in
-  Icoe_obs.Metrics.set
-    (Icoe_obs.Metrics.gauge
-       ~help:"Charged over serial-sum modeled seconds (1 = no overlap)"
-       ~labels:[ ("harness", id) ]
-       "overlap_efficiency")
-    eff;
   record_row ~section:"overlap" ~unit:"s" (id ^ "/serial_s") serial_s;
   record_row ~section:"overlap" ~unit:"s" (id ^ "/overlapped_s") overlapped_s;
   record_check (id ^ "/overlap/hides-work")
     (overlapped_s > 0.0 && overlapped_s < serial_s);
-  eff
+  overlapped_s /. serial_s
 
 (* A checkpoint/restart run under a fault plan: its time to solution as
    a row, and the acceptance properties as checks — the plan struck and
@@ -78,12 +70,9 @@ let record_recovery id (rep : Icoe_fault.Checkpoint.report) ~identical =
     (Icoe_fault.Checkpoint.inflation rep > 1.0);
   record_check (id ^ "/fault/identical") identical
 
-(* Critical-path blame gauges (the prof_ family) and rows, same gating
-   contract as [record_overlap]: harness bodies call this only from
-   overlap-gated sections so ICOE_OVERLAP=0 runs never register blame
-   metrics. *)
+(* Critical-path blame rows, same gating contract as [record_overlap]:
+   harness bodies call this only from overlap-gated sections. *)
 let record_blame id (analysis : Icoe_obs.Prof.analysis) =
-  Icoe_obs.Prof.record_metrics ~harness:id analysis;
   List.iter
     (fun (b : Icoe_obs.Prof.blame) ->
       record_row ~section:"blame" ~unit:"s" (id ^ "/" ^ b.key) b.seconds)

@@ -5,10 +5,11 @@
     structured {!outcome} instead of a bare string. The outcome carries
     the rendered report plus everything the observability layers caught
     while the harness ran — the {!Hwsim.Trace.t}s it recorded, the
-    delta of the {!Icoe_obs.Metrics} default registry, and the typed
-    rows and named checks it computed — so callers (the CLI, the bench
-    executable, the tests) no longer scrape global state or report
-    prose after the fact.
+    engine work it added to the {!Icoe_obs.Metrics} default registry,
+    and the typed rows and named checks it computed — so callers (the
+    CLI, the bench executable, the tests) no longer scrape global state
+    or report prose after the fact. Results go only through the report
+    and the rows: a harness registers no metric of its own.
 
     Harnesses are registered in {!Harness_registry.all}; each activity
     contributes its own [Harness_*] module. *)
@@ -29,8 +30,9 @@ type outcome = {
       (** simulated-time traces recorded via {!record_trace} during the
           run, in recording order *)
   metrics : Icoe_obs.Metrics.sample list;
-      (** what the run added to the default metrics registry
-          ({!Icoe_obs.Metrics.diff} of snapshots taken around [run]) *)
+      (** the engine work and state the run added to the default metrics
+          registry ({!Icoe_obs.Metrics.diff} of snapshots taken around
+          [run]); deterministic, like the report *)
   rows : row list;  (** recorded via {!record_row}, in order *)
   checks : (string * bool) list;
       (** recorded via {!record_check}, in order; [false] failed *)
@@ -75,18 +77,15 @@ val record_check : string -> bool -> unit
 
 val record_overlap : string -> serial_s:float -> overlapped_s:float -> float
 (** [record_overlap id ~serial_s ~overlapped_s] returns the overlap
-    efficiency [overlapped_s /. serial_s], sets it as the
-    [overlap_efficiency{harness=id}] gauge, and records the rows
+    efficiency [overlapped_s /. serial_s] and records the rows
     [overlap/<id>/serial_s] and [/overlapped_s] and the check
     [<id>/overlap/hides-work] ([0 < overlapped_s < serial_s]). Harnesses
     call it only when {!Hwsim.Sched.overlap_enabled}, so
     [ICOE_OVERLAP=0] output stays bit-identical. *)
 
 val record_blame : string -> Icoe_obs.Prof.analysis -> unit
-(** [record_blame id a] sets the [prof_*] gauges for harness [id]
-    ({!Icoe_obs.Prof.record_metrics}) and records one
-    [blame/<id>/<phase>] row per phase and the check
-    [<id>/blame/shares-valid]. Same gating contract as
+(** [record_blame id a] records one [blame/<id>/<phase>] row per phase
+    and the check [<id>/blame/shares-valid]. Same gating contract as
     {!record_overlap}. *)
 
 val record_recovery :

@@ -9,9 +9,8 @@ module Svc = Icoe_svc
 let zipf_s = 1.1
 let nodes = 256
 
-let record_metrics (m : Svc.Cluster.metrics) =
+let record_results (m : Svc.Cluster.metrics) =
   let policy = m.Svc.Cluster.policy in
-  let labels = [ ("policy", policy) ] in
   Harness.record_row ~section:"service" ~unit:"jobs/s" ~higher_better:true
     (policy ^ "/jobs_per_s") m.Svc.Cluster.jobs_per_s;
   Harness.record_row ~section:"service" ~unit:"s" (policy ^ "/wait_p99_s")
@@ -22,27 +21,7 @@ let record_metrics (m : Svc.Cluster.metrics) =
   check "jobs_per_s>0" (m.Svc.Cluster.jobs_per_s > 0.0);
   check "utilization-in-(0,1]"
     (m.Svc.Cluster.utilization > 0.0 && m.Svc.Cluster.utilization <= 1.0);
-  check "wait_p99>=p50" (m.Svc.Cluster.wait_p99 >= m.Svc.Cluster.wait_p50);
-  Icoe_obs.Metrics.set
-    (Icoe_obs.Metrics.gauge ~labels
-       ~help:"Sustained throughput of the service simulation"
-       "svc_jobs_per_s")
-    m.Svc.Cluster.jobs_per_s;
-  Icoe_obs.Metrics.set
-    (Icoe_obs.Metrics.gauge ~labels
-       ~help:"Node utilization of the service simulation" "svc_utilization")
-    m.Svc.Cluster.utilization;
-  let hw =
-    Icoe_obs.Metrics.histogram ~labels
-      ~help:"Per-job queue wait in the service simulation" "svc_wait_seconds"
-  in
-  Array.iter (Icoe_obs.Metrics.observe hw) m.Svc.Cluster.waits;
-  let ht =
-    Icoe_obs.Metrics.histogram ~labels
-      ~help:"Per-job turnaround in the service simulation"
-      "svc_turnaround_seconds"
-  in
-  Array.iter (Icoe_obs.Metrics.observe ht) m.Svc.Cluster.turnarounds
+  check "wait_p99>=p50" (m.Svc.Cluster.wait_p99 >= m.Svc.Cluster.wait_p50)
 
 let svc () =
   let machine = Svc.Catalog.machine ~nodes () in
@@ -84,7 +63,7 @@ let svc () =
   in
   List.iter
     (fun (m : Svc.Cluster.metrics) ->
-      record_metrics m;
+      record_results m;
       Table.add_row t
         [
           m.Svc.Cluster.policy;

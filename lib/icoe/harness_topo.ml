@@ -12,17 +12,6 @@ let machines =
 let mname (m : Hwsim.Node.machine) = m.Hwsim.Node.node.Hwsim.Node.name
 let sweep = [ 64; 256; 512; 1024; 4096 ]
 
-let gauge name ~help ~machine ~placement v =
-  Icoe_obs.Metrics.set
-    (Icoe_obs.Metrics.gauge
-       ~labels:
-         [
-           ("machine", machine);
-           ("placement", Hwsim.Topology.placement_name placement);
-         ]
-       ~help name)
-    v
-
 (* --- the machine zoo, through the pp_machine printer --- *)
 
 let zoo_section () =
@@ -76,15 +65,13 @@ let sw4_section () =
               Table.fcell ~prec:1 (r.Sw4.Scenario.halo_s *. 1e6);
               Fmt.str "%d->%d" hc hr;
             ];
+          (* the table shows the contiguous step only *)
           if nodes = 4096 then begin
-            gauge "topo_sw4_step_seconds"
-              ~help:"SW4 per-step seconds at 4096 nodes by placement"
-              ~machine:(mname m) ~placement:Hwsim.Topology.Contiguous
-              c.Sw4.Scenario.step_s;
-            gauge "topo_sw4_step_seconds"
-              ~help:"SW4 per-step seconds at 4096 nodes by placement"
-              ~machine:(mname m) ~placement:Hwsim.Topology.Random_spread
-              r.Sw4.Scenario.step_s
+            let row = Fmt.str "sw4/%s/%dn" (mname m) nodes in
+            Harness.record_row ~section:"topology" ~unit:"s"
+              (row ^ "/contiguous_step_s") c.Sw4.Scenario.step_s;
+            Harness.record_row ~section:"topology" ~unit:"s"
+              (row ^ "/random_step_s") r.Sw4.Scenario.step_s
           end)
         sweep)
     machines;
@@ -166,15 +153,7 @@ let kavg_section () =
             [
               mname m; string_of_int learners; Table.fcell ~prec:3 (c *. 1e3);
               Table.fcell ~prec:3 (r *. 1e3); Table.fcell ~prec:3 (r /. c);
-            ];
-          if learners = 4096 then begin
-            gauge "topo_kavg_round_seconds"
-              ~help:"KAVG per-round seconds at 4096 learners by placement"
-              ~machine:(mname m) ~placement:Hwsim.Topology.Contiguous c;
-            gauge "topo_kavg_round_seconds"
-              ~help:"KAVG per-round seconds at 4096 learners by placement"
-              ~machine:(mname m) ~placement:Hwsim.Topology.Random_spread r
-          end)
+            ])
         [ 512; 1024; 4096 ])
     machines;
   (* the acceptance line: on both hierarchical machines, a scattered

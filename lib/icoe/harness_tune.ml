@@ -88,13 +88,6 @@ let bench_rows () =
         kernels)
     machines
 
-let gauge name ~help ~machine ~kernel v =
-  Icoe_obs.Metrics.set
-    (Icoe_obs.Metrics.gauge
-       ~labels:[ ("machine", machine); ("kernel", kernel) ]
-       ~help name)
-    v
-
 (* --- tuned vs paper default, exhaustive over the 21-point lattice --- *)
 
 let exhaustive_section () =
@@ -125,14 +118,6 @@ let exhaustive_section () =
           Table.fcell ~prec:3 r.speedup;
           string_of_int r.evaluations;
         ];
-      gauge "tuner_default_seconds"
-        ~help:"paper-default makespan per machine x kernel" ~machine:r.machine
-        ~kernel:r.kernel r.default_s;
-      gauge "tuner_tuned_seconds"
-        ~help:"tuned makespan per machine x kernel" ~machine:r.machine
-        ~kernel:r.kernel r.tuned_s;
-      gauge "tuner_split" ~help:"tuned accelerator share per machine x kernel"
-        ~machine:r.machine ~kernel:r.kernel r.split;
       let name = r.kernel ^ "/" ^ r.machine in
       Harness.record_row ~section:"tuner" ~unit:"s" (name ^ "/default_s")
         r.default_s;

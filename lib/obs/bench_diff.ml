@@ -55,7 +55,7 @@ let merge_checks l =
     (fun (name, _) -> (name, List.for_all (fun (n, ok) -> n <> name || ok) l))
     (first_by fst l)
 
-let document ~id ~icoe_domains ~registry rows checks =
+let document ~id ~icoe_domains rows checks =
   let open Icoe_util.Json in
   let row (m : measurement) =
     Obj
@@ -73,7 +73,6 @@ let document ~id ~icoe_domains ~registry rows checks =
       ("icoe_domains", Num (float_of_int icoe_domains));
       ("rows", Arr (List.map row (first_by key rows)));
       ("checks", Arr (List.map check (merge_checks checks)));
-      ("registry", registry);
     ]
 
 let entries field j =

@@ -10,7 +10,8 @@
     one side are reported as added/removed, never failed — older
     baselines legitimately predate newer rows. Checks are stricter: a
     check that is false in the current file, or that the baseline
-    carried and the current file lacks, is a regression. *)
+    carried and the current file lacks, is a regression. Any other
+    member is ignored (older files carry a [registry] block). *)
 
 type klass = Sim  (** deterministic simulated/model value *)
            | Wall  (** host wall-clock measurement *)
@@ -26,9 +27,9 @@ type measurement = {
 (** One BENCH row. *)
 
 val document :
-  id:string -> icoe_domains:int -> registry:Icoe_util.Json.t ->
-  measurement list -> (string * bool) list -> Icoe_util.Json.t
-(** A BENCH document: [{id, icoe_domains, rows, checks, registry}], each
+  id:string -> icoe_domains:int -> measurement list -> (string * bool) list ->
+  Icoe_util.Json.t
+(** A BENCH document: [{id, icoe_domains, rows, checks}], each
     row [{section, name, value, unit, class: "sim"|"wall",
     higher_better}] (a repeated section/name keeps its first row), each
     check [{name, ok}] (a repeated name holds only if every occurrence

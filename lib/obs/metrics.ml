@@ -1,42 +1,14 @@
-(** Metrics registry: counters, gauges, log-bucketed histograms, labeled
-    families, deterministic snapshot/reset, Prometheus + JSON exposition.
-    See metrics.mli for the story. *)
+(** Metrics registry: counters, gauges, histograms, labeled families,
+    deterministic snapshot/reset, JSON and table exposition. See
+    metrics.mli for the story. *)
 
-(* --- histogram geometry ---
-
-   Exponential base-2 buckets spanning [1e-12, 1e-12 * 2^95] ~ 4e16, which
-   covers everything we record (seconds, iteration counts, frontier sizes,
-   residual ratios) with <= 1 bit of relative error. Values at or below
-   the lowest bound land in bucket 0; values beyond the highest land in
-   the overflow bucket. *)
-
-let bucket_lo = 1e-12
-let n_buckets = 96
 let window_capacity = 1024
-
-(* ceil(log2 (v / bucket_lo)) without transcendentals: going through
-   [Float.log2] rounds, which can push an exact boundary value
-   [bucket_lo *. 2^k] one bucket high or low. [v /. bucket_lo] is exact
-   for those boundaries (same mantissa as [v], scaled), and [frexp]
-   recovers the exponent exactly: x = m * 2^e with m in [0.5, 1), so
-   ceil(log2 x) is e - 1 when x is exactly a power of two and e
-   otherwise. *)
-let bucket_index v =
-  if v <= bucket_lo then 0
-  else
-    let m, e = Float.frexp (v /. bucket_lo) in
-    let k = if m = 0.5 then e - 1 else e in
-    if k < 0 then 0 else if k > n_buckets then n_buckets else k
-
-let bucket_upper k =
-  if k >= n_buckets then infinity else bucket_lo *. Float.pow 2.0 (float_of_int k)
 
 type hist_state = {
   mutable count : int;
   mutable sum : float;
   mutable vmin : float;
   mutable vmax : float;
-  counts : int array;  (* n_buckets + 1, last = overflow *)
   window : float array;  (* ring of the last [window_capacity] observations *)
   mutable wlen : int;
   mutable wpos : int;
@@ -48,7 +20,6 @@ let new_hist () =
     sum = 0.0;
     vmin = infinity;
     vmax = neg_infinity;
-    counts = Array.make (n_buckets + 1) 0;
     window = Array.make window_capacity 0.0;
     wlen = 0;
     wpos = 0;
@@ -59,7 +30,6 @@ let hist_reset h =
   h.sum <- 0.0;
   h.vmin <- infinity;
   h.vmax <- neg_infinity;
-  Array.fill h.counts 0 (n_buckets + 1) 0;
   h.wlen <- 0;
   h.wpos <- 0
 
@@ -77,26 +47,13 @@ type metric = {
   payload : payload;
 }
 
-type registry = {
-  tbl : (string, metric) Hashtbl.t;
-  mutable enabled : bool;
-}
+type registry = (string, metric) Hashtbl.t
+type counter = float ref
+type gauge = float ref
+type histogram = hist_state
 
-type counter = { c_reg : registry; c : float ref }
-type gauge = { g_reg : registry; g : float ref }
-type histogram = { h_reg : registry; h : hist_state }
-
-let create () = { tbl = Hashtbl.create 64; enabled = true }
-
-let default =
-  let r = create () in
-  (match Sys.getenv_opt "ICOE_METRICS" with
-  | Some ("0" | "off" | "false") -> r.enabled <- false
-  | _ -> ());
-  r
-
-let set_enabled ?(registry = default) b = registry.enabled <- b
-let is_enabled ?(registry = default) () = registry.enabled
+let create () : registry = Hashtbl.create 64
+let default = create ()
 
 let sort_labels labels =
   List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) labels
@@ -129,7 +86,7 @@ let register registry ~help ~labels name make match_payload =
   check_not_in_job "register";
   let labels = sort_labels labels in
   let k = key name labels in
-  match Hashtbl.find_opt registry.tbl k with
+  match Hashtbl.find_opt registry k with
   | Some m -> (
       match match_payload m.payload with
       | Some v -> v
@@ -139,7 +96,7 @@ let register registry ~help ~labels name make match_payload =
                (kind_name m.payload)))
   | None ->
       let payload, v = make () in
-      Hashtbl.add registry.tbl k
+      Hashtbl.add registry k
         { m_name = name; m_labels = labels; m_help = help; payload };
       v
 
@@ -147,85 +104,59 @@ let counter ?(registry = default) ?(help = "") ?(labels = []) name =
   register registry ~help ~labels name
     (fun () ->
       let r = ref 0.0 in
-      (Pcounter r, { c_reg = registry; c = r }))
-    (function Pcounter r -> Some { c_reg = registry; c = r } | _ -> None)
+      (Pcounter r, r))
+    (function Pcounter r -> Some r | _ -> None)
 
 let gauge ?(registry = default) ?(help = "") ?(labels = []) name =
   register registry ~help ~labels name
     (fun () ->
       let r = ref 0.0 in
-      (Pgauge r, { g_reg = registry; g = r }))
-    (function Pgauge r -> Some { g_reg = registry; g = r } | _ -> None)
+      (Pgauge r, r))
+    (function Pgauge r -> Some r | _ -> None)
 
 let histogram ?(registry = default) ?(help = "") ?(labels = []) name =
   register registry ~help ~labels name
     (fun () ->
       let h = new_hist () in
-      (Phist h, { h_reg = registry; h }))
-    (function Phist h -> Some { h_reg = registry; h } | _ -> None)
+      (Phist h, h))
+    (function Phist h -> Some h | _ -> None)
 
 (* --- hot path --- *)
 
 let inc ?(by = 1.0) t =
   check_not_in_job "inc";
-  if t.c_reg.enabled then begin
-    if by < 0.0 then invalid_arg "Metrics.inc: negative increment";
-    t.c := !(t.c) +. by
-  end
+  if by < 0.0 then invalid_arg "Metrics.inc: negative increment";
+  t := !t +. by
 
 let set t v =
   check_not_in_job "set";
-  if t.g_reg.enabled then t.g := v
+  t := v
 
-let observe t v =
+let observe h v =
   check_not_in_job "observe";
-  if t.h_reg.enabled then begin
-    let h = t.h in
-    h.count <- h.count + 1;
-    h.sum <- h.sum +. v;
-    if v < h.vmin then h.vmin <- v;
-    if v > h.vmax then h.vmax <- v;
-    let b = h.counts in
-    let i = bucket_index v in
-    b.(i) <- b.(i) + 1;
-    h.window.(h.wpos) <- v;
-    h.wpos <- (h.wpos + 1) mod window_capacity;
-    if h.wlen < window_capacity then h.wlen <- h.wlen + 1
-  end
-
-let clock = ref Unix.gettimeofday
-let set_clock f = clock := f
-
-let time ?(registry = default) ?(labels = []) name f =
-  if not registry.enabled then f ()
-  else begin
-    let h = histogram ~registry ~labels name in
-    let t0 = !clock () in
-    let record () = observe h (max 0.0 (!clock () -. t0)) in
-    match f () with
-    | v ->
-        record ();
-        v
-    | exception e ->
-        record ();
-        raise e
-  end
+  h.count <- h.count + 1;
+  h.sum <- h.sum +. v;
+  if v < h.vmin then h.vmin <- v;
+  if v > h.vmax then h.vmax <- v;
+  h.window.(h.wpos) <- v;
+  h.wpos <- (h.wpos + 1) mod window_capacity;
+  if h.wlen < window_capacity then h.wlen <- h.wlen + 1
 
 (* --- reading back --- *)
 
-let counter_value t = !(t.c)
-let gauge_value t = !(t.g)
-let histogram_count t = t.h.count
-let histogram_sum t = t.h.sum
+let counter_value t = !t
+let gauge_value t = !t
+let histogram_count h = h.count
+let histogram_sum h = h.sum
 
-let quantile t q =
-  if t.h.wlen = 0 then 0.0
+let quantile h q =
+  if h.wlen = 0 then 0.0
   else
-    let a = Array.sub t.h.window 0 t.h.wlen in
+    let a = Array.sub h.window 0 h.wlen in
     Icoe_util.Stats.percentile_sorted (Icoe_util.Stats.presort a) q
 
 let value ?(registry = default) ?(labels = []) name =
-  match Hashtbl.find_opt registry.tbl (key name (sort_labels labels)) with
+  match Hashtbl.find_opt registry (key name (sort_labels labels)) with
   | None -> None
   | Some m -> (
       match m.payload with
@@ -242,7 +173,6 @@ type histogram_summary = {
   p50 : float;
   p90 : float;
   p99 : float;
-  buckets : (float * int) list;
 }
 
 type value = Counter of float | Gauge of float | Histogram of histogram_summary
@@ -261,15 +191,6 @@ let summarize (h : hist_state) =
       let sorted = Icoe_util.Stats.presort (Array.sub h.window 0 h.wlen) in
       Icoe_util.Stats.percentile_sorted sorted
   in
-  let buckets =
-    let acc = ref [] and cum = ref 0 in
-    Array.iteri
-      (fun i c ->
-        cum := !cum + c;
-        if c > 0 && i < n_buckets then acc := (bucket_upper i, !cum) :: !acc)
-      h.counts;
-    List.rev ((infinity, h.count) :: !acc)
-  in
   {
     count = h.count;
     sum = h.sum;
@@ -278,7 +199,6 @@ let summarize (h : hist_state) =
     p50 = q 0.5;
     p90 = q 0.9;
     p99 = q 0.99;
-    buckets;
   }
 
 let snapshot ?(registry = default) () =
@@ -291,7 +211,7 @@ let snapshot ?(registry = default) () =
         | Phist h -> Histogram (summarize h)
       in
       { name = m.m_name; labels = m.m_labels; help = m.m_help; value } :: acc)
-    registry.tbl []
+    registry []
   |> List.sort (fun a b ->
          match String.compare a.name b.name with
          | 0 ->
@@ -342,71 +262,9 @@ let reset ?(registry = default) () =
       match m.payload with
       | Pcounter r | Pgauge r -> r := 0.0
       | Phist h -> hist_reset h)
-    registry.tbl
+    registry
 
 (* --- exposition --- *)
-
-let escape_label s =
-  let buf = Buffer.create (String.length s + 4) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let prom_labels ?extra labels =
-  let labels =
-    match extra with Some kv -> labels @ [ kv ] | None -> labels
-  in
-  match labels with
-  | [] -> ""
-  | ls ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Fmt.str {|%s="%s"|} k (escape_label v)) ls)
-      ^ "}"
-
-let prom_float v =
-  if Float.is_nan v then "NaN"
-  else if v = infinity then "+Inf"
-  else if v = neg_infinity then "-Inf"
-  else Fmt.str "%.17g" v
-
-let to_prometheus ?(registry = default) () =
-  let buf = Buffer.create 2048 in
-  let add fmt = Fmt.kstr (fun s -> Buffer.add_string buf s) fmt in
-  let last_header = ref "" in
-  List.iter
-    (fun s ->
-      let typ =
-        match s.value with
-        | Counter _ -> "counter"
-        | Gauge _ -> "gauge"
-        | Histogram _ -> "histogram"
-      in
-      if !last_header <> s.name then begin
-        last_header := s.name;
-        if s.help <> "" then add "# HELP %s %s\n" s.name s.help;
-        add "# TYPE %s %s\n" s.name typ
-      end;
-      match s.value with
-      | Counter v | Gauge v ->
-          add "%s%s %s\n" s.name (prom_labels s.labels) (prom_float v)
-      | Histogram h ->
-          List.iter
-            (fun (ub, cum) ->
-              add "%s_bucket%s %d\n" s.name
-                (prom_labels ~extra:("le", prom_float ub) s.labels)
-                cum)
-            h.buckets;
-          add "%s_sum%s %s\n" s.name (prom_labels s.labels) (prom_float h.sum);
-          add "%s_count%s %d\n" s.name (prom_labels s.labels) h.count)
-    (snapshot ~registry ());
-  Buffer.contents buf
 
 let json_float = Icoe_util.Json.number
 

@@ -1,49 +1,40 @@
 (** Process-wide metrics for the real engines (the paper's Tools activity,
-    Sec 4.10.6, applied to our own code): counters, gauges and log-bucketed
-    histograms, collected into a registry with deterministic snapshots and
-    two exposition formats (Prometheus text and JSON).
+    Sec 4.10.6, applied to our own code): counters, gauges and
+    histograms, collected into a registry with deterministic snapshots
+    and two renderings (JSON and a table).
 
     The tracing layer ({!Hwsim.Trace}) answers "where did the *simulated*
     time go"; this module answers "how much work did the *real* engines
     do" — AMG V-cycles, Krylov iterations, BDF steps, force evaluations,
-    BFS frontier sizes — so every run leaves a machine-readable record of
-    its work, and successive PRs get a perf trajectory via the bench
-    harness's [BENCH_*.json] emission.
+    BFS frontier sizes — and what state they ended in (residuals, dt,
+    ELBO). Everything it holds is deterministic engine work and state:
+    harness results travel as typed rows ([Icoe.Harness.record_row]),
+    and host time is measured only by the bench executables, so a
+    registry snapshot is the same whatever [ICOE_DOMAINS] says.
 
     Handles are cheap: engines create them once at module initialization
     ([counter]/[gauge]/[histogram] are get-or-create) and the hot-path
-    operations ([inc]/[set]/[observe]) are a branch plus a float store.
-    Disabling a registry ({!set_enabled}, or the [ICOE_METRICS=0]
-    environment variable for the default registry) turns them into
-    no-ops. *)
+    operations ([inc]/[set]/[observe]) are a float store. *)
 
 type registry
 (** A set of named metrics. Most callers use {!default}. *)
 
 type counter
-(** Monotonically increasing value (events, iterations, seconds-of-work). *)
+(** Monotonically increasing value (events, iterations, work items). *)
 
 type gauge
 (** A value that goes up and down (last residual, current dt). *)
 
 type histogram
-(** Log-bucketed distribution with count/sum/min/max, plus a bounded
-    window of recent observations from which p50/p90/p99 are derived via
+(** A distribution with count/sum/min/max, plus a bounded window of
+    recent observations from which p50/p90/p99 are derived via
     {!Icoe_util.Stats.percentile_sorted}. *)
 
 val create : unit -> registry
-(** A fresh, enabled registry (independent of {!default}). *)
+(** A fresh registry (independent of {!default}). *)
 
 val default : registry
-(** The process-wide registry. Enabled unless the [ICOE_METRICS]
-    environment variable is set to ["0"], ["off"] or ["false"] at
-    startup. *)
-
-val set_enabled : ?registry:registry -> bool -> unit
-(** Enable/disable a registry. Disabled registries make [inc]/[set]/
-    [observe]/[time] no-ops (handles stay valid; stored values freeze). *)
-
-val is_enabled : ?registry:registry -> unit -> bool
+(** The process-wide registry the engines record into. *)
 
 (** {1 Metric creation (get-or-create)}
 
@@ -80,17 +71,6 @@ val set : gauge -> float -> unit
 
 val observe : histogram -> float -> unit
 
-val time : ?registry:registry -> ?labels:(string * string) list ->
-  string -> (unit -> 'a) -> 'a
-(** [time name f] runs [f ()] and observes its wall-clock duration in
-    seconds into histogram [name]. The duration is recorded even when [f]
-    raises (the exception is re-raised). Uses the module clock
-    ({!set_clock}); negative deltas (non-monotonic clock) clamp to 0. *)
-
-val set_clock : (unit -> float) -> unit
-(** Replace the wall-clock source used by {!time} (seconds; default
-    [Unix.gettimeofday]). Tests inject a deterministic clock here. *)
-
 (** {1 Reading back} *)
 
 val counter_value : counter -> float
@@ -106,32 +86,12 @@ val quantile : histogram -> float -> float
 val window_capacity : int
 (** Number of recent observations a histogram retains for quantiles. *)
 
-(** {1 Histogram geometry}
-
-    Exposed so boundary behaviour is testable: buckets are exponential
-    base-2, bucket [k > 0] covering [(bucket_lo * 2^(k-1),
-    bucket_lo * 2^k]] with bucket 0 absorbing everything at or below
-    [bucket_lo] and bucket [n_buckets] the overflow. Exact boundary
-    values [bucket_lo *. 2.0 ** k] land in bucket [k] (upper bound
-    inclusive); the index is computed via [Float.frexp], not a rounded
-    [log2]. *)
-
-val bucket_lo : float
-val n_buckets : int
-
-val bucket_index : float -> int
-(** Bucket an observation lands in, in [\[0, n_buckets\]]. *)
-
-val bucket_upper : int -> float
-(** Inclusive upper bound of bucket [k]; [infinity] for the overflow
-    bucket. *)
-
 val value : ?registry:registry -> ?labels:(string * string) list ->
   string -> float option
 (** Current value of a counter or gauge by name+labels, [None] if absent
     (does not create). Histograms return their sum. *)
 
-(** {1 Snapshot and exposition} *)
+(** {1 Snapshot and rendering} *)
 
 type histogram_summary = {
   count : int;
@@ -141,9 +101,6 @@ type histogram_summary = {
   p50 : float;
   p90 : float;
   p99 : float;
-  buckets : (float * int) list;
-      (** (upper bound, cumulative count), nonempty buckets only, plus a
-          final (infinity, total). *)
 }
 
 type value =
@@ -173,11 +130,6 @@ val diff : before:sample list -> after:sample list -> sample list
 val reset : ?registry:registry -> unit -> unit
 (** Zero every counter/gauge and empty every histogram. Handles held by
     engines stay registered and valid. *)
-
-val to_prometheus : ?registry:registry -> unit -> string
-(** Prometheus text exposition format: # HELP / # TYPE headers, one line
-    per sample, histograms as cumulative [_bucket{le=...}] + [_sum] +
-    [_count]. *)
 
 val to_json : ?registry:registry -> unit -> string
 (** JSON document [{"metrics": [...]}] with one object per sample

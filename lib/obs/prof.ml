@@ -319,31 +319,3 @@ let report_section a =
        100.0 *. (a.serial_s -. a.makespan) /. a.serial_s
      else 0.0)
     (sensitivity_lines a)
-
-(* --- prof_* metrics --- *)
-
-let record_metrics ~harness a =
-  Metrics.set
-    (Metrics.gauge
-       ~help:"Critical-path makespan of the harness's scheduled DAG"
-       ~labels:[ ("harness", harness) ]
-       "prof_makespan_seconds")
-    a.makespan;
-  List.iter
-    (fun b ->
-      Metrics.set
-        (Metrics.gauge
-           ~help:"Makespan seconds blamed on a phase (sums to the makespan)"
-           ~labels:[ ("harness", harness); ("phase", b.key) ]
-           "prof_blame_seconds")
-        b.seconds)
-    a.phase_blame;
-  List.iter
-    (fun s ->
-      Metrics.set
-        (Metrics.gauge
-           ~help:"Makespan shrink if a phase cost nothing (what-if)"
-           ~labels:[ ("harness", harness); ("phase", s.s_key) ]
-           "prof_sensitivity_seconds")
-        s.shrink_s)
-    a.phase_sensitivity

@@ -88,7 +88,3 @@ val sensitivity_lines : analysis -> string
 val report_section : analysis -> string
 (** Blame table + critical-path summary line + sensitivity lines, ready
     to append to a harness report. *)
-
-val record_metrics : harness:string -> analysis -> unit
-(** Set [prof_makespan_seconds], [prof_blame_seconds{phase}] and
-    [prof_sensitivity_seconds{phase}] gauges labelled with [harness]. *)

@@ -16,7 +16,10 @@ type t = {
 let idx t i j = i + (t.nx * j)
 
 let create ~nx ~ny ~h =
-  assert (nx >= 9 && ny >= 9);
+  if nx < 9 || ny < 9 then
+    invalid_arg
+      (Fmt.str "Sw4.Grid.create: need at least 9 points per side, got %dx%d"
+         nx ny);
   let n = nx * ny in
   {
     nx;
@@ -35,7 +38,12 @@ let set_material t f =
       let rho, vp, vs = f ~x ~y in
       let mu = rho *. vs *. vs in
       let lambda = (rho *. vp *. vp) -. (2.0 *. mu) in
-      assert (lambda > 0.0 || vp *. vp >= 2.0 *. vs *. vs);
+      if not (lambda > 0.0 || vp *. vp >= 2.0 *. vs *. vs) then
+        invalid_arg
+          (Fmt.str
+             "Sw4.Grid.set_material: vp=%g is below sqrt(2)*vs (vs=%g) at \
+              (%d, %d)"
+             vp vs i j);
       t.rho.(idx t i j) <- rho;
       t.mu.(idx t i j) <- mu;
       t.lambda.(idx t i j) <- max lambda 0.0

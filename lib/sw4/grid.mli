@@ -15,10 +15,12 @@ type t = {
 val idx : t -> int -> int -> int
 
 val create : nx:int -> ny:int -> h:float -> t
-(** Requires at least 9 points per side (4th-order stencils + margins). *)
+(** Requires at least 9 points per side (4th-order stencils + margins);
+    raises [Invalid_argument] otherwise. *)
 
 val set_material : t -> (x:float -> y:float -> float * float * float) -> unit
-(** Material from physical coordinates: (rho, vp, vs). *)
+(** Material from physical coordinates: (rho, vp, vs). Raises
+    [Invalid_argument] where [vp < sqrt 2 *. vs] (negative Lame lambda). *)
 
 val homogeneous : t -> rho:float -> vp:float -> vs:float -> unit
 

@@ -13,11 +13,6 @@ let m_updates =
   Icoe_obs.Metrics.counter ~help:"Interior grid-point updates"
     "sw4_gridpoint_updates_total"
 
-let m_rate =
-  Icoe_obs.Metrics.gauge
-    ~help:"Grid-point updates per wall-clock second over the last run"
-    "sw4_gridpoint_updates_per_s"
-
 let receiver ~i ~j = { ri = i; rj = j; trace = [] }
 
 type t = {
@@ -123,17 +118,9 @@ let step t =
     t.receivers
 
 let run t ~steps =
-  let t0 = Unix.gettimeofday () in
   for _ = 1 to steps do
     step t
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let g = t.grid in
-  let m = Elastic.margin in
-  let updates =
-    float_of_int (steps * (g.Grid.nx - (2 * m)) * (g.Grid.ny - (2 * m)))
-  in
-  if elapsed > 0.0 then Icoe_obs.Metrics.set m_rate (updates /. elapsed)
+  done
 
 (* --- checkpoint/restart support (Icoe_fault.Checkpoint) --- *)
 

@@ -307,6 +307,47 @@ let test_mlp_batch_length_mismatch () =
   expect_invalid "1 input, 2 labels" (fun () ->
       Dlearn.Mlp.train_batch m ~lr:0.1 [| x |] [| 0; 1 |])
 
+(* --- engine constructors: the Fbuf kernels behind them index through
+   unchecked Bigarray access, so a bad size must never get that far --- *)
+
+let test_sw4_grid_bad_sizes () =
+  List.iter
+    (fun (nx, ny) ->
+      expect_invalid (Fmt.str "grid %dx%d" nx ny) (fun () ->
+          Sw4.Grid.create ~nx ~ny ~h:100.0))
+    [ (8, 9); (9, 8); (0, 0); (-9, -9); (9, min_int) ];
+  let g = Sw4.Grid.create ~nx:9 ~ny:9 ~h:100.0 in
+  expect_invalid "vp below sqrt(2) vs" (fun () ->
+      Sw4.Grid.homogeneous g ~rho:2600.0 ~vp:1000.0 ~vs:2900.0)
+
+let test_monodomain_bad_sizes () =
+  let create ?(nx = 4) ?(ny = 4) ?(dt = 0.02) () () =
+    Cardioid.Monodomain.create ~nx ~ny ~dt ()
+  in
+  expect_invalid "nx = 0" (create ~nx:0 ());
+  expect_invalid "ny = 0" (create ~ny:0 ());
+  (* both negative: the product is positive, the grid is not *)
+  expect_invalid "nx, ny < 0" (create ~nx:(-2) ~ny:(-3) ());
+  List.iter
+    (fun dt -> expect_invalid (Fmt.str "dt = %g" dt) (create ~dt ()))
+    [ 0.0; -0.02; Float.nan; Float.infinity ]
+
+let test_particles_bad_sizes () =
+  List.iter
+    (fun (n, box) ->
+      expect_invalid (Fmt.str "n = %d, box = %g" n box) (fun () ->
+          Ddcmd.Particles.create ~n ~box))
+    [ (0, 1.0); (-5, 1.0); (8, 0.0); (8, Float.nan); (8, Float.infinity) ]
+
+let test_md_engine_bad_dt () =
+  let p = Ddcmd.Particles.create ~n:8 ~box:4.0 in
+  List.iter
+    (fun dt ->
+      expect_invalid (Fmt.str "dt = %g" dt) (fun () ->
+          Ddcmd.Engine.create ~dt ~potential:(Ddcmd.Potential.lennard_jones ())
+            p))
+    [ 0.0; -0.004; Float.nan; Float.neg_infinity ]
+
 let () =
   Alcotest.run "edge_cases"
     [
@@ -368,5 +409,13 @@ let () =
           Alcotest.test_case "mlp bad input" `Quick test_mlp_bad_input;
           Alcotest.test_case "mlp batch length mismatch" `Quick
             test_mlp_batch_length_mismatch;
+        ] );
+      ( "engine sizes",
+        [
+          Alcotest.test_case "sw4 grid" `Quick test_sw4_grid_bad_sizes;
+          Alcotest.test_case "cardioid monodomain" `Quick
+            test_monodomain_bad_sizes;
+          Alcotest.test_case "ddcmd particles" `Quick test_particles_bad_sizes;
+          Alcotest.test_case "ddcmd engine dt" `Quick test_md_engine_bad_dt;
         ] );
     ]

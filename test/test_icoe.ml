@@ -92,9 +92,24 @@ let test_outcome_metrics_delta () =
   | None -> Alcotest.fail "missing md"
   | Some h ->
       let o = h.Icoe.Harness.run () in
-      if Icoe_obs.Metrics.is_enabled () then
-        Alcotest.(check bool) "md run produced metric deltas" true
-          (o.Icoe.Harness.metrics <> [])
+      Alcotest.(check bool) "md run produced metric deltas" true
+        (o.Icoe.Harness.metrics <> [])
+
+let test_outcome_metrics_deterministic () =
+  (* the registry holds engine work only, no host time: two runs of the
+     same harness from a clean registry record the same samples *)
+  match Icoe.Harness_registry.find "cardioid" with
+  | None -> Alcotest.fail "missing cardioid"
+  | Some h ->
+      let run () =
+        Icoe_obs.Metrics.reset ();
+        (h.Icoe.Harness.run ()).Icoe.Harness.metrics
+      in
+      let first = run () in
+      Alcotest.(check bool) "cardioid run produced metric deltas" true
+        (first <> []);
+      Alcotest.(check bool) "same samples on a second run" true
+        (first = run ())
 
 let test_tuner_rows () =
   (* the "tuner" bench block: one exhaustive tuning per machine x kernel,
@@ -143,6 +158,8 @@ let () =
           Alcotest.test_case "fast harnesses" `Quick test_fast_harnesses_produce_output;
           Alcotest.test_case "traced outcome" `Quick test_traced_harness_outcome;
           Alcotest.test_case "metrics delta" `Quick test_outcome_metrics_delta;
+          Alcotest.test_case "metrics deterministic" `Quick
+            test_outcome_metrics_deterministic;
           Alcotest.test_case "tuner rows" `Quick test_tuner_rows;
           Alcotest.test_case "run all" `Slow test_run_all_mentions_every_result;
         ] );

@@ -1,7 +1,7 @@
 (* Tests for the Icoe_obs.Metrics registry: counter/gauge/histogram
-   semantics, label ordering, snapshot determinism, exposition formats,
-   and the exception-safety of the scoped timer. All tests use private
-   registries so they neither see nor disturb the engines' default one. *)
+   semantics, label ordering, snapshot determinism and the JSON
+   exposition. All tests use private registries so they neither see nor
+   disturb the engines' default one. *)
 
 module M = Icoe_obs.Metrics
 
@@ -111,24 +111,6 @@ let test_family_snapshot_order () =
     ]
     (List.map (fun s -> s.M.labels) (M.snapshot ~registry:r ()))
 
-(* --- enable/disable --- *)
-
-let test_disabled_registry_is_noop () =
-  let r = M.create () in
-  let c = M.counter ~registry:r "c" in
-  let h = M.histogram ~registry:r "h" in
-  M.set_enabled ~registry:r false;
-  Alcotest.(check bool) "reports disabled" false (M.is_enabled ~registry:r ());
-  M.inc c;
-  M.observe h 1.0;
-  let v = M.time ~registry:r "t" (fun () -> 42) in
-  Alcotest.(check int) "time still runs f" 42 v;
-  check_float "counter frozen" 0.0 (M.counter_value c);
-  Alcotest.(check int) "histogram frozen" 0 (M.histogram_count h);
-  M.set_enabled ~registry:r true;
-  M.inc c;
-  check_float "re-enabled" 1.0 (M.counter_value c)
-
 (* --- snapshot determinism --- *)
 
 (* The same final state must snapshot identically no matter the order in
@@ -160,13 +142,11 @@ let test_snapshot_deterministic () =
         M.set g v;
         M.observe h v)
       vals;
-    (M.snapshot ~registry:r (), M.to_prometheus ~registry:r (),
-     M.to_json ~registry:r ())
+    (M.snapshot ~registry:r (), M.to_json ~registry:r ())
   in
-  let s1, p1, j1 = build `Forward in
-  let s2, p2, j2 = build `Reversed in
+  let s1, j1 = build `Forward in
+  let s2, j2 = build `Reversed in
   Alcotest.(check bool) "snapshots equal" true (s1 = s2);
-  Alcotest.(check string) "prometheus equal" p1 p2;
   Alcotest.(check string) "json equal" j1 j2
 
 let test_reset () =
@@ -184,29 +164,6 @@ let test_reset () =
 (* --- exposition --- *)
 
 let contains ~needle hay = Astring.String.is_infix ~affix:needle hay
-
-let test_prometheus_format () =
-  let r = M.create () in
-  let c =
-    M.counter ~registry:r ~help:"how many" ~labels:[ ("m", "cg") ] "it_total"
-  in
-  M.inc ~by:3.0 c;
-  let h = M.histogram ~registry:r "lat" in
-  M.observe h 0.5;
-  M.observe h 2.0;
-  let text = M.to_prometheus ~registry:r () in
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("contains " ^ needle) true (contains ~needle text))
-    [
-      "# HELP it_total how many";
-      "# TYPE it_total counter";
-      {|it_total{m="cg"} 3|};
-      "# TYPE lat histogram";
-      {|lat_bucket{le="+Inf"} 2|};
-      "lat_count 2";
-      "lat_sum 2.5";
-    ]
 
 (* Minimal JSON well-formedness scanner: strings with escapes, balanced
    {} / [] outside strings. Enough to catch broken quoting/structure
@@ -272,79 +229,6 @@ let test_json_control_char_labels () =
       in
       Alcotest.(check (option string)) "label round-trips" (Some value) label
 
-(* --- scoped timer --- *)
-
-exception Boom
-
-let test_time_exception_safety () =
-  let r = M.create () in
-  (* deterministic clock: each reading advances 0.25 s *)
-  let now = ref 0.0 in
-  M.set_clock (fun () ->
-      let t = !now in
-      now := t +. 0.25;
-      t);
-  let raised =
-    match
-      M.time ~registry:r "work_seconds" (fun () -> raise Boom)
-    with
-    | () -> false
-    | exception Boom -> true
-  in
-  M.set_clock Unix.gettimeofday;
-  Alcotest.(check bool) "exception re-raised" true raised;
-  let h = M.histogram ~registry:r "work_seconds" in
-  Alcotest.(check int) "duration recorded despite raise" 1
-    (M.histogram_count h);
-  check_float "clock delta" 0.25 (M.histogram_sum h)
-
-let test_time_records_duration () =
-  let r = M.create () in
-  let now = ref 100.0 in
-  M.set_clock (fun () ->
-      let t = !now in
-      now := t +. 1.5;
-      t);
-  let v = M.time ~registry:r "ok_seconds" (fun () -> "done") in
-  M.set_clock Unix.gettimeofday;
-  Alcotest.(check string) "returns f's value" "done" v;
-  let h = M.histogram ~registry:r "ok_seconds" in
-  check_float "observed delta" 1.5 (M.histogram_sum h)
-
-(* --- bucket boundaries --- *)
-
-let test_bucket_boundaries () =
-  (* exact power-of-two boundaries land in the bucket they bound:
-     bucket k > 0 covers (lo * 2^(k-1), lo * 2^k], upper-inclusive *)
-  for k = 1 to M.n_buckets - 1 do
-    let upper = M.bucket_lo *. Float.pow 2.0 (float_of_int k) in
-    Alcotest.(check int)
-      (Fmt.str "boundary 2^%d lands in its own bucket" k)
-      k (M.bucket_index upper);
-    Alcotest.(check int)
-      (Fmt.str "just above 2^%d spills to the next" k)
-      (k + 1)
-      (M.bucket_index (Float.succ upper))
-  done;
-  Alcotest.(check int) "at bucket_lo" 0 (M.bucket_index M.bucket_lo);
-  Alcotest.(check int) "below bucket_lo" 0 (M.bucket_index (M.bucket_lo /. 4.0));
-  Alcotest.(check int) "zero" 0 (M.bucket_index 0.0);
-  Alcotest.(check int) "huge overflows" M.n_buckets (M.bucket_index 1e40)
-
-let test_bucket_index_matches_upper () =
-  (* the index function and the bound function agree: every observation
-     is <= its bucket's upper bound and > the previous bucket's *)
-  let vals = [ 2.3e-12; 1e-9; 0.000244140625; 0.5; 1.0; 3.14; 1e6 ] in
-  List.iter
-    (fun v ->
-      let k = M.bucket_index v in
-      Alcotest.(check bool) (Fmt.str "%g <= upper(%d)" v k) true
-        (v <= M.bucket_upper k);
-      if k > 0 then
-        Alcotest.(check bool) (Fmt.str "%g > upper(%d)" v (k - 1)) true
-          (v > M.bucket_upper (k - 1)))
-    vals
-
 let () =
   Alcotest.run "obs"
     [
@@ -359,9 +243,6 @@ let () =
           Alcotest.test_case "semantics" `Quick test_histogram_semantics;
           Alcotest.test_case "window bounded" `Quick
             test_histogram_window_bounded;
-          Alcotest.test_case "bucket boundaries" `Quick test_bucket_boundaries;
-          Alcotest.test_case "bucket index vs upper" `Quick
-            test_bucket_index_matches_upper;
         ] );
       ( "labels",
         [
@@ -371,22 +252,14 @@ let () =
         ] );
       ( "registry",
         [
-          Alcotest.test_case "disable" `Quick test_disabled_registry_is_noop;
           Alcotest.test_case "snapshot deterministic" `Quick
             test_snapshot_deterministic;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "exposition",
         [
-          Alcotest.test_case "prometheus" `Quick test_prometheus_format;
           Alcotest.test_case "json" `Quick test_json_roundtrip;
           Alcotest.test_case "json control-char labels" `Quick
             test_json_control_char_labels;
-        ] );
-      ( "timer",
-        [
-          Alcotest.test_case "exception safety" `Quick
-            test_time_exception_safety;
-          Alcotest.test_case "duration" `Quick test_time_records_duration;
         ] );
     ]

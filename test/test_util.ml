@@ -177,6 +177,45 @@ let prop_json_escape_roundtrip =
     QCheck.(string_of_size Gen.(0 -- 64))
     (fun s -> Json.parse ("\"" ^ Json.escape s ^ "\"") = Ok (Json.Str s))
 
+(* --- JSON reader fuzzing: any input gives Ok or Error, never an
+   exception; parse_exn raises only Parse_error --- *)
+
+let parse_is_total s =
+  (match Json.parse s with Ok _ | Error _ -> true)
+  && match Json.parse_exn s with
+     | _ -> true
+     | exception Json.Parse_error _ -> true
+
+(* bytes that steer the parser into every branch: structure, literals,
+   numbers, escapes, surrogates and raw control characters *)
+let json_alphabet =
+  {|{}[]":,. -+0123456789eEtrufalsn\/bu"dD8AFx |} ^ "\\u\t\n\x00\x1f\xff"
+
+let json_like =
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      string_size ~gen:(oneofl (List.of_seq (String.to_seq json_alphabet)))
+        (0 -- 48))
+
+(* a valid document with one byte replaced or the tail cut off *)
+let mutated_doc =
+  let doc =
+    {|{"id": "a\"b\u00e9\ud83d\ude00", "rows": [1, -2.5e-3, true, null, {"k": []}], "ok": false}|}
+  in
+  QCheck.make ~print:String.escaped
+    QCheck.Gen.(
+      let n = String.length doc in
+      oneof
+        [
+          map2
+            (fun i c -> String.mapi (fun j d -> if i = j then c else d) doc)
+            (0 -- (n - 1)) char;
+          map (fun k -> String.sub doc 0 k) (0 -- n);
+        ])
+
+let prop_json_parse_total name arb =
+  QCheck.Test.make ~name ~count:1000 arb parse_is_total
+
 let () =
   Alcotest.run "util"
     [
@@ -209,5 +248,13 @@ let () =
             test_json_escape_control_chars;
           Alcotest.test_case "to_string" `Quick test_json_to_string;
           QCheck_alcotest.to_alcotest prop_json_escape_roundtrip;
+          QCheck_alcotest.to_alcotest
+            (prop_json_parse_total "parse total on random bytes"
+               QCheck.(string_of_size Gen.(0 -- 64)));
+          QCheck_alcotest.to_alcotest
+            (prop_json_parse_total "parse total on json-like bytes" json_like);
+          QCheck_alcotest.to_alcotest
+            (prop_json_parse_total "parse total on mutated documents"
+               mutated_doc);
         ] );
     ]
