@@ -9,11 +9,13 @@
    Part 2 runs Bechamel microbenchmarks — real wall-clock time of the core
    computational kernels of each activity on this machine — one Test.make
    per reproduced table/figure's dominant kernel, plus par/* variants
-   sized to exercise the Icoe_par.Pool domain pool.
+   sized to exercise the Icoe_par.Pool domain pool. Between the two,
+   svc-scale times the service scheduler on 10^3..10^5-job streams.
 
    BENCH_<id>.json then records, through Icoe_util.Json, the rows
    (harness/<id>/wall_ns and /simulated_s, kernel/<name> ns per run,
-   and every row the harnesses recorded themselves) and the named
+   svc-scale/<policy>/<jobs> seconds, and every row the harnesses
+   recorded themselves) and the named
    checks (the harnesses' plus two of the bench's own) — so successive
    commits leave a machine-readable perf trajectory that
    `icoe_report --diff` gates. The engine metrics registry is not part
@@ -166,7 +168,9 @@ let bench_topopt_apply =
   let t = Opt.Topopt.create ~nx:32 ~ny:32 () in
   let u = Array.init 1024 (fun i -> float_of_int (i mod 13)) in
   let y = Array.make 1024 0.0 in
-  Test.make ~name:"opt/matrix-free-apply-32x32" (Staged.stage (fun () -> Opt.Topopt.apply t u y))
+  let cond = Opt.Topopt.conductivities t in
+  Test.make ~name:"opt/matrix-free-apply-32x32"
+    (Staged.stage (fun () -> Opt.Topopt.apply t ~cond u y))
 
 (* par/* benchmarks: the same engine kernels at sizes where the domain
    pool engages (all of these clear the serial-fallback thresholds), so
@@ -326,6 +330,37 @@ let run_harnesses () =
   in
   (rows, outcomes)
 
+(* svc-scale: host seconds of one Icoe_svc.Cluster.simulate on a
+   0.9-load Poisson stream of the 256-node catalog, at 10^3, 10^4 and
+   10^5 jobs under every policy. Each step of the scheduling core costs
+   O(log n), so the rows grow about n log n. *)
+let svc_scale () =
+  let nodes = 256 and zipf_s = 1.1 in
+  let classes = Icoe_svc.Catalog.default (Icoe_svc.Catalog.machine ~nodes ()) in
+  let rate = 0.9 *. Icoe_svc.Workload.capacity ~classes ~zipf_s ~nodes in
+  Fmt.pr "@.== svc-scale: Cluster.simulate host s, 0.9-load Poisson ==@.";
+  List.concat_map
+    (fun (label, n) ->
+      let jobs =
+        Icoe_svc.Workload.generate ~rng:(Icoe_util.Rng.create 7) ~classes
+          ~zipf_s ~arrivals:(Icoe_svc.Workload.Poisson rate)
+          ~horizon:(1.1 *. float_of_int n /. rate) ()
+        |> List.filteri (fun i _ -> i < n)
+      in
+      List.map
+        (fun (name, policy) ->
+          let t0 = now_ns () in
+          let m = Icoe_svc.Cluster.simulate ~nodes ~classes policy jobs in
+          let s = Int64.(to_float (sub (now_ns ()) t0)) /. 1e9 in
+          Fmt.pr "%-10s %7d jobs %9.4f s (%d completed)@." name
+            (List.length jobs) s m.Icoe_svc.Cluster.completed;
+          { Icoe.Harness.section = "svc-scale"; name = name ^ "/" ^ label;
+            unit = "s"; klass = Wall; value = s; higher_better = false })
+        Icoe_svc.Cluster.
+          [ ("fcfs", Fcfs); ("easy", Easy_backfill);
+            ("sjf_quota", Sjf_quota 0.5); ("partition", Partition 0.5) ])
+    [ ("1e3", 1_000); ("1e4", 10_000); ("1e5", 100_000) ]
+
 (* --alloc-smoke: the zero-allocation budget gate. After a short warmup
    (scratch arenas sized, cell lists built, stack programs compiled), one
    steady-state iteration of each migrated SoA kernel must allocate
@@ -406,6 +441,13 @@ let alloc_smoke () =
   let mlp, xs, labels = mlp_batch () in
   measure "mlp/train-batch-seq" ~budget:seq_budget (fun () ->
       ignore (Dlearn.Mlp.train_batch ~momentum:0.9 mlp ~lr:0.01 xs labels));
+  (* the SIMP state operator over cached conductivities *)
+  let t = Opt.Topopt.create ~nx:32 ~ny:32 () in
+  let cond = Opt.Topopt.conductivities t in
+  let u = Array.init 1024 (fun i -> float_of_int (i mod 13)) in
+  let y = Array.make 1024 0.0 in
+  measure "topopt/apply-seq" ~budget:seq_budget (fun () ->
+      Opt.Topopt.apply t ~cond u y);
   if !failures > 0 then begin
     Fmt.pr "alloc-smoke: %d kernel(s) over budget@." !failures;
     exit 1
@@ -436,6 +478,7 @@ let () =
           (fun id -> (Option.get (Icoe.Harness_registry.find id)).run ())
           [ "sw4"; "cardioid" ])
   in
+  let scale_rows = svc_scale () in
   let kernels = microbenchmarks () in
   let kernel_rows =
     List.map
@@ -462,7 +505,7 @@ let () =
   let file = Fmt.str "BENCH_%s.json" id in
   let doc =
     Icoe_obs.Bench_diff.document ~id ~icoe_domains
-      (harness_rows @ kernel_rows
+      (harness_rows @ kernel_rows @ scale_rows
       @ List.concat_map (fun (o : Icoe.Harness.outcome) -> o.rows) outcomes)
       checks
   in

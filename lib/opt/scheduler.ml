@@ -23,15 +23,31 @@ module Core = struct
   }
 
   (* a submitted job with its scheduling inputs evaluated once; [seq] is
-     its position in the submitted list, unique, so it identifies the
-     job when it leaves the middle of the queue *)
+     its position in the submitted list (the id error messages name),
+     [ins] its position in arrival order, which is the order it joins
+     the wait queue and so the queue's key *)
   type 'a entry = {
     job : 'a;
     seq : int;
+    ins : int;
     width : int;
     arrival : float;
     est : float;
   }
+
+  (* (time, ordinal) keys, exact comparisons: the running set is ordered
+     on (finish, dispatch ordinal), a class bucket on (estimate,
+     insertion) under SJF and (0, insertion) otherwise *)
+  module Key = struct
+    type t = float * int
+
+    let compare ((a : float), (i : int)) (b, j) =
+      match Float.compare a b with 0 -> Int.compare i j | c -> c
+  end
+
+  module Timed = Map.Make (Key)
+
+  module Imap = Map.Make (Int)
 
   (* the event-time tie rule: anything at or within 1e-12 s after [now]
      happens at [now] *)
@@ -42,25 +58,23 @@ module Core = struct
   let earliest (a : float) b = if a <= b then a else b
 
   (* EASY shadow: the earliest time [need] units will be free, given the
-     running (finish, entry) set, and how many are free then. Finish
-     times are deduplicated before the walk: [freed] already sums every
-     job finishing at [f], so a duplicate entry would double-count
-     simultaneous finishers and land the shadow too early. *)
+     running set, and how many are free then. The set is in finish
+     order, so simultaneous finishers are adjacent: each distinct finish
+     time frees their summed width at once. *)
   let shadow_scan ~now ~free ~need running =
-    let finishes = List.sort_uniq Float.compare (List.map fst running) in
-    let rec walk free = function
-      | _ when free >= need -> (now, free)
-      | [] -> (infinity, free)
-      | f :: tl ->
-          let freed =
-            List.fold_left
-              (fun a (f', e) -> if Float.equal f' f then a + e.width else a)
-              0 running
-          in
-          if free + freed >= need then (f, free + freed)
-          else walk (free + freed) tl
+    let rec walk free s =
+      if free >= need then (now, free)
+      else
+        match s () with
+        | Seq.Nil -> (infinity, free)
+        | Seq.Cons (((f, _), e), tl) -> group f (free + e.width) tl
+    and group f free s =
+      match s () with
+      | Seq.Cons (((f', _), e), tl) when Float.equal f' f ->
+          group f (free + e.width) tl
+      | rest -> if free >= need then (f, free) else walk free (fun () -> rest)
     in
-    walk free finishes
+    walk free (Timed.to_seq running)
 
   let run ?(check = false) ~pool (h : _ hooks) policy jobs =
     (* jobs wider than the pool can never start: they are dropped before
@@ -70,7 +84,7 @@ module Core = struct
       List.filter (fun j -> h.width j <= pool) jobs
       |> List.mapi (fun seq job ->
              let width = h.width job and arrival = h.arrival job in
-             { job; seq; width; arrival; est = h.estimate job })
+             { job; seq; ins = 0; width; arrival; est = h.estimate job })
     in
     (* the estimate median splits short from long for the quota *)
     let median =
@@ -86,32 +100,72 @@ module Core = struct
     let wide_cut = max 2 (pool / 8) in
     let is_wide e = e.width >= wide_cut in
     let pending =
-      ref (List.sort (fun a b -> Float.compare a.arrival b.arrival) entries)
+      ref
+        (List.stable_sort (fun a b -> Float.compare a.arrival b.arrival) entries
+        |> List.mapi (fun ins e -> { e with ins }))
     in
-    let queue = ref [] in
+    (* the wait queue keyed on insertion order, and the same jobs in
+       class buckets, one per (long?, width) class, each in the policy's
+       priority order: (estimate, insertion) under SJF, insertion
+       otherwise *)
+    let queue = ref Imap.empty and buckets = ref Imap.empty in
+    let class_of e = (2 * e.width) + if is_long e then 1 else 0 in
+    let key e =
+      match policy with Sjf_quota _ -> (e.est, e.ins) | _ -> (0.0, e.ins)
+    in
+    let enqueue e =
+      queue := Imap.add e.ins e !queue;
+      buckets :=
+        Imap.update (class_of e)
+          (fun b ->
+            Some (Timed.add (key e) e (Option.value b ~default:Timed.empty)))
+          !buckets
+    in
+    let take e =
+      queue := Imap.remove e.ins !queue;
+      buckets :=
+        Imap.update (class_of e)
+          (fun b ->
+            Option.bind b (fun b ->
+                let b = Timed.remove (key e) b in
+                if Timed.is_empty b then None else Some b))
+          !buckets
+    in
+    (* the first job in priority order among the classes [admits]
+       accepts: the smallest of their bucket heads *)
+    let first_of admits =
+      Imap.fold
+        (fun cls b best ->
+          if not (admits ~width:(cls / 2) ~long:(cls mod 2 = 1)) then best
+          else
+            let ((k, _) as head) = Timed.min_binding b in
+            match best with
+            | Some (k', _) when Key.compare k' k < 0 -> best
+            | _ -> Some head)
+        !buckets None
+      |> Option.map snd
+    in
     let queued = ref 0 and shorts_queued = ref 0 in
-    (* (finish, entry), most recent dispatch first *)
-    let running = ref [] in
+    (* (finish, dispatch ordinal) -> entry *)
+    let running = ref Timed.empty and dispatched = ref 0 in
     let free = ref pool and long_used = ref 0 and wide_used = ref 0 in
     let t = ref 0.0 in
     let busy = ref 0.0 and waits = ref [] and completed = ref 0 in
     let fits e = e.width <= !free in
-    let take e =
-      queue := List.filter (fun x -> x.seq <> e.seq) !queue;
-      e
-    in
     (* EASY backfill: the blocked head reserves its shadow time; a later
        job may start now only if it finishes by then or fits the units
        still spare at the shadow once the head has started *)
-    let easy_backfill head rest =
+    let easy_backfill head =
       let shadow_t, free_at_shadow =
         shadow_scan ~now:!t ~free:!free ~need:head.width !running
       in
       let spare = free_at_shadow - head.width in
       let candidate =
-        List.find_opt
-          (fun e -> fits e && (!t +. e.est <= shadow_t || e.width <= spare))
-          rest
+        Imap.to_seq_from (head.ins + 1) !queue
+        |> Seq.find_map (fun (_, e) ->
+               if fits e && (!t +. e.est <= shadow_t || e.width <= spare) then
+                 Some e
+               else None)
       in
       (match candidate with
       | Some e when check ->
@@ -119,7 +173,7 @@ module Core = struct
              backfilled job must not move the head's shadow *)
           let shadow_t', _ =
             shadow_scan ~now:!t ~free:(!free - e.width) ~need:head.width
-              ((!t +. e.est, e) :: !running)
+              (Timed.add (!t +. e.est, !dispatched) e !running)
           in
           if shadow_t' > shadow_t +. 1e-9 then
             invalid_arg
@@ -131,31 +185,31 @@ module Core = struct
       candidate
     in
     let pick () =
-      match (policy, !queue) with
-      | _, [] -> None
-      | (Fcfs | Easy_backfill), head :: rest when fits head ->
-          queue := rest;
-          Some head
-      | Fcfs, _ -> None
-      | Easy_backfill, head :: rest ->
-          Option.map take (easy_backfill head rest)
-      | Sjf_quota q, waiting ->
+      match policy with
+      | Fcfs | Easy_backfill -> (
+          match Imap.min_binding_opt !queue with
+          | Some (_, head) when fits head -> Some head
+          | Some (_, head) when policy = Easy_backfill -> easy_backfill head
+          | _ -> None)
+      | Sjf_quota q ->
           (* the quota reserves capacity for short jobs, but binds only
              while shorts are waiting, and never blocks the only long
-             job (guaranteed progress); at q = 1 it never binds *)
-          let within_quota e =
-            (not (is_long e))
-            || !shorts_queued = 0
-            || !long_used = 0
-            || float_of_int (!long_used + e.width) <= q *. float_of_int pool
-          in
-          List.sort (fun a b -> Float.compare a.est b.est) waiting
-          |> List.find_opt (fun e -> fits e && within_quota e)
-          |> Option.map take
-      | Partition wide_frac, waiting ->
+             job (guaranteed progress); at q = 1 it never binds. Both
+             tests depend on the job's class alone, so the first job in
+             (estimate, insertion) order that passes them is the first
+             among the classes that pass. *)
+          first_of (fun ~width ~long ->
+              width <= !free
+              && ((not long)
+                 || !shorts_queued = 0
+                 || !long_used = 0
+                 || float_of_int (!long_used + width) <= q *. float_of_int pool))
+      | Partition wide_frac -> (
           (* each side is FCFS over its own jobs: a job is passed over
              only once an earlier job of its side could not start, so a
-             draining wide gang never blocks the small-job stream *)
+             draining wide gang never blocks the small-job stream. Only
+             each side's first job is a candidate; the earlier of those
+             that fit their side starts. *)
           let wide_units = int_of_float (wide_frac *. float_of_int pool) in
           let small_units = pool - wide_units in
           let fits_side e =
@@ -164,24 +218,20 @@ module Core = struct
             if is_wide e then !wide_used + e.width <= wide_units
             else pool - !free - !wide_used + e.width <= small_units
           in
-          let rec first_fit ~wide_blocked ~small_blocked = function
-            | [] -> None
-            | e :: rest ->
-                let wide = is_wide e in
-                if (not (if wide then wide_blocked else small_blocked))
-                   && fits_side e
-                then Some (take e)
-                else
-                  first_fit ~wide_blocked:(wide_blocked || wide)
-                    ~small_blocked:(small_blocked || not wide)
-                    rest
+          let side_head wide =
+            match first_of (fun ~width ~long:_ -> (width >= wide_cut) = wide) with
+            | Some e when fits_side e -> Some e
+            | _ -> None
           in
-          first_fit ~wide_blocked:false ~small_blocked:false waiting
+          match (side_head true, side_head false) with
+          | Some w, Some s -> Some (if w.ins < s.ins then w else s)
+          | (Some _ as c), None | None, c -> c)
     in
     let rec start_jobs () =
       match pick () with
       | None -> ()
       | Some e ->
+          take e;
           decr queued;
           if not (is_long e) then decr shorts_queued;
           let s = h.dispatch ~t:!t e.job in
@@ -190,32 +240,46 @@ module Core = struct
           if is_wide e then wide_used := !wide_used + e.width;
           waits := (!t -. e.arrival) :: !waits;
           busy := !busy +. (float_of_int e.width *. s);
-          running := (!t +. s, e) :: !running;
+          running := Timed.add (!t +. s, !dispatched) e !running;
+          incr dispatched;
           start_jobs ()
     in
     let next_event () =
       let finish =
-        List.fold_left (fun a (f, _) -> earliest a f) infinity !running
+        match Timed.min_binding_opt !running with
+        | Some ((f, _), _) -> f
+        | None -> infinity
       in
       match !pending with
       | e :: _ -> Some (earliest e.arrival finish)
-      | [] -> if !running = [] then None else Some finish
+      | [] -> if Timed.is_empty !running then None else Some finish
+    in
+    (* the running set is in finish order, so the jobs due now are a
+       prefix; returned most recent dispatch first *)
+    let rec retire ~now acc =
+      match Timed.min_binding_opt !running with
+      | Some (((f, _) as k), e) when due ~now f ->
+          running := Timed.remove k !running;
+          retire ~now ((k, e) :: acc)
+      | _ -> List.sort (fun ((_, a), _) ((_, b), _) -> Int.compare b a) acc
     in
     (* [pending] is in arrival order, so the jobs due now are a prefix *)
-    let rec split_due ~now acc = function
-      | e :: rest when due ~now e.arrival -> split_due ~now (e :: acc) rest
-      | rest -> (List.rev acc, rest)
+    let rec arrive ~now =
+      match !pending with
+      | e :: rest when due ~now e.arrival ->
+          pending := rest;
+          h.on_submit e.job;
+          incr queued;
+          if not (is_long e) then incr shorts_queued;
+          enqueue e;
+          arrive ~now
+      | _ -> ()
     in
     let rec loop () =
       match next_event () with
       | None -> ()
       | Some now ->
           t := now;
-          (* finishers, most recent dispatch first *)
-          let finished, still =
-            List.partition (fun (f, _) -> due ~now f) !running
-          in
-          running := still;
           List.iter
             (fun (_, e) ->
               free := !free + e.width;
@@ -223,16 +287,8 @@ module Core = struct
               if is_wide e then wide_used := !wide_used - e.width;
               incr completed;
               h.on_finish ~t:now e.job)
-            finished;
-          let arrived, later = split_due ~now [] !pending in
-          pending := later;
-          List.iter
-            (fun e ->
-              h.on_submit e.job;
-              incr queued;
-              if not (is_long e) then incr shorts_queued)
-            arrived;
-          queue := !queue @ arrived;
+            (retire ~now []);
+          arrive ~now;
           start_jobs ();
           h.after_event ~t:now ~depth:!queued ~free:!free;
           loop ()

@@ -88,6 +88,9 @@ module Core : sig
   val run : ?check:bool -> pool:int -> 'a hooks -> policy -> 'a list -> outcome
   (** Jobs wider than [pool] are dropped first and never complete.
       Events within 1e-12 s after the current time are simultaneous.
+      Each event, dispatch and pick costs O(log n) in the number of jobs
+      plus O(W) in the occupied (long?, width) classes; EASY's backfill
+      candidate scan alone walks the queue past the blocked head.
       With [check] (default false) every EASY backfill re-derives the
       head's shadow with the candidate running and raises
       [Invalid_argument] if the reservation would move. *)

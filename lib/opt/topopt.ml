@@ -37,31 +37,52 @@ let conductivity t k = rho_min +. ((1.0 -. rho_min) *. (t.rho.(k) ** t.penal))
 
 (** Is (i, j) part of the heat sink (a short segment centred on the
     bottom edge — the "volume-to-point" benchmark geometry)? *)
-let is_sink t i j = j = 0 && abs (i - (t.nx / 2)) <= max 1 (t.nx / 8)
+let is_sink t i j = j = 0 && abs (i - (t.nx / 2)) <= Int.max 1 (t.nx / 8)
+
+(* every cell's conductivity at the current design and exponent,
+   computed once per state solve: the operator reads each cell's five
+   times per application, and the design is fixed during the solve *)
+let conductivities t = Array.init (t.nx * t.ny) (conductivity t)
+
+(* [Stdlib.max]/[min] on floats, monomorphic: the same tests, unboxed *)
+let fmax (a : float) b = if a >= b then a else b
+let fmin (a : float) b = if a <= b then a else b
 
 (* matrix-free application of the density-weighted 5-point operator with
-   Dirichlet sink cells *)
-let apply t u y =
+   Dirichlet sink cells, over conductivities [cond]. Each link takes the
+   arithmetic mean of its two cells' conductivities (standard FE-style
+   SIMP coupling; harmonic means over-block void links and destabilize
+   the OC loop). The four neighbours are unrolled onto local
+   accumulators in the order left, right, down, up. *)
+let apply t ~cond u y =
   let nx = t.nx and ny = t.ny in
   for j = 0 to ny - 1 do
     for i = 0 to nx - 1 do
       let k = idx t i j in
       if is_sink t i j then y.(k) <- u.(k) (* sink: identity row *)
       else begin
-        let kc = conductivity t k in
+        let kc = cond.(k) in
         let acc = ref 0.0 and diag = ref 0.0 in
-        let couple k2 =
-          (* arithmetic-mean link conductance (standard FE-style SIMP
-             coupling; harmonic means over-block void links and destabilize
-             the OC loop) *)
-          let kk = 0.5 *. (kc +. conductivity t k2) in
+        if i > 0 then begin
+          let kk = 0.5 *. (kc +. cond.(k - 1)) in
           diag := !diag +. kk;
-          acc := !acc +. (kk *. u.(k2))
-        in
-        if i > 0 then couple (idx t (i - 1) j);
-        if i < nx - 1 then couple (idx t (i + 1) j);
-        if j > 0 then couple (idx t i (j - 1));
-        if j < ny - 1 then couple (idx t i (j + 1));
+          acc := !acc +. (kk *. u.(k - 1))
+        end;
+        if i < nx - 1 then begin
+          let kk = 0.5 *. (kc +. cond.(k + 1)) in
+          diag := !diag +. kk;
+          acc := !acc +. (kk *. u.(k + 1))
+        end;
+        if j > 0 then begin
+          let kk = 0.5 *. (kc +. cond.(k - nx)) in
+          diag := !diag +. kk;
+          acc := !acc +. (kk *. u.(k - nx))
+        end;
+        if j < ny - 1 then begin
+          let kk = 0.5 *. (kc +. cond.(k + nx)) in
+          diag := !diag +. kk;
+          acc := !acc +. (kk *. u.(k + nx))
+        end;
         y.(k) <- (!diag *. u.(k)) -. !acc
       end
     done
@@ -80,8 +101,9 @@ let solve_state ?(tol = 1e-8) t =
   let n = t.nx * t.ny in
   let b = load t in
   let y = Array.make n 0.0 in
+  let cond = conductivities t in
   let op u =
-    apply t u y;
+    apply t ~cond u y;
     Array.copy y
   in
   let r = Linalg.Krylov.cg ~tol ~max_iter:(8 * n) ~op b (Array.make n 0.0) in
@@ -97,26 +119,35 @@ let oc_update t u =
      temperature magnitude coupling *)
   t.compliance <- Linalg.Vec.dot u b;
   let sens = Array.make n 0.0 in
-  for j = 0 to t.ny - 1 do
-    for i = 0 to t.nx - 1 do
+  let nx = t.nx and ny = t.ny in
+  for j = 0 to ny - 1 do
+    for i = 0 to nx - 1 do
       let k = idx t i j in
       if not (is_sink t i j) then begin
-      let _kc = conductivity t k in
-      let dk_drho =
-        t.penal *. (1.0 -. rho_min) *. (t.rho.(k) ** (t.penal -. 1.0))
-      in
-      let g2 = ref 0.0 in
-      (* link sensitivity: arithmetic-mean link conductance (kc + kn)/2,
-         d(link)/d(kc) = 1/2 *)
-      let grad k2 =
-        let d = u.(k) -. u.(k2) in
-        g2 := !g2 +. (0.5 *. d *. d)
-      in
-      if i > 0 then grad (idx t (i - 1) j);
-      if i < t.nx - 1 then grad (idx t (i + 1) j);
-      if j > 0 then grad (idx t i (j - 1));
-      if j < t.ny - 1 then grad (idx t i (j + 1));
-      sens.(k) <- dk_drho *. !g2
+        let dk_drho =
+          t.penal *. (1.0 -. rho_min) *. (t.rho.(k) ** (t.penal -. 1.0))
+        in
+        (* link sensitivity: arithmetic-mean link conductance
+           (kc + kn)/2, d(link)/d(kc) = 1/2; neighbours left, right,
+           down, up *)
+        let uk = u.(k) and g2 = ref 0.0 in
+        if i > 0 then begin
+          let d = uk -. u.(k - 1) in
+          g2 := !g2 +. (0.5 *. d *. d)
+        end;
+        if i < nx - 1 then begin
+          let d = uk -. u.(k + 1) in
+          g2 := !g2 +. (0.5 *. d *. d)
+        end;
+        if j > 0 then begin
+          let d = uk -. u.(k - nx) in
+          g2 := !g2 +. (0.5 *. d *. d)
+        end;
+        if j < ny - 1 then begin
+          let d = uk -. u.(k + nx) in
+          g2 := !g2 +. (0.5 *. d *. d)
+        end;
+        sens.(k) <- dk_drho *. !g2
       end
     done
   done;
@@ -141,16 +172,17 @@ let oc_update t u =
   let sens = filtered in
   (* bisection on the Lagrange multiplier to satisfy the volume constraint *)
   let total = float_of_int n *. t.volfrac in
-  let lo = ref 1e-12 and hi = ref (1.0 +. Array.fold_left max 0.0 sens) in
+  let lo = ref 1e-12 and hi = ref (1.0 +. Array.fold_left fmax 0.0 sens) in
   let new_rho = Array.make n 0.0 in
   for _ = 1 to 60 do
     let lam = 0.5 *. (!lo +. !hi) in
     let vol = ref 0.0 in
     for k = 0 to n - 1 do
-      let scale = max 0.0 (sens.(k) /. lam) ** 0.3 in
+      let r = t.rho.(k) in
+      let scale = fmax 0.0 (sens.(k) /. lam) ** 0.3 in
       let v =
-        max rho_min
-          (min 1.0 (max (t.rho.(k) -. 0.05) (min (t.rho.(k) +. 0.05) (t.rho.(k) *. scale))))
+        fmax rho_min
+          (fmin 1.0 (fmax (r -. 0.05) (fmin (r +. 0.05) (r *. scale))))
       in
       new_rho.(k) <- v;
       vol := !vol +. v

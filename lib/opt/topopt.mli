@@ -23,9 +23,14 @@ val idx : t -> int -> int -> int
 val is_sink : t -> int -> int -> bool
 val conductivity : t -> int -> float
 
-val apply : t -> float array -> float array -> unit
-(** Matrix-free density-weighted 5-point operator (the paper's CUDA
-    matrix-free solve). *)
+val conductivities : t -> float array
+(** {!conductivity} of every cell at the current design and exponent. *)
+
+val apply : t -> cond:float array -> float array -> float array -> unit
+(** [apply t ~cond u y]: the matrix-free density-weighted 5-point
+    operator (the paper's CUDA matrix-free solve) over the cell
+    conductivities [cond] (from {!conductivities}), writing [y].
+    Allocates nothing. *)
 
 val load : t -> float array
 

@@ -101,11 +101,14 @@ let acceleration_seq (g : Grid.t) s ~ux ~uy ~ax ~ay =
   stress_rows g s ~ux ~uy 2 (ny - 2);
   divergence_rows g s ~ax ~ay margin (ny - margin)
 
-(** Flop/byte volume of one full-grid acceleration evaluation, used by the
-    device pricing. Two 4th-order stencil sweeps over ~n points. *)
-let work (g : Grid.t) =
-  let n = float_of_int (g.Grid.nx * g.Grid.ny) in
+(** Flop/byte volume of one full-grid acceleration evaluation over
+    [points] grid points, used by the device pricing: two 4th-order
+    stencil sweeps per point. *)
+let work_of_points points =
+  let n = float_of_int points in
   (* stress pass: 4 derivatives (7 flops) + 10 combine flops; divergence:
      4 derivatives + 4 flops; per point *)
   Hwsim.Kernel.make ~name:"sw4-rhs" ~launches:2 ~flops:(n *. 74.0)
     ~bytes:(n *. 8.0 *. 16.0) ()
+
+let work (g : Grid.t) = work_of_points (g.Grid.nx * g.Grid.ny)

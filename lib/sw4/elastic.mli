@@ -41,5 +41,10 @@ val acceleration_seq :
   ax:Icoe_util.Fbuf.t -> ay:Icoe_util.Fbuf.t -> unit
 (** Serial reference evaluation of the same operator. *)
 
+val work_of_points : int -> Hwsim.Kernel.t
+(** Flop/byte volume of one evaluation over that many grid points: a
+    pure function of the size, so cost models price a step without
+    building a grid. *)
+
 val work : Grid.t -> Hwsim.Kernel.t
-(** Flop/byte volume of one full-grid evaluation. *)
+(** [work_of_points] of the grid's [nx * ny]. *)

@@ -110,49 +110,32 @@ let variant_time_per_step ?(fused = false) (g : Grid.t) v =
   in
   launch +. Hwsim.Roofline.time ~eff device { w with Hwsim.Kernel.launches = 0 }
 
-(* The rates are pure functions of (node, points), but pricing them
-   walks a throwaway [Grid.t] whose arrays reach hundreds of MB at the
-   production per-node point count — fine once per study, ruinous when
-   the autotuner re-prices the step model for every split candidate. So
-   both throughput views share one memo table. *)
-let rate_cache : (Hwsim.Node.t * int, float * float) Hashtbl.t =
-  Hashtbl.create 8
-
+(* Per-node (whole-node, host-sockets) update rates of one step over a
+   square grid of about [points] points, priced from its size alone *)
 let node_rates (node : Hwsim.Node.t) ~points =
-  match Hashtbl.find_opt rate_cache (node, points) with
-  | Some r -> r
-  | None ->
-      let g =
-        Grid.create
-          ~nx:(max 9 (int_of_float (sqrt (float_of_int points))))
-          ~ny:(max 9 (int_of_float (sqrt (float_of_int points))))
-          ~h:100.0
-      in
-      let w = Elastic.work g in
-      let per_gpu =
-        match node.Hwsim.Node.gpu with
-        | Some gpu ->
-            let eff = Prog.Policy.efficiency Prog.Policy.Cuda gpu in
-            let t = Hwsim.Roofline.time ~eff gpu w in
-            float_of_int (g.Grid.nx * g.Grid.ny) /. t
-        | None -> 0.0
-      in
-      let cpu_eff =
-        Prog.Policy.efficiency
-          (Prog.Policy.Openmp node.Hwsim.Node.cpu.Hwsim.Device.lanes)
-          node.Hwsim.Node.cpu
-      in
-      let t_cpu = Hwsim.Roofline.time ~eff:cpu_eff node.Hwsim.Node.cpu w in
-      let per_cpu = float_of_int (g.Grid.nx * g.Grid.ny) /. t_cpu in
-      let node_rate =
-        if node.Hwsim.Node.gpus > 0 then
-          float_of_int node.Hwsim.Node.gpus *. per_gpu
-        else float_of_int node.Hwsim.Node.cpu_sockets *. per_cpu
-      in
-      let cpu_rate = float_of_int node.Hwsim.Node.cpu_sockets *. per_cpu in
-      let r = (node_rate, cpu_rate) in
-      Hashtbl.replace rate_cache (node, points) r;
-      r
+  let side = max 9 (int_of_float (sqrt (float_of_int points))) in
+  let points = side * side in
+  let w = Elastic.work_of_points points in
+  let per_gpu =
+    match node.Hwsim.Node.gpu with
+    | Some gpu ->
+        let eff = Prog.Policy.efficiency Prog.Policy.Cuda gpu in
+        let t = Hwsim.Roofline.time ~eff gpu w in
+        float_of_int points /. t
+    | None -> 0.0
+  in
+  let cpu_eff =
+    Prog.Policy.efficiency
+      (Prog.Policy.Openmp node.Hwsim.Node.cpu.Hwsim.Device.lanes)
+      node.Hwsim.Node.cpu
+  in
+  let t_cpu = Hwsim.Roofline.time ~eff:cpu_eff node.Hwsim.Node.cpu w in
+  let per_cpu = float_of_int points /. t_cpu in
+  let node_rate =
+    if node.Hwsim.Node.gpus > 0 then float_of_int node.Hwsim.Node.gpus *. per_gpu
+    else float_of_int node.Hwsim.Node.cpu_sockets *. per_cpu
+  in
+  (node_rate, float_of_int node.Hwsim.Node.cpu_sockets *. per_cpu)
 
 (** Grid-point updates per second per node for the full solver on a
     machine, used for the Sierra-vs-Cori throughput comparison. A Sierra

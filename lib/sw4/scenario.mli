@@ -31,14 +31,14 @@ val variant_time_per_step : ?fused:bool -> Grid.t -> variant -> float
     optimization). *)
 
 val node_throughput : Hwsim.Node.t -> points:int -> float
-(** Grid-point updates per second per node (GPU-resident on GPU nodes).
-    Memoized per (node, points) — pricing walks a throwaway grid whose
-    arrays are large at production point counts. *)
+(** Grid-point updates per second per node (GPU-resident on GPU nodes),
+    priced on a square grid of about [points] points from its size
+    alone: no grid is built, so any point count costs the same. *)
 
 val node_cpu_throughput : Hwsim.Node.t -> points:int -> float
 (** Grid-point updates per second of the node's host sockets alone —
     the CPU side of a heterogeneous work split ({!Hwsim.Split}). Equals
-    {!node_throughput} on CPU-only nodes. Memoized alongside it. *)
+    {!node_throughput} on CPU-only nodes. *)
 
 type step_model = {
   point_s : float;  (** RHS update of all per-node points, seconds *)

@@ -348,6 +348,32 @@ let test_md_engine_bad_dt () =
             p))
     [ 0.0; -0.004; Float.nan; Float.neg_infinity ]
 
+(* --- cost models price from sizes: a production-sized rate query must
+   not build engine state (a 5000 x 5000 grid is three 25M-float
+   arrays, ~600 MB) --- *)
+
+let test_sw4_pricing_from_sizes () =
+  let price () =
+    List.fold_left
+      (fun a node ->
+        a
+        +. Sw4.Scenario.node_throughput node ~points:25_000_000
+        +. Sw4.Scenario.node_cpu_throughput node ~points:25_000_000)
+      0.0
+      Hwsim.Node.[ witherspoon; cori_ii ]
+  in
+  let heap0 = (Gc.quick_stat ()).Gc.top_heap_words in
+  let minor0 = Gc.minor_words () in
+  let rate = price () in
+  let minor = Gc.minor_words () -. minor0 in
+  let heap = (Gc.quick_stat ()).Gc.top_heap_words - heap0 in
+  Alcotest.(check bool) "finite positive rates" true
+    (Float.is_finite rate && rate > 0.0);
+  Alcotest.(check bool)
+    (Fmt.str "%.0f minor + %d heap words within 10^4" minor heap)
+    true
+    (minor +. float_of_int heap <= 1e4)
+
 let () =
   Alcotest.run "edge_cases"
     [
@@ -417,5 +443,10 @@ let () =
             test_monodomain_bad_sizes;
           Alcotest.test_case "ddcmd particles" `Quick test_particles_bad_sizes;
           Alcotest.test_case "ddcmd engine dt" `Quick test_md_engine_bad_dt;
+        ] );
+      ( "cost models",
+        [
+          Alcotest.test_case "sw4 pricing from sizes" `Quick
+            test_sw4_pricing_from_sizes;
         ] );
     ]

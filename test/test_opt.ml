@@ -224,6 +224,270 @@ let test_pinned_schedules () =
         (List.assoc name pinned_digests))
     pinned_streams
 
+(* --- the list-based scheduling core, kept as the oracle --- *)
+
+(* [Scheduler.Core.run] as it was before the indexed queues: lists for
+   the wait queue and the running set, a filter per removal, a stable
+   sort per SJF pick and a partition per event. Kept as the exact oracle
+   of the decision-for-decision contract (like [Ref_mlp] in test_dlearn):
+   the property below runs both on the same random streams. *)
+module Ref_core = struct
+  open Scheduler.Core
+
+  type 'a entry = {
+    job : 'a;
+    seq : int;
+    width : int;
+    arrival : float;
+    est : float;
+  }
+
+  let due ~now f = f <= now +. 1e-12
+  let earliest (a : float) b = if a <= b then a else b
+
+  let shadow_scan ~now ~free ~need running =
+    let finishes = List.sort_uniq Float.compare (List.map fst running) in
+    let rec walk free = function
+      | _ when free >= need -> (now, free)
+      | [] -> (infinity, free)
+      | f :: tl ->
+          let freed =
+            List.fold_left
+              (fun a (f', e) -> if Float.equal f' f then a + e.width else a)
+              0 running
+          in
+          if free + freed >= need then (f, free + freed)
+          else walk (free + freed) tl
+    in
+    walk free finishes
+
+  let run ?(check = false) ~pool (h : _ hooks) policy jobs =
+    let entries =
+      List.filter (fun j -> h.width j <= pool) jobs
+      |> List.mapi (fun seq job ->
+             let width = h.width job and arrival = h.arrival job in
+             { job; seq; width; arrival; est = h.estimate job })
+    in
+    let median =
+      match entries with
+      | [] -> 1.0
+      | _ ->
+          Icoe_util.Stats.median
+            (Array.of_list (List.map (fun e -> e.est) entries))
+    in
+    let is_long e = e.est > median in
+    let wide_cut = max 2 (pool / 8) in
+    let is_wide e = e.width >= wide_cut in
+    let pending =
+      ref (List.sort (fun a b -> Float.compare a.arrival b.arrival) entries)
+    in
+    let queue = ref [] in
+    let queued = ref 0 and shorts_queued = ref 0 in
+    let running = ref [] in
+    let free = ref pool and long_used = ref 0 and wide_used = ref 0 in
+    let t = ref 0.0 in
+    let busy = ref 0.0 and waits = ref [] and completed = ref 0 in
+    let fits e = e.width <= !free in
+    let take e =
+      queue := List.filter (fun x -> x.seq <> e.seq) !queue;
+      e
+    in
+    let easy_backfill head rest =
+      let shadow_t, free_at_shadow =
+        shadow_scan ~now:!t ~free:!free ~need:head.width !running
+      in
+      let spare = free_at_shadow - head.width in
+      let candidate =
+        List.find_opt
+          (fun e -> fits e && (!t +. e.est <= shadow_t || e.width <= spare))
+          rest
+      in
+      (match candidate with
+      | Some e when check ->
+          let shadow_t', _ =
+            shadow_scan ~now:!t ~free:(!free - e.width) ~need:head.width
+              ((!t +. e.est, e) :: !running)
+          in
+          if shadow_t' > shadow_t +. 1e-9 then
+            invalid_arg
+              (Fmt.str
+                 "easy_backfill: job #%d (width %d, estimate %.3f s) delays \
+                  the reserved head #%d: shadow %.6f -> %.6f"
+                 e.seq e.width e.est head.seq shadow_t shadow_t')
+      | _ -> ());
+      candidate
+    in
+    let pick () =
+      match (policy, !queue) with
+      | _, [] -> None
+      | (Fcfs | Easy_backfill), head :: rest when fits head ->
+          queue := rest;
+          Some head
+      | Fcfs, _ -> None
+      | Easy_backfill, head :: rest ->
+          Option.map take (easy_backfill head rest)
+      | Sjf_quota q, waiting ->
+          let within_quota e =
+            (not (is_long e))
+            || !shorts_queued = 0
+            || !long_used = 0
+            || float_of_int (!long_used + e.width) <= q *. float_of_int pool
+          in
+          List.sort (fun a b -> Float.compare a.est b.est) waiting
+          |> List.find_opt (fun e -> fits e && within_quota e)
+          |> Option.map take
+      | Partition wide_frac, waiting ->
+          let wide_units = int_of_float (wide_frac *. float_of_int pool) in
+          let small_units = pool - wide_units in
+          let fits_side e =
+            fits e
+            &&
+            if is_wide e then !wide_used + e.width <= wide_units
+            else pool - !free - !wide_used + e.width <= small_units
+          in
+          let rec first_fit ~wide_blocked ~small_blocked = function
+            | [] -> None
+            | e :: rest ->
+                let wide = is_wide e in
+                if (not (if wide then wide_blocked else small_blocked))
+                   && fits_side e
+                then Some (take e)
+                else
+                  first_fit ~wide_blocked:(wide_blocked || wide)
+                    ~small_blocked:(small_blocked || not wide)
+                    rest
+          in
+          first_fit ~wide_blocked:false ~small_blocked:false waiting
+    in
+    let rec start_jobs () =
+      match pick () with
+      | None -> ()
+      | Some e ->
+          decr queued;
+          if not (is_long e) then decr shorts_queued;
+          let s = h.dispatch ~t:!t e.job in
+          free := !free - e.width;
+          if is_long e then long_used := !long_used + e.width;
+          if is_wide e then wide_used := !wide_used + e.width;
+          waits := (!t -. e.arrival) :: !waits;
+          busy := !busy +. (float_of_int e.width *. s);
+          running := (!t +. s, e) :: !running;
+          start_jobs ()
+    in
+    let next_event () =
+      let finish =
+        List.fold_left (fun a (f, _) -> earliest a f) infinity !running
+      in
+      match !pending with
+      | e :: _ -> Some (earliest e.arrival finish)
+      | [] -> if !running = [] then None else Some finish
+    in
+    let rec split_due ~now acc = function
+      | e :: rest when due ~now e.arrival -> split_due ~now (e :: acc) rest
+      | rest -> (List.rev acc, rest)
+    in
+    let rec loop () =
+      match next_event () with
+      | None -> ()
+      | Some now ->
+          t := now;
+          let finished, still =
+            List.partition (fun (f, _) -> due ~now f) !running
+          in
+          running := still;
+          List.iter
+            (fun (_, e) ->
+              free := !free + e.width;
+              if is_long e then long_used := !long_used - e.width;
+              if is_wide e then wide_used := !wide_used - e.width;
+              incr completed;
+              h.on_finish ~t:now e.job)
+            finished;
+          let arrived, later = split_due ~now [] !pending in
+          pending := later;
+          List.iter
+            (fun e ->
+              h.on_submit e.job;
+              incr queued;
+              if not (is_long e) then incr shorts_queued)
+            arrived;
+          queue := !queue @ arrived;
+          start_jobs ();
+          h.after_event ~t:now ~depth:!queued ~free:!free;
+          loop ()
+    in
+    h.after_event ~t:0.0 ~depth:0 ~free:pool;
+    loop ();
+    { makespan = !t; busy = !busy; completed = !completed; waits = !waits }
+end
+
+(* One random stream through a core: every hook call in order (the
+   exact bits of each time) and the outcome, or the [~check] failure. *)
+type hook_event =
+  | Submit of int
+  | Dispatch of int * int64
+  | Finish of int * int64
+  | After of int64 * int * int
+
+let trace_core run ~pool policy jobs =
+  let run = run ~check:(policy = Scheduler.Core.Easy_backfill) in
+  let ev = ref [] in
+  let push e = ev := e :: !ev in
+  let bits = Int64.bits_of_float in
+  (* (id, width, arrival, estimate, actual service) *)
+  let hooks =
+    {
+      Scheduler.Core.width = (fun (_, w, _, _, _) -> w);
+      arrival = (fun (_, _, a, _, _) -> a);
+      estimate = (fun (_, _, _, e, _) -> e);
+      dispatch =
+        (fun ~t (id, _, _, _, s) ->
+          push (Dispatch (id, bits t));
+          s);
+      on_submit = (fun (id, _, _, _, _) -> push (Submit id));
+      on_finish = (fun ~t (id, _, _, _, _) -> push (Finish (id, bits t)));
+      after_event =
+        (fun ~t ~depth ~free -> push (After (bits t, depth, free)));
+    }
+  in
+  let outcome =
+    match run ~pool hooks policy jobs with
+    | { Scheduler.Core.makespan; busy; completed; waits } ->
+        Ok (bits makespan, bits busy, completed, List.map bits waits)
+    | exception Invalid_argument msg -> Error msg
+  in
+  (List.rev !ev, outcome)
+
+let prop_core_matches_list_oracle =
+  (* small streams on coarse grids, so arrivals, estimates and finishes
+     collide often; widths run past the pool; actual service differs
+     from the estimate on some jobs, as placement penalties make it in
+     the service layer *)
+  let gen =
+    QCheck.Gen.(
+      let* pool = int_range 1 8 in
+      let* n = int_range 0 40 in
+      let job id =
+        let* width = int_range 1 (pool + 1) in
+        let* arrival = map (fun k -> 0.5 *. float_of_int k) (int_bound 12) in
+        let* est = map (fun k -> 0.5 *. float_of_int (k + 1)) (int_bound 5) in
+        let* stretch = oneofl [ 1.0; 1.0; 1.5; 0.5 ] in
+        return (id, width, arrival, est, est *. stretch)
+      in
+      let* jobs = flatten_l (List.init n job) in
+      let* policy =
+        oneofl
+          Scheduler.Core.
+            [ Fcfs; Easy_backfill; Sjf_quota 0.25; Sjf_quota 0.5;
+              Sjf_quota 1.0; Partition 0.25; Partition 0.5 ]
+      in
+      return (pool, policy, jobs))
+  in
+  QCheck.Test.make ~name:"core matches the list-based oracle" ~count:500
+    (QCheck.make gen) (fun (pool, policy, jobs) ->
+      trace_core (fun ~check -> Scheduler.Core.run ~check) ~pool policy jobs
+      = trace_core (fun ~check -> Ref_core.run ~check) ~pool policy jobs)
+
 (* --- topopt --- *)
 
 let test_topopt_volume_constraint () =
@@ -273,6 +537,143 @@ let test_topopt_forms_structure () =
     (t.Topopt.rho.(Topopt.idx t 10 1) > 0.8);
   Alcotest.(check bool) "void in the bottom corner" true
     (t.Topopt.rho.(Topopt.idx t 0 1) < 0.1)
+
+(* The closure-based SIMP operator and OC update that [Topopt.apply] and
+   [Topopt.oc_update] replaced: [rho ** penal] per cell per link,
+   [couple]/[grad] closures over float refs, polymorphic [max]/[min].
+   Kept as the bit-exact oracle of the flat loops. *)
+module Ref_topopt = struct
+  open Topopt
+
+  let apply t u y =
+    let nx = t.nx and ny = t.ny in
+    for j = 0 to ny - 1 do
+      for i = 0 to nx - 1 do
+        let k = idx t i j in
+        if is_sink t i j then y.(k) <- u.(k)
+        else begin
+          let kc = conductivity t k in
+          let acc = ref 0.0 and diag = ref 0.0 in
+          let couple k2 =
+            let kk = 0.5 *. (kc +. conductivity t k2) in
+            diag := !diag +. kk;
+            acc := !acc +. (kk *. u.(k2))
+          in
+          if i > 0 then couple (idx t (i - 1) j);
+          if i < nx - 1 then couple (idx t (i + 1) j);
+          if j > 0 then couple (idx t i (j - 1));
+          if j < ny - 1 then couple (idx t i (j + 1));
+          y.(k) <- (!diag *. u.(k)) -. !acc
+        end
+      done
+    done
+
+  let solve_state ?(tol = 1e-8) t =
+    let n = t.nx * t.ny in
+    let b = load t in
+    let y = Array.make n 0.0 in
+    let op u =
+      apply t u y;
+      Array.copy y
+    in
+    let r = Linalg.Krylov.cg ~tol ~max_iter:(8 * n) ~op b (Array.make n 0.0) in
+    t.cg_iters_total <- t.cg_iters_total + r.Linalg.Krylov.iters;
+    (r.Linalg.Krylov.x, r.Linalg.Krylov.iters)
+
+  let oc_update t u =
+    let n = t.nx * t.ny in
+    let b = load t in
+    t.compliance <- Linalg.Vec.dot u b;
+    let sens = Array.make n 0.0 in
+    for j = 0 to t.ny - 1 do
+      for i = 0 to t.nx - 1 do
+        let k = idx t i j in
+        if not (is_sink t i j) then begin
+          let dk_drho =
+            t.penal *. (1.0 -. rho_min) *. (t.rho.(k) ** (t.penal -. 1.0))
+          in
+          let g2 = ref 0.0 in
+          let grad k2 =
+            let d = u.(k) -. u.(k2) in
+            g2 := !g2 +. (0.5 *. d *. d)
+          in
+          if i > 0 then grad (idx t (i - 1) j);
+          if i < t.nx - 1 then grad (idx t (i + 1) j);
+          if j > 0 then grad (idx t i (j - 1));
+          if j < t.ny - 1 then grad (idx t i (j + 1));
+          sens.(k) <- dk_drho *. !g2
+        end
+      done
+    done;
+    let filtered = Array.make n 0.0 in
+    for j = 0 to t.ny - 1 do
+      for i = 0 to t.nx - 1 do
+        let acc = ref 0.0 and cnt = ref 0 in
+        for dj = -1 to 1 do
+          for di = -1 to 1 do
+            let i2 = i + di and j2 = j + dj in
+            if i2 >= 0 && i2 < t.nx && j2 >= 0 && j2 < t.ny then begin
+              acc := !acc +. sens.(idx t i2 j2);
+              incr cnt
+            end
+          done
+        done;
+        filtered.(idx t i j) <- !acc /. float_of_int !cnt
+      done
+    done;
+    let sens = filtered in
+    let total = float_of_int n *. t.volfrac in
+    let lo = ref 1e-12 and hi = ref (1.0 +. Array.fold_left max 0.0 sens) in
+    let new_rho = Array.make n 0.0 in
+    for _ = 1 to 60 do
+      let lam = 0.5 *. (!lo +. !hi) in
+      let vol = ref 0.0 in
+      for k = 0 to n - 1 do
+        let scale = max 0.0 (sens.(k) /. lam) ** 0.3 in
+        let v =
+          max rho_min
+            (min 1.0
+               (max (t.rho.(k) -. 0.05)
+                  (min (t.rho.(k) +. 0.05) (t.rho.(k) *. scale))))
+        in
+        new_rho.(k) <- v;
+        vol := !vol +. v
+      done;
+      if !vol > total then lo := lam else hi := lam
+    done;
+    Array.blit new_rho 0 t.rho 0 n
+
+  let optimize ?(iters = 20) t =
+    let target = t.penal in
+    Array.init iters (fun it ->
+        t.penal <-
+          min target
+            (1.0
+            +. (target -. 1.0) *. float_of_int it /. (0.5 *. float_of_int iters)
+            );
+        let u, _ = solve_state t in
+        oc_update t u;
+        t.compliance)
+end
+
+let test_topopt_matches_oracle () =
+  let bits a = Array.map Int64.bits_of_float a in
+  let t = Topopt.create ~nx:20 ~ny:16 () and o = Topopt.create ~nx:20 ~ny:16 () in
+  let ht = Topopt.optimize ~iters:40 t and ho = Ref_topopt.optimize ~iters:40 o in
+  Alcotest.(check bool) "compliance history" true (bits ht = bits ho);
+  Alcotest.(check bool) "rho" true (bits t.Topopt.rho = bits o.Topopt.rho);
+  Alcotest.(check int64) "compliance"
+    (Int64.bits_of_float o.Topopt.compliance)
+    (Int64.bits_of_float t.Topopt.compliance);
+  Alcotest.(check int) "cg iterations" o.Topopt.cg_iters_total
+    t.Topopt.cg_iters_total;
+  (* and one operator application on the optimized design *)
+  let n = 20 * 16 in
+  let u = Array.init n (fun k -> sin (float_of_int k)) in
+  let y = Array.make n 0.0 and y' = Array.make n 0.0 in
+  Topopt.apply t ~cond:(Topopt.conductivities t) u y;
+  Ref_topopt.apply o u y';
+  Alcotest.(check bool) "apply" true (bits y = bits y')
 
 let test_texture_cache_story () =
   (* Sec 4.7: texture path matters on the EA system (P100), not on Volta *)
@@ -626,6 +1027,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_scheduler_conservation;
           QCheck_alcotest.to_alcotest prop_backfill_never_delays_head;
           QCheck_alcotest.to_alcotest prop_quota_share_bounded;
+          QCheck_alcotest.to_alcotest prop_core_matches_list_oracle;
         ] );
       ( "topopt",
         [
@@ -633,6 +1035,8 @@ let () =
           Alcotest.test_case "compliance decreases" `Quick test_topopt_compliance_decreases;
           Alcotest.test_case "forms structure" `Quick test_topopt_forms_structure;
           Alcotest.test_case "texture cache" `Quick test_texture_cache_story;
+          Alcotest.test_case "flat loops match the oracle" `Quick
+            test_topopt_matches_oracle;
         ] );
       ( "paradyn",
         [
