@@ -18,7 +18,9 @@
    recorded themselves) and the named
    checks (the harnesses' plus two of the bench's own) — so successive
    commits leave a machine-readable perf trajectory that
-   `icoe_report --diff` gates. The engine metrics registry is not part
+   `icoe_report --diff` gates. A harness that raises is recorded as the
+   false check <id>/ran and the rest still run, so BENCH is written
+   either way. The engine metrics registry is not part
    of BENCH; `icoe_report run --metrics FILE` writes it.
 
    Flags: --alloc-smoke runs only the allocation-budget check
@@ -154,6 +156,24 @@ let bench_mlp_train =
     (Staged.stage (fun () ->
          ignore (Dlearn.Mlp.train_batch ~momentum:0.9 m ~lr:0.01 xs labels)))
 
+let shallow_nn_batch () =
+  (* the Table 3 Shallow-NN combiner: 3 streams x 8 classes of stacked
+     log-probabilities, 16 hidden units, the 960-example training split *)
+  let rng = Icoe_util.Rng.create 7 in
+  let m = Dlearn.Mlp.create ~rng [| 24; 16; 8 |] in
+  let xs =
+    Array.init 960 (fun _ ->
+        Array.init 24 (fun _ -> Icoe_util.Rng.uniform rng (-4.0) 0.0))
+  in
+  let labels = Array.init 960 (fun k -> k mod 8) in
+  (m, xs, labels)
+
+let bench_shallow_nn_step =
+  let m, xs, labels = shallow_nn_batch () in
+  Test.make ~name:"table3/shallow-nn-step"
+    (Staged.stage (fun () ->
+         ignore (Dlearn.Mlp.train_batch ~momentum:0.9 m ~lr:0.05 xs labels)))
+
 let bench_paradyn =
   let rng = Icoe_util.Rng.create 8 in
   let inputs =
@@ -254,7 +274,7 @@ let microbenchmarks () =
       bench_spmv; bench_amg_vcycle; bench_pa_apply; bench_sw4_step;
       bench_md_forces; bench_reaction_kernel; bench_fft; bench_bfs;
       bench_lda_estep; bench_rate_matrix; bench_cleverleaf; bench_mlp;
-      bench_mlp_train;
+      bench_mlp_train; bench_shallow_nn_step;
       bench_paradyn; bench_topopt_apply; bench_par_spmv; bench_par_sw4_rhs;
       bench_par_reaction; bench_par_md_forces; bench_par_lda_estep;
       bench_fault_plan; bench_fault_checkpoint; bench_fault_retry;
@@ -303,7 +323,7 @@ let run_harnesses () =
     List.map
       (fun (h : Icoe.Harness.t) ->
         let t0 = now_ns () in
-        let o = h.run () in
+        let o = Icoe.Harness.run_isolated h in
         let wall_ns = Int64.(to_float (sub (now_ns ()) t0)) in
         print_string o.Icoe.Harness.report;
         (h.id, o, wall_ns))
@@ -441,6 +461,11 @@ let alloc_smoke () =
   let mlp, xs, labels = mlp_batch () in
   measure "mlp/train-batch-seq" ~budget:seq_budget (fun () ->
       ignore (Dlearn.Mlp.train_batch ~momentum:0.9 mlp ~lr:0.01 xs labels));
+  (* the same at the Table 3 shape: a workspace that kept growing, or any
+     per-chunk allocation, lands here 30 times over *)
+  let mlp, xs, labels = shallow_nn_batch () in
+  measure "mlp/train-batch-960-seq" ~budget:seq_budget (fun () ->
+      ignore (Dlearn.Mlp.train_batch ~momentum:0.9 mlp ~lr:0.05 xs labels));
   (* the SIMP state operator over cached conductivities *)
   let t = Opt.Topopt.create ~nx:32 ~ny:32 () in
   let cond = Opt.Topopt.conductivities t in
@@ -475,7 +500,9 @@ let () =
   let faulted =
     Icoe_fault.Context.with_spec (Icoe_fault.Plan.spec 42) (fun () ->
         List.map
-          (fun id -> (Option.get (Icoe.Harness_registry.find id)).run ())
+          (fun id ->
+            Icoe.Harness.run_isolated
+              (Option.get (Icoe.Harness_registry.find id)))
           [ "sw4"; "cardioid" ])
   in
   let scale_rows = svc_scale () in

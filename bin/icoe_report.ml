@@ -24,7 +24,9 @@
 
    Harnesses also record named acceptance checks (e.g. "recovered state
    identical to the fault-free run"). A run prints a one-line check
-   summary on stderr and exits 1 when any check failed. *)
+   summary on stderr and exits 1 when any check failed; a harness that
+   raises counts as the failed check <id>/ran, and the other requested
+   experiments still run. *)
 
 open Cmdliner
 
@@ -153,10 +155,13 @@ let run_ids ids trace_file metrics_file faults_seed events_file occupancy_file =
      exactly the requested experiments *)
   Icoe_obs.Metrics.reset ();
   (* each report is printed as soon as its harness returns, and the event
-     sink is closed however the run ends: a raising harness leaves the
-     earlier reports on stdout and a complete event file *)
+     sink is closed however the run ends. A raising harness does not stop
+     the run: it reports the exception, records a false <id>/ran check
+     (so the exit status is 1) and the remaining ids still run *)
   let run id =
-    let o = (Option.get (Icoe.Harness_registry.find id)).Icoe.Harness.run () in
+    let o =
+      Icoe.Harness.run_isolated (Option.get (Icoe.Harness_registry.find id))
+    in
     print_string o.report;
     flush stdout;
     o

@@ -4,14 +4,18 @@
     output, SGD with optional momentum.
 
     Weights, gradients and momentum live in flat row-major
-    {!Icoe_util.Fbuf.t} buffers, and a model's activation and delta
-    buffers are allocated once at {!create}, so a training step
-    allocates nothing. Every floating-point operation keeps the order of
-    the plain [float array array] formulation (pre-activations sum the
+    {!Icoe_util.Fbuf.t} buffers. A model owns a batch workspace (input,
+    activation and delta rows for up to 32 examples) that grows to the
+    largest chunk it has seen and is reused, so a steady-state training
+    step allocates nothing. Training, inference and {!forward_rows} share
+    one register-blocked kernel per stage (forward, gradient,
+    propagation); {!backward} is {!train_batch}'s path with a batch of
+    one. Every floating-point operation keeps the order of the plain
+    per-example [float array array] formulation (pre-activations sum the
     bias first, then inputs ascending; softmax sums in
     {!Icoe_util.Stats.sum} order; gradients accumulate in example order),
     so results are bit-identical to it. A model is single-threaded: its
-    scratch buffers are shared by every call. *)
+    workspace is shared by every call. *)
 
 type t
 
@@ -53,8 +57,8 @@ val forward_rows :
     [lo..hi-1] of [layer] (0-based), computed from the layer input [src]
     (its [in] width), into [dst] (its [out] width): tanh of the
     pre-activation on hidden layers, the logits on the last. The
-    forward-pass kernel itself, so any row partition gives bit-identical
-    outputs. Raises [Invalid_argument] on a bad layer, row range or
+    forward kernel of training and inference on a batch of one, so any
+    row partition gives bit-identical outputs. Raises [Invalid_argument] on a bad layer, row range or
     buffer length. *)
 
 val predict_proba : t -> float array -> float array
@@ -71,8 +75,9 @@ val copy_grads : src:t -> dst:t -> unit
 
 val backward : t -> float array -> label:int -> float
 (** Accumulate gradients of the cross-entropy for one example; returns
-    the loss. Raises [Invalid_argument] on a label outside
-    [[0, out)]. *)
+    the loss. [n] calls followed by [sgd_step ~batch:n] equal one
+    {!train_batch} on those examples, bit for bit. Raises
+    [Invalid_argument] on a label outside [[0, out)]. *)
 
 val sgd_step : ?momentum:float -> ?weight_decay:float -> t -> lr:float -> batch:int -> unit
 (** Apply accumulated gradients (scaled by 1/batch) and clear them. *)

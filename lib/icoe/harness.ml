@@ -133,6 +133,20 @@ let make ~id ~description ?(tags = []) f =
   in
   { id; description; tags; run }
 
+let run_isolated h =
+  match h.run () with
+  | o -> o
+  | exception e ->
+      let msg = Printexc.to_string e in
+      Icoe_obs.Events.(
+        emit ~kind:"error" ~source:("harness/" ^ h.id) [ ("exn", S msg) ]);
+      {
+        report = section (h.id ^ " failed") ("raised " ^ msg);
+        traces = []; metrics = []; rows = [];
+        checks = [ (h.id ^ "/ran", false) ];
+        artifacts = [];
+      }
+
 let simulated_seconds o =
   List.fold_left (fun acc (_, tr) -> acc +. Hwsim.Trace.total tr) 0.0 o.traces
 

@@ -60,6 +60,15 @@ val make :
     {!record_trace}, {!record_row}, {!record_check} and
     {!record_artifact} to this run, and assembles the {!outcome}. *)
 
+val run_isolated : t -> outcome
+(** [run_isolated h] is [h.run ()], except that a raising harness gives
+    an outcome instead of an exception: its report is a one-section
+    "[<id> failed]" note with the exception text, its only check is
+    [<id>/ran = false] (so [icoe_report run] exits 1 and BENCH records
+    the failure), and the exception text is emitted as an ["error"]
+    event from source ["harness/<id>"]. The CLI and the bench run every
+    harness through it, so one failure does not stop the others. *)
+
 (** {1 Recording} Each [record_*] attaches to the outcome of the harness
     currently running; outside a harness body it is dropped. *)
 

@@ -10,12 +10,18 @@ let create m n = { m; n; a = Array.make (m * n) 0.0 }
 let init m n f =
   { m; n; a = Array.init (m * n) (fun k -> f (k / n) (k mod n)) }
 
+(* kept out of [get]/[set] so the hot path is one compare chain *)
+let bad_index fn t i j =
+  invalid_arg
+    (Printf.sprintf "Dense.%s: index (%d, %d) outside a %dx%d matrix" fn i j
+       t.m t.n)
+
 let get t i j =
-  assert (i >= 0 && i < t.m && j >= 0 && j < t.n);
+  if i < 0 || i >= t.m || j < 0 || j >= t.n then bad_index "get" t i j;
   t.a.((i * t.n) + j)
 
 let set t i j v =
-  assert (i >= 0 && i < t.m && j >= 0 && j < t.n);
+  if i < 0 || i >= t.m || j < 0 || j >= t.n then bad_index "set" t i j;
   t.a.((i * t.n) + j) <- v
 
 let update t i j f = set t i j (f (get t i j))
@@ -28,7 +34,10 @@ let transpose t = init t.n t.m (fun i j -> get t j i)
 
 (** y <- A x *)
 let matvec t x =
-  assert (Array.length x = t.n);
+  if Array.length x <> t.n then
+    invalid_arg
+      (Printf.sprintf "Dense.matvec: vector of length %d for a %dx%d matrix"
+         (Array.length x) t.m t.n);
   let y = Array.make t.m 0.0 in
   for i = 0 to t.m - 1 do
     let s = ref 0.0 in
@@ -41,7 +50,9 @@ let matvec t x =
   y
 
 let matmul a b =
-  assert (a.n = b.m);
+  if a.n <> b.m then
+    invalid_arg
+      (Printf.sprintf "Dense.matmul: %dx%d times %dx%d" a.m a.n b.m b.n);
   let c = create a.m b.n in
   for i = 0 to a.m - 1 do
     for k = 0 to a.n - 1 do
@@ -60,7 +71,9 @@ type lu = { lu : t; piv : int array }
 
 (** LU with partial pivoting. Raises [Singular k] on a zero pivot column. *)
 let lu_factor t =
-  assert (t.m = t.n);
+  if t.m <> t.n then
+    invalid_arg
+      (Printf.sprintf "Dense.lu_factor: %dx%d matrix is not square" t.m t.n);
   let n = t.n in
   let a = copy t in
   let piv = Array.init n (fun i -> i) in
@@ -101,7 +114,10 @@ let lu_factor t =
 (** Solve A x = b given a factorization. *)
 let lu_solve { lu = a; piv } b =
   let n = a.n in
-  assert (Array.length b = n);
+  if Array.length b <> n then
+    invalid_arg
+      (Printf.sprintf "Dense.lu_solve: right-hand side of length %d, order %d"
+         (Array.length b) n);
   let x = Array.init n (fun i -> b.(piv.(i))) in
   (* forward: L y = Pb, unit diagonal *)
   for i = 1 to n - 1 do

@@ -9,6 +9,9 @@ val create : int -> int -> t
 
 val init : int -> int -> (int -> int -> float) -> t
 val get : t -> int -> int -> float
+(** Raises [Invalid_argument] on an index outside the matrix (also
+    {!set}, {!update}). *)
+
 val set : t -> int -> int -> float -> unit
 val update : t -> int -> int -> (float -> float) -> unit
 val copy : t -> t
@@ -16,7 +19,10 @@ val identity : int -> t
 val transpose : t -> t
 
 val matvec : t -> float array -> float array
+(** Raises [Invalid_argument] unless the vector has [n] entries. *)
+
 val matmul : t -> t -> t
+(** Raises [Invalid_argument] unless the inner dimensions agree. *)
 
 exception Singular of int
 (** Raised by factorization when a pivot column is numerically zero. *)
@@ -25,9 +31,12 @@ type lu
 (** An LU factorization with its pivot permutation. *)
 
 val lu_factor : t -> lu
-(** Requires a square matrix; raises {!Singular} on breakdown. *)
+(** Raises [Invalid_argument] on a non-square matrix and {!Singular} on
+    breakdown. *)
 
 val lu_solve : lu -> float array -> float array
+(** Raises [Invalid_argument] unless the right-hand side has the
+    factorization's order. *)
 
 val solve : t -> float array -> float array
 (** One-shot factor-and-solve. *)

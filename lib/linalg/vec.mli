@@ -1,6 +1,10 @@
 (** Dense vector kernels over [float array] — the BLAS-1 building blocks
     every solver in the workload shares. Written as plain loops so
-    flop/byte counts are evident when priced on the hardware model. *)
+    flop/byte counts are evident when priced on the hardware model.
+
+    The two-vector kernels ({!axpy}, {!xpby}, {!dot}, {!sub}, {!add},
+    {!mul}, {!wrms}) raise [Invalid_argument], naming the function and
+    both lengths, when the lengths differ. *)
 
 val create : int -> float array
 (** Zero vector of the given length. *)

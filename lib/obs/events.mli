@@ -16,6 +16,7 @@
     - ["fault"]  — [Icoe_fault] injections and checkpoint/recovery
     - ["job"]    — [Icoe_svc.Cluster] submit/dispatch/finish lifecycle
     - ["queue"]  — [Icoe_svc.Cluster] queue-depth / free-node samples
+    - ["error"]  — a harness that raised (from [Harness.run_isolated])
 
     The recorder is off by default: {!emit} is a cheap no-op until a
     sink is installed explicitly or via [ICOE_EVENTS=path] (checked

@@ -411,6 +411,13 @@ module Ref_mlp = struct
   let predict_proba layers x =
     softmax (forward_full layers x).(Array.length layers)
 
+  (* the first most probable class *)
+  let predict layers x =
+    let p = predict_proba layers x in
+    let best = ref 0 in
+    Array.iteri (fun i v -> if v > p.(!best) then best := i) p;
+    !best
+
   let backward layers x ~label =
     let nl = Array.length layers in
     let acts = forward_full layers x in
@@ -472,47 +479,138 @@ end
 
 let bits a = Array.map Int64.bits_of_float a
 
+(* a random network shape: [depth] widths in 1..[max_width] *)
+let random_sizes r ~depth ~max_width =
+  Array.init depth (fun _ -> 1 + Icoe_util.Rng.int r max_width)
+
+let random_input r sizes =
+  Array.init sizes.(0) (fun _ -> Icoe_util.Rng.uniform r (-2.0) 2.0)
+
+let random_batch r sizes n =
+  let classes = sizes.(Array.length sizes - 1) in
+  ( Array.init n (fun _ -> random_input r sizes),
+    Array.init n (fun _ -> Icoe_util.Rng.int r classes) )
+
+let same a b = bits a = bits b
+
 let prop_mlp_matches_reference =
-  (* widths 1..9 put every remainder mod 4 in the four-row forward
-     blocks; 1..4 weight layers; with and without momentum *)
+  (* widths 1..20 and batches 1..40 hit every remainder of the kernels'
+     2-example, 4-row and 4-input blocks and span two workspace chunks;
+     1..4 weight layers; with and without momentum *)
   QCheck.Test.make ~name:"flat mlp bit-identical to the array oracle"
     ~count:200
     QCheck.(
-      quad (int_range 1 100_000) (int_range 2 5) (int_range 1 6) bool)
+      quad (int_range 1 100_000) (int_range 2 5) (int_range 1 40) bool)
     (fun (seed, depth, batch, momentum) ->
       let r = Icoe_util.Rng.create seed in
-      let sizes = Array.init depth (fun _ -> 1 + Icoe_util.Rng.int r 9) in
+      let sizes = random_sizes r ~depth ~max_width:20 in
       let classes = sizes.(depth - 1) in
       let momentum = if momentum then 0.9 else 0.0 in
       let m = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
       let o = Ref_mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
-      let input () =
-        Array.init sizes.(0) (fun _ -> Icoe_util.Rng.uniform r (-2.0) 2.0)
-      in
-      let same a b = bits a = bits b in
       let ok = ref (same (Mlp.get_params m) (Ref_mlp.get_params o)) in
       for _ = 1 to 4 do
-        let xs = Array.init batch (fun _ -> input ()) in
-        let ls = Array.init batch (fun _ -> Icoe_util.Rng.int r classes) in
+        let xs, ls = random_batch r sizes batch in
         let lm = Mlp.train_batch ~momentum m ~lr:0.3 xs ls in
         let lo = Ref_mlp.train_batch ~momentum o ~lr:0.3 xs ls in
         ok := !ok && same [| lm |] [| lo |]
       done;
       (* one explicit step with weight decay *)
-      let x = input () and label = Icoe_util.Rng.int r classes in
+      let x = random_input r sizes and label = Icoe_util.Rng.int r classes in
       let lm = Mlp.backward m x ~label and lo = Ref_mlp.backward o x ~label in
       Mlp.sgd_step ~momentum ~weight_decay:1e-3 m ~lr:0.1 ~batch:1;
       Ref_mlp.sgd_step ~momentum ~weight_decay:1e-3 o ~lr:0.1 ~batch:1;
-      let x = input () in
+      let x = random_input r sizes in
       !ok
       && same [| lm |] [| lo |]
       && same (Mlp.get_params m) (Ref_mlp.get_params o)
       && same (Mlp.predict_proba m x) (Ref_mlp.predict_proba o x)
-      && Mlp.predict m x
-         = (let p = Ref_mlp.predict_proba o x in
-            let best = ref 0 in
-            Array.iteri (fun i v -> if v > p.(!best) then best := i) p;
-            !best))
+      && Mlp.predict m x = Ref_mlp.predict o x)
+
+let prop_mlp_workspace_reuse =
+  (* big -> small -> big batches on one model: rows a small batch leaves
+     unwritten must never reach a later result *)
+  QCheck.Test.make ~name:"mlp big-small-big batches match the oracle"
+    ~count:100
+    QCheck.(triple (int_range 1 100_000) (int_range 2 4) (int_range 1 8))
+    (fun (seed, depth, small) ->
+      let r = Icoe_util.Rng.create seed in
+      let sizes = random_sizes r ~depth ~max_width:12 in
+      let m = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let o = Ref_mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let step n =
+        let xs, ls = random_batch r sizes n in
+        let lm = Mlp.train_batch ~momentum:0.9 m ~lr:0.2 xs ls in
+        let lo = Ref_mlp.train_batch ~momentum:0.9 o ~lr:0.2 xs ls in
+        same [| lm |] [| lo |]
+      in
+      let steps = List.map step [ 40; small; 37; small + 1; 40 ] in
+      let xs, ls = random_batch r sizes 40 in
+      let acc = Mlp.accuracy m xs ls in
+      let ref_acc =
+        let hits = ref 0 in
+        Array.iteri
+          (fun k x -> if Ref_mlp.predict o x = ls.(k) then incr hits)
+          xs;
+        float_of_int !hits /. 40.0
+      in
+      List.for_all Fun.id steps
+      && same (Mlp.get_params m) (Ref_mlp.get_params o)
+      && acc = ref_acc)
+
+let prop_mlp_backward_is_batch_of_one =
+  (* n single-example backward calls, then one sgd_step ~batch:n, equal
+     one train_batch over the same examples bit for bit *)
+  QCheck.Test.make ~name:"mlp n backward + sgd_step = train_batch" ~count:100
+    QCheck.(triple (int_range 1 100_000) (int_range 2 4) (int_range 1 40))
+    (fun (seed, depth, n) ->
+      let r = Icoe_util.Rng.create seed in
+      let sizes = random_sizes r ~depth ~max_width:12 in
+      let a = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let b = Mlp.clone a in
+      let ok = ref true in
+      for _ = 1 to 3 do
+        let xs, ls = random_batch r sizes n in
+        let la = Mlp.train_batch ~momentum:0.9 a ~lr:0.2 xs ls in
+        let total = ref 0.0 in
+        Array.iteri
+          (fun k x -> total := !total +. Mlp.backward b x ~label:ls.(k))
+          xs;
+        Mlp.sgd_step ~momentum:0.9 b ~lr:0.2 ~batch:n;
+        ok :=
+          !ok
+          && same [| la |] [| !total /. float_of_int n |]
+          && same (Mlp.get_params a) (Mlp.get_params b)
+      done;
+      !ok)
+
+let prop_mlp_forward_rows_split =
+  (* each layer's output rows computed in three arbitrary ranges through
+     forward_rows compose to the oracle's forward pass *)
+  QCheck.Test.make ~name:"mlp forward_rows on split ranges = full forward"
+    ~count:100
+    QCheck.(pair (int_range 1 100_000) (int_range 2 5))
+    (fun (seed, depth) ->
+      let r = Icoe_util.Rng.create seed in
+      let sizes = random_sizes r ~depth ~max_width:20 in
+      let m = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let o = Ref_mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let x = random_input r sizes in
+      let acts = Ref_mlp.forward_full o x in
+      let ok = ref true in
+      let src = ref (Icoe_util.Fbuf.of_array x) in
+      for l = 0 to depth - 2 do
+        let nout = sizes.(l + 1) in
+        let dst = Icoe_util.Fbuf.create nout in
+        let c1 = Icoe_util.Rng.int r (nout + 1) in
+        let c2 = c1 + Icoe_util.Rng.int r (nout - c1 + 1) in
+        List.iter
+          (fun (lo, hi) -> Mlp.forward_rows m ~layer:l ~src:!src ~dst ~lo ~hi)
+          [ (c1, c2); (0, c1); (c2, nout) ];
+        ok := !ok && same (Icoe_util.Fbuf.to_array dst) acts.(l + 1);
+        src := dst
+      done;
+      !ok)
 
 let prop_mlp_probs_normalized =
   QCheck.Test.make ~name:"softmax outputs normalized" ~count:50
@@ -536,6 +634,9 @@ let () =
           Alcotest.test_case "learns" `Quick test_learns_separable_task;
           QCheck_alcotest.to_alcotest prop_mlp_probs_normalized;
           QCheck_alcotest.to_alcotest prop_mlp_matches_reference;
+          QCheck_alcotest.to_alcotest prop_mlp_workspace_reuse;
+          QCheck_alcotest.to_alcotest prop_mlp_backward_is_batch_of_one;
+          QCheck_alcotest.to_alcotest prop_mlp_forward_rows_split;
         ] );
       ( "distributed",
         [

@@ -39,6 +39,64 @@ let test_csr_triplet_bounds () =
   expect_assert "row out of range" (fun () ->
       Linalg.Csr.of_triplets ~m:2 ~n:2 [ (5, 0, 1.0) ])
 
+(* the linalg input guards: Invalid_argument whose message names the
+   function and both sizes *)
+let expect_invalid_naming name parts f =
+  let contains msg part =
+    let n = String.length part in
+    let rec at i =
+      i + n <= String.length msg && (String.sub msg i n = part || at (i + 1))
+    in
+    at 0
+  in
+  match f () with
+  | _ -> Alcotest.fail (name ^ ": expected Invalid_argument")
+  | exception Invalid_argument msg ->
+      List.iter
+        (fun part ->
+          Alcotest.(check bool) (Fmt.str "%s: %S names %S" name msg part) true
+            (contains msg part))
+        parts
+
+let test_vec_length_guards () =
+  let x = [| 1.0; 2.0; 3.0 |] and y = [| 1.0; 2.0 |] in
+  let open Linalg.Vec in
+  List.iter
+    (fun (fn, f) -> expect_invalid_naming fn [ "Vec." ^ fn; "3"; "2" ] f)
+    [
+      ("axpy", fun () -> axpy 2.0 x y);
+      ("xpby", fun () -> xpby x 2.0 y);
+      ("dot", fun () -> ignore (dot x y));
+      ("sub", fun () -> ignore (sub x y));
+      ("add", fun () -> ignore (add x y));
+      ("mul", fun () -> ignore (mul x y));
+      ("wrms", fun () -> ignore (wrms x y));
+    ];
+  (* matching lengths still compute *)
+  let z = [| 1.0; 1.0; 1.0 |] in
+  axpy 2.0 x z;
+  Alcotest.(check (array (float 0.0))) "axpy" [| 3.0; 5.0; 7.0 |] z
+
+let test_dense_size_guards () =
+  let open Linalg.Dense in
+  let a = create 2 3 in
+  expect_invalid_naming "get row" [ "Dense.get"; "(2, 0)"; "2x3" ] (fun () ->
+      get a 2 0);
+  expect_invalid_naming "get column" [ "Dense.get"; "(0, -1)"; "2x3" ]
+    (fun () -> get a 0 (-1));
+  expect_invalid_naming "set" [ "Dense.set"; "(0, 3)"; "2x3" ] (fun () ->
+      set a 0 3 1.0);
+  expect_invalid_naming "matvec" [ "Dense.matvec"; "length 2"; "2x3" ]
+    (fun () -> matvec a [| 1.0; 2.0 |]);
+  expect_invalid_naming "matmul" [ "Dense.matmul"; "2x3 times 2x3" ]
+    (fun () -> matmul a a);
+  expect_invalid_naming "lu_factor" [ "Dense.lu_factor"; "2x3" ] (fun () ->
+      lu_factor a);
+  expect_invalid_naming "lu_solve" [ "Dense.lu_solve"; "length 2"; "order 3" ]
+    (fun () -> lu_solve (lu_factor (identity 3)) [| 1.0; 2.0 |]);
+  Alcotest.(check (array (float 0.0))) "in-range solve" [| 1.0; 2.0; 3.0 |]
+    (solve (identity 3) [| 1.0; 2.0; 3.0 |])
+
 (* --- sundials --- *)
 
 let test_bdf_too_much_work () =
@@ -385,6 +443,8 @@ let () =
           Alcotest.test_case "triplet bounds" `Quick test_csr_triplet_bounds;
           Alcotest.test_case "cg singular projection" `Quick
             test_cg_singular_projection_stays_finite;
+          Alcotest.test_case "vec length guards" `Quick test_vec_length_guards;
+          Alcotest.test_case "dense size guards" `Quick test_dense_size_guards;
         ] );
       ("sundials", [ Alcotest.test_case "too much work" `Quick test_bdf_too_much_work ]);
       ( "fft",

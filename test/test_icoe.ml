@@ -143,6 +143,49 @@ let test_run_all_mentions_every_result () =
     [ "Fig 2"; "Table 2"; "Table 3"; "Fig 3"; "Fig 6"; "Fig 8"; "Table 4";
       "Table 5"; "Fig 9"; "Cretin"; "GROMACS"; "SW4"; "KAVG"; "GPUDirect" ]
 
+let test_raising_harness_isolated () =
+  (* a test-only registry list with a harness that raises between two
+     that do not: the others keep their reports and checks, the raising
+     one becomes a false <id>/ran check plus an "error" event *)
+  let fine id =
+    Icoe.Harness.make ~id ~description:"fine" (fun () ->
+        Icoe.Harness.record_check (id ^ "/fine") true;
+        id ^ " report\n")
+  in
+  let boom =
+    Icoe.Harness.make ~id:"boom" ~description:"raises" (fun () ->
+        Icoe.Harness.record_check "boom/before" true;
+        failwith "deliberate")
+  in
+  let lines = Icoe_obs.Events.memory () in
+  let outcomes =
+    Fun.protect ~finally:Icoe_obs.Events.close (fun () ->
+        List.map Icoe.Harness.run_isolated [ fine "a"; boom; fine "b" ])
+  in
+  let checks = List.concat_map (fun (o : Icoe.Harness.outcome) -> o.checks) outcomes in
+  Alcotest.(check (list (pair string bool))) "checks"
+    [ ("a/fine", true); ("boom/ran", false); ("b/fine", true) ]
+    checks;
+  let reports = List.map (fun (o : Icoe.Harness.outcome) -> o.report) outcomes in
+  Alcotest.(check string) "first report" "a report\n" (List.nth reports 0);
+  Alcotest.(check string) "last report" "b report\n" (List.nth reports 2);
+  Alcotest.(check bool) "failure section names the exception" true
+    (Astring.String.is_infix ~affix:"boom failed" (List.nth reports 1)
+    && Astring.String.is_infix ~affix:"deliberate" (List.nth reports 1));
+  let errors =
+    List.filter
+      (fun l -> Astring.String.is_infix ~affix:{|"kind":"error"|} l)
+      (lines ())
+  in
+  Alcotest.(check int) "one error event" 1 (List.length errors);
+  let e = Icoe_util.Json.parse_exn (List.hd errors) in
+  Alcotest.(check (option string)) "event source" (Some "harness/boom")
+    (Icoe_util.Json.string_member "source" e);
+  Alcotest.(check bool) "event carries the exception text" true
+    (match Icoe_util.Json.string_member "exn" e with
+    | Some msg -> Astring.String.is_infix ~affix:"deliberate" msg
+    | None -> false)
+
 let () =
   Alcotest.run "icoe"
     [
@@ -161,6 +204,8 @@ let () =
           Alcotest.test_case "metrics deterministic" `Quick
             test_outcome_metrics_deterministic;
           Alcotest.test_case "tuner rows" `Quick test_tuner_rows;
+          Alcotest.test_case "raising harness isolated" `Quick
+            test_raising_harness_isolated;
           Alcotest.test_case "run all" `Slow test_run_all_mentions_every_result;
         ] );
     ]
