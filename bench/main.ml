@@ -185,12 +185,29 @@ let bench_paradyn =
   Test.make ~name:"fig6/fused-kernel-512" (Staged.stage (fun () -> ignore (Paradyn.Interp.run p ~inputs)))
 
 let bench_topopt_apply =
-  let t = Opt.Topopt.create ~nx:32 ~ny:32 () in
+  let s = Opt.Topopt.stencil (Opt.Topopt.create ~nx:32 ~ny:32 ()) in
   let u = Array.init 1024 (fun i -> float_of_int (i mod 13)) in
   let y = Array.make 1024 0.0 in
-  let cond = Opt.Topopt.conductivities t in
   Test.make ~name:"opt/matrix-free-apply-32x32"
-    (Staged.stage (fun () -> Opt.Topopt.apply t ~cond u y))
+    (Staged.stage (fun () -> Opt.Topopt.apply s u y))
+
+(* the opt harness's SIMP run: 40 design iterations on 20x16, each a
+   stencil build, an in-place CG solve and an OC update *)
+let bench_topopt_optimize =
+  Test.make ~name:"opt/topopt-20x16-40"
+    (Staged.stage (fun () ->
+         ignore
+           (Opt.Topopt.optimize ~iters:40 (Opt.Topopt.create ~nx:20 ~ny:16 ()))))
+
+(* EASY backfill on the opt harness's all-at-t=0 batch: the queue stays
+   thousands deep, so every blocked pick exercises the candidate search *)
+let bench_easy_backfill =
+  let jobs =
+    Opt.Scheduler.batch_workload ~rng:(Icoe_util.Rng.create 11) ~n:2500 ()
+  in
+  Test.make ~name:"opt/easy-backfill-2500"
+    (Staged.stage (fun () ->
+         ignore (Opt.Scheduler.simulate ~gpus:16 Opt.Scheduler.Fcfs_backfill jobs)))
 
 (* par/* benchmarks: the same engine kernels at sizes where the domain
    pool engages (all of these clear the serial-fallback thresholds), so
@@ -275,7 +292,8 @@ let microbenchmarks () =
       bench_md_forces; bench_reaction_kernel; bench_fft; bench_bfs;
       bench_lda_estep; bench_rate_matrix; bench_cleverleaf; bench_mlp;
       bench_mlp_train; bench_shallow_nn_step;
-      bench_paradyn; bench_topopt_apply; bench_par_spmv; bench_par_sw4_rhs;
+      bench_paradyn; bench_topopt_apply; bench_topopt_optimize;
+      bench_easy_backfill; bench_par_spmv; bench_par_sw4_rhs;
       bench_par_reaction; bench_par_md_forces; bench_par_lda_estep;
       bench_fault_plan; bench_fault_checkpoint; bench_fault_retry;
     ]
@@ -447,6 +465,15 @@ let alloc_smoke () =
       Linalg.Csr.spmv_seq_into a x y);
   measure "linalg/spmv-par" ~budget:par_budget (fun () ->
       Linalg.Csr.spmv_into a x y);
+  (* in-place CG: the solve's four vectors once, then nothing per
+     iteration; tol 0 runs all 200 iterations *)
+  let b = Linalg.Csr.spmv a x and x0 = Array.make 4096 0.0 in
+  measure "linalg/cg-200-iter-seq"
+    ~budget:((5.0 *. 4096.0) +. seq_budget)
+    (fun () ->
+      ignore
+        (Linalg.Krylov.cg ~tol:0.0 ~max_iter:200
+           ~op:(Linalg.Csr.spmv_seq_into a) b x0));
   (* LDA E-step *)
   let rng = Icoe_util.Rng.create 6 in
   let corpus = Lda.Corpus.generate ~ndocs:16 ~rng () in
@@ -466,13 +493,12 @@ let alloc_smoke () =
   let mlp, xs, labels = shallow_nn_batch () in
   measure "mlp/train-batch-960-seq" ~budget:seq_budget (fun () ->
       ignore (Dlearn.Mlp.train_batch ~momentum:0.9 mlp ~lr:0.05 xs labels));
-  (* the SIMP state operator over cached conductivities *)
-  let t = Opt.Topopt.create ~nx:32 ~ny:32 () in
-  let cond = Opt.Topopt.conductivities t in
+  (* the SIMP state operator over one solve's stencil *)
+  let s = Opt.Topopt.stencil (Opt.Topopt.create ~nx:32 ~ny:32 ()) in
   let u = Array.init 1024 (fun i -> float_of_int (i mod 13)) in
   let y = Array.make 1024 0.0 in
   measure "topopt/apply-seq" ~budget:seq_budget (fun () ->
-      Opt.Topopt.apply t ~cond u y);
+      Opt.Topopt.apply s u y);
   if !failures > 0 then begin
     Fmt.pr "alloc-smoke: %d kernel(s) over budget@." !failures;
     exit 1

@@ -19,7 +19,7 @@ let () =
   let b = Linalg.Csr.spmv a x_true in
   let x0 = Array.make ndof 0.0 in
   (* 2. plain conjugate gradients *)
-  let cg = Linalg.Krylov.cg ~tol:1e-10 ~max_iter:5000 ~op:(Linalg.Csr.spmv a) b x0 in
+  let cg = Linalg.Krylov.cg ~tol:1e-10 ~max_iter:5000 ~op:(Linalg.Csr.spmv_into a) b x0 in
   Fmt.pr "plain CG:    %4d iterations (residual %.1e)@." cg.Linalg.Krylov.iters
     cg.Linalg.Krylov.residual;
   (* 3. BoomerAMG: setup on the "CPU", solve phase is matvec-shaped *)

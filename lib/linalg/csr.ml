@@ -25,7 +25,10 @@ let of_triplets ~m ~n triplets =
   let cnt = Array.make m 0 in
   List.iter
     (fun (i, j, _) ->
-      assert (i >= 0 && i < m && j >= 0 && j < n);
+      if i < 0 || i >= m || j < 0 || j >= n then
+        invalid_arg
+          (Printf.sprintf "Csr.of_triplets: entry (%d, %d) outside %dx%d" i j
+             m n);
       cnt.(i) <- cnt.(i) + 1)
     triplets;
   let row_ptr = Array.make (m + 1) 0 in
@@ -109,9 +112,17 @@ let spmv_rows t x y lo hi =
     Array.unsafe_set y i !s
   done
 
+(* the SpMV entry guard, once per call: [fn], the matrix shape and both
+   vector lengths in the message *)
+let check_spmv fn t x y =
+  if Array.length x <> t.n || Array.length y <> t.m then
+    invalid_arg
+      (Printf.sprintf "Csr.%s: x has length %d, y %d for a %dx%d matrix" fn
+         (Array.length x) (Array.length y) t.m t.n)
+
 (** y <- A x, strictly in the calling domain (the reference path). *)
 let spmv_seq_into t x y =
-  assert (Array.length x = t.n && Array.length y = t.m);
+  check_spmv "spmv_seq_into" t x y;
   spmv_rows t x y 0 t.m
 
 (* Rows below this count don't amortize the pool's chunk dispatch (AMG
@@ -123,7 +134,7 @@ let spmv_par_threshold = 512
 (** y <- A x into a preallocated output, row-parallel on the domain
     pool for matrices large enough to amortize the dispatch. *)
 let spmv_into t x y =
-  assert (Array.length x = t.n && Array.length y = t.m);
+  check_spmv "spmv_into" t x y;
   if t.m < spmv_par_threshold then spmv_rows t x y 0 t.m
   else
     Icoe_par.Pool.parallel_for_chunks ~lo:0 ~hi:t.m (fun lo hi ->
@@ -164,7 +175,9 @@ let transpose t =
 
 (** Sparse C = A * B with a dense workspace row (Gustavson). *)
 let matmul a b =
-  assert (a.n = b.m);
+  if a.n <> b.m then
+    invalid_arg
+      (Printf.sprintf "Csr.matmul: %dx%d times %dx%d" a.m a.n b.m b.n);
   let mark = Array.make b.n (-1) in
   let acc = Array.make b.n 0.0 in
   let rows = ref [] in
@@ -206,7 +219,10 @@ let matmul a b =
 
 (** Scale: A <- diag(d) * A, in place on a copy. *)
 let scale_rows t d =
-  assert (Array.length d = t.m);
+  if Array.length d <> t.m then
+    invalid_arg
+      (Printf.sprintf "Csr.scale_rows: length %d for %d rows"
+         (Array.length d) t.m);
   let values = Fbuf.copy t.values in
   for i = 0 to t.m - 1 do
     for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do

@@ -19,7 +19,8 @@ val create_empty : int -> int -> t
 
 val of_triplets : m:int -> n:int -> (int * int * float) list -> t
 (** Build from (row, col, value) triplets; duplicates are summed, columns
-    are sorted within each row. Indices must be in range. *)
+    are sorted within each row.
+    @raise Invalid_argument on an entry outside [m x n]. *)
 
 val of_dense : Dense.t -> t
 val to_dense : t -> Dense.t
@@ -31,11 +32,13 @@ val spmv_into : t -> float array -> float array -> unit
 (** y = A x into a preallocated output. Row-parallel on the
     {!Icoe_par.Pool} for matrices with at least {!spmv_par_threshold}
     rows; per-row summation order is unchanged, so the result is
-    bit-identical to {!spmv_seq_into} for any pool size. *)
+    bit-identical to {!spmv_seq_into} for any pool size.
+    @raise Invalid_argument if [x] or [y] does not match the shape (one
+    check per call). *)
 
 val spmv_seq_into : t -> float array -> float array -> unit
 (** y = A x, strictly in the calling domain — the reference path the
-    parallel one must match exactly. *)
+    parallel one must match exactly. Checked like {!spmv_into}. *)
 
 val spmv_par_threshold : int
 (** Minimum row count before {!spmv_into} uses the pool. *)
@@ -46,10 +49,12 @@ val transpose : t -> t
 
 val matmul : t -> t -> t
 (** Sparse C = A * B (Gustavson's algorithm) — used for the Galerkin
-    coarse-grid product in BoomerAMG. *)
+    coarse-grid product in BoomerAMG.
+    @raise Invalid_argument if the inner dimensions differ. *)
 
 val scale_rows : t -> float array -> t
-(** diag(d) * A as a fresh matrix. *)
+(** diag(d) * A as a fresh matrix.
+    @raise Invalid_argument unless [d] has one entry per row. *)
 
 val laplacian_2d : int -> int -> t
 (** Standard 5-point Laplacian on an nx x ny grid, Dirichlet walls. *)

@@ -3,7 +3,8 @@
     These are the solve-phase workhorses of hypre (PCG + AMG), Cretin's
     batched iterative population solver (GMRES + Jacobi) and the
     matrix-free topology-optimization solver (CG on an operator). All
-    methods take the operator as a function so matrix-free use is direct. *)
+    methods take the operator as a function so matrix-free use is direct;
+    [cg]'s operator writes into a caller-supplied vector. *)
 
 type result = {
   x : float array;
@@ -41,29 +42,56 @@ let record =
     Icoe_obs.Metrics.set resid r.residual;
     r
 
-(** Conjugate gradients on an SPD operator. *)
+(* unchecked access for [cg]'s loops, where every vector has length n *)
+let get (v : float array) i = Array.unsafe_get v i
+let set (v : float array) i (a : float) = Array.unsafe_set v i a
+
+(** Conjugate gradients on an SPD operator; [op u y] writes A u into
+    [y]. x, r, p and A p are the solve's only vectors: allocated once,
+    updated in place, so an iteration allocates nothing. Its three
+    passes — p·Ap; x and r updated with r·r summed alongside; p — run in
+    ascending element order, rounding exactly as {!Vec.dot},
+    {!Vec.axpy} and {!Vec.xpby} would. *)
 let cg ?(tol = default_tol) ?(max_iter = 1000) ~op b x0 =
+  let n = Array.length b in
+  if Array.length x0 <> n then
+    invalid_arg
+      (Printf.sprintf "Krylov.cg: b has length %d, x0 has length %d" n
+         (Array.length x0));
   let x = Array.copy x0 in
-  let r = Vec.sub b (op x) in
+  let ap = Array.make n 0.0 in
+  op x ap;
+  let r = Vec.sub b ap in
   let p = Array.copy r in
   let bnorm = max (Vec.nrm2 b) 1e-300 in
   let rr = ref (Vec.dot r r) in
   let iters = ref 0 in
   (try
      while !iters < max_iter && sqrt !rr /. bnorm > tol do
-       let ap = op p in
-       let pap = Vec.dot p ap in
+       op p ap;
+       let pap = ref 0.0 in
+       for i = 0 to n - 1 do
+         pap := !pap +. (get p i *. get ap i)
+       done;
+       let pap = !pap in
        (* zero or negative curvature: the operator is not SPD along p and
           alpha = rr/pap would poison x with inf/nan — bail out like pcg *)
        if pap <= 0.0 || not (Float.is_finite pap) then raise Exit;
        let alpha = !rr /. pap in
-       Vec.axpy alpha p x;
-       Vec.axpy (-.alpha) ap r;
-       let rr' = Vec.dot r r in
+       let rr' = ref 0.0 in
+       for i = 0 to n - 1 do
+         set x i (get x i +. (alpha *. get p i));
+         let ri = get r i +. (-.alpha *. get ap i) in
+         set r i ri;
+         rr' := !rr' +. (ri *. ri)
+       done;
+       let rr' = !rr' in
        if not (Float.is_finite rr') then raise Exit;
        let beta = rr' /. !rr in
        rr := rr';
-       Vec.xpby r beta p;
+       for i = 0 to n - 1 do
+         set p i (get r i +. (beta *. get p i))
+       done;
        incr iters
      done
    with Exit -> ());

@@ -107,29 +107,36 @@ module Core = struct
     (* the wait queue keyed on insertion order, and the same jobs in
        class buckets, one per (long?, width) class, each in the policy's
        priority order: (estimate, insertion) under SJF, insertion
-       otherwise *)
+       otherwise; under EASY each class is also kept in (estimate,
+       insertion) order, for its shortest estimate *)
     let queue = ref Imap.empty and buckets = ref Imap.empty in
+    let by_estimate = ref Imap.empty and easy = policy = Easy_backfill in
     let class_of e = (2 * e.width) + if is_long e then 1 else 0 in
     let key e =
       match policy with Sjf_quota _ -> (e.est, e.ins) | _ -> (0.0, e.ins)
     in
+    let add k e classes =
+      Imap.update (class_of e)
+        (fun b -> Some (Timed.add k e (Option.value b ~default:Timed.empty)))
+        classes
+    in
+    let remove k e classes =
+      Imap.update (class_of e)
+        (fun b ->
+          Option.bind b (fun b ->
+              let b = Timed.remove k b in
+              if Timed.is_empty b then None else Some b))
+        classes
+    in
     let enqueue e =
       queue := Imap.add e.ins e !queue;
-      buckets :=
-        Imap.update (class_of e)
-          (fun b ->
-            Some (Timed.add (key e) e (Option.value b ~default:Timed.empty)))
-          !buckets
+      buckets := add (key e) e !buckets;
+      if easy then by_estimate := add (e.est, e.ins) e !by_estimate
     in
     let take e =
       queue := Imap.remove e.ins !queue;
-      buckets :=
-        Imap.update (class_of e)
-          (fun b ->
-            Option.bind b (fun b ->
-                let b = Timed.remove (key e) b in
-                if Timed.is_empty b then None else Some b))
-          !buckets
+      buckets := remove (key e) e !buckets;
+      if easy then by_estimate := remove (e.est, e.ins) e !by_estimate
     in
     (* the first job in priority order among the classes [admits]
        accepts: the smallest of their bucket heads *)
@@ -153,20 +160,51 @@ module Core = struct
     let busy = ref 0.0 and waits = ref [] and completed = ref 0 in
     let fits e = e.width <= !free in
     (* EASY backfill: the blocked head reserves its shadow time; a later
-       job may start now only if it finishes by then or fits the units
-       still spare at the shadow once the head has started *)
+       job may start now only if it fits, and finishes by then or fits
+       the units still spare at the shadow once the head has started.
+       The candidate is the first such job in insertion order. Every
+       bucket is keyed (0, insertion) under this policy, so it is the
+       earliest of the per-bucket firsts, over the classes that fit: a
+       class within [spare] qualifies whole, so its first job after the
+       head is one lookup. A wider class has a qualifying job only if
+       its shortest estimate finishes by the shadow ([t + est] grows
+       with [est]); then it is walked from the head, but only up to the
+       best job found so far. *)
     let easy_backfill head =
       let shadow_t, free_at_shadow =
         shadow_scan ~now:!t ~free:!free ~need:head.width !running
       in
       let spare = free_at_shadow - head.width in
-      let candidate =
-        Imap.to_seq_from (head.ins + 1) !queue
-        |> Seq.find_map (fun (_, e) ->
-               if fits e && (!t +. e.est <= shadow_t || e.width <= spare) then
-                 Some e
-               else None)
+      let in_time e = !t +. e.est <= shadow_t in
+      let after_head (_, ins) = ins > head.ins in
+      (* NaN estimates sort first and never finish in time *)
+      let not_nan (est, _) = not (Float.is_nan est) in
+      let rec search best classes =
+        match classes () with
+        | Seq.Cons ((cls, b), tl) when cls / 2 <= !free ->
+            let before = match best with Some e -> e.ins | None -> max_int in
+            let first =
+              if cls / 2 <= spare then
+                Option.map snd (Timed.find_first_opt after_head b)
+              else
+                match
+                  Timed.find_first_opt not_nan (Imap.find cls !by_estimate)
+                with
+                | Some (_, shortest) when in_time shortest ->
+                    Timed.to_seq_from (0.0, head.ins + 1) b
+                    |> Seq.take_while (fun (_, e) -> e.ins < before)
+                    |> Seq.find_map (fun (_, e) ->
+                           if in_time e then Some e else None)
+                | _ -> None
+            in
+            search
+              (match first with
+              | Some e when e.ins < before -> first
+              | _ -> best)
+              tl
+        | _ -> best
       in
+      let candidate = search None (Imap.to_seq !buckets) in
       (match candidate with
       | Some e when check ->
           (* the invariant EASY promises the reserved head: starting the

@@ -23,19 +23,28 @@ val idx : t -> int -> int -> int
 val is_sink : t -> int -> int -> bool
 val conductivity : t -> int -> float
 
-val conductivities : t -> float array
-(** {!conductivity} of every cell at the current design and exponent. *)
+type stencil
+(** The state operator of one solve: each cell's four link coefficients
+    (left, right, down, up), its diagonal and its sink flag, computed
+    from the design and exponent it was built at. *)
 
-val apply : t -> cond:float array -> float array -> float array -> unit
-(** [apply t ~cond u y]: the matrix-free density-weighted 5-point
-    operator (the paper's CUDA matrix-free solve) over the cell
-    conductivities [cond] (from {!conductivities}), writing [y].
-    Allocates nothing. *)
+val stencil : t -> stencil
+(** Build the operator at the current design and exponent ({!solve_state}
+    builds one per solve). *)
+
+val apply : stencil -> float array -> float array -> unit
+(** [apply s u y]: the matrix-free density-weighted 5-point operator
+    (the paper's CUDA matrix-free solve), writing [y] — the [~op] of
+    {!Linalg.Krylov.cg}. Interior cells sum their four links without a
+    branch, in the order edge cells use, so every cell rounds as if
+    summed link by link. Allocates nothing.
+    @raise Invalid_argument if [u] or [y] is not one entry per cell. *)
 
 val load : t -> float array
 
 val solve_state : ?tol:float -> t -> float array * int
-(** CG solve of the state equation: (temperature field, iterations). *)
+(** In-place CG ({!Linalg.Krylov.cg}) over one {!stencil}:
+    (temperature field, iterations). *)
 
 val oc_update : t -> float array -> unit
 (** Filtered optimality-criteria design update under the volume

@@ -15,7 +15,7 @@ let variance a =
 let stddev a = sqrt (variance a)
 
 let min_max a =
-  assert (Array.length a > 0);
+  if Array.length a = 0 then invalid_arg "Stats.min_max: empty array";
   Array.fold_left
     (fun (lo, hi) x -> (min lo x, max hi x))
     (a.(0), a.(0))
@@ -35,8 +35,9 @@ let presort a =
     already-sorted array (see [presort]) — sort once, query many. *)
 let percentile_sorted s p =
   let n = Array.length s in
-  assert (n > 0);
-  assert (p >= 0.0 && p <= 1.0);
+  if n = 0 then invalid_arg "Stats.percentile: empty array";
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg (Printf.sprintf "Stats.percentile: p = %g outside [0, 1]" p);
   let idx = p *. float_of_int (n - 1) in
   let lo = int_of_float (Float.floor idx) in
   let hi = int_of_float (Float.ceil idx) in
@@ -48,9 +49,16 @@ let percentile_sorted s p =
 let percentile a p = percentile_sorted (presort a) p
 let median a = percentile a 0.5
 
+(* the guard of the two-array measures: [fn] and both lengths *)
+let check_lengths fn a b =
+  if Array.length a <> Array.length b then
+    invalid_arg
+      (Printf.sprintf "Stats.%s: lengths %d and %d differ" fn (Array.length a)
+         (Array.length b))
+
 (** Relative L2 error ||a - b|| / ||b||. *)
 let rel_l2_error a b =
-  assert (Array.length a = Array.length b);
+  check_lengths "rel_l2_error" a b;
   let num = ref 0.0 and den = ref 0.0 in
   Array.iteri
     (fun i x ->
@@ -61,7 +69,7 @@ let rel_l2_error a b =
   if !den = 0.0 then sqrt !num else sqrt (!num /. !den)
 
 let max_abs_diff a b =
-  assert (Array.length a = Array.length b);
+  check_lengths "max_abs_diff" a b;
   let m = ref 0.0 in
   Array.iteri (fun i x -> m := max !m (Float.abs (x -. b.(i)))) a;
   !m

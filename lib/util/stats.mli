@@ -9,15 +9,17 @@ val variance : float array -> float
 val stddev : float array -> float
 
 val min_max : float array -> float * float
-(** (minimum, maximum). Requires a nonempty array. *)
+(** (minimum, maximum).
+    @raise Invalid_argument on the empty array. *)
 
 val sum : float array -> float
 
 val percentile : float array -> float -> float
 (** [percentile a p] with [p] in [0, 1]; linear interpolation between
-    order statistics. Requires a nonempty array. Sorts per call with
+    order statistics. Sorts per call with
     [Float.compare]; for repeated queries use {!presort} +
-    {!percentile_sorted}. *)
+    {!percentile_sorted}.
+    @raise Invalid_argument on the empty array or [p] outside [0, 1]. *)
 
 val presort : float array -> float array
 (** Sorted copy ([Float.compare]: monomorphic, NaN-total). Sort once,
@@ -25,12 +27,14 @@ val presort : float array -> float array
 
 val percentile_sorted : float array -> float -> float
 (** [percentile] on an array already sorted by {!presort}; does not
-    re-sort. *)
+    re-sort. Raises like {!percentile}. *)
 
 val median : float array -> float
 
 val rel_l2_error : float array -> float array -> float
-(** [rel_l2_error a b] = ||a - b|| / ||b|| (plain ||a - b|| when b = 0). *)
+(** [rel_l2_error a b] = ||a - b|| / ||b|| (plain ||a - b|| when b = 0).
+    @raise Invalid_argument if the lengths differ, naming both. *)
 
 val max_abs_diff : float array -> float array -> float
-(** Pointwise infinity-norm distance. Arrays must have equal length. *)
+(** Pointwise infinity-norm distance.
+    @raise Invalid_argument if the lengths differ, naming both. *)

@@ -13,7 +13,7 @@ let expect_assert name f =
 let test_cg_nonconvergence_reported () =
   (* CG on an indefinite operator: must report converged = false (or bail
      via the finite-check), never loop forever or claim success *)
-  let op x = Array.mapi (fun i v -> if i mod 2 = 0 then v else -.v) x in
+  let op x y = Array.iteri (fun i v -> y.(i) <- (if i mod 2 = 0 then v else -.v)) x in
   let b = Array.make 10 1.0 in
   let r = Linalg.Krylov.cg ~tol:1e-12 ~max_iter:50 ~op b (Array.make 10 0.0) in
   Alcotest.(check bool) "not claimed converged" true
@@ -97,6 +97,63 @@ let test_dense_size_guards () =
   Alcotest.(check (array (float 0.0))) "in-range solve" [| 1.0; 2.0; 3.0 |]
     (solve (identity 3) [| 1.0; 2.0; 3.0 |])
 
+let test_cg_length_guard () =
+  let op u y = Array.blit u 0 y 0 (Array.length u) in
+  expect_invalid_naming "cg" [ "Krylov.cg"; "3"; "2" ] (fun () ->
+      Linalg.Krylov.cg ~op [| 1.0; 2.0; 3.0 |] [| 0.0; 0.0 |]);
+  let r = Linalg.Krylov.cg ~op [| 1.0; 2.0 |] [| 0.0; 0.0 |] in
+  Alcotest.(check (array (float 0.0))) "identity solve" [| 1.0; 2.0 |]
+    r.Linalg.Krylov.x
+
+let test_csr_size_guards () =
+  let open Linalg.Csr in
+  expect_invalid_naming "of_triplets" [ "Csr.of_triplets"; "(1, 3)"; "2x3" ]
+    (fun () -> of_triplets ~m:2 ~n:3 [ (0, 0, 1.0); (1, 3, 1.0) ]);
+  let a = laplacian_2d 2 3 in
+  let x = Array.make 6 1.0 and short = Array.make 5 0.0 in
+  expect_invalid_naming "spmv_into" [ "Csr.spmv_into"; "5"; "6"; "6x6" ]
+    (fun () -> spmv_into a short x);
+  expect_invalid_naming "spmv_seq_into"
+    [ "Csr.spmv_seq_into"; "6"; "5"; "6x6" ] (fun () ->
+      spmv_seq_into a x short);
+  expect_invalid_naming "spmv" [ "Csr.spmv_into"; "5"; "6x6" ] (fun () ->
+      spmv a short);
+  let b = of_triplets ~m:5 ~n:2 [ (0, 0, 1.0) ] in
+  expect_invalid_naming "matmul" [ "Csr.matmul"; "6x6 times 5x2" ] (fun () ->
+      matmul a b);
+  expect_invalid_naming "scale_rows" [ "Csr.scale_rows"; "5"; "6" ]
+    (fun () -> scale_rows a short);
+  Alcotest.(check (array (float 0.0))) "in-range spmv"
+    [| 2.0; 2.0; 1.0; 1.0; 2.0; 2.0 |]
+    (spmv a x)
+
+let test_stats_guards () =
+  let open Icoe_util.Stats in
+  expect_invalid_naming "min_max" [ "Stats.min_max"; "empty" ] (fun () ->
+      min_max [||]);
+  expect_invalid_naming "percentile, empty" [ "Stats.percentile"; "empty" ]
+    (fun () -> percentile [||] 0.5);
+  expect_invalid_naming "percentile, p" [ "Stats.percentile"; "1.5" ]
+    (fun () -> percentile_sorted [| 1.0 |] 1.5);
+  expect_invalid_naming "percentile, nan" [ "Stats.percentile"; "nan" ]
+    (fun () -> percentile_sorted [| 1.0 |] Float.nan);
+  expect_invalid_naming "rel_l2_error" [ "Stats.rel_l2_error"; "3"; "2" ]
+    (fun () -> rel_l2_error [| 1.0; 2.0; 3.0 |] [| 1.0; 2.0 |]);
+  expect_invalid_naming "max_abs_diff" [ "Stats.max_abs_diff"; "2"; "3" ]
+    (fun () -> max_abs_diff [| 1.0; 2.0 |] [| 1.0; 2.0; 3.0 |]);
+  Alcotest.(check (float 0.0)) "max_abs_diff" 1.0
+    (max_abs_diff [| 1.0; 2.0 |] [| 1.0; 3.0 |])
+
+(* the SIMP operator reads its vectors unchecked past one length test *)
+let test_topopt_apply_guard () =
+  let s = Opt.Topopt.stencil (Opt.Topopt.create ~nx:3 ~ny:2 ()) in
+  expect_invalid_naming "apply" [ "Topopt.apply"; "5"; "6"; "3x2" ]
+    (fun () -> Opt.Topopt.apply s (Array.make 5 0.0) (Array.make 6 0.0));
+  let u = Array.make 6 1.0 and y = Array.make 6 0.0 in
+  Opt.Topopt.apply s u y;
+  Alcotest.(check bool) "constant field: sinks 1, elsewhere 0" true
+    (Array.for_all (fun v -> v = 0.0 || v = 1.0) y)
+
 (* --- sundials --- *)
 
 let test_bdf_too_much_work () =
@@ -177,7 +234,7 @@ let test_cg_singular_projection_stays_finite () =
      unguarded alpha = rr / pap division poisoned x with inf/nan; the guard
      must bail immediately with a finite x and converged = false. *)
   let n = 6 in
-  let op x = Array.mapi (fun i v -> if i = n - 1 then 0.0 else v) x in
+  let op x y = Array.iteri (fun i v -> y.(i) <- (if i = n - 1 then 0.0 else v)) x in
   let b = Array.init n (fun i -> if i = n - 1 then 1.0 else 0.0) in
   let r = Linalg.Krylov.cg ~max_iter:20 ~op b (Array.make n 0.0) in
   Alcotest.(check bool) "not converged" false r.Linalg.Krylov.converged;
@@ -445,6 +502,10 @@ let () =
             test_cg_singular_projection_stays_finite;
           Alcotest.test_case "vec length guards" `Quick test_vec_length_guards;
           Alcotest.test_case "dense size guards" `Quick test_dense_size_guards;
+          Alcotest.test_case "cg length guard" `Quick test_cg_length_guard;
+          Alcotest.test_case "csr size guards" `Quick test_csr_size_guards;
+          Alcotest.test_case "stats guards" `Quick test_stats_guards;
+          Alcotest.test_case "topopt apply guard" `Quick test_topopt_apply_guard;
         ] );
       ("sundials", [ Alcotest.test_case "too much work" `Quick test_bdf_too_much_work ]);
       ( "fft",

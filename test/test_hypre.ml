@@ -156,7 +156,7 @@ let test_amg_pcg_beats_plain_cg () =
   let x0 = Array.make (Array.length b) 0.0 in
   let amg = Hypre.Boomeramg.setup a in
   let r_amg = Hypre.Boomeramg.pcg_solve ~tol:1e-10 amg b x0 in
-  let r_cg = Linalg.Krylov.cg ~tol:1e-10 ~max_iter:5000 ~op:(Linalg.Csr.spmv a) b x0 in
+  let r_cg = Linalg.Krylov.cg ~tol:1e-10 ~max_iter:5000 ~op:(Linalg.Csr.spmv_into a) b x0 in
   Alcotest.(check bool) "amg-pcg converged" true r_amg.Linalg.Krylov.converged;
   Alcotest.(check bool) "amg-pcg needs fewer iterations" true
     (r_amg.Linalg.Krylov.iters * 3 < r_cg.Linalg.Krylov.iters)

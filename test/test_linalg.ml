@@ -161,7 +161,7 @@ let test_cg_on_laplacian () =
   let a, b, x_true = laplacian_system 12 in
   let it0 = metric_value "krylov_iterations_total" [ ("method", "cg") ] in
   let sv0 = metric_value "krylov_solves_total" [ ("method", "cg") ] in
-  let r = Krylov.cg ~tol:1e-12 ~max_iter:2000 ~op:(Csr.spmv a) b
+  let r = Krylov.cg ~tol:1e-12 ~max_iter:2000 ~op:(Csr.spmv_into a) b
       (Array.make (Array.length b) 0.0)
   in
   Alcotest.(check bool) "converged" true r.Krylov.converged;
@@ -178,7 +178,7 @@ let test_pcg_jacobi_faster () =
   let a, b, _ = laplacian_system 16 in
   let d = Csr.diag a in
   let x0 = Array.make (Array.length b) 0.0 in
-  let plain = Krylov.cg ~tol:1e-10 ~max_iter:5000 ~op:(Csr.spmv a) b x0 in
+  let plain = Krylov.cg ~tol:1e-10 ~max_iter:5000 ~op:(Csr.spmv_into a) b x0 in
   let pre =
     Krylov.pcg ~tol:1e-10 ~max_iter:5000 ~op:(Csr.spmv a)
       ~precond:(fun r -> Array.mapi (fun i ri -> ri /. d.(i)) r)
@@ -296,6 +296,55 @@ let prop_spmv_par_bits_exact =
       Csr.spmv_seq_into a x y_seq;
       bits_equal_arrays y_par y_seq)
 
+(* [a] + sigma I, on a copy *)
+let shift_diag (a : Csr.t) sigma =
+  let values = Icoe_util.Fbuf.copy a.Csr.values in
+  for i = 0 to a.Csr.m - 1 do
+    for k = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
+      if a.Csr.col_idx.(k) = i then
+        Icoe_util.Fbuf.set values k (Icoe_util.Fbuf.get values k +. sigma)
+    done
+  done;
+  { a with Csr.values }
+
+(* The in-place, fused CG against [Ref_cg] bit for bit: 2D and 3D
+   Laplacians from a single cell up, diagonal shifts (a negative one
+   makes the operator indefinite, so the curvature bail-out runs too),
+   random right-hand sides and starts, tolerances down to 0, which runs
+   to [max_iter] *)
+let prop_cg_matches_reference =
+  QCheck.Test.make ~name:"in-place cg bit-identical to the reference"
+    ~count:200
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Icoe_util.Rng.create seed in
+      let dim k = 1 + Icoe_util.Rng.int rng k in
+      let a =
+        if Icoe_util.Rng.float rng < 0.5 then Csr.laplacian_2d (dim 24) (dim 24)
+        else Csr.laplacian_3d (dim 8) (dim 8) (dim 8)
+      in
+      let a =
+        match Icoe_util.Rng.int rng 3 with
+        | 0 -> a
+        | 1 -> shift_diag a (Icoe_util.Rng.uniform rng 0.0 2.0)
+        | _ -> shift_diag a (Icoe_util.Rng.uniform rng (-8.0) 0.0)
+      in
+      let n = a.Csr.m in
+      let b = Array.init n (fun _ -> Icoe_util.Rng.uniform rng (-1.0) 1.0) in
+      let x0 =
+        if Icoe_util.Rng.float rng < 0.5 then Array.make n 0.0
+        else Array.init n (fun _ -> Icoe_util.Rng.uniform rng (-1.0) 1.0)
+      in
+      let tol = [| 1e-2; 1e-6; 1e-10; 1e-14; 0.0 |].(Icoe_util.Rng.int rng 5) in
+      let max_iter = Icoe_util.Rng.int rng 300 in
+      let r = Krylov.cg ~tol ~max_iter ~op:(Csr.spmv_into a) b x0 in
+      let o = Ref_cg.cg ~tol ~max_iter ~op:(Csr.spmv a) b x0 in
+      let bits = Int64.bits_of_float in
+      Array.map bits r.Krylov.x = Array.map bits o.Krylov.x
+      && r.Krylov.iters = o.Krylov.iters
+      && bits r.Krylov.residual = bits o.Krylov.residual
+      && r.Krylov.converged = o.Krylov.converged)
+
 let () =
   Alcotest.run "linalg"
     [
@@ -333,5 +382,6 @@ let () =
           Alcotest.test_case "gmres" `Quick test_gmres_nonsymmetric;
           Alcotest.test_case "bicgstab" `Quick test_bicgstab_nonsymmetric;
           Alcotest.test_case "gmres precond" `Quick test_gmres_with_preconditioner;
+          QCheck_alcotest.to_alcotest prop_cg_matches_reference;
         ] );
     ]

@@ -488,6 +488,31 @@ let prop_core_matches_list_oracle =
       trace_core (fun ~check -> Scheduler.Core.run ~check) ~pool policy jobs
       = trace_core (fun ~check -> Ref_core.run ~check) ~pool policy jobs)
 
+(* EASY on an overloaded queue: everything arrives at t = 0, so the
+   queue is hundreds deep and most picks are blocked ones; wide pools
+   give many width classes between the spare units and the free ones,
+   where the candidate search walks a bucket only up to the best job
+   found so far *)
+let prop_core_matches_oracle_overloaded =
+  let gen =
+    QCheck.Gen.(
+      let* pool = int_range 1 32 in
+      let* n = int_range 0 300 in
+      let job id =
+        let* width = int_range 1 (pool + 1) in
+        let* est = map (fun k -> 0.5 *. float_of_int (k + 1)) (int_bound 11) in
+        let* stretch = oneofl [ 1.0; 1.0; 1.5; 0.5 ] in
+        return (id, width, 0.0, est, est *. stretch)
+      in
+      let* jobs = flatten_l (List.init n job) in
+      return (pool, jobs))
+  in
+  QCheck.Test.make ~name:"core matches the oracle on overloaded EASY queues"
+    ~count:100 (QCheck.make gen) (fun (pool, jobs) ->
+      let policy = Scheduler.Core.Easy_backfill in
+      trace_core (fun ~check -> Scheduler.Core.run ~check) ~pool policy jobs
+      = trace_core (fun ~check -> Ref_core.run ~check) ~pool policy jobs)
+
 (* --- topopt --- *)
 
 let test_topopt_volume_constraint () =
@@ -576,7 +601,7 @@ module Ref_topopt = struct
       apply t u y;
       Array.copy y
     in
-    let r = Linalg.Krylov.cg ~tol ~max_iter:(8 * n) ~op b (Array.make n 0.0) in
+    let r = Ref_cg.cg ~tol ~max_iter:(8 * n) ~op b (Array.make n 0.0) in
     t.cg_iters_total <- t.cg_iters_total + r.Linalg.Krylov.iters;
     (r.Linalg.Krylov.x, r.Linalg.Krylov.iters)
 
@@ -671,9 +696,56 @@ let test_topopt_matches_oracle () =
   let n = 20 * 16 in
   let u = Array.init n (fun k -> sin (float_of_int k)) in
   let y = Array.make n 0.0 and y' = Array.make n 0.0 in
-  Topopt.apply t ~cond:(Topopt.conductivities t) u y;
+  Topopt.apply (Topopt.stencil t) u y;
   Ref_topopt.apply o u y';
   Alcotest.(check bool) "apply" true (bits y = bits y')
+
+(* The stencil operator and the in-place CG against the closure-based
+   operator and [Ref_cg] on grids that hit every branch: a lone sink
+   (1x1), a single column or row (no interior, sinks on the row), the
+   smallest interiors and the harness's 20x16, at random densities and
+   exponents. One input is all -0.0, where an interior sum that did not
+   start from 0.0 flips the sign of every output. *)
+let topopt_grids =
+  [ (1, 1); (1, 5); (5, 1); (2, 2); (3, 3); (7, 5); (20, 16); (33, 17) ]
+
+let prop_topopt_stencil_matches_oracle =
+  QCheck.Test.make ~name:"stencil and in-place cg match the oracle" ~count:1
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Icoe_util.Rng.create seed in
+      let bits a = Array.map Int64.bits_of_float a in
+      List.for_all
+        (fun (nx, ny) ->
+          let n = nx * ny in
+          let penal = Icoe_util.Rng.uniform rng 1.0 5.0 in
+          let rho =
+            Array.init n (fun _ -> Icoe_util.Rng.uniform rng Topopt.rho_min 1.0)
+          in
+          let design () =
+            let t = Topopt.create ~penal ~nx ~ny () in
+            Array.blit rho 0 t.Topopt.rho 0 n;
+            t
+          in
+          let t = design () and o = design () in
+          let applies_match u =
+            let y = Array.make n 0.0 and y' = Array.make n 0.0 in
+            Topopt.apply (Topopt.stencil t) u y;
+            Ref_topopt.apply o u y';
+            bits y = bits y'
+          in
+          let x, it = Topopt.solve_state t
+          and x', it' = Ref_topopt.solve_state o in
+          let ht = Topopt.optimize ~iters:40 t
+          and ho = Ref_topopt.optimize ~iters:40 o in
+          let u = Array.init n (fun _ -> Icoe_util.Rng.uniform rng (-1.0) 1.0) in
+          applies_match u
+          && applies_match (Array.make n (-0.0))
+          && bits x = bits x' && it = it'
+          && bits ht = bits ho
+          && bits t.Topopt.rho = bits o.Topopt.rho
+          && t.Topopt.cg_iters_total = o.Topopt.cg_iters_total)
+        topopt_grids)
 
 let test_texture_cache_story () =
   (* Sec 4.7: texture path matters on the EA system (P100), not on Volta *)
@@ -1028,6 +1100,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_backfill_never_delays_head;
           QCheck_alcotest.to_alcotest prop_quota_share_bounded;
           QCheck_alcotest.to_alcotest prop_core_matches_list_oracle;
+          QCheck_alcotest.to_alcotest prop_core_matches_oracle_overloaded;
         ] );
       ( "topopt",
         [
@@ -1037,6 +1110,7 @@ let () =
           Alcotest.test_case "texture cache" `Quick test_texture_cache_story;
           Alcotest.test_case "flat loops match the oracle" `Quick
             test_topopt_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_topopt_stencil_matches_oracle;
         ] );
       ( "paradyn",
         [

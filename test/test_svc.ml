@@ -180,6 +180,23 @@ let test_pinned_runs () =
       Alcotest.(check string) (Cluster.policy_name pol) expected (run_digest m))
     policies pinned_digests
 
+(* EASY at three times capacity, under the shadow check: the queue grows
+   hundreds deep, so most picks are blocked ones that search for a
+   backfill candidate across many width classes. The digest was
+   recorded with the candidate found by walking the whole wait queue in
+   insertion order. *)
+let test_overloaded_easy_digest () =
+  let jobs = stream ~seed:23 ~mult:3.0 ~horizon:4000.0 in
+  let m =
+    Cluster.simulate ~check:true ~nodes ~classes Cluster.Easy_backfill jobs
+  in
+  let depth =
+    List.fold_left (fun d (_, q, _) -> max d q) 0 m.Cluster.samples
+  in
+  Alcotest.(check bool) (Fmt.str "queue %d deep" depth) true (depth >= 200);
+  Alcotest.(check string) "EASY-backfill" "0dacd8aa69dc0713b3008cb761053beb"
+    (run_digest m)
+
 let prop_svc_conservation =
   QCheck.Test.make ~name:"svc policies complete every submitted job"
     ~count:10
@@ -212,6 +229,8 @@ let () =
             test_backfill_beats_fcfs;
           Alcotest.test_case "saturation" `Quick test_saturation_contract;
           Alcotest.test_case "pinned runs" `Quick test_pinned_runs;
+          Alcotest.test_case "overloaded easy digest" `Quick
+            test_overloaded_easy_digest;
           QCheck_alcotest.to_alcotest prop_svc_conservation;
         ] );
     ]
