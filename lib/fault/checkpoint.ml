@@ -95,14 +95,15 @@ let run ~plan ?(start = 0.0) ?(restart_cost_s = 0.0) ?trace ~step_cost_s
         incr injected;
         Metrics.inc m_injected;
         if Icoe_obs.Events.enabled () then
-          Icoe_obs.Events.(
-            emit ~t_s:f.Plan.at ~kind:"fault" ~source:"fault/checkpoint"
+          Icoe_obs.Events.emit ~t_s:f.Plan.at ~kind:"fault"
+            ~source:"fault/checkpoint"
+            Icoe_util.Json.
               [
-                ("fault", S "node-failure");
-                ("lost_steps", I (!completed - !ck_step));
-                ("downtime_s", F f.Plan.downtime);
-                ("restart_s", F restart_cost_s);
-              ]);
+                ("fault", Str "node-failure");
+                ("lost_steps", Num (float_of_int (!completed - !ck_step)));
+                ("downtime_s", Num f.Plan.downtime);
+                ("restart_s", Num restart_cost_s);
+              ];
         flush ();
         charge "fault:lost-step" partial;
         charge "fault:downtime" f.Plan.downtime;
@@ -138,13 +139,14 @@ let run ~plan ?(start = 0.0) ?(restart_cost_s = 0.0) ?trace ~step_cost_s
           incr checkpoints;
           Metrics.inc m_checkpoints;
           if Icoe_obs.Events.enabled () then
-            Icoe_obs.Events.(
-              emit ~t_s:!t ~kind:"fault" ~source:"fault/checkpoint"
+            Icoe_obs.Events.emit ~t_s:!t ~kind:"fault"
+              ~source:"fault/checkpoint"
+              Icoe_util.Json.
                 [
-                  ("fault", S "checkpoint");
-                  ("at_step", I !completed);
-                  ("cost_s", F checkpoint_cost_s);
-                ])
+                  ("fault", Str "checkpoint");
+                  ("at_step", Num (float_of_int !completed));
+                  ("cost_s", Num checkpoint_cost_s);
+                ]
         end
   done;
   flush ();

@@ -57,9 +57,9 @@ let kernel_time_with_faults plan ~now ?eff ?lanes_used device kernel =
    extra seconds a fault added on top of the clean price). *)
 let emit_fault_event ~t_s ~fault ~phase extra_s =
   if Icoe_obs.Events.enabled () then
-    Icoe_obs.Events.(
-      emit ~t_s ~kind:"fault" ~source:"fault/inject"
-        [ ("fault", S fault); ("phase", S phase); ("extra_s", F extra_s) ])
+    Icoe_obs.Events.emit ~t_s ~kind:"fault" ~source:"fault/inject"
+      Icoe_util.Json.
+        [ ("fault", Str fault); ("phase", Str phase); ("extra_s", Num extra_s) ]
 
 let charge_transfer plan trace ?device ~phase l ~bytes =
   let now = Trace.now trace in

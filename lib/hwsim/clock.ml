@@ -17,12 +17,15 @@ let reset t =
   Hashtbl.reset t.phases;
   t.order <- []
 
+let reject_dt fn dt =
+  invalid_arg (Printf.sprintf "Clock.%s: dt = %g is not >= 0" fn dt)
+
 (** Charge [dt] seconds to [phase]'s breakdown without advancing the
     total. The stream scheduler uses this for overlapped work: each
     item's busy seconds stay attributed to its phase while the total
     only advances by the DAG's critical path (see {!advance}). *)
 let attribute t ~phase dt =
-  assert (dt >= 0.0);
+  if not (dt >= 0.0) then reject_dt "attribute" dt;
   match Hashtbl.find_opt t.phases phase with
   | Some r -> r := !r +. dt
   | None ->
@@ -31,12 +34,12 @@ let attribute t ~phase dt =
 
 (** Advance the total by [dt] seconds without charging any phase. *)
 let advance t dt =
-  assert (dt >= 0.0);
+  if not (dt >= 0.0) then reject_dt "advance" dt;
   t.total <- t.total +. dt
 
 (** Charge [dt] seconds to [phase]. *)
 let tick t ~phase dt =
-  assert (dt >= 0.0);
+  if not (dt >= 0.0) then reject_dt "tick" dt;
   t.total <- t.total +. dt;
   match Hashtbl.find_opt t.phases phase with
   | Some r -> r := !r +. dt

@@ -10,7 +10,9 @@ val create : unit -> t
 val reset : t -> unit
 
 val tick : t -> phase:string -> float -> unit
-(** Charge nonnegative seconds to a named phase. *)
+(** Charge nonnegative seconds to a named phase. Like {!attribute} and
+    {!advance}, raises [Invalid_argument] naming [dt] unless [dt >= 0]
+    (NaN included). *)
 
 val attribute : t -> phase:string -> float -> unit
 (** Charge nonnegative seconds to a phase's breakdown WITHOUT advancing

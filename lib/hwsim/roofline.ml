@@ -15,8 +15,11 @@ type efficiency = {
 }
 
 let eff ?(compute = 1.0) ?(bandwidth = 1.0) () =
-  assert (compute > 0.0 && compute <= 1.0);
-  assert (bandwidth > 0.0 && bandwidth <= 1.0);
+  if not (compute > 0.0 && compute <= 1.0) then
+    invalid_arg (Printf.sprintf "Roofline.eff: compute = %g outside (0, 1]" compute);
+  if not (bandwidth > 0.0 && bandwidth <= 1.0) then
+    invalid_arg
+      (Printf.sprintf "Roofline.eff: bandwidth = %g outside (0, 1]" bandwidth);
   { compute; bandwidth }
 
 let default_eff = { compute = 0.6; bandwidth = 0.75 }
@@ -35,7 +38,10 @@ let time_and_bound ?(eff = default_eff) ?lanes_used (d : Device.t)
     match lanes_used with
     | None -> 1.0
     | Some l ->
-        assert (l > 0 && l <= d.Device.lanes);
+        if not (l > 0 && l <= d.Device.lanes) then
+          invalid_arg
+            (Printf.sprintf "Roofline.time_and_bound: lanes_used = %d outside 1..%d on %s"
+               l d.Device.lanes d.Device.name);
         float_of_int l /. float_of_int d.Device.lanes
   in
   let peak = d.Device.peak_gflops *. 1e9 *. eff.compute *. lane_frac in

@@ -13,7 +13,8 @@ type efficiency = {
 }
 
 val eff : ?compute:float -> ?bandwidth:float -> unit -> efficiency
-(** Build an efficiency profile (defaults 1.0); values are validated. *)
+(** Build an efficiency profile (defaults 1.0). Raises [Invalid_argument]
+    naming the value when either fraction is outside (0, 1]. *)
 
 val default_eff : efficiency
 (** compute 0.6, bandwidth 0.75 — a competent hand-tuned kernel. *)
@@ -23,7 +24,8 @@ type bound = Compute_bound | Bandwidth_bound
 val time : ?eff:efficiency -> ?lanes_used:int -> Device.t -> Kernel.t -> float
 (** Execution seconds of a kernel on a device. [lanes_used] (default all)
     idles part of the chip, scaling both roofs — how the Cretin
-    memory-constrained core-idling case is modelled. *)
+    memory-constrained core-idling case is modelled. Raises
+    [Invalid_argument] unless [0 < lanes_used <= d.lanes]. *)
 
 val time_and_bound :
   ?eff:efficiency -> ?lanes_used:int -> Device.t -> Kernel.t -> float * bound

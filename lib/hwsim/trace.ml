@@ -85,20 +85,20 @@ let with_span t ?device name f =
    [enabled] check keeps the disabled path to one branch. *)
 let emit_span_event ?device ?(flops = 0.0) ?(bytes = 0.0) ~phase ~start dur =
   if Icoe_obs.Events.enabled () then begin
-    let open Icoe_obs.Events in
-    let fields = [ ("phase", S phase); ("dur_s", F dur) ] in
+    let open Icoe_util.Json in
+    let fields = [ ("phase", Str phase); ("dur_s", Num dur) ] in
     let fields =
       match device with
-      | Some d -> ("device", S d) :: fields
+      | Some d -> ("device", Str d) :: fields
       | None -> fields
     in
     let fields =
-      if flops > 0.0 then fields @ [ ("flops", F flops) ] else fields
+      if flops > 0.0 then fields @ [ ("flops", Num flops) ] else fields
     in
     let fields =
-      if bytes > 0.0 then fields @ [ ("bytes", F bytes) ] else fields
+      if bytes > 0.0 then fields @ [ ("bytes", Num bytes) ] else fields
     in
-    emit ~t_s:start ~kind:"span" ~source:"hwsim/trace" fields
+    Icoe_obs.Events.emit ~t_s:start ~kind:"span" ~source:"hwsim/trace" fields
   end
 
 let charge t ?device ~phase dt =
@@ -287,14 +287,19 @@ let span_table ?(title = "top spans") ?(n = 5) t =
 (* --- Chrome trace-event export --- *)
 
 (* One Chrome "complete" (ph:"X") event per span; ts/dur are simulated
-   microseconds. One process per trace, one thread per device. *)
-let add_events buf ~pid ~pname t =
-  let add fmt = Fmt.kstr (fun s -> Buffer.add_string buf s) fmt in
-  let sep () = if Buffer.length buf > 1 then Buffer.add_string buf ",\n" in
-  sep ();
-  add
-    {|{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"%s"}}|}
-    pid (Icoe_util.Json.escape pname);
+   microseconds. One process per trace, one thread per device. Events
+   are consed onto [acc] newest first. *)
+let add_events acc ~pid ~pname t =
+  let open Icoe_util.Json in
+  let num i = Num (float_of_int i) in
+  let push e = acc := e :: !acc in
+  let meta name ~tid value =
+    push
+      (Obj
+         [ ("name", Str name); ("ph", Str "M"); ("pid", num pid);
+           ("tid", num tid); ("args", Obj [ ("name", Str value) ]) ])
+  in
+  meta "process_name" ~tid:0 pname;
   let tids = Hashtbl.create 8 in
   Hashtbl.add tids "-" 0;
   let tid_of sp =
@@ -304,34 +309,22 @@ let add_events buf ~pid ~pname t =
     | None ->
         let i = Hashtbl.length tids in
         Hashtbl.add tids dev i;
-        sep ();
-        add
-          {|{"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"%s"}}|}
-          pid i (Icoe_util.Json.escape dev);
+        meta "thread_name" ~tid:i dev;
         i
   in
   let emit sp ~tid =
-    sep ();
-    add {|{"name":"%s","cat":"sim","ph":"X","ts":%.6f,"dur":%.6f,"pid":%d,"tid":%d|}
-      (Icoe_util.Json.escape sp.name)
-      (sp.start *. 1e6)
-      (duration sp *. 1e6)
-      pid tid;
-    add {|,"args":{|};
-    let first = ref true in
-    let arg fmt =
-      if !first then first := false else Buffer.add_char buf ',';
-      add fmt
+    let positive key v = if v > 0.0 then [ (key, Num v) ] else [] in
+    let some key f = function Some v -> [ (key, f v) ] | None -> [] in
+    let args =
+      positive "flops" sp.flops @ positive "bytes" sp.bytes
+      @ some "bound" (fun b -> Str (bound_name (Some b))) sp.bound
+      @ some "bw_utilization" (fun u -> Num u) sp.bw_util
     in
-    if sp.flops > 0.0 then arg {|"flops":%.6g|} sp.flops;
-    if sp.bytes > 0.0 then arg {|"bytes":%.6g|} sp.bytes;
-    (match sp.bound with
-    | Some b -> arg {|"bound":"%s"|} (bound_name (Some b))
-    | None -> ());
-    (match sp.bw_util with
-    | Some u -> arg {|"bw_utilization":%.4f|} u
-    | None -> ());
-    add "}}"
+    push
+      (Obj
+         [ ("name", Str sp.name); ("cat", Str "sim"); ("ph", Str "X");
+           ("ts", Num (sp.start *. 1e6)); ("dur", Num (duration sp *. 1e6));
+           ("pid", num pid); ("tid", num tid); ("args", Obj args) ])
   in
   let rec walk parent_tid sp =
     (* children inherit the enclosing span's thread unless they name a
@@ -344,11 +337,9 @@ let add_events buf ~pid ~pname t =
   List.iter (walk 0) (List.rev t.root.children)
 
 let chrome_json_of_many traces =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  List.iteri (fun pid (name, t) -> add_events buf ~pid ~pname:name t) traces;
-  Buffer.add_string buf "\n]\n";
-  Buffer.contents buf
+  let acc = ref [] in
+  List.iteri (fun pid (name, t) -> add_events acc ~pid ~pname:name t) traces;
+  Icoe_util.Json.(to_string (Arr (List.rev !acc)))
 
 let to_chrome_json t = chrome_json_of_many [ (t.root.name, t) ]
 

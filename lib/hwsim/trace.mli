@@ -138,7 +138,10 @@ val span_table : ?title:string -> ?n:int -> t -> Icoe_util.Table.t
 val chrome_json_of_many : (string * t) list -> string
 (** Merge named traces into one Chrome trace-event JSON document (one
     process per trace, one thread per device), loadable in
-    [chrome://tracing] / Perfetto. Timestamps are simulated microseconds. *)
+    [chrome://tracing] / Perfetto. Timestamps are simulated microseconds.
+    The document is an {!Icoe_util.Json.Arr} of event objects rendered by
+    {!Icoe_util.Json.to_string}, one event per line; a non-finite
+    duration or kernel attribute is written as [null]. *)
 
 val to_chrome_json : t -> string
 (** [chrome_json_of_many] for a single trace. *)

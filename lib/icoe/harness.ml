@@ -89,7 +89,7 @@ let emit_metric_events id samples =
   if Icoe_obs.Events.enabled () then
     List.iter
       (fun (s : Icoe_obs.Metrics.sample) ->
-        let open Icoe_obs.Events in
+        let open Icoe_util.Json in
         let value, mtype =
           match s.Icoe_obs.Metrics.value with
           | Icoe_obs.Metrics.Counter v -> (v, "counter")
@@ -98,11 +98,11 @@ let emit_metric_events id samples =
               (h.Icoe_obs.Metrics.sum, "histogram")
         in
         let label_fields =
-          List.map (fun (k, v) -> ("label_" ^ k, S v)) s.Icoe_obs.Metrics.labels
+          List.map (fun (k, v) -> ("label_" ^ k, Str v)) s.Icoe_obs.Metrics.labels
         in
-        emit ~kind:"metric" ~source:("harness/" ^ id)
-          ([ ("name", S s.Icoe_obs.Metrics.name); ("mtype", S mtype);
-             ("value", F value) ]
+        Icoe_obs.Events.emit ~kind:"metric" ~source:("harness/" ^ id)
+          ([ ("name", Str s.Icoe_obs.Metrics.name); ("mtype", Str mtype);
+             ("value", Num value) ]
           @ label_fields))
       samples
 
@@ -138,8 +138,8 @@ let run_isolated h =
   | o -> o
   | exception e ->
       let msg = Printexc.to_string e in
-      Icoe_obs.Events.(
-        emit ~kind:"error" ~source:("harness/" ^ h.id) [ ("exn", S msg) ]);
+      Icoe_obs.Events.emit ~kind:"error" ~source:("harness/" ^ h.id)
+        [ ("exn", Icoe_util.Json.Str msg) ];
       {
         report = section (h.id ^ " failed") ("raised " ^ msg);
         traces = []; metrics = []; rows = [];

@@ -5,7 +5,7 @@
     job lifecycle. Each event is a single JSON object on its own line:
 
     {v
-    {"seq":N,"t_s":X,"kind":"...","source":"...",...fields}
+    {"seq": N, "t_s": X, "kind": "...", "source": "...", ...fields}
     v}
 
     [seq] is a monotonically increasing per-process counter (so a
@@ -16,18 +16,6 @@
     or via the [ICOE_EVENTS=path] environment variable checked on first
     use. Events emitted from inside an {!Icoe_par.Pool} parallel job are
     silently dropped rather than racing on the shared channel. *)
-
-type field =
-  | S of string
-  | F of float
-  | I of int
-  | B of bool
-
-let field_json = function
-  | S s -> Fmt.str "\"%s\"" (Icoe_util.Json.escape s)
-  | F f -> Icoe_util.Json.number f
-  | I i -> string_of_int i
-  | B b -> if b then "true" else "false"
 
 type sink = { write : string -> unit; close : unit -> unit }
 
@@ -79,21 +67,15 @@ let reset_seq () = seq := 0
 let emit ?t_s ~kind ~source fields =
   if enabled () then begin
     let sink = Option.get !current in
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf (Fmt.str "{\"seq\":%d" !seq);
+    let open Icoe_util.Json in
+    let t_s =
+      match t_s with Some t when Float.is_finite t -> [ ("t_s", Num t) ] | _ -> []
+    in
+    let head = ("seq", Num (float_of_int !seq)) :: t_s in
     incr seq;
-    (match t_s with
-    | Some t when Float.is_finite t ->
-        Buffer.add_string buf (Fmt.str ",\"t_s\":%.17g" t)
-    | _ -> ());
-    Buffer.add_string buf
-      (Fmt.str ",\"kind\":\"%s\",\"source\":\"%s\"" (Icoe_util.Json.escape kind)
-         (Icoe_util.Json.escape source));
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf
-          (Fmt.str ",\"%s\":%s" (Icoe_util.Json.escape k) (field_json v)))
-      fields;
-    Buffer.add_char buf '}';
-    sink.write (Buffer.contents buf)
+    let line =
+      to_string (Obj (head @ (("kind", Str kind) :: ("source", Str source) :: fields)))
+    in
+    (* a flat object renders on one line; drop the document's newline *)
+    sink.write (String.sub line 0 (String.length line - 1))
   end

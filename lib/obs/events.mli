@@ -4,7 +4,7 @@
     single JSON object on its own line,
 
     {v
-    {"seq":N,"t_s":X,"kind":"...","source":"...",...fields}
+    {"seq": N, "t_s": X, "kind": "...", "source": "...", ...fields}
     v}
 
     where [seq] is a monotone per-process counter, [t_s] the simulated
@@ -24,20 +24,22 @@
     Events emitted from inside an {!Icoe_par.Pool} parallel job are
     silently dropped rather than racing on the shared channel. *)
 
-type field =
-  | S of string  (** JSON string (escaped) *)
-  | F of float  (** JSON number; non-finite values emit [null] *)
-  | I of int
-  | B of bool
-
 val enabled : unit -> bool
 (** A sink is installed and we are not inside a parallel job. Check
     this before building an expensive field list. *)
 
 val emit :
-  ?t_s:float -> kind:string -> source:string -> (string * field) list -> unit
-(** Append one event line. No-op when {!enabled} is false. Field keys
-    should not collide with the built-in [seq]/[t_s]/[kind]/[source]. *)
+  ?t_s:float ->
+  kind:string ->
+  source:string ->
+  (string * Icoe_util.Json.t) list ->
+  unit
+(** Append one event line: [Icoe_util.Json.to_string] of one flat
+    object, so strings are escaped and non-finite numbers are [null].
+    Field values should be scalars (an int goes in as
+    [Num (float_of_int i)]) so the object stays on one line. No-op when
+    {!enabled} is false. Field keys should not collide with the built-in
+    [seq]/[t_s]/[kind]/[source]. *)
 
 val to_file : string -> unit
 (** Install a file sink (replacing any current sink). The caller — or

@@ -266,35 +266,31 @@ let reset ?(registry = default) () =
 
 (* --- exposition --- *)
 
-let json_float = Icoe_util.Json.number
-
-let json_string s = Fmt.str {|"%s"|} (Icoe_util.Json.escape s)
-
 let to_json ?(registry = default) () =
-  let buf = Buffer.create 2048 in
-  let add fmt = Fmt.kstr (fun s -> Buffer.add_string buf s) fmt in
-  add "{\"metrics\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then add ",";
-      add "\n{\"name\":%s" (json_string s.name);
-      add ",\"labels\":{%s}"
-        (String.concat ","
-           (List.map
-              (fun (k, v) -> Fmt.str "%s:%s" (json_string k) (json_string v))
-              s.labels));
-      (match s.value with
-      | Counter v -> add ",\"type\":\"counter\",\"value\":%s" (json_float v)
-      | Gauge v -> add ",\"type\":\"gauge\",\"value\":%s" (json_float v)
+  let open Icoe_util.Json in
+  let sample s =
+    let value =
+      match s.value with
+      | Counter v -> [ ("type", Str "counter"); ("value", Num v) ]
+      | Gauge v -> [ ("type", Str "gauge"); ("value", Num v) ]
       | Histogram h ->
-          add
-            ",\"type\":\"histogram\",\"count\":%d,\"sum\":%s,\"min\":%s,\"max\":%s,\"p50\":%s,\"p90\":%s,\"p99\":%s"
-            h.count (json_float h.sum) (json_float h.hmin) (json_float h.hmax)
-            (json_float h.p50) (json_float h.p90) (json_float h.p99));
-      add "}")
-    (snapshot ~registry ());
-  add "\n]}\n";
-  Buffer.contents buf
+          [
+            ("type", Str "histogram");
+            ("count", Num (float_of_int h.count));
+            ("sum", Num h.sum);
+            ("min", Num h.hmin);
+            ("max", Num h.hmax);
+            ("p50", Num h.p50);
+            ("p90", Num h.p90);
+            ("p99", Num h.p99);
+          ]
+    in
+    Obj
+      (("name", Str s.name)
+      :: ("labels", Obj (List.map (fun (k, v) -> (k, Str v)) s.labels))
+      :: value)
+  in
+  to_string (Obj [ ("metrics", Arr (List.map sample (snapshot ~registry ()))) ])
 
 let render_table ?(registry = default) ?(title = "metrics") () =
   let open Icoe_util in

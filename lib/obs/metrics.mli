@@ -134,8 +134,9 @@ val reset : ?registry:registry -> unit -> unit
 val to_json : ?registry:registry -> unit -> string
 (** JSON document [{"metrics": [...]}] with one object per sample
     (counters/gauges: ["value"]; histograms: count/sum/min/max/p50/p90/
-    p99). Non-finite floats are emitted as [null] so the output is always
-    valid JSON. *)
+    p99), one sample per line. Rendered by {!Icoe_util.Json.to_string},
+    so non-finite floats are [null] and the output is always valid
+    JSON. *)
 
 val render_table : ?registry:registry -> ?title:string -> unit ->
   Icoe_util.Table.t

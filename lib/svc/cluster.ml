@@ -4,6 +4,7 @@
    log. The memoized class price is the core's exact runtime estimate. *)
 
 module Core = Opt.Scheduler.Core
+module Json = Icoe_util.Json
 
 type policy = Core.policy =
   | Fcfs
@@ -71,15 +72,15 @@ let simulate ?check ?topology ?(comm_fraction = 0.2) ~nodes
   let log = ref [] and samples = ref [] in
   let emit_job ev ~t_s (j : Workload.job) fields =
     if Icoe_obs.Events.enabled () then
-      Icoe_obs.Events.(
-        emit ~t_s ~kind:"job" ~source
-          ([
-             ("ev", S ev);
-             ("job", I j.Workload.id);
-             ("class", S classes.(j.Workload.klass).Workload.name);
-             ("nodes", I j.Workload.nodes);
+      Icoe_obs.Events.emit ~t_s ~kind:"job" ~source
+        (Json.
+           [
+             ("ev", Str ev);
+             ("job", Num (float_of_int j.Workload.id));
+             ("class", Str classes.(j.Workload.klass).Workload.name);
+             ("nodes", Num (float_of_int j.Workload.nodes));
            ]
-          @ fields))
+        @ fields)
   in
   let dispatch ~t (j : Workload.job) =
     let n = j.Workload.nodes in
@@ -103,7 +104,7 @@ let simulate ?check ?topology ?(comm_fraction = 0.2) ~nodes
     in
     Hashtbl.replace live j.Workload.id (t, placed);
     emit_job "dispatch" ~t_s:t j
-      [ ("wait_s", F (t -. j.Workload.arrival)); ("service_s", F s) ];
+      [ ("wait_s", Json.Num (t -. j.Workload.arrival)); ("service_s", Json.Num s) ];
     s
   in
   let on_finish ~t (j : Workload.job) =
@@ -113,14 +114,17 @@ let simulate ?check ?topology ?(comm_fraction = 0.2) ~nodes
     Hashtbl.remove live j.Workload.id;
     free_ids := List.merge Int.compare placed !free_ids;
     log := { job = j; dispatched; finished = t; placed } :: !log;
-    emit_job "finish" ~t_s:t j [ ("turnaround_s", F (t -. j.Workload.arrival)) ]
+    emit_job "finish" ~t_s:t j [ ("turnaround_s", Json.Num (t -. j.Workload.arrival)) ]
   in
   let after_event ~t ~depth ~free =
     samples := (t, depth, free) :: !samples;
     if Icoe_obs.Events.enabled () then
-      Icoe_obs.Events.(
-        emit ~t_s:t ~kind:"queue" ~source
-          [ ("depth", I depth); ("free_nodes", I free) ])
+      Icoe_obs.Events.emit ~t_s:t ~kind:"queue" ~source
+        Json.
+          [
+            ("depth", Num (float_of_int depth));
+            ("free_nodes", Num (float_of_int free));
+          ]
   in
   let { Core.makespan; busy; completed; waits } =
     Core.run ?check ~pool:nodes
@@ -173,69 +177,55 @@ let simulate ?check ?topology ?(comm_fraction = 0.2) ~nodes
 (* --- cluster-occupancy Chrome trace: nodes as pids, jobs as spans --- *)
 
 let occupancy_chrome_json (m : metrics) =
-  let esc = Icoe_util.Json.escape in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  let first = ref true in
-  let push line =
-    if not !first then Buffer.add_string buf ",\n";
-    first := false;
-    Buffer.add_string buf line
+  let num i = Json.Num (float_of_int i) in
+  let event ~name ~ph ~pid fields args =
+    Json.Obj
+      ((("name", Json.Str name) :: ("ph", Json.Str ph) :: ("pid", num pid)
+       :: fields)
+      @ [ ("args", Json.Obj args) ])
+  in
+  let process pid name =
+    event ~name:"process_name" ~ph:"M" ~pid [] [ ("name", Json.Str name) ]
   in
   (* name each node process once, in id order *)
-  let named = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun node ->
-          if not (Hashtbl.mem named node) then Hashtbl.add named node ())
-        r.placed)
-    m.log;
-  let nodes_used = List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) named []) in
-  List.iter
-    (fun node ->
-      push
-        (Fmt.str
-           "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %d, \
-            \"args\": {\"name\": \"node%03d\"}}"
-           node node))
-    nodes_used;
-  push
-    (Fmt.str
-       "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": %d, \"args\": \
-        {\"name\": \"scheduler (%s)\"}}"
-       m.nodes (esc m.policy));
+  let nodes_used =
+    List.sort_uniq Int.compare (List.concat_map (fun r -> r.placed) m.log)
+  in
+  let processes =
+    List.map (fun node -> process node (Fmt.str "node%03d" node)) nodes_used
+    @ [ process m.nodes (Fmt.str "scheduler (%s)" m.policy) ]
+  in
   (* one complete-span per (job, node) row *)
-  List.iter
-    (fun r ->
-      let name =
-        Fmt.str "job %d (%dn)" r.job.Workload.id r.job.Workload.nodes
-      in
-      let ts = r.dispatched *. 1e6
-      and dur = Float.max 0.0 (r.finished -. r.dispatched) *. 1e6 in
-      List.iter
-        (fun node ->
-          push
-            (Fmt.str
-               "{\"name\": \"%s\", \"ph\": \"X\", \"pid\": %d, \"tid\": 0, \
-                \"ts\": %.3f, \"dur\": %.3f, \"args\": {\"wait_s\": %.6g}}"
-               (esc name) node ts dur
-               (r.dispatched -. r.job.Workload.arrival)))
-        r.placed)
-    m.log;
+  let spans =
+    List.concat_map
+      (fun r ->
+        let name =
+          Fmt.str "job %d (%dn)" r.job.Workload.id r.job.Workload.nodes
+        in
+        let fields =
+          [
+            ("tid", num 0);
+            ("ts", Json.Num (r.dispatched *. 1e6));
+            ("dur", Json.Num (Float.max 0.0 (r.finished -. r.dispatched) *. 1e6));
+          ]
+        and args = [ ("wait_s", Json.Num (r.dispatched -. r.job.Workload.arrival)) ] in
+        List.map (fun node -> event ~name ~ph:"X" ~pid:node fields args) r.placed)
+      m.log
+  in
   (* queue-depth / free-node counter tracks on the scheduler process *)
-  List.iter
-    (fun (t, depth, fr) ->
-      push
-        (Fmt.str
-           "{\"name\": \"queue depth\", \"ph\": \"C\", \"pid\": %d, \"ts\": \
-            %.3f, \"args\": {\"jobs\": %d}}"
-           m.nodes (t *. 1e6) depth);
-      push
-        (Fmt.str
-           "{\"name\": \"free nodes\", \"ph\": \"C\", \"pid\": %d, \"ts\": \
-            %.3f, \"args\": {\"nodes\": %d}}"
-           m.nodes (t *. 1e6) fr))
-    m.samples;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  let counters =
+    List.concat_map
+      (fun (t, depth, fr) ->
+        let ts = [ ("ts", Json.Num (t *. 1e6)) ] in
+        [
+          event ~name:"queue depth" ~ph:"C" ~pid:m.nodes ts [ ("jobs", num depth) ];
+          event ~name:"free nodes" ~ph:"C" ~pid:m.nodes ts [ ("nodes", num fr) ];
+        ])
+      m.samples
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.Str "ms");
+         ("traceEvents", Json.Arr (processes @ spans @ counters));
+       ])

@@ -81,4 +81,6 @@ val occupancy_chrome_json : metrics -> string
     node (jobs as complete spans on the nodes they held, lowest-first
     placement) plus a scheduler process carrying queue-depth and
     free-node counter tracks. Loadable in [chrome://tracing] /
-    Perfetto; timestamps are simulated microseconds. *)
+    Perfetto; timestamps are simulated microseconds. The document is
+    [{displayTimeUnit, traceEvents}] rendered by
+    {!Icoe_util.Json.to_string}, one event per line. *)

@@ -6,8 +6,9 @@
     JSONL event-log lines in tests. The reader is a strict
     recursive-descent parser over the whole grammar (objects, arrays,
     strings with escapes, numbers, booleans, null); numbers all land in
-    [float], which is exactly how the writers emitted them. [escape] is
-    the one JSON string escaper every writer in the repo uses. *)
+    [float], which is exactly how the writer emitted them. [to_string]
+    is the one JSON writer of the repo: BENCH files, Chrome traces, the
+    metrics snapshot and event-log lines are all rendered by it. *)
 
 type t =
   | Null
@@ -268,7 +269,7 @@ let rec inline = function
   | _ -> true
 
 let to_string j =
-  let buf = Buffer.create 4096 in
+  let buf = Buffer.create 256 in
   let add = Buffer.add_string buf in
   let str s = add "\""; add (escape s); add "\"" in
   let rec value ind v =

@@ -1,12 +1,12 @@
 (** A minimal strict JSON reader and writer (no external deps).
 
     Exists so the repo can write its machine-readable artifacts and read
-    them back: the bench writes [BENCH_<id>.json] through {!to_string},
-    {!Icoe_obs.Bench_diff} parses it for the regression gate, and tests
-    validate JSONL event-log lines. The full grammar is supported; all
-    numbers land in [float] (which is how the writers emitted them).
-    {!escape} is the one JSON string escaper of the repo: the event log,
-    the Chrome trace exports and the metrics snapshot use it too. *)
+    them back. {!to_string} is the repo's one JSON writer: the bench's
+    [BENCH_<id>.json], the Chrome trace exports, the metrics snapshot
+    and every event-log line are built as a {!t} and rendered by it.
+    {!Icoe_obs.Bench_diff} parses BENCH files for the regression gate,
+    and tests parse the artifacts back. The full grammar is supported;
+    all numbers land in [float] (which is how the writer emitted them). *)
 
 type t =
   | Null
@@ -39,17 +39,12 @@ val bool_member : string -> t -> bool option
 
 (** {1 Writer} *)
 
-val escape : string -> string
-(** The body of a JSON string literal for the given bytes: quote,
-    backslash, newline, tab and carriage return get their two-character
-    escapes, every other byte below 0x20 becomes a [\u00XX] escape, and
-    everything else (UTF-8 included) passes through. *)
-
-val number : float -> string
-(** [%.17g] (so every float reads back bit-identically), or [null] for a
-    non-finite value. *)
-
 val to_string : t -> string
-(** Render a document, newline-terminated, numbers through {!number}.
-    An array of scalars, or an object holding no array, stays on one
-    line; other containers put one element per line, indented. *)
+(** Render a document, newline-terminated. Numbers print as [%.17g] (so
+    every float reads back bit-identically), or [null] when non-finite.
+    In a string, quote, backslash, newline, tab and carriage return get
+    their two-character escapes, every other byte below 0x20 becomes a
+    [\u00XX] escape, and everything else (UTF-8 included) passes
+    through. An array of scalars, or an object holding no array, stays
+    on one line with [", "] and [": "] separators; other containers put
+    one element per line, indented. *)

@@ -38,7 +38,8 @@ let uniform t lo hi = lo +. ((hi -. lo) *. float t)
     lands in the final partial bucket removes the bias while leaving the
     accepted stream (and thus existing golden values) unchanged. *)
 let rec int t n =
-  assert (n > 0);
+  if not (n > 0) then
+    invalid_arg (Printf.sprintf "Rng.int: bound %d is not positive" n);
   (* shift by 2 keeps the value within OCaml's 63-bit native int range *)
   let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   let r = v mod n in
@@ -58,7 +59,8 @@ let normal t ~mu ~sigma = mu +. (sigma *. gaussian t)
 
 (** Exponential with given [rate] (mean 1/rate). *)
 let exponential t ~rate =
-  assert (rate > 0.0);
+  if not (rate > 0.0) then
+    invalid_arg (Printf.sprintf "Rng.exponential: rate %g is not positive" rate);
   -.log (max 1e-300 (float t)) /. rate
 
 (** Sample an index from unnormalized nonneg weights at quantile [u] in
@@ -67,9 +69,13 @@ let exponential t ~rate =
     every [x < acc] comparison false) can ever select a trailing
     zero-weight category. Pure; exposed so boundary cases are testable. *)
 let categorical_from u weights =
-  assert (u >= 0.0 && u < 1.0);
+  if not (u >= 0.0 && u < 1.0) then
+    invalid_arg (Printf.sprintf "Rng.categorical_from: u = %g outside [0, 1)" u);
   let total = Array.fold_left ( +. ) 0.0 weights in
-  assert (total > 0.0);
+  if not (total > 0.0) then
+    invalid_arg
+      (Printf.sprintf "Rng.categorical_from: weights sum to %g, not positive"
+         total);
   let x = u *. total in
   let last = ref 0 in
   Array.iteri (fun i w -> if w > 0.0 then last := i) weights;

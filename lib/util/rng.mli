@@ -26,7 +26,8 @@ val uniform : t -> float -> float -> float
 (** [uniform t lo hi]: uniform in [lo, hi). *)
 
 val int : t -> int -> int
-(** [int t n]: uniform in [0, n). Requires [n > 0]. Bias-free: the top
+(** [int t n]: uniform in [0, n). Raises [Invalid_argument] unless
+    [n > 0]. Bias-free: the top
     partial bucket of the underlying 62-bit draw is rejected and redrawn
     rather than folded over small remainders. *)
 
@@ -38,7 +39,8 @@ val gaussian : t -> float
 val normal : t -> mu:float -> sigma:float -> float
 
 val exponential : t -> rate:float -> float
-(** Exponential with mean [1/rate]. Requires [rate > 0]. *)
+(** Exponential with mean [1/rate]. Raises [Invalid_argument] unless
+    [rate > 0]. *)
 
 val categorical : t -> float array -> int
 (** Sample an index proportionally to unnormalized nonnegative weights.
@@ -47,7 +49,8 @@ val categorical : t -> float array -> int
 
 val categorical_from : float -> float array -> int
 (** [categorical_from u weights]: the pure sampler behind [categorical],
-    drawing at quantile [u] in [0, 1). *)
+    drawing at quantile [u] in [0, 1). Raises [Invalid_argument] when [u]
+    is outside [0, 1) or the weights do not sum to a positive total. *)
 
 val shuffle : t -> 'a array -> unit
 (** Fisher-Yates shuffle in place. *)

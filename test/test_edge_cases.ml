@@ -246,8 +246,27 @@ let test_cg_singular_projection_stays_finite () =
 (* --- util --- *)
 
 let test_rng_int_zero () =
-  expect_assert "n must be positive" (fun () ->
+  expect_invalid_naming "n must be positive" [ "Rng.int"; "0" ] (fun () ->
       Icoe_util.Rng.int (Icoe_util.Rng.create 1) 0)
+
+(* the Rng input guards: Invalid_argument naming the function and the
+   offending value, NaN included *)
+let test_rng_guards () =
+  let open Icoe_util.Rng in
+  let r = create 1 in
+  expect_invalid_naming "int, negative" [ "Rng.int"; "-3" ] (fun () -> int r (-3));
+  expect_invalid_naming "exponential, zero" [ "Rng.exponential"; "0" ]
+    (fun () -> exponential r ~rate:0.0);
+  expect_invalid_naming "exponential, nan" [ "Rng.exponential"; "nan" ]
+    (fun () -> exponential r ~rate:Float.nan);
+  expect_invalid_naming "categorical_from, u = 1" [ "Rng.categorical_from"; "u = 1" ]
+    (fun () -> categorical_from 1.0 [| 1.0 |]);
+  expect_invalid_naming "categorical_from, u nan"
+    [ "Rng.categorical_from"; "u = nan" ] (fun () -> categorical_from Float.nan [| 1.0 |]);
+  expect_invalid_naming "categorical_from, zero total"
+    [ "Rng.categorical_from"; "sum to 0" ] (fun () -> categorical_from 0.5 [| 0.0; 0.0 |]);
+  expect_invalid_naming "categorical, empty" [ "Rng.categorical_from"; "sum to 0" ]
+    (fun () -> categorical r [||])
 
 let test_table_row_arity () =
   let t = Icoe_util.Table.create ~title:"t" [ "a"; "b" ] in
@@ -314,7 +333,38 @@ let test_kernel_rejects_negative () =
 
 let test_clock_rejects_negative_tick () =
   let c = Hwsim.Clock.create () in
-  expect_assert "negative dt" (fun () -> Hwsim.Clock.tick c ~phase:"x" (-1.0))
+  expect_invalid_naming "negative dt" [ "Clock.tick"; "-1" ] (fun () ->
+      Hwsim.Clock.tick c ~phase:"x" (-1.0))
+
+let test_clock_guards () =
+  let c = Hwsim.Clock.create () in
+  expect_invalid_naming "tick, nan" [ "Clock.tick"; "nan" ] (fun () ->
+      Hwsim.Clock.tick c ~phase:"x" Float.nan);
+  expect_invalid_naming "attribute" [ "Clock.attribute"; "-0.5" ] (fun () ->
+      Hwsim.Clock.attribute c ~phase:"x" (-0.5));
+  expect_invalid_naming "advance" [ "Clock.advance"; "-2" ] (fun () ->
+      Hwsim.Clock.advance c (-2.0));
+  Alcotest.(check (float 0.0)) "rejected charges leave the clock" 0.0
+    (Hwsim.Clock.total c);
+  Alcotest.(check (list (pair string (float 0.0)))) "no phase recorded" []
+    (Hwsim.Clock.breakdown c)
+
+let test_roofline_guards () =
+  let open Hwsim in
+  expect_invalid_naming "eff compute" [ "Roofline.eff"; "compute = 1.5" ]
+    (fun () -> Roofline.eff ~compute:1.5 ());
+  expect_invalid_naming "eff compute nan" [ "Roofline.eff"; "compute = nan" ]
+    (fun () -> Roofline.eff ~compute:Float.nan ());
+  expect_invalid_naming "eff bandwidth" [ "Roofline.eff"; "bandwidth = 0" ]
+    (fun () -> Roofline.eff ~bandwidth:0.0 ());
+  let k = Kernel.make ~name:"k" ~flops:1e9 ~bytes:1e9 () in
+  let lanes = string_of_int Device.power9.Device.lanes in
+  expect_invalid_naming "lanes_used 0"
+    [ "Roofline.time_and_bound"; "lanes_used = 0"; "1.." ^ lanes ] (fun () ->
+      Roofline.time ~lanes_used:0 Device.power9 k);
+  expect_invalid_naming "lanes_used too many"
+    [ "Roofline.time_and_bound"; "lanes_used = 1000"; Device.power9.Device.name ]
+    (fun () -> Roofline.time_and_bound ~lanes_used:1000 Device.power9 k)
 
 let test_counters_series_equal_timestamps () =
   (* two samples at the same instant used to produce a zero-width interval
@@ -533,6 +583,7 @@ let () =
       ( "util",
         [
           Alcotest.test_case "rng int 0" `Quick test_rng_int_zero;
+          Alcotest.test_case "rng guards" `Quick test_rng_guards;
           Alcotest.test_case "table arity" `Quick test_table_row_arity;
           Alcotest.test_case "stats singleton" `Quick test_stats_singleton;
           Alcotest.test_case "rng int unbiased" `Quick test_rng_int_unbiased;
@@ -545,6 +596,8 @@ let () =
         [
           Alcotest.test_case "negative kernel" `Quick test_kernel_rejects_negative;
           Alcotest.test_case "negative tick" `Quick test_clock_rejects_negative_tick;
+          Alcotest.test_case "clock guards" `Quick test_clock_guards;
+          Alcotest.test_case "roofline guards" `Quick test_roofline_guards;
           Alcotest.test_case "counters equal timestamps" `Quick
             test_counters_series_equal_timestamps;
         ] );

@@ -174,11 +174,11 @@ let test_raising_harness_isolated () =
     && Astring.String.is_infix ~affix:"deliberate" (List.nth reports 1));
   let errors =
     List.filter
-      (fun l -> Astring.String.is_infix ~affix:{|"kind":"error"|} l)
-      (lines ())
+      (fun e -> Icoe_util.Json.string_member "kind" e = Some "error")
+      (List.map Icoe_util.Json.parse_exn (lines ()))
   in
   Alcotest.(check int) "one error event" 1 (List.length errors);
-  let e = Icoe_util.Json.parse_exn (List.hd errors) in
+  let e = List.hd errors in
   Alcotest.(check (option string)) "event source" (Some "harness/boom")
     (Icoe_util.Json.string_member "source" e);
   Alcotest.(check bool) "event carries the exception text" true

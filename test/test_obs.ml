@@ -163,31 +163,7 @@ let test_reset () =
 
 (* --- exposition --- *)
 
-let contains ~needle hay = Astring.String.is_infix ~affix:needle hay
-
-(* Minimal JSON well-formedness scanner: strings with escapes, balanced
-   {} / [] outside strings. Enough to catch broken quoting/structure
-   without a JSON dependency (CI additionally runs jq over the real
-   artifacts). *)
-let json_well_formed s =
-  let depth = ref 0 and in_str = ref false and esc = ref false and ok = ref true in
-  String.iter
-    (fun ch ->
-      if !in_str then
-        if !esc then esc := false
-        else if ch = '\\' then esc := true
-        else if ch = '"' then in_str := false
-        else ()
-      else
-        match ch with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !depth = 0 && not !in_str
+module J = Icoe_util.Json
 
 let test_json_roundtrip () =
   let r = M.create () in
@@ -197,15 +173,23 @@ let test_json_roundtrip () =
   M.set g (-0.125);
   let h = M.histogram ~registry:r "h" in
   M.observe h 4.0;
-  let j = M.to_json ~registry:r () in
-  Alcotest.(check bool) "well-formed" true (json_well_formed j);
-  Alcotest.(check bool) "escapes label quote" true
-    (contains ~needle:{|a\"b|} j);
+  let samples =
+    Option.get (J.list_member "metrics" (J.parse_exn (M.to_json ~registry:r ())))
+  in
+  let find name = List.find (fun s -> J.string_member "name" s = Some name) samples in
+  Alcotest.(check (option string)) "escapes label quote" (Some {|a"b|})
+    (Option.bind (J.member "labels" (find "c_total")) (J.string_member "q"));
+  Alcotest.(check (option string)) "counter type" (Some "counter")
+    (J.string_member "type" (find "c_total"));
   (* %.17g float round-trip: the exact counter value must be recoverable *)
-  Alcotest.(check bool) "float round-trips" true
-    (contains ~needle:(Fmt.str "%.17g" 1.0e-17) j);
-  check_float "reread" 1.0e-17
-    (float_of_string (Fmt.str "%.17g" (M.counter_value c)))
+  Alcotest.(check (option (float 0.0))) "float round-trips" (Some 1.0e-17)
+    (J.float_member "value" (find "c_total"));
+  Alcotest.(check (option (float 0.0))) "gauge value" (Some (-0.125))
+    (J.float_member "value" (find "g"));
+  Alcotest.(check (option (float 0.0))) "histogram count" (Some 1.0)
+    (J.float_member "count" (find "h"));
+  Alcotest.(check (option (float 0.0))) "histogram max" (Some 4.0)
+    (J.float_member "max" (find "h"))
 
 let test_json_control_char_labels () =
   (* regression: label values used to go through the Prometheus escaper,
@@ -217,14 +201,12 @@ let test_json_control_char_labels () =
   let doc = M.to_json ~registry:r () in
   Alcotest.(check bool) "no raw control bytes besides line breaks" true
     (String.for_all (fun ch -> ch = '\n' || Char.code ch >= 0x20) doc);
-  match Icoe_util.Json.parse doc with
+  match J.parse doc with
   | Error msg -> Alcotest.failf "to_json is not valid JSON: %s" msg
   | Ok j ->
       let label =
-        Option.bind (Icoe_util.Json.list_member "metrics" j) (function
-          | [ m ] ->
-              Option.bind (Icoe_util.Json.member "labels" m)
-                (Icoe_util.Json.string_member "k")
+        Option.bind (J.list_member "metrics" j) (function
+          | [ m ] -> Option.bind (J.member "labels" m) (J.string_member "k")
           | _ -> None)
       in
       Alcotest.(check (option string)) "label round-trips" (Some value) label

@@ -179,13 +179,17 @@ let test_events_jsonl_schema () =
   let get = Events.memory () in
   Events.reset_seq ();
   Events.emit ~t_s:1.5 ~kind:"span" ~source:"hwsim/trace"
-    [ ("phase", Events.S "interior"); ("dur_s", Events.F 0.25) ];
+    [ ("phase", Json.Str "interior"); ("dur_s", Json.Num 0.25) ];
   Events.emit ~kind:"metric" ~source:"harness/sw4"
-    [ ("name", Events.S "x"); ("value", Events.I 3); ("up", Events.B true) ];
+    [ ("name", Json.Str "x"); ("value", Json.Num 3.0); ("up", Json.Bool true) ];
   Events.close ();
   match get () with
   | [ l1; l2 ] ->
+      Alcotest.(check bool) "one line each, no trailing newline" true
+        (not (String.contains l1 '\n' || String.contains l2 '\n'));
       let j1 = Json.parse_exn l1 and j2 = Json.parse_exn l2 in
+      Alcotest.(check (option (float 0.0))) "int field" (Some 3.0)
+        (Json.float_member "value" j2);
       Alcotest.(check (option string)) "kind" (Some "span") (Json.string_member "kind" j1);
       Alcotest.(check (option string)) "source" (Some "hwsim/trace")
         (Json.string_member "source" j1);
@@ -203,7 +207,7 @@ let test_events_escape_and_nonfinite () =
   let get = Events.memory () in
   Events.reset_seq ();
   Events.emit ~kind:"span" ~source:"s"
-    [ ("name", Events.S "a\"b\\c\nd\x01e"); ("bad", Events.F Float.nan) ];
+    [ ("name", Json.Str "a\"b\\c\nd\x01e"); ("bad", Json.Num Float.nan) ];
   Events.close ();
   match get () with
   | [ line ] ->
@@ -217,7 +221,7 @@ let test_events_escape_and_nonfinite () =
 let test_events_disabled_noop () =
   Events.close ();
   (* no sink (ICOE_EVENTS unset in tests): emit must be a no-op *)
-  Events.emit ~kind:"span" ~source:"s" [ ("k", Events.I 1) ];
+  Events.emit ~kind:"span" ~source:"s" [ ("k", Json.Num 1.0) ];
   Alcotest.(check bool) "disabled" false (Events.enabled ())
 
 let test_trace_emits_span_events () =

@@ -141,50 +141,54 @@ let test_tables_render () =
 
 (* --- Chrome trace-event export --- *)
 
-(* Structural JSON scan: brackets/braces balanced outside string
-   literals, and the document is a non-empty array. *)
-let json_balanced s =
-  let obj = ref 0 and arr = ref 0 and in_str = ref false and esc = ref false in
-  let ok = ref true in
-  String.iter
-    (fun c ->
-      if !in_str then
-        if !esc then esc := false
-        else if c = '\\' then esc := true
-        else if c = '"' then in_str := false
-        else ()
-      else
-        match c with
-        | '"' -> in_str := true
-        | '{' -> incr obj
-        | '}' -> decr obj; if !obj < 0 then ok := false
-        | '[' -> incr arr
-        | ']' -> decr arr; if !arr < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !obj = 0 && !arr = 0 && not !in_str
+module J = Icoe_util.Json
+
+let events json =
+  match J.parse_exn json with
+  | J.Arr evs -> evs
+  | _ -> Alcotest.fail "export is not a JSON array"
+
+let named name evs = List.filter (fun e -> J.string_member "name" e = Some name) evs
+
+let rec all_finite = function
+  | J.Num f -> Float.is_finite f
+  | J.Arr l -> List.for_all all_finite l
+  | J.Obj kvs -> List.for_all (fun (_, v) -> all_finite v) kvs
+  | J.Null | J.Bool _ | J.Str _ -> true
 
 let test_chrome_export () =
   let tr = Trace.create ~root:"t" (Clock.create ()) in
   Trace.with_span tr ~device:"V100" "solve \"quoted\"" (fun () ->
       ignore (Trace.charge_kernel tr Device.v100
                 (Kernel.make ~name:"spmv" ~flops:1e9 ~bytes:8e9 ())));
-  let json = Trace.to_chrome_json tr in
-  Alcotest.(check bool) "non-empty" true (String.length json > 2);
-  Alcotest.(check bool) "balanced" true (json_balanced json);
-  Alcotest.(check bool) "array document" true
-    (json.[0] = '[' && Astring.String.is_suffix ~affix:"]\n" json);
-  Alcotest.(check bool) "has complete events" true
-    (Astring.String.is_infix ~affix:{|"ph":"X"|} json);
-  Alcotest.(check bool) "has process metadata" true
-    (Astring.String.is_infix ~affix:{|"process_name"|} json);
-  Alcotest.(check bool) "quotes escaped" true
-    (Astring.String.is_infix ~affix:{|solve \"quoted\"|} json);
-  Alcotest.(check bool) "kernel args exported" true
-    (Astring.String.is_infix ~affix:{|"bound":"bandwidth"|} json);
-  Alcotest.(check bool) "no bare nan/inf" true
-    (not (Astring.String.is_infix ~affix:"nan" json)
-    && not (Astring.String.is_infix ~affix:"inf" json))
+  let evs = events (Trace.to_chrome_json tr) in
+  let with_ph ph = List.filter (fun e -> J.string_member "ph" e = Some ph) evs in
+  Alcotest.(check int) "complete events: root, span, kernel" 3
+    (List.length (with_ph "X"));
+  Alcotest.(check int) "has process metadata" 1
+    (List.length (named "process_name" (with_ph "M")));
+  Alcotest.(check int) "quotes escaped" 1
+    (List.length (named "solve \"quoted\"" evs));
+  let args = Option.get (J.member "args" (List.hd (named "spmv" evs))) in
+  Alcotest.(check (option string)) "kernel args exported" (Some "bandwidth")
+    (J.string_member "bound" args);
+  Alcotest.(check (option (float 0.0))) "flops arg" (Some 1e9)
+    (J.float_member "flops" args);
+  Alcotest.(check bool) "no bare nan/inf" true (List.for_all all_finite evs)
+
+let test_chrome_export_nonfinite () =
+  (* an infinite kernel prices to an infinite span: the export must stay
+     valid JSON, with null where the number is not finite *)
+  let tr = Trace.create ~root:"t" (Clock.create ()) in
+  ignore (Trace.charge_kernel tr Device.v100
+            (Kernel.make ~name:"k" ~flops:infinity ~bytes:8.0 ()));
+  match J.parse (Trace.to_chrome_json tr) with
+  | Error msg -> Alcotest.failf "export is not valid JSON: %s" msg
+  | Ok doc ->
+      let k = List.hd (named "k" (Option.get (J.to_list doc))) in
+      Alcotest.(check bool) "dur is null" true (J.member "dur" k = Some J.Null);
+      Alcotest.(check bool) "flops is null" true
+        (Option.bind (J.member "args" k) (J.member "flops") = Some J.Null)
 
 let test_chrome_export_many () =
   let mk name dt =
@@ -192,11 +196,9 @@ let test_chrome_export_many () =
     Trace.charge tr ~phase:"work" dt;
     (name, tr)
   in
-  let json = Trace.chrome_json_of_many [ mk "a" 1.0; mk "b" 2.0 ] in
-  Alcotest.(check bool) "balanced" true (json_balanced json);
-  Alcotest.(check bool) "two processes" true
-    (Astring.String.is_infix ~affix:{|"pid":0|} json
-    && Astring.String.is_infix ~affix:{|"pid":1|} json)
+  let evs = events (Trace.chrome_json_of_many [ mk "a" 1.0; mk "b" 2.0 ]) in
+  Alcotest.(check (list (float 0.0))) "two processes" [ 0.0; 1.0 ]
+    (List.sort_uniq Float.compare (List.filter_map (J.float_member "pid") evs))
 
 let () =
   Alcotest.run "trace"
@@ -226,5 +228,7 @@ let () =
         [
           Alcotest.test_case "export" `Quick test_chrome_export;
           Alcotest.test_case "export many" `Quick test_chrome_export_many;
+          Alcotest.test_case "non-finite exports as null" `Quick
+            test_chrome_export_nonfinite;
         ] );
     ]

@@ -128,25 +128,32 @@ let prop_rng_float_unit =
 
 (* --- JSON writer --- *)
 
+let render_str s = Json.to_string (Json.Str s)
+
 let test_json_escape_control_chars () =
   (* regression: every control char below 0x20 must be escaped, not
      passed through to break the document it is embedded in *)
   Alcotest.(check string) "named + numeric escapes"
-    {|a\nb\tc\u0001\"\\ \r\u0008\u000c|}
-    (Json.escape "a\nb\tc\x01\"\\ \r\b\012");
+    ({|"a\nb\tc\u0001\"\\ \r\u0008\u000c"|} ^ "\n")
+    (render_str "a\nb\tc\x01\"\\ \r\b\012");
   for c = 0 to 0x1f do
-    let escaped = Json.escape (String.make 1 (Char.chr c)) in
+    let s = String.make 1 (Char.chr c) in
+    let doc = render_str s in
     Alcotest.(check bool)
       (Printf.sprintf "control 0x%02x escaped" c)
       true
-      (String.length escaped >= 2 && escaped.[0] = '\\')
+      (String.length doc >= 4 && doc.[1] = '\\');
+    Alcotest.(check bool)
+      (Printf.sprintf "control 0x%02x round-trips" c)
+      true
+      (Json.parse doc = Ok (Json.Str s))
   done;
-  (* the escaped form embeds into a valid JSON string literal *)
+  (* the escaped form embeds into a valid JSON document *)
   let all = String.init 0x20 Char.chr in
-  let doc = {|{"s": "|} ^ Json.escape all ^ {|"}|} in
   Alcotest.(check (option string)) "round-trips through the reader"
     (Some all)
-    (Json.string_member "s" (Json.parse_exn doc))
+    (Json.string_member "s"
+       (Json.parse_exn (Json.to_string (Json.Obj [ ("s", Json.Str all) ]))))
 
 let test_json_to_string () =
   let doc =
@@ -175,7 +182,7 @@ let test_json_to_string () =
 let prop_json_escape_roundtrip =
   QCheck.Test.make ~name:"escape round-trips any bytes" ~count:500
     QCheck.(string_of_size Gen.(0 -- 64))
-    (fun s -> Json.parse ("\"" ^ Json.escape s ^ "\"") = Ok (Json.Str s))
+    (fun s -> Json.parse (render_str s) = Ok (Json.Str s))
 
 (* --- JSON reader fuzzing: any input gives Ok or Error, never an
    exception; parse_exn raises only Parse_error --- *)
