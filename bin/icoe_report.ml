@@ -177,7 +177,7 @@ let run_ids ids trace_file metrics_file faults_seed events_file occupancy_file =
     List.concat_map (fun (o : Icoe.Harness.outcome) -> o.traces) outcomes
   in
   print_string (Icoe.Harness.rollup_report traces);
-  if Icoe_obs.Metrics.snapshot () <> [] then
+  if List.exists Icoe_obs.Metrics.moved (Icoe_obs.Metrics.snapshot ()) then
     print_string
       (Icoe_util.Table.render
          (Icoe_obs.Metrics.render_table ~title:"Engine metrics" ()));

@@ -90,6 +90,7 @@ let build_exprs ~rate =
   let dw = Div (Sub (winf, Var iw), tauw) in
   [ dv; dh; dn; dw ]
 
+(** Melodee trees for [dv; dh; dn; dw]. *)
 let variant_exprs variant =
   let lo, hi = v_range in
   match variant with

@@ -5,22 +5,8 @@
 
 val n_state : int
 val iv : int
-val ih : int
-val in_ : int
-val iw : int
 val istim_idx : int
 val v_rest : float
-
-val v_range : float * float
-(** Physiological voltage range the rate fits must cover. *)
-
-val m_inf : float -> float
-val h_inf : float -> float
-val n_inf : float -> float
-val w_inf : float -> float
-val tau_h : float -> float
-val tau_n : float -> float
-val tau_w : float -> float
 
 (** How the rate functions are realized: exact libm expressions, fitted
     rational polynomials (coefficients in memory), or rational polynomials
@@ -28,9 +14,6 @@ val tau_w : float -> float
 type variant = Libm | Rational | Rational_folded
 
 val variant_name : variant -> string
-
-val variant_exprs : variant -> Melodee.expr list
-(** Melodee trees for [dv; dh; dn; dw]. *)
 
 val compile_variant : variant -> float array -> float array
 (** Compiled derivative function over the state+input vector (boxed

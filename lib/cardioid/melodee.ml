@@ -347,18 +347,10 @@ let exec_core p ~(env : Icoe_util.Fbuf.t) ~env_off
           | _ -> a /. b)
   done
 
-(** Execute a compiled program. [env]/[stack] are flat buffers with base
-    offsets, so one shared buffer can hold a slot per pool chunk; the
-    stack slot must be at least [program_depth] wide. Allocation-free
-    except for the boxed return — hot loops want {!exec_program_into}. *)
-let exec_program p ~env ~env_off ~stack ~stack_off =
-  exec_core p ~env ~env_off ~stack ~stack_off;
-  Icoe_util.Fbuf.get stack stack_off
-
-(** Like {!exec_program}, but the result is written to [out.(out_off)]
-    instead of returned: a float returned across a module boundary is
-    boxed (no cross-module inlining without flambda), which at one call
-    per cell per derivative is most of a reaction sweep's garbage. *)
+(** The result is written to [out.(out_off)] instead of returned: a
+    float returned across a module boundary is boxed (no cross-module
+    inlining without flambda), which at one call per cell per derivative
+    is most of a reaction sweep's garbage. *)
 let exec_program_into p ~env ~env_off ~stack ~stack_off
     ~(out : Icoe_util.Fbuf.t) ~out_off =
   exec_core p ~env ~env_off ~stack ~stack_off;

@@ -79,21 +79,13 @@ val compile_program : expr -> program
 val program_depth : program -> int
 (** Maximum operand-stack depth one evaluation needs. *)
 
-val exec_program :
-  program -> env:Icoe_util.Fbuf.t -> env_off:int ->
-  stack:Icoe_util.Fbuf.t -> stack_off:int -> float
-(** Evaluate over flat buffers with base offsets ([Var i] reads
-    [env.{env_off + i}]; intermediates live in
-    [stack.{stack_off ...}], at least {!program_depth} slots).
-    Bit-identical to evaluating the {!compile} closure of the same
-    expression. The interpreter allocates nothing, but the returned
-    float is boxed at the call site — hot loops want
-    {!exec_program_into}. *)
-
 val exec_program_into :
   program -> env:Icoe_util.Fbuf.t -> env_off:int ->
   stack:Icoe_util.Fbuf.t -> stack_off:int ->
   out:Icoe_util.Fbuf.t -> out_off:int -> unit
-(** {!exec_program} with the result written to [out.{out_off}] instead
-    of returned: no boxed-float return, so a steady-state caller
-    allocates nothing at all. *)
+(** Evaluate over flat buffers with base offsets ([Var i] reads
+    [env.{env_off + i}]; intermediates live in [stack.{stack_off ...}],
+    at least {!program_depth} slots) and write the result to
+    [out.{out_off}]. Bit-identical to evaluating the {!compile} closure
+    of the same expression. No boxed-float return, so a steady-state
+    caller allocates nothing at all. *)

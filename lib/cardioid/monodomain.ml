@@ -82,7 +82,7 @@ let create ?(nx = 32) ?(ny = 32) ?(dx = 0.02) ?(sigma = 0.001) ?(dt = 0.02)
     scratch = Fbuf.create n;
     kernel = Ionic.compile_kernel variant;
     deriv = Ionic.compile_variant variant;
-    arena = Prog.Scratch.create "cardioid-reaction";
+    arena = Prog.Scratch.create ();
   }
 
 let idx t i j = i + (t.nx * j)

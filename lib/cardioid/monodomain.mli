@@ -20,10 +20,6 @@ type placement =
 
 val placement_name : placement -> string
 
-val n_planes : int
-(** State planes per cell: the {!Ionic.n_state} ionic variables plus
-    the stimulus current. *)
-
 type t = {
   nx : int;
   ny : int;
@@ -65,9 +61,6 @@ val reaction_step_seq : t -> unit
 val reaction_step_ref : t -> unit
 (** Boxed closure-tree reference retained from the row-per-cell layout;
     allocates per cell — correctness oracle only. *)
-
-val diffusion_step : t -> unit
-(** Row-parallel stencil into the scratch field, then a blit back. *)
 
 val step : t -> unit
 val run : t -> steps:int -> unit

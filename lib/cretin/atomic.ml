@@ -28,7 +28,8 @@ let n_levels t = Array.length t.levels
     levels and radiative decay to ground. Scales from toy to "large atomic
     model" by [n]. *)
 let ladder ?(name = "ladder") ?(e0 = 13.6) ?(c0 = 1.0e-8) ?(a0 = 1.0e8) n =
-  assert (n >= 2);
+  if not (n >= 2) then
+    invalid_arg (Printf.sprintf "Atomic.ladder: n = %d levels, need >= 2" n);
   let levels =
     Array.init n (fun k ->
         let kk = float_of_int (k + 1) in

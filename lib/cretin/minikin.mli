@@ -16,15 +16,6 @@ val solve_all : ?iterative:bool -> t -> unit
 val mean_excitation : zone -> float
 (** Population-weighted mean level index; grows with temperature. *)
 
-val zone_work : Atomic.t -> Hwsim.Kernel.t
-(** Rate evaluation + O(n^3) dense solve per zone. *)
-
-val cpu_node_rate : ?node:Hwsim.Node.t -> Atomic.t -> float * int * int
-(** (zones/s, usable cores, total cores); usable cores shrink when the
-    per-zone workspace exhausts node memory. *)
-
-val gpu_node_rate : ?node:Hwsim.Node.t -> Atomic.t -> float
-
 val node_speedup : Atomic.t -> float * float
 (** (GPU/CPU node throughput ratio, fraction of CPU cores idled) — the
     5.75x / 60%-idle numbers of Sec 4.3. *)

@@ -5,9 +5,6 @@
 
 type line = { lower : int; upper : int; center : float; strength : float }
 
-val lines_of_model : Atomic.t -> line list
-(** Radiative transitions as absorption lines. *)
-
 val opacity : Atomic.t -> populations:float array -> te:float -> float -> float
 (** Opacity at a photon energy (arbitrary units per unit density). *)
 

@@ -10,10 +10,6 @@ type conditions = {
   radiation : float;  (** radiation-field scale for photo rates *)
 }
 
-val pair_rates : Atomic.t -> conditions -> Atomic.transition -> float * float
-(** (rate upper->lower, rate lower->upper); collisional excitation
-    follows from detailed balance. *)
-
 val assemble : Atomic.t -> conditions -> Linalg.Dense.t
 (** Dense rate matrix M with dn/dt = M n; column sums are zero
     (population conservation) by construction. *)

@@ -53,47 +53,6 @@ let build ?prev (p : Particles.t) ~cutoff =
   done;
   { ncell; cell_size; head; next }
 
-(** Iterate [f j] over every neighbour [j <> i] of particle [i] within
-    [cutoff], using the full shell of 27 cells (own cell + 26
-    neighbours). Each pair is visited from both ends — the GPU-style
-    full neighbour enumeration that makes the force kernel particle-
-    parallel with disjoint writes. Falls back to an all-particles scan
-    when the box is under 3 cells per side (where wrapped cell offsets
-    would alias). Enumeration order depends only on the particle
-    insertion order, never on who runs it.
-
-    The engine's force kernel inlines this walk (a closure per particle
-    would allocate); this closure form remains for observables and
-    tests, and must enumerate in exactly the same order. *)
-let iter_neighbors t (p : Particles.t) ~cutoff i f =
-  let c2 = cutoff *. cutoff in
-  if t.ncell < 3 then
-    for j = 0 to p.Particles.n - 1 do
-      if j <> i && Particles.dist2 p i j <= c2 then f j
-    done
-  else begin
-    let nc = t.ncell in
-    let wrap c = ((c mod nc) + nc) mod nc in
-    let cofs v = cell_coord ~ncell:nc ~cell_size:t.cell_size v in
-    let cx = cofs (Fbuf.get p.Particles.x i)
-    and cy = cofs (Fbuf.get p.Particles.y i)
-    and cz = cofs (Fbuf.get p.Particles.z i) in
-    for dz = -1 to 1 do
-      for dy = -1 to 1 do
-        for dx = -1 to 1 do
-          let c' =
-            wrap (cx + dx) + (nc * (wrap (cy + dy) + (nc * wrap (cz + dz))))
-          in
-          let j = ref t.head.(c') in
-          while !j >= 0 do
-            if !j <> i && Particles.dist2 p i !j <= c2 then f !j;
-            j := t.next.(!j)
-          done
-        done
-      done
-    done
-  end
-
 (** Iterate [f i j] over each unordered pair within [cutoff] using the
     half-shell of neighbouring cells. When the box is under 3 cells per
     side the cell trick degenerates; fall back to all-pairs. *)

@@ -22,13 +22,3 @@ val build : ?prev:t -> Particles.t -> cutoff:float -> t
 val iter_pairs : t -> Particles.t -> cutoff:float -> (int -> int -> unit) -> unit
 (** Each unordered pair within the cutoff exactly once (half-shell
     enumeration; all-pairs fallback on very small grids). *)
-
-val iter_neighbors :
-  t -> Particles.t -> cutoff:float -> int -> (int -> unit) -> unit
-(** [iter_neighbors t p ~cutoff i f] calls [f j] for every [j <> i]
-    within the cutoff of particle [i] (full 27-cell shell; each pair is
-    seen from both ends). The particle-parallel dual of {!iter_pairs}:
-    per-particle force accumulation needs no synchronization, which is
-    how the pooled force kernel keeps disjoint writes. The engine
-    inlines this walk in its chunk body (same enumeration order); this
-    closure form serves observables and tests. *)

@@ -62,16 +62,15 @@ let create ?(bonds = []) ?(angles = []) ?(constraints = []) ~dt ~potential p =
     steps = 0;
     pair_count = 0;
     cells = None;
-    arena = Prog.Scratch.create "md-forces";
+    arena = Prog.Scratch.create ();
   }
 
 (* Nonbonded forces on particles [lo, hi): the per-particle full-shell
    enumeration (each pair seen from both ends, so every particle's force
    sum is written by exactly one iteration — no synchronization, and the
-   same summation order whoever runs the chunk). The 27-cell walk of
-   Cells.iter_neighbors is inlined — same enumeration order, but the
-   force accumulators stay in registers instead of escaping into a
-   closure. Chunk [k]'s (2*epot, 2*virial, evaluations) partials land in
+   same summation order whoever runs the chunk). The 27-cell walk over
+   the [Cells] lists is written inline, so the force accumulators stay
+   in registers instead of escaping into a closure. Chunk [k]'s (2*epot, 2*virial, evaluations) partials land in
    its slot of [partials]; pair evaluations go through its 3-wide slot
    of [pairbuf] (r2 in, energy/f_over_r out). Allocation-free. *)
 let nonbonded_chunk t cl partials pairbuf k lo hi =
@@ -150,8 +149,8 @@ let nonbonded_chunk t cl partials pairbuf k lo hi =
        for ddz = -1 to 1 do
          for ddy = -1 to 1 do
            for ddx = -1 to 1 do
-             (* Cells.iter_neighbors' [wrap] written out — even a
-                chunk-level closure shows up at 60+ chunks per call *)
+             (* periodic cell wrap written out — even a chunk-level
+                closure shows up at 60+ chunks per call *)
              let wx = (((cx + ddx) mod nc) + nc) mod nc
              and wy = (((cy + ddy) mod nc) + nc) mod nc
              and wz = (((cz + ddz) mod nc) + nc) mod nc in
@@ -379,10 +378,6 @@ let step ?langevin ?berendsen t =
   Icoe_obs.Metrics.inc m_steps
 
 let total_energy t = t.pot_energy +. Particles.kinetic_energy t.p
-
-let pressure t =
-  let vol = t.p.Particles.box ** 3.0 in
-  ((2.0 *. Particles.kinetic_energy t.p) +. t.virial) /. (3.0 *. vol)
 
 let run ?langevin ?berendsen t ~steps =
   if t.steps = 0 then compute_forces t;

@@ -36,18 +36,7 @@ val compute_forces_seq : t -> unit
 (** Serial reference path: same algorithm and chunk-ordered reduction,
     entirely in the calling domain. *)
 
-val shake : ?iters:int -> ?tol:float -> t -> unit
-(** Iterative projection onto the constraint manifold. *)
-
-val step :
-  ?langevin:float * float * Icoe_util.Rng.t -> ?berendsen:float * float ->
-  t -> unit
-(** One velocity-Verlet step (NVE when both couplings are off).
-    [langevin] is (gamma, temperature, rng); [berendsen] is
-    (coupling, target pressure). *)
-
 val total_energy : t -> float
-val pressure : t -> float
 
 val run :
   ?langevin:float * float * Icoe_util.Rng.t -> ?berendsen:float * float ->

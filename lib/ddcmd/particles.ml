@@ -134,8 +134,3 @@ let total_momentum t =
     mz := !mz +. (m *. Fbuf.get t.vz i)
   done;
   (!mx, !my, !mz)
-
-let zero_forces t =
-  Fbuf.fill t.fx 0.0;
-  Fbuf.fill t.fy 0.0;
-  Fbuf.fill t.fz 0.0

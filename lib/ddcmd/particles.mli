@@ -42,4 +42,3 @@ val thermalize : t -> rng:Icoe_util.Rng.t -> temp:float -> unit
 val kinetic_energy : t -> float
 val temperature : t -> float
 val total_momentum : t -> float * float * float
-val zero_forces : t -> unit

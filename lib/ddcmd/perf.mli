@@ -11,10 +11,6 @@ type scenario = One_gpu | Four_gpu | Mummi
 
 val scenario_name : scenario -> string
 
-val flops_per_particle : float
-(** Calibrated per-particle DP flop volume of one full ddcMD step, pinned
-    to the paper's 2.31 ms/step at the MuMMI membrane-patch size. *)
-
 type step_model = {
   serial_s : float;
       (** the exact pre-scheduler ddcMD step time: compute + 46 launch

@@ -64,6 +64,8 @@ let device_compute_time_per_batch (device : Hwsim.Device.t) ~params ~batch =
 let compute_time_per_batch ~params ~batch =
   device_compute_time_per_batch Hwsim.Device.v100 ~params ~batch
 
+(** The same batch priced at the node's host sockets — the CPU side of
+    a heterogeneous work split ({!Hwsim.Split}). *)
 let host_compute_time_per_batch (node : Hwsim.Node.t) ~params ~batch =
   (* same flop volume at the node's host sockets — the CPU side of a
      heterogeneous work split *)

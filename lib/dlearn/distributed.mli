@@ -10,7 +10,6 @@ val make_task :
   unit -> dataset
 (** Gaussian class-cluster classification task. *)
 
-val shard : learners:int -> dataset -> dataset array
 val minibatch : rng:Icoe_util.Rng.t -> batch:int -> dataset -> float array array * int array
 
 val allreduce_time :
@@ -20,21 +19,6 @@ val allreduce_time :
     [topology] the flat dual-rail EDR pricing is kept verbatim; with
     one, each round is priced at the switch level its pair distance
     crosses under [placement] (default [Contiguous]). *)
-
-val ps_roundtrip_time : params:int -> float
-
-val device_compute_time_per_batch :
-  Hwsim.Device.t -> params:int -> batch:int -> float
-(** Forward+backward at ~6 flops per parameter per example, at 30% of
-    the given accelerator's peak. *)
-
-val compute_time_per_batch : params:int -> batch:int -> float
-(** [device_compute_time_per_batch Hwsim.Device.v100]. *)
-
-val host_compute_time_per_batch :
-  Hwsim.Node.t -> params:int -> batch:int -> float
-(** The same batch priced at the node's host sockets — the CPU side of
-    a heterogeneous work split ({!Hwsim.Split}). *)
 
 type run = {
   final_loss : float;

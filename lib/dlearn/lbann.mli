@@ -9,9 +9,6 @@ val model_memory_gb : float
 val min_gpus_per_sample : int
 (** The resulting >= 2 GPUs/sample constraint. *)
 
-val group_time : int -> float
-(** Per-mini-batch seconds for one sample group of g GPUs. *)
-
 val strong_scaling_speedup : int -> float
 (** Speedup of g GPUs per sample over the 2-GPU baseline (the paper's
     dotted lines). *)

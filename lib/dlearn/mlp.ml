@@ -80,8 +80,6 @@ type t = {
           example's loss *)
 }
 
-let sizes t = Array.copy t.sizes
-
 let workspace sizes rows =
   let nl = Array.length sizes - 1 in
   {
@@ -196,11 +194,6 @@ let softmax_row ~src ~dst ~off ~c =
   for i = off to off + c - 1 do
     Fbuf.set dst i (Fbuf.get dst i /. s)
   done
-
-let softmax z =
-  let buf = Fbuf.of_array z in
-  softmax_row ~src:buf ~dst:buf ~off:0 ~c:(Array.length z);
-  Fbuf.to_array buf
 
 (* One entry of each kernel, for the rows and columns the register
    blocks below do not cover. *)

@@ -24,9 +24,6 @@ val create : rng:Icoe_util.Rng.t -> int array -> t
     by row with inputs ascending. Raises [Invalid_argument] when [sizes]
     has fewer than two entries or any entry below 1. *)
 
-val sizes : t -> int array
-(** A copy of the layer widths [[|in; hidden...; out|]]. *)
-
 val clone : t -> t
 (** A model with a copy of the parameters, and zero gradients and
     momentum. *)
@@ -47,8 +44,6 @@ val get_grads : t -> float array
 val reset : t -> float array -> unit
 (** {!set_params}, then zero gradients and momentum: the state {!clone}
     would give a model with these parameters. *)
-
-val softmax : float array -> float array
 
 val forward_rows :
   t -> layer:int -> src:Icoe_util.Fbuf.t -> dst:Icoe_util.Fbuf.t -> lo:int ->

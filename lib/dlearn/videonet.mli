@@ -15,14 +15,6 @@ type dataset = {
   dim : int;
 }
 
-val n_streams : int
-
-val make :
-  rng:Icoe_util.Rng.t -> ?classes:int -> ?dim:int -> ?n:int -> ?noise:float ->
-  ?label_noise:float -> difficulty -> dataset
-
-val split : frac:float -> dataset -> dataset * dataset
-
 type combiner =
   | Single of int
   | Simple_average

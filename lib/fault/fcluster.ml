@@ -121,6 +121,3 @@ let charge_shuffle t ~bytes =
 
 let charge_aggregate t ~bytes_per_node =
   network t (fun () -> Cluster.charge_aggregate t.cl ~bytes_per_node)
-
-let charge_broadcast t ~bytes =
-  network t (fun () -> Cluster.charge_broadcast t.cl ~bytes)

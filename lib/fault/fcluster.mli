@@ -28,4 +28,3 @@ val stats : t -> stats
 val charge_compute : t -> flops:float -> unit
 val charge_shuffle : t -> bytes:float -> unit
 val charge_aggregate : t -> bytes_per_node:float -> unit
-val charge_broadcast : t -> bytes:float -> unit

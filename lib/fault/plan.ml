@@ -54,7 +54,6 @@ type t = {
   kernel_faults : float array;  (* sorted *)
 }
 
-let config t = t.cfg
 let seed t = t.plan_seed
 
 (* Draw a Poisson arrival sequence on [0, horizon) with the given mean

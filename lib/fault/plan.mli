@@ -47,7 +47,6 @@ val default_config : config
 
 type t
 
-val config : t -> config
 val seed : t -> int
 
 val generate : seed:int -> config -> t

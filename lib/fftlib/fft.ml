@@ -27,7 +27,10 @@ let bit_reverse a n =
     normalization. *)
 let transform ?(inverse = false) a =
   let n = Array.length a / 2 in
-  assert (is_pow2 n);
+  if not (is_pow2 n && Array.length a = 2 * n) then
+    invalid_arg
+      (Printf.sprintf
+         "Fft.transform: array length %d is not twice a power of 2" (Array.length a));
   bit_reverse a n;
   let sign = if inverse then 1.0 else -1.0 in
   let len = ref 2 in
@@ -98,7 +101,10 @@ let transpose_tiled ?(tile = 16) ~n src dst =
 (** 2D FFT of an n x n complex field (row-major, interleaved), using
     row FFTs + transpose + row FFTs + transpose. *)
 let transform_2d ?(inverse = false) ?(tiled = true) ~n a =
-  assert (Array.length a = 2 * n * n);
+  if not (Array.length a = 2 * n * n) then
+    invalid_arg
+      (Printf.sprintf "Fft.transform_2d: array length %d, expected 2 * %d * %d"
+         (Array.length a) n n);
   let row = Array.make (2 * n) 0.0 in
   let do_rows b =
     for j = 0 to n - 1 do

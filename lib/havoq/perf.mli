@@ -14,11 +14,6 @@ type machine = {
   storage_tb : float;
 }
 
-val bytes_per_edge_traversal : float
-val bytes_per_edge_storage : float
-val cluster_efficiency : float
-val edge_factor : float
-
 val machines : machine list
 (** Kraken, Leviathan, Hyperion, Bertha, Catalyst, Final System. *)
 

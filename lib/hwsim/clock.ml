@@ -55,8 +55,3 @@ let phase t name =
 (** Phases in first-charged order with their accumulated seconds. *)
 let breakdown t =
   List.rev_map (fun name -> (name, phase t name)) t.order
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>total %.6gs" t.total;
-  List.iter (fun (n, s) -> Fmt.pf ppf "@,  %-20s %.6gs" n s) (breakdown t);
-  Fmt.pf ppf "@]"

@@ -33,5 +33,3 @@ val phase : t -> string -> float
 
 val breakdown : t -> (string * float) list
 (** Phases in first-charged order. *)
-
-val pp : Format.formatter -> t -> unit

@@ -52,32 +52,6 @@ let power9 =
     cache_mb = 110.0;
   }
 
-(** Intel Xeon E5 v1 (Sandy Bridge) on the visualization cluster. *)
-let sandybridge =
-  {
-    name = "SandyBridge";
-    kind = Cpu;
-    peak_gflops = 166.0;
-    mem_bw_gbs = 40.0;
-    mem_gb = 64.0;
-    lanes = 8;
-    launch_overhead_s = 2e-6;
-    cache_mb = 20.0;
-  }
-
-(** Intel Xeon E5 v3 (Haswell) on the early development machine. *)
-let haswell =
-  {
-    name = "Haswell";
-    kind = Cpu;
-    peak_gflops = 588.0;
-    mem_bw_gbs = 60.0;
-    mem_gb = 128.0;
-    lanes = 14;
-    launch_overhead_s = 2e-6;
-    cache_mb = 35.0;
-  }
-
 (** Knights Landing socket, Cori-II at NERSC (SW4 comparison machine). *)
 let knl =
   {
@@ -135,32 +109,6 @@ let grace =
 
 (* --- GPUs --- *)
 
-(** Kepler K40 on the visualization cluster. *)
-let k40 =
-  {
-    name = "K40";
-    kind = Gpu;
-    peak_gflops = 1430.0;
-    mem_bw_gbs = 288.0;
-    mem_gb = 12.0;
-    lanes = 15;
-    launch_overhead_s = 9e-6;
-    cache_mb = 1.5;
-  }
-
-(** Kepler K80 (one of the two dies) on the development machine. *)
-let k80 =
-  {
-    name = "K80";
-    kind = Gpu;
-    peak_gflops = 1455.0;
-    mem_bw_gbs = 240.0;
-    mem_gb = 12.0;
-    lanes = 13;
-    launch_overhead_s = 9e-6;
-    cache_mb = 1.5;
-  }
-
 (** Pascal P100 (SXM2) on the EA Minsky nodes. *)
 let p100 =
   {
@@ -215,6 +163,3 @@ let h100 =
     launch_overhead_s = 5e-6;
     cache_mb = 50.0;
   }
-
-(** Peak-fraction utility: achieved gflops / peak. *)
-let fraction_of_peak d ~achieved_gflops = achieved_gflops /. d.peak_gflops

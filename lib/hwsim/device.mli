@@ -28,12 +28,6 @@ val power8 : t
 val power9 : t
 (** POWER9, the Sierra Witherspoon socket. *)
 
-val sandybridge : t
-(** Visualization-cluster CPU of the earliest porting work. *)
-
-val haswell : t
-(** Early development machine / Catalyst-era CPU. *)
-
 val knl : t
 (** Knights Landing — Cori-II at NERSC, SW4's comparison machine. *)
 
@@ -48,9 +42,6 @@ val grace : t
 
 (** {1 GPUs} *)
 
-val k40 : t
-val k80 : t
-
 val p100 : t
 (** Pascal, on the EA Minsky nodes. *)
 
@@ -63,5 +54,3 @@ val mi250x : t
 
 val h100 : t
 (** NVIDIA H100, the Grace-Hopper superchip GPU. *)
-
-val fraction_of_peak : t -> achieved_gflops:float -> float

@@ -10,10 +10,12 @@ type t = {
 }
 
 let make ?(launches = 1) ~name ~flops ~bytes () =
-  assert (flops >= 0.0 && bytes >= 0.0 && launches >= 0);
+  if not (flops >= 0.0 && bytes >= 0.0 && launches >= 0) then
+    invalid_arg
+      (Printf.sprintf
+         "Kernel.make %s: flops = %g, bytes = %g, launches = %d (each must be >= 0)"
+         name flops bytes launches);
   { name; flops; bytes; launches }
-
-let zero name = { name; flops = 0.0; bytes = 0.0; launches = 0 }
 
 let add a b =
   {
@@ -28,7 +30,3 @@ let scale k a =
 
 (** Arithmetic intensity in flops/byte; infinite for pure-compute kernels. *)
 let intensity k = if k.bytes = 0.0 then infinity else k.flops /. k.bytes
-
-let pp ppf k =
-  Fmt.pf ppf "%s{%.3g F, %.3g B, AI=%.2f, %d launches}" k.name k.flops k.bytes
-    (intensity k) k.launches

@@ -12,8 +12,6 @@ type t = {
 val make : ?launches:int -> name:string -> flops:float -> bytes:float -> unit -> t
 (** All quantities must be nonnegative ([launches] defaults to 1). *)
 
-val zero : string -> t
-
 val add : t -> t -> t
 (** Componentwise sum (keeps the first name). *)
 
@@ -22,5 +20,3 @@ val scale : float -> t -> t
 
 val intensity : t -> float
 (** Arithmetic intensity, flops/byte; infinite when [bytes = 0]. *)
-
-val pp : Format.formatter -> t -> unit

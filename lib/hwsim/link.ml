@@ -31,15 +31,14 @@ let make ~name ~latency_s ~bw_gbs =
 (** Time to move [bytes] across the link; an empty transfer costs
     nothing (no message, no latency). *)
 let transfer_time l ~bytes =
-  assert (bytes >= 0.0);
+  if not (bytes >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Link.transfer_time %s: bytes = %g is not >= 0" l.name bytes);
   if bytes = 0.0 then 0.0
   else l.latency_s +. (bytes /. (l.bw_gbs *. 1e9))
 
 (** PCIe gen3 x16, the pre-EA clusters' host link. *)
 let pcie3 = { name = "PCIe3"; latency_s = 10e-6; bw_gbs = 12.0 }
-
-(** NVLink 1.0 (Minsky, P8<->P100): 2 bricks. *)
-let nvlink1 = { name = "NVLink1"; latency_s = 8e-6; bw_gbs = 40.0 }
 
 (** NVLink 2.0 (Witherspoon, P9<->V100): 3 bricks. *)
 let nvlink2 = { name = "NVLink2"; latency_s = 7e-6; bw_gbs = 75.0 }
@@ -57,7 +56,9 @@ let gpudirect = { name = "GPUDirect"; latency_s = 1.2e-6; bw_gbs = 8.0 }
     tail page is not additionally charged [latency_s]; zero bytes move
     zero pages and cost nothing. *)
 let unified_memory_transfer ~link ~bytes =
-  assert (bytes >= 0.0);
+  if not (bytes >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Link.unified_memory_transfer: bytes = %g is not >= 0" bytes);
   let page = 65536.0 in
   let pages = Float.ceil (bytes /. page) in
   let fault_cost = 3e-6 in
@@ -70,9 +71,6 @@ let ib_edr = { name = "IB-EDR"; latency_s = 1.0e-6; bw_gbs = 12.5 }
 (** Sierra dual-rail EDR. *)
 let ib_dual_edr = { name = "IB-2xEDR"; latency_s = 1.0e-6; bw_gbs = 25.0 }
 
-(** Gemini-era (Kraken/Catalyst ancestors) slower fabric. *)
-let ib_qdr = { name = "IB-QDR"; latency_s = 1.6e-6; bw_gbs = 4.0 }
-
 (** NVMe burst tier on Sierra nodes (HavoqGT out-of-core runs). *)
 let nvme = { name = "NVMe"; latency_s = 90e-6; bw_gbs = 5.5 }
 
@@ -83,9 +81,6 @@ let nvme = { name = "NVMe"; latency_s = 90e-6; bw_gbs = 5.5 }
 (** Frontier node injection: 4 Slingshot-11 NICs, one per MI250X (the
     "4-plane" dragonfly), 25 GB/s each, aggregated. *)
 let slingshot_4plane = make ~name:"Slingshot11x4" ~latency_s:1.8e-6 ~bw_gbs:100.0
-
-(** One Slingshot-11 plane: intra-group electrical all-to-all. *)
-let slingshot = make ~name:"Slingshot11" ~latency_s:1.8e-6 ~bw_gbs:25.0
 
 (** Slingshot global optical links between dragonfly groups (per-node
     share of the group's global ports; tapered). *)

@@ -24,7 +24,6 @@ val transfer_time : t -> bytes:float -> float
     paid. *)
 
 val pcie3 : t
-val nvlink1 : t
 
 val nvlink2 : t
 (** Witherspoon P9 <-> V100 host link. *)
@@ -45,7 +44,6 @@ val ib_edr : t
 val ib_dual_edr : t
 (** Sierra's dual-rail EDR fabric. *)
 
-val ib_qdr : t
 val nvme : t
 (** Node-local burst tier (HavoqGT out-of-core runs). *)
 
@@ -53,9 +51,6 @@ val nvme : t
 
 val slingshot_4plane : t
 (** Frontier node injection: 4 Slingshot-11 NICs aggregated. *)
-
-val slingshot : t
-(** One Slingshot-11 plane (intra-group electrical). *)
 
 val slingshot_optical : t
 (** Slingshot global optical links between dragonfly groups. *)

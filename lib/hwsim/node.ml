@@ -44,18 +44,6 @@ let witherspoon =
     nvme_gb = 1600.0;
   }
 
-(** Early-access Minsky node: 2x P8 + 4x P100, NVLink1. *)
-let minsky =
-  {
-    name = "Minsky";
-    cpu = Device.power8;
-    cpu_sockets = 2;
-    gpu = Some Device.p100;
-    gpus = 4;
-    host_link = Link.nvlink1;
-    nvme_gb = 0.0;
-  }
-
 (** Cori-II KNL node at NERSC (SW4's comparison machine). *)
 let cori_ii =
   {
@@ -66,42 +54,6 @@ let cori_ii =
     gpus = 0;
     host_link = Link.pcie3;
     nvme_gb = 0.0;
-  }
-
-(** Visualization cluster node: Sandy Bridge + K40. *)
-let viz_node =
-  {
-    name = "Viz";
-    cpu = Device.sandybridge;
-    cpu_sockets = 2;
-    gpu = Some Device.k40;
-    gpus = 2;
-    host_link = Link.pcie3;
-    nvme_gb = 0.0;
-  }
-
-(** Development machine node: Haswell + K80. *)
-let dev_node =
-  {
-    name = "Dev";
-    cpu = Device.haswell;
-    cpu_sockets = 2;
-    gpu = Some Device.k80;
-    gpus = 2;
-    host_link = Link.pcie3;
-    nvme_gb = 0.0;
-  }
-
-(** CPU-only commodity cluster node (Catalyst-era, Table 2). *)
-let catalyst_node =
-  {
-    name = "Catalyst";
-    cpu = Device.haswell;
-    cpu_sockets = 2;
-    gpu = None;
-    gpus = 0;
-    host_link = Link.pcie3;
-    nvme_gb = 800.0;
   }
 
 (* --- exascale-generation nodes (ROADMAP item 3) --- *)
@@ -138,13 +90,7 @@ let grace_hopper_node =
 let sierra =
   { node = witherspoon; nodes = 4320; topology = Topology.flat Link.ib_dual_edr }
 
-let ea_system =
-  { node = minsky; nodes = 36; topology = Topology.flat Link.ib_edr }
-
 let cori = { node = cori_ii; nodes = 9688; topology = Topology.flat Link.ib_edr }
-
-let catalyst =
-  { node = catalyst_node; nodes = 300; topology = Topology.flat Link.ib_qdr }
 
 (** Frontier: 9408 nodes on a 4-plane Slingshot dragonfly — 128-node
     electrical groups, tapered global optics. *)
@@ -176,7 +122,7 @@ let pp ppf n =
     | None -> ""
     | Some g -> Fmt.str " + %dx %a via %a" n.gpus Device.pp g Link.pp n.host_link)
 
-(** Machine printer: node composition plus the network parameters the
-    plain {!pp} omits — scale, per-level links, radixes, contention. *)
+(** Machine printer: node composition plus the network parameters —
+    scale, per-level links, radixes, contention. *)
 let pp_machine ppf m =
   Fmt.pf ppf "%a; %d nodes on %a" pp m.node m.nodes Topology.pp m.topology

@@ -29,27 +29,11 @@ val node_peak_gflops : t -> float
 val witherspoon : t
 (** Sierra node: 2x P9 + 4x V100 on NVLink2, 1.6 TB NVMe. *)
 
-val minsky : t
-(** Early-access node: 2x P8 + 4x P100 on NVLink1. *)
-
 val cori_ii : t
 (** KNL node at NERSC (SW4's comparison machine). *)
 
-val viz_node : t
-val dev_node : t
-val catalyst_node : t
-
-val frontier_node : t
-(** Frontier node: 1x Trento + 4x MI250X on Infinity Fabric (Bauman et
-    al. 2023). *)
-
-val grace_hopper_node : t
-(** Grace-Hopper superchip: 1x Grace + 1x H100 on NVLink-C2C. *)
-
 val sierra : machine
-val ea_system : machine
 val cori : machine
-val catalyst : machine
 
 val frontier : machine
 (** 9408 nodes on a 4-plane Slingshot dragonfly (128-node groups,
@@ -58,8 +42,6 @@ val frontier : machine
 val grace_hopper : machine
 (** 4608 superchip nodes on an NDR fat tree with a 2:1 tapered core. *)
 
-val pp : Format.formatter -> t -> unit
-
 val pp_machine : Format.formatter -> machine -> unit
-(** Node composition plus the network parameters {!pp} omits: machine
-    scale and the topology's per-level links, radixes and contention. *)
+(** Node composition plus the network parameters: machine scale and the
+    topology's per-level links, radixes and contention. *)

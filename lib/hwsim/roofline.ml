@@ -59,7 +59,3 @@ let time ?eff ?lanes_used d k = fst (time_and_bound ?eff ?lanes_used d k)
    priced time (re-deriving the roofs here once ignored [lanes_used]). *)
 let binding ?eff ?lanes_used (d : Device.t) (k : Kernel.t) =
   snd (time_and_bound ?eff ?lanes_used d k)
-
-(** Achieved fraction of device peak for a kernel run in time [t]. *)
-let achieved_peak_fraction (d : Device.t) (k : Kernel.t) ~time:t =
-  k.Kernel.flops /. t /. (d.Device.peak_gflops *. 1e9)

@@ -37,5 +37,3 @@ val binding :
 (** Which roof binds for this kernel on this device. Delegates to
     {!time_and_bound} (same efficiency and lane scaling), so the two can
     never disagree. *)
-
-val achieved_peak_fraction : Device.t -> Kernel.t -> time:float -> float

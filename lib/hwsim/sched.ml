@@ -162,12 +162,9 @@ let run t =
       t.ran <- Some makespan;
       makespan
 
-let ran t = t.ran <> None
-
 let makespan t =
   match t.ran with Some m -> m | None -> invalid_arg "Sched.makespan: not run"
 
-let start_time it = it.start_s
 let finish_time it = it.finish_s
 
 let profile t = Icoe_obs.Prof.analyze ~overlap:t.overlap (dag t)

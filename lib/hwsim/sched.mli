@@ -80,11 +80,6 @@ val run : t -> float
     with overlap off. Idempotent — subsequent calls return the memoized
     makespan without charging again. *)
 
-val ran : t -> bool
-
-val makespan : t -> float
-(** Raises [Invalid_argument] before {!run}. *)
-
 val serial_sum : t -> float
 (** Sum of all item durations — what serialized charging would cost.
     Always [>= makespan] (equal with overlap off). *)
@@ -100,9 +95,6 @@ val stream_busy : t -> (string * float) list
 
 val items : t -> item list
 (** All items in enqueue order. *)
-
-val start_time : item -> float
-(** Schedule-relative start seconds; valid after {!run}. *)
 
 val finish_time : item -> float
 

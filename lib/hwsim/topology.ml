@@ -22,11 +22,6 @@ type placement =
           level *)
   | Random_spread  (** scattered allocation: every message crosses the top *)
 
-let placement_name = function
-  | Contiguous -> "contiguous"
-  | Rank_reordered -> "rank-reordered"
-  | Random_spread -> "random"
-
 type level = {
   name : string;
   link : Link.t;
@@ -149,7 +144,8 @@ let hops t ~level = if is_flat t then 1 else 2 * (level + 1)
     level degenerates to exactly [Link.transfer_time] — the bit-identity
     contract every flat-default cost model relies on. *)
 let path_time t ~level ~bytes =
-  assert (bytes >= 0.0);
+  if not (bytes >= 0.0) then
+    invalid_arg (Printf.sprintf "Topology.path_time: bytes = %g is not >= 0" bytes);
   if is_flat t then Link.transfer_time (leaf_link t) ~bytes
   else if bytes = 0.0 then 0.0
   else begin

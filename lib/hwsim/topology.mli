@@ -19,8 +19,6 @@ type placement =
           contiguous crossing plus one level of spill *)
   | Random_spread  (** scattered allocation: every message pays the top *)
 
-val placement_name : placement -> string
-
 type level = {
   name : string;
   link : Link.t;
@@ -60,10 +58,6 @@ val is_flat : t -> bool
 val leaf_link : t -> Link.t
 (** The level-0 (injection) link; for {!flat} topologies, the old
     machine fabric itself. *)
-
-val reach : t -> int -> int
-(** [reach t lvl]: endpoints under one level-[lvl] subtree (saturating
-    product of radixes [0..lvl]). *)
 
 val crossing : t -> nodes:int -> placement -> int
 (** Highest level a gang of [nodes] endpoints crosses under a
@@ -108,5 +102,4 @@ val placement_penalty : t -> nodes:int -> level:int -> float
     its contiguous-best crossing (ratio of reference gang transfers);
     1.0 when no worse than contiguous, and always on flat topologies. *)
 
-val pp_level : Format.formatter -> level -> unit
 val pp : Format.formatter -> t -> unit

@@ -48,7 +48,6 @@ let create ?(root = "experiment") clock =
     nspans = 0;
   }
 
-let clock t = t.clock
 let root t = t.root
 let now t = Clock.total t.clock
 
@@ -114,7 +113,9 @@ let charge t ?device ~phase dt =
    advances it once, by the critical path, via [advance]. *)
 let scheduled_span t ?device ?(flops = 0.0) ?(bytes = 0.0) ?bound ~phase
     ~start dur =
-  assert (dur >= 0.0);
+  if not (dur >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Trace.scheduled_span %s: duration %g is not >= 0" phase dur);
   let sp = mk_span ?device ~start phase in
   sp.stop <- start +. dur;
   sp.flops <- flops;
@@ -342,16 +343,3 @@ let chrome_json_of_many traces =
   Icoe_util.Json.(to_string (Arr (List.rev !acc)))
 
 let to_chrome_json t = chrome_json_of_many [ (t.root.name, t) ]
-
-let pp ppf t =
-  let rec go indent sp =
-    Fmt.pf ppf "%s%s%a [%.3e s]@," indent sp.name
-      (fun ppf -> function
-        | Some d -> Fmt.pf ppf "@@%s" d
-        | None -> ())
-      sp.device (duration sp);
-    List.iter (go (indent ^ "  ")) (List.rev sp.children)
-  in
-  Fmt.pf ppf "@[<v>";
-  go "" t.root;
-  Fmt.pf ppf "@]"

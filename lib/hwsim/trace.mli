@@ -35,7 +35,6 @@ val create : ?root:string -> Clock.t -> t
 (** [create clock] makes a tracer whose root span (default name
     ["experiment"]) opens at the clock's current total. *)
 
-val clock : t -> Clock.t
 val root : t -> span
 
 val now : t -> float
@@ -145,6 +144,3 @@ val chrome_json_of_many : (string * t) list -> string
 
 val to_chrome_json : t -> string
 (** [chrome_json_of_many] for a single trace. *)
-
-val pp : Format.formatter -> t -> unit
-(** Indented span tree, for debugging. *)

@@ -29,8 +29,6 @@ type setup_params = {
   seed : int;
 }
 
-val default_params : setup_params
-
 val setup : ?params:setup_params -> Linalg.Csr.t -> t
 (** Build the hierarchy (the CPU-side setup phase). *)
 

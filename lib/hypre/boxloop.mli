@@ -8,8 +8,6 @@
 
 type box = { ilo : int; ihi : int; jlo : int; jhi : int }
 
-val box_size : box -> int
-
 val boxloop2 :
   Prog.Exec.ctx ->
   ?phase:string ->
@@ -33,9 +31,6 @@ module Struct_solver : sig
 
   val create : int -> int -> t
   val idx : t -> int -> int -> int
-  val interior : t -> box
-  val jacobi_sweep : Prog.Exec.ctx -> ?w:float -> t -> unit
-  val residual_norm : Prog.Exec.ctx -> t -> float
 
   val solve : ?tol:float -> ?max_sweeps:int -> Prog.Exec.ctx -> t -> int * float
   (** Iterate to relative tolerance: (sweeps, final relative residual). *)

@@ -32,8 +32,8 @@ let make_level n =
 
 (** Build a hierarchy for an (n x n) interior grid, n = 2^k - 1. *)
 let create n =
-  assert (n >= 1);
-  assert ((n + 1) land n = 0 (* n+1 power of two *));
+  if not (n >= 1 && (n + 1) land n = 0) then
+    invalid_arg (Printf.sprintf "Pfmg.create: n = %d is not 2^k - 1" n);
   let rec build n acc = if n < 1 then acc else build ((n - 1) / 2) (make_level n :: acc) in
   let levels = List.rev (build n []) in
   { levels = Array.of_list levels }

@@ -21,11 +21,6 @@ val create : int -> t
 
 val finest : t -> level
 
-val smooth : Prog.Exec.ctx -> ?w:float -> level -> unit
-val residual : Prog.Exec.ctx -> level -> unit
-val v_cycle : ?nu1:int -> ?nu2:int -> Prog.Exec.ctx -> t -> unit
-val residual_norm : Prog.Exec.ctx -> t -> float
-
 val solve : ?tol:float -> ?max_cycles:int -> Prog.Exec.ctx -> t -> int * float
 (** Iterate V-cycles to relative tolerance: (cycles, relative norm).
     Converges in O(10) cycles independent of grid size. *)

@@ -1,7 +1,5 @@
 (** Ablations: the design-choice studies behind the paper's lessons
-    learned. Item 2 measures real wall-clock time, so this harness's
-    report is inherently machine-dependent (the CI determinism diff
-    skips it). *)
+    learned. *)
 
 open Icoe_util
 
@@ -21,32 +19,14 @@ let ablations () =
     (Mfem.Diffusion.Pa.storage_bytes pa /. 1e6)
     (Mfem.Diffusion.fa_storage_bytes fa /. 1e6)
     (Mfem.Diffusion.fa_storage_bytes fa /. Mfem.Diffusion.Pa.storage_bytes pa);
-  (* 2. JIT specialization: real wall-clock on this machine *)
-  let mesh2 = Mfem.Mesh.create ~nx:24 ~ny:24 ~p:2 () in
-  let basis2 = Mfem.Basis.create 2 in
-  let pa2 = Mfem.Diffusion.Pa.setup mesh2 basis2 in
-  let n2 = Mfem.Mesh.num_dofs mesh2 in
-  let u = Array.init n2 (fun i -> sin (float_of_int i)) in
-  let y = Array.make n2 0.0 in
-  let wall f =
-    let t0 = Sys.time () in
-    for _ = 1 to 300 do
-      f ()
-    done;
-    Sys.time () -. t0
-  in
-  let tg = wall (fun () -> Mfem.Diffusion.Pa.apply pa2 u y) in
-  let ts = wall (fun () -> Mfem.Diffusion.Pa.apply_specialized pa2 u y) in
-  addf "JIT specialization (p=2 unrolled, real wall time): %.1fx faster than the generic contraction"
-    (tg /. max 1e-9 ts);
-  (* 3. kernel fusion vs launch overhead (sw4lite) *)
+  (* 2. kernel fusion vs launch overhead (sw4lite) *)
   let g = Sw4.Grid.create ~nx:48 ~ny:48 ~h:100.0 in
   let t_split = Sw4.Scenario.variant_time_per_step g Sw4.Scenario.Naive_cuda in
   let t_fused = Sw4.Scenario.variant_time_per_step ~fused:true g Sw4.Scenario.Naive_cuda in
   addf "kernel fusion (48^2 stencil): %.1f -> %.1f us/step (%.0f%% of the small-grid step was launch overhead)"
     (t_split *. 1e6) (t_fused *. 1e6)
     ((t_split -. t_fused) /. t_split *. 100.0);
-  (* 4. shuffle levers in isolation *)
+  (* 3. shuffle levers in isolation *)
   let lever jvm shuffle tree =
     let cfg =
       { (Sparkle.Cluster.default_config ~nodes:32 ()) with
@@ -65,7 +45,7 @@ let ablations () =
     (base /. lever false true false)
     (base /. lever false false true)
     (base /. lever true true true);
-  (* 5. Data Broker vs both shuffle paths *)
+  (* 4. Data Broker vs both shuffle paths *)
   let c = Sparkle.Cluster.create (Sparkle.Cluster.default_config ~nodes:32 ()) in
   let db = Sparkle.Databroker.create c in
   let bytes = Lda.Fig2.wikipedia.Lda.Fig2.distinct_pairs *. 16.0 *. 8.0 in
@@ -78,7 +58,7 @@ let ablations () =
     broker_t
     (Hwsim.Clock.phase default_c.Sparkle.Cluster.clock "shuffle")
     (Hwsim.Clock.phase adaptive_c.Sparkle.Cluster.clock "shuffle");
-  (* 6. PFMG vs Jacobi (structured-solver algorithms) *)
+  (* 5. PFMG vs Jacobi (structured-solver algorithms) *)
   let run_pfmg () =
     let clock = Hwsim.Clock.create () in
     let ctx = Prog.Exec.make_ctx ~policy:Prog.Policy.Cuda ~device:Hwsim.Device.v100 ~clock () in
@@ -99,7 +79,7 @@ let ablations () =
   let pc, pt = run_pfmg () and jc, jt = run_jacobi () in
   addf "structured solvers (63^2 Poisson): PFMG %d V-cycles (%.2f ms) vs Jacobi %d sweeps (%.2f ms) — %.0fx"
     pc (pt *. 1e3) jc (jt *. 1e3) (jt /. pt);
-  (* 7. integrator work-precision on the oscillator at rtol 1e-6 *)
+  (* 6. integrator work-precision on the oscillator at rtol 1e-6 *)
   let osc _t y = [| y.(1); -.y.(0) |] in
   let jac _t _y =
     Linalg.Dense.init 2 2 (fun i j -> if i = 0 && j = 1 then 1.0 else if i = 1 && j = 0 then -1.0 else 0.0)
@@ -122,7 +102,7 @@ let ablations () =
     (Float.abs (erk.Sundials.Cvode.y.(0) -. 1.0))
     adams.Sundials.Cvode.stats.Sundials.Cvode.nfevals
     (Float.abs (adams.Sundials.Cvode.y.(0) -. 1.0));
-  (* 8. CPU fusion regression (Sec 4.8's dual lesson) *)
+  (* 7. CPU fusion regression (Sec 4.8's dual lesson) *)
   let inputs8 =
     List.map
       (fun a -> (a, Array.init 64 (fun i -> float_of_int i)))
@@ -134,7 +114,7 @@ let ablations () =
   addf "CPU fusion regression: small loops %.2f ms vs hand-fused %.2f ms on P9 (why SLNSP had to live in the compiler)"
     (Paradyn.Interp.cpu_time ~n:4_000_000 ~fused_source:false cb *. 1e3)
     (Paradyn.Interp.cpu_time ~n:4_000_000 ~fused_source:true cf *. 1e3);
-  (* 9. direction-optimizing BFS *)
+  (* 8. direction-optimizing BFS *)
   let rng = Rng.create 13 in
   let gph = Havoq.Graph.rmat ~rng ~scale:12 () in
   let src = ref 0 in
@@ -152,6 +132,6 @@ let harnesses =
   [
     Harness.make ~id:"ablations"
       ~description:"Design-choice studies behind the lessons learned"
-      ~tags:[ "study"; "activity:ablations"; "wall-clock" ]
+      ~tags:[ "study"; "activity:ablations" ]
       ablations;
   ]

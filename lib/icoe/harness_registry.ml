@@ -51,6 +51,7 @@ let ids () = List.map (fun h -> h.Harness.id) all
 
 let find id = List.find_opt (fun h -> h.Harness.id = id) all
 
+(** Harnesses carrying a tag, e.g. ["figure"], ["activity:mfem"]. *)
 let with_tag tag = List.filter (fun h -> List.mem tag h.Harness.tags) all
 
 let traced () = with_tag "traced"

@@ -13,9 +13,6 @@ val ids : unit -> string list
 
 val find : string -> Harness.t option
 
-val with_tag : string -> Harness.t list
-(** Harnesses carrying a tag, e.g. ["figure"], ["activity:mfem"]. *)
-
 val traced : unit -> Harness.t list
 (** The harnesses that record {!Hwsim.Trace.t}s (tag ["traced"]); the
     default set for the CLI's [--trace] export. *)

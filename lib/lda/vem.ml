@@ -46,7 +46,7 @@ type model = {
 let init ~(rng : Icoe_util.Rng.t) ~k ~vocab () =
   (* row-by-row draw order matches the nested-array init it replaced *)
   let lambda = Fbuf.init (k * vocab) (fun _ -> 0.5 +. Icoe_util.Rng.float rng) in
-  { k; vocab; alpha = 0.1; eta = 0.01; lambda; arena = Prog.Scratch.create "lda-estep" }
+  { k; vocab; alpha = 0.1; eta = 0.01; lambda; arena = Prog.Scratch.create () }
 
 (* expected log beta from lambda: E[log beta_kw] = digamma(lambda_kw) -
    digamma(sum_w lambda_kw) *)

@@ -47,8 +47,6 @@ val e_step_docs_seq :
 
 type iteration_result = { loglik : float }
 
-val em_iteration : model -> Corpus.doc Sparkle.Rdd.t -> iteration_result
-
 val train : ?iters:int -> model -> Corpus.doc Sparkle.Rdd.t -> float array
 (** Run EM; returns the per-iteration log-likelihood trace. *)
 

@@ -17,9 +17,6 @@ type t = {
 
 let nnz t = t.row_ptr.(t.m)
 
-let create_empty m n =
-  { m; n; row_ptr = Array.make (m + 1) 0; col_idx = [||]; values = Fbuf.create 0 }
-
 (** Build from (row, col, value) triplets; duplicates are summed. *)
 let of_triplets ~m ~n triplets =
   let cnt = Array.make m 0 in

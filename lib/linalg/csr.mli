@@ -15,7 +15,6 @@ type t = {
 }
 
 val nnz : t -> int
-val create_empty : int -> int -> t
 
 val of_triplets : m:int -> n:int -> (int * int * float) list -> t
 (** Build from (row, col, value) triplets; duplicates are summed, columns

@@ -141,14 +141,3 @@ let lu_solve { lu = a; piv } b =
 let solve t b = lu_solve (lu_factor t) b
 
 let frobenius t = sqrt (Array.fold_left (fun s v -> s +. (v *. v)) 0.0 t.a)
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>";
-  for i = 0 to min (t.m - 1) 7 do
-    Fmt.pf ppf "[";
-    for j = 0 to min (t.n - 1) 7 do
-      Fmt.pf ppf "%9.3g " (get t i j)
-    done;
-    Fmt.pf ppf "]@,"
-  done;
-  Fmt.pf ppf "@]"

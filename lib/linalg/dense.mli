@@ -42,4 +42,3 @@ val solve : t -> float array -> float array
 (** One-shot factor-and-solve. *)
 
 val frobenius : t -> float
-val pp : Format.formatter -> t -> unit

@@ -1,4 +1,4 @@
-(** Krylov solvers: CG, preconditioned CG, restarted GMRES, BiCGStab.
+(** Krylov solvers: CG, preconditioned CG, restarted GMRES.
 
     These are the solve-phase workhorses of hypre (PCG + AMG), Cretin's
     batched iterative population solver (GMRES + Jacobi) and the
@@ -28,14 +28,13 @@ let record =
         ~labels "krylov_last_residual" )
   in
   let cg_h = handles "cg" and pcg_h = handles "pcg" in
-  let gmres_h = handles "gmres" and bicgstab_h = handles "bicgstab" in
+  let gmres_h = handles "gmres" in
   fun meth (r : result) ->
     let iters, solves, resid =
       match meth with
       | `Cg -> cg_h
       | `Pcg -> pcg_h
       | `Gmres -> gmres_h
-      | `Bicgstab -> bicgstab_h
     in
     Icoe_obs.Metrics.inc ~by:(float_of_int r.iters) iters;
     Icoe_obs.Metrics.inc solves;
@@ -218,42 +217,3 @@ let gmres ?(tol = default_tol) ?(max_iter = 1000) ?(restart = 30)
    with Exit -> ());
   record `Gmres
     { x = !x; iters = !total_iters; residual = !final_res; converged = !converged }
-
-(** BiCGStab for nonsymmetric systems. *)
-let bicgstab ?(tol = default_tol) ?(max_iter = 1000) ~op b x0 =
-  let x = Array.copy x0 in
-  let r = Vec.sub b (op x) in
-  let r0 = Array.copy r in
-  let bnorm = max (Vec.nrm2 b) 1e-300 in
-  let rho = ref 1.0 and alpha = ref 1.0 and omega = ref 1.0 in
-  let n = Array.length b in
-  let v = Array.make n 0.0 and p = Array.make n 0.0 in
-  let iters = ref 0 in
-  let res = ref (Vec.nrm2 r /. bnorm) in
-  (try
-     while !iters < max_iter && !res > tol do
-       let rho' = Vec.dot r0 r in
-       if Float.abs rho' < 1e-300 then raise Exit;
-       let beta = rho' /. !rho *. (!alpha /. !omega) in
-       rho := rho';
-       (* p <- r + beta*(p - omega*v) *)
-       for i = 0 to n - 1 do
-         p.(i) <- r.(i) +. (beta *. (p.(i) -. (!omega *. v.(i))))
-       done;
-       let v' = op p in
-       Array.blit v' 0 v 0 n;
-       alpha := !rho /. Vec.dot r0 v;
-       let s = Array.init n (fun i -> r.(i) -. (!alpha *. v.(i))) in
-       let t = op s in
-       let tt = Vec.dot t t in
-       omega := if tt < 1e-300 then 0.0 else Vec.dot t s /. tt;
-       for i = 0 to n - 1 do
-         x.(i) <- x.(i) +. (!alpha *. p.(i)) +. (!omega *. s.(i));
-         r.(i) <- s.(i) -. (!omega *. t.(i))
-       done;
-       res := Vec.nrm2 r /. bnorm;
-       incr iters;
-       if Float.abs !omega < 1e-300 then raise Exit
-     done
-   with Exit -> ());
-  record `Bicgstab { x; iters = !iters; residual = !res; converged = !res <= tol }

@@ -1,4 +1,4 @@
-(** Krylov solvers: CG, preconditioned CG, restarted GMRES, BiCGStab.
+(** Krylov solvers: CG, preconditioned CG, restarted GMRES.
 
     The solve-phase workhorses of hypre (PCG + AMG), Cretin's batched
     iterative population solver (GMRES + Jacobi) and the matrix-free
@@ -53,12 +53,3 @@ val gmres :
   float array ->
   result
 (** Restarted GMRES(m) with optional right preconditioning. *)
-
-val bicgstab :
-  ?tol:float ->
-  ?max_iter:int ->
-  op:(float array -> float array) ->
-  float array ->
-  float array ->
-  result
-(** BiCGStab for nonsymmetric systems. *)

@@ -6,12 +6,6 @@
 
 let create n = Array.make n 0.0
 
-let of_list = Array.of_list
-
-let copy = Array.copy
-
-let fill v x = Array.fill v 0 (Array.length v) x
-
 (* the guard of every two-vector kernel: [fn] and both lengths in the
    message *)
 let check_lengths fn x y =
@@ -64,10 +58,6 @@ let add x y =
 let mul x y =
   check_lengths "mul" x y;
   Array.init (Array.length x) (fun i -> x.(i) *. y.(i))
-
-let map = Array.map
-
-let blit ~src ~dst = Array.blit src 0 dst 0 (Array.length src)
 
 (** Weighted RMS norm used by the CVODE-style integrator:
     sqrt( (1/n) * sum (x_i * w_i)^2 ). *)

@@ -9,10 +9,6 @@
 val create : int -> float array
 (** Zero vector of the given length. *)
 
-val of_list : float list -> float array
-val copy : float array -> float array
-val fill : float array -> float -> unit
-
 val axpy : float -> float array -> float array -> unit
 (** [axpy a x y]: y <- a*x + y. *)
 
@@ -32,9 +28,6 @@ val add : float array -> float array -> float array
 
 val mul : float array -> float array -> float array
 (** Pointwise product, fresh array. *)
-
-val map : (float -> float) -> float array -> float array
-val blit : src:float array -> dst:float array -> unit
 
 val wrms : float array -> float array -> float
 (** Weighted RMS norm used by the CVODE-style integrator:

@@ -35,7 +35,8 @@ let lagrange_eval nodes i x =
 (** Basis of order [p] tabulated at an [nq]-point Gauss rule
     (default nq = p+2, full accuracy for the diffusion bilinear form). *)
 let create ?nq p =
-  assert (p >= 1);
+  if not (p >= 1) then
+    invalid_arg (Printf.sprintf "Basis.create: order p = %d is not >= 1" p);
   let nq = match nq with Some n -> n | None -> p + 2 in
   let nodes, _ = Quadrature.gauss_lobatto (p + 1) in
   let qpts, qwts = Quadrature.gauss_legendre nq in
@@ -53,7 +54,9 @@ let create ?nq p =
 (** Collocation variant: quadrature at the GLL nodes themselves, which
     makes the mass matrix diagonal (spectral-element lumping). *)
 let create_collocated p =
-  assert (p >= 1);
+  if not (p >= 1) then
+    invalid_arg
+      (Printf.sprintf "Basis.create_collocated: order p = %d is not >= 1" p);
   let nodes, wts = Quadrature.gauss_lobatto (p + 1) in
   let nq = p + 1 in
   let b = Array.make_matrix nq (p + 1) 0.0 in
@@ -68,4 +71,3 @@ let create_collocated p =
   { p; nodes; qpts = Array.copy nodes; qwts = wts; b; g }
 
 let nq t = Array.length t.qpts
-let ndof t = t.p + 1

@@ -11,9 +11,6 @@ type t = {
   g : float array array;  (** g.(q).(i) = phi_i'(x_q) *)
 }
 
-val lagrange_eval : float array -> int -> float -> float * float
-(** Value and derivative of Lagrange basis [i] on the given nodes. *)
-
 val create : ?nq:int -> int -> t
 (** Order-p basis at an nq-point Gauss rule (default p+2, full accuracy
     for the diffusion form). *)
@@ -23,4 +20,3 @@ val create_collocated : int -> t
     diagonal (spectral-element lumping). *)
 
 val nq : t -> int
-val ndof : t -> int

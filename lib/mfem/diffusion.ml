@@ -208,12 +208,6 @@ module Pa = struct
       done
     done
 
-  (** Apply with homogeneous-Dirichlet constrained dofs: constrained rows
-      return the input value (identity on the boundary subspace). *)
-  let apply_constrained t ~bdof u y =
-    apply t u y;
-    Array.iteri (fun g isb -> if isb then y.(g) <- u.(g)) bdof
-
   (** Recompute the geometric factors for a solution-dependent coefficient
       kappa(u): u is interpolated to the quadrature points with the same
       sum-factorized contractions. This is the "formulation" work of each

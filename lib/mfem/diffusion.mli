@@ -36,9 +36,6 @@ module Pa : sig
   val apply : t -> float array -> float array -> unit
   (** y <- K u by sum-factorized tensor contractions. *)
 
-  val apply_constrained : t -> bdof:bool array -> float array -> float array -> unit
-  (** Apply with identity on the constrained (Dirichlet) subspace. *)
-
   val apply_specialized : t -> float array -> float array -> unit
   (** "JIT"-specialized kernel for p = 2 with unrolled contractions (the
       Sec 4.10.3 compile-time-bounds lesson); identical results, falls

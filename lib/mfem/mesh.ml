@@ -15,7 +15,10 @@ type t = {
 }
 
 let create ?(lx = 1.0) ?(ly = 1.0) ~nx ~ny ~p () =
-  assert (nx >= 1 && ny >= 1 && p >= 1);
+  if not (nx >= 1 && ny >= 1 && p >= 1) then
+    invalid_arg
+      (Printf.sprintf "Mesh.create: nx = %d, ny = %d, p = %d (each must be >= 1)"
+         nx ny p);
   { nx; ny; p; lx; ly; ndof_x = (nx * p) + 1; ndof_y = (ny * p) + 1 }
 
 let num_elements t = t.nx * t.ny
@@ -25,7 +28,10 @@ let hy t = t.ly /. float_of_int t.ny
 
 (** Global dof index of local tensor node (i,j) of element (ex,ey). *)
 let global_dof t ~ex ~ey ~i ~j =
-  assert (i >= 0 && i <= t.p && j >= 0 && j <= t.p);
+  if not (i >= 0 && i <= t.p && j >= 0 && j <= t.p) then
+    invalid_arg
+      (Printf.sprintf "Mesh.global_dof: local node (%d, %d) outside [0, %d]^2" i j
+         t.p);
   let gx = (ex * t.p) + i and gy = (ey * t.p) + j in
   gx + (t.ndof_x * gy)
 

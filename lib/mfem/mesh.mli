@@ -26,7 +26,6 @@ val global_dof : t -> ex:int -> ey:int -> i:int -> j:int -> int
 val dof_coords : t -> float array -> int -> float * float
 (** Physical coordinates of a global dof given the basis nodal points. *)
 
-val is_boundary : t -> int -> bool
 val boundary_dofs : t -> int list
 
 val gather : t -> float array -> ex:int -> ey:int -> float array -> unit

@@ -23,9 +23,6 @@ type result = {
   mass_diag : float array;
 }
 
-val kappa_of_u : float -> float
-val default_u0 : x:float -> y:float -> float
-
 val run :
   ?n:int -> ?p:int -> ?tf:float -> ?rtol:float -> ?atol:float ->
   ?u0:(x:float -> y:float -> float) -> unit -> result

@@ -23,7 +23,8 @@ let legendre n x =
 
 (** Gauss-Legendre points and weights, exact for degree 2n-1. *)
 let gauss_legendre n =
-  assert (n >= 1);
+  if not (n >= 1) then
+    invalid_arg (Printf.sprintf "Quadrature.gauss_legendre: n = %d points, need >= 1" n);
   let pts = Array.make n 0.0 and wts = Array.make n 0.0 in
   for i = 0 to n - 1 do
     (* Chebyshev initial guess + Newton *)
@@ -41,7 +42,8 @@ let gauss_legendre n =
 (** Gauss-Lobatto-Legendre points (including +-1) and weights; n >= 2
     points, exact for degree 2n-3. *)
 let gauss_lobatto n =
-  assert (n >= 2);
+  if not (n >= 2) then
+    invalid_arg (Printf.sprintf "Quadrature.gauss_lobatto: n = %d points, need >= 2" n);
   let pts = Array.make n 0.0 and wts = Array.make n 0.0 in
   pts.(0) <- -1.0;
   pts.(n - 1) <- 1.0;

@@ -1,9 +1,6 @@
 (** Gauss-Legendre and Gauss-Lobatto-Legendre rules on [-1, 1]. GLL nodes
     double as the nodal points of the high-order bases. *)
 
-val legendre : int -> float -> float * float
-(** [(P_n(x), P_n'(x))] by recurrence. *)
-
 val gauss_legendre : int -> float array * float array
 (** n points and weights, exact for polynomials of degree 2n-1. *)
 

@@ -187,6 +187,7 @@ let diff ?(sim_threshold = 0.05) ?(wall_threshold = 0.5) ?(fail_wall = false)
 
 let opt_str = function Some v -> Fmt.str "%.6g" v | None -> "-"
 
+(** Verdict table; hides plain [Ok] rows unless [all]. *)
 let table ?(all = false) result =
   let open Icoe_util in
   let t =

@@ -76,12 +76,6 @@ val diff :
     Defaults: [sim_threshold] 0.05, [wall_threshold] 0.5, [fail_wall]
     false. *)
 
-val table : ?all:bool -> result -> Icoe_util.Table.t
-(** Verdict table; hides plain [Ok] rows unless [all]. *)
-
-val summary : result -> string
-(** One-line count summary. *)
-
 val exit_code : result -> int
 (** 0 when [regressions = 0], 3 otherwise. *)
 
@@ -97,5 +91,3 @@ val run_files :
 (** Read, parse and diff two files; returns the result and the rendered
     report (table + summary). Raises [Failure] on unreadable or invalid
     JSON. *)
-
-val verdict_name : verdict -> string

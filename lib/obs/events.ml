@@ -12,7 +12,7 @@
     merged/sorted log can always be replayed in emission order), [t_s]
     the simulated-clock timestamp when the emitter has one. The recorder
     is off by default — [emit] is a cheap no-op until a sink is
-    installed, either explicitly ({!to_file}, {!set_sink}, {!memory})
+    installed, either explicitly ({!to_file}, {!memory})
     or via the [ICOE_EVENTS=path] environment variable checked on first
     use. Events emitted from inside an {!Icoe_par.Pool} parallel job are
     silently dropped rather than racing on the shared channel. *)

@@ -45,9 +45,6 @@ val to_file : string -> unit
 (** Install a file sink (replacing any current sink). The caller — or
     the [ICOE_EVENTS] [at_exit] hook — must {!close} it to flush. *)
 
-val set_sink : (string -> unit) -> unit
-(** Install a custom line sink (replacing any current sink). *)
-
 val memory : unit -> unit -> string list
 (** Install an in-memory sink and return a function yielding the lines
     emitted so far, in order. For tests. *)

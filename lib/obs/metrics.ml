@@ -53,6 +53,8 @@ type gauge = float ref
 type histogram = hist_state
 
 let create () : registry = Hashtbl.create 64
+
+(** The process-wide registry the engines record into. *)
 let default = create ()
 
 let sort_labels labels =
@@ -256,6 +258,11 @@ let diff ~before ~after =
       | _, Some _ -> Some s)
     after
 
+let moved s =
+  match s.value with
+  | Counter v | Gauge v -> v <> 0.0
+  | Histogram h -> h.count > 0
+
 let reset ?(registry = default) () =
   Hashtbl.iter
     (fun _ m ->
@@ -315,5 +322,5 @@ let render_table ?(registry = default) ?(title = "metrics") () =
                 h.p99 )
       in
       Table.add_row tbl [ s.name; labels; typ; v ])
-    (snapshot ~registry ());
+    (List.filter moved (snapshot ~registry ()));
   tbl

@@ -17,7 +17,8 @@
     operations ([inc]/[set]/[observe]) are a float store. *)
 
 type registry
-(** A set of named metrics. Most callers use {!default}. *)
+(** A set of named metrics. Callers that pass no [?registry] use the
+    process-wide one the engines record into. *)
 
 type counter
 (** Monotonically increasing value (events, iterations, work items). *)
@@ -31,10 +32,7 @@ type histogram
     {!Icoe_util.Stats.percentile_sorted}. *)
 
 val create : unit -> registry
-(** A fresh registry (independent of {!default}). *)
-
-val default : registry
-(** The process-wide registry the engines record into. *)
+(** A fresh registry (independent of the process-wide one). *)
 
 (** {1 Metric creation (get-or-create)}
 
@@ -127,6 +125,10 @@ val diff : before:sample list -> after:sample list -> sample list
     histograms that first appear at zero) are dropped. Order follows
     [after], so the result is deterministically sorted. *)
 
+val moved : sample -> bool
+(** The sample differs from a freshly registered or {!reset} one: a
+    nonzero counter or gauge, or a histogram with observations. *)
+
 val reset : ?registry:registry -> unit -> unit
 (** Zero every counter/gauge and empty every histogram. Handles held by
     engines stay registered and valid. *)
@@ -140,5 +142,7 @@ val to_json : ?registry:registry -> unit -> string
 
 val render_table : ?registry:registry -> ?title:string -> unit ->
   Icoe_util.Table.t
-(** Snapshot rendered as an {!Icoe_util.Table} (metric, labels, value)
-    for the CLI report. *)
+(** The {!moved} samples of a snapshot rendered as an {!Icoe_util.Table}
+    (metric, labels, type, value) for the CLI report: after a {!reset},
+    exactly the metrics the run since then touched. {!to_json} keeps
+    the full snapshot. *)

@@ -275,6 +275,7 @@ let blame_total a =
 
 (* --- rendering --- *)
 
+(** Per-phase blame as a report table. *)
 let blame_table ?(title = "critical-path blame") a =
   let open Icoe_util in
   let t =
@@ -294,6 +295,7 @@ let blame_table ?(title = "critical-path blame") a =
     a.phase_blame;
   t
 
+(** One "what-if: zero <phase> -> ..." line per phase. *)
 let sensitivity_lines a =
   let buf = Buffer.create 256 in
   List.iter

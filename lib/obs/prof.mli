@@ -79,12 +79,6 @@ val blame_total : analysis -> float
 (** Sum of [phase_blame] seconds (equals [makespan] up to float
     regrouping; exact along the path). *)
 
-val blame_table : ?title:string -> analysis -> Icoe_util.Table.t
-(** Per-phase blame as a report table. *)
-
-val sensitivity_lines : analysis -> string
-(** One "what-if: zero <phase> -> ..." line per phase. *)
-
 val report_section : analysis -> string
 (** Blame table + critical-path summary line + sensitivity lines, ready
     to append to a harness report. *)

@@ -161,6 +161,13 @@ let run_anneal ev default ~seed ~iters splits comms_l =
   let polished = polish ev splits comms !best_st !best_e in
   if better polished default then polished else default
 
+(** Minimize [objective] over [splits] x [comms]. [splits] (default
+    {!Hwsim.Split.lattice}[ ()], 21 points) is sorted and deduplicated;
+    [comms] defaults to [[Dedicated; Inline]]. Deterministic: equal
+    inputs give equal results, ties keep the earliest candidate in
+    sweep order (the default first). Raises [Invalid_argument] on an
+    empty lattice or placement list, an invalid split, a negative
+    [iters], or an objective returning NaN. *)
 let tune ?splits ?(comms = [ Hwsim.Split.Dedicated; Hwsim.Split.Inline ]) mode
     obj =
   let splits =

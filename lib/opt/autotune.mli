@@ -49,19 +49,6 @@ val default_candidate : candidate
 (** [{ split = 1.0; comm = Dedicated }] — all work on the accelerator,
     communication on its own stream. *)
 
-val mode_name : mode -> string
-
-val tune :
-  ?splits:float array -> ?comms:Hwsim.Split.comm list -> mode -> objective ->
-  result
-(** Minimize [objective] over [splits] x [comms]. [splits] (default
-    {!Hwsim.Split.lattice}[ ()], 21 points) is sorted and deduplicated;
-    [comms] defaults to [[Dedicated; Inline]]. Deterministic: equal
-    inputs give equal results, ties keep the earliest candidate in
-    sweep order (the default first). Raises [Invalid_argument] on an
-    empty lattice or placement list, an invalid split, a negative
-    [iters], or an objective returning NaN. *)
-
 val exhaustive :
   ?splits:float array -> ?comms:Hwsim.Split.comm list -> objective -> result
 (** [tune Exhaustive]. *)

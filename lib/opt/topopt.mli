@@ -56,8 +56,4 @@ val optimize : ?iters:int -> t -> float array
 
 val volume : t -> float
 
-val apply_bandwidth_frac : Hwsim.Device.t -> textures:bool -> float
-(** The Sec 4.7 texture-cache lever: scattered reads need the texture
-    path on Pascal; Volta's unified L1 makes it moot. *)
-
 val apply_time : cells:int -> Hwsim.Device.t -> textures:bool -> float

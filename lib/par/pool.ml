@@ -40,6 +40,9 @@ let with_in_job f =
   Domain.DLS.set in_job_key true;
   Fun.protect ~finally:(fun () -> Domain.DLS.set in_job_key prev) f
 
+(** The [ICOE_DOMAINS] environment variable if set to a positive
+    integer, else [Domain.recommended_domain_count ()]. [1] means
+    "exactly serial". *)
 let default_domains () =
   match Sys.getenv_opt "ICOE_DOMAINS" with
   | Some s -> (

@@ -31,10 +31,12 @@ type t
     of size [n] uses [n - 1] spawned worker domains. *)
 
 val create : ?domains:int -> unit -> t
-(** [create ~domains ()] spawns [domains - 1] workers (default: the
-    global default, see {!default_domains}). [domains] is clamped to
-    [\[1, 128\]]. Pools must be {!shutdown} (or created via
-    {!with_pool}) to let the process exit. *)
+(** [create ~domains ()] spawns [domains - 1] workers. [domains]
+    defaults to the [ICOE_DOMAINS] environment variable if set to a
+    positive integer, else [Domain.recommended_domain_count ()]; [1]
+    means "exactly serial". [domains] is clamped to [\[1, 128\]].
+    Pools must be {!shutdown} (or created via {!with_pool}) to let the
+    process exit. *)
 
 val shutdown : t -> unit
 (** Stop and join the workers. Idempotent. After shutdown the pool runs
@@ -47,13 +49,8 @@ val with_pool : ?domains:int -> (t -> 'a) -> 'a
 val size : t -> int
 (** Number of domains working on a job, caller included ([>= 1]). *)
 
-val default_domains : unit -> int
-(** The [ICOE_DOMAINS] environment variable if set to a positive
-    integer, else [Domain.recommended_domain_count ()]. [1] means
-    "exactly serial". *)
-
 val get : unit -> t
-(** The global shared pool, created from {!default_domains} on first
+(** The global shared pool, created at the global default size on first
     use and torn down [at_exit]. All engine kernels route through it. *)
 
 val in_parallel_job : unit -> bool

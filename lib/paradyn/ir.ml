@@ -35,7 +35,6 @@ let rec expr_reads = function
 
 (* arrays written / read by a statement *)
 let stmt_writes = function Store (a, _) -> Some a | Def _ -> None
-let stmt_scalar = function Def (s, _) -> Some s | Store _ -> None
 
 (** All array names appearing in a program. *)
 let arrays p =

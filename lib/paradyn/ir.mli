@@ -25,7 +25,6 @@ val expr_reads : expr -> string list * string list
 (** (array loads, scalar reads). *)
 
 val stmt_writes : stmt -> string option
-val stmt_scalar : stmt -> string option
 
 val arrays : program -> string list
 (** Every array name appearing in the program. *)

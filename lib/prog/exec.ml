@@ -20,14 +20,6 @@ type ctx = {
 let make_ctx ?(link = Hwsim.Link.nvlink2) ~policy ~device ~clock () =
   { policy; device; link; clock; launches = 0; flops = 0.0; bytes = 0.0 }
 
-(** Context for one Sierra V100 under a policy. *)
-let on_v100 ?(policy = Policy.Cuda) clock =
-  make_ctx ~policy ~device:Hwsim.Device.v100 ~clock ()
-
-(** Context for a P9 socket under OpenMP. *)
-let on_p9 ?(policy = Policy.Openmp 22) clock =
-  make_ctx ~policy ~device:Hwsim.Device.power9 ~link:Hwsim.Link.nvlink2 ~clock ()
-
 let charge ctx ~phase ~n ~flops_per ~bytes_per =
   let k =
     Hwsim.Kernel.make ~name:phase
@@ -66,10 +58,3 @@ let reduce ctx ?(phase = "reduce") ~n ~flops_per ~bytes_per ~init ~combine f =
   in
   Hwsim.Clock.tick ctx.clock ~phase (depth *. 0.2e-6);
   !acc
-
-(** Price a host<->device transfer of [bytes] (e.g. halo exchange staging). *)
-let transfer ctx ?(phase = "data-motion") ~bytes () =
-  Hwsim.Clock.tick ctx.clock ~phase (Hwsim.Link.transfer_time ctx.link ~bytes)
-
-(** Simulated time total so far on this context's clock. *)
-let elapsed ctx = Hwsim.Clock.total ctx.clock

@@ -24,12 +24,6 @@ val make_ctx :
   unit ->
   ctx
 
-val on_v100 : ?policy:Policy.t -> Hwsim.Clock.t -> ctx
-(** Context for one Sierra V100 (default policy CUDA). *)
-
-val on_p9 : ?policy:Policy.t -> Hwsim.Clock.t -> ctx
-(** Context for a P9 socket (default policy OpenMP over all cores). *)
-
 val charge : ctx -> phase:string -> n:int -> flops_per:float -> bytes_per:float -> unit
 (** Price an n-element loop without running a body (for callers that
     executed the work themselves). *)
@@ -43,8 +37,3 @@ val reduce :
   ctx -> ?phase:string -> n:int -> flops_per:float -> bytes_per:float ->
   init:'a -> combine:('a -> 'a -> 'a) -> (int -> 'a) -> 'a
 (** Fold over indices; charged like a forall plus a log-depth combine. *)
-
-val transfer : ctx -> ?phase:string -> bytes:float -> unit -> unit
-(** Price a host<->device transfer over the context's link. *)
-
-val elapsed : ctx -> float

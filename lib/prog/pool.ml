@@ -51,7 +51,3 @@ let unpooled_cost t =
 let pooled_cost t =
   (float_of_int t.raw_allocs *. t.raw_alloc_cost_s)
   +. (float_of_int t.pooled_allocs *. t.pooled_alloc_cost_s)
-
-let pp ppf t =
-  Fmt.pf ppf "pool %s: %d raw, %d pooled, hwm %.3g MB" t.name t.raw_allocs
-    t.pooled_allocs (t.high_water_bytes /. 1e6)

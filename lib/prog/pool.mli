@@ -25,4 +25,3 @@ val unpooled_cost : t -> float
 (** What the same allocation pattern would have cost without a pool. *)
 
 val pooled_cost : t -> float
-val pp : Format.formatter -> t -> unit

@@ -2,40 +2,18 @@
 
 module Fbuf = Icoe_util.Fbuf
 
-type t = {
-  name : string;
-  space : Space.space;
-  tbl : (string, Fbuf.t) Hashtbl.t;
-  mutable raw_allocs : int;
-  mutable pooled_allocs : int;
-  mutable high_water_bytes : int;
-}
+type t = (string, Fbuf.t) Hashtbl.t
 
-let create ?(space = Space.Host_mem) name =
-  {
-    name;
-    space;
-    tbl = Hashtbl.create 16;
-    raw_allocs = 0;
-    pooled_allocs = 0;
-    high_water_bytes = 0;
-  }
-
-let bytes_in_use t =
-  Hashtbl.fold (fun _ b acc -> acc + (8 * Fbuf.length b)) t.tbl 0
+let create () : t = Hashtbl.create 16
 
 let grow t key n =
   let b = Fbuf.create n in
-  Hashtbl.replace t.tbl key b;
-  t.raw_allocs <- t.raw_allocs + 1;
-  t.high_water_bytes <- max t.high_water_bytes (bytes_in_use t);
+  Hashtbl.replace t key b;
   b
 
 let get t key n =
-  match Hashtbl.find t.tbl key with
-  | b when Fbuf.length b = n ->
-      t.pooled_allocs <- t.pooled_allocs + 1;
-      b
+  match Hashtbl.find t key with
+  | b when Fbuf.length b = n -> b
   | _ -> grow t key n
   | exception Not_found -> grow t key n
 
@@ -43,21 +21,3 @@ let get_zeroed t key n =
   let b = get t key n in
   Fbuf.fill b 0.0;
   b
-
-let raw_allocs t = t.raw_allocs
-let pooled_allocs t = t.pooled_allocs
-let high_water_bytes t = t.high_water_bytes
-
-(* Mirror the arena's traffic into the simulated cost model: the same
-   raw-on-growth / pooled-on-reuse split Pool.alloc charges, minus the
-   clock (scratch acquisition happens outside any simulated timeline). *)
-let charge_model t (pool : Pool.t) =
-  pool.Pool.raw_allocs <- pool.Pool.raw_allocs + t.raw_allocs;
-  pool.Pool.pooled_allocs <- pool.Pool.pooled_allocs + t.pooled_allocs;
-  pool.Pool.high_water_bytes <-
-    max pool.Pool.high_water_bytes (float_of_int t.high_water_bytes)
-
-let pp ppf t =
-  Fmt.pf ppf "scratch %s [%s]: %d raw, %d pooled, hwm %.3g MB" t.name
-    (Space.space_name t.space) t.raw_allocs t.pooled_allocs
-    (float_of_int t.high_water_bytes /. 1e6)

@@ -9,21 +9,14 @@
     SAMRAI's GPU port applies to device buffers (Sec 4.10.5), applied to
     our own hot loops.
 
-    Accounting mirrors the Umpire split: a {e raw} allocation is
-    recorded when a key is first seen or changes length (high-water
-    growth); a {e pooled} allocation when a cached buffer is reused.
-    {!charge_model} folds the tallies into a simulated {!Pool} so the
-    memory-space layer sees the same traffic pattern.
-
     {b Not thread-safe.} Acquire buffers before entering a pooled
     region ({!Icoe_par.Pool} chunk bodies must not call {!get}); size
     per-chunk slots with [Icoe_par.Pool.num_chunks] up front. *)
 
 type t
 
-val create : ?space:Space.space -> string -> t
-(** An empty arena. [?space] (default [Host_mem]) is the placement tag
-    the buffers are accounted under. *)
+val create : unit -> t
+(** An empty arena. *)
 
 val get : t -> string -> int -> Icoe_util.Fbuf.t
 (** [get t key n] returns the buffer cached under [key], creating (or
@@ -34,14 +27,3 @@ val get : t -> string -> int -> Icoe_util.Fbuf.t
 
 val get_zeroed : t -> string -> int -> Icoe_util.Fbuf.t
 (** {!get}, then fill with [0.0] — still allocation-free on reuse. *)
-
-val raw_allocs : t -> int
-val pooled_allocs : t -> int
-val high_water_bytes : t -> int
-
-val charge_model : t -> Pool.t -> unit
-(** Fold this arena's raw/pooled tallies and high-water mark into a
-    simulated {!Pool} (no clock charge — scratch acquisition happens
-    outside any simulated timeline). *)
-
-val pp : Format.formatter -> t -> unit

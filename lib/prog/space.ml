@@ -7,11 +7,6 @@
 
 type space = Host_mem | Device_mem | Unified
 
-let space_name = function
-  | Host_mem -> "host"
-  | Device_mem -> "device"
-  | Unified -> "unified"
-
 module Darray = struct
   type t = {
     mutable data : float array;
@@ -23,13 +18,6 @@ module Darray = struct
   let create ?(space = Host_mem) n =
     { data = Array.make n 0.0; space; device_copy_valid = space <> Host_mem }
 
-  let of_array ?(space = Host_mem) a =
-    { data = a; space; device_copy_valid = space <> Host_mem }
-
-  let length t = Array.length t.data
-  let get t i = t.data.(i)
-  let set t i v = t.data.(i) <- v
-  let data t = t.data
   let bytes t = 8.0 *. float_of_int (Array.length t.data)
 
   (** Explicit move; charges the link and flips placement. No charge if

@@ -7,8 +7,6 @@
 
 type space = Host_mem | Device_mem | Unified
 
-val space_name : space -> string
-
 module Darray : sig
   type t = {
     mutable data : float array;
@@ -17,12 +15,6 @@ module Darray : sig
   }
 
   val create : ?space:space -> int -> t
-  val of_array : ?space:space -> float array -> t
-  val length : t -> int
-  val get : t -> int -> float
-  val set : t -> int -> float -> unit
-  val data : t -> float array
-  val bytes : t -> float
 
   val move : t -> to_:space -> link:Hwsim.Link.t -> clock:Hwsim.Clock.t -> unit
   (** Explicit migration; charges the link (no charge if already there).

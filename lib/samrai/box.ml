@@ -3,7 +3,9 @@
 type t = { ilo : int; jlo : int; ihi : int; jhi : int }
 
 let make ~ilo ~jlo ~ihi ~jhi =
-  assert (ihi >= ilo && jhi >= jlo);
+  if not (ihi >= ilo && jhi >= jlo) then
+    invalid_arg
+      (Printf.sprintf "Box.make: [%d, %d] x [%d, %d] is inverted" ilo ihi jlo jhi);
   { ilo; jlo; ihi; jhi }
 
 let ni t = t.ihi - t.ilo + 1
@@ -62,5 +64,3 @@ let split t n =
         go (hi + 1) ({ t with jlo = lo; jhi = hi } :: acc)
     in
     go t.jlo []
-
-let pp ppf t = Fmt.pf ppf "[%d..%d]x[%d..%d]" t.ilo t.ihi t.jlo t.jhi

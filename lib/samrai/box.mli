@@ -24,5 +24,3 @@ val coarsen : t -> int -> t
 val split : t -> int -> t list
 (** At most n roughly equal sub-boxes along the long axis; the pieces
     partition the box exactly. *)
-
-val pp : Format.formatter -> t -> unit

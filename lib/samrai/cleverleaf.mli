@@ -2,9 +2,6 @@
     SAMRAI port (Table 5). Ideal gas, conservative finite volumes with a
     Rusanov flux on the patch hierarchy's level 0. *)
 
-val gamma_gas : float
-val fields : string list
-
 type t = {
   hier : Hierarchy.t;
   dx : float;
@@ -15,12 +12,8 @@ type t = {
 
 val create : ?patches:int -> nx:int -> ny:int -> lx:float -> ly:float -> unit -> t
 
-val pressure : rho:float -> mx:float -> my:float -> e:float -> float
-
 val init : t -> (x:float -> y:float -> float * float * float * float) -> unit
 (** Initialize from primitive variables (rho, u, v, p) at cell centres. *)
-
-val max_wave_speed : t -> float
 
 val step : ?cfl:float -> t -> float
 (** One explicit step; returns dt. *)
@@ -33,8 +26,6 @@ val totals : t -> float * float * float * float
 
 val density_slice : t -> float array
 (** Density along the mid-height line (Sod validation). *)
-
-val step_work : cells:int -> Hwsim.Kernel.t
 
 val table5_times : cells:int -> steps:int -> (float * float) * (float * float)
 (** Table 5 configurations: ((full-node cpu, gpu), (single P9, single

@@ -31,11 +31,6 @@ val fill_level_ghosts : t -> int -> string -> unit
 val coarsen_field : t -> fine_idx:int -> coarse_idx:int -> string -> unit
 (** Conservative average of fine data onto underlying coarse cells. *)
 
-val tag_cells : t -> lvl_idx:int -> name:string -> threshold:float -> (int * int) list
-(** Gradient-based refinement flags on a level (level coordinates). *)
-
-val tag_bounding_box : t -> lvl_idx:int -> ?pad:int -> (int * int) list -> Box.t option
-
 val regrid_on_gradient :
   ?ratio:int -> ?patches:int -> ?pad:int -> t -> name:string ->
   threshold:float -> bool

@@ -10,9 +10,6 @@ type t = {
   clock : Hwsim.Clock.t option;
 }
 
-val gbox : t -> Box.t
-(** The ghosted box. *)
-
 val create : ?ghosts:int -> ?pool:Prog.Pool.t -> ?clock:Hwsim.Clock.t -> Box.t -> t
 
 val alloc_field : t -> string -> unit
@@ -20,10 +17,6 @@ val alloc_field : t -> string -> unit
 
 val free_field : t -> string -> unit
 
-val field : t -> string -> float array
-(** Raises [Invalid_argument] for unknown fields. *)
-
-val index : t -> i:int -> j:int -> int
 val get : t -> string -> i:int -> j:int -> float
 val set : t -> string -> i:int -> j:int -> float -> unit
 

@@ -225,13 +225,8 @@ let issue_aggregate t sched ?(stream = "fabric") ?deps ~bytes_per_node () =
   Hwsim.Sched.work sched ~stream ?deps ~device:"cluster" ~phase:"aggregate"
     (aggregate_seconds t ~bytes_per_node)
 
-let issue_broadcast t sched ?(stream = "fabric") ?deps ~bytes () =
-  Hwsim.Sched.work sched ~stream ?deps ~device:"cluster" ~phase:"broadcast"
-    (broadcast_seconds t ~bytes)
-
 let wait _t sched = Hwsim.Sched.run sched
 
 let elapsed t = Hwsim.Clock.total t.clock
 let breakdown t = Hwsim.Clock.breakdown t.clock
-let reset t = Hwsim.Clock.reset t.clock
 let trace t = t.trace

@@ -30,14 +30,10 @@ val optimized_config :
 type t = { config : config; clock : Hwsim.Clock.t; trace : Hwsim.Trace.t }
 
 val create : config -> t
-val total_cores : t -> int
 
 val task_overhead : t -> float
 val ser_rate : t -> float
 (** Serialization throughput, bytes/s. *)
-
-val gc_drag : t -> float
-(** Fraction added on top of compute time by garbage collection. *)
 
 (** {2 Cost model, as pure time functions}
 
@@ -50,7 +46,6 @@ val alltoall_gbs : t -> float
     the fabric bandwidth itself on flat topologies, the most contended
     crossed level's derated bandwidth on hierarchical ones. *)
 
-val compute_seconds : t -> flops:float -> float
 val shuffle_seconds : t -> bytes:float -> float
 val aggregate_seconds : t -> bytes_per_node:float -> float
 (** Tree aggregates clamp the round count with [max 2 nodes] (like
@@ -93,17 +88,12 @@ val issue_aggregate :
   t -> Hwsim.Sched.t -> ?stream:string -> ?deps:Hwsim.Sched.item list ->
   bytes_per_node:float -> unit -> Hwsim.Sched.item
 
-val issue_broadcast :
-  t -> Hwsim.Sched.t -> ?stream:string -> ?deps:Hwsim.Sched.item list ->
-  bytes:float -> unit -> Hwsim.Sched.item
-
 val wait : t -> Hwsim.Sched.t -> float
 (** Run the schedule, charge the cluster clock/trace, return the
     makespan in seconds. Idempotent (see {!Hwsim.Sched.run}). *)
 
 val elapsed : t -> float
 val breakdown : t -> (string * float) list
-val reset : t -> unit
 
 val trace : t -> Hwsim.Trace.t
 (** The span trace every charging primitive writes through; ticks the

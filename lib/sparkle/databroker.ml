@@ -56,8 +56,3 @@ let shuffle_cost t ~bytes ~tuples =
   (2.0 *. float_of_int tuples *. t.put_cost_s /. n)
   +. (2.0 *. bytes /. (n *. t.native_rate))
   +. wire
-
-(** Charge a full broker-mediated shuffle on the cluster clock. *)
-let charge_shuffle t ~bytes ~tuples =
-  Hwsim.Clock.tick t.cluster.Cluster.clock ~phase:"shuffle"
-    (shuffle_cost t ~bytes ~tuples)

@@ -17,5 +17,3 @@ val delete_namespace : t -> string -> unit
 
 val shuffle_cost : t -> bytes:float -> tuples:int -> float
 (** Cost of moving a shuffle through the broker (no JVM serialization). *)
-
-val charge_shuffle : t -> bytes:float -> tuples:int -> unit

@@ -428,7 +428,3 @@ let resume_bdf ?rtol ?atol ?h0 ?max_steps ?newton_maxiters ~rhs ~lsolve ck
     tstop =
   bdf ?rtol ?atol ?h0 ?max_steps ?newton_maxiters ~rhs ~lsolve ~t0:ck.ck_t
     ~y0:(Array.copy ck.ck_y) tstop
-
-let resume_adams ?rtol ?atol ?h0 ?max_steps ?fp_maxiters ~rhs ck tstop =
-  adams ?rtol ?atol ?h0 ?max_steps ?fp_maxiters ~rhs ~t0:ck.ck_t
-    ~y0:(Array.copy ck.ck_y) tstop

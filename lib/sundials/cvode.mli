@@ -16,8 +16,6 @@ type stats = {
   mutable nncf : int;  (** nonlinear-convergence failures *)
 }
 
-val new_stats : unit -> stats
-
 type rhs = float -> float array -> float array
 (** [rhs t y] returns dy/dt. *)
 
@@ -26,8 +24,6 @@ type lsolve = gamma:float -> t:float -> y:float array -> b:float array -> float 
 
 exception Too_much_work of string
 (** Raised when the step cap is exceeded or the step size underflows. *)
-
-val error_weights : rtol:float -> atol:float -> float array -> float array
 
 val dense_lsolve : jac:(float -> float array -> Linalg.Dense.t) -> lsolve
 (** Direct dense lsolve from an analytic Jacobian. *)
@@ -115,15 +111,3 @@ val resume_bdf :
   float ->
   result
 (** [resume_bdf ~rhs ~lsolve ck tstop] = {!bdf} from [(ck.ck_t, ck.ck_y)]. *)
-
-val resume_adams :
-  ?rtol:float ->
-  ?atol:float ->
-  ?h0:float ->
-  ?max_steps:int ->
-  ?fp_maxiters:int ->
-  rhs:rhs ->
-  checkpoint ->
-  float ->
-  result
-(** [resume_adams ~rhs ck tstop] = {!adams} from [(ck.ck_t, ck.ck_y)]. *)

@@ -23,12 +23,6 @@ type arrivals =
       mean_lo_s : float;
     }
 
-let arrivals_name = function
-  | Poisson rate -> Fmt.str "Poisson(%.4g jobs/s)" rate
-  | Bursty { rate_hi; rate_lo; mean_hi_s; mean_lo_s } ->
-      Fmt.str "Bursty(%.4g/%.4g jobs/s, dwell %.0f/%.0f s)" rate_hi rate_lo
-        mean_hi_s mean_lo_s
-
 let zipf ~s n =
   if n <= 0 then invalid_arg "Workload.zipf: n must be positive";
   Array.init n (fun k -> 1.0 /. (float_of_int (k + 1) ** s))

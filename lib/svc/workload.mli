@@ -34,8 +34,6 @@ type arrivals =
       (** Two-state Markov-modulated Poisson process: exponential dwell
           in each state, switched high/low arrival rates. *)
 
-val arrivals_name : arrivals -> string
-
 val zipf : s:float -> int -> float array
 (** [zipf ~s n]: unnormalized Zipf weights [1/k^s] for ranks 1..n. *)
 

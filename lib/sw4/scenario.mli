@@ -4,9 +4,6 @@
     Sierra-vs-Cori throughput accounting, and the 26B-point production
     campaign model. *)
 
-val hayward_material : x:float -> y:float -> float * float * float
-(** Layered basin: soft sediments over bedrock; (rho, vp, vs). *)
-
 type shake_result = {
   pgv_surface : float array;  (** peak |velocity| per surface point *)
   basin_amplified : bool;  (** PGV higher over the basin than bedrock *)
@@ -22,8 +19,6 @@ val run_hayward :
 type variant = Naive_cuda | Shared_cuda | Raja | Cpu_openmp
 
 val variant_name : variant -> string
-val variant_policy : variant -> Prog.Policy.t
-val variant_device : variant -> Hwsim.Device.t
 
 val variant_time_per_step : ?fused:bool -> Grid.t -> variant -> float
 (** Simulated seconds/step of the RHS kernel; [fused] merges the stress

@@ -164,12 +164,6 @@ let restore t s =
   Fbuf.blit ~src:s.s_ay ~dst:t.ay;
   List.iteri (fun i r -> r.trace <- s.s_traces.(i)) t.receivers
 
-(** Displacement magnitude field (for shake-map style outputs). *)
-let magnitude t =
-  Array.init
-    (Fbuf.length t.ux)
-    (fun k -> sqrt ((Fbuf.get t.ux k ** 2.0) +. (Fbuf.get t.uy k ** 2.0)))
-
 (** Discrete elastic energy proxy: kinetic + strain ~ sum of u and velocity
     squares (bounded for a stable scheme). *)
 let energy_proxy t =
@@ -181,12 +175,3 @@ let energy_proxy t =
     e := !e +. (0.5 *. t.grid.Grid.rho.(k) *. ((vx *. vx) +. (vy *. vy)))
   done;
   !e
-
-(** Peak |u| over the whole run history is approximated by current max. *)
-let max_displacement t =
-  let m = ref 0.0 in
-  for k = 0 to Fbuf.length t.ux - 1 do
-    let v = sqrt ((Fbuf.get t.ux k ** 2.0) +. (Fbuf.get t.uy k ** 2.0)) in
-    if v > !m then m := v
-  done;
-  !m

@@ -27,8 +27,6 @@ type t = {
   receivers : receiver list;
 }
 
-val damping_profile : Grid.t -> width:int -> strength:float -> Icoe_util.Fbuf.t
-
 val create :
   ?cfl:float -> ?damping_width:int -> ?damping_strength:float ->
   ?sources:Source.t list -> ?receivers:receiver list -> Grid.t -> t
@@ -48,10 +46,5 @@ val restore : t -> snapshot -> unit
 (** Restore a snapshot taken from the same solver. Stepping after a
     restore replays bit-identically to the original trajectory. *)
 
-val magnitude : t -> float array
-(** Displacement magnitude field (shake-map style output). *)
-
 val energy_proxy : t -> float
 (** Kinetic energy; bounded for a stable damped scheme. *)
-
-val max_displacement : t -> float

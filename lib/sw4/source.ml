@@ -5,11 +5,6 @@ let ricker ~f0 ~t0 t =
   let a = Float.pi *. f0 *. (t -. t0) in
   (1.0 -. (2.0 *. a *. a)) *. exp (-.(a *. a))
 
-(** Gaussian source-time function. *)
-let gaussian ~f0 ~t0 t =
-  let s = 1.0 /. (2.0 *. Float.pi *. f0) in
-  exp (-.((t -. t0) ** 2.0) /. (2.0 *. s *. s))
-
 type t = {
   i : int;
   j : int;

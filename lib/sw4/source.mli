@@ -3,8 +3,6 @@
 val ricker : f0:float -> t0:float -> float -> float
 (** Ricker wavelet with peak frequency [f0], centred at [t0]. *)
 
-val gaussian : f0:float -> t0:float -> float -> float
-
 type t = {
   i : int;
   j : int;

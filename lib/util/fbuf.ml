@@ -33,27 +33,6 @@ let init n f : t =
   done;
   b
 
-let iteri f (t : t) =
-  for i = 0 to length t - 1 do
-    f i (get t i)
-  done
-
-let map f (t : t) : t =
-  init (length t) (fun i -> f (get t i))
-
-let fold_left f acc (t : t) =
-  let acc = ref acc in
-  for i = 0 to length t - 1 do
-    acc := f !acc (get t i)
-  done;
-  !acc
-
-let blit_from_array (a : float array) (t : t) =
-  let n = Array.length a in
-  for i = 0 to n - 1 do
-    set t i (Array.unsafe_get a i)
-  done
-
 let blit_to_array (t : t) (a : float array) =
   let n = Array.length a in
   for i = 0 to n - 1 do

@@ -46,13 +46,6 @@ val copy : t -> t
 val of_array : float array -> t
 val to_array : t -> float array
 val init : int -> (int -> float) -> t
-val iteri : (int -> float -> unit) -> t -> unit
-val map : (float -> float) -> t -> t
-val fold_left : ('a -> float -> 'a) -> 'a -> t -> 'a
-
-val blit_from_array : float array -> t -> unit
-(** Copy the whole array into the buffer prefix (array length must be
-    [<= length t]; unchecked). *)
 
 val blit_to_array : t -> float array -> unit
 (** Copy the buffer prefix over the whole array (array length must be

@@ -5,15 +5,13 @@ type settings = {
   space_overhead : int option;
 }
 
-let none = { minor_heap_words = None; space_overhead = None }
-
 let parse_positive s =
   match int_of_string_opt (String.trim s) with
   | Some n when n > 0 -> Some n
   | _ -> None
 
-let of_env ?(getenv = Sys.getenv_opt) () =
-  let knob name = Option.bind (getenv name) parse_positive in
+let of_env () =
+  let knob name = Option.bind (Sys.getenv_opt name) parse_positive in
   {
     minor_heap_words = knob "ICOE_GC_MINOR_HEAP";
     space_overhead = knob "ICOE_GC_SPACE_OVERHEAD";

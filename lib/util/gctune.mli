@@ -21,17 +21,9 @@ type settings = {
   space_overhead : int option;
 }
 
-val none : settings
-
-val of_env : ?getenv:(string -> string option) -> unit -> settings
-(** Parse the [ICOE_GC_*] variables; [?getenv] is injectable for
-    tests. Invalid values parse to [None]. *)
-
 val describe : settings -> string
 (** One-line human summary, ["gc: defaults"] when nothing is set. *)
 
-val apply : settings -> unit
-(** [Gc.set] the requested parameters; a no-op for {!none}. *)
-
 val apply_env : unit -> settings
-(** [of_env] + [apply], returning what was applied. *)
+(** Parse the [ICOE_GC_*] variables (invalid values parse to "unset"),
+    [Gc.set] the requested parameters and return what was applied. *)

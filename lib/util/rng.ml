@@ -8,8 +8,6 @@ type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64: one 64-bit multiply-xor-shift round per draw. *)
 let next_int64 t =
   let open Int64 in

@@ -10,12 +10,6 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh stream; equal seeds give equal streams. *)
 
-val copy : t -> t
-(** Independent copy at the current state. *)
-
-val next_int64 : t -> int64
-(** One raw splitmix64 output; advances the stream. *)
-
 val split : t -> t
 (** Child stream whose draws never perturb the parent's future draws. *)
 

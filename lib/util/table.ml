@@ -20,7 +20,10 @@ let create ?(aligns = [||]) ~title header =
   { title; header; aligns; rows = [] }
 
 let add_row t row =
-  assert (List.length row = List.length t.header);
+  if not (List.length row = List.length t.header) then
+    invalid_arg
+      (Printf.sprintf "Table.add_row %s: %d cells for %d columns" t.title
+         (List.length row) (List.length t.header));
   t.rows <- row :: t.rows
 
 (* Cell separator for [addf]: the ASCII unit separator, which cannot
@@ -61,5 +64,3 @@ let render t =
   Buffer.add_string buf (line t.header ^ "\n" ^ sep ^ "\n");
   List.iter (fun r -> Buffer.add_string buf (line r ^ "\n")) rows;
   Buffer.contents buf
-
-let print t = print_string (render t)

@@ -30,5 +30,3 @@ val fcell : ?prec:int -> float -> string
 
 val render : t -> string
 (** The table as GitHub-style markdown with a title line. *)
-
-val print : t -> unit

@@ -9,7 +9,8 @@ type t = {
 }
 
 let create ?(wavelength = 1.053e-6) ~n ~width () =
-  assert (Fftlib.Fft.is_pow2 n);
+  if not (Fftlib.Fft.is_pow2 n) then
+    invalid_arg (Printf.sprintf "Beam.create: n = %d is not a power of 2" n);
   { n; width; wavelength; field = Array.make (2 * n * n) 0.0 }
 
 let dx t = t.width /. float_of_int t.n

@@ -11,8 +11,6 @@ type t = {
 val create : ?wavelength:float -> n:int -> width:float -> unit -> t
 (** Default wavelength 1053 nm (the NIF 1-omega line). *)
 
-val dx : t -> float
-
 val coords : t -> int -> int -> float * float
 (** Physical (x, y) of a grid point, centred on the aperture. *)
 

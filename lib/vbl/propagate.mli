@@ -4,15 +4,9 @@
     amplifier gain, phase screens). The FFT part is the cuFFT call; the
     pointwise part is the RAJA triply-nested loop of the paper. *)
 
-val phase_screen : Beam.t -> (x:float -> y:float -> float) -> unit
-(** Multiply the field by exp(i phi(x, y)). *)
-
 val defect_screen : defect_size:float -> depth:float -> Beam.t -> unit
 (** Two localized Gaussian phase bumps (the Fig 9 "150 micron phase
     defects"), in the lower-left quadrant. *)
-
-val fresnel_step : ?tiled:bool -> Beam.t -> dz:float -> unit
-(** Free-space propagation over [dz] by the spectral method (unitary). *)
 
 val amplifier_step : Beam.t -> g0:float -> fsat:float -> dz:float -> unit
 (** Saturated-gain slab: field gain g0 / (1 + F/Fsat) per metre. *)

@@ -171,11 +171,16 @@ let test_bdf_too_much_work () =
 (* --- fft / vbl --- *)
 
 let test_fft_rejects_non_pow2 () =
-  expect_assert "non-power-of-2" (fun () ->
-      Fftlib.Fft.transform (Array.make (2 * 12) 0.0))
+  expect_invalid_naming "non-power-of-2" [ "Fft.transform"; "24" ] (fun () ->
+      Fftlib.Fft.transform (Array.make (2 * 12) 0.0));
+  expect_invalid_naming "odd length" [ "Fft.transform"; "9" ] (fun () ->
+      Fftlib.Fft.transform (Array.make 9 0.0));
+  expect_invalid_naming "2d size" [ "Fft.transform_2d"; "30"; "4" ] (fun () ->
+      Fftlib.Fft.transform_2d ~n:4 (Array.make 30 0.0))
 
 let test_beam_rejects_non_pow2 () =
-  expect_assert "beam grid" (fun () -> Vbl.Beam.create ~n:100 ~width:0.1 ())
+  expect_invalid_naming "beam grid" [ "Beam.create"; "100" ] (fun () ->
+      Vbl.Beam.create ~n:100 ~width:0.1 ())
 
 (* --- scheduler --- *)
 
@@ -220,10 +225,13 @@ let test_melodee_log_negative () =
 (* --- hypre / pfmg --- *)
 
 let test_pfmg_rejects_bad_size () =
-  expect_assert "n must be 2^k - 1" (fun () -> Hypre.Pfmg.create 10)
+  expect_invalid_naming "n must be 2^k - 1" [ "Pfmg.create"; "10" ] (fun () ->
+      Hypre.Pfmg.create 10);
+  expect_invalid_naming "n >= 1" [ "Pfmg.create"; "0" ] (fun () ->
+      Hypre.Pfmg.create 0)
 
 let test_boxloop_rejects_inverted_box () =
-  expect_assert "inverted box" (fun () ->
+  expect_invalid_naming "inverted box" [ "Box.make"; "[5, 2]" ] (fun () ->
       Samrai.Box.make ~ilo:5 ~jlo:0 ~ihi:2 ~jhi:3)
 
 (* --- linalg regression: unguarded curvature division in cg --- *)
@@ -270,7 +278,8 @@ let test_rng_guards () =
 
 let test_table_row_arity () =
   let t = Icoe_util.Table.create ~title:"t" [ "a"; "b" ] in
-  expect_assert "wrong arity" (fun () -> Icoe_util.Table.add_row t [ "only one" ])
+  expect_invalid_naming "wrong arity" [ "Table.add_row"; "1 cells"; "2 columns" ]
+    (fun () -> Icoe_util.Table.add_row t [ "only one" ])
 
 let test_stats_singleton () =
   Alcotest.(check (float 1e-12)) "variance of singleton" 0.0
@@ -328,8 +337,30 @@ let test_percentile_sorted_once () =
 (* --- hwsim --- *)
 
 let test_kernel_rejects_negative () =
-  expect_assert "negative flops" (fun () ->
-      Hwsim.Kernel.make ~name:"bad" ~flops:(-1.0) ~bytes:0.0 ())
+  expect_invalid_naming "negative flops" [ "Kernel.make"; "bad"; "-1" ] (fun () ->
+      Hwsim.Kernel.make ~name:"bad" ~flops:(-1.0) ~bytes:0.0 ());
+  expect_invalid_naming "nan bytes" [ "Kernel.make"; "nan" ] (fun () ->
+      Hwsim.Kernel.make ~name:"bad" ~flops:0.0 ~bytes:nan ())
+
+(* the transfer and span entry points reject negative and NaN sizes with
+   the function and the value in the message *)
+let test_transfer_guards () =
+  let l = Hwsim.Link.nvlink2 in
+  List.iter
+    (fun bytes ->
+      let v = Fmt.str "%g" bytes in
+      expect_invalid_naming "transfer_time" [ "Link.transfer_time"; v ] (fun () ->
+          Hwsim.Link.transfer_time l ~bytes);
+      expect_invalid_naming "unified_memory_transfer"
+        [ "Link.unified_memory_transfer"; v ] (fun () ->
+          Hwsim.Link.unified_memory_transfer ~link:l ~bytes);
+      expect_invalid_naming "path_time" [ "Topology.path_time"; v ] (fun () ->
+          Hwsim.Topology.path_time
+            Hwsim.Node.frontier.Hwsim.Node.topology ~level:1 ~bytes))
+    [ -1.0; nan ];
+  let tr = Hwsim.Trace.create (Hwsim.Clock.create ()) in
+  expect_invalid_naming "scheduled_span" [ "Trace.scheduled_span"; "x"; "-2" ]
+    (fun () -> Hwsim.Trace.scheduled_span tr ~phase:"x" ~start:0.0 (-2.0))
 
 let test_clock_rejects_negative_tick () =
   let c = Hwsim.Clock.create () in
@@ -397,7 +428,25 @@ let test_counters_series_equal_timestamps () =
 (* --- cretin --- *)
 
 let test_cretin_tiny_ladder_rejected () =
-  expect_assert "needs >= 2 levels" (fun () -> Cretin.Atomic.ladder 1)
+  expect_invalid_naming "needs >= 2 levels" [ "Atomic.ladder"; "1" ] (fun () ->
+      Cretin.Atomic.ladder 1)
+
+(* --- mfem --- *)
+
+let test_mfem_size_guards () =
+  expect_invalid_naming "mesh" [ "Mesh.create"; "nx = 0" ] (fun () ->
+      Mfem.Mesh.create ~nx:0 ~ny:2 ~p:2 ());
+  let mesh = Mfem.Mesh.create ~nx:2 ~ny:2 ~p:2 () in
+  expect_invalid_naming "local node" [ "Mesh.global_dof"; "(3, 0)"; "2" ] (fun () ->
+      Mfem.Mesh.global_dof mesh ~ex:0 ~ey:0 ~i:3 ~j:0);
+  expect_invalid_naming "basis" [ "Basis.create"; "0" ] (fun () ->
+      Mfem.Basis.create 0);
+  expect_invalid_naming "collocated basis" [ "Basis.create_collocated"; "0" ]
+    (fun () -> Mfem.Basis.create_collocated 0);
+  expect_invalid_naming "gauss" [ "Quadrature.gauss_legendre"; "0" ] (fun () ->
+      Mfem.Quadrature.gauss_legendre 0);
+  expect_invalid_naming "lobatto" [ "Quadrature.gauss_lobatto"; "1" ] (fun () ->
+      Mfem.Quadrature.gauss_lobatto 1)
 
 (* --- ddcmd --- *)
 
@@ -451,12 +500,6 @@ let test_mlp_bad_input () =
   expect_invalid "forward_rows, long dst" (fun () ->
       Dlearn.Mlp.forward_rows m ~layer:1 ~src:(Icoe_util.Fbuf.create 5)
         ~dst:(Icoe_util.Fbuf.create 3) ~lo:0 ~hi:2);
-  expect_invalid "model-parallel, 0 shards" (fun () ->
-      Dlearn.Modelparallel.create ~shards:0 m);
-  expect_invalid "model-parallel, short input" (fun () ->
-      Dlearn.Modelparallel.predict_proba
-        (Dlearn.Modelparallel.create ~shards:2 m)
-        [| 0.1; 0.2 |]);
   (* a rejected call leaves the model usable and unchanged *)
   let before = Dlearn.Mlp.get_params m in
   expect_invalid "train_batch, one bad label" (fun () ->
@@ -595,6 +638,7 @@ let () =
       ( "hwsim",
         [
           Alcotest.test_case "negative kernel" `Quick test_kernel_rejects_negative;
+          Alcotest.test_case "transfer guards" `Quick test_transfer_guards;
           Alcotest.test_case "negative tick" `Quick test_clock_rejects_negative_tick;
           Alcotest.test_case "clock guards" `Quick test_clock_guards;
           Alcotest.test_case "roofline guards" `Quick test_roofline_guards;
@@ -602,6 +646,7 @@ let () =
             test_counters_series_equal_timestamps;
         ] );
       ("cretin", [ Alcotest.test_case "tiny ladder" `Quick test_cretin_tiny_ladder_rejected ]);
+      ("mfem", [ Alcotest.test_case "size guards" `Quick test_mfem_size_guards ]);
       ("ddcmd", [ Alcotest.test_case "bad box" `Quick test_particles_bad_box ]);
       ( "dlearn",
         [

@@ -326,46 +326,7 @@ let test_cvode_resume () =
   Alcotest.(check bool) "checkpoint copies y" true
     (half.Sundials.Cvode.y.(0) <> 99.0)
 
-(* --- inject + fcluster --- *)
-
-let test_inject_clean_plan_is_identity () =
-  let quiet =
-    Plan.generate ~seed:1
-      { Plan.default_config with
-        link_mtbf_s = infinity; straggler_mtbf_s = infinity;
-        kernel_fault_mtbf_s = infinity }
-  in
-  let l = Hwsim.Link.nvlink2 in
-  check_float "clean transfer = base model"
-    (Hwsim.Link.transfer_time l ~bytes:1e6)
-    (F.Inject.transfer_time quiet ~now:10.0 l ~bytes:1e6);
-  check_float "empty transfer still free" 0.0
-    (F.Inject.transfer_time quiet ~now:10.0 l ~bytes:0.0);
-  let d = Hwsim.Device.v100 in
-  let k = Hwsim.Kernel.make ~name:"axpy" ~flops:1e9 ~bytes:1.2e10 () in
-  check_float "clean kernel = roofline"
-    (Hwsim.Roofline.time d k)
-    (F.Inject.kernel_time quiet ~now:10.0 d k);
-  let total, faults = F.Inject.kernel_time_with_faults quiet ~now:10.0 d k in
-  Alcotest.(check int) "no transient faults" 0 faults;
-  check_float "no re-execution" (Hwsim.Roofline.time d k) total
-
-let test_inject_degradation_stretches () =
-  (* a plan with hot links must make some transfer cost more *)
-  let p =
-    Plan.generate ~seed:5
-      { Plan.default_config with link_mtbf_s = 50.0; link_degraded_s = 100.0 }
-  in
-  let l = Hwsim.Link.ib_dual_edr in
-  let base = Hwsim.Link.transfer_time l ~bytes:1e8 in
-  let stretched = ref false in
-  for i = 0 to 399 do
-    let now = float_of_int i *. 10.0 in
-    let t = F.Inject.transfer_time p ~now l ~bytes:1e8 in
-    Alcotest.(check bool) "never cheaper than clean" true (t >= base -. 1e-12);
-    if t > base *. 1.01 then stretched := true
-  done;
-  Alcotest.(check bool) "some window degraded" true !stretched
+(* --- fcluster --- *)
 
 let test_fcluster_deterministic () =
   let job () =
@@ -444,10 +405,6 @@ let () =
         ] );
       ( "inject",
         [
-          Alcotest.test_case "clean plan identity" `Quick
-            test_inject_clean_plan_is_identity;
-          Alcotest.test_case "degradation stretches" `Quick
-            test_inject_degradation_stretches;
           Alcotest.test_case "fcluster deterministic" `Quick
             test_fcluster_deterministic;
         ] );

@@ -209,24 +209,6 @@ let test_gmres_nonsymmetric () =
   Alcotest.(check bool) "gmres accurate" true
     (Icoe_util.Stats.max_abs_diff r.Krylov.x x_true < 1e-8)
 
-let test_bicgstab_nonsymmetric () =
-  let rng = Icoe_util.Rng.create 17 in
-  let n = 30 in
-  let d = Dense.init n n (fun i j ->
-      if i = j then 8.0
-      else if Icoe_util.Rng.float rng < 0.3 then Icoe_util.Rng.uniform rng (-1.0) 1.0
-      else 0.0)
-  in
-  let a = Csr.of_dense d in
-  let x_true = Array.init n (fun i -> cos (float_of_int i)) in
-  let b = Csr.spmv a x_true in
-  let r = Krylov.bicgstab ~tol:1e-12 ~max_iter:500 ~op:(Csr.spmv a) b
-      (Array.make n 0.0)
-  in
-  Alcotest.(check bool) "bicgstab converged" true r.Krylov.converged;
-  Alcotest.(check bool) "bicgstab accurate" true
-    (Icoe_util.Stats.max_abs_diff r.Krylov.x x_true < 1e-7)
-
 let test_gmres_with_preconditioner () =
   let a, b, x_true = laplacian_system 10 in
   let d = Csr.diag a in
@@ -380,7 +362,6 @@ let () =
           Alcotest.test_case "cg laplacian" `Quick test_cg_on_laplacian;
           Alcotest.test_case "pcg jacobi" `Quick test_pcg_jacobi_faster;
           Alcotest.test_case "gmres" `Quick test_gmres_nonsymmetric;
-          Alcotest.test_case "bicgstab" `Quick test_bicgstab_nonsymmetric;
           Alcotest.test_case "gmres precond" `Quick test_gmres_with_preconditioner;
           QCheck_alcotest.to_alcotest prop_cg_matches_reference;
         ] );

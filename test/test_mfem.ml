@@ -410,85 +410,6 @@ let test_nldiff_gpu_speedup_shape () =
   Alcotest.(check bool) "small-problem speedup smaller" true
     (gpu_s /. cpu_s > gpu /. cpu)
 
-(* --- 3D --- *)
-
-let test_3d_kernel_and_spd () =
-  let mesh = Mfem.Fem3d.Mesh3.create ~nx:3 ~ny:2 ~nz:2 ~p:2 () in
-  let basis = Mfem.Basis.create 2 in
-  let pa = Mfem.Fem3d.Pa3.setup mesh basis in
-  let n = Mfem.Fem3d.Mesh3.num_dofs mesh in
-  let y = Array.make n 0.0 in
-  (* constants in the kernel *)
-  Mfem.Fem3d.Pa3.apply pa (Array.make n 1.0) y;
-  Alcotest.(check bool) "K 1 = 0" true (Linalg.Vec.nrm_inf y < 1e-10);
-  (* symmetric positive semidefinite on random vectors *)
-  let rng = Icoe_util.Rng.create 61 in
-  let u = Array.init n (fun _ -> Icoe_util.Rng.uniform rng (-1.0) 1.0) in
-  let v = Array.init n (fun _ -> Icoe_util.Rng.uniform rng (-1.0) 1.0) in
-  let ku = Array.make n 0.0 and kv = Array.make n 0.0 in
-  Mfem.Fem3d.Pa3.apply pa u ku;
-  Mfem.Fem3d.Pa3.apply pa v kv;
-  Alcotest.(check (float 1e-9)) "symmetric" (Linalg.Vec.dot u kv) (Linalg.Vec.dot v ku);
-  Alcotest.(check bool) "psd" true (Linalg.Vec.dot u ku >= -1e-10)
-
-let test_3d_poisson_convergence () =
-  (* manufactured solution sin(pi x) sin(pi y) sin(pi z):
-     f = 3 pi^2 u; refine and watch the error drop *)
-  let solve n p =
-    let mesh = Mfem.Fem3d.Mesh3.create ~nx:n ~ny:n ~nz:n ~p () in
-    let basis = Mfem.Basis.create p in
-    let cb = Mfem.Basis.create_collocated p in
-    let pa = Mfem.Fem3d.Pa3.setup mesh basis in
-    let nd = Mfem.Fem3d.Mesh3.num_dofs mesh in
-    let mass = Mfem.Fem3d.mass_diagonal3 mesh cb in
-    let bd = Array.init nd (fun g -> Mfem.Fem3d.Mesh3.is_boundary mesh g) in
-    let b =
-      Array.init nd (fun g ->
-          if bd.(g) then 0.0
-          else
-            let x, y, z = Mfem.Fem3d.Mesh3.dof_coords mesh cb.Mfem.Basis.nodes g in
-            3.0 *. Float.pi *. Float.pi
-            *. sin (Float.pi *. x) *. sin (Float.pi *. y) *. sin (Float.pi *. z)
-            *. mass.(g))
-    in
-    let op u y =
-      Mfem.Fem3d.Pa3.apply pa u y;
-      Array.iteri (fun g fixed -> if fixed then y.(g) <- u.(g)) bd
-    in
-    let r = Linalg.Krylov.cg ~tol:1e-11 ~max_iter:4000 ~op b (Array.make nd 0.0) in
-    let err = ref 0.0 in
-    Array.iteri
-      (fun g v ->
-        let x, y, z = Mfem.Fem3d.Mesh3.dof_coords mesh cb.Mfem.Basis.nodes g in
-        let exact = sin (Float.pi *. x) *. sin (Float.pi *. y) *. sin (Float.pi *. z) in
-        err := max !err (Float.abs (v -. exact)))
-      r.Linalg.Krylov.x;
-    !err
-  in
-  let e_coarse = solve 2 2 in
-  let e_fine = solve 4 2 in
-  let e_high = solve 2 4 in
-  Alcotest.(check bool)
-    (Fmt.str "h-conv: %.2e -> %.2e" e_coarse e_fine)
-    true (e_fine < e_coarse /. 3.0);
-  Alcotest.(check bool)
-    (Fmt.str "p-conv: %.2e -> %.2e" e_coarse e_high)
-    true (e_high < e_coarse /. 5.0)
-
-let test_3d_pa_storage_advantage () =
-  (* in 3D the assembled matrix's (2p+1)^3 nonzeros per row dwarf the PA
-     factors — the regime where the MFEM rewrite pays off hardest *)
-  let mesh = Mfem.Fem3d.Mesh3.create ~nx:4 ~ny:4 ~nz:4 ~p:8 () in
-  let basis = Mfem.Basis.create 8 in
-  let pa = Mfem.Fem3d.Pa3.setup mesh basis in
-  let ratio =
-    Mfem.Fem3d.Pa3.fa_storage_bytes pa /. Mfem.Fem3d.Pa3.storage_bytes pa
-  in
-  Alcotest.(check bool) (Fmt.str "storage ratio %.0fx > 30x" ratio) true
-    (ratio > 30.0);
-  let w = Mfem.Fem3d.Pa3.work pa in
-  Alcotest.(check bool) "work accounted" true (w.Hwsim.Kernel.flops > 0.0)
-
 let () =
   Alcotest.run "mfem"
     [
@@ -522,12 +443,6 @@ let () =
           Alcotest.test_case "mass volume" `Quick test_mass_diagonal_integrates_volume;
           Alcotest.test_case "jit specialization" `Quick test_specialized_apply_matches;
           Alcotest.test_case "pa mass operator" `Quick test_pa_mass_operator;
-        ] );
-      ( "fem3d",
-        [
-          Alcotest.test_case "kernel + spd" `Quick test_3d_kernel_and_spd;
-          Alcotest.test_case "poisson convergence" `Slow test_3d_poisson_convergence;
-          Alcotest.test_case "storage advantage" `Quick test_3d_pa_storage_advantage;
         ] );
       ( "lor",
         [

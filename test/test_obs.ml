@@ -165,6 +165,34 @@ let test_reset () =
 
 module J = Icoe_util.Json
 
+let test_table_shows_only_moved () =
+  let r = M.create () in
+  M.inc ~by:3.0 (M.counter ~registry:r "moved_total");
+  ignore (M.counter ~registry:r "idle_total");
+  M.set (M.gauge ~registry:r "idle_gauge") 0.0;
+  M.set (M.gauge ~registry:r "moved_gauge") (-0.5);
+  ignore (M.histogram ~registry:r "idle_hist");
+  M.observe (M.histogram ~registry:r "moved_hist") 0.0;
+  let table = Icoe_util.Table.render (M.render_table ~registry:r ()) in
+  List.iter
+    (fun (name, shown) ->
+      Alcotest.(check bool) name shown (Astring.String.is_infix ~affix:name table))
+    [
+      ("moved_total", true);
+      ("moved_gauge", true);
+      ("moved_hist", true);
+      ("idle_total", false);
+      ("idle_gauge", false);
+      ("idle_hist", false);
+    ];
+  Alcotest.(check int) "json keeps every sample" 6
+    (List.length
+       (Option.get
+          (J.list_member "metrics" (J.parse_exn (M.to_json ~registry:r ())))));
+  M.reset ~registry:r ();
+  Alcotest.(check bool) "nothing moved after reset" false
+    (List.exists M.moved (M.snapshot ~registry:r ()))
+
 let test_json_roundtrip () =
   let r = M.create () in
   let c = M.counter ~registry:r ~labels:[ ("q", {|a"b|}) ] "c_total" in
@@ -241,6 +269,8 @@ let () =
       ( "exposition",
         [
           Alcotest.test_case "json" `Quick test_json_roundtrip;
+          Alcotest.test_case "table shows only moved" `Quick
+            test_table_shows_only_moved;
           Alcotest.test_case "json control-char labels" `Quick
             test_json_control_char_labels;
         ] );

@@ -1,44 +1,4 @@
-(* Tests for the SUNDIALS analog: N_Vector ops and CVODE-style integrators. *)
-
-let check_float = Alcotest.(check (float 1e-9))
-
-(* --- nvector --- *)
-
-let test_nvector_ops () =
-  let open Sundials.Nvector in
-  let x = of_array [| 1.0; 2.0; 3.0 |] in
-  let y = of_array [| 4.0; 5.0; 6.0 |] in
-  let z = create 3 in
-  linear_sum 2.0 x 1.0 y z;
-  Alcotest.(check (array (float 1e-12))) "linear_sum" [| 6.0; 9.0; 12.0 |] (data z);
-  prod x y z;
-  Alcotest.(check (array (float 1e-12))) "prod" [| 4.0; 10.0; 18.0 |] (data z);
-  scale 3.0 x z;
-  Alcotest.(check (array (float 1e-12))) "scale" [| 3.0; 6.0; 9.0 |] (data z);
-  inv x z;
-  check_float "inv" 0.5 (get z 1);
-  add_const x 10.0 z;
-  check_float "add_const" 11.0 (get z 0);
-  check_float "dot" 32.0 (dot x y);
-  check_float "max_norm" 3.0 (max_norm x);
-  const 7.0 z;
-  check_float "const" 7.0 (get z 2)
-
-let test_nvector_device_backend_charges () =
-  let clock = Hwsim.Clock.create () in
-  let ctx =
-    Prog.Exec.make_ctx ~policy:Prog.Policy.Cuda ~device:Hwsim.Device.v100 ~clock ()
-  in
-  let be = Sundials.Nvector.device_backend ctx in
-  let x = Sundials.Nvector.of_array ~backend:be (Array.make 1000 1.0) in
-  let z = Sundials.Nvector.clone x in
-  Sundials.Nvector.scale 2.0 x z;
-  Alcotest.(check bool) "device op charged" true (Hwsim.Clock.total clock > 0.0);
-  (* I/O pulls data back over the link *)
-  let before = Hwsim.Clock.total clock in
-  let a = Sundials.Nvector.to_host_array z in
-  check_float "values correct" 2.0 a.(0);
-  Alcotest.(check bool) "transfer charged" true (Hwsim.Clock.total clock > before)
+(* Tests for the SUNDIALS analog: CVODE-style integrators. *)
 
 (* --- integrators on analytic problems --- *)
 
@@ -224,11 +184,6 @@ let prop_bdf_linear_systems =
 let () =
   Alcotest.run "sundials"
     [
-      ( "nvector",
-        [
-          Alcotest.test_case "ops" `Quick test_nvector_ops;
-          Alcotest.test_case "device backend" `Quick test_nvector_device_backend_charges;
-        ] );
       ( "cvode",
         [
           Alcotest.test_case "bdf decay" `Quick test_bdf_decay;

@@ -194,77 +194,6 @@ let test_sierra_vs_cori_throughput () =
     true
     (ratio > 8.0 && ratio < 20.0)
 
-(* --- 3D solver --- *)
-
-let test_3d_linear_field_zero_accel () =
-  let g = Sw4.Elastic3d.create_grid ~nx:12 ~ny:12 ~nz:12 ~h:1.0 in
-  Sw4.Elastic3d.homogeneous g ~rho:1000.0 ~vp:2000.0 ~vs:1000.0;
-  let st = Sw4.Elastic3d.create g in
-  (* uniform strain: linear displacement field -> zero stress divergence *)
-  for k = 0 to 11 do
-    for j = 0 to 11 do
-      for i = 0 to 11 do
-        let p = Sw4.Elastic3d.idx g i j k in
-        Sw4.Elastic3d.set_u st ~c:0 ~p (0.001 *. float_of_int i);
-        Sw4.Elastic3d.set_u st ~c:1 ~p (0.002 *. float_of_int j);
-        Sw4.Elastic3d.set_u st ~c:2 ~p (0.003 *. float_of_int k)
-      done
-    done
-  done;
-  Sw4.Elastic3d.acceleration st;
-  let m = ref 0.0 in
-  Fbuf.iteri (fun _ v -> m := max !m (Float.abs v)) st.Sw4.Elastic3d.a;
-  Alcotest.(check bool) "zero acceleration" true (!m < 1e-8)
-
-let test_3d_p_wave_speed () =
-  let vp = 3000.0 and vs = 1500.0 in
-  let h = 100.0 in
-  let g = Sw4.Elastic3d.create_grid ~nx:64 ~ny:24 ~nz:24 ~h in
-  Sw4.Elastic3d.homogeneous g ~rho:2000.0 ~vp ~vs;
-  let st = Sw4.Elastic3d.create g in
-  let f0 = 3.0 in
-  let t0 = 1.2 /. f0 in
-  let stf = Sw4.Source.ricker ~f0 ~t0 in
-  let src = (12, 12, 12) and rcv = (52, 12, 12) in
-  let si, sj, sk = src and ri, rj, rk = rcv in
-  let dist = float_of_int (ri - si) *. h in
-  let expected = t0 +. (dist /. vp) in
-  let steps = int_of_float (1.3 *. expected /. st.Sw4.Elastic3d.dt) in
-  let peak = ref 0.0 and tpeak = ref 0.0 in
-  for s = 1 to steps do
-    let time = float_of_int (s - 1) *. st.Sw4.Elastic3d.dt in
-    Sw4.Elastic3d.step ~force:(si, sj, sk, 1e9, 0.0, 0.0, stf) st ~time;
-    let p = Sw4.Elastic3d.idx g ri rj rk in
-    let v = Float.abs (Sw4.Elastic3d.get_u st ~c:0 ~p) in
-    if v > !peak then begin
-      peak := v;
-      tpeak := time
-    end
-  done;
-  Alcotest.(check bool) "wave arrived" true (!peak > 0.0);
-  let v_measured = dist /. (!tpeak -. t0) in
-  Alcotest.(check bool)
-    (Fmt.str "3D vp measured %.0f vs %.0f" v_measured vp)
-    true
-    (v_measured > 0.8 *. vp && v_measured < 1.25 *. vp)
-
-let test_3d_stability () =
-  let g = Sw4.Elastic3d.create_grid ~nx:20 ~ny:20 ~nz:20 ~h:100.0 in
-  Sw4.Elastic3d.homogeneous g ~rho:2500.0 ~vp:5000.0 ~vs:2500.0;
-  let st = Sw4.Elastic3d.create g in
-  let stf = Sw4.Source.ricker ~f0:3.0 ~t0:0.4 in
-  for s = 1 to 300 do
-    let time = float_of_int (s - 1) *. st.Sw4.Elastic3d.dt in
-    Sw4.Elastic3d.step ~force:(10, 10, 10, 1e9, 1e9, 1e9, stf) st ~time
-  done;
-  Alcotest.(check bool) "energy finite" true
-    (Float.is_finite (Sw4.Elastic3d.energy_proxy st));
-  Alcotest.(check bool) "fields finite" true
-    (let ok = ref true in
-     Fbuf.iteri (fun _ v -> if not (Float.is_finite v) then ok := false)
-       st.Sw4.Elastic3d.u;
-     !ok)
-
 let test_production_run_parity () =
   (* 26B-point Hayward campaign: ~10 h on 256 Sierra nodes; Cori needs a
      high multiple of the nodes for the same deadline *)
@@ -421,6 +350,38 @@ let prop_acceleration_par_bits_exact =
       in
       bits_eq ax_p ax_s && bits_eq ay_p ay_s)
 
+let test_snapshot_restore_replays () =
+  (* the Solver.restore contract: stepping after a restore replays the
+     original trajectory bit for bit, seismograms included *)
+  let g = Sw4.Grid.create ~nx:40 ~ny:40 ~h:100.0 in
+  Sw4.Grid.homogeneous g ~rho:2500.0 ~vp:5000.0 ~vs:2500.0;
+  let src =
+    Sw4.Source.point_force ~i:20 ~j:20 ~fx:1e9 ~fy:5e8
+      ~stf:(Sw4.Source.ricker ~f0:2.0 ~t0:0.5)
+  in
+  let rcv = Sw4.Solver.receiver ~i:30 ~j:20 in
+  let s = Sw4.Solver.create ~sources:[ src ] ~receivers:[ rcv ] g in
+  Sw4.Solver.run s ~steps:50;
+  let snap = Sw4.Solver.snapshot s in
+  let bits b = Array.map Int64.bits_of_float (Fbuf.to_array b) in
+  let state () =
+    ( bits s.Sw4.Solver.ux,
+      bits s.Sw4.Solver.uy,
+      Int64.bits_of_float s.Sw4.Solver.time,
+      s.Sw4.Solver.steps,
+      List.map
+        (fun (t, x, y) ->
+          (Int64.bits_of_float t, Int64.bits_of_float x, Int64.bits_of_float y))
+        rcv.Sw4.Solver.trace )
+  in
+  Sw4.Solver.run s ~steps:40;
+  let first = state () in
+  Sw4.Solver.restore s snap;
+  Alcotest.(check int) "step count restored" 50 s.Sw4.Solver.steps;
+  Alcotest.(check int) "trace restored" 50 (List.length rcv.Sw4.Solver.trace);
+  Sw4.Solver.run s ~steps:40;
+  Alcotest.(check bool) "replay bit-identical" true (first = state ())
+
 let () =
   Alcotest.run "sw4"
     [
@@ -455,10 +416,9 @@ let () =
           Alcotest.test_case "split co-executes" `Quick
             test_split_partial_co_executes;
         ] );
-      ( "elastic3d",
+      ( "snapshots",
         [
-          Alcotest.test_case "linear field" `Quick test_3d_linear_field_zero_accel;
-          Alcotest.test_case "p-wave speed" `Slow test_3d_p_wave_speed;
-          Alcotest.test_case "stability" `Slow test_3d_stability;
+          Alcotest.test_case "restore replays" `Quick
+            test_snapshot_restore_replays;
         ] );
     ]
