@@ -424,21 +424,29 @@ let svc_scale () =
    overhead and get a looser one. Exits non-zero on any violation. *)
 let alloc_smoke () =
   let failures = ref 0 in
-  let measure name ~budget f =
-    for _ = 1 to 3 do
-      f ()
-    done;
-    let iters = 10 in
-    let before = Gc.minor_words () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    let per = (Gc.minor_words () -. before) /. float_of_int iters in
+  let report name ~budget per =
     let ok = per <= budget in
     if not ok then incr failures;
     Fmt.pr "alloc-smoke %-26s %10.1f words/iter (budget %7.0f) %s@." name per
       budget
       (if ok then "ok" else "FAIL")
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let measure name ~budget f =
+    for _ = 1 to 3 do
+      f ()
+    done;
+    let iters = 10 in
+    report name ~budget
+      (words (fun () ->
+           for _ = 1 to iters do
+             f ()
+           done)
+      /. float_of_int iters)
   in
   let seq_budget = 64.0 and par_budget = 32768.0 in
   (* sw4 stencil *)
@@ -515,6 +523,21 @@ let alloc_smoke () =
   let y = Array.make 1024 0.0 in
   measure "topopt/apply-seq" ~budget:seq_budget (fun () ->
       Opt.Topopt.apply s u y);
+  (* one structured BoxLoop Jacobi sweep (smooth, copy, their charges,
+     and a tenth of a residual check): the difference of a 20- and a
+     10-sweep solve cancels the per-solve setup. ~70 words here; a
+     boxed max-norm fold adds ~4 words per residual cell, ~1 500 per
+     sweep. *)
+  let clock = Hwsim.Clock.create () in
+  let ctx = Prog.Exec.make_ctx ~policy:Prog.Policy.Cuda ~device:Hwsim.Device.v100 ~clock in
+  let st = Hypre.Boxloop.Struct_solver.create 64 64 in
+  st.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx st 32 32) <- 1.0;
+  let solve max_sweeps () =
+    ignore (Hypre.Boxloop.Struct_solver.solve ~tol:0.0 ~max_sweeps ctx st)
+  in
+  solve 10 ();
+  report "hypre/struct-sweep-seq" ~budget:128.0
+    ((words (solve 20) -. words (solve 10)) /. 10.0);
   if !failures > 0 then begin
     Fmt.pr "alloc-smoke: %d kernel(s) over budget@." !failures;
     exit 1

@@ -116,7 +116,10 @@ let solve_iterative ?(tol = 1e-12) (model : Atomic.t) cond =
     Euler (used when zones are driven away from steady state). *)
 let advance (model : Atomic.t) cond ~dt n0 =
   let n = Atomic.n_levels model in
-  assert (Array.length n0 = n);
+  if not (Array.length n0 = n) then
+    invalid_arg
+      (Printf.sprintf "Ratematrix.advance: n0 has %d entries for %d levels"
+         (Array.length n0) n);
   let m = assemble model cond in
   (* (I - dt M) n1 = n0 *)
   let a =

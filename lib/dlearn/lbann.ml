@@ -26,7 +26,8 @@ let halo_linear = 0.003
 
 (** Per-batch time for one sample group of [g] GPUs. *)
 let group_time g =
-  assert (g >= 1);
+  if not (g >= 1) then
+    invalid_arg (Printf.sprintf "Lbann.group_time: g = %d GPUs per sample is not >= 1" g);
   let gf = float_of_int g in
   (compute_full /. gf)
   +. (halo_log *. Float.log2 (max 2.0 gf))
@@ -40,7 +41,10 @@ let strong_scaling_speedup g = group_time min_gpus_per_sample /. group_time g
     [g] GPUs per sample; the data-parallel allreduce across groups adds a
     log term (the solid lines staying nearly flat). *)
 let weak_scaling_throughput ~total_gpus ~g =
-  assert (total_gpus >= g);
+  if not (total_gpus >= g) then
+    invalid_arg
+      (Printf.sprintf "Lbann.weak_scaling_throughput: total_gpus = %d < g = %d"
+         total_gpus g);
   let groups = total_gpus / g in
   let allreduce =
     0.004 *. Float.log2 (max 2.0 (float_of_int groups))

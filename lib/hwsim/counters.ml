@@ -22,7 +22,12 @@ let create device = { device; samples = [] }
 let sample t ~time ~bytes =
   (match t.samples with
   | { t = t0; bytes = b0 } :: _ ->
-      assert (time >= t0 && bytes >= b0 (* counters are monotone *))
+      (* counters are monotone *)
+      if not (time >= t0 && bytes >= b0) then
+        invalid_arg
+          (Printf.sprintf
+             "Counters.sample: (time %g, bytes %g) precedes the last sample (%g, %g)"
+             time bytes t0 b0)
   | [] -> ());
   t.samples <- { t = time; bytes } :: t.samples
 
@@ -42,7 +47,7 @@ let bandwidth_bound t = utilization t > 0.6
 
 (** Per-interval bandwidth series, oldest first: (t_mid, GB/s).
 
-    [sample] accepts equal timestamps (the monotonicity assert is [>=]),
+    [sample] accepts equal timestamps (the monotonicity guard is [>=]),
     so zero-width intervals are merged before dividing: consecutive
     samples at the same instant collapse to the newest one — the counter
     is cumulative, so no traffic is lost — and the series never contains

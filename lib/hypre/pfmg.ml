@@ -3,10 +3,11 @@
 
     Solves the 5-point Poisson problem on an (n x n) interior grid
     (Dirichlet walls) with full coarsening, damped-Jacobi smoothing,
-    bilinear prolongation and full-weighting restriction — every sweep
-    expressed through the retargetable [Boxloop.boxloop2], so the whole
-    cycle runs under any execution policy. Grid sizes must be (2^k - 1)
-    per side so that coarsening terminates at a single interior point. *)
+    bilinear prolongation and full-weighting restriction. Every sweep is
+    a plain row loop over a level's interior priced by [Boxloop.charge],
+    so the whole cycle runs under any execution policy. Grid sizes must
+    be (2^k - 1) per side so that coarsening terminates at a single
+    interior point. *)
 
 type level = {
   n : int;  (** interior points per side *)
@@ -46,32 +47,41 @@ let interior lvl = { Boxloop.ilo = 1; ihi = lvl.n; jlo = 1; jhi = lvl.n }
 let smooth ctx ?(w = 0.8) lvl =
   let u = lvl.u and b = lvl.b and r = lvl.r in
   let stride = lvl.n + 2 in
-  Boxloop.boxloop2 ctx ~phase:"pfmg-smooth" ~flops_per:8.0 ~bytes_per:48.0
-    (interior lvl) (fun i j ->
+  for j = 1 to lvl.n do
+    for i = 1 to lvl.n do
       let k = idx lvl i j in
       let nb = u.(k - 1) +. u.(k + 1) +. u.(k - stride) +. u.(k + stride) in
-      r.(k) <- u.(k) +. (w *. (((b.(k) +. nb) /. 4.0) -. u.(k))));
-  Boxloop.boxloop2 ctx ~phase:"pfmg-copy" ~flops_per:0.0 ~bytes_per:16.0
-    (interior lvl) (fun i j ->
+      r.(k) <- u.(k) +. (w *. (((b.(k) +. nb) /. 4.0) -. u.(k)))
+    done
+  done;
+  Boxloop.charge ctx ~phase:"pfmg-smooth" ~flops_per:8.0 ~bytes_per:48.0 (interior lvl);
+  for j = 1 to lvl.n do
+    for i = 1 to lvl.n do
       let k = idx lvl i j in
-      u.(k) <- r.(k))
+      u.(k) <- r.(k)
+    done
+  done;
+  Boxloop.charge ctx ~phase:"pfmg-copy" ~flops_per:0.0 ~bytes_per:16.0 (interior lvl)
 
 (* residual r = b - A u (A = 4u - neighbours, h-scaled rhs baked into b) *)
 let residual ctx lvl =
   let u = lvl.u and b = lvl.b and r = lvl.r in
   let stride = lvl.n + 2 in
-  Boxloop.boxloop2 ctx ~phase:"pfmg-residual" ~flops_per:7.0 ~bytes_per:48.0
-    (interior lvl) (fun i j ->
+  for j = 1 to lvl.n do
+    for i = 1 to lvl.n do
       let k = idx lvl i j in
       let nb = u.(k - 1) +. u.(k + 1) +. u.(k - stride) +. u.(k + stride) in
-      r.(k) <- b.(k) +. nb -. (4.0 *. u.(k)))
+      r.(k) <- b.(k) +. nb -. (4.0 *. u.(k))
+    done
+  done;
+  Boxloop.charge ctx ~phase:"pfmg-residual" ~flops_per:7.0 ~bytes_per:48.0 (interior lvl)
 
 (* full-weighting restriction of fine.r into coarse.b; fine n = 2c+1 *)
 let restrict ctx ~(fine : level) ~(coarse : level) =
   let fr = fine.r in
   let fs = fine.n + 2 in
-  Boxloop.boxloop2 ctx ~phase:"pfmg-restrict" ~flops_per:12.0 ~bytes_per:80.0
-    (interior coarse) (fun ci cj ->
+  for cj = 1 to coarse.n do
+    for ci = 1 to coarse.n do
       let fi = 2 * ci and fj = 2 * cj in
       let k = fi + (fs * fj) in
       let v =
@@ -82,7 +92,11 @@ let restrict ctx ~(fine : level) ~(coarse : level) =
       in
       (* factor 4 keeps the coarse operator consistent under full
          weighting (scale 1/16 x h^2 ratio 4) *)
-      coarse.b.(ci + ((coarse.n + 2) * cj)) <- v /. 4.0)
+      coarse.b.(ci + ((coarse.n + 2) * cj)) <- v /. 4.0
+    done
+  done;
+  Boxloop.charge ctx ~phase:"pfmg-restrict" ~flops_per:12.0 ~bytes_per:80.0
+    (interior coarse)
 
 (* bilinear prolongation of coarse.u added into fine.u *)
 let prolong ctx ~(coarse : level) ~(fine : level) =
@@ -90,8 +104,8 @@ let prolong ctx ~(coarse : level) ~(fine : level) =
   let cs = coarse.n + 2 in
   let fs = fine.n + 2 in
   let fu = fine.u in
-  Boxloop.boxloop2 ctx ~phase:"pfmg-prolong" ~flops_per:6.0 ~bytes_per:48.0
-    (interior fine) (fun fi fj ->
+  for fj = 1 to fine.n do
+    for fi = 1 to fine.n do
       let ci = fi / 2 and cj = fj / 2 in
       let v =
         match (fi land 1, fj land 1) with
@@ -104,7 +118,10 @@ let prolong ctx ~(coarse : level) ~(fine : level) =
                +. cu.(ci + (cs * (cj + 1)))
                +. cu.(ci + 1 + (cs * (cj + 1))))
       in
-      fu.(fi + (fs * fj)) <- fu.(fi + (fs * fj)) +. v)
+      fu.(fi + (fs * fj)) <- fu.(fi + (fs * fj)) +. v
+    done
+  done;
+  Boxloop.charge ctx ~phase:"pfmg-prolong" ~flops_per:6.0 ~bytes_per:48.0 (interior fine)
 
 (** One V(nu1, nu2)-cycle. *)
 let v_cycle ?(nu1 = 2) ?(nu2 = 2) ctx t =
@@ -134,14 +151,16 @@ let v_cycle ?(nu1 = 2) ?(nu2 = 2) ctx t =
   in
   descend 0
 
-(** Residual infinity norm on the finest level. *)
+(** Residual infinity norm on the finest level. The fold is
+    [Stdlib.max] written out, which keeps the accumulator unboxed. *)
 let residual_norm ctx t =
   let lvl = finest t in
   residual ctx lvl;
   let m = ref 0.0 in
   for j = 1 to lvl.n do
     for i = 1 to lvl.n do
-      m := max !m (Float.abs lvl.r.(idx lvl i j))
+      let a = Float.abs lvl.r.(idx lvl i j) in
+      m := if !m >= a then !m else a
     done
   done;
   !m

@@ -61,7 +61,7 @@ let ablations () =
   (* 5. PFMG vs Jacobi (structured-solver algorithms) *)
   let run_pfmg () =
     let clock = Hwsim.Clock.create () in
-    let ctx = Prog.Exec.make_ctx ~policy:Prog.Policy.Cuda ~device:Hwsim.Device.v100 ~clock () in
+    let ctx = Prog.Exec.make_ctx ~policy:Prog.Policy.Cuda ~device:Hwsim.Device.v100 ~clock in
     let t = Hypre.Pfmg.create 63 in
     let f = Hypre.Pfmg.finest t in
     f.Hypre.Pfmg.b.(Hypre.Pfmg.idx f 32 32) <- 1.0;
@@ -70,7 +70,7 @@ let ablations () =
   in
   let run_jacobi () =
     let clock = Hwsim.Clock.create () in
-    let ctx = Prog.Exec.make_ctx ~policy:Prog.Policy.Cuda ~device:Hwsim.Device.v100 ~clock () in
+    let ctx = Prog.Exec.make_ctx ~policy:Prog.Policy.Cuda ~device:Hwsim.Device.v100 ~clock in
     let s = Hypre.Boxloop.Struct_solver.create 65 65 in
     s.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx s 32 32) <- 1.0;
     let sweeps, _ = Hypre.Boxloop.Struct_solver.solve ~tol:1e-8 ~max_sweeps:50000 ctx s in

@@ -15,7 +15,7 @@ let hypre () =
         if Prog.Policy.side policy = Prog.Policy.Host then Hwsim.Device.power9
         else Hwsim.Device.v100
       in
-      let ctx = Prog.Exec.make_ctx ~policy ~device ~clock () in
+      let ctx = Prog.Exec.make_ctx ~policy ~device ~clock in
       let s = Hypre.Boxloop.Struct_solver.create 64 64 in
       s.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx s 32 32) <- 1.0;
       let sweeps, _ = Hypre.Boxloop.Struct_solver.solve ~tol:1e-6 ctx s in

@@ -1,39 +1,24 @@
-(** The forall/reduce layer: a miniature RAJA.
+(** Loop pricing: the backend half of a miniature RAJA.
 
-    [forall] really executes its body (the numerics are genuine) and
-    charges the context clock with the roofline price of the loop under
-    the context's policy and device, including launch overhead. Kernel
-    fusion is then a first-class, measurable transformation: one fused
-    [forall] pays one launch where k separate ones pay k. *)
+    A caller runs its loop as plain code, then calls [charge] with the
+    trip count and per-element work. [charge] prices the loop with the
+    roofline model under the context's policy and device, including
+    launch overhead, and ticks the context clock. Kernel fusion is then a
+    first-class, measurable transformation: one fused loop pays one
+    launch where k separate ones pay k. *)
 
 type ctx = {
   policy : Policy.t;
   device : Hwsim.Device.t;
-  link : Hwsim.Link.t;
   clock : Hwsim.Clock.t;
-  mutable launches : int;
-  mutable flops : float;
-  mutable bytes : float;
 }
 
-val make_ctx :
-  ?link:Hwsim.Link.t ->
-  policy:Policy.t ->
-  device:Hwsim.Device.t ->
-  clock:Hwsim.Clock.t ->
-  unit ->
-  ctx
+val make_ctx : policy:Policy.t -> device:Hwsim.Device.t -> clock:Hwsim.Clock.t -> ctx
 
 val charge : ctx -> phase:string -> n:int -> flops_per:float -> bytes_per:float -> unit
-(** Price an n-element loop without running a body (for callers that
-    executed the work themselves). *)
+(** Price an n-element loop the caller has run, under [phase]. *)
 
-val forall :
-  ctx -> ?phase:string -> n:int -> flops_per:float -> bytes_per:float ->
-  (int -> unit) -> unit
-(** Run the body for every index and charge simulated time. *)
-
-val reduce :
-  ctx -> ?phase:string -> n:int -> flops_per:float -> bytes_per:float ->
-  init:'a -> combine:('a -> 'a -> 'a) -> (int -> 'a) -> 'a
-(** Fold over indices; charged like a forall plus a log-depth combine. *)
+val charge_reduce :
+  ctx -> phase:string -> n:int -> flops_per:float -> bytes_per:float -> unit
+(** [charge], then the log-depth tree-combine of a reduction across the
+    device's lanes, under the same [phase]. *)

@@ -28,7 +28,8 @@ let create ?(raw_alloc_cost_s = 100e-6) ?(pooled_alloc_cost_s = 0.3e-6) name =
 
 (** Allocate [bytes]; charges [clock] with either a pooled or a raw cost. *)
 let alloc t ~bytes ~(clock : Hwsim.Clock.t) =
-  assert (bytes >= 0.0);
+  if not (bytes >= 0.0) then
+    invalid_arg (Printf.sprintf "Pool.alloc: bytes = %g is not >= 0" bytes);
   t.in_use_bytes <- t.in_use_bytes +. bytes;
   if t.in_use_bytes > t.high_water_bytes then begin
     t.high_water_bytes <- t.in_use_bytes;
@@ -41,7 +42,8 @@ let alloc t ~bytes ~(clock : Hwsim.Clock.t) =
   end
 
 let free t ~bytes =
-  assert (bytes >= 0.0);
+  if not (bytes >= 0.0) then
+    invalid_arg (Printf.sprintf "Pool.free: bytes = %g is not >= 0" bytes);
   t.in_use_bytes <- max 0.0 (t.in_use_bytes -. bytes)
 
 (** What the same allocation pattern would have cost without a pool. *)

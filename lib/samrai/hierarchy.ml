@@ -79,7 +79,10 @@ let fill_level_ghosts t lvl_idx name =
 (** Conservative average of fine-level data onto the underlying coarse
     cells (restriction after a fine-level step). *)
 let coarsen_field t ~fine_idx ~coarse_idx name =
-  assert (fine_idx > coarse_idx);
+  if not (fine_idx > coarse_idx) then
+    invalid_arg
+      (Printf.sprintf "Hierarchy.coarsen_field: fine_idx = %d is not above coarse_idx = %d"
+         fine_idx coarse_idx);
   let fine = t.levels.(fine_idx) and coarse = t.levels.(coarse_idx) in
   let r = fine.ratio / coarse.ratio in
   let r2 = float_of_int (r * r) in

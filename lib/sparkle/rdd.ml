@@ -82,7 +82,8 @@ let group_by_key ?(bytes_per_elem = 32.0) (t : (int * 'v) t) =
 (** Inner join of two keyed datasets: co-partition by key (two shuffles),
     then a partition-local hash join. *)
 let join ?(bytes_per_elem = 32.0) (a : (int * 'v) t) (b : (int * 'w) t) =
-  assert (a.cluster == b.cluster);
+  if not (a.cluster == b.cluster) then
+    invalid_arg "Rdd.join: the two datasets live on different clusters";
   let np = max (num_partitions a) (num_partitions b) in
   let repartition (t : (int * _) t) =
     let padded = { t with partitions = Array.init np (fun i -> if i < num_partitions t then t.partitions.(i) else [||]) } in

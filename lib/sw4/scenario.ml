@@ -176,7 +176,10 @@ let production_step_model ?(work_multiplier = 280.0) ?overlap ?trace
     ?(placement = Hwsim.Topology.Contiguous) ?(gpu_frac = 1.0)
     ?(comm = Hwsim.Split.Dedicated) (machine : Hwsim.Node.machine) ~nodes
     ~grid_points =
-  assert (nodes >= 1 && nodes <= machine.Hwsim.Node.nodes);
+  if not (nodes >= 1 && nodes <= machine.Hwsim.Node.nodes) then
+    invalid_arg
+      (Printf.sprintf "Scenario.production_step_model: nodes = %d outside 1..%d"
+         nodes machine.Hwsim.Node.nodes);
   Hwsim.Split.validate gpu_frac;
   (* a CPU-only node has no accelerator to split against *)
   let split =

@@ -230,6 +230,15 @@ let test_pfmg_rejects_bad_size () =
   expect_invalid_naming "n >= 1" [ "Pfmg.create"; "0" ] (fun () ->
       Hypre.Pfmg.create 0)
 
+let test_struct_solver_rejects_bad_size () =
+  (* a grid without interior cells used to price sweeps of a phantom cell *)
+  expect_invalid_naming "1 x 1" [ "Struct_solver.create"; "1 x 1" ] (fun () ->
+      Hypre.Boxloop.Struct_solver.create 1 1);
+  expect_invalid_naming "2 x 5" [ "Struct_solver.create"; "2 x 5" ] (fun () ->
+      Hypre.Boxloop.Struct_solver.create 2 5);
+  expect_invalid_naming "5 x 2" [ "Struct_solver.create"; "5 x 2" ] (fun () ->
+      Hypre.Boxloop.Struct_solver.create 5 2)
+
 let test_boxloop_rejects_inverted_box () =
   expect_invalid_naming "inverted box" [ "Box.make"; "[5, 2]" ] (fun () ->
       Samrai.Box.make ~ilo:5 ~jlo:0 ~ihi:2 ~jhi:3)
@@ -431,6 +440,60 @@ let test_cretin_tiny_ladder_rejected () =
   expect_invalid_naming "needs >= 2 levels" [ "Atomic.ladder"; "1" ] (fun () ->
       Cretin.Atomic.ladder 1)
 
+(* --- entry points that used to [assert] --- *)
+
+let test_pool_guards () =
+  let p = Prog.Pool.create "edge" in
+  let clock = Hwsim.Clock.create () in
+  expect_invalid_naming "alloc" [ "Pool.alloc"; "-1" ] (fun () ->
+      Prog.Pool.alloc p ~bytes:(-1.0) ~clock);
+  expect_invalid_naming "free" [ "Pool.free"; "nan" ] (fun () ->
+      Prog.Pool.free p ~bytes:Float.nan)
+
+let test_lbann_guards () =
+  expect_invalid_naming "weak scaling" [ "Lbann.weak_scaling_throughput"; "2"; "4" ]
+    (fun () -> Dlearn.Lbann.weak_scaling_throughput ~total_gpus:2 ~g:4);
+  expect_invalid_naming "strong scaling" [ "Lbann.group_time"; "g = 0" ] (fun () ->
+      Dlearn.Lbann.strong_scaling_speedup 0)
+
+let test_sw4_step_model_nodes () =
+  let m = Hwsim.Node.sierra in
+  let over = m.Hwsim.Node.nodes + 1 in
+  List.iter
+    (fun nodes ->
+      expect_invalid_naming "nodes"
+        [ "Scenario.production_step_model"; Printf.sprintf "nodes = %d" nodes ]
+        (fun () -> Sw4.Scenario.production_step_model m ~nodes ~grid_points:1e9))
+    [ 0; over ]
+
+let test_ratematrix_advance_length () =
+  let m = Cretin.Atomic.ladder 5 in
+  let c = { Cretin.Ratematrix.te = 10.0; ne = 1.0e21; radiation = 0.0 } in
+  expect_invalid_naming "advance" [ "Ratematrix.advance"; "3"; "5" ] (fun () ->
+      Cretin.Ratematrix.advance m c ~dt:1e-9 [| 1.0; 0.0; 0.0 |])
+
+let test_counters_sample_monotone () =
+  let c = Hwsim.Counters.create Hwsim.Device.power9 in
+  Hwsim.Counters.sample c ~time:1.0 ~bytes:10.0;
+  expect_invalid_naming "time back" [ "Counters.sample"; "time 0.5" ] (fun () ->
+      Hwsim.Counters.sample c ~time:0.5 ~bytes:20.0);
+  expect_invalid_naming "bytes back" [ "Counters.sample"; "bytes 5" ] (fun () ->
+      Hwsim.Counters.sample c ~time:2.0 ~bytes:5.0)
+
+let test_coarsen_field_order () =
+  let d = Samrai.Box.make ~ilo:0 ~jlo:0 ~ihi:7 ~jhi:7 in
+  let h = Samrai.Hierarchy.create ~patches_per_level:1 ~fields:[ "u" ] d in
+  Samrai.Hierarchy.add_refined_level ~patches:1 h ~region:d ~ratio:2;
+  expect_invalid_naming "coarsen" [ "Hierarchy.coarsen_field"; "fine_idx = 0"; "coarse_idx = 1" ]
+    (fun () -> Samrai.Hierarchy.coarsen_field h ~fine_idx:0 ~coarse_idx:1 "u")
+
+let test_rdd_join_clusters () =
+  let mk () = Sparkle.Cluster.create (Sparkle.Cluster.default_config ~nodes:2 ()) in
+  let a = Sparkle.Rdd.of_array (mk ()) [| (1, "a") |] in
+  let b = Sparkle.Rdd.of_array (mk ()) [| (1, 1) |] in
+  expect_invalid_naming "join" [ "Rdd.join"; "different clusters" ] (fun () ->
+      Sparkle.Rdd.join a b)
+
 (* --- mfem --- *)
 
 let test_mfem_size_guards () =
@@ -622,6 +685,8 @@ let () =
         [
           Alcotest.test_case "pfmg size" `Quick test_pfmg_rejects_bad_size;
           Alcotest.test_case "inverted box" `Quick test_boxloop_rejects_inverted_box;
+          Alcotest.test_case "struct solver size" `Quick
+            test_struct_solver_rejects_bad_size;
         ] );
       ( "util",
         [
@@ -662,6 +727,16 @@ let () =
             test_monodomain_bad_sizes;
           Alcotest.test_case "ddcmd particles" `Quick test_particles_bad_sizes;
           Alcotest.test_case "ddcmd engine dt" `Quick test_md_engine_bad_dt;
+        ] );
+      ( "entry guards",
+        [
+          Alcotest.test_case "pool bytes" `Quick test_pool_guards;
+          Alcotest.test_case "lbann scaling" `Quick test_lbann_guards;
+          Alcotest.test_case "sw4 step model nodes" `Quick test_sw4_step_model_nodes;
+          Alcotest.test_case "ratematrix advance" `Quick test_ratematrix_advance_length;
+          Alcotest.test_case "counters sample" `Quick test_counters_sample_monotone;
+          Alcotest.test_case "coarsen field order" `Quick test_coarsen_field_order;
+          Alcotest.test_case "rdd join clusters" `Quick test_rdd_join_clusters;
         ] );
       ( "cost models",
         [

@@ -174,17 +174,21 @@ let test_vcycle_work_counts () =
 
 let mk_ctx policy =
   let clock = Hwsim.Clock.create () in
-  (Prog.Exec.make_ctx ~policy ~device:Hwsim.Device.v100 ~clock (), clock)
+  (Prog.Exec.make_ctx ~policy ~device:Hwsim.Device.v100 ~clock, clock)
 
 let test_boxloop_sweeps_box () =
-  let ctx, _ = mk_ctx Prog.Policy.Cuda in
-  let hits = ref 0 in
-  Hypre.Boxloop.boxloop2 ctx ~flops_per:0.0 ~bytes_per:0.0
-    { Hypre.Boxloop.ilo = 2; ihi = 4; jlo = 1; jhi = 3 }
-    (fun i j ->
-      Alcotest.(check bool) "in box" true (i >= 2 && i <= 4 && j >= 1 && j <= 3);
-      incr hits);
-  Alcotest.(check int) "9 cells" 9 !hits
+  (* pricing a 3 x 3 box is pricing a 9-element loop, to the bit *)
+  let ctx, clock = mk_ctx Prog.Policy.Cuda in
+  Hypre.Boxloop.charge ctx ~phase:"box" ~flops_per:8.0 ~bytes_per:48.0
+    { Hypre.Boxloop.ilo = 2; ihi = 4; jlo = 1; jhi = 3 };
+  let ref_ctx, ref_clock = mk_ctx Prog.Policy.Cuda in
+  Prog.Exec.charge ref_ctx ~phase:"box" ~n:9 ~flops_per:8.0 ~bytes_per:48.0;
+  Alcotest.(check int64) "9 cells"
+    (Int64.bits_of_float (Hwsim.Clock.phase ref_clock "box"))
+    (Int64.bits_of_float (Hwsim.Clock.phase clock "box"));
+  Alcotest.(check int64) "total"
+    (Int64.bits_of_float (Hwsim.Clock.total ref_clock))
+    (Int64.bits_of_float (Hwsim.Clock.total clock))
 
 let test_struct_solver_converges () =
   let ctx, _ = mk_ctx Prog.Policy.Cuda in
@@ -288,6 +292,73 @@ let test_pfmg_beats_jacobi_cost () =
   in
   Alcotest.(check bool) "pfmg much cheaper" true (run_pfmg () *. 5.0 < run_jacobi ())
 
+(* The four backends of the [hypre] harness's BoxLoop table. *)
+let harness_ctx k =
+  let policy =
+    [| Prog.Policy.Openmp 22; Prog.Policy.Omp_target; Prog.Policy.Raja_cuda;
+       Prog.Policy.Cuda |].(k)
+  in
+  let device =
+    if Prog.Policy.side policy = Prog.Policy.Host then Hwsim.Device.power9
+    else Hwsim.Device.v100
+  in
+  let clock = Hwsim.Clock.create () in
+  (Prog.Exec.make_ctx ~policy ~device ~clock, clock)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let same_array a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let same_clock c c' =
+  same_bits (Hwsim.Clock.total c) (Hwsim.Clock.total c')
+  &&
+  let ph = Hwsim.Clock.breakdown c and ph' = Hwsim.Clock.breakdown c' in
+  List.length ph = List.length ph'
+  && List.for_all2 (fun (n, t) (n', t') -> n = n' && same_bits t t') ph ph'
+
+let prop_boxloop_matches_oracle =
+  QCheck.Test.make ~name:"row loops match closure oracle" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Icoe_util.Rng.create seed in
+      let policy = Icoe_util.Rng.int rng 4 in
+      (* Struct_solver: any box from 3 x 3 up, non-square included *)
+      let nx = 3 + Icoe_util.Rng.int rng 38 and ny = 3 + Icoe_util.Rng.int rng 38 in
+      let si = 1 + Icoe_util.Rng.int rng (nx - 2) and sj = 1 + Icoe_util.Rng.int rng (ny - 2) in
+      let max_sweeps = Icoe_util.Rng.int rng 400 in
+      let run solve =
+        let ctx, clock = harness_ctx policy in
+        let s = Hypre.Boxloop.Struct_solver.create nx ny in
+        s.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx s si sj) <- 1.0;
+        let sweeps, rel = solve ctx s in
+        (s.Hypre.Boxloop.Struct_solver.u, sweeps, rel, clock)
+      in
+      let u, sweeps, rel, clock = run (Hypre.Boxloop.Struct_solver.solve ~tol:1e-6 ~max_sweeps) in
+      let u', sweeps', rel', clock' = run (Ref_boxloop.Struct_solver.solve ~tol:1e-6 ~max_sweeps) in
+      let struct_ok =
+        same_array u u' && sweeps = sweeps' && same_bits rel rel' && same_clock clock clock'
+      in
+      (* Pfmg: every hierarchy the 2^k - 1 sides allow up to 31 *)
+      let n = [| 1; 3; 7; 15; 31 |].(Icoe_util.Rng.int rng 5) in
+      let pi = 1 + Icoe_util.Rng.int rng n and pj = 1 + Icoe_util.Rng.int rng n in
+      let max_cycles = Icoe_util.Rng.int rng 12 in
+      let run solve =
+        let ctx, clock = harness_ctx policy in
+        let t = Hypre.Pfmg.create n in
+        let f = Hypre.Pfmg.finest t in
+        f.Hypre.Pfmg.b.(Hypre.Pfmg.idx f pi pj) <- 1.0;
+        let cycles, rel = solve ctx t in
+        (t, cycles, rel, clock)
+      in
+      let t, cycles, rel, clock = run (Hypre.Pfmg.solve ~tol:1e-10 ~max_cycles) in
+      let t', cycles', rel', clock' = run (Ref_boxloop.Pfmg.solve ~tol:1e-10 ~max_cycles) in
+      let pfmg_ok =
+        Array.for_all2
+          (fun l l' -> same_array l.Hypre.Pfmg.u l'.Hypre.Pfmg.u)
+          t.Hypre.Pfmg.levels t'.Hypre.Pfmg.levels
+        && cycles = cycles' && same_bits rel rel' && same_clock clock clock'
+      in
+      struct_ok && pfmg_ok)
+
 let prop_amg_random_spd =
   QCheck.Test.make ~name:"AMG-PCG solves random sizes of 2D Laplacian" ~count:5
     QCheck.(int_range 6 20)
@@ -334,5 +405,6 @@ let () =
           Alcotest.test_case "sweeps box" `Quick test_boxloop_sweeps_box;
           Alcotest.test_case "struct solver" `Quick test_struct_solver_converges;
           Alcotest.test_case "backend retarget" `Quick test_struct_solver_backend_retarget;
+          QCheck_alcotest.to_alcotest prop_boxloop_matches_oracle;
         ] );
     ]

@@ -1,24 +1,23 @@
-(* Tests for the programming-model layer: policies, forall/reduce, memory
-   spaces, pools. *)
+(* Tests for the programming-model layer: loop pricing under policies,
+   pools. *)
 
 let check_float = Alcotest.(check (float 1e-12))
 
 let mk_ctx ?(policy = Prog.Policy.Cuda) () =
   let clock = Hwsim.Clock.create () in
-  (Prog.Exec.make_ctx ~policy ~device:Hwsim.Device.v100 ~clock (), clock)
-
-let test_forall_executes_body () =
-  let ctx, _ = mk_ctx () in
-  let a = Array.make 100 0.0 in
-  Prog.Exec.forall ctx ~n:100 ~flops_per:1.0 ~bytes_per:8.0 (fun i ->
-      a.(i) <- float_of_int i);
-  check_float "body ran" 99.0 a.(99)
+  (Prog.Exec.make_ctx ~policy ~device:Hwsim.Device.v100 ~clock, clock)
 
 let test_forall_charges_time () =
   let ctx, clock = mk_ctx () in
-  Prog.Exec.forall ctx ~n:1000 ~flops_per:2.0 ~bytes_per:16.0 (fun _ -> ());
+  Prog.Exec.charge ctx ~phase:"loop" ~n:1000 ~flops_per:2.0 ~bytes_per:16.0;
   Alcotest.(check bool) "time charged" true (Hwsim.Clock.total clock > 0.0);
-  Alcotest.(check int) "one launch" 1 ctx.Prog.Exec.launches
+  (* an empty loop still pays exactly one launch *)
+  let ctx, clock = mk_ctx () in
+  Prog.Exec.charge ctx ~phase:"loop" ~n:0 ~flops_per:2.0 ~bytes_per:16.0;
+  check_float "one launch"
+    (Prog.Policy.launch_multiplier Prog.Policy.Cuda
+    *. Hwsim.Device.v100.Hwsim.Device.launch_overhead_s)
+    (Hwsim.Clock.total clock)
 
 let test_fusion_cheaper_than_split () =
   (* The ParaDyn lesson: one fused loop beats many small loops because each
@@ -26,8 +25,8 @@ let test_fusion_cheaper_than_split () =
   let time_of k_loops n =
     let ctx, clock = mk_ctx () in
     for _ = 1 to k_loops do
-      Prog.Exec.forall ctx ~n:(n / k_loops) ~flops_per:1.0 ~bytes_per:8.0
-        (fun _ -> ())
+      Prog.Exec.charge ctx ~phase:"loop" ~n:(n / k_loops) ~flops_per:1.0
+        ~bytes_per:8.0
     done;
     Hwsim.Clock.total clock
   in
@@ -39,8 +38,8 @@ let test_policy_ordering_on_gpu () =
   (* CUDA-shared >= CUDA > RAJA on a compute-heavy kernel (Sec 4.9). *)
   let time policy =
     let clock = Hwsim.Clock.create () in
-    let ctx = Prog.Exec.make_ctx ~policy ~device:Hwsim.Device.v100 ~clock () in
-    Prog.Exec.forall ctx ~n:1_000_000 ~flops_per:100.0 ~bytes_per:8.0 (fun _ -> ());
+    let ctx = Prog.Exec.make_ctx ~policy ~device:Hwsim.Device.v100 ~clock in
+    Prog.Exec.charge ctx ~phase:"loop" ~n:1_000_000 ~flops_per:100.0 ~bytes_per:8.0;
     Hwsim.Clock.total clock
   in
   let t_cuda_sh = time Prog.Policy.Cuda_shared in
@@ -58,42 +57,12 @@ let test_openmp_thread_scaling () =
     let clock = Hwsim.Clock.create () in
     let ctx =
       Prog.Exec.make_ctx ~policy:(Prog.Policy.Openmp n_threads)
-        ~device:Hwsim.Device.power9 ~clock ()
+        ~device:Hwsim.Device.power9 ~clock
     in
-    Prog.Exec.forall ctx ~n:1_000_000 ~flops_per:50.0 ~bytes_per:8.0 (fun _ -> ());
+    Prog.Exec.charge ctx ~phase:"loop" ~n:1_000_000 ~flops_per:50.0 ~bytes_per:8.0;
     Hwsim.Clock.total clock
   in
   Alcotest.(check bool) "22 threads beat 1" true (time 22 < time 1 /. 4.0)
-
-let test_reduce_result () =
-  let ctx, _ = mk_ctx () in
-  let s =
-    Prog.Exec.reduce ctx ~n:100 ~flops_per:1.0 ~bytes_per:8.0 ~init:0.0
-      ~combine:( +. ) (fun i -> float_of_int i)
-  in
-  check_float "sum 0..99" 4950.0 s
-
-let test_darray_move_charges () =
-  let clock = Hwsim.Clock.create () in
-  let a = Prog.Space.Darray.create 1000 in
-  Prog.Space.Darray.move a ~to_:Prog.Space.Device_mem ~link:Hwsim.Link.nvlink2
-    ~clock;
-  Alcotest.(check bool) "move charged" true (Hwsim.Clock.total clock > 0.0);
-  let before = Hwsim.Clock.total clock in
-  (* second move to same space is free *)
-  Prog.Space.Darray.move a ~to_:Prog.Space.Device_mem ~link:Hwsim.Link.nvlink2
-    ~clock;
-  check_float "no double charge" before (Hwsim.Clock.total clock)
-
-let test_darray_ensure () =
-  let clock = Hwsim.Clock.create () in
-  let a = Prog.Space.Darray.create 10 in
-  Prog.Space.Darray.ensure a ~side:Prog.Policy.Host ~link:Hwsim.Link.nvlink2 ~clock;
-  check_float "host data on host side free" 0.0 (Hwsim.Clock.total clock);
-  Prog.Space.Darray.ensure a ~side:Prog.Policy.Accelerator
-    ~link:Hwsim.Link.nvlink2 ~clock;
-  Alcotest.(check bool) "migrates for accelerator" true
-    (Hwsim.Clock.total clock > 0.0)
 
 let test_pool_amortizes () =
   let clock = Hwsim.Clock.create () in
@@ -108,33 +77,15 @@ let test_pool_amortizes () =
   Alcotest.(check bool) "pool much cheaper than raw" true
     (Prog.Pool.pooled_cost p < Prog.Pool.unpooled_cost p /. 10.0)
 
-let prop_forall_runs_all =
-  QCheck.Test.make ~name:"forall touches every index" ~count:50
-    QCheck.(int_range 1 500)
-    (fun n ->
-      let ctx, _ = mk_ctx () in
-      let hit = Array.make n false in
-      Prog.Exec.forall ctx ~n ~flops_per:0.0 ~bytes_per:0.0 (fun i ->
-          hit.(i) <- true);
-      Array.for_all (fun b -> b) hit)
-
 let () =
   Alcotest.run "prog"
     [
       ( "exec",
         [
-          Alcotest.test_case "forall executes" `Quick test_forall_executes_body;
           Alcotest.test_case "forall charges" `Quick test_forall_charges_time;
           Alcotest.test_case "fusion beats split" `Quick test_fusion_cheaper_than_split;
           Alcotest.test_case "policy ordering" `Quick test_policy_ordering_on_gpu;
           Alcotest.test_case "openmp scaling" `Quick test_openmp_thread_scaling;
-          Alcotest.test_case "reduce result" `Quick test_reduce_result;
-          QCheck_alcotest.to_alcotest prop_forall_runs_all;
-        ] );
-      ( "space",
-        [
-          Alcotest.test_case "move charges" `Quick test_darray_move_charges;
-          Alcotest.test_case "ensure" `Quick test_darray_ensure;
         ] );
       ("pool", [ Alcotest.test_case "amortizes" `Quick test_pool_amortizes ]);
     ]
