@@ -538,6 +538,21 @@ let alloc_smoke () =
   solve 10 ();
   report "hypre/struct-sweep-seq" ~budget:128.0
     ((words (solve 20) -. words (solve 10)) /. 10.0);
+  (* one PCG + AMG iteration on the 32x32 Laplacian (operator, V-cycle
+     on the level workspaces, the CG passes): the difference of a 30-
+     and a 10-iteration solve cancels the per-solve vectors. What is
+     left is pool dispatch for the levels of >= 512 rows, ~200-300
+     words; a V-cycle that allocated its vectors again costs thousands *)
+  let a = Linalg.Csr.laplacian_2d 32 32 in
+  let amg = Hypre.Boomeramg.setup a in
+  let b = Linalg.Csr.spmv a (Array.init 1024 (fun i -> float_of_int (i mod 5))) in
+  let pcg max_iter () =
+    let r = Hypre.Boomeramg.pcg_solve ~tol:0.0 ~max_iter amg b (Array.make 1024 0.0) in
+    assert (r.Linalg.Krylov.iters = max_iter)
+  in
+  pcg 10 ();
+  report "hypre/amg-pcg-iter" ~budget:1024.0
+    ((words (pcg 30) -. words (pcg 10)) /. 20.0);
   if !failures > 0 then begin
     Fmt.pr "alloc-smoke: %d kernel(s) over budget@." !failures;
     exit 1

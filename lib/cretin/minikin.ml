@@ -34,12 +34,9 @@ let create ?(nzones = 64) ?(te0 = 2.0) ?(te1 = 40.0) ?(ne = 1.0e21) model =
   { model; zones }
 
 (** Solve every zone (direct solver); populations are stored per zone. *)
-let solve_all ?(iterative = false) t =
+let solve_all t =
   Array.iter
-    (fun z ->
-      z.populations <-
-        (if iterative then fst (Ratematrix.solve_iterative t.model z.cond)
-         else Ratematrix.solve_direct t.model z.cond))
+    (fun z -> z.populations <- Ratematrix.solve_direct t.model z.cond)
     t.zones
 
 (** Mean excitation (population-weighted mean level index) per zone —

@@ -11,7 +11,8 @@ type t = { model : Atomic.t; zones : zone array }
 val create : ?nzones:int -> ?te0:float -> ?te1:float -> ?ne:float -> Atomic.t -> t
 (** Zones along a temperature/density gradient. *)
 
-val solve_all : ?iterative:bool -> t -> unit
+val solve_all : t -> unit
+(** Solve every zone's steady state (direct LU) into its populations. *)
 
 val mean_excitation : zone -> float
 (** Population-weighted mean level index; grows with temperature. *)

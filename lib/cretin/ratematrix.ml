@@ -3,9 +3,7 @@
     The main computation of Cretin: "calculates transition rates between
     pairs of states, forms a rate matrix from them, and inverts that matrix
     to update the populations" (Sec 4.3). Steady state solves M n = 0 with
-    sum(n) = 1; the direct path is the cuSOLVER analog (dense LU), the
-    iterative path is the hand-built batched cuSPARSE analog (GMRES with
-    Jacobi preconditioning) the team wrote because AMGX could not batch. *)
+    sum(n) = 1 by the cuSOLVER analog (dense LU). *)
 
 type conditions = {
   te : float;  (** electron temperature, eV *)
@@ -77,40 +75,6 @@ let solve_direct (model : Atomic.t) cond =
   let b = Array.make n 0.0 in
   b.(n - 1) <- 1.0;
   Linalg.Dense.solve m b
-
-(** Same system via preconditioned GMRES on the CSR form (the batched
-    iterative path built on the cuSPARSE analog). *)
-let solve_iterative ?(tol = 1e-12) (model : Atomic.t) cond =
-  let n = Atomic.n_levels model in
-  let m = assemble model cond in
-  for j = 0 to n - 1 do
-    Linalg.Dense.set m (n - 1) j 1.0
-  done;
-  (* rate rows carry ~1e12 entries against the normalization row's 1s:
-     equilibrate rows so the Krylov solve sees an O(1) system *)
-  let b = Array.make n 0.0 in
-  b.(n - 1) <- 1.0;
-  for i = 0 to n - 1 do
-    let mx = ref 0.0 in
-    for j = 0 to n - 1 do
-      mx := max !mx (Float.abs (Linalg.Dense.get m i j))
-    done;
-    if !mx > 0.0 then begin
-      for j = 0 to n - 1 do
-        Linalg.Dense.set m i j (Linalg.Dense.get m i j /. !mx)
-      done;
-      b.(i) <- b.(i) /. !mx
-    end
-  done;
-  let a = Linalg.Csr.of_dense m in
-  let d = Linalg.Csr.diag a in
-  let r =
-    Linalg.Krylov.gmres ~tol ~max_iter:(20 * n) ~restart:(min n 50)
-      ~op:(Linalg.Csr.spmv a)
-      ~precond:(fun v -> Array.mapi (fun i vi -> vi /. (if d.(i) = 0.0 then 1.0 else d.(i))) v)
-      b (Array.make n 0.0)
-  in
-  (r.Linalg.Krylov.x, r.Linalg.Krylov.converged)
 
 (** Time-dependent population advance dn/dt = M n over [dt] with backward
     Euler (used when zones are driven away from steady state). *)

@@ -1,8 +1,6 @@
 (** Transition-rate evaluation and rate-matrix assembly/solution — the
     main computation of Cretin (Sec 4.3). Steady state solves M n = 0
-    with sum(n) = 1; the direct path is the cuSOLVER analog, the
-    iterative path the hand-built batched cuSPARSE analog (GMRES with
-    Jacobi) the team wrote because AMGX could not batch. *)
+    with sum(n) = 1 by the cuSOLVER analog (dense LU). *)
 
 type conditions = {
   te : float;  (** electron temperature, eV *)
@@ -16,10 +14,6 @@ val assemble : Atomic.t -> conditions -> Linalg.Dense.t
 
 val solve_direct : Atomic.t -> conditions -> float array
 (** Steady-state populations via LU with the normalization row. *)
-
-val solve_iterative : ?tol:float -> Atomic.t -> conditions -> float array * bool
-(** Same system by row-equilibrated, Jacobi-preconditioned GMRES:
-    (populations, converged). *)
 
 val advance : Atomic.t -> conditions -> dt:float -> float array -> float array
 (** Backward-Euler advance of dn/dt = M n over one step. *)

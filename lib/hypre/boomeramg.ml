@@ -3,33 +3,33 @@
     Setup (CPU, per the paper): strength → PMIS coarsening → direct
     interpolation → Galerkin coarse operator A_c = P^T A P, recursively.
     Solve (GPU-portable, per the paper): V-cycles whose fine-level work is
-    smoother sweeps and spmv restrict/prolong — all matvec-shaped. The
-    [device_profile] hook reports the flop/byte volume of one V-cycle so
-    the hardware model can price the solve phase on any device. *)
+    smoother sweeps and spmv restrict/prolong — all matvec-shaped.
+    {!v_cycle_work} reports the flop/byte volume of one V-cycle so the
+    hardware model can price the solve phase on any device. *)
 
 type level = {
   a : Linalg.Csr.t;
   p : Linalg.Csr.t option;  (** interpolation to this level from coarser *)
   r : Linalg.Csr.t option;  (** restriction = P^T *)
+  res : float array;  (** residual and correction workspace, one per row *)
+  bc : float array;  (** the next level's right-hand side ([||] on the coarsest) *)
+  xc : float array;  (** the next level's iterate ([||] on the coarsest) *)
 }
 
 type t = {
   levels : level array;  (** levels.(0) is the fine grid *)
   coarse_lu : Linalg.Dense.lu;
-  smoother : Smoother.kind;
-  nu_pre : int;
-  nu_post : int;
 }
 
-type setup_params = {
-  theta : float;
-  max_levels : int;
-  coarse_size : int;
-  smoother : Smoother.kind;
-  nu_pre : int;
-  nu_post : int;
-  seed : int;
-}
+(* the setup and cycle parameters: strength threshold, hierarchy depth
+   and coarsest size, one l1-Jacobi sweep before and after the coarse
+   correction, and the PMIS random stream *)
+let theta = 0.25
+let max_levels = 20
+let coarse_size = 40
+let nu_pre = 1
+let nu_post = 1
+let seed = 7
 
 let m_vcycles =
   Icoe_obs.Metrics.counter ~help:"BoomerAMG V-cycles applied" "amg_vcycles_total"
@@ -43,22 +43,6 @@ let m_opcx =
     ~help:"Operator complexity of the last AMG hierarchy built"
     "amg_operator_complexity"
 
-let m_reduction =
-  Icoe_obs.Metrics.histogram
-    ~help:"Residual reduction factor per standalone solve cycle"
-    "amg_cycle_reduction"
-
-let default_params =
-  {
-    theta = 0.25;
-    max_levels = 20;
-    coarse_size = 40;
-    smoother = Smoother.L1_jacobi;
-    nu_pre = 1;
-    nu_post = 1;
-    seed = 7;
-  }
-
 let num_levels t = Array.length t.levels
 
 let operator_complexity t =
@@ -68,13 +52,18 @@ let operator_complexity t =
   in
   total /. fine
 
-let setup ?(params = default_params) (a0 : Linalg.Csr.t) =
-  let rng = Icoe_util.Rng.create params.seed in
+let setup (a0 : Linalg.Csr.t) =
+  let rng = Icoe_util.Rng.create seed in
+  (* a level and its workspaces; the next-coarser level has [nc] rows *)
+  let level a p r nc =
+    { a; p; r; res = Array.make a.Linalg.Csr.m 0.0; bc = Array.make nc 0.0;
+      xc = Array.make nc 0.0 }
+  in
   let rec build a acc depth =
-    if a.Linalg.Csr.m <= params.coarse_size || depth >= params.max_levels then
+    if a.Linalg.Csr.m <= coarse_size || depth >= max_levels then
       (a, List.rev acc)
     else
-      let s = Coarsen.strength ~theta:params.theta a in
+      let s = Coarsen.strength ~theta a in
       let cf = Coarsen.pmis ~rng s in
       let nc = Array.fold_left (fun c x -> if x = Coarsen.Coarse then c + 1 else c) 0 cf in
       if nc = 0 || nc >= a.Linalg.Csr.m then (a, List.rev acc)
@@ -82,10 +71,10 @@ let setup ?(params = default_params) (a0 : Linalg.Csr.t) =
         let p, _ = Coarsen.direct_interpolation a s cf in
         let r = Linalg.Csr.transpose p in
         let ac = Linalg.Csr.matmul r (Linalg.Csr.matmul a p) in
-        build ac ({ a; p = Some p; r = Some r } :: acc) (depth + 1)
+        build ac (level a (Some p) (Some r) ac.Linalg.Csr.m :: acc) (depth + 1)
   in
   let coarse_a, levels = build a0 [] 0 in
-  let levels = levels @ [ { a = coarse_a; p = None; r = None } ] in
+  let levels = levels @ [ level coarse_a None None 0 ] in
   let coarse_dense = Linalg.Csr.to_dense coarse_a in
   (* regularize in case the coarsest operator is singular (pure Neumann) *)
   let lu =
@@ -97,77 +86,54 @@ let setup ?(params = default_params) (a0 : Linalg.Csr.t) =
       done;
       Linalg.Dense.lu_factor d
   in
-  let t =
-    {
-      levels = Array.of_list levels;
-      coarse_lu = lu;
-      smoother = params.smoother;
-      nu_pre = params.nu_pre;
-      nu_post = params.nu_post;
-    }
-  in
+  let t = { levels = Array.of_list levels; coarse_lu = lu } in
   Icoe_obs.Metrics.set m_levels (float_of_int (num_levels t));
   Icoe_obs.Metrics.set m_opcx (operator_complexity t);
   t
 
-(** One V-cycle for A x = b starting from x (modified in place at level 0). *)
+(** One V-cycle for A x = b starting from x (modified in place at level
+    0). Every intermediate vector is a level workspace: the cycle
+    allocates nothing of its own. *)
 let v_cycle t b x =
   Icoe_obs.Metrics.inc m_vcycles;
   let nl = Array.length t.levels in
   let rec descend lvl b x =
-    let a = t.levels.(lvl).a in
-    if lvl = nl - 1 then begin
-      let sol = Linalg.Dense.lu_solve t.coarse_lu b in
-      Array.blit sol 0 x 0 (Array.length sol)
-    end
+    let l = t.levels.(lvl) in
+    if lvl = nl - 1 then Linalg.Dense.lu_solve_into t.coarse_lu b x
     else begin
-      for _ = 1 to t.nu_pre do
-        Smoother.sweep t.smoother a b x
+      let a = l.a and res = l.res in
+      for _ = 1 to nu_pre do
+        Smoother.sweep a b x res
       done;
-      let r = Linalg.Vec.sub b (Linalg.Csr.spmv a x) in
+      Linalg.Csr.spmv_into a x res;
+      for i = 0 to a.Linalg.Csr.m - 1 do
+        res.(i) <- b.(i) -. res.(i)
+      done;
       (* restriction lives on the *finer* level's record *)
-      let restrict = Option.get t.levels.(lvl).r in
-      let bc = Linalg.Csr.spmv restrict r in
-      let xc = Array.make (Array.length bc) 0.0 in
-      descend (lvl + 1) bc xc;
-      let p = Option.get t.levels.(lvl).p in
-      let corr = Linalg.Csr.spmv p xc in
-      Linalg.Vec.axpy 1.0 corr x;
-      for _ = 1 to t.nu_post do
-        Smoother.sweep t.smoother a b x
+      Linalg.Csr.spmv_into (Option.get l.r) res l.bc;
+      Array.fill l.xc 0 (Array.length l.xc) 0.0;
+      descend (lvl + 1) l.bc l.xc;
+      Linalg.Csr.spmv_into (Option.get l.p) l.xc res;
+      for i = 0 to a.Linalg.Csr.m - 1 do
+        x.(i) <- x.(i) +. (1.0 *. res.(i))
+      done;
+      for _ = 1 to nu_post do
+        Smoother.sweep a b x res
       done
     end
   in
   descend 0 b x
 
-(** Standalone AMG iteration to tolerance. *)
-let solve ?(tol = 1e-8) ?(max_cycles = 100) t b x0 =
-  let a = t.levels.(0).a in
-  let x = Array.copy x0 in
-  let bnorm = max (Linalg.Vec.nrm2 b) 1e-300 in
-  let res = ref (Linalg.Vec.nrm2 (Linalg.Vec.sub b (Linalg.Csr.spmv a x)) /. bnorm) in
-  let cycles = ref 0 in
-  while !res > tol && !cycles < max_cycles do
-    let res_before = !res in
-    v_cycle t b x;
-    res := Linalg.Vec.nrm2 (Linalg.Vec.sub b (Linalg.Csr.spmv a x)) /. bnorm;
-    if res_before > 0.0 then
-      Icoe_obs.Metrics.observe m_reduction (!res /. res_before);
-    incr cycles
-  done;
-  (x, !cycles, !res)
-
-(** Use as a preconditioner: one V-cycle applied to r from a zero guess. *)
-let precond t r =
-  let z = Array.make (Array.length r) 0.0 in
-  v_cycle t r z;
-  z
+(** Use as a preconditioner: one V-cycle applied to r from a zero guess,
+    written into z. *)
+let precond t r z =
+  Array.fill z 0 (Array.length z) 0.0;
+  v_cycle t r z
 
 (** PCG with this AMG as preconditioner — the hypre Krylov + AMG stack. *)
 let pcg_solve ?(tol = 1e-8) ?(max_iter = 200) t b x0 =
-  Linalg.Krylov.pcg ~tol ~max_iter
-    ~op:(fun v -> Linalg.Csr.spmv t.levels.(0).a v)
-    ~precond:(precond t) b x0
+  Linalg.Krylov.cg ~tol ~max_iter ~precond:(precond t)
+    ~op:(Linalg.Csr.spmv_into t.levels.(0).a) b x0
 
 (** Flop/byte volume of one V-cycle: every smoother sweep costs ~2 spmv
     traversals, restrict/prolong one each. Used to price the solve phase
@@ -183,12 +149,12 @@ let v_cycle_work (t : t) =
   Array.iteri
     (fun lvl l ->
       let f, b = spmv_cost l.a in
-      let sweeps = float_of_int (t.nu_pre + t.nu_post) in
+      let sweeps = float_of_int (nu_pre + nu_post) in
       if lvl < Array.length t.levels - 1 then begin
         (* each sweep: one residual spmv + diagonal update *)
         flops := !flops +. (sweeps *. (f +. (2.0 *. float_of_int l.a.Linalg.Csr.m)));
         bytes := !bytes +. (sweeps *. (b +. (16.0 *. float_of_int l.a.Linalg.Csr.m)));
-        launches := !launches + ((t.nu_pre + t.nu_post) * 2);
+        launches := !launches + ((nu_pre + nu_post) * 2);
         (* residual + restrict + prolong *)
         flops := !flops +. f;
         bytes := !bytes +. b;

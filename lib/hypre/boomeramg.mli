@@ -9,28 +9,26 @@ type level = {
   a : Linalg.Csr.t;
   p : Linalg.Csr.t option;  (** interpolation from the next-coarser level *)
   r : Linalg.Csr.t option;  (** restriction = P^T *)
+  res : float array;  (** residual and correction workspace *)
+  bc : float array;  (** next level's right-hand side workspace *)
+  xc : float array;  (** next level's iterate workspace *)
 }
+(** A level of the hierarchy with the V-cycle's workspaces, allocated
+    once by {!setup}; the coarsest level has no [p]/[r] and empty
+    [bc]/[xc]. *)
 
 type t = {
   levels : level array;  (** levels.(0) is the fine grid *)
   coarse_lu : Linalg.Dense.lu;
-  smoother : Smoother.kind;
-  nu_pre : int;
-  nu_post : int;
 }
+(** A hierarchy owns its workspaces: {!v_cycle}, {!precond} and
+    {!pcg_solve} on one [t] must not run on two domains at once. *)
 
-type setup_params = {
-  theta : float;
-  max_levels : int;
-  coarse_size : int;
-  smoother : Smoother.kind;
-  nu_pre : int;
-  nu_post : int;
-  seed : int;
-}
-
-val setup : ?params:setup_params -> Linalg.Csr.t -> t
-(** Build the hierarchy (the CPU-side setup phase). *)
+val setup : Linalg.Csr.t -> t
+(** Build the hierarchy (the CPU-side setup phase): strength threshold
+    0.25, PMIS seeded with 7, coarsening down to at most 40 rows or 20
+    levels, one l1-Jacobi sweep before and after the coarse
+    correction. *)
 
 val num_levels : t -> int
 
@@ -39,14 +37,13 @@ val operator_complexity : t -> float
     metric, ~1.3-2.5 for good hierarchies). *)
 
 val v_cycle : t -> float array -> float array -> unit
-(** One V-cycle for A x = b, updating x in place. *)
+(** [v_cycle t b x]: one V-cycle for A x = b, updating x in place.
+    Allocates nothing: every intermediate vector is a level workspace.
+    [b] and [x] must be distinct, with one entry per fine row. *)
 
-val solve : ?tol:float -> ?max_cycles:int -> t -> float array -> float array
-  -> float array * int * float
-(** Iterate V-cycles to tolerance: (solution, cycles, relative residual). *)
-
-val precond : t -> float array -> float array
-(** One V-cycle from a zero guess — the AMG-as-preconditioner hook. *)
+val precond : t -> float array -> float array -> unit
+(** [precond t r z]: one V-cycle from a zero guess, written into [z] —
+    the AMG-as-preconditioner hook for {!Linalg.Krylov.cg}. *)
 
 val pcg_solve : ?tol:float -> ?max_iter:int -> t -> float array -> float array
   -> Linalg.Krylov.result

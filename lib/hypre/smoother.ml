@@ -1,52 +1,19 @@
-(** Pointwise smoothers for the AMG hierarchy.
+(** The AMG hierarchy's pointwise smoother: l1-Jacobi.
 
-    The GPU-portable smoothers are the ones expressible as matvecs plus
-    diagonal scalings (weighted Jacobi, l1-Jacobi) — exactly why the paper's
-    BoomerAMG solve-phase port leaned on cuSPARSE spmv. Gauss-Seidel is the
-    sequential CPU reference. *)
+    A matvec plus a diagonal scaling — the shape that let the paper's
+    BoomerAMG solve-phase port run its smoothing on cuSPARSE spmv. *)
 
-type kind = Jacobi of float  (** weight *) | L1_jacobi | Gauss_seidel
-
-let name = function
-  | Jacobi w -> Fmt.str "jacobi(%.2f)" w
-  | L1_jacobi -> "l1-jacobi"
-  | Gauss_seidel -> "gauss-seidel"
-
-(** One sweep of x <- x + M^{-1}(b - Ax), in place. *)
-let sweep kind (a : Linalg.Csr.t) b x =
-  let n = a.Linalg.Csr.m in
-  match kind with
-  | Jacobi w ->
-      let d = Linalg.Csr.diag a in
-      let r = Linalg.Vec.sub b (Linalg.Csr.spmv a x) in
-      for i = 0 to n - 1 do
-        if d.(i) <> 0.0 then x.(i) <- x.(i) +. (w *. r.(i) /. d.(i))
-      done
-  | L1_jacobi ->
-      (* divide by the l1 norm of the row: unconditionally convergent for
-         symmetric M-matrices, and GPU-friendly *)
-      let r = Linalg.Vec.sub b (Linalg.Csr.spmv a x) in
-      for i = 0 to n - 1 do
-        let l1 = ref 0.0 in
-        for k = a.Linalg.Csr.row_ptr.(i) to a.Linalg.Csr.row_ptr.(i + 1) - 1 do
-          l1 := !l1 +. Float.abs (Icoe_util.Fbuf.get a.Linalg.Csr.values k)
-        done;
-        if !l1 > 0.0 then x.(i) <- x.(i) +. (r.(i) /. !l1)
-      done
-  | Gauss_seidel ->
-      for i = 0 to n - 1 do
-        let s = ref b.(i) in
-        let d = ref 0.0 in
-        for k = a.Linalg.Csr.row_ptr.(i) to a.Linalg.Csr.row_ptr.(i + 1) - 1 do
-          let j = a.Linalg.Csr.col_idx.(k) in
-          if j = i then d := Icoe_util.Fbuf.get a.Linalg.Csr.values k
-          else s := !s -. (Icoe_util.Fbuf.get a.Linalg.Csr.values k *. x.(j))
-        done;
-        if !d <> 0.0 then x.(i) <- !s /. !d
-      done
-
-(** Whether the smoother is expressible with spmv-level parallelism (and
-    therefore runs on the accelerator in the solve-phase port). *)
-let gpu_capable = function
-  | Jacobi _ | L1_jacobi -> true
-  | Gauss_seidel -> false
+(** One sweep of x <- x + D_l1^{-1} (b - A x), in place; [r] is the
+    residual workspace (one entry per row). Each row is scaled by its l1
+    norm: unconditionally convergent for symmetric M-matrices, and
+    GPU-friendly. *)
+let sweep (a : Linalg.Csr.t) b x r =
+  Linalg.Csr.spmv_into a x r;
+  for i = 0 to a.Linalg.Csr.m - 1 do
+    let ri = b.(i) -. r.(i) in
+    let l1 = ref 0.0 in
+    for k = a.Linalg.Csr.row_ptr.(i) to a.Linalg.Csr.row_ptr.(i + 1) - 1 do
+      l1 := !l1 +. Float.abs (Icoe_util.Fbuf.get a.Linalg.Csr.values k)
+    done;
+    if !l1 > 0.0 then x.(i) <- x.(i) +. (ri /. !l1)
+  done

@@ -1,19 +1,10 @@
-(** Pointwise smoothers for the AMG hierarchy.
+(** The AMG hierarchy's pointwise smoother: l1-Jacobi, a matvec plus a
+    diagonal scaling — the shape that let the paper's BoomerAMG
+    solve-phase port run its smoothing on cuSPARSE spmv. *)
 
-    The GPU-portable smoothers are the ones expressible as matvecs plus
-    diagonal scalings — why the paper's BoomerAMG solve-phase port leaned
-    on cuSPARSE spmv. Gauss-Seidel is the sequential CPU reference. *)
-
-type kind =
-  | Jacobi of float  (** weighted Jacobi with the given damping *)
-  | L1_jacobi  (** rows scaled by their l1 norm: unconditionally stable *)
-  | Gauss_seidel
-
-val name : kind -> string
-
-val sweep : kind -> Linalg.Csr.t -> float array -> float array -> unit
-(** [sweep kind a b x]: one in-place sweep of x <- x + M^-1 (b - A x). *)
-
-val gpu_capable : kind -> bool
-(** Whether the smoother has spmv-level parallelism (and therefore runs
-    on the accelerator in the solve-phase port). *)
+val sweep : Linalg.Csr.t -> float array -> float array -> float array -> unit
+(** [sweep a b x r]: one in-place sweep of x <- x + D_l1^-1 (b - A x),
+    with every row scaled by its l1 norm (unconditionally stable). [r]
+    is the residual workspace, one entry per row; its contents are
+    overwritten.
+    @raise Invalid_argument if [x] or [r] does not match [a]'s shape. *)

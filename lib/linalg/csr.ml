@@ -1,7 +1,7 @@
 (** Compressed sparse row matrices: the cuSPARSE analog.
 
-    hypre's BoomerAMG solve phase, Cretin's iterative population solver and
-    every Krylov method run on these. Includes the SpMV, sparse
+    hypre's BoomerAMG solve phase and every Krylov solve on a matrix run
+    on these. Includes the SpMV, sparse
     matrix-matrix product (for the Galerkin RAP), transpose and triplet
     assembly. *)
 
@@ -142,15 +142,6 @@ let spmv t x =
   let y = Array.make t.m 0.0 in
   spmv_into t x y;
   y
-
-let diag t =
-  let d = Array.make t.m 0.0 in
-  for i = 0 to t.m - 1 do
-    for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-      if t.col_idx.(k) = i then d.(i) <- Fbuf.get t.values k
-    done
-  done;
-  d
 
 let transpose t =
   let cnt = Array.make (t.n + 1) 0 in

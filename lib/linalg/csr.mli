@@ -1,7 +1,7 @@
 (** Compressed sparse row matrices: the cuSPARSE analog.
 
-    hypre's BoomerAMG solve phase, Cretin's iterative population solver
-    and every Krylov method run on these. *)
+    hypre's BoomerAMG solve phase and every Krylov solve on a matrix run
+    on these. *)
 
 type t = {
   m : int;
@@ -41,8 +41,6 @@ val spmv_seq_into : t -> float array -> float array -> unit
 
 val spmv_par_threshold : int
 (** Minimum row count before {!spmv_into} uses the pool. *)
-
-val diag : t -> float array
 
 val transpose : t -> t
 

@@ -111,19 +111,21 @@ let lu_factor t =
   done;
   { lu = a; piv }
 
-(** Solve A x = b given a factorization. *)
-let lu_solve { lu = a; piv } b =
-  let n = a.n in
-  if Array.length b <> n then
+(** Solve A x = b into [x] given a factorization; the factor's array is
+    indexed directly, so the solve allocates nothing. *)
+let lu_solve_into { lu = { n; a; _ }; piv } b x =
+  if Array.length b <> n || Array.length x <> n then
     invalid_arg
-      (Printf.sprintf "Dense.lu_solve: right-hand side of length %d, order %d"
-         (Array.length b) n);
-  let x = Array.init n (fun i -> b.(piv.(i))) in
+      (Printf.sprintf "Dense.lu_solve_into: b has length %d, x has length %d, order %d"
+         (Array.length b) (Array.length x) n);
+  for i = 0 to n - 1 do
+    x.(i) <- b.(piv.(i))
+  done;
   (* forward: L y = Pb, unit diagonal *)
   for i = 1 to n - 1 do
     let s = ref x.(i) in
     for j = 0 to i - 1 do
-      s := !s -. (get a i j *. x.(j))
+      s := !s -. (a.((i * n) + j) *. x.(j))
     done;
     x.(i) <- !s
   done;
@@ -131,10 +133,15 @@ let lu_solve { lu = a; piv } b =
   for i = n - 1 downto 0 do
     let s = ref x.(i) in
     for j = i + 1 to n - 1 do
-      s := !s -. (get a i j *. x.(j))
+      s := !s -. (a.((i * n) + j) *. x.(j))
     done;
-    x.(i) <- !s /. get a i i
-  done;
+    x.(i) <- !s /. a.((i * n) + i)
+  done
+
+(** Solve A x = b given a factorization (fresh x). *)
+let lu_solve f b =
+  let x = Array.make f.lu.n 0.0 in
+  lu_solve_into f b x;
   x
 
 (** One-shot solve. *)

@@ -35,8 +35,13 @@ val lu_factor : t -> lu
     breakdown. *)
 
 val lu_solve : lu -> float array -> float array
-(** Raises [Invalid_argument] unless the right-hand side has the
-    factorization's order. *)
+(** Fresh solution of A x = b; checked like {!lu_solve_into}. *)
+
+val lu_solve_into : lu -> float array -> float array -> unit
+(** [lu_solve_into f b x] writes the solution of A x = b into [x]
+    (which must not be [b]) without allocating. Raises
+    [Invalid_argument] unless [b] and [x] both have the factorization's
+    order. *)
 
 val solve : t -> float array -> float array
 (** One-shot factor-and-solve. *)

@@ -1,10 +1,9 @@
-(** Krylov solvers: CG, preconditioned CG, restarted GMRES.
+(** Krylov solver: conjugate gradients, optionally preconditioned.
 
-    The solve-phase workhorses of hypre (PCG + AMG), Cretin's batched
-    iterative population solver (GMRES + Jacobi) and the matrix-free
-    topology-optimization solver. All methods take the operator as a
-    function, so matrix-free use is direct: {!cg} as an in-place
-    [op u y], the others as a function returning a fresh vector. *)
+    The solve-phase workhorse of hypre (PCG + AMG), the MFEM
+    nonlinear-diffusion Newton solves and the matrix-free
+    topology-optimization solver. The operator and the preconditioner
+    write into caller-supplied vectors, so matrix-free use is direct. *)
 
 type result = {
   x : float array;
@@ -19,37 +18,23 @@ val default_tol : float
 val cg :
   ?tol:float ->
   ?max_iter:int ->
+  ?precond:(float array -> float array -> unit) ->
   op:(float array -> float array -> unit) ->
   float array ->
   float array ->
   result
 (** Conjugate gradients on an SPD operator: [cg ~op b x0], where
     [op u y] writes A u into [y] (every entry; pass
-    [Csr.spmv_into a] for a matrix). The solve allocates its four
-    n-vectors (x, r, p, A p) once and updates them in place, so an
-    iteration allocates nothing; the x/r update and r·r share one loop,
-    and every loop rounds exactly as the separate {!Vec} passes would.
-    Bails out (converged = false, x finite) if the iteration produces
-    non-finite values or meets a zero/negative-curvature direction.
+    [Csr.spmv_into a] for a matrix). With [precond], [precond r z] must
+    write M^-1 r into [z] (every entry) for an SPD M, and the solve is
+    PCG, recorded under [method=pcg] in the metrics registry.
+
+    The solve allocates its n-vectors (x, r, p, A p, and z when
+    preconditioned) once and updates them in place, so an iteration
+    allocates nothing beyond what [op] and [precond] do; the x/r update
+    and r·r share one loop, and every loop rounds exactly as the
+    separate {!Vec} passes would. The residual is sqrt(r·r) / ||b||.
+    Bails out (converged = false, x finite) if the iteration meets a
+    zero/negative-curvature direction, or, unpreconditioned, produces
+    non-finite values.
     @raise Invalid_argument if [b] and [x0] differ in length. *)
-
-val pcg :
-  ?tol:float ->
-  ?max_iter:int ->
-  op:(float array -> float array) ->
-  precond:(float array -> float array) ->
-  float array ->
-  float array ->
-  result
-(** Preconditioned CG; [precond r] must return M^-1 r for an SPD M. *)
-
-val gmres :
-  ?tol:float ->
-  ?max_iter:int ->
-  ?restart:int ->
-  ?precond:(float array -> float array) ->
-  op:(float array -> float array) ->
-  float array ->
-  float array ->
-  result
-(** Restarted GMRES(m) with optional right preconditioning. *)

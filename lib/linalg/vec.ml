@@ -4,8 +4,6 @@
     shares. All are written as plain loops so flop/byte counts are evident
     when priced on the hardware model. *)
 
-let create n = Array.make n 0.0
-
 (* the guard of every two-vector kernel: [fn] and both lengths in the
    message *)
 let check_lengths fn x y =
@@ -49,15 +47,6 @@ let nrm_inf x = Array.fold_left (fun m v -> max m (Float.abs v)) 0.0 x
 let sub x y =
   check_lengths "sub" x y;
   Array.init (Array.length x) (fun i -> x.(i) -. y.(i))
-
-let add x y =
-  check_lengths "add" x y;
-  Array.init (Array.length x) (fun i -> x.(i) +. y.(i))
-
-(** Pointwise product z_i = x_i * y_i (fresh array). *)
-let mul x y =
-  check_lengths "mul" x y;
-  Array.init (Array.length x) (fun i -> x.(i) *. y.(i))
 
 (** Weighted RMS norm used by the CVODE-style integrator:
     sqrt( (1/n) * sum (x_i * w_i)^2 ). *)

@@ -2,12 +2,9 @@
     every solver in the workload shares. Written as plain loops so
     flop/byte counts are evident when priced on the hardware model.
 
-    The two-vector kernels ({!axpy}, {!xpby}, {!dot}, {!sub}, {!add},
-    {!mul}, {!wrms}) raise [Invalid_argument], naming the function and
-    both lengths, when the lengths differ. *)
-
-val create : int -> float array
-(** Zero vector of the given length. *)
+    The two-vector kernels ({!axpy}, {!xpby}, {!dot}, {!sub}, {!wrms})
+    raise [Invalid_argument], naming the function and both lengths, when
+    the lengths differ. *)
 
 val axpy : float -> float array -> float array -> unit
 (** [axpy a x y]: y <- a*x + y. *)
@@ -23,11 +20,6 @@ val nrm_inf : float array -> float
 
 val sub : float array -> float array -> float array
 (** Fresh array x - y. *)
-
-val add : float array -> float array -> float array
-
-val mul : float array -> float array -> float array
-(** Pointwise product, fresh array. *)
 
 val wrms : float array -> float array -> float
 (** Weighted RMS norm used by the CVODE-style integrator:

@@ -92,22 +92,24 @@ let run ?(n = 8) ?(p = 2) ?(tf = 0.01) ?(rtol = 1e-5) ?(atol = 1e-8)
   let lsolve ~gamma ~t:_ ~y ~b =
     Diffusion.Pa.update_coefficients pa ~kappa_of_u ~u:y;
     counters.coeff_updates <- counters.coeff_updates + 1;
-    let op x =
+    let op x y =
       Diffusion.Pa.apply pa x scratch;
       counters.solve_applies <- counters.solve_applies + 1;
-      Array.init ndof (fun g ->
-          if bdof.(g) then x.(g)
-          else (mass.(g) *. x.(g)) +. (gamma *. scratch.(g)))
+      for g = 0 to ndof - 1 do
+        y.(g) <-
+          (if bdof.(g) then x.(g)
+           else (mass.(g) *. x.(g)) +. (gamma *. scratch.(g)))
+      done
     in
-    let precond r =
+    let precond r z =
       counters.vcycles <- counters.vcycles + 1;
-      Hypre.Boomeramg.precond amg r
+      Hypre.Boomeramg.precond amg r z
     in
     let rhsv =
       Array.init ndof (fun g -> if bdof.(g) then 0.0 else mass.(g) *. b.(g))
     in
     let res =
-      Linalg.Krylov.pcg ~tol:1e-10 ~max_iter:400 ~op ~precond rhsv
+      Linalg.Krylov.cg ~tol:1e-10 ~max_iter:400 ~precond ~op rhsv
         (Array.make ndof 0.0)
     in
     counters.pcg_iters <- counters.pcg_iters + res.Linalg.Krylov.iters;

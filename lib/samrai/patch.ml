@@ -38,14 +38,18 @@ let field t name =
   | Some a -> a
   | None -> invalid_arg ("Patch.field: no field " ^ name)
 
-(* flat index of (i,j) in the ghosted array *)
-let index t ~i ~j =
+(* flat index of (i,j) in the ghosted array; [fn] names the caller in
+   the message of an out-of-box cell *)
+let index fn t ~i ~j =
   let g = gbox t in
-  assert (Box.contains g ~i ~j);
+  if not (Box.contains g ~i ~j) then
+    invalid_arg
+      (Printf.sprintf "Patch.%s: cell (%d, %d) outside the ghosted box [%d, %d] x [%d, %d]"
+         fn i j g.Box.ilo g.Box.ihi g.Box.jlo g.Box.jhi);
   i - g.Box.ilo + (Box.ni g * (j - g.Box.jlo))
 
-let get t name ~i ~j = (field t name).(index t ~i ~j)
-let set t name ~i ~j v = (field t name).(index t ~i ~j) <- v
+let get t name ~i ~j = (field t name).(index "get" t ~i ~j)
+let set t name ~i ~j v = (field t name).(index "set" t ~i ~j) <- v
 
 (** Iterate over interior cells. *)
 let iter_interior t f =

@@ -18,6 +18,9 @@ val alloc_field : t -> string -> unit
 val free_field : t -> string -> unit
 
 val get : t -> string -> i:int -> j:int -> float
+(** Raises [Invalid_argument], naming the function and the cell, on a
+    cell outside the ghosted box (also {!set}). *)
+
 val set : t -> string -> i:int -> j:int -> float -> unit
 
 val iter_interior : t -> (i:int -> j:int -> unit) -> unit

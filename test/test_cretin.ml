@@ -76,15 +76,6 @@ let test_populations_nonnegative () =
     (fun p -> Alcotest.(check bool) "nonneg" true (p >= -1e-12))
     pops
 
-let test_direct_matches_iterative () =
-  let m = Atomic.ladder 12 in
-  let c = cond ~te:8.0 () in
-  let d = Ratematrix.solve_direct m c in
-  let it, converged = Ratematrix.solve_iterative m c in
-  Alcotest.(check bool) "iterative converged" true converged;
-  Alcotest.(check bool) "solutions agree" true
-    (Icoe_util.Stats.max_abs_diff d it < 1e-6)
-
 let test_photo_rates_pump_excited () =
   let base = Atomic.ladder 6 in
   let pumped = Atomic.ladder_with_photo ~photo_strength:1.0e5 6 in
@@ -124,16 +115,6 @@ let test_minikin_gradient () =
   let cold = Minikin.mean_excitation mk.Minikin.zones.(0) in
   let hot = Minikin.mean_excitation mk.Minikin.zones.(15) in
   Alcotest.(check bool) "excitation grows with Te" true (hot > cold)
-
-let test_minikin_iterative_path () =
-  let m = Atomic.ladder 8 in
-  let mk = Minikin.create ~nzones:4 m in
-  Minikin.solve_all ~iterative:true mk;
-  Array.iter
-    (fun z ->
-      Alcotest.(check bool) "normalized" true
-        (Float.abs (Icoe_util.Stats.sum z.Minikin.populations -. 1.0) < 1e-6))
-    mk.Minikin.zones
 
 let test_sec43_speedup_shape () =
   (* second-largest model: ~5.75x node speedup, no idle cores *)
@@ -226,7 +207,6 @@ let () =
           Alcotest.test_case "detailed balance" `Quick test_collisional_only_gives_boltzmann;
           Alcotest.test_case "non-LTE depletion" `Quick test_radiative_decay_depletes_excited;
           Alcotest.test_case "nonnegative" `Quick test_populations_nonnegative;
-          Alcotest.test_case "direct = iterative" `Quick test_direct_matches_iterative;
           Alcotest.test_case "photo pumping" `Quick test_photo_rates_pump_excited;
           Alcotest.test_case "time advance" `Quick test_advance_conserves_and_relaxes;
           QCheck_alcotest.to_alcotest prop_steady_state_is_nullspace;
@@ -240,7 +220,6 @@ let () =
       ( "minikin",
         [
           Alcotest.test_case "zone gradient" `Quick test_minikin_gradient;
-          Alcotest.test_case "iterative path" `Quick test_minikin_iterative_path;
           Alcotest.test_case "sec 4.3 speedups" `Quick test_sec43_speedup_shape;
           Alcotest.test_case "gpu one-zone memory" `Quick test_gpu_memory_one_zone;
         ] );

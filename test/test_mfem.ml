@@ -327,7 +327,7 @@ let test_lor_spectrally_close () =
   let rng = Icoe_util.Rng.create 41 in
   let b = Array.init n (fun g -> if isb.(g) then 0.0 else Icoe_util.Rng.uniform rng (-1.0) 1.0) in
   let r =
-    Linalg.Krylov.pcg ~tol:1e-8 ~max_iter:200 ~op:(Linalg.Csr.spmv a)
+    Linalg.Krylov.cg ~tol:1e-8 ~max_iter:200 ~op:(Linalg.Csr.spmv_into a)
       ~precond:(Hypre.Boomeramg.precond amg) b (Array.make n 0.0)
   in
   Alcotest.(check bool) "LOR-AMG-PCG converges" true r.Linalg.Krylov.converged;
