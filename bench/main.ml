@@ -523,6 +523,25 @@ let alloc_smoke () =
   let y = Array.make 1024 0.0 in
   measure "topopt/apply-seq" ~budget:seq_budget (fun () ->
       Opt.Topopt.apply s u y);
+  (* Cleverleaf's per-cell loops go through Patch.get/set: one read of
+     every cell of a 64x64 patch, in words per get. The float result is
+     boxed on return (~2 words); the ghosted box and the field lookup
+     must add nothing (~11 words when the box was rebuilt per call). *)
+  let patch =
+    Samrai.Patch.create (Samrai.Box.make ~ilo:0 ~jlo:0 ~ihi:63 ~jhi:63)
+  in
+  Samrai.Patch.alloc_field patch "u";
+  let read_all () =
+    let s = ref 0.0 in
+    for j = 0 to 63 do
+      for i = 0 to 63 do
+        s := !s +. Samrai.Patch.get patch "u" ~i ~j
+      done
+    done;
+    ignore (Sys.opaque_identity !s)
+  in
+  read_all ();
+  report "samrai/patch-get" ~budget:4.0 (words read_all /. 4096.0);
   (* one structured BoxLoop Jacobi sweep (smooth, copy, their charges,
      and a tenth of a residual check): the difference of a 20- and a
      10-sweep solve cancels the per-solve setup. ~70 words here; a

@@ -241,33 +241,14 @@ let run_cmd =
 
 let diff_usage () =
   Fmt.epr
-    "usage: icoe_report --diff BASELINE.json CURRENT.json [--diff-threshold \
-     F] [--wall-threshold F] [--fail-wall] [--all-rows]@.";
+    "usage: icoe_report --diff BASELINE.json CURRENT.json [--all-rows]@.";
   exit 2
 
 let run_diff args =
-  let sim_threshold = ref None
-  and wall_threshold = ref None
-  and fail_wall = ref false
-  and all = ref false
+  let all = ref false
   and files = ref [] in
   let rec parse = function
     | [] -> ()
-    | "--diff-threshold" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some f when f >= 0.0 ->
-            sim_threshold := Some f;
-            parse rest
-        | _ -> diff_usage ())
-    | "--wall-threshold" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some f when f >= 0.0 ->
-            wall_threshold := Some f;
-            parse rest
-        | _ -> diff_usage ())
-    | "--fail-wall" :: rest ->
-        fail_wall := true;
-        parse rest
     | "--all-rows" :: rest ->
         all := true;
         parse rest
@@ -280,9 +261,7 @@ let run_diff args =
   match List.rev !files with
   | [ base; cur ] -> (
       match
-        Icoe_obs.Bench_diff.run_files ?sim_threshold:!sim_threshold
-          ?wall_threshold:!wall_threshold ~fail_wall:!fail_wall ~all:!all ~base
-          ~cur ()
+        Icoe_obs.Bench_diff.run_files ~all:!all ~base ~cur ()
       with
       | result, report ->
           print_string report;

@@ -152,14 +152,13 @@ let initial_state () =
   env
 
 (** Integrate a single cell with forward Euler at [dt] (ms) for [steps],
-    applying [stim] during the first [stim_steps]. Returns the voltage
+    applying [stim] during the first 100 steps. Returns the voltage
     trace. *)
-let single_cell_trace ?(dt = 0.02) ?(steps = 20_000) ?(stim = 40.0)
-    ?(stim_steps = 100) deriv =
+let single_cell_trace ?(dt = 0.02) ?(steps = 20_000) ?(stim = 40.0) deriv =
   let env = initial_state () in
   let trace = Array.make steps 0.0 in
   for s = 0 to steps - 1 do
-    env.(istim_idx) <- (if s < stim_steps then stim else 0.0);
+    env.(istim_idx) <- (if s < 100 then stim else 0.0);
     let d = deriv env in
     for k = 0 to n_state - 1 do
       env.(k) <- env.(k) +. (dt *. d.(k))

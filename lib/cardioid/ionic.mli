@@ -36,7 +36,7 @@ val initial_state : unit -> float array
 (** Rest state with gates at steady state. *)
 
 val single_cell_trace :
-  ?dt:float -> ?steps:int -> ?stim:float -> ?stim_steps:int ->
-  (float array -> float array) -> float array
-(** Forward-Euler single-cell integration; returns the voltage trace
-    (stimulated action potential by default). *)
+  ?dt:float -> ?steps:int -> ?stim:float -> (float array -> float array) ->
+  float array
+(** Forward-Euler single-cell integration, stimulated for the first 100
+    steps; returns the voltage trace (an action potential by default). *)

@@ -123,24 +123,6 @@ let rational_fit ~lo ~hi ~np ~nq f =
   let q = Array.append [| 1.0 |] (Array.sub c (np + 1) nq) in
   (p, q)
 
-(** Replace every [Exp] node with a rational approximation fitted on the
-    assumption that its argument stays within [lo, hi] (the physiological
-    range of the rate expressions). *)
-let rec replace_exp ~lo ~hi e =
-  let go = replace_exp ~lo ~hi in
-  match e with
-  | Const _ | Var _ -> e
-  | Add (a, b) -> Add (go a, go b)
-  | Sub (a, b) -> Sub (go a, go b)
-  | Mul (a, b) -> Mul (go a, go b)
-  | Div (a, b) -> Div (go a, go b)
-  | Neg a -> Neg (go a)
-  | Exp a ->
-      let p, q = rational_fit ~lo ~hi ~np:4 ~nq:4 exp in
-      Ratpoly (p, q, go a)
-  | Log a -> Log (go a)
-  | Ratpoly (p, q, a) -> Ratpoly (p, q, go a)
-
 (** "JIT": compile the tree to a closure. OCaml's compiler does the rest;
     the analog to NVRTC is that the returned closure has the structure of
     the transformed tree baked in. *)

@@ -35,10 +35,6 @@ val rational_fit :
   -> float array * float array
 (** Least-squares rational fit p/q ~ f on [lo, hi], q(0) = 1. *)
 
-val replace_exp : lo:float -> hi:float -> expr -> expr
-(** Replace each [Exp] node with a rational approximation valid while its
-    argument stays in [lo, hi]. *)
-
 val compile : expr -> float array -> float
 (** Compile the tree to a closure — the NVRTC analog. *)
 

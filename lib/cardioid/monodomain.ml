@@ -51,7 +51,7 @@ type t = {
   arena : Prog.Scratch.t;  (** per-chunk reaction scratch slots *)
 }
 
-let create ?(nx = 32) ?(ny = 32) ?(dx = 0.02) ?(sigma = 0.001) ?(dt = 0.02)
+let create ?(nx = 32) ?(ny = 32) ?(sigma = 0.001) ?(dt = 0.02)
     ?(variant = Ionic.Rational) () =
   if nx < 1 || ny < 1 then
     invalid_arg
@@ -74,7 +74,7 @@ let create ?(nx = 32) ?(ny = 32) ?(dx = 0.02) ?(sigma = 0.001) ?(dt = 0.02)
     nx;
     ny;
     n;
-    dx;
+    dx = 0.02;
     sigma;
     dt;
     state;

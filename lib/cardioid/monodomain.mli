@@ -38,7 +38,7 @@ type t = {
 }
 
 val create :
-  ?nx:int -> ?ny:int -> ?dx:float -> ?sigma:float -> ?dt:float ->
+  ?nx:int -> ?ny:int -> ?sigma:float -> ?dt:float ->
   ?variant:Ionic.variant -> unit -> t
 (** Raises [Invalid_argument] unless [nx, ny >= 1] and [dt] is positive
     and finite. *)

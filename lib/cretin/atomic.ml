@@ -27,7 +27,7 @@ let n_levels t = Array.length t.levels
     weights 2k^2, collisional + radiative transitions between adjacent
     levels and radiative decay to ground. Scales from toy to "large atomic
     model" by [n]. *)
-let ladder ?(name = "ladder") ?(e0 = 13.6) ?(c0 = 1.0e-8) ?(a0 = 1.0e8) n =
+let ladder ?(name = "ladder") ?(e0 = 13.6) ?(c0 = 1.0e-8) n =
   if not (n >= 2) then
     invalid_arg (Printf.sprintf "Atomic.ladder: n = %d levels, need >= 2" n);
   let levels =
@@ -41,7 +41,7 @@ let ladder ?(name = "ladder") ?(e0 = 13.6) ?(c0 = 1.0e-8) ?(a0 = 1.0e8) n =
     transitions := Collisional { upper = u; lower = u - 1; c0 } :: !transitions;
     (* radiative decay to ground, weaker from higher levels *)
     transitions :=
-      Radiative { upper = u; lower = 0; a = a0 /. float_of_int (u * u) }
+      Radiative { upper = u; lower = 0; a = 1.0e8 /. float_of_int (u * u) }
       :: !transitions
   done;
   { name; levels; transitions = !transitions }

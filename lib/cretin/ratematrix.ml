@@ -75,19 +75,3 @@ let solve_direct (model : Atomic.t) cond =
   let b = Array.make n 0.0 in
   b.(n - 1) <- 1.0;
   Linalg.Dense.solve m b
-
-(** Time-dependent population advance dn/dt = M n over [dt] with backward
-    Euler (used when zones are driven away from steady state). *)
-let advance (model : Atomic.t) cond ~dt n0 =
-  let n = Atomic.n_levels model in
-  if not (Array.length n0 = n) then
-    invalid_arg
-      (Printf.sprintf "Ratematrix.advance: n0 has %d entries for %d levels"
-         (Array.length n0) n);
-  let m = assemble model cond in
-  (* (I - dt M) n1 = n0 *)
-  let a =
-    Linalg.Dense.init n n (fun i j ->
-        (if i = j then 1.0 else 0.0) -. (dt *. Linalg.Dense.get m i j))
-  in
-  Linalg.Dense.solve a n0

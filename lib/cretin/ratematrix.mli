@@ -14,6 +14,3 @@ val assemble : Atomic.t -> conditions -> Linalg.Dense.t
 
 val solve_direct : Atomic.t -> conditions -> float array
 (** Steady-state populations via LU with the normalization row. *)
-
-val advance : Atomic.t -> conditions -> dt:float -> float array -> float array
-(** Backward-Euler advance of dn/dt = M n over one step. *)

@@ -1,8 +1,7 @@
-(** Bonded interactions: harmonic bonds and harmonic angles, the "nested,
-    pointer-rich" terms the paper had to marshal for the GPU. *)
+(** Bonded interactions: harmonic bonds, the "nested, pointer-rich"
+    terms the paper had to marshal for the GPU. *)
 
 type bond = { bi : int; bj : int; k : float; r0 : float }
-type angle = { ai : int; aj : int; ak : int; ka : float; theta0 : float }
 
 (** Accumulate bond forces and return the bond potential energy. *)
 module Fbuf = Icoe_util.Fbuf
@@ -26,43 +25,3 @@ let bond_forces (p : Particles.t) bonds =
       acc +. (0.5 *. k *. dr *. dr))
     0.0 bonds
 
-(** Accumulate angle forces (harmonic in theta) and return the energy. *)
-let angle_forces (p : Particles.t) angles =
-  List.fold_left
-    (fun acc { ai; aj; ak = akk; ka; theta0 } ->
-      (* vectors from the central atom j *)
-      let x1 = Particles.min_image p ((Fbuf.get p.Particles.x ai) -. (Fbuf.get p.Particles.x aj)) in
-      let y1 = Particles.min_image p ((Fbuf.get p.Particles.y ai) -. (Fbuf.get p.Particles.y aj)) in
-      let z1 = Particles.min_image p ((Fbuf.get p.Particles.z ai) -. (Fbuf.get p.Particles.z aj)) in
-      let x2 = Particles.min_image p ((Fbuf.get p.Particles.x akk) -. (Fbuf.get p.Particles.x aj)) in
-      let y2 = Particles.min_image p ((Fbuf.get p.Particles.y akk) -. (Fbuf.get p.Particles.y aj)) in
-      let z2 = Particles.min_image p ((Fbuf.get p.Particles.z akk) -. (Fbuf.get p.Particles.z aj)) in
-      let r1 = sqrt ((x1 ** 2.0) +. (y1 ** 2.0) +. (z1 ** 2.0)) in
-      let r2 = sqrt ((x2 ** 2.0) +. (y2 ** 2.0) +. (z2 ** 2.0)) in
-      let d = ((x1 *. x2) +. (y1 *. y2) +. (z1 *. z2)) /. (r1 *. r2) in
-      let d = max (-0.999999) (min 0.999999 d) in
-      let theta = acos d in
-      let dtheta = theta -. theta0 in
-      (* dE/dtheta = ka * dtheta; chain rule through cos *)
-      let de_dcos = -.ka *. dtheta /. sqrt (1.0 -. (d *. d)) in
-      (* gradients of cos(theta) wrt r1 vec and r2 vec *)
-      let gx1 = (x2 /. (r1 *. r2)) -. (d *. x1 /. (r1 *. r1)) in
-      let gy1 = (y2 /. (r1 *. r2)) -. (d *. y1 /. (r1 *. r1)) in
-      let gz1 = (z2 /. (r1 *. r2)) -. (d *. z1 /. (r1 *. r1)) in
-      let gx2 = (x1 /. (r1 *. r2)) -. (d *. x2 /. (r2 *. r2)) in
-      let gy2 = (y1 /. (r1 *. r2)) -. (d *. y2 /. (r2 *. r2)) in
-      let gz2 = (z1 /. (r1 *. r2)) -. (d *. z2 /. (r2 *. r2)) in
-      let fi = (-.de_dcos *. gx1, -.de_dcos *. gy1, -.de_dcos *. gz1) in
-      let fk = (-.de_dcos *. gx2, -.de_dcos *. gy2, -.de_dcos *. gz2) in
-      let fix, fiy, fiz = fi and fkx, fky, fkz = fk in
-      Fbuf.set p.Particles.fx ai ((Fbuf.get p.Particles.fx ai) +. fix);
-      Fbuf.set p.Particles.fy ai ((Fbuf.get p.Particles.fy ai) +. fiy);
-      Fbuf.set p.Particles.fz ai ((Fbuf.get p.Particles.fz ai) +. fiz);
-      Fbuf.set p.Particles.fx akk ((Fbuf.get p.Particles.fx akk) +. fkx);
-      Fbuf.set p.Particles.fy akk ((Fbuf.get p.Particles.fy akk) +. fky);
-      Fbuf.set p.Particles.fz akk ((Fbuf.get p.Particles.fz akk) +. fkz);
-      Fbuf.set p.Particles.fx aj ((Fbuf.get p.Particles.fx aj) -. fix -. fkx);
-      Fbuf.set p.Particles.fy aj ((Fbuf.get p.Particles.fy aj) -. fiy -. fky);
-      Fbuf.set p.Particles.fz aj ((Fbuf.get p.Particles.fz aj) -. fiz -. fkz);
-      acc +. (0.5 *. ka *. dtheta *. dtheta))
-    0.0 angles

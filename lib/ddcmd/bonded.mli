@@ -1,13 +1,9 @@
-(** Bonded interactions: harmonic bonds and harmonic angles — the
-    "nested, pointer-rich" terms the paper had to marshal for the GPU. *)
+(** Bonded interactions: harmonic bonds — the "nested, pointer-rich"
+    terms the paper had to marshal for the GPU. *)
 
 type bond = { bi : int; bj : int; k : float; r0 : float }
-type angle = { ai : int; aj : int; ak : int; ka : float; theta0 : float }
 
 val bond_forces : Particles.t -> bond list -> float
 (** Accumulate forces; returns the bond potential energy. Newton's third
     law holds pairwise. *)
 
-val angle_forces : Particles.t -> angle list -> float
-(** Accumulate forces for harmonic-in-theta angles; returns the energy.
-    Net force on each triple is zero. *)

@@ -1,7 +1,7 @@
 (** The ddcMD engine: the full MD loop the paper moved onto the GPU —
     nonbonded (generic pair infrastructure over linked cells), bonded
-    terms, velocity Verlet, Langevin thermostat, Berendsen barostat, and
-    SHAKE-style bond constraints.
+    terms, velocity Verlet, Langevin thermostat and SHAKE-style bond
+    constraints.
 
     The force kernel is allocation-free in steady state: particle
     components live in {!Icoe_util.Fbuf} Bigarrays, the neighbour walk
@@ -19,7 +19,6 @@ type t = {
   p : Particles.t;
   potential : Potential.t;
   bonds : Bonded.bond list;
-  angles : Bonded.angle list;
   constraints : (int * int * float) list;  (** (i, j, fixed distance) *)
   dt : float;
   mutable pot_energy : float;
@@ -46,7 +45,7 @@ let m_drift =
     ~help:"Relative total-energy drift over the last run call"
     "md_energy_drift"
 
-let create ?(bonds = []) ?(angles = []) ?(constraints = []) ~dt ~potential p =
+let create ?(bonds = []) ?(constraints = []) ~dt ~potential p =
   if not (dt > 0.0 && Float.is_finite dt) then
     invalid_arg
       (Fmt.str "Ddcmd.Engine.create: dt must be positive and finite, got %g" dt);
@@ -54,7 +53,6 @@ let create ?(bonds = []) ?(angles = []) ?(constraints = []) ~dt ~potential p =
     p;
     potential;
     bonds;
-    angles;
     constraints;
     dt;
     pot_energy = 0.0;
@@ -214,7 +212,6 @@ let finish_forces t ~epot2 ~virial2 ~evals =
   let p = t.p in
   let epot = ref (0.5 *. epot2) in
   epot := !epot +. Bonded.bond_forces p t.bonds;
-  epot := !epot +. Bonded.angle_forces p t.angles;
   t.pot_energy <- !epot;
   t.virial <- 0.5 *. virial2;
   t.pair_count <- evals / 2;
@@ -303,10 +300,9 @@ let shake ?(iters = 50) ?(tol = 1e-8) t =
   in
   if t.constraints <> [] then loop 0
 
-(** One velocity-Verlet step (NVE when thermostat/barostat are off).
-    [langevin = Some (gamma, temp, rng)] adds the Langevin thermostat;
-    [berendsen = Some (tau_ratio, target_pressure)] rescales the box. *)
-let step ?langevin ?berendsen t =
+(** One velocity-Verlet step (NVE when the thermostat is off).
+    [langevin = Some (gamma, temp, rng)] adds the Langevin thermostat. *)
+let step ?langevin t =
   let p = t.p in
   let dt = t.dt in
   let n = p.Particles.n in
@@ -358,148 +354,16 @@ let step ?langevin ?berendsen t =
           ((c1 *. Fbuf.get p.Particles.vz i)
           +. (sigma *. Icoe_util.Rng.gaussian rng))
       done);
-  (* Berendsen barostat: weak box rescaling toward target pressure *)
-  (match berendsen with
-  | None -> ()
-  | Some (tau_ratio, p_target) ->
-      let vol = p.Particles.box ** 3.0 in
-      let p_now =
-        ((2.0 *. Particles.kinetic_energy p) +. t.virial) /. (3.0 *. vol)
-      in
-      let mu = (1.0 -. (tau_ratio *. (p_target -. p_now))) ** (1.0 /. 3.0) in
-      let mu = max 0.99 (min 1.01 mu) in
-      p.Particles.box <- p.Particles.box *. mu;
-      for i = 0 to n - 1 do
-        Fbuf.set p.Particles.x i (Fbuf.get p.Particles.x i *. mu);
-        Fbuf.set p.Particles.y i (Fbuf.get p.Particles.y i *. mu);
-        Fbuf.set p.Particles.z i (Fbuf.get p.Particles.z i *. mu)
-      done);
   t.steps <- t.steps + 1;
   Icoe_obs.Metrics.inc m_steps
 
 let total_energy t = t.pot_energy +. Particles.kinetic_energy t.p
 
-let run ?langevin ?berendsen t ~steps =
+let run ?langevin t ~steps =
   if t.steps = 0 then compute_forces t;
   let e0 = total_energy t in
   for _ = 1 to steps do
-    step ?langevin ?berendsen t
+    step ?langevin t
   done;
   let e1 = total_energy t in
   Icoe_obs.Metrics.set m_drift ((e1 -. e0) /. max (Float.abs e0) 1e-300)
-
-(** Radial distribution function g(r) up to [rmax] in [bins] bins —
-    the standard structural observable (MuMMI's in-situ analysis computes
-    it on the fly). Normalized against the ideal-gas expectation. *)
-let rdf ?(bins = 50) ?rmax t =
-  let p = t.p in
-  let rmax = match rmax with Some r -> r | None -> p.Particles.box /. 2.0 in
-  let hist = Array.make bins 0.0 in
-  let dr = rmax /. float_of_int bins in
-  for i = 0 to p.Particles.n - 2 do
-    for j = i + 1 to p.Particles.n - 1 do
-      let r = sqrt (Particles.dist2 p i j) in
-      if r < rmax then begin
-        let b = int_of_float (r /. dr) in
-        hist.(min (bins - 1) b) <- hist.(min (bins - 1) b) +. 2.0
-      end
-    done
-  done;
-  let vol = p.Particles.box ** 3.0 in
-  let density = float_of_int p.Particles.n /. vol in
-  Array.mapi
-    (fun b h ->
-      let r_lo = float_of_int b *. dr in
-      let r_hi = r_lo +. dr in
-      let shell = 4.0 /. 3.0 *. Float.pi *. ((r_hi ** 3.0) -. (r_lo ** 3.0)) in
-      h /. (float_of_int p.Particles.n *. density *. shell))
-    hist
-
-(** Velocity autocorrelation function over an NVE trajectory:
-    C(k dt_sample) = <v(0) . v(k)> / <v(0) . v(0)>, averaged over
-    particles. Runs [samples] snapshots [stride] steps apart. *)
-let vacf ?langevin ?(samples = 40) ?(stride = 5) t =
-  let n = t.p.Particles.n in
-  let snaps = Array.make samples [||] in
-  for s = 0 to samples - 1 do
-    if s > 0 then run ?langevin t ~steps:stride;
-    snaps.(s) <-
-      Array.init (3 * n) (fun k ->
-          let i = k / 3 in
-          match k mod 3 with
-          | 0 -> Fbuf.get t.p.Particles.vx i
-          | 1 -> Fbuf.get t.p.Particles.vy i
-          | _ -> Fbuf.get t.p.Particles.vz i)
-  done;
-  let dot a b = Linalg.Vec.dot a b /. float_of_int n in
-  let c0 = dot snaps.(0) snaps.(0) in
-  Array.map (fun s -> dot snaps.(0) s /. c0) snaps
-
-(** Diffusion coefficient estimate from the Green-Kubo relation:
-    D = (1/3) * integral of <v(0).v(t)> dt, with the trapezoid rule over
-    the sampled VACF. [dt_sample] is stride * engine dt. *)
-let diffusion_coefficient ~vacf ~c0 ~dt_sample =
-  let n = Array.length vacf in
-  let integral = ref 0.0 in
-  for k = 0 to n - 2 do
-    integral := !integral +. (0.5 *. (vacf.(k) +. vacf.(k + 1)) *. dt_sample)
-  done;
-  c0 *. !integral /. 3.0
-
-(* --- checkpoint/restart support (Icoe_fault.Checkpoint) --- *)
-
-(** Full MD state: positions, velocities, forces, box size and the
-    engine accumulators. Cell lists are rebuilt per force call, so they
-    are not part of the state. *)
-type snapshot = {
-  s_box : float;
-  s_x : Fbuf.t;
-  s_y : Fbuf.t;
-  s_z : Fbuf.t;
-  s_vx : Fbuf.t;
-  s_vy : Fbuf.t;
-  s_vz : Fbuf.t;
-  s_fx : Fbuf.t;
-  s_fy : Fbuf.t;
-  s_fz : Fbuf.t;
-  s_pot_energy : float;
-  s_virial : float;
-  s_steps : int;
-  s_pair_count : int;
-}
-
-let snapshot t =
-  let p = t.p in
-  {
-    s_box = p.Particles.box;
-    s_x = Fbuf.copy p.Particles.x;
-    s_y = Fbuf.copy p.Particles.y;
-    s_z = Fbuf.copy p.Particles.z;
-    s_vx = Fbuf.copy p.Particles.vx;
-    s_vy = Fbuf.copy p.Particles.vy;
-    s_vz = Fbuf.copy p.Particles.vz;
-    s_fx = Fbuf.copy p.Particles.fx;
-    s_fy = Fbuf.copy p.Particles.fy;
-    s_fz = Fbuf.copy p.Particles.fz;
-    s_pot_energy = t.pot_energy;
-    s_virial = t.virial;
-    s_steps = t.steps;
-    s_pair_count = t.pair_count;
-  }
-
-let restore t s =
-  let p = t.p in
-  p.Particles.box <- s.s_box;
-  Fbuf.blit ~src:s.s_x ~dst:p.Particles.x;
-  Fbuf.blit ~src:s.s_y ~dst:p.Particles.y;
-  Fbuf.blit ~src:s.s_z ~dst:p.Particles.z;
-  Fbuf.blit ~src:s.s_vx ~dst:p.Particles.vx;
-  Fbuf.blit ~src:s.s_vy ~dst:p.Particles.vy;
-  Fbuf.blit ~src:s.s_vz ~dst:p.Particles.vz;
-  Fbuf.blit ~src:s.s_fx ~dst:p.Particles.fx;
-  Fbuf.blit ~src:s.s_fy ~dst:p.Particles.fy;
-  Fbuf.blit ~src:s.s_fz ~dst:p.Particles.fz;
-  t.pot_energy <- s.s_pot_energy;
-  t.virial <- s.s_virial;
-  t.steps <- s.s_steps;
-  t.pair_count <- s.s_pair_count

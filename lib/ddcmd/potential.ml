@@ -60,35 +60,6 @@ let lennard_jones ?(epsilon = 1.0) ?(sigma = 1.0) ?(cutoff = 2.5) () =
         end);
   }
 
-(** Buckingham exp-6: A exp(-r/rho) - C / r^6. Below [inner] the r^-6 term
-    unphysically diverges (the exp-6 catastrophe), so the force switches to
-    a stiff constant repulsion — the standard inner-cutoff guard. *)
-let exp6 ?(a = 1000.0) ?(rho = 0.3) ?(c = 1.0) ?(cutoff = 2.5) ?(inner = 0.8) () =
-  {
-    name = "exp6";
-    cutoff;
-    eval_into =
-      (fun ~si:_ ~sj:_ out off ->
-        let r2 = Fbuf.get out off in
-        if r2 >= cutoff *. cutoff then begin
-          Fbuf.set out (off + 1) 0.0;
-          Fbuf.set out (off + 2) 0.0
-        end
-        else if r2 < inner *. inner then begin
-          (* capped core: strong repulsion pushing outward *)
-          let r = sqrt (max r2 1e-6) in
-          Fbuf.set out (off + 1) a;
-          Fbuf.set out (off + 2) (a /. rho /. r)
-        end
-        else begin
-          let r = sqrt r2 in
-          let erep = a *. exp (-.r /. rho) in
-          let edisp = c /. (r2 *. r2 *. r2) in
-          Fbuf.set out (off + 1) (erep -. edisp);
-          Fbuf.set out (off + 2) (((erep /. rho) -. (6.0 *. edisp /. r)) /. r)
-        end);
-  }
-
 (** Martini-style coarse-grained LJ: per-species-pair epsilon/sigma matrix
     (the community-standard membrane force field the MuMMI micro model
     uses). *)

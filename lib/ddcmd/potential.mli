@@ -26,12 +26,6 @@ val lennard_jones :
 (** 12-6 LJ, energy shifted to zero at the cutoff (continuous). The
     cutoff is in units of sigma. *)
 
-val exp6 :
-  ?a:float -> ?rho:float -> ?c:float -> ?cutoff:float -> ?inner:float ->
-  unit -> t
-(** Buckingham exp-6 with the standard inner-cutoff guard against the
-    r^-6 catastrophe. *)
-
 val martini :
   epsilon:float array array -> sigma:float array array -> ?cutoff:float ->
   unit -> t

@@ -242,56 +242,6 @@ let asgd ~(rng : Icoe_util.Rng.t) ~learners ~steps ~batch ~lr ~staleness sizes d
     overlap_efficiency = 1.0;
   }
 
-(** EASGD [33]: learners run local SGD but are elastically pulled toward
-    a centre variable, which in turn moves toward the learners' average:
-
-        x_i <- x_i - lr grad_i - alpha (x_i - c)
-        c   <- c + alpha sum_i (x_i - c) / learners
-
-    Communication per round is the same as KAVG's allreduce; the elastic
-    coupling is what distinguishes the dynamics. *)
-let easgd ~(rng : Icoe_util.Rng.t) ~learners ~rounds ~k ~batch ~lr
-    ?(alpha = 0.3) sizes data =
-  let center = Mlp.create ~rng sizes in
-  let params = Mlp.num_params center in
-  let shards = shard ~learners data in
-  let workers = Array.map (fun _ -> Mlp.clone center) shards in
-  let t = ref 0.0 in
-  for _ = 1 to rounds do
-    let c = Mlp.get_params center in
-    let drift = Array.make params 0.0 in
-    Array.iteri
-      (fun wi sh ->
-        let w = workers.(wi) in
-        for _ = 1 to k do
-          let xs, ls = minibatch ~rng ~batch sh in
-          ignore (Mlp.train_batch w ~lr xs ls)
-        done;
-        (* elastic pull toward the centre *)
-        let p = Mlp.get_params w in
-        for j = 0 to params - 1 do
-          let d = p.(j) -. c.(j) in
-          p.(j) <- p.(j) -. (alpha *. d);
-          drift.(j) <- drift.(j) +. d
-        done;
-        Mlp.set_params w p)
-      shards;
-    for j = 0 to params - 1 do
-      c.(j) <- c.(j) +. (alpha *. drift.(j) /. float_of_int learners)
-    done;
-    Mlp.set_params center c;
-    t := !t
-         +. (float_of_int k *. compute_time_per_batch ~params ~batch)
-         +. allreduce_time ~params ~learners ()
-  done;
-  {
-    final_loss = Mlp.eval_loss center data.xs data.labels;
-    final_accuracy = Mlp.accuracy center data.xs data.labels;
-    simulated_seconds = !t;
-    steps = rounds * k;
-    overlap_efficiency = 1.0;
-  }
-
 (** KAVG: learners start from common weights, run [k] local SGD steps on
     their own shard, then average weights; bulk-synchronous. With
     overlap enabled the per-round wall clock comes from

@@ -1,5 +1,5 @@
 (** Distributed-training algorithms (Sec 4.5): synchronous SGD, ASGD with
-    parameter-server staleness, EASGD, and the team's K-step averaging
+    parameter-server staleness, and the team's K-step averaging
     (KAVG [34]). All run the real optimization on real data; the
     simulated communication model prices their wall clock. *)
 
@@ -78,11 +78,6 @@ val asgd :
   staleness:int -> int array -> dataset -> run
 (** Parameter-server ASGD; gradients are applied [staleness] updates late
     (round-robin model) — the practical pathology the paper describes. *)
-
-val easgd :
-  rng:Icoe_util.Rng.t -> learners:int -> rounds:int -> k:int -> batch:int ->
-  lr:float -> ?alpha:float -> int array -> dataset -> run
-(** Elastic averaging SGD [33]. *)
 
 val kavg :
   rng:Icoe_util.Rng.t -> learners:int -> rounds:int -> k:int -> batch:int ->

@@ -14,7 +14,7 @@
 
     One kernel per stage, each over a whole chunk and register-blocked:
     the forward kernel computes 2 examples x 4 output rows at a time (it
-    also serves single-example inference and {!forward_rows}), the
+    also serves single-example inference), the
     gradient kernel 2 output units x 4 inputs, the propagation kernel
     2 examples x 4 inputs. {!backward} is the batch path with one
     example.
@@ -474,20 +474,6 @@ let propagate_kernel lay ~a ~d ~nd ~n =
       delta_entry lay ~a ~d ~nd !k i
     done
   end
-
-let forward_rows t ~layer ~src ~dst ~lo ~hi =
-  let nl = Array.length t.layers in
-  if layer < 0 || layer >= nl then
-    invalid_arg (Printf.sprintf "Mlp.forward_rows: layer %d of %d" layer nl);
-  let lay = t.layers.(layer) in
-  if Fbuf.length src <> lay.nin || Fbuf.length dst <> lay.nout then
-    invalid_arg
-      (Printf.sprintf "Mlp.forward_rows: src/dst of length %d/%d, layer is %d -> %d"
-         (Fbuf.length src) (Fbuf.length dst) lay.nin lay.nout);
-  if lo < 0 || hi > lay.nout || lo > hi then
-    invalid_arg
-      (Printf.sprintf "Mlp.forward_rows: rows [%d, %d) of %d" lo hi lay.nout);
-  forward_kernel lay ~hidden:(layer < nl - 1) ~src ~dst ~n:1 ~lo ~hi
 
 let check_input t fn x =
   if Array.length x <> t.sizes.(0) then

@@ -7,8 +7,8 @@
     {!Icoe_util.Fbuf.t} buffers. A model owns a batch workspace (input,
     activation and delta rows for up to 32 examples) that grows to the
     largest chunk it has seen and is reused, so a steady-state training
-    step allocates nothing. Training, inference and {!forward_rows} share
-    one register-blocked kernel per stage (forward, gradient,
+    step allocates nothing. Training and inference share one
+    register-blocked kernel per stage (forward, gradient,
     propagation); {!backward} is {!train_batch}'s path with a batch of
     one. Every floating-point operation keeps the order of the plain
     per-example [float array array] formulation (pre-activations sum the
@@ -44,17 +44,6 @@ val get_grads : t -> float array
 val reset : t -> float array -> unit
 (** {!set_params}, then zero gradients and momentum: the state {!clone}
     would give a model with these parameters. *)
-
-val forward_rows :
-  t -> layer:int -> src:Icoe_util.Fbuf.t -> dst:Icoe_util.Fbuf.t -> lo:int ->
-  hi:int -> unit
-(** [forward_rows t ~layer ~src ~dst ~lo ~hi] writes output units
-    [lo..hi-1] of [layer] (0-based), computed from the layer input [src]
-    (its [in] width), into [dst] (its [out] width): tanh of the
-    pre-activation on hidden layers, the logits on the last. The
-    forward kernel of training and inference on a batch of one, so any
-    row partition gives bit-identical outputs. Raises [Invalid_argument] on a bad layer, row range or
-    buffer length. *)
 
 val predict_proba : t -> float array -> float array
 (** Class probabilities. Raises [Invalid_argument] unless the input has

@@ -28,12 +28,8 @@ let n_streams = 3
    its "visible" partition; others collapse to a shared mean. On Hard,
    noise is higher and visibility sparser. *)
 let make ~(rng : Icoe_util.Rng.t) ?(classes = 8) ?(dim = 10) ?(n = 1600)
-    ?noise ?label_noise difficulty =
-  let noise =
-    match noise with
-    | Some v -> v
-    | None -> ( match difficulty with Easy -> 1.0 | Hard -> 2.4)
-  in
+    difficulty =
+  let noise = match difficulty with Easy -> 1.0 | Hard -> 2.4 in
   (* visibility: on Easy each stream is blind to a quarter of classes (two
      streams always remain sighted); on Hard every class blinds one
      stream, and even classes blind a second one, leaving a single
@@ -59,11 +55,7 @@ let make ~(rng : Icoe_util.Rng.t) ?(classes = 8) ?(dim = 10) ?(n = 1600)
   in
   (* irreducible label noise (ambiguous clips): caps every approach at
      the dataset's intrinsic ceiling, as real benchmarks do *)
-  let label_noise =
-    match label_noise with
-    | Some v -> v
-    | None -> ( match difficulty with Easy -> 0.06 | Hard -> 0.15)
-  in
+  let label_noise = match difficulty with Easy -> 0.06 | Hard -> 0.15 in
   let labels = Array.init n (fun _ -> Icoe_util.Rng.int rng classes) in
   let observed_labels =
     Array.map
@@ -155,8 +147,8 @@ let stacked_probs stream_models (d : dataset) i =
            (fun p -> log (max 1e-9 p))
            (Mlp.predict_proba stream_models.(s) d.streams.(s).(i))))
 
-let prepare ?noise ?label_noise ~(rng : Icoe_util.Rng.t) difficulty =
-  let data = make ~rng ?noise ?label_noise difficulty in
+let prepare ~(rng : Icoe_util.Rng.t) difficulty =
+  let data = make ~rng difficulty in
   let train, test = split ~frac:0.6 data in
   let stream_models = Array.init n_streams (train_stream ~rng train) in
   let stream_accs =
@@ -242,8 +234,8 @@ let evaluate ~(rng : Icoe_util.Rng.t) st comb =
       Mlp.accuracy m st.stacked_test test.labels
 
 (** Run the full Table 3 grid: returns (combiner, accuracy) rows. *)
-let table3 ?noise ?label_noise ~(rng : Icoe_util.Rng.t) difficulty =
-  let st = prepare ?noise ?label_noise ~rng difficulty in
+let table3 ~(rng : Icoe_util.Rng.t) difficulty =
+  let st = prepare ~rng difficulty in
   List.map
     (fun c -> (c, evaluate ~rng st c))
     [

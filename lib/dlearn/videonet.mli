@@ -27,8 +27,7 @@ val combiner_name : combiner -> string
 
 type study
 
-val prepare : ?noise:float -> ?label_noise:float -> rng:Icoe_util.Rng.t ->
-  difficulty -> study
+val prepare : rng:Icoe_util.Rng.t -> difficulty -> study
 (** Generate data, train the three stream classifiers, and compute the
     stacked log-probability features of both splits once, for the
     stacking combiners. *)
@@ -37,6 +36,5 @@ val evaluate : rng:Icoe_util.Rng.t -> study -> combiner -> float
 (** Test accuracy of a combination approach (trains stacking models
     where needed). *)
 
-val table3 : ?noise:float -> ?label_noise:float -> rng:Icoe_util.Rng.t ->
-  difficulty -> (combiner * float) list
+val table3 : rng:Icoe_util.Rng.t -> difficulty -> (combiner * float) list
 (** The full Table 3 grid for one dataset. *)

@@ -67,7 +67,13 @@ let top_down (g : Graph.t) ~src =
 
 (** Direction-optimizing BFS: switch to bottom-up when the frontier is a
     large fraction of the graph, back to top-down when it shrinks. *)
-let hybrid ?(alpha = 15) ?(beta = 18) (g : Graph.t) ~src =
+(* Beamer's switch thresholds: bottom-up once the frontier's edges
+   exceed 1/alpha of the unexplored edges, top-down again once the
+   frontier holds fewer than n/beta vertices *)
+let alpha = 15
+let beta = 18
+
+let hybrid (g : Graph.t) ~src =
   let n = g.Graph.n in
   let parents = Array.make n (-1) in
   parents.(src) <- src;
@@ -143,31 +149,6 @@ let hybrid ?(alpha = 15) ?(beta = 18) (g : Graph.t) ~src =
       iterations = !iters;
       switches = !switches;
     }
-
-(** Connected components by label propagation (HavoqGT's other core
-    analytic): every vertex takes the minimum label among itself and its
-    neighbours until a fixed point. Returns the component label of each
-    vertex. *)
-let connected_components (g : Graph.t) =
-  let label = Array.init g.Graph.n (fun v -> v) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for u = 0 to g.Graph.n - 1 do
-      for k = g.Graph.row_ptr.(u) to g.Graph.row_ptr.(u + 1) - 1 do
-        let v = g.Graph.adj.(k) in
-        if label.(v) < label.(u) then begin
-          label.(u) <- label.(v);
-          changed := true
-        end
-      done
-    done
-  done;
-  label
-
-(** Number of distinct components. *)
-let num_components labels =
-  List.length (List.sort_uniq Int.compare (Array.to_list labels))
 
 (** Validate a parent array: every reached vertex's parent edge exists and
     levels are consistent (parent level = child level - 1). *)

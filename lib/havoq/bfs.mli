@@ -1,5 +1,5 @@
-(** Breadth-first search: top-down, the direction-optimizing hybrid
-    (Beamer-style) that Graph500 codes use, and connected components. *)
+(** Breadth-first search: top-down and the direction-optimizing hybrid
+    (Beamer-style) that Graph500 codes use. *)
 
 type stats = {
   parents : int array;  (** -1 for unreached; parents.(src) = src *)
@@ -11,16 +11,11 @@ type stats = {
 
 val top_down : Graph.t -> src:int -> stats
 
-val hybrid : ?alpha:int -> ?beta:int -> Graph.t -> src:int -> stats
+val hybrid : Graph.t -> src:int -> stats
 (** Direction-optimizing BFS: switches to bottom-up when the frontier's
-    edge count grows past 1/alpha of the unexplored edges, back when the
-    frontier shrinks below n/beta. Traverses far fewer edges on skewed
+    edge count grows past 1/15 of the unexplored edges, back when the
+    frontier shrinks below n/18. Traverses far fewer edges on skewed
     graphs. *)
-
-val connected_components : Graph.t -> int array
-(** Label propagation to a fixed point; returns per-vertex labels. *)
-
-val num_components : int array -> int
 
 val validate : Graph.t -> src:int -> stats -> bool
 (** Graph500-style tree validation: every parent edge exists and levels

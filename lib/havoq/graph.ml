@@ -32,13 +32,13 @@ let of_edges ~n edges =
     edges;
   { n; m = row_ptr.(n); row_ptr; adj }
 
-(** RMAT generator: 2^scale vertices, [edge_factor] * 2^scale undirected
+(** RMAT generator: 2^scale vertices, 16 * 2^scale undirected
     edges, Graph500 parameters (a, b, c) = (0.57, 0.19, 0.19).
     Self-loops are dropped; multi-edges are kept (as in Graph500). *)
-let rmat ?(edge_factor = 16) ?(a = 0.57) ?(b = 0.19) ?(c = 0.19)
+let rmat ?(a = 0.57) ?(b = 0.19) ?(c = 0.19)
     ~(rng : Icoe_util.Rng.t) ~scale () =
   let n = 1 lsl scale in
-  let nedges = edge_factor * n in
+  let nedges = 16 * n in
   let edges = ref [] in
   for _ = 1 to nedges do
     let u = ref 0 and v = ref 0 in

@@ -14,11 +14,11 @@ val of_edges : n:int -> (int * int) list -> t
 (** Build an undirected graph (each edge stored in both directions). *)
 
 val rmat :
-  ?edge_factor:int -> ?a:float -> ?b:float -> ?c:float ->
+  ?a:float -> ?b:float -> ?c:float ->
   rng:Icoe_util.Rng.t -> scale:int -> unit -> t
-(** RMAT generator: 2^scale vertices, edge_factor * 2^scale edges,
-    Graph500 parameters (0.57, 0.19, 0.19). Self-loops dropped;
-    multi-edges kept, as in Graph500. *)
+(** RMAT generator: 2^scale vertices, 16 * 2^scale edges (the Graph500
+    edge factor), Graph500 parameters (0.57, 0.19, 0.19). Self-loops
+    dropped; multi-edges kept, as in Graph500. *)
 
 val erdos_renyi : rng:Icoe_util.Rng.t -> n:int -> edges:int -> unit -> t
 (** Uniform random graph for comparison (no degree skew). *)

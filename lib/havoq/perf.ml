@@ -53,15 +53,6 @@ let gteps m =
   float_of_int m.nodes *. m.storage_bw_gbs *. 1e9 *. eff
   /. bytes_per_edge_traversal /. 1e9
 
-(** Actually-measured GTEPS of the in-memory hybrid BFS on this machine
-    (wall clock): traversed-edge count over elapsed seconds / 1e9. *)
-let measured_gteps (g : Graph.t) ~src =
-  let t0 = Sys.time () in
-  let s = Bfs.hybrid g ~src in
-  let dt = Sys.time () -. t0 in
-  if dt <= 0.0 then 0.0
-  else float_of_int s.Bfs.edges_traversed /. dt /. 1e9
-
 (** The published Table 2 rows for comparison in the bench output. *)
 let paper_rows =
   [

@@ -23,8 +23,5 @@ val max_scale : machine -> int
 val gteps : machine -> float
 (** Modelled GTEPS. *)
 
-val measured_gteps : Graph.t -> src:int -> float
-(** Actually-measured GTEPS of the in-memory hybrid BFS on this machine. *)
-
 val paper_rows : (string * int * int * int * float) list
 (** The published Table 2 rows: (name, year, nodes, scale, GTEPS). *)

@@ -18,22 +18,19 @@ let lattice ?(steps = 20) () =
   if steps < 1 then invalid_arg "Split.lattice: steps must be >= 1";
   Array.init (steps + 1) (fun i -> float_of_int i /. float_of_int steps)
 
-let co_work sched ~gpu_stream ~cpu_stream ?(deps = []) ?gpu_device ?cpu_device
-    ~phase ~gpu_s ~cpu_s f =
+let co_work sched ~gpu_stream ~cpu_stream ?(deps = []) ~phase ~gpu_s ~cpu_s f =
   validate f;
   let gpu_item =
     if f > 0.0 then
       [
-        Sched.work sched ~stream:gpu_stream ~deps ?device:gpu_device ~phase
-          (f *. gpu_s);
+        Sched.work sched ~stream:gpu_stream ~deps ~phase (f *. gpu_s);
       ]
     else []
   in
   let cpu_item =
     if f < 1.0 then
       [
-        Sched.work sched ~stream:cpu_stream ~deps ?device:cpu_device ~phase
-          ((1.0 -. f) *. cpu_s);
+        Sched.work sched ~stream:cpu_stream ~deps ~phase ((1.0 -. f) *. cpu_s);
       ]
     else []
   in

@@ -32,12 +32,11 @@ val lattice : ?steps:int -> unit -> float array
 
 val co_work :
   Sched.t -> gpu_stream:string -> cpu_stream:string -> ?deps:Sched.item list ->
-  ?gpu_device:string -> ?cpu_device:string -> phase:string -> gpu_s:float ->
-  cpu_s:float -> float -> Sched.item list
+  phase:string -> gpu_s:float -> cpu_s:float -> float -> Sched.item list
 (** [co_work sched ... ~gpu_s ~cpu_s f] enqueues the split pair for one
     divisible work item: [f *. gpu_s] on [gpu_stream] when [f > 0] and
     [(1.0 -. f) *. cpu_s] on [cpu_stream] when [f < 1], both carrying
     the same [deps] and [phase]. [gpu_s] ([cpu_s]) is the full-item
     duration if the accelerator (host) ran all of it. Returns the
-    enqueued items, for use as downstream deps; devices default to the
-    stream names (the {!Sched.work} rule). *)
+    enqueued items, for use as downstream deps; each item's device is
+    its stream name (the {!Sched.work} default). *)

@@ -9,6 +9,7 @@
 
 type level = {
   a : Linalg.Csr.t;
+  l1 : float array;  (** [a]'s row l1 norms, the smoother's scaling *)
   p : Linalg.Csr.t option;  (** interpolation to this level from coarser *)
   r : Linalg.Csr.t option;  (** restriction = P^T *)
   res : float array;  (** residual and correction workspace, one per row *)
@@ -56,8 +57,8 @@ let setup (a0 : Linalg.Csr.t) =
   let rng = Icoe_util.Rng.create seed in
   (* a level and its workspaces; the next-coarser level has [nc] rows *)
   let level a p r nc =
-    { a; p; r; res = Array.make a.Linalg.Csr.m 0.0; bc = Array.make nc 0.0;
-      xc = Array.make nc 0.0 }
+    { a; l1 = Smoother.l1_norms a; p; r; res = Array.make a.Linalg.Csr.m 0.0;
+      bc = Array.make nc 0.0; xc = Array.make nc 0.0 }
   in
   let rec build a acc depth =
     if a.Linalg.Csr.m <= coarse_size || depth >= max_levels then
@@ -101,9 +102,9 @@ let v_cycle t b x =
     let l = t.levels.(lvl) in
     if lvl = nl - 1 then Linalg.Dense.lu_solve_into t.coarse_lu b x
     else begin
-      let a = l.a and res = l.res in
+      let a = l.a and l1 = l.l1 and res = l.res in
       for _ = 1 to nu_pre do
-        Smoother.sweep a b x res
+        Smoother.sweep a ~l1 b x res
       done;
       Linalg.Csr.spmv_into a x res;
       for i = 0 to a.Linalg.Csr.m - 1 do
@@ -118,7 +119,7 @@ let v_cycle t b x =
         x.(i) <- x.(i) +. (1.0 *. res.(i))
       done;
       for _ = 1 to nu_post do
-        Smoother.sweep a b x res
+        Smoother.sweep a ~l1 b x res
       done
     end
   in

@@ -7,6 +7,7 @@
 
 type level = {
   a : Linalg.Csr.t;
+  l1 : float array;  (** [a]'s row l1 norms, summed once by {!setup} *)
   p : Linalg.Csr.t option;  (** interpolation from the next-coarser level *)
   r : Linalg.Csr.t option;  (** restriction = P^T *)
   res : float array;  (** residual and correction workspace *)

@@ -37,8 +37,8 @@ let record f = Option.iter (fun o -> current := Some (f o)) !current
 let record_trace name tr =
   record (fun o -> { o with traces = (name, tr) :: o.traces })
 
-let record_row ~section ~unit ?(klass = Icoe_obs.Bench_diff.Sim)
-    ?(higher_better = false) name value =
+let record_row ~section ~unit ?(higher_better = false) name value =
+  let klass = Icoe_obs.Bench_diff.Sim in
   record (fun o ->
       { o with rows = { section; name; value; unit; klass; higher_better } :: o.rows })
 

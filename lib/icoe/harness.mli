@@ -75,10 +75,10 @@ val run_isolated : t -> outcome
 val record_trace : string -> Hwsim.Trace.t -> unit
 
 val record_row :
-  section:string -> unit:string -> ?klass:Icoe_obs.Bench_diff.klass ->
-  ?higher_better:bool -> string -> float -> unit
-(** [record_row ~section ~unit name value]; [klass] defaults to [Sim],
-    [higher_better] to [false]. *)
+  section:string -> unit:string -> ?higher_better:bool -> string -> float ->
+  unit
+(** [record_row ~section ~unit name value]: a [Sim]-class row;
+    [higher_better] defaults to [false]. *)
 
 val record_check : string -> bool -> unit
 (** [record_check name ok]: a named acceptance check; [icoe_report run]

@@ -36,7 +36,8 @@ let overlap_section () =
   end
 
 let md () =
-  (* real MD: small Martini-like patch with thermostat and constraints *)
+  (* real MD: a 125-particle Lennard-Jones fluid, NVE (no thermostat, no
+     constraints), whose energy drift the report prints *)
   let rng = Rng.create 31 in
   let p = Ddcmd.Particles.create ~n:125 ~box:6.5 in
   Ddcmd.Particles.lattice_init p;

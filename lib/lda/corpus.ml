@@ -25,9 +25,10 @@ let zipf n =
 (** Generate [ndocs] documents over [languages] disjoint vocabulary blocks
     of [vocab_per_lang] words, [topics_per_lang] topics each. Each topic
     concentrates on its own slice of the language's vocabulary with a Zipf
-    profile, giving well-separated recoverable topics. *)
+    profile, giving well-separated recoverable topics. Every document
+    draws 60 tokens. *)
 let generate ?(ndocs = 200) ?(languages = 2) ?(vocab_per_lang = 120)
-    ?(topics_per_lang = 3) ?(doc_len = 60) ~(rng : Icoe_util.Rng.t) () =
+    ?(topics_per_lang = 3) ~(rng : Icoe_util.Rng.t) () =
   let k = languages * topics_per_lang in
   let vocab = languages * vocab_per_lang in
   let slice = vocab_per_lang / topics_per_lang in
@@ -51,7 +52,7 @@ let generate ?(ndocs = 200) ?(languages = 2) ?(vocab_per_lang = 120)
           Array.init k (fun t -> if t = main then 0.8 else 0.2 /. float_of_int (k - 1))
         in
         let counts = Hashtbl.create 32 in
-        for _ = 1 to doc_len do
+        for _ = 1 to 60 do
           let t = Icoe_util.Rng.categorical rng theta in
           let w = Icoe_util.Rng.categorical rng topic_word.(t) in
           Hashtbl.replace counts w (1 + Option.value ~default:0 (Hashtbl.find_opt counts w))

@@ -17,6 +17,7 @@ val doc_length : doc -> int
 
 val generate :
   ?ndocs:int -> ?languages:int -> ?vocab_per_lang:int -> ?topics_per_lang:int ->
-  ?doc_len:int -> rng:Icoe_util.Rng.t -> unit -> t
+  rng:Icoe_util.Rng.t -> unit -> t
+(** [ndocs] documents of 60 tokens each. *)
 
 val tokens : t -> int

@@ -106,10 +106,15 @@ let checks j =
            (string_member "name" c))
        (entries "checks" j))
 
+(* Relative bands past which a row is judged worse (or better):
+   deterministic simulated rows are held tight, host wall-clock rows
+   loose, since runner timing noise is not a regression. *)
+let sim_threshold = 0.05
+let wall_threshold = 0.5
+
 (* Judge one measurement pair. [delta] is the relative change in the
    worse-direction sense: positive means worse. *)
-let judge ~sim_threshold ~wall_threshold ~fail_wall (b : measurement option)
-    (c : measurement option) : row =
+let judge (b : measurement option) (c : measurement option) : row =
   let m = Option.get (if Option.is_some b then b else c) in
   let value = Option.map (fun (m : measurement) -> m.value) in
   let delta, verdict =
@@ -133,7 +138,7 @@ let judge ~sim_threshold ~wall_threshold ~fail_wall (b : measurement option)
           else if worse < -.th then Improved
           else Ok
         in
-        (worse, if fail_wall && b.klass = Wall && verdict = Warn then Regression else verdict)
+        (worse, verdict)
   in
   { section = m.section; name = m.name; klass = m.klass; base = value b;
     cur = value c; delta; verdict }
@@ -165,12 +170,9 @@ let pair key base cur =
       (fun c -> if find base (key c) = None then Some (None, Some c) else None)
       (first_by key cur)
 
-let diff ?(sim_threshold = 0.05) ?(wall_threshold = 0.5) ?(fail_wall = false)
-    ~base ~cur () =
+let diff ~base ~cur =
   let rows =
-    List.map
-      (fun (b, c) -> judge ~sim_threshold ~wall_threshold ~fail_wall b c)
-      (pair key (flatten base) (flatten cur))
+    List.map (fun (b, c) -> judge b c) (pair key (flatten base) (flatten cur))
     @ List.map
         (fun (b, c) ->
           let name = fst (Option.get (if Option.is_some b then b else c)) in
@@ -227,8 +229,7 @@ let summary result =
 
 let exit_code result = if result.regressions > 0 then 3 else 0
 
-let run_files ?sim_threshold ?wall_threshold ?fail_wall ?(all = false) ~base
-    ~cur () =
+let run_files ?(all = false) ~base ~cur () =
   let read path =
     let ic = open_in_bin path in
     Fun.protect
@@ -241,6 +242,6 @@ let run_files ?sim_threshold ?wall_threshold ?fail_wall ?(all = false) ~base
     | Error msg -> failwith (Fmt.str "%s: JSON parse error %s" path msg)
   in
   let base_j = parse base and cur_j = parse cur in
-  let result = diff ?sim_threshold ?wall_threshold ?fail_wall ~base:base_j ~cur:cur_j () in
+  let result = diff ~base:base_j ~cur:cur_j in
   let rendered = Icoe_util.Table.render (table ~all result) in
   (result, rendered ^ summary result ^ "\n")

@@ -5,8 +5,8 @@
     The gate flattens both files' rows with one generic reader, judges
     each relative delta against a threshold, and renders a verdict
     table. Simulated-time rows (deterministic model seconds) regress
-    hard at a tight threshold; wall-clock rows (host ns timings) warn at
-    a loose one unless [fail_wall] promotes them. Rows present on only
+    hard past a 5% threshold; wall-clock rows (host ns timings) only
+    warn, past 50%. Rows present on only
     one side are reported as added/removed, never failed — older
     baselines legitimately predate newer rows. Checks are stricter: a
     check that is false in the current file, or that the baseline
@@ -61,28 +61,16 @@ type result = {
   improved : int;
 }
 
-val diff :
-  ?sim_threshold:float ->
-  ?wall_threshold:float ->
-  ?fail_wall:bool ->
-  base:Icoe_util.Json.t ->
-  cur:Icoe_util.Json.t ->
-  unit ->
-  result
+val diff : base:Icoe_util.Json.t -> cur:Icoe_util.Json.t -> result
 (** Compare two parsed BENCH documents: measurement rows first
     (baseline order, then current-only rows), then checks (1 = holds,
     0 = failed; a check without a string name is skipped, one whose
-    [ok] is not [true] failed). Never raises on malformed documents.
-    Defaults: [sim_threshold] 0.05, [wall_threshold] 0.5, [fail_wall]
-    false. *)
+    [ok] is not [true] failed). Never raises on malformed documents. *)
 
 val exit_code : result -> int
 (** 0 when [regressions = 0], 3 otherwise. *)
 
 val run_files :
-  ?sim_threshold:float ->
-  ?wall_threshold:float ->
-  ?fail_wall:bool ->
   ?all:bool ->
   base:string ->
   cur:string ->

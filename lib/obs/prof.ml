@@ -70,10 +70,9 @@ let validate items =
         it.deps)
     items
 
-(* The forward pass, shared with [Sched.run], with an optional [zero]
-   predicate for what-if evaluation. Returns (starts, finishes,
-   makespan). *)
-let forward ?(zero = fun (_ : item) -> false) ~overlap items =
+(* The forward pass, with a [zero] predicate for what-if evaluation.
+   Returns (starts, finishes, makespan). *)
+let forward_zeroing ~zero ~overlap items =
   let n = Array.length items in
   let starts = Array.make n 0.0 and finishes = Array.make n 0.0 in
   let makespan = ref 0.0 in
@@ -108,6 +107,10 @@ let forward ?(zero = fun (_ : item) -> false) ~overlap items =
     makespan := !now
   end;
   (starts, finishes, !makespan)
+
+(* the plain pass, shared with [Sched.run] *)
+let forward ~overlap items =
+  forward_zeroing ~zero:(fun (_ : item) -> false) ~overlap items
 
 (* The blamed path: from the earliest item that achieves the makespan,
    follow the binding constraint backwards. An item's start is the max
@@ -242,7 +245,7 @@ let analyze ~overlap items =
     List.map
       (fun phase ->
         let _, _, without =
-          forward ~overlap ~zero:(fun it -> it.phase = phase) items
+          forward_zeroing ~overlap ~zero:(fun it -> it.phase = phase) items
         in
         {
           s_key = phase;
@@ -267,7 +270,7 @@ let analyze ~overlap items =
   }
 
 let what_if_zero a items pred =
-  let _, _, without = forward ~overlap:a.overlap ~zero:pred items in
+  let _, _, without = forward_zeroing ~overlap:a.overlap ~zero:pred items in
   a.makespan -. without
 
 let blame_total a =

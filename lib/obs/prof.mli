@@ -59,12 +59,9 @@ type analysis = {
   phase_sensitivity : sensitivity list;  (** descending shrink *)
 }
 
-val forward :
-  ?zero:(item -> bool) -> overlap:bool -> item array ->
-  float array * float array * float
+val forward : overlap:bool -> item array -> float array * float array * float
 (** The one forward pass, which [Hwsim.Sched.run] schedules through:
-    [(starts, finishes, makespan)] indexed by [idx], with items
-    satisfying [zero] (default: none) run at duration 0. Unvalidated. *)
+    [(starts, finishes, makespan)] indexed by [idx]. Unvalidated. *)
 
 val analyze : overlap:bool -> item array -> analysis
 (** Recompute the schedule and derive path/blame/slack/sensitivity.

@@ -203,24 +203,3 @@ let parallel_for_chunks_i ?pool ?chunk ~lo ~hi f =
   run_chunked t ~nchunks (fun k ->
       let clo = lo + (k * csize) in
       f k clo (min hi (clo + csize)))
-
-let parallel_for ?pool ?chunk ~lo ~hi f =
-  parallel_for_chunks ?pool ?chunk ~lo ~hi (fun clo chi ->
-      for i = clo to chi - 1 do
-        f i
-      done)
-
-let map_reduce ?pool ?chunk ~lo ~hi ~combine ~init map =
-  let t = match pool with Some p -> p | None -> get () in
-  let csize, nchunks = chunk_layout ?chunk ~lo ~hi () in
-  if nchunks = 0 then init
-  else begin
-    let partials = Array.make nchunks None in
-    run_chunked t ~nchunks (fun k ->
-        let clo = lo + (k * csize) in
-        partials.(k) <- Some (map clo (min hi (clo + csize))));
-    Array.fold_left
-      (fun acc p ->
-        match p with Some v -> combine acc v | None -> acc)
-      init partials
-  end

@@ -7,7 +7,8 @@
     {ol
     {- {b Determinism.} Chunk boundaries depend only on the iteration
        range (never on the pool size or on which domain runs a chunk),
-       and {!map_reduce} combines per-chunk partials in ascending chunk
+       and callers combine per-chunk partials (written to the slot of
+       {!parallel_for_chunks_i}'s chunk index) in ascending chunk
        order. A kernel routed through the pool therefore produces
        bit-identical floating-point results for {e any} [ICOE_DOMAINS]
        setting — the property the CI determinism diff enforces.}
@@ -66,19 +67,13 @@ val default_chunk : int -> int
     [max 16 ((n + 63) / 64)] — at most 64 chunks, at least 16 iterations
     each. A function of the range length only, never of the pool. *)
 
-val parallel_for :
-  ?pool:t -> ?chunk:int -> lo:int -> hi:int -> (int -> unit) -> unit
-(** [parallel_for ~lo ~hi f] calls [f i] once for each [lo <= i < hi].
-    Within a chunk, indices run in ascending order. [f] must write only
-    state disjoint from other iterations (and must not touch the metrics
-    registry — counters are not atomic). Empty ranges are no-ops. *)
-
 val parallel_for_chunks :
   ?pool:t -> ?chunk:int -> lo:int -> hi:int -> (int -> int -> unit) -> unit
 (** [parallel_for_chunks ~lo ~hi f] calls [f clo chi] once per chunk
     with [lo <= clo < chi <= hi]; the callback owns the half-open range
-    [\[clo, chi)]. Lower per-iteration overhead than {!parallel_for} for
-    row-blocked kernels. *)
+    [\[clo, chi)]. [f] must write only state disjoint from other chunks
+    (and must not touch the metrics registry — counters are not
+    atomic). Empty ranges are no-ops. *)
 
 val num_chunks : ?chunk:int -> lo:int -> hi:int -> unit -> int
 (** The number of chunks {!parallel_for_chunks} (and friends) will split
@@ -94,14 +89,3 @@ val parallel_for_chunks_i :
     partials into a preallocated slot per chunk instead of returning
     values (which would box floats); callers reduce the slots in
     ascending [k] afterwards to keep the deterministic combine order. *)
-
-val map_reduce :
-  ?pool:t -> ?chunk:int -> lo:int -> hi:int ->
-  combine:('a -> 'a -> 'a) -> init:'a -> (int -> int -> 'a) -> 'a
-(** [map_reduce ~lo ~hi ~combine ~init map] computes
-    [combine (... (combine init p0) ...) p_(k-1)] where [p_k] is
-    [map clo chi] of the [k]-th chunk. The combine order is always
-    ascending chunk index, so floating-point reductions are
-    deterministic for any pool size. [combine] runs in the caller and
-    may mutate and return its first argument. Empty ranges return
-    [init]. *)

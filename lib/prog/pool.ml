@@ -7,19 +7,20 @@
 
 type t = {
   name : string;
-  raw_alloc_cost_s : float;  (** cudaMalloc-like cost per backing allocation *)
-  pooled_alloc_cost_s : float;
   mutable high_water_bytes : float;
   mutable in_use_bytes : float;
   mutable raw_allocs : int;
   mutable pooled_allocs : int;
 }
 
-let create ?(raw_alloc_cost_s = 100e-6) ?(pooled_alloc_cost_s = 0.3e-6) name =
+(* cudaMalloc-like cost per backing allocation, and per pooled
+   (re)allocation *)
+let raw_alloc_cost_s = 100e-6
+let pooled_alloc_cost_s = 0.3e-6
+
+let create name =
   {
     name;
-    raw_alloc_cost_s;
-    pooled_alloc_cost_s;
     high_water_bytes = 0.0;
     in_use_bytes = 0.0;
     raw_allocs = 0;
@@ -34,11 +35,11 @@ let alloc t ~bytes ~(clock : Hwsim.Clock.t) =
   if t.in_use_bytes > t.high_water_bytes then begin
     t.high_water_bytes <- t.in_use_bytes;
     t.raw_allocs <- t.raw_allocs + 1;
-    Hwsim.Clock.tick clock ~phase:"alloc" t.raw_alloc_cost_s
+    Hwsim.Clock.tick clock ~phase:"alloc" raw_alloc_cost_s
   end
   else begin
     t.pooled_allocs <- t.pooled_allocs + 1;
-    Hwsim.Clock.tick clock ~phase:"alloc" t.pooled_alloc_cost_s
+    Hwsim.Clock.tick clock ~phase:"alloc" pooled_alloc_cost_s
   end
 
 let free t ~bytes =
@@ -48,8 +49,8 @@ let free t ~bytes =
 
 (** What the same allocation pattern would have cost without a pool. *)
 let unpooled_cost t =
-  float_of_int (t.raw_allocs + t.pooled_allocs) *. t.raw_alloc_cost_s
+  float_of_int (t.raw_allocs + t.pooled_allocs) *. raw_alloc_cost_s
 
 let pooled_cost t =
-  (float_of_int t.raw_allocs *. t.raw_alloc_cost_s)
-  +. (float_of_int t.pooled_allocs *. t.pooled_alloc_cost_s)
+  (float_of_int t.raw_allocs *. raw_alloc_cost_s)
+  +. (float_of_int t.pooled_allocs *. pooled_alloc_cost_s)

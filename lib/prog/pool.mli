@@ -6,15 +6,14 @@
 
 type t = {
   name : string;
-  raw_alloc_cost_s : float;
-  pooled_alloc_cost_s : float;
   mutable high_water_bytes : float;
   mutable in_use_bytes : float;
   mutable raw_allocs : int;
   mutable pooled_allocs : int;
 }
 
-val create : ?raw_alloc_cost_s:float -> ?pooled_alloc_cost_s:float -> string -> t
+val create : string -> t
+(** A raw backing allocation costs 100 us, a pooled one 0.3 us. *)
 
 val alloc : t -> bytes:float -> clock:Hwsim.Clock.t -> unit
 (** Charge the clock with a pooled or raw allocation cost. *)

@@ -1,10 +1,11 @@
 (** Patches: a box plus named cell-centred data arrays with ghost cells,
-    allocated from an Umpire-style pool so repeated regrid/alloc cycles
-    are amortized (the Sec 4.10.5 performance ingredient). *)
+    allocated from an Umpire-style pool so repeated allocations are
+    amortized (the Sec 4.10.5 performance ingredient). *)
 
 type t = {
   box : Box.t;  (** interior cells *)
   ghosts : int;
+  gbox : Box.t;  (** [box] grown by [ghosts]: the extent of each field *)
   data : (string, float array) Hashtbl.t;
   pool : Prog.Pool.t option;
   clock : Hwsim.Clock.t option;
@@ -14,8 +15,6 @@ val create : ?ghosts:int -> ?pool:Prog.Pool.t -> ?clock:Hwsim.Clock.t -> Box.t -
 
 val alloc_field : t -> string -> unit
 (** Idempotent; charges the pool when present. *)
-
-val free_field : t -> string -> unit
 
 val get : t -> string -> i:int -> j:int -> float
 (** Raises [Invalid_argument], naming the function and the cell, on a

@@ -65,18 +65,8 @@ let gc_drag t = if t.config.jvm_optimized then 0.07 else 0.28
 
 let charge tr ~phase dt = Hwsim.Trace.charge tr ~device:"cluster" ~phase dt
 
-(* --- the cost model, as pure time functions ---
-
-   The charge_* primitives below and the nonblocking issue_*/wait pairs
-   price work through these same functions, so blocking and overlapped
-   jobs can never disagree on what a stage costs. *)
-
-(** Seconds of a parallel compute stage of [flops] total work across the
-    cluster's cores: ideal time inflated by GC drag, plus task launch. *)
-let compute_seconds t ~flops =
-  let per_core = 2.0e9 (* effective scalar JVM flops/s per core *) in
-  let ideal = flops /. (float_of_int (total_cores t) *. per_core) in
-  (ideal *. (1.0 +. gc_drag t)) +. task_overhead t
+(* --- the cost model, as pure time functions, priced by the charge_*
+   primitives below --- *)
 
 (** Effective per-node all-to-all bandwidth of the cluster's gang, GB/s.
     Flat topologies return the fabric's bandwidth itself — keeping every
@@ -202,30 +192,6 @@ let charge_aggregate t ~bytes_per_node =
 
 let charge_broadcast t ~bytes =
   charge t.trace ~phase:"broadcast" (broadcast_seconds t ~bytes)
-
-(* --- nonblocking issue/wait over the same cost model ---
-
-   An async job is an Hwsim.Sched bound to the cluster's trace: compute
-   stages go on the "cores" stream, collectives on the "fabric" stream,
-   dependencies are explicit, and [wait] advances the cluster clock by
-   the schedule's critical path (or the serial sum under
-   ICOE_OVERLAP=0). *)
-
-let async ?overlap t = Hwsim.Sched.create ?overlap ~trace:t.trace ()
-
-let issue_compute t sched ?(stream = "cores") ?deps ~flops () =
-  Hwsim.Sched.work sched ~stream ?deps ~device:"cluster" ~phase:"compute"
-    (compute_seconds t ~flops)
-
-let issue_shuffle t sched ?(stream = "fabric") ?deps ~bytes () =
-  Hwsim.Sched.work sched ~stream ?deps ~device:"cluster" ~phase:"shuffle"
-    (shuffle_seconds t ~bytes)
-
-let issue_aggregate t sched ?(stream = "fabric") ?deps ~bytes_per_node () =
-  Hwsim.Sched.work sched ~stream ?deps ~device:"cluster" ~phase:"aggregate"
-    (aggregate_seconds t ~bytes_per_node)
-
-let wait _t sched = Hwsim.Sched.run sched
 
 let elapsed t = Hwsim.Clock.total t.clock
 let breakdown t = Hwsim.Clock.breakdown t.clock

@@ -37,9 +37,7 @@ val ser_rate : t -> float
 
 (** {2 Cost model, as pure time functions}
 
-    The blocking [charge_*] primitives and the nonblocking [issue_*]
-    pairs below price work through these, so serialized and overlapped
-    jobs can never disagree on what a stage costs. *)
+    The [charge_*] primitives below price work through these. *)
 
 val alltoall_gbs : t -> float
 (** Effective per-node all-to-all bandwidth of the configured gang:
@@ -54,7 +52,7 @@ val aggregate_seconds : t -> bytes_per_node:float -> float
 
 val broadcast_seconds : t -> bytes:float -> float
 
-(** {2 Blocking charges} *)
+(** {2 Charges} *)
 
 val charge_compute : t -> flops:float -> unit
 val charge_shuffle : t -> bytes:float -> unit
@@ -64,33 +62,6 @@ val charge_aggregate : t -> bytes_per_node:float -> unit
 (** All-to-one: flat (driver ingests serially) or log-depth tree. *)
 
 val charge_broadcast : t -> bytes:float -> unit
-
-(** {2 Nonblocking issue/wait}
-
-    An async job is an {!Hwsim.Sched.t} bound to the cluster's trace:
-    compute stages default to the ["cores"] stream, collectives to the
-    ["fabric"] stream, dependencies are explicit, and {!wait} advances
-    the cluster clock by the schedule's critical path — or by the serial
-    sum under [ICOE_OVERLAP=0], bit-identically to the blocking
-    [charge_*] calls. *)
-
-val async : ?overlap:bool -> t -> Hwsim.Sched.t
-
-val issue_compute :
-  t -> Hwsim.Sched.t -> ?stream:string -> ?deps:Hwsim.Sched.item list ->
-  flops:float -> unit -> Hwsim.Sched.item
-
-val issue_shuffle :
-  t -> Hwsim.Sched.t -> ?stream:string -> ?deps:Hwsim.Sched.item list ->
-  bytes:float -> unit -> Hwsim.Sched.item
-
-val issue_aggregate :
-  t -> Hwsim.Sched.t -> ?stream:string -> ?deps:Hwsim.Sched.item list ->
-  bytes_per_node:float -> unit -> Hwsim.Sched.item
-
-val wait : t -> Hwsim.Sched.t -> float
-(** Run the schedule, charge the cluster clock/trace, return the
-    makespan in seconds. Idempotent (see {!Hwsim.Sched.run}). *)
 
 val elapsed : t -> float
 val breakdown : t -> (string * float) list

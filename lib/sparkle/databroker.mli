@@ -5,15 +5,7 @@
 
 type t
 
-val create : ?put_cost_s:float -> ?native_rate:float -> Cluster.t -> t
-
-val put : t -> ns:string -> key:string -> float array -> unit
-(** Store a tuple in a namespace; charges broker latency + native-buffer
-    transfer on the cluster clock. *)
-
-val get : t -> ns:string -> key:string -> float array option
-
-val delete_namespace : t -> string -> unit
+val create : Cluster.t -> t
 
 val shuffle_cost : t -> bytes:float -> tuples:int -> float
 (** Cost of moving a shuffle through the broker (no JVM serialization). *)

@@ -1,40 +1,21 @@
-(** Resilient-distributed-dataset analog: partitioned in-memory data with
-    Spark's operation vocabulary. Narrow ops stay partition-local; wide
-    ops (shuffle / aggregate) genuinely move data between partitions and
+(** Resilient-distributed-dataset analog: partitioned in-memory data
+    with the two Spark operations LDA's EM loop runs. [map_partitions]
+    stays partition-local; [reduce] is a driver-side aggregate. Both
     charge the cluster's cost model. *)
 
 type 'a t = { cluster : Cluster.t; partitions : 'a array array }
 
-val of_array : Cluster.t -> ?npartitions:int -> 'a array -> 'a t
-(** Default partition count: 2 per node. *)
+val of_array : Cluster.t -> 'a array -> 'a t
+(** Two partitions per node. *)
 
 val num_partitions : 'a t -> int
 val count : 'a t -> int
 val collect : 'a t -> 'a array
 
-val map : ?flops_per_elem:float -> ('a -> 'b) -> 'a t -> 'b t
-
 val map_partitions : ?flops_per_elem:float -> ('a array -> 'b array) -> 'a t -> 'b t
 (** The mapPartitions workhorse (E-steps and the like). *)
-
-val filter : ('a -> bool) -> 'a t -> 'a t
 
 val reduce :
   ?bytes_per_partial:float -> init:'b -> combine:('b -> 'a -> 'b) -> 'a t -> 'b
 (** Driver-side fold; charged as an all-to-one aggregate of the
     partials. *)
-
-val shuffle_by_key : ?bytes_per_elem:float -> (int * 'v) t -> (int * 'v) t
-(** Full repartition by key hash (all copies of a key land together). *)
-
-val group_by_key : ?bytes_per_elem:float -> (int * 'v) t -> (int * 'v list) t
-(** Gather all values of each key (prefer {!reduce_by_key} when a
-    combiner exists — the same advice Spark gives). *)
-
-val join : ?bytes_per_elem:float -> (int * 'v) t -> (int * 'w) t -> (int * ('v * 'w)) t
-(** Inner join by key: co-partition (two shuffles) + local hash join.
-    Both datasets must share the cluster. *)
-
-val reduce_by_key :
-  ?bytes_per_elem:float -> combine:('v -> 'v -> 'v) -> (int * 'v) t -> (int * 'v) t
-(** Local combine, shuffle, final combine — Spark's classic wide op. *)

@@ -1,6 +1,6 @@
 (** CVODE-style time integration: adaptive BDF with Newton for stiff
     problems, Adams predictor-corrector with functional iteration for
-    non-stiff ones, plus fixed-step explicit baselines.
+    non-stiff ones, plus an adaptive explicit RK3(2).
 
     The integrator mirrors the SUNDIALS control split the paper relies on:
     high-level control flow lives here (host side); all heavy lifting is in
@@ -148,8 +148,11 @@ let lagrange_extrapolate pts te =
     quadratic history predictor — the standard same-order embedded estimate,
     O(h^3) for the BDF2 phase. This is the stiff path used for the paper's
     nonlinear diffusion runs. *)
+let newton_maxiters = 6
+let fp_maxiters = 10
+
 let bdf ?(rtol = 1e-6) ?(atol = 1e-9) ?(h0 = 1e-4) ?(max_steps = 200_000)
-    ?(newton_maxiters = 6) ~(rhs : rhs) ~(lsolve : lsolve) ~t0 ~y0 tstop =
+    ~(rhs : rhs) ~(lsolve : lsolve) ~t0 ~y0 tstop =
   let stats = new_stats () in
   let t = ref t0 in
   let h = ref (min h0 (tstop -. t0)) in
@@ -259,7 +262,7 @@ let bdf ?(rtol = 1e-6) ?(atol = 1e-9) ?(h0 = 1e-4) ?(max_steps = 200_000)
 (* --- Adams-Bashforth-Moulton 2 with functional iteration (non-stiff) --- *)
 
 let adams ?(rtol = 1e-6) ?(atol = 1e-9) ?(h0 = 1e-4) ?(max_steps = 500_000)
-    ?(fp_maxiters = 10) ~(rhs : rhs) ~t0 ~y0 tstop =
+    ~(rhs : rhs) ~t0 ~y0 tstop =
   let stats = new_stats () in
   let t = ref t0 in
   let h = ref (min h0 (tstop -. t0)) in
@@ -320,45 +323,6 @@ let adams ?(rtol = 1e-6) ?(atol = 1e-9) ?(h0 = 1e-4) ?(max_steps = 500_000)
   done;
   record `Adams { y = !yn; t = !t; stats }
 
-(* --- fixed-step explicit baselines --- *)
-
-(** Classic RK4 with [n] fixed steps. *)
-let rk4 ~(rhs : rhs) ~t0 ~y0 ~steps tstop =
-  let n = Array.length y0 in
-  let h = (tstop -. t0) /. float_of_int steps in
-  let y = Array.copy y0 in
-  let t = ref t0 in
-  for _ = 1 to steps do
-    let k1 = rhs !t y in
-    let y2 = Array.init n (fun i -> y.(i) +. (h /. 2.0 *. k1.(i))) in
-    let k2 = rhs (!t +. (h /. 2.0)) y2 in
-    let y3 = Array.init n (fun i -> y.(i) +. (h /. 2.0 *. k2.(i))) in
-    let k3 = rhs (!t +. (h /. 2.0)) y3 in
-    let y4 = Array.init n (fun i -> y.(i) +. (h *. k3.(i))) in
-    let k4 = rhs (!t +. h) y4 in
-    for i = 0 to n - 1 do
-      y.(i) <-
-        y.(i) +. (h /. 6.0 *. (k1.(i) +. (2.0 *. k2.(i)) +. (2.0 *. k3.(i)) +. k4.(i)))
-    done;
-    t := !t +. h
-  done;
-  y
-
-(** Forward Euler with [n] fixed steps (stability baseline). *)
-let euler ~(rhs : rhs) ~t0 ~y0 ~steps tstop =
-  let n = Array.length y0 in
-  let h = (tstop -. t0) /. float_of_int steps in
-  let y = Array.copy y0 in
-  let t = ref t0 in
-  for _ = 1 to steps do
-    let f = rhs !t y in
-    for i = 0 to n - 1 do
-      y.(i) <- y.(i) +. (h *. f.(i))
-    done;
-    t := !t +. h
-  done;
-  y
-
 (** Adaptive explicit Bogacki-Shampine RK3(2) — the ERK path of a
     SUNDIALS-style suite (ARKODE's small sibling) for non-stiff problems
     with error control but no nonlinear solves. *)
@@ -415,16 +379,3 @@ let erk23 ?(rtol = 1e-6) ?(atol = 1e-9) ?(h0 = 1e-4) ?(max_steps = 500_000)
     end
   done;
   record `Erk23 { y = !y; t = !t; stats }
-
-(* --- checkpoint/resume support (Icoe_fault.Checkpoint) --- *)
-
-type checkpoint = { ck_t : float; ck_y : float array }
-
-let checkpoint ~t ~y = { ck_t = t; ck_y = Array.copy y }
-
-let checkpoint_of_result (r : result) = checkpoint ~t:r.t ~y:r.y
-
-let resume_bdf ?rtol ?atol ?h0 ?max_steps ?newton_maxiters ~rhs ~lsolve ck
-    tstop =
-  bdf ?rtol ?atol ?h0 ?max_steps ?newton_maxiters ~rhs ~lsolve ~t0:ck.ck_t
-    ~y0:(Array.copy ck.ck_y) tstop

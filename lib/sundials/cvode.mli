@@ -1,6 +1,6 @@
 (** CVODE-style time integration: adaptive BDF with modified Newton for
     stiff problems, an Adams predictor-corrector with fixed-point
-    iteration for non-stiff ones, and fixed-step explicit baselines.
+    iteration for non-stiff ones, and an adaptive explicit RK3(2).
 
     High-level control lives here (host side); all heavy lifting is in
     the [rhs] and [lsolve] callbacks, which decide device residency and
@@ -38,7 +38,6 @@ val bdf :
   ?atol:float ->
   ?h0:float ->
   ?max_steps:int ->
-  ?newton_maxiters:int ->
   rhs:rhs ->
   lsolve:lsolve ->
   t0:float ->
@@ -54,7 +53,6 @@ val adams :
   ?atol:float ->
   ?h0:float ->
   ?max_steps:int ->
-  ?fp_maxiters:int ->
   rhs:rhs ->
   t0:float ->
   y0:float array ->
@@ -62,12 +60,6 @@ val adams :
   result
 (** Adams-Bashforth/Moulton predictor-corrector with functional
     iteration, for non-stiff problems. *)
-
-val rk4 : rhs:rhs -> t0:float -> y0:float array -> steps:int -> float -> float array
-(** Classic fixed-step RK4 baseline. *)
-
-val euler : rhs:rhs -> t0:float -> y0:float array -> steps:int -> float -> float array
-(** Forward Euler baseline (stability comparisons). *)
 
 val erk23 :
   ?rtol:float ->
@@ -81,33 +73,3 @@ val erk23 :
   result
 (** Adaptive explicit Bogacki-Shampine RK3(2) with an embedded error
     estimate (FSAL) — the ERK path for non-stiff problems. *)
-
-(** {1 Checkpoint/resume}
-
-    Thin state-capture helpers for the fault layer
-    ({!Icoe_fault.Checkpoint}): a checkpoint is the integrator's
-    mathematical state (t, y). Resuming restarts the method from that
-    state — the step-size/order history is rebuilt, exactly as a real
-    CVODE restart from a saved vector would, so the resumed solution
-    agrees with an uninterrupted run to integration tolerance (not bit
-    for bit). *)
-
-type checkpoint = { ck_t : float; ck_y : float array }
-
-val checkpoint : t:float -> y:float array -> checkpoint
-(** Copies [y]. *)
-
-val checkpoint_of_result : result -> checkpoint
-
-val resume_bdf :
-  ?rtol:float ->
-  ?atol:float ->
-  ?h0:float ->
-  ?max_steps:int ->
-  ?newton_maxiters:int ->
-  rhs:rhs ->
-  lsolve:lsolve ->
-  checkpoint ->
-  float ->
-  result
-(** [resume_bdf ~rhs ~lsolve ck tstop] = {!bdf} from [(ck.ck_t, ck.ck_y)]. *)

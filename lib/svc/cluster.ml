@@ -47,7 +47,11 @@ type metrics = {
   samples : (float * int * int) list;
 }
 
-let simulate ?check ?topology ?(comm_fraction = 0.2) ~nodes
+(* share of a job's service time that is communication, the part a
+   fragmented placement stretches *)
+let comm_fraction = 0.2
+
+let simulate ?check ?topology ~nodes
     ~(classes : Workload.job_class array) policy jobs =
   let price =
     let memo = Hashtbl.create 64 in

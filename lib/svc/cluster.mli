@@ -55,9 +55,8 @@ type metrics = {
 }
 
 val simulate :
-  ?check:bool -> ?topology:Hwsim.Topology.t -> ?comm_fraction:float ->
-  nodes:int -> classes:Workload.job_class array -> policy ->
-  Workload.job list -> metrics
+  ?check:bool -> ?topology:Hwsim.Topology.t -> nodes:int ->
+  classes:Workload.job_class array -> policy -> Workload.job list -> metrics
 (** Event-driven simulation of the stream on an [nodes]-node machine.
     With [check] (default false) every EASY-backfill decision re-derives
     the head's shadow with the candidate running and raises
@@ -68,7 +67,7 @@ val simulate :
     ids a gang receives are mapped to the switch level they span
     ({!Hwsim.Topology.crossing_of_ids}); a fragmented gang whose span
     exceeds the contiguous-best level has the communication share
-    ([comm_fraction], default 0.2) of its service time stretched by the
+    (0.2) of its service time stretched by the
     {!Hwsim.Topology.placement_penalty} path-cost ratio. Omitting
     [topology] leaves every service time exactly as priced.
 

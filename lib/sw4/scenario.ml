@@ -162,6 +162,11 @@ type step_model = {
   dag : Icoe_obs.Prof.item array;
 }
 
+(* the production 3D curvilinear elastic kernel with supergrid layers,
+   attenuation and imaging does ~280x the work per point of the 2D model
+   kernel (calibrated once so the Sierra run lands at the paper's ~10 h) *)
+let work_multiplier = 280.0
+
 (** Per-timestep cost model of the production run on [nodes] nodes: the
     RHS update of all per-node points ([point_s]) plus a
     surface-to-volume halo exchange ([halo_s]). With overlap enabled the
@@ -172,7 +177,7 @@ type step_model = {
     — strictly below [serial_s] whenever both compute and halo cost
     anything. [step_s] is the charged per-step time: [overlapped_s]
     under overlap, the exact pre-scheduler [serial_s] otherwise. *)
-let production_step_model ?(work_multiplier = 280.0) ?overlap ?trace
+let production_step_model ?overlap ?trace
     ?(placement = Hwsim.Topology.Contiguous) ?(gpu_frac = 1.0)
     ?(comm = Hwsim.Split.Dedicated) (machine : Hwsim.Node.machine) ~nodes
     ~grid_points =
@@ -188,9 +193,6 @@ let production_step_model ?(work_multiplier = 280.0) ?overlap ?trace
   let points_per_node = grid_points /. float_of_int nodes in
   let rate_points = int_of_float (min points_per_node 16_000_000.0) in
   let rate = node_throughput machine.Hwsim.Node.node ~points:rate_points in
-  (* the production 3D curvilinear elastic kernel with supergrid layers,
-     attenuation and imaging does ~280x the work per point of the 2D model
-     kernel (calibrated once so the Sierra run lands at the paper's ~10 h) *)
   let point_t = work_multiplier *. points_per_node /. rate in
   (* full-step cost if the host sockets ran every point; the split's CPU
      side charges (1 - split) of this *)
@@ -247,22 +249,21 @@ let production_step_model ?(work_multiplier = 280.0) ?overlap ?trace
     Cori-II". Wall-clock hours of the campaign on [nodes] nodes of a
     machine, including a surface-to-volume halo exchange per step
     (overlapped with interior compute unless [ICOE_OVERLAP=0]). *)
-let production_run_hours ?work_multiplier ?overlap ?placement
-    (machine : Hwsim.Node.machine) ~nodes ~grid_points ~steps =
+let production_run_hours ?overlap ?placement (machine : Hwsim.Node.machine)
+    ~nodes ~grid_points ~steps =
   let m =
-    production_step_model ?work_multiplier ?overlap ?placement machine ~nodes
-      ~grid_points
+    production_step_model ?overlap ?placement machine ~nodes ~grid_points
   in
   float_of_int steps *. m.step_s /. 3600.0
 
 (** Nodes of [machine] needed to finish the same campaign in [hours]. *)
-let nodes_for_deadline ?work_multiplier ?overlap ?placement
+let nodes_for_deadline ?overlap ?placement
     (machine : Hwsim.Node.machine) ~grid_points ~steps ~hours =
   let rec search lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if production_run_hours ?work_multiplier ?overlap ?placement machine ~nodes:mid ~grid_points ~steps <= hours
+      if production_run_hours ?overlap ?placement machine ~nodes:mid ~grid_points ~steps <= hours
       then
         search lo mid
       else search (mid + 1) hi

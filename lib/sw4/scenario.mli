@@ -54,7 +54,7 @@ type step_model = {
 }
 
 val production_step_model :
-  ?work_multiplier:float -> ?overlap:bool -> ?trace:Hwsim.Trace.t ->
+  ?overlap:bool -> ?trace:Hwsim.Trace.t ->
   ?placement:Hwsim.Topology.placement -> ?gpu_frac:float ->
   ?comm:Hwsim.Split.comm ->
   Hwsim.Node.machine -> nodes:int -> grid_points:float -> step_model
@@ -75,17 +75,15 @@ val production_step_model :
     split. *)
 
 val production_run_hours :
-  ?work_multiplier:float -> ?overlap:bool ->
-  ?placement:Hwsim.Topology.placement -> Hwsim.Node.machine ->
+  ?overlap:bool -> ?placement:Hwsim.Topology.placement -> Hwsim.Node.machine ->
   nodes:int -> grid_points:float -> steps:int -> float
 (** Wall-clock hours of the 26B-point campaign on a machine partition,
     including halo exchange (overlapped with interior compute unless
-    disabled). The default multiplier calibrates the 2D model kernel to
+    disabled). A fixed 280x multiplier calibrates the 2D model kernel to
     the 3D production kernel's per-point work so the 256-node Sierra run
     lands at the paper's ~10 h. *)
 
 val nodes_for_deadline :
-  ?work_multiplier:float -> ?overlap:bool ->
-  ?placement:Hwsim.Topology.placement -> Hwsim.Node.machine ->
+  ?overlap:bool -> ?placement:Hwsim.Topology.placement -> Hwsim.Node.machine ->
   grid_points:float -> steps:int -> hours:float -> int
 (** Nodes needed to finish the campaign within a deadline. *)

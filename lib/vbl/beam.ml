@@ -8,10 +8,10 @@ type t = {
   field : float array;  (** 2 n^2 interleaved complex values *)
 }
 
-let create ?(wavelength = 1.053e-6) ~n ~width () =
+let create ~n ~width () =
   if not (Fftlib.Fft.is_pow2 n) then
     invalid_arg (Printf.sprintf "Beam.create: n = %d is not a power of 2" n);
-  { n; width; wavelength; field = Array.make (2 * n * n) 0.0 }
+  { n; width; wavelength = 1.053e-6; field = Array.make (2 * n * n) 0.0 }
 
 let dx t = t.width /. float_of_int t.n
 
@@ -31,10 +31,10 @@ let set_field t f =
     done
   done
 
-(** Flat-top beam with soft (super-Gaussian) edges filling [fill] of the
+(** Flat-top beam with soft (super-Gaussian) edges filling 0.7 of the
     aperture. *)
-let flat_top ?(fill = 0.7) t =
-  let half = fill *. t.width /. 2.0 in
+let flat_top t =
+  let half = 0.7 *. t.width /. 2.0 in
   set_field t (fun ~x ~y ->
       let r = max (Float.abs x) (Float.abs y) /. half in
       (exp (-.(r ** 12.0)), 0.0))

@@ -4,20 +4,19 @@
 type t = {
   n : int;  (** grid points per side (a power of two, for the FFT) *)
   width : float;  (** physical aperture width, metres *)
-  wavelength : float;
+  wavelength : float;  (** 1053 nm, the NIF 1-omega line *)
   field : float array;  (** 2 n^2 interleaved complex values *)
 }
 
-val create : ?wavelength:float -> n:int -> width:float -> unit -> t
-(** Default wavelength 1053 nm (the NIF 1-omega line). *)
+val create : n:int -> width:float -> unit -> t
 
 val coords : t -> int -> int -> float * float
 (** Physical (x, y) of a grid point, centred on the aperture. *)
 
 val set_field : t -> (x:float -> y:float -> float * float) -> unit
 
-val flat_top : ?fill:float -> t -> unit
-(** Super-Gaussian flat-top filling [fill] of the aperture (default 0.7). *)
+val flat_top : t -> unit
+(** Super-Gaussian flat-top filling 0.7 of the aperture. *)
 
 val gaussian : w0:float -> t -> unit
 

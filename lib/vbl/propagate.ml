@@ -35,10 +35,10 @@ let defect_screen ~defect_size ~depth (b : Beam.t) =
         0.0 centers)
 
 (** Fresnel propagation over distance [dz] via the spectral method. *)
-let fresnel_step ?(tiled = true) (b : Beam.t) ~dz =
+let fresnel_step (b : Beam.t) ~dz =
   let n = b.Beam.n in
   let k0 = 2.0 *. Float.pi /. b.Beam.wavelength in
-  Fftlib.Fft.transform_2d ~tiled ~n b.Beam.field;
+  Fftlib.Fft.transform_2d ~n b.Beam.field;
   let dkx = 2.0 *. Float.pi /. b.Beam.width in
   for j = 0 to n - 1 do
     for i = 0 to n - 1 do
@@ -54,7 +54,7 @@ let fresnel_step ?(tiled = true) (b : Beam.t) ~dz =
       b.Beam.field.(k + 1) <- (re *. s) +. (im *. c)
     done
   done;
-  Fftlib.Fft.transform_2d ~inverse:true ~tiled ~n b.Beam.field
+  Fftlib.Fft.transform_2d ~inverse:true ~n b.Beam.field
 
 (** Saturated-gain amplifier slab: field gain g0/(1 + F/Fsat) per metre
     over [dz]. *)
@@ -69,10 +69,10 @@ let amplifier_step (b : Beam.t) ~g0 ~fsat ~dz =
   done
 
 (** Propagate [distance] metres in [steps] split steps, with optional gain. *)
-let run ?(tiled = true) ?gain (b : Beam.t) ~distance ~steps =
+let run ?gain (b : Beam.t) ~distance ~steps =
   let dz = distance /. float_of_int steps in
   for _ = 1 to steps do
-    fresnel_step ~tiled b ~dz;
+    fresnel_step b ~dz;
     match gain with
     | Some (g0, fsat) -> amplifier_step b ~g0 ~fsat ~dz
     | None -> ()

@@ -11,8 +11,7 @@ val defect_screen : defect_size:float -> depth:float -> Beam.t -> unit
 val amplifier_step : Beam.t -> g0:float -> fsat:float -> dz:float -> unit
 (** Saturated-gain slab: field gain g0 / (1 + F/Fsat) per metre. *)
 
-val run : ?tiled:bool -> ?gain:float * float -> Beam.t -> distance:float ->
-  steps:int -> unit
+val run : ?gain:float * float -> Beam.t -> distance:float -> steps:int -> unit
 (** Propagate [distance] metres in [steps] split steps; [gain] is
     (g0, fsat) for an amplifying medium. *)
 

@@ -69,12 +69,6 @@ let test_rational_fit_accuracy () =
   done;
   Alcotest.(check bool) (Fmt.str "worst rel err %.2e < 2%%" !worst) true (!worst < 0.02)
 
-let test_replace_exp_removes_exp () =
-  let e = Melodee.(Add (Exp (Var 0), Exp (Neg (Var 0)))) in
-  let r = Melodee.replace_exp ~lo:(-3.0) ~hi:3.0 e in
-  let _, expensive = Melodee.op_count r in
-  Alcotest.(check int) "no exp calls left" 0 expensive
-
 let test_variant_costs_descend () =
   (* rational replacement cuts flops; constant folding cuts loads *)
   let f_libm = Ionic.variant_flops Ionic.Libm in
@@ -225,7 +219,6 @@ let () =
           Alcotest.test_case "constant fold" `Quick test_constant_fold;
           Alcotest.test_case "fold semantics" `Quick test_fold_preserves_semantics;
           Alcotest.test_case "rational fit" `Quick test_rational_fit_accuracy;
-          Alcotest.test_case "replace exp" `Quick test_replace_exp_removes_exp;
           Alcotest.test_case "variant costs" `Quick test_variant_costs_descend;
           QCheck_alcotest.to_alcotest prop_rational_fit_various_ranges;
         ] );

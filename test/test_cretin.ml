@@ -86,20 +86,6 @@ let test_photo_rates_pump_excited () =
   Alcotest.(check bool) "radiation pumps excited states" true
     (p1.(1) > p0.(1))
 
-let test_advance_conserves_and_relaxes () =
-  let m = Atomic.ladder 5 in
-  let c = cond ~te:10.0 () in
-  (* start everything in the ground state *)
-  let n0 = Array.init 5 (fun k -> if k = 0 then 1.0 else 0.0) in
-  let n1 = ref n0 in
-  for _ = 1 to 200 do
-    n1 := Ratematrix.advance m c ~dt:1e-9 !n1
-  done;
-  Alcotest.(check (float 1e-9)) "conserved" 1.0 (Icoe_util.Stats.sum !n1);
-  let steady = Ratematrix.solve_direct m c in
-  Alcotest.(check bool) "relaxes toward steady state" true
-    (Icoe_util.Stats.max_abs_diff !n1 steady < 1e-3)
-
 (* --- minikin --- *)
 
 let test_minikin_gradient () =
@@ -208,7 +194,6 @@ let () =
           Alcotest.test_case "non-LTE depletion" `Quick test_radiative_decay_depletes_excited;
           Alcotest.test_case "nonnegative" `Quick test_populations_nonnegative;
           Alcotest.test_case "photo pumping" `Quick test_photo_rates_pump_excited;
-          Alcotest.test_case "time advance" `Quick test_advance_conserves_and_relaxes;
           QCheck_alcotest.to_alcotest prop_steady_state_is_nullspace;
         ] );
       ( "opacity",

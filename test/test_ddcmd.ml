@@ -56,11 +56,6 @@ let test_lj_cutoff_continuity () =
   Alcotest.(check bool) "energy continuous at cutoff" true
     (Float.abs (e_in -. e_out) < 1e-3)
 
-let test_exp6_repulsive_core () =
-  let pot = Potential.exp6 () in
-  let _, f = Potential.eval pot ~si:0 ~sj:0 ~r2:(0.3 *. 0.3) in
-  Alcotest.(check bool) "repulsive at short range" true (f > 0.0)
-
 let test_martini_species_matrix () =
   let eps = [| [| 1.0; 0.5 |]; [| 0.5; 2.0 |] |] in
   let sg = [| [| 0.47; 0.47 |]; [| 0.47; 0.47 |] |] in
@@ -155,23 +150,6 @@ let test_bond_force_direction () =
   Alcotest.(check (float 1e-12)) "newton's third law" 0.0
     ((Fbuf.get p.Particles.fx 0) +. (Fbuf.get p.Particles.fx 1))
 
-let test_angle_force_restores () =
-  let p = Particles.create ~n:3 ~box:10.0 in
-  (* bent configuration: 90 degrees, equilibrium 180 *)
-  Fbuf.set p.Particles.x 0 (4.0); Fbuf.set p.Particles.y 0 (5.0); Fbuf.set p.Particles.z 0 (5.0);
-  Fbuf.set p.Particles.x 1 (5.0); Fbuf.set p.Particles.y 1 (5.0); Fbuf.set p.Particles.z 1 (5.0);
-  Fbuf.set p.Particles.x 2 (5.0); Fbuf.set p.Particles.y 2 (6.0); Fbuf.set p.Particles.z 2 (5.0);
-  let e =
-    Bonded.angle_forces p
-      [ { Bonded.ai = 0; aj = 1; ak = 2; ka = 5.0; theta0 = Float.pi } ]
-  in
-  Alcotest.(check bool) "positive energy away from equilibrium" true (e > 0.0);
-  (* net force zero *)
-  let fx = (Fbuf.get p.Particles.fx 0) +. (Fbuf.get p.Particles.fx 1) +. (Fbuf.get p.Particles.fx 2) in
-  let fy = (Fbuf.get p.Particles.fy 0) +. (Fbuf.get p.Particles.fy 1) +. (Fbuf.get p.Particles.fy 2) in
-  Alcotest.(check (float 1e-10)) "momentum conserved x" 0.0 fx;
-  Alcotest.(check (float 1e-10)) "momentum conserved y" 0.0 fy
-
 (* --- engine --- *)
 
 let lj_system ?(n = 125) ?(box = 6.5) ?(temp = 0.7) () =
@@ -208,17 +186,6 @@ let test_langevin_thermostat () =
   let tbar = Icoe_util.Stats.mean samples in
   Alcotest.(check bool) (Fmt.str "T=%.2f near 1.2" tbar) true
     (Float.abs (tbar -. 1.2) < 0.15)
-
-let test_berendsen_compresses () =
-  (* a dilute gas below target pressure: barostat shrinks the box *)
-  let p = Particles.create ~n:64 ~box:12.0 in
-  Particles.lattice_init p;
-  Particles.thermalize p ~rng:(rng ()) ~temp:1.0;
-  let e = Engine.create ~dt:0.004 ~potential:(Potential.lennard_jones ()) p in
-  let box0 = p.Particles.box in
-  Engine.run ~berendsen:(0.02, 5.0) e ~steps:400;
-  Alcotest.(check bool) "box shrinks toward higher pressure" true
-    (p.Particles.box < box0)
 
 let test_shake_maintains_distance () =
   let p = Particles.create ~n:2 ~box:10.0 in
@@ -260,86 +227,6 @@ let test_martini_membrane_patch_stable () =
   Alcotest.(check bool) "finite positions" true
     (Array.for_all Float.is_finite (Fbuf.to_array p.Particles.x));
   Alcotest.(check bool) "pairs evaluated" true (e.Engine.pair_count > 0)
-
-let test_rdf_structure () =
-  (* an equilibrated LJ fluid: g(r) ~ 0 inside the core, peaks near the
-     potential minimum, tends to 1 at long range *)
-  let e = lj_system ~n:216 ~box:7.0 ~temp:0.9 () in
-  let r = rng () in
-  Engine.run ~langevin:(5.0, 0.9, r) e ~steps:800;
-  let g = Engine.rdf ~bins:35 ~rmax:3.0 e in
-  (* core exclusion: r < 0.8 sigma *)
-  Alcotest.(check bool) "core empty" true (g.(5) < 0.05);
-  (* first shell near r = 2^(1/6): bins around index 12-13 of 35 over 3.0 *)
-  let peak = max g.(12) (max g.(13) g.(14)) in
-  Alcotest.(check bool) (Fmt.str "first shell peak %.2f > 1.3" peak) true (peak > 1.3);
-  (* long range approaches unity *)
-  let tail = Icoe_util.Stats.mean (Array.sub g 28 7) in
-  Alcotest.(check bool) (Fmt.str "tail %.2f near 1" tail) true
-    (tail > 0.7 && tail < 1.3)
-
-let test_vacf_decays () =
-  (* VACF starts at 1 and decays in a dense fluid; the Green-Kubo
-     diffusion estimate is positive and finite *)
-  let e = lj_system ~n:125 ~box:6.0 ~temp:1.0 () in
-  Engine.run e ~steps:200;
-  let v = Engine.vacf ~samples:30 ~stride:5 e in
-  Alcotest.(check (float 1e-12)) "normalized at 0" 1.0 v.(0);
-  Alcotest.(check bool) "decays from unity" true (v.(29) < 0.8);
-  Alcotest.(check bool) "finite" true (Array.for_all Float.is_finite v);
-  let c0 = 3.0 *. 1.0 (* 3 T / m *) in
-  let d = Engine.diffusion_coefficient ~vacf:v ~c0 ~dt_sample:(5.0 *. 0.004) in
-  Alcotest.(check bool) (Fmt.str "D=%.4f finite" d) true (Float.is_finite d)
-
-(* --- verlet lists --- *)
-
-let test_verlet_matches_cells () =
-  (* force-relevant pairs from the Verlet list = pairs from the cell grid *)
-  let e = lj_system ~n:125 ~box:6.5 () in
-  Engine.run e ~steps:20;
-  let p = e.Engine.p in
-  let cutoff = 2.5 in
-  let v = Verlet.build ~skin:0.4 p ~cutoff in
-  let collect iter =
-    let acc = ref [] in
-    iter (fun i j -> acc := (min i j, max i j) :: !acc);
-    List.sort_uniq compare !acc
-  in
-  let from_verlet = collect (fun f -> Verlet.iter_pairs v p f) in
-  let cl = Cells.build p ~cutoff in
-  let from_cells = collect (fun f -> Cells.iter_pairs cl p ~cutoff f) in
-  Alcotest.(check int) "same count" (List.length from_cells) (List.length from_verlet);
-  Alcotest.(check bool) "same set" true (from_cells = from_verlet)
-
-let test_verlet_rebuild_criterion () =
-  let e = lj_system ~n:64 ~box:6.0 ~temp:0.5 () in
-  Engine.run e ~steps:5;
-  let p = e.Engine.p in
-  let v = Verlet.build ~skin:0.5 p ~cutoff:2.5 in
-  Alcotest.(check bool) "fresh list valid" false (Verlet.needs_rebuild v p);
-  (* move one particle just under half the skin: still valid *)
-  Fbuf.set p.Particles.x 0 (Particles.wrap p ((Fbuf.get p.Particles.x 0) +. 0.24));
-  Alcotest.(check bool) "within skin" false (Verlet.needs_rebuild v p);
-  (* beyond half the skin: must rebuild *)
-  Fbuf.set p.Particles.x 0 (Particles.wrap p ((Fbuf.get p.Particles.x 0) +. 0.05));
-  Alcotest.(check bool) "stale" true (Verlet.needs_rebuild v p);
-  let v2 = Verlet.refresh v p in
-  Alcotest.(check int) "rebuild counted" 2 v2.Verlet.rebuilds;
-  Alcotest.(check bool) "fresh again" false (Verlet.needs_rebuild v2 p)
-
-let test_verlet_amortizes_over_steps () =
-  (* over an MD trajectory, far fewer rebuilds than steps *)
-  let e = lj_system ~n:125 ~box:6.5 ~temp:0.5 () in
-  Engine.run e ~steps:10;
-  let v = ref (Verlet.build ~skin:0.5 e.Engine.p ~cutoff:2.5) in
-  for _ = 1 to 100 do
-    Engine.run e ~steps:1;
-    v := Verlet.refresh !v e.Engine.p
-  done;
-  Alcotest.(check bool)
-    (Fmt.str "%d rebuilds over 100 steps" !v.Verlet.rebuilds)
-    true
-    (!v.Verlet.rebuilds < 40 && !v.Verlet.rebuilds >= 1)
 
 (* --- performance model --- *)
 
@@ -492,7 +379,6 @@ let () =
         [
           Alcotest.test_case "lj minimum" `Quick test_lj_minimum;
           Alcotest.test_case "lj cutoff" `Quick test_lj_cutoff_continuity;
-          Alcotest.test_case "exp6 core" `Quick test_exp6_repulsive_core;
           Alcotest.test_case "martini matrix" `Quick test_martini_species_matrix;
           QCheck_alcotest.to_alcotest prop_lj_forces_finite;
         ] );
@@ -505,25 +391,15 @@ let () =
       ( "bonded",
         [
           Alcotest.test_case "bond direction" `Quick test_bond_force_direction;
-          Alcotest.test_case "angle restoring" `Quick test_angle_force_restores;
         ] );
       ( "engine",
         [
           Alcotest.test_case "nve energy" `Slow test_nve_energy_conservation;
           Alcotest.test_case "nve momentum" `Quick test_nve_momentum_conservation;
           Alcotest.test_case "langevin" `Slow test_langevin_thermostat;
-          Alcotest.test_case "berendsen" `Quick test_berendsen_compresses;
           Alcotest.test_case "shake" `Quick test_shake_maintains_distance;
           Alcotest.test_case "martini patch" `Quick test_martini_membrane_patch_stable;
           QCheck_alcotest.to_alcotest prop_forces_par_bits_exact;
-        ] );
-      ("rdf", [ Alcotest.test_case "fluid structure" `Slow test_rdf_structure ]);
-      ("vacf", [ Alcotest.test_case "decay + green-kubo" `Slow test_vacf_decays ]);
-      ( "verlet",
-        [
-          Alcotest.test_case "matches cells" `Quick test_verlet_matches_cells;
-          Alcotest.test_case "rebuild criterion" `Quick test_verlet_rebuild_criterion;
-          Alcotest.test_case "amortizes" `Slow test_verlet_amortizes_over_steps;
         ] );
       ( "perf",
         [

@@ -228,17 +228,6 @@ let test_asgd_staleness_hurts () =
     true
     (stale.Distributed.final_loss >= fresh.Distributed.final_loss -. 0.02)
 
-let test_easgd_converges () =
-  let run =
-    Distributed.easgd ~rng:(rng ()) ~learners:8 ~rounds:80 ~k:8 ~batch:16
-      ~lr:0.08 [| 12; 16; 4 |]
-      (Distributed.make_task ~rng:(rng ()) ~spread:1.0 ())
-  in
-  Alcotest.(check bool)
-    (Fmt.str "easgd acc %.3f > 0.85" run.Distributed.final_accuracy)
-    true
-    (run.Distributed.final_accuracy > 0.85)
-
 (* --- table 3 --- *)
 
 let test_table3_easy_shape () =
@@ -547,34 +536,6 @@ let prop_mlp_backward_is_batch_of_one =
       done;
       !ok)
 
-let prop_mlp_forward_rows_split =
-  (* each layer's output rows computed in three arbitrary ranges through
-     forward_rows compose to the oracle's forward pass *)
-  QCheck.Test.make ~name:"mlp forward_rows on split ranges = full forward"
-    ~count:100
-    QCheck.(pair (int_range 1 100_000) (int_range 2 5))
-    (fun (seed, depth) ->
-      let r = Icoe_util.Rng.create seed in
-      let sizes = random_sizes r ~depth ~max_width:20 in
-      let m = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
-      let o = Ref_mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
-      let x = random_input r sizes in
-      let acts = Ref_mlp.forward_full o x in
-      let ok = ref true in
-      let src = ref (Icoe_util.Fbuf.of_array x) in
-      for l = 0 to depth - 2 do
-        let nout = sizes.(l + 1) in
-        let dst = Icoe_util.Fbuf.create nout in
-        let c1 = Icoe_util.Rng.int r (nout + 1) in
-        let c2 = c1 + Icoe_util.Rng.int r (nout - c1 + 1) in
-        List.iter
-          (fun (lo, hi) -> Mlp.forward_rows m ~layer:l ~src:!src ~dst ~lo ~hi)
-          [ (c1, c2); (0, c1); (c2, nout) ];
-        ok := !ok && same (Icoe_util.Fbuf.to_array dst) acts.(l + 1);
-        src := dst
-      done;
-      !ok)
-
 let prop_mlp_probs_normalized =
   QCheck.Test.make ~name:"softmax outputs normalized" ~count:50
     QCheck.(int_range 1 100_000)
@@ -599,7 +560,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_mlp_matches_reference;
           QCheck_alcotest.to_alcotest prop_mlp_workspace_reuse;
           QCheck_alcotest.to_alcotest prop_mlp_backward_is_batch_of_one;
-          QCheck_alcotest.to_alcotest prop_mlp_forward_rows_split;
         ] );
       ( "distributed",
         [
@@ -615,7 +575,6 @@ let () =
         ] );
       ( "modelparallel",
         [
-          Alcotest.test_case "easgd" `Slow test_easgd_converges;
         ] );
       ( "videonet",
         [

@@ -459,12 +459,6 @@ let test_sw4_step_model_nodes () =
         (fun () -> Sw4.Scenario.production_step_model m ~nodes ~grid_points:1e9))
     [ 0; over ]
 
-let test_ratematrix_advance_length () =
-  let m = Cretin.Atomic.ladder 5 in
-  let c = { Cretin.Ratematrix.te = 10.0; ne = 1.0e21; radiation = 0.0 } in
-  expect_invalid_naming "advance" [ "Ratematrix.advance"; "3"; "5" ] (fun () ->
-      Cretin.Ratematrix.advance m c ~dt:1e-9 [| 1.0; 0.0; 0.0 |])
-
 let test_counters_sample_monotone () =
   let c = Hwsim.Counters.create Hwsim.Device.power9 in
   Hwsim.Counters.sample c ~time:1.0 ~bytes:10.0;
@@ -472,20 +466,6 @@ let test_counters_sample_monotone () =
       Hwsim.Counters.sample c ~time:0.5 ~bytes:20.0);
   expect_invalid_naming "bytes back" [ "Counters.sample"; "bytes 5" ] (fun () ->
       Hwsim.Counters.sample c ~time:2.0 ~bytes:5.0)
-
-let test_coarsen_field_order () =
-  let d = Samrai.Box.make ~ilo:0 ~jlo:0 ~ihi:7 ~jhi:7 in
-  let h = Samrai.Hierarchy.create ~patches_per_level:1 ~fields:[ "u" ] d in
-  Samrai.Hierarchy.add_refined_level ~patches:1 h ~region:d ~ratio:2;
-  expect_invalid_naming "coarsen" [ "Hierarchy.coarsen_field"; "fine_idx = 0"; "coarse_idx = 1" ]
-    (fun () -> Samrai.Hierarchy.coarsen_field h ~fine_idx:0 ~coarse_idx:1 "u")
-
-let test_rdd_join_clusters () =
-  let mk () = Sparkle.Cluster.create (Sparkle.Cluster.default_config ~nodes:2 ()) in
-  let a = Sparkle.Rdd.of_array (mk ()) [| (1, "a") |] in
-  let b = Sparkle.Rdd.of_array (mk ()) [| (1, 1) |] in
-  expect_invalid_naming "join" [ "Rdd.join"; "different clusters" ] (fun () ->
-      Sparkle.Rdd.join a b)
 
 (* --- mfem --- *)
 
@@ -547,15 +527,6 @@ let test_mlp_bad_input () =
   expect_invalid "label = classes" (fun () -> Dlearn.Mlp.backward m x ~label:2);
   expect_invalid "set_params, short" (fun () ->
       Dlearn.Mlp.set_params m (Array.make 3 0.0));
-  expect_invalid "forward_rows, rows past the layer" (fun () ->
-      Dlearn.Mlp.forward_rows m ~layer:0 ~src:(Icoe_util.Fbuf.create 3)
-        ~dst:(Icoe_util.Fbuf.create 5) ~lo:0 ~hi:6);
-  expect_invalid "forward_rows, short src" (fun () ->
-      Dlearn.Mlp.forward_rows m ~layer:1 ~src:(Icoe_util.Fbuf.create 3)
-        ~dst:(Icoe_util.Fbuf.create 2) ~lo:0 ~hi:2);
-  expect_invalid "forward_rows, long dst" (fun () ->
-      Dlearn.Mlp.forward_rows m ~layer:1 ~src:(Icoe_util.Fbuf.create 5)
-        ~dst:(Icoe_util.Fbuf.create 3) ~lo:0 ~hi:2);
   (* a rejected call leaves the model usable and unchanged *)
   let before = Dlearn.Mlp.get_params m in
   expect_invalid "train_batch, one bad label" (fun () ->
@@ -743,10 +714,7 @@ let () =
           Alcotest.test_case "pool bytes" `Quick test_pool_guards;
           Alcotest.test_case "lbann scaling" `Quick test_lbann_guards;
           Alcotest.test_case "sw4 step model nodes" `Quick test_sw4_step_model_nodes;
-          Alcotest.test_case "ratematrix advance" `Quick test_ratematrix_advance_length;
           Alcotest.test_case "counters sample" `Quick test_counters_sample_monotone;
-          Alcotest.test_case "coarsen field order" `Quick test_coarsen_field_order;
-          Alcotest.test_case "rdd join clusters" `Quick test_rdd_join_clusters;
           Alcotest.test_case "patch get" `Quick test_patch_get_guard;
           Alcotest.test_case "patch set" `Quick test_patch_set_guard;
         ] );

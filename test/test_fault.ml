@@ -269,63 +269,6 @@ let test_cardioid_recovery_equality () =
   Alcotest.(check bool) "failure recovered" true (rep.Checkpoint.recovered >= 1);
   Alcotest.(check bool) "recovered state bit-identical" true identical
 
-let test_ddcmd_snapshot_replay () =
-  (* snapshot/restore of the full MD state: replaying the same steps
-     from a snapshot reproduces positions and accumulators bitwise *)
-  let mk () =
-    let p = Ddcmd.Particles.create ~n:64 ~box:8.0 in
-    Ddcmd.Particles.lattice_init p;
-    Ddcmd.Particles.thermalize p ~rng:(Icoe_util.Rng.create 17) ~temp:1.2;
-    Ddcmd.Engine.create ~dt:0.004
-      ~potential:(Ddcmd.Potential.lennard_jones ~cutoff:2.5 ()) p
-  in
-  let e = mk () in
-  Ddcmd.Engine.run e ~steps:5;
-  let snap = Ddcmd.Engine.snapshot e in
-  Ddcmd.Engine.run e ~steps:5;
-  let x_ref = Icoe_util.Fbuf.to_array e.Ddcmd.Engine.p.Ddcmd.Particles.x in
-  let energy_ref = Ddcmd.Engine.total_energy e in
-  let steps_ref = e.Ddcmd.Engine.steps in
-  Ddcmd.Engine.restore e snap;
-  Alcotest.(check int) "step counter restored" 5 e.Ddcmd.Engine.steps;
-  Ddcmd.Engine.run e ~steps:5;
-  Alcotest.(check bool) "positions replay bitwise" true
-    (Array.for_all2 Float.equal x_ref (Icoe_util.Fbuf.to_array e.Ddcmd.Engine.p.Ddcmd.Particles.x));
-  Alcotest.(check bool) "energy replays bitwise" true
-    (Float.equal energy_ref (Ddcmd.Engine.total_energy e));
-  Alcotest.(check int) "step counter replays" steps_ref e.Ddcmd.Engine.steps
-
-let test_cvode_resume () =
-  (* a resumed BDF run agrees with an uninterrupted one to integrator
-     tolerance (the restart re-establishes its own history, so the
-     agreement is numerical, not bitwise) *)
-  let rhs _t y = [| -.y.(0) |] in
-  let lsolve = Sundials.Cvode.fd_dense_lsolve ~rhs in
-  let direct =
-    Sundials.Cvode.bdf ~rtol:1e-8 ~atol:1e-10 ~rhs ~lsolve ~t0:0.0
-      ~y0:[| 1.0 |] 2.0
-  in
-  let half =
-    Sundials.Cvode.bdf ~rtol:1e-8 ~atol:1e-10 ~rhs ~lsolve ~t0:0.0
-      ~y0:[| 1.0 |] 1.0
-  in
-  let ck = Sundials.Cvode.checkpoint_of_result half in
-  check_float "checkpoint captures t" 1.0 ck.Sundials.Cvode.ck_t;
-  let resumed =
-    Sundials.Cvode.resume_bdf ~rtol:1e-8 ~atol:1e-10 ~rhs ~lsolve ck 2.0
-  in
-  check_float "resumed reaches tstop" 2.0 resumed.Sundials.Cvode.t;
-  let exact = exp (-2.0) in
-  Alcotest.(check bool) "direct close to exact" true
-    (Float.abs (direct.Sundials.Cvode.y.(0) -. exact) < 1e-5);
-  Alcotest.(check bool) "resumed close to exact" true
-    (Float.abs (resumed.Sundials.Cvode.y.(0) -. exact) < 1e-5);
-  (* checkpoint vector is a copy, not an alias *)
-  let ck2 = Sundials.Cvode.checkpoint ~t:half.Sundials.Cvode.t ~y:half.Sundials.Cvode.y in
-  ck2.Sundials.Cvode.ck_y.(0) <- 99.0;
-  Alcotest.(check bool) "checkpoint copies y" true
-    (half.Sundials.Cvode.y.(0) <> 99.0)
-
 (* --- fcluster --- *)
 
 let test_fcluster_deterministic () =
@@ -399,9 +342,6 @@ let () =
           Alcotest.test_case "sw4 bit-identical" `Slow test_sw4_recovery_equality;
           Alcotest.test_case "cardioid bit-identical" `Slow
             test_cardioid_recovery_equality;
-          Alcotest.test_case "ddcmd snapshot replay" `Quick
-            test_ddcmd_snapshot_replay;
-          Alcotest.test_case "cvode resume" `Quick test_cvode_resume;
         ] );
       ( "inject",
         [

@@ -126,38 +126,6 @@ let test_table2_monotone_progress () =
   in
   go Perf.machines
 
-let test_connected_components () =
-  (* two explicit components plus an isolated vertex *)
-  let g = Graph.of_edges ~n:7 [ (0, 1); (1, 2); (3, 4); (4, 5) ] in
-  let labels = Bfs.connected_components g in
-  Alcotest.(check int) "three components" 3 (Bfs.num_components labels);
-  Alcotest.(check int) "0-2 together" labels.(0) labels.(2);
-  Alcotest.(check int) "3-5 together" labels.(3) labels.(5);
-  Alcotest.(check bool) "separate" true (labels.(0) <> labels.(3));
-  Alcotest.(check bool) "isolate alone" true
-    (labels.(6) <> labels.(0) && labels.(6) <> labels.(3))
-
-let prop_components_match_bfs =
-  QCheck.Test.make ~name:"component of src = BFS reach" ~count:15
-    QCheck.(int_range 1 5000)
-    (fun seed ->
-      let r = Icoe_util.Rng.create seed in
-      let g = Graph.erdos_renyi ~rng:r ~n:120 ~edges:150 () in
-      let src = Icoe_util.Rng.int r 120 in
-      let labels = Bfs.connected_components g in
-      let s = Bfs.top_down g ~src in
-      let same_comp = ref 0 in
-      Array.iteri (fun v l -> if l = labels.(src) then ignore v; ()) labels;
-      Array.iteri
-        (fun v l -> if l = labels.(src) then incr same_comp else ignore v)
-        labels;
-      !same_comp = s.Bfs.reached)
-
-let test_measured_gteps_positive () =
-  let g = Graph.rmat ~rng:(rng ()) ~scale:12 () in
-  let gteps = Perf.measured_gteps g ~src:0 in
-  Alcotest.(check bool) (Fmt.str "measured %.4f GTEPS > 0" gteps) true (gteps > 0.0)
-
 let () =
   Alcotest.run "havoq"
     [
@@ -180,8 +148,5 @@ let () =
           Alcotest.test_case "scales" `Quick test_table2_scales;
           Alcotest.test_case "gteps" `Quick test_table2_gteps_shape;
           Alcotest.test_case "monotone" `Quick test_table2_monotone_progress;
-          Alcotest.test_case "measured gteps" `Quick test_measured_gteps_positive;
-          Alcotest.test_case "connected components" `Quick test_connected_components;
-          QCheck_alcotest.to_alcotest prop_components_match_bfs;
         ] );
     ]

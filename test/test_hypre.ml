@@ -22,8 +22,9 @@ let test_smoothers_reduce_residual () =
   let x = Array.make (Array.length b) 0.0 in
   let work = Array.make (Array.length b) 0.0 in
   let r0 = residual a b x in
+  let l1 = Hypre.Smoother.l1_norms a in
   for _ = 1 to 10 do
-    Hypre.Smoother.sweep a b x work
+    Hypre.Smoother.sweep a ~l1 b x work
   done;
   Alcotest.(check bool) "l1-jacobi reduces residual" true (residual a b x < r0)
 

@@ -1,9 +1,11 @@
 (* The domain pool and the parallel-equals-serial contract.
 
    Two layers of evidence:
-   - qcheck properties that Icoe_par.Pool.parallel_for / map_reduce
-     match the serial loop / chunk-ordered fold bitwise for arbitrary
-     range sizes (including empty), chunkings and pool sizes; and
+   - qcheck properties that Icoe_par.Pool.parallel_for_chunks partitions
+     the range and that per-chunk partials of parallel_for_chunks_i,
+     folded in chunk order, match the serial chunk-ordered fold bitwise
+     for arbitrary range sizes (including empty), chunkings and pool
+     sizes; and
    - exact-agreement tests for every engine kernel routed through the
      pool (spmv, SW4 acceleration, Cardioid reaction, ddcMD forces, LDA
      E-step): the parallel path must equal its serial reference
@@ -11,8 +13,8 @@
 
 module Pool = Icoe_par.Pool
 
-(* the reference map_reduce: same chunk layout, ascending, in one domain *)
-let serial_map_reduce ~chunk ~lo ~hi ~combine ~init map =
+(* the reference fold: same chunk layout, ascending, in one domain *)
+let serial_fold ~chunk ~lo ~hi ~combine ~init map =
   let acc = ref init in
   let clo = ref lo in
   while !clo < hi do
@@ -22,17 +24,13 @@ let serial_map_reduce ~chunk ~lo ~hi ~combine ~init map =
   done;
   !acc
 
-let prop_parallel_for =
-  QCheck.Test.make ~name:"parallel_for matches the serial loop" ~count:80
-    QCheck.(triple (int_bound 400) (int_range 1 60) (int_range 1 4))
-    (fun (n, chunk, domains) ->
-      let expect = Array.init (max n 1) (fun i -> if i < n then i * i else 0) in
-      let got = Array.make (max n 1) 0 in
-      Pool.with_pool ~domains (fun pool ->
-          Pool.parallel_for ~pool ~chunk ~lo:0 ~hi:n (fun i ->
-              got.(i) <- i * i));
-      (if n = 0 then expect.(0) <- 0);
-      got = expect)
+(* the kernels' idiom: each chunk writes its partial into slot [k], and
+   the caller folds the slots in ascending [k] *)
+let chunked_fold ~pool ?chunk ~lo ~hi ~combine ~init map =
+  let partials = Array.make (Pool.num_chunks ?chunk ~lo ~hi ()) init in
+  Pool.parallel_for_chunks_i ~pool ?chunk ~lo ~hi (fun k clo chi ->
+      partials.(k) <- map clo chi);
+  Array.fold_left combine init partials
 
 let prop_parallel_for_chunks_partition =
   QCheck.Test.make ~name:"parallel_for_chunks partitions the range" ~count:80
@@ -46,9 +44,10 @@ let prop_parallel_for_chunks_partition =
               done));
       Array.for_all (fun c -> c = 1) (Array.sub hits 0 n))
 
-let prop_map_reduce =
+let prop_chunk_partials =
   QCheck.Test.make
-    ~name:"map_reduce equals the chunk-ordered fold bitwise" ~count:80
+    ~name:"indexed chunk partials equal the chunk-ordered fold bitwise"
+    ~count:80
     QCheck.(triple (int_bound 400) (int_range 1 60) (int_range 1 4))
     (fun (n, chunk, domains) ->
       (* a sum where float rounding makes the combine order observable *)
@@ -59,19 +58,16 @@ let prop_map_reduce =
         done;
         !s
       in
-      let expect =
-        serial_map_reduce ~chunk ~lo:0 ~hi:n ~combine:( +. ) ~init:0.0 map
-      in
+      let expect = serial_fold ~chunk ~lo:0 ~hi:n ~combine:( +. ) ~init:0.0 map in
       let got =
         Pool.with_pool ~domains (fun pool ->
-            Pool.map_reduce ~pool ~chunk ~lo:0 ~hi:n ~combine:( +. ) ~init:0.0
-              map)
+            chunked_fold ~pool ~chunk ~lo:0 ~hi:n ~combine:( +. ) ~init:0.0 map)
       in
       Float.equal got expect)
 
-let prop_map_reduce_default_chunk =
+let prop_default_chunks =
   QCheck.Test.make
-    ~name:"map_reduce default chunking is pool-size independent" ~count:40
+    ~name:"default chunks are pool-size independent" ~count:40
     QCheck.(pair (int_bound 2000) (int_range 2 4))
     (fun (n, domains) ->
       let map lo hi =
@@ -83,43 +79,46 @@ let prop_map_reduce_default_chunk =
       in
       let serial =
         Pool.with_pool ~domains:1 (fun pool ->
-            Pool.map_reduce ~pool ~lo:0 ~hi:n ~combine:( +. ) ~init:0.0 map)
+            chunked_fold ~pool ~lo:0 ~hi:n ~combine:( +. ) ~init:0.0 map)
       in
       let par =
         Pool.with_pool ~domains (fun pool ->
-            Pool.map_reduce ~pool ~lo:0 ~hi:n ~combine:( +. ) ~init:0.0 map)
+            chunked_fold ~pool ~lo:0 ~hi:n ~combine:( +. ) ~init:0.0 map)
       in
       Float.equal serial par)
 
 let test_empty_ranges () =
   Pool.with_pool ~domains:3 (fun pool ->
-      Pool.parallel_for ~pool ~lo:0 ~hi:0 (fun _ -> Alcotest.fail "ran on empty");
-      Pool.parallel_for ~pool ~lo:7 ~hi:3 (fun _ -> Alcotest.fail "ran on inverted");
-      Alcotest.(check (float 0.0)) "empty map_reduce returns init" 42.0
-        (Pool.map_reduce ~pool ~lo:5 ~hi:5 ~combine:( +. ) ~init:42.0
-           (fun _ _ -> Alcotest.fail "mapped on empty")))
+      Pool.parallel_for_chunks ~pool ~lo:0 ~hi:0 (fun _ _ ->
+          Alcotest.fail "ran on empty");
+      Pool.parallel_for_chunks ~pool ~lo:7 ~hi:3 (fun _ _ ->
+          Alcotest.fail "ran on inverted");
+      Pool.parallel_for_chunks_i ~pool ~lo:5 ~hi:5 (fun _ _ _ ->
+          Alcotest.fail "ran indexed on empty");
+      Alcotest.(check int) "empty range has no chunks" 0
+        (Pool.num_chunks ~lo:5 ~hi:5 ()))
 
 let test_exception_propagates () =
   Pool.with_pool ~domains:4 (fun pool ->
       Alcotest.check_raises "worker exception reraised in caller"
         (Failure "chunk 57")
         (fun () ->
-          Pool.parallel_for ~pool ~chunk:1 ~lo:0 ~hi:100 (fun i ->
+          Pool.parallel_for_chunks ~pool ~chunk:1 ~lo:0 ~hi:100 (fun i _ ->
               if i = 57 then failwith "chunk 57"));
       (* the pool survives a failed job *)
-      let s = ref 0 in
-      Pool.parallel_for ~pool ~lo:0 ~hi:10 (fun _ -> ignore s);
       Alcotest.(check int) "pool still works" 10
-        (Pool.map_reduce ~pool ~chunk:3 ~lo:0 ~hi:10 ~combine:( + ) ~init:0
+        (chunked_fold ~pool ~chunk:3 ~lo:0 ~hi:10 ~combine:( + ) ~init:0
            (fun lo hi -> hi - lo)))
 
 let test_nested_calls () =
   Pool.with_pool ~domains:4 (fun pool ->
       let grid = Array.make_matrix 8 64 0 in
-      Pool.parallel_for ~pool ~chunk:1 ~lo:0 ~hi:8 (fun r ->
+      Pool.parallel_for_chunks ~pool ~chunk:1 ~lo:0 ~hi:8 (fun r _ ->
           (* inner call from a worker chunk: degrades to serial, same result *)
-          Pool.parallel_for ~pool ~chunk:8 ~lo:0 ~hi:64 (fun c ->
-              grid.(r).(c) <- (r * 64) + c));
+          Pool.parallel_for_chunks ~pool ~chunk:8 ~lo:0 ~hi:64 (fun clo chi ->
+              for c = clo to chi - 1 do
+                grid.(r).(c) <- (r * 64) + c
+              done));
       Alcotest.(check bool) "nested writes all landed" true
         (Array.for_all Fun.id
            (Array.mapi
@@ -134,7 +133,7 @@ let test_pool_sizing () =
   Alcotest.(check int) "shut-down pool is serial" 1 (Pool.size p);
   (* still usable, serially *)
   Alcotest.(check int) "serial fallback works" 45
-    (Pool.map_reduce ~pool:p ~chunk:4 ~lo:0 ~hi:10 ~combine:( + ) ~init:0
+    (chunked_fold ~pool:p ~chunk:4 ~lo:0 ~hi:10 ~combine:( + ) ~init:0
        (fun lo hi ->
          let s = ref 0 in
          for i = lo to hi - 1 do s := !s + i done;
@@ -264,7 +263,7 @@ let test_metrics_rejected_inside_job () =
   let in_job = Array.make 8 false in
   let rejected = Array.make 8 false in
   Pool.with_pool ~domains:2 (fun pool ->
-      Pool.parallel_for ~pool ~chunk:1 ~lo:0 ~hi:8 (fun i ->
+      Pool.parallel_for_chunks ~pool ~chunk:1 ~lo:0 ~hi:8 (fun i _ ->
           in_job.(i) <- Pool.in_parallel_job ();
           match Icoe_obs.Metrics.inc c with
           | () -> ()
@@ -278,8 +277,8 @@ let test_metrics_rejected_inside_job () =
   Icoe_obs.Metrics.inc c
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
-    [ prop_parallel_for; prop_parallel_for_chunks_partition; prop_map_reduce;
-      prop_map_reduce_default_chunk ]
+    [ prop_parallel_for_chunks_partition; prop_chunk_partials;
+      prop_default_chunks ]
 
 let () =
   Alcotest.run "par"

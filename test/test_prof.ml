@@ -368,38 +368,33 @@ let bench_doc ?(sim = 1.0) ?(wall = 100.0) ?(jobs_per_s = 2.0) ?(checks = [])
 
 let test_diff_identical_ok () =
   let d = bench_doc () in
-  let r = Bench_diff.diff ~base:d ~cur:d () in
+  let r = Bench_diff.diff ~base:d ~cur:d in
   Alcotest.(check int) "no regressions" 0 r.Bench_diff.regressions;
   Alcotest.(check int) "no warnings" 0 r.Bench_diff.warnings;
   Alcotest.(check int) "exit code" 0 (Bench_diff.exit_code r)
 
 let test_diff_sim_inflation_regresses () =
   let r =
-    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~sim:1.10 ()) ()
+    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~sim:1.10 ())
   in
   Alcotest.(check int) "one regression" 1 r.Bench_diff.regressions;
   Alcotest.(check int) "exit code" 3 (Bench_diff.exit_code r)
 
 let test_diff_wall_warns_only () =
   let r =
-    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~wall:200.0 ()) ()
+    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~wall:200.0 ())
   in
   Alcotest.(check int) "no regression" 0 r.Bench_diff.regressions;
-  Alcotest.(check int) "one warning" 1 r.Bench_diff.warnings;
-  let r' =
-    Bench_diff.diff ~fail_wall:true ~base:(bench_doc ())
-      ~cur:(bench_doc ~wall:200.0 ()) ()
-  in
-  Alcotest.(check int) "fail-wall promotes" 1 r'.Bench_diff.regressions
+  Alcotest.(check int) "one warning" 1 r.Bench_diff.warnings
 
 let test_diff_throughput_drop_regresses () =
   (* jobs_per_s is higher-is-better: a drop is the regression *)
   let r =
-    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~jobs_per_s:1.0 ()) ()
+    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~jobs_per_s:1.0 ())
   in
   Alcotest.(check int) "drop regresses" 1 r.Bench_diff.regressions;
   let r' =
-    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~jobs_per_s:3.0 ()) ()
+    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~jobs_per_s:3.0 ())
   in
   Alcotest.(check int) "rise does not" 0 r'.Bench_diff.regressions
 
@@ -408,31 +403,30 @@ let test_diff_missing_sections_never_fail () =
     Json.parse_exn
       {|{"rows": [{"section": "harness", "name": "h/simulated_s", "value": 1.0}]}|}
   in
-  let r = Bench_diff.diff ~base:small ~cur:(bench_doc ()) () in
+  let r = Bench_diff.diff ~base:small ~cur:(bench_doc ()) in
   Alcotest.(check int) "added rows don't fail" 0 r.Bench_diff.regressions;
-  let r' = Bench_diff.diff ~base:(bench_doc ()) ~cur:small () in
+  let r' = Bench_diff.diff ~base:(bench_doc ()) ~cur:small in
   Alcotest.(check int) "removed rows don't fail" 0 r'.Bench_diff.regressions
 
 let test_diff_small_drift_within_threshold () =
   let r =
-    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~sim:1.04 ()) ()
+    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~sim:1.04 ())
   in
   Alcotest.(check int) "4% < 5% threshold" 0 r.Bench_diff.regressions;
   let r' =
-    Bench_diff.diff ~sim_threshold:0.01 ~base:(bench_doc ())
-      ~cur:(bench_doc ~sim:1.04 ()) ()
+    Bench_diff.diff ~base:(bench_doc ()) ~cur:(bench_doc ~sim:1.06 ())
   in
-  Alcotest.(check int) "tighter threshold catches" 1 r'.Bench_diff.regressions
+  Alcotest.(check int) "6% > 5% threshold catches" 1 r'.Bench_diff.regressions
 
 let test_diff_false_check_regresses () =
   let ok = bench_doc ~checks:[ ("c", true) ] () in
   let bad = bench_doc ~checks:[ ("c", false) ] () in
-  let r = Bench_diff.diff ~base:ok ~cur:bad () in
+  let r = Bench_diff.diff ~base:ok ~cur:bad in
   Alcotest.(check int) "false check regresses" 1 r.Bench_diff.regressions;
   Alcotest.(check int) "exit code" 3 (Bench_diff.exit_code r);
-  let r' = Bench_diff.diff ~base:(bench_doc ()) ~cur:bad () in
+  let r' = Bench_diff.diff ~base:(bench_doc ()) ~cur:bad in
   Alcotest.(check int) "also when new" 1 r'.Bench_diff.regressions;
-  let r'' = Bench_diff.diff ~base:(bench_doc ()) ~cur:ok () in
+  let r'' = Bench_diff.diff ~base:(bench_doc ()) ~cur:ok in
   Alcotest.(check int) "a new passing check is fine" 0
     r''.Bench_diff.regressions
 
@@ -441,7 +435,6 @@ let test_diff_missing_check_regresses () =
     Bench_diff.diff
       ~base:(bench_doc ~checks:[ ("c", true); ("d", true) ] ())
       ~cur:(bench_doc ~checks:[ ("d", true) ] ())
-      ()
   in
   Alcotest.(check int) "dropped check regresses" 1 r.Bench_diff.regressions;
   Alcotest.(check (list string)) "named in the table" [ "c" ]
@@ -507,10 +500,10 @@ let prop_diff_fuzz =
       (* also through the writer and back *)
       let a' = Json.parse_exn (Json.to_string a) in
       ignore (Bench_diff.flatten b);
-      ignore (Bench_diff.diff ~base:a ~cur:b ());
-      ignore (Bench_diff.diff ~base:b ~cur:a' ());
-      (Bench_diff.diff ~base:a ~cur:a' ()).Bench_diff.regressions = 0
-      && (Bench_diff.diff ~base:b ~cur:b ()).Bench_diff.regressions = 0)
+      ignore (Bench_diff.diff ~base:a ~cur:b);
+      ignore (Bench_diff.diff ~base:b ~cur:a');
+      (Bench_diff.diff ~base:a ~cur:a').Bench_diff.regressions = 0
+      && (Bench_diff.diff ~base:b ~cur:b).Bench_diff.regressions = 0)
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest in

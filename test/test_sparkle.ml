@@ -19,48 +19,13 @@ let test_rdd_partitioning () =
 let test_rdd_map_and_charge () =
   let c = mk () in
   let r = Sparkle.Rdd.of_array c (Array.init 50 (fun i -> i)) in
-  let r2 = Sparkle.Rdd.map (fun x -> x * 2) r in
+  let r2 = Sparkle.Rdd.map_partitions (Array.map (fun x -> x * 2)) r in
   let total = Sparkle.Rdd.reduce ~init:0 ~combine:( + ) r2 in
   Alcotest.(check int) "sum of doubles" (49 * 50) total;
   Alcotest.(check bool) "compute time charged" true
     (Hwsim.Clock.phase c.Sparkle.Cluster.clock "compute" > 0.0);
   Alcotest.(check bool) "aggregate charged" true
     (Hwsim.Clock.phase c.Sparkle.Cluster.clock "aggregate" > 0.0)
-
-let test_rdd_filter () =
-  let c = mk () in
-  let r = Sparkle.Rdd.of_array c (Array.init 30 (fun i -> i)) in
-  let evens = Sparkle.Rdd.filter (fun x -> x mod 2 = 0) r in
-  Alcotest.(check int) "filtered count" 15 (Sparkle.Rdd.count evens)
-
-let test_reduce_by_key () =
-  let c = mk () in
-  let data = Array.init 60 (fun i -> (i mod 5, 1)) in
-  let r = Sparkle.Rdd.of_array c data in
-  let counted = Sparkle.Rdd.reduce_by_key ~combine:( + ) r in
-  let pairs = Sparkle.Rdd.collect counted in
-  Alcotest.(check int) "five keys" 5 (Array.length pairs);
-  Array.iter (fun (_, v) -> Alcotest.(check int) "12 each" 12 v) pairs;
-  Alcotest.(check bool) "shuffle charged" true
-    (Hwsim.Clock.phase c.Sparkle.Cluster.clock "shuffle" > 0.0)
-
-let test_shuffle_key_locality () =
-  (* after a shuffle, all copies of a key live in one partition *)
-  let c = mk () in
-  let data = Array.init 200 (fun i -> (i mod 10, i)) in
-  let r = Sparkle.Rdd.of_array c data in
-  let s = Sparkle.Rdd.shuffle_by_key r in
-  let home = Hashtbl.create 16 in
-  Array.iteri
-    (fun pidx part ->
-      Array.iter
-        (fun (k, _) ->
-          match Hashtbl.find_opt home k with
-          | None -> Hashtbl.add home k pidx
-          | Some p -> Alcotest.(check int) "key in one partition" p pidx)
-        part)
-    s.Sparkle.Rdd.partitions;
-  Alcotest.(check int) "count preserved" 200 (Sparkle.Rdd.count s)
 
 (* --- cost model (Fig 2 levers) --- *)
 
@@ -98,49 +63,6 @@ let test_tree_aggregate_single_node () =
     (Hwsim.Clock.phase tree.Sparkle.Cluster.clock "aggregate");
   Alcotest.(check bool) "flat positive too" true (flat_s > 0.0)
 
-let test_async_overlap_bounds () =
-  (* a compute stage overlapping a shuffle: makespan is the critical
-     path, bounded below by the longer stage and above by the sum *)
-  let c = mk ~nodes:8 () in
-  let s = Sparkle.Cluster.async ~overlap:true c in
-  let comp = Sparkle.Cluster.issue_compute c s ~flops:5e12 () in
-  let _sh = Sparkle.Cluster.issue_shuffle c s ~bytes:2e9 () in
-  let _agg =
-    Sparkle.Cluster.issue_aggregate c s ~deps:[ comp ] ~bytes_per_node:10e6 ()
-  in
-  let makespan = Sparkle.Cluster.wait c s in
-  let serial = Hwsim.Sched.serial_sum s in
-  Alcotest.(check bool) "overlapped below serial sum" true (makespan < serial);
-  Alcotest.(check (float 1e-12)) "clock advanced by makespan" makespan
-    (Sparkle.Cluster.elapsed c);
-  (* per-phase attribution still lands in the breakdown *)
-  List.iter
-    (fun phase ->
-      Alcotest.(check bool) (phase ^ " attributed") true
-        (Hwsim.Clock.phase c.Sparkle.Cluster.clock phase > 0.0))
-    [ "compute"; "shuffle"; "aggregate" ]
-
-let test_async_serial_matches_blocking () =
-  (* with overlap off, issue/wait charges exactly what the blocking
-     charge_* sequence would *)
-  let a = mk ~nodes:8 () and b = mk ~nodes:8 () in
-  let s = Sparkle.Cluster.async ~overlap:false a in
-  let _ = Sparkle.Cluster.issue_shuffle a s ~bytes:2e9 () in
-  let _ = Sparkle.Cluster.issue_aggregate a s ~bytes_per_node:10e6 () in
-  let makespan = Sparkle.Cluster.wait a s in
-  Sparkle.Cluster.charge_shuffle b ~bytes:2e9;
-  Sparkle.Cluster.charge_aggregate b ~bytes_per_node:10e6;
-  Alcotest.(check (float 0.0)) "same elapsed" (Sparkle.Cluster.elapsed b)
-    (Sparkle.Cluster.elapsed a);
-  Alcotest.(check (float 0.0)) "makespan = serial sum"
-    (Hwsim.Sched.serial_sum s) makespan;
-  List.iter
-    (fun phase ->
-      Alcotest.(check (float 0.0)) (phase ^ " identical")
-        (Hwsim.Clock.phase b.Sparkle.Cluster.clock phase)
-        (Hwsim.Clock.phase a.Sparkle.Cluster.clock phase))
-    [ "shuffle"; "aggregate" ]
-
 let test_jvm_gc_drag () =
   let slow = mk () and fast = mk ~optimized:true () in
   Sparkle.Cluster.charge_compute slow ~flops:1e12;
@@ -148,46 +70,7 @@ let test_jvm_gc_drag () =
   Alcotest.(check bool) "optimized JVM computes faster" true
     (Sparkle.Cluster.elapsed fast < Sparkle.Cluster.elapsed slow)
 
-let test_group_by_key () =
-  let c = mk () in
-  let data = Array.init 40 (fun i -> (i mod 4, i)) in
-  let r = Sparkle.Rdd.of_array c data in
-  let grouped = Sparkle.Rdd.group_by_key r in
-  let pairs = Sparkle.Rdd.collect grouped in
-  Alcotest.(check int) "four groups" 4 (Array.length pairs);
-  Array.iter
-    (fun (k, vs) ->
-      Alcotest.(check int) "10 values each" 10 (List.length vs);
-      List.iter (fun v -> Alcotest.(check int) "key consistent" k (v mod 4)) vs)
-    pairs
-
-let test_join () =
-  let c = mk () in
-  let left = Sparkle.Rdd.of_array c [| (1, "a"); (2, "b"); (3, "c") |] in
-  let right = Sparkle.Rdd.of_array c [| (2, 20); (3, 30); (4, 40); (3, 31) |] in
-  let j = Sparkle.Rdd.join left right in
-  let rows = Array.to_list (Sparkle.Rdd.collect j) in
-  let sorted = List.sort compare rows in
-  Alcotest.(check int) "three matches" 3 (List.length rows);
-  Alcotest.(check bool) "contents" true
-    (sorted = [ (2, ("b", 20)); (3, ("c", 30)); (3, ("c", 31)) ])
-
 (* --- data broker --- *)
-
-let test_databroker_kv () =
-  let c = mk () in
-  let db = Sparkle.Databroker.create c in
-  Sparkle.Databroker.put db ~ns:"topics" ~key:"lambda0" [| 1.0; 2.0 |];
-  (match Sparkle.Databroker.get db ~ns:"topics" ~key:"lambda0" with
-  | Some v -> Alcotest.(check (array (float 1e-12))) "roundtrip" [| 1.0; 2.0 |] v
-  | None -> Alcotest.fail "missing value");
-  Alcotest.(check bool) "miss returns None" true
-    (Sparkle.Databroker.get db ~ns:"topics" ~key:"nope" = None);
-  Sparkle.Databroker.delete_namespace db "topics";
-  Alcotest.(check bool) "namespace dropped" true
-    (Sparkle.Databroker.get db ~ns:"topics" ~key:"lambda0" = None);
-  Alcotest.(check bool) "broker time charged" true
-    (Hwsim.Clock.phase c.Sparkle.Cluster.clock "broker" > 0.0)
 
 let test_databroker_beats_default_shuffle () =
   (* the Sec 4.4 exploration: broker-mediated shuffle skips JVM
@@ -305,22 +188,6 @@ let test_fig2_shape () =
     (Hwsim.Clock.phase slow.Sparkle.Cluster.clock "shuffle"
     > 0.4 *. t_slow)
 
-let prop_reduce_by_key_totals =
-  QCheck.Test.make ~name:"reduce_by_key preserves totals" ~count:30
-    QCheck.(int_range 1 5000)
-    (fun seed ->
-      let rng = Icoe_util.Rng.create seed in
-      let n = 20 + Icoe_util.Rng.int rng 100 in
-      let data = Array.init n (fun _ -> (Icoe_util.Rng.int rng 7, Icoe_util.Rng.int rng 10)) in
-      let total = Array.fold_left (fun a (_, v) -> a + v) 0 data in
-      let c = mk () in
-      let r = Sparkle.Rdd.of_array c data in
-      let red = Sparkle.Rdd.reduce_by_key ~combine:( + ) r in
-      let total' =
-        Array.fold_left (fun a (_, v) -> a + v) 0 (Sparkle.Rdd.collect red)
-      in
-      total = total')
-
 let () =
   Alcotest.run "sparkle"
     [
@@ -328,12 +195,6 @@ let () =
         [
           Alcotest.test_case "partitioning" `Quick test_rdd_partitioning;
           Alcotest.test_case "map+charge" `Quick test_rdd_map_and_charge;
-          Alcotest.test_case "filter" `Quick test_rdd_filter;
-          Alcotest.test_case "reduce_by_key" `Quick test_reduce_by_key;
-          Alcotest.test_case "shuffle locality" `Quick test_shuffle_key_locality;
-          QCheck_alcotest.to_alcotest prop_reduce_by_key_totals;
-          Alcotest.test_case "group_by_key" `Quick test_group_by_key;
-          Alcotest.test_case "join" `Quick test_join;
         ] );
       ( "cost",
         [
@@ -341,15 +202,10 @@ let () =
           Alcotest.test_case "tree aggregate" `Quick test_tree_aggregate_scales;
           Alcotest.test_case "tree aggregate at nodes=1" `Quick
             test_tree_aggregate_single_node;
-          Alcotest.test_case "async overlap bounds" `Quick
-            test_async_overlap_bounds;
-          Alcotest.test_case "async serial matches blocking" `Quick
-            test_async_serial_matches_blocking;
           Alcotest.test_case "jvm drag" `Quick test_jvm_gc_drag;
         ] );
       ( "databroker",
         [
-          Alcotest.test_case "kv roundtrip" `Quick test_databroker_kv;
           Alcotest.test_case "beats default shuffle" `Quick test_databroker_beats_default_shuffle;
         ] );
       ( "lda",
