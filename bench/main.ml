@@ -517,6 +517,14 @@ let alloc_smoke () =
   let mlp, xs, labels = shallow_nn_batch () in
   measure "mlp/train-batch-960-seq" ~budget:seq_budget (fun () ->
       ignore (Dlearn.Mlp.train_batch ~momentum:0.9 mlp ~lr:0.05 xs labels));
+  (* the chunked evaluation path, and the ASGD learner's single-example
+     step: every way into the kernel stubs is gated *)
+  measure "mlp/accuracy-960-seq" ~budget:seq_budget (fun () ->
+      ignore (Dlearn.Mlp.accuracy mlp xs labels));
+  let mlp, xs, _ = mlp_batch () in
+  measure "mlp/backward-seq" ~budget:seq_budget (fun () ->
+      ignore (Dlearn.Mlp.backward mlp xs.(0) ~label:1);
+      Dlearn.Mlp.sgd_step ~momentum:0.9 mlp ~lr:0.01 ~batch:1);
   (* the SIMP state operator over one solve's stencil *)
   let s = Opt.Topopt.stencil (Opt.Topopt.create ~nx:32 ~ny:32 ()) in
   let u = Array.init 1024 (fun i -> float_of_int (i mod 13)) in

@@ -51,8 +51,7 @@ type t = {
   arena : Prog.Scratch.t;  (** per-chunk reaction scratch slots *)
 }
 
-let create ?(nx = 32) ?(ny = 32) ?(sigma = 0.001) ?(dt = 0.02)
-    ?(variant = Ionic.Rational) () =
+let create ?(nx = 32) ?(ny = 32) ?(dt = 0.02) ?(variant = Ionic.Rational) () =
   if nx < 1 || ny < 1 then
     invalid_arg
       (Fmt.str "Cardioid.Monodomain.create: need nx, ny >= 1, got %dx%d" nx ny);
@@ -75,7 +74,7 @@ let create ?(nx = 32) ?(ny = 32) ?(sigma = 0.001) ?(dt = 0.02)
     ny;
     n;
     dx = 0.02;
-    sigma;
+    sigma = 0.001;
     dt;
     state;
     v;

@@ -38,10 +38,9 @@ type t = {
 }
 
 val create :
-  ?nx:int -> ?ny:int -> ?sigma:float -> ?dt:float ->
-  ?variant:Ionic.variant -> unit -> t
-(** Raises [Invalid_argument] unless [nx, ny >= 1] and [dt] is positive
-    and finite. *)
+  ?nx:int -> ?ny:int -> ?dt:float -> ?variant:Ionic.variant -> unit -> t
+(** Tissue conductivity 0.001. Raises [Invalid_argument] unless
+    [nx, ny >= 1] and [dt] is positive and finite. *)
 
 val idx : t -> int -> int -> int
 

@@ -27,7 +27,7 @@ let n_levels t = Array.length t.levels
     weights 2k^2, collisional + radiative transitions between adjacent
     levels and radiative decay to ground. Scales from toy to "large atomic
     model" by [n]. *)
-let ladder ?(name = "ladder") ?(e0 = 13.6) ?(c0 = 1.0e-8) n =
+let ladder ?(name = "ladder") ?(e0 = 13.6) n =
   if not (n >= 2) then
     invalid_arg (Printf.sprintf "Atomic.ladder: n = %d levels, need >= 2" n);
   let levels =
@@ -38,7 +38,8 @@ let ladder ?(name = "ladder") ?(e0 = 13.6) ?(c0 = 1.0e-8) n =
   let transitions = ref [] in
   for u = 1 to n - 1 do
     (* adjacent collisional coupling *)
-    transitions := Collisional { upper = u; lower = u - 1; c0 } :: !transitions;
+    transitions :=
+      Collisional { upper = u; lower = u - 1; c0 = 1.0e-8 } :: !transitions;
     (* radiative decay to ground, weaker from higher levels *)
     transitions :=
       Radiative { upper = u; lower = 0; a = 1.0e8 /. float_of_int (u * u) }

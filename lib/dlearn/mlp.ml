@@ -12,18 +12,24 @@
     afterwards, so a steady-state training step allocates nothing; the
     public entry points validate sizes and labels before any kernel runs.
 
-    One kernel per stage, each over a whole chunk and register-blocked:
-    the forward kernel computes 2 examples x 4 output rows at a time (it
-    also serves single-example inference), the
-    gradient kernel 2 output units x 4 inputs, the propagation kernel
-    2 examples x 4 inputs. {!backward} is the batch path with one
-    example.
+    One kernel per stage, each over a whole chunk, in mlp_stubs.c. They
+    compute on 2-lane double vectors, in blocks of 8 lanes with 2-lane
+    remainders and scalar tails:
+    - forward: lanes over output rows, from a transposed copy of the
+      weights that each call refreshes ([wt]); 2 examples at a time. It
+      also runs the hidden layers' tanh and serves single-example
+      inference; a fourth stub writes the softmax rows;
+    - gradient: lanes over inputs, 2 output units at a time;
+    - propagation: lanes over inputs, 2 examples at a time.
+    {!backward} is the batch path with one example.
 
     Exact-order contract: every floating-point operation happens in the
     order of the straightforward per-example [float array array]
     formulation (kept as an oracle in the tests), so reports are
-    bit-identical to it. Blocking only decides which independent chains
-    run side by side; no chain is split or reordered:
+    bit-identical to it. Each lane is one chain of that formulation;
+    lanes and blocks only decide which independent chains run side by
+    side, no chain is split or reordered, and the C file is built
+    without contraction into fused multiply-adds:
     - a pre-activation sums the bias first, then inputs in ascending
       order;
     - softmax folds [max] from [neg_infinity], then sums the [exp]s in
@@ -43,6 +49,7 @@ type layer = {
   nin : int;
   nout : int;
   w : Fbuf.t;  (** nout x nin, row-major *)
+  wt : Fbuf.t;  (** nin x nout: [w] transposed, refreshed by each forward *)
   b : Fbuf.t;
   gw : Fbuf.t;  (** accumulated gradients *)
   gb : Fbuf.t;
@@ -109,6 +116,7 @@ let alloc sizes ~init_w =
         init_w l w;
         {
           nin; nout; w;
+          wt = Fbuf.create (nin * nout);
           b = Fbuf.create nout;
           gw = Fbuf.create (nout * nin);
           gb = Fbuf.create nout;
@@ -176,304 +184,40 @@ let set_params t buf =
 (* [Stdlib.max] on floats, without the polymorphic compare call *)
 let fmax (a : float) b = if a >= b then a else b
 
-(* softmax of the [c] values at [off] in [src] into the same slots of
-   [dst] ([dst] may be [src]) *)
-let softmax_row ~src ~dst ~off ~c =
-  let mx = ref neg_infinity in
-  for i = off to off + c - 1 do
-    mx := fmax !mx (Fbuf.get src i)
-  done;
-  let mx = !mx in
-  let s = ref 0.0 in
-  for i = off to off + c - 1 do
-    let e = exp (Fbuf.get src i -. mx) in
-    Fbuf.set dst i e;
-    s := !s +. e
-  done;
-  let s = !s in
-  for i = off to off + c - 1 do
-    Fbuf.set dst i (Fbuf.get dst i /. s)
-  done
+(* The kernels, in mlp_stubs.c. Each works on the first [n] rows of
+   row-major buffers; sizes are untagged, bounds are the caller's. *)
 
-(* One entry of each kernel, for the rows and columns the register
-   blocks below do not cover. *)
+(* [forward_kernel w b wt src dst nin nout n hidden]: dst[k,o] =
+   f (b[o] + sum_i w[o,i] src[k,i]), inputs ascending, f = tanh when
+   [hidden] is 1; refreshes [wt] with the transpose of [w] first *)
+external forward_kernel :
+  Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
+  (int[@untagged]) -> unit = "mlp_forward_byte" "mlp_forward"
+[@@noalloc]
 
-(* dst[k,o] = b[o] + sum_i w[o,i] src[k,i], inputs ascending *)
-let forward_entry lay ~src ~dst k o =
-  let nin = lay.nin and r = o * lay.nin and x = k * lay.nin in
-  let s = ref (Fbuf.get lay.b o) in
-  for i = 0 to nin - 1 do
-    s := !s +. (Fbuf.get lay.w (r + i) *. Fbuf.get src (x + i))
-  done;
-  Fbuf.set dst ((k * lay.nout) + o) !s
+(* [softmax_kernel src dst n c]: the softmax of each [c]-wide row of
+   [src] into [dst] *)
+external softmax_kernel :
+  Fbuf.t -> Fbuf.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "mlp_softmax_byte" "mlp_softmax"
+[@@noalloc]
 
-(* gw[o,i] += d[k,o] a[k,i] for k in [0, n), ascending *)
-let grad_entry lay ~a ~d ~n o i =
-  let j = (o * lay.nin) + i in
-  let g = ref (Fbuf.get lay.gw j) and dk = ref o and ak = ref i in
-  for _ = 1 to n do
-    g := !g +. (Fbuf.get d !dk *. Fbuf.get a !ak);
-    dk := !dk + lay.nout;
-    ak := !ak + lay.nin
-  done;
-  Fbuf.set lay.gw j !g
+(* [grads_kernel gw gb a d nin nout n]: gb[o] += sum_k d[k,o] and
+   gw[o,i] += sum_k d[k,o] a[k,i], examples in order *)
+external grads_kernel :
+  Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "mlp_grads_byte" "mlp_grads"
+[@@noalloc]
 
-(* nd[k,i] = (sum_o d[k,o] w[o,i], ascending from 0.0) * (1 - a[k,i]^2) *)
-let delta_entry lay ~a ~d ~nd k i =
-  let d0 = k * lay.nout and e = (k * lay.nin) + i in
-  let s = ref 0.0 and wo = ref i in
-  for o = 0 to lay.nout - 1 do
-    s := !s +. (Fbuf.get d (d0 + o) *. Fbuf.get lay.w !wo);
-    wo := !wo + lay.nin
-  done;
-  let ai = Fbuf.get a e in
-  Fbuf.set nd e (!s *. (1.0 -. (ai *. ai)))
-
-(* The forward kernel. Output rows [lo, hi) of layer [lay] for examples
-   [0, n): dst[k,o] = f (b[o] + sum_i w[o,i] src[k,i]), inputs ascending,
-   f = tanh on hidden layers; [src] is n x nin and [dst] n x nout,
-   row-major. Blocks of 2 examples x 4 rows share their w and src loads,
-   each (example, row) in its own accumulator; a lone example takes
-   4 rows at a time. The sums are stored first and tanh is applied in a
-   second pass, so no accumulator is live across a call and none is
-   spilled in the loop. Unchecked: callers own the bounds. *)
-let forward_kernel lay ~hidden ~src ~dst ~n ~lo ~hi =
-  let nin = lay.nin and nout = lay.nout and w = lay.w and b = lay.b in
-  let o = ref lo in
-  while !o + 3 < hi do
-    let o0 = !o in
-    let r0 = o0 * nin in
-    let r1 = r0 + nin in
-    let r2 = r1 + nin in
-    let r3 = r2 + nin in
-    let b0 = Fbuf.get b o0 and b1 = Fbuf.get b (o0 + 1)
-    and b2 = Fbuf.get b (o0 + 2) and b3 = Fbuf.get b (o0 + 3) in
-    let k = ref 0 in
-    while !k + 1 < n do
-      let x0 = !k * nin in
-      let x1 = x0 + nin in
-      let s00 = ref b0 and s01 = ref b1 and s02 = ref b2 and s03 = ref b3 in
-      let s10 = ref b0 and s11 = ref b1 and s12 = ref b2 and s13 = ref b3 in
-      (* two inputs per pass: the second pair of loads reuses the first
-         pair's offsets as displacements *)
-      let i = ref 0 in
-      while !i < nin do
-        let a0 = x0 + !i and a1 = x1 + !i and c0 = r0 + !i and c1 = r1 + !i
-        and c2 = r2 + !i and c3 = r3 + !i in
-        let v0 = Fbuf.get src a0 and v1 = Fbuf.get src a1 in
-        let w0 = Fbuf.get w c0 and w1 = Fbuf.get w c1
-        and w2 = Fbuf.get w c2 and w3 = Fbuf.get w c3 in
-        s00 := !s00 +. (w0 *. v0);
-        s01 := !s01 +. (w1 *. v0);
-        s02 := !s02 +. (w2 *. v0);
-        s03 := !s03 +. (w3 *. v0);
-        s10 := !s10 +. (w0 *. v1);
-        s11 := !s11 +. (w1 *. v1);
-        s12 := !s12 +. (w2 *. v1);
-        s13 := !s13 +. (w3 *. v1);
-        if !i + 1 < nin then begin
-          let v0 = Fbuf.get src (a0 + 1) and v1 = Fbuf.get src (a1 + 1) in
-          let w0 = Fbuf.get w (c0 + 1) and w1 = Fbuf.get w (c1 + 1)
-          and w2 = Fbuf.get w (c2 + 1) and w3 = Fbuf.get w (c3 + 1) in
-          s00 := !s00 +. (w0 *. v0);
-          s01 := !s01 +. (w1 *. v0);
-          s02 := !s02 +. (w2 *. v0);
-          s03 := !s03 +. (w3 *. v0);
-          s10 := !s10 +. (w0 *. v1);
-          s11 := !s11 +. (w1 *. v1);
-          s12 := !s12 +. (w2 *. v1);
-          s13 := !s13 +. (w3 *. v1)
-        end;
-        i := !i + 2
-      done;
-      let d0 = (!k * nout) + o0 in
-      let d1 = d0 + nout in
-      Fbuf.set dst d0 !s00;
-      Fbuf.set dst (d0 + 1) !s01;
-      Fbuf.set dst (d0 + 2) !s02;
-      Fbuf.set dst (d0 + 3) !s03;
-      Fbuf.set dst d1 !s10;
-      Fbuf.set dst (d1 + 1) !s11;
-      Fbuf.set dst (d1 + 2) !s12;
-      Fbuf.set dst (d1 + 3) !s13;
-      k := !k + 2
-    done;
-    if !k < n then begin
-      let x0 = !k * nin in
-      let s0 = ref b0 and s1 = ref b1 and s2 = ref b2 and s3 = ref b3 in
-      for i = 0 to nin - 1 do
-        let v = Fbuf.get src (x0 + i) in
-        s0 := !s0 +. (Fbuf.get w (r0 + i) *. v);
-        s1 := !s1 +. (Fbuf.get w (r1 + i) *. v);
-        s2 := !s2 +. (Fbuf.get w (r2 + i) *. v);
-        s3 := !s3 +. (Fbuf.get w (r3 + i) *. v)
-      done;
-      let d0 = (!k * nout) + o0 in
-      Fbuf.set dst d0 !s0;
-      Fbuf.set dst (d0 + 1) !s1;
-      Fbuf.set dst (d0 + 2) !s2;
-      Fbuf.set dst (d0 + 3) !s3
-    end;
-    o := o0 + 4
-  done;
-  for o = !o to hi - 1 do
-    for k = 0 to n - 1 do
-      forward_entry lay ~src ~dst k o
-    done
-  done;
-  if hidden then
-    for k = 0 to n - 1 do
-      let r = k * nout in
-      for j = r + lo to r + hi - 1 do
-        Fbuf.set dst j (tanh (Fbuf.get dst j))
-      done
-    done
-
-(* The gradient kernel: gb[o] += sum_k d[k,o] and gw[o,i] += sum_k
-   d[k,o] a[k,i], each entry's sum starting from its accumulated value
-   and running over examples in order; [d] is n x nout and [a] n x nin.
-   Blocks of 2 units x 4 inputs, each entry in its own accumulator, the
-   example loop stepping two offsets. *)
-let grads_kernel lay ~a ~d ~n =
-  let nin = lay.nin and nout = lay.nout and gw = lay.gw and gb = lay.gb in
-  for o = 0 to nout - 1 do
-    let s = ref (Fbuf.get gb o) and dk = ref o in
-    for _ = 1 to n do
-      s := !s +. Fbuf.get d !dk;
-      dk := !dk + nout
-    done;
-    Fbuf.set gb o !s
-  done;
-  let o = ref 0 in
-  while !o + 1 < nout do
-    let o0 = !o in
-    let i = ref 0 in
-    while !i + 3 < nin do
-      let j0 = (o0 * nin) + !i in
-      let j1 = j0 + nin in
-      let g00 = ref (Fbuf.get gw j0) and g01 = ref (Fbuf.get gw (j0 + 1))
-      and g02 = ref (Fbuf.get gw (j0 + 2))
-      and g03 = ref (Fbuf.get gw (j0 + 3)) in
-      let g10 = ref (Fbuf.get gw j1) and g11 = ref (Fbuf.get gw (j1 + 1))
-      and g12 = ref (Fbuf.get gw (j1 + 2))
-      and g13 = ref (Fbuf.get gw (j1 + 3)) in
-      let dk = ref o0 and ak = ref !i in
-      for _ = 1 to n do
-        let d0 = Fbuf.get d !dk and d1 = Fbuf.get d (!dk + 1) in
-        let a0 = Fbuf.get a !ak and a1 = Fbuf.get a (!ak + 1)
-        and a2 = Fbuf.get a (!ak + 2) and a3 = Fbuf.get a (!ak + 3) in
-        g00 := !g00 +. (d0 *. a0);
-        g01 := !g01 +. (d0 *. a1);
-        g02 := !g02 +. (d0 *. a2);
-        g03 := !g03 +. (d0 *. a3);
-        g10 := !g10 +. (d1 *. a0);
-        g11 := !g11 +. (d1 *. a1);
-        g12 := !g12 +. (d1 *. a2);
-        g13 := !g13 +. (d1 *. a3);
-        dk := !dk + nout;
-        ak := !ak + nin
-      done;
-      Fbuf.set gw j0 !g00;
-      Fbuf.set gw (j0 + 1) !g01;
-      Fbuf.set gw (j0 + 2) !g02;
-      Fbuf.set gw (j0 + 3) !g03;
-      Fbuf.set gw j1 !g10;
-      Fbuf.set gw (j1 + 1) !g11;
-      Fbuf.set gw (j1 + 2) !g12;
-      Fbuf.set gw (j1 + 3) !g13;
-      i := !i + 4
-    done;
-    for i = !i to nin - 1 do
-      grad_entry lay ~a ~d ~n o0 i;
-      grad_entry lay ~a ~d ~n (o0 + 1) i
-    done;
-    o := o0 + 2
-  done;
-  if !o < nout then
-    for i = 0 to nin - 1 do
-      grad_entry lay ~a ~d ~n !o i
-    done
-
-(* The propagation kernel: the delta of the layer below through tanh,
-   nd[k,i] = (sum_o d[k,o] w[o,i], ascending o from 0.0) * (1 - a[k,i]^2);
-   [d] is n x nout, [a] (the layer's input) and [nd] n x nin. Blocks of
-   2 examples x 4 inputs, each entry in its own accumulator; a lone
-   example takes 4 inputs at a time. *)
-let propagate_kernel lay ~a ~d ~nd ~n =
-  let nin = lay.nin and nout = lay.nout and w = lay.w in
-  let k = ref 0 in
-  while !k + 1 < n do
-    let e0 = !k * nin and d0 = !k * nout in
-    let e1 = e0 + nin and d1 = d0 + nout in
-    let i = ref 0 in
-    while !i + 3 < nin do
-      let i0 = !i in
-      let s00 = ref 0.0 and s01 = ref 0.0 and s02 = ref 0.0 and s03 = ref 0.0 in
-      let s10 = ref 0.0 and s11 = ref 0.0 and s12 = ref 0.0 and s13 = ref 0.0 in
-      let wo = ref i0 in
-      for o = 0 to nout - 1 do
-        let x0 = Fbuf.get d (d0 + o) and x1 = Fbuf.get d (d1 + o) in
-        let w0 = Fbuf.get w !wo and w1 = Fbuf.get w (!wo + 1)
-        and w2 = Fbuf.get w (!wo + 2) and w3 = Fbuf.get w (!wo + 3) in
-        s00 := !s00 +. (x0 *. w0);
-        s01 := !s01 +. (x0 *. w1);
-        s02 := !s02 +. (x0 *. w2);
-        s03 := !s03 +. (x0 *. w3);
-        s10 := !s10 +. (x1 *. w0);
-        s11 := !s11 +. (x1 *. w1);
-        s12 := !s12 +. (x1 *. w2);
-        s13 := !s13 +. (x1 *. w3);
-        wo := !wo + nin
-      done;
-      let j0 = e0 + i0 and j1 = e1 + i0 in
-      let a00 = Fbuf.get a j0 and a01 = Fbuf.get a (j0 + 1)
-      and a02 = Fbuf.get a (j0 + 2) and a03 = Fbuf.get a (j0 + 3) in
-      let a10 = Fbuf.get a j1 and a11 = Fbuf.get a (j1 + 1)
-      and a12 = Fbuf.get a (j1 + 2) and a13 = Fbuf.get a (j1 + 3) in
-      Fbuf.set nd j0 (!s00 *. (1.0 -. (a00 *. a00)));
-      Fbuf.set nd (j0 + 1) (!s01 *. (1.0 -. (a01 *. a01)));
-      Fbuf.set nd (j0 + 2) (!s02 *. (1.0 -. (a02 *. a02)));
-      Fbuf.set nd (j0 + 3) (!s03 *. (1.0 -. (a03 *. a03)));
-      Fbuf.set nd j1 (!s10 *. (1.0 -. (a10 *. a10)));
-      Fbuf.set nd (j1 + 1) (!s11 *. (1.0 -. (a11 *. a11)));
-      Fbuf.set nd (j1 + 2) (!s12 *. (1.0 -. (a12 *. a12)));
-      Fbuf.set nd (j1 + 3) (!s13 *. (1.0 -. (a13 *. a13)));
-      i := i0 + 4
-    done;
-    for i = !i to nin - 1 do
-      delta_entry lay ~a ~d ~nd !k i;
-      delta_entry lay ~a ~d ~nd (!k + 1) i
-    done;
-    k := !k + 2
-  done;
-  if !k < n then begin
-    let e0 = !k * nin and d0 = !k * nout in
-    let i = ref 0 in
-    while !i + 3 < nin do
-      let i0 = !i in
-      let s0 = ref 0.0 and s1 = ref 0.0 and s2 = ref 0.0 and s3 = ref 0.0 in
-      let wo = ref i0 in
-      for o = 0 to nout - 1 do
-        let x = Fbuf.get d (d0 + o) in
-        s0 := !s0 +. (x *. Fbuf.get w !wo);
-        s1 := !s1 +. (x *. Fbuf.get w (!wo + 1));
-        s2 := !s2 +. (x *. Fbuf.get w (!wo + 2));
-        s3 := !s3 +. (x *. Fbuf.get w (!wo + 3));
-        wo := !wo + nin
-      done;
-      let j0 = e0 + i0 in
-      let a0 = Fbuf.get a j0 and a1 = Fbuf.get a (j0 + 1)
-      and a2 = Fbuf.get a (j0 + 2) and a3 = Fbuf.get a (j0 + 3) in
-      Fbuf.set nd j0 (!s0 *. (1.0 -. (a0 *. a0)));
-      Fbuf.set nd (j0 + 1) (!s1 *. (1.0 -. (a1 *. a1)));
-      Fbuf.set nd (j0 + 2) (!s2 *. (1.0 -. (a2 *. a2)));
-      Fbuf.set nd (j0 + 3) (!s3 *. (1.0 -. (a3 *. a3)));
-      i := i0 + 4
-    done;
-    for i = !i to nin - 1 do
-      delta_entry lay ~a ~d ~nd !k i
-    done
-  end
+(* [propagate_kernel w a d nd nin nout n]: nd[k,i] = (sum_o d[k,o]
+   w[o,i], ascending from 0.0) * (1 - a[k,i]^2) *)
+external propagate_kernel :
+  Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t ->
+  (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "mlp_propagate_byte" "mlp_propagate"
+[@@noalloc]
 
 let check_input t fn x =
   if Array.length x <> t.sizes.(0) then
@@ -508,13 +252,11 @@ let forward t ~c =
   let nl = Array.length t.layers and ws = t.ws in
   for l = 0 to nl - 1 do
     let lay = t.layers.(l) in
-    forward_kernel lay ~hidden:(l < nl - 1) ~src:(src_of ws l) ~dst:ws.act.(l)
-      ~n:c ~lo:0 ~hi:lay.nout
+    forward_kernel lay.w lay.b lay.wt (src_of ws l) ws.act.(l) lay.nin lay.nout
+      c
+      (if l < nl - 1 then 1 else 0)
   done;
-  let k = t.layers.(nl - 1).nout in
-  for r = 0 to c - 1 do
-    softmax_row ~src:ws.act.(nl - 1) ~dst:ws.delta.(nl - 1) ~off:(r * k) ~c:k
-  done
+  softmax_kernel ws.act.(nl - 1) ws.delta.(nl - 1) c t.layers.(nl - 1).nout
 
 let probs t = t.ws.delta.(Array.length t.layers - 1)
 let classes t = t.sizes.(Array.length t.sizes - 1)
@@ -596,9 +338,9 @@ let backprop t ~k0 ~c labels =
   Fbuf.set t.loss 1 !last;
   for l = nl - 1 downto 0 do
     let lay = t.layers.(l) and a = src_of ws l in
-    grads_kernel lay ~a ~d:ws.delta.(l) ~n:c;
+    grads_kernel lay.gw lay.gb a ws.delta.(l) lay.nin lay.nout c;
     if l > 0 then
-      propagate_kernel lay ~a ~d:ws.delta.(l) ~nd:ws.delta.(l - 1) ~n:c
+      propagate_kernel lay.w a ws.delta.(l) ws.delta.(l - 1) lay.nin lay.nout c
   done
 
 (* The gradients of a checked batch, [chunk] examples at a time; every

@@ -7,15 +7,17 @@
     {!Icoe_util.Fbuf.t} buffers. A model owns a batch workspace (input,
     activation and delta rows for up to 32 examples) that grows to the
     largest chunk it has seen and is reused, so a steady-state training
-    step allocates nothing. Training and inference share one
-    register-blocked kernel per stage (forward, gradient,
-    propagation); {!backward} is {!train_batch}'s path with a batch of
-    one. Every floating-point operation keeps the order of the plain
-    per-example [float array array] formulation (pre-activations sum the
-    bias first, then inputs ascending; softmax sums in
-    {!Icoe_util.Stats.sum} order; gradients accumulate in example order),
-    so results are bit-identical to it. A model is single-threaded: its
-    workspace is shared by every call. *)
+    step allocates nothing. Training and inference share one C kernel
+    per stage (forward, gradient, propagation), each computing two
+    independent sums per 2-lane vector; {!backward} is {!train_batch}'s
+    path with a batch of one. Every floating-point operation keeps the
+    order of the plain per-example [float array array] formulation
+    (pre-activations sum the bias first, then inputs ascending; softmax
+    sums in {!Icoe_util.Stats.sum} order; gradients accumulate in
+    example order), with no fused multiply-add, so results are
+    bit-identical to it on every platform. A model is single-threaded:
+    its workspace is shared by every call; two models on two domains
+    share nothing. *)
 
 type t
 

@@ -57,7 +57,8 @@ type t = {
 let seed t = t.plan_seed
 
 (* Draw a Poisson arrival sequence on [0, horizon) with the given mean
-   inter-arrival time; [infinity] disables the stream. *)
+   inter-arrival time; [infinity] disables the stream. [generate] has
+   rejected every other non-positive or NaN mean. *)
 let arrivals rng ~mtbf ~horizon =
   if not (Float.is_finite mtbf) then []
   else begin
@@ -74,6 +75,16 @@ let generate ~seed cfg =
   if cfg.nodes <= 0 then invalid_arg "Plan.generate: nodes must be positive";
   if not (cfg.horizon_s > 0.0) then
     invalid_arg "Plan.generate: horizon must be positive";
+  List.iter
+    (fun (name, mtbf) ->
+      if not (mtbf > 0.0) then
+        invalid_arg
+          (Printf.sprintf "Plan.generate: %s must be positive, got %g" name mtbf))
+    [
+      ("node_mtbf_s", cfg.node_mtbf_s); ("link_mtbf_s", cfg.link_mtbf_s);
+      ("straggler_mtbf_s", cfg.straggler_mtbf_s);
+      ("kernel_fault_mtbf_s", cfg.kernel_fault_mtbf_s);
+    ];
   let root = Rng.create seed in
   (* One child stream per fault class, so tweaking one hazard rate
      leaves the other classes' schedules untouched. *)

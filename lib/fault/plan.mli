@@ -53,7 +53,9 @@ val generate : seed:int -> config -> t
 (** Draw the full schedule.  Each fault class uses its own split of the
     seeded generator, so changing one hazard rate does not perturb the
     other classes' schedules.  Any [*_mtbf_s] set to [infinity]
-    disables that class. *)
+    disables that class.  Raises [Invalid_argument], naming the field,
+    when [nodes], [horizon_s] or any [*_mtbf_s] is not positive (NaN
+    included). *)
 
 type spec = { spec_seed : int; intensity : float }
 (** A machine-independent request for faults, carried by

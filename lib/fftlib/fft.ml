@@ -100,7 +100,7 @@ let transpose_tiled ?(tile = 16) ~n src dst =
 
 (** 2D FFT of an n x n complex field (row-major, interleaved), using
     row FFTs + transpose + row FFTs + transpose. *)
-let transform_2d ?(inverse = false) ?(tiled = true) ~n a =
+let transform_2d ?(inverse = false) ~n a =
   if not (Array.length a = 2 * n * n) then
     invalid_arg
       (Printf.sprintf "Fft.transform_2d: array length %d, expected 2 * %d * %d"
@@ -114,13 +114,10 @@ let transform_2d ?(inverse = false) ?(tiled = true) ~n a =
     done
   in
   let scratch = Array.make (2 * n * n) 0.0 in
-  let transpose src dst =
-    if tiled then transpose_tiled ~n src dst else transpose_naive ~n src dst
-  in
   do_rows a;
-  transpose a scratch;
+  transpose_tiled ~n a scratch;
   do_rows scratch;
-  transpose scratch a
+  transpose_tiled ~n scratch a
 
 (** Work volume of one n-point 1D FFT (5 n log2 n flops, classic count). *)
 let fft_work n =

@@ -17,8 +17,8 @@ val transpose_naive : n:int -> float array -> float array -> unit
 val transpose_tiled : ?tile:int -> n:int -> float array -> float array -> unit
 (** Tiled transpose (the hand-CUDA rewrite that won). Identical results. *)
 
-val transform_2d : ?inverse:bool -> ?tiled:bool -> n:int -> float array -> unit
-(** 2D FFT of an n x n complex field via row FFTs + transposes. *)
+val transform_2d : ?inverse:bool -> n:int -> float array -> unit
+(** 2D FFT of an n x n complex field via row FFTs + tiled transposes. *)
 
 val fft_work : int -> Hwsim.Kernel.t
 (** Work volume of one n-point 1D FFT (5 n log2 n flops). *)

@@ -35,8 +35,8 @@ let of_edges ~n edges =
 (** RMAT generator: 2^scale vertices, 16 * 2^scale undirected
     edges, Graph500 parameters (a, b, c) = (0.57, 0.19, 0.19).
     Self-loops are dropped; multi-edges are kept (as in Graph500). *)
-let rmat ?(a = 0.57) ?(b = 0.19) ?(c = 0.19)
-    ~(rng : Icoe_util.Rng.t) ~scale () =
+let rmat ~(rng : Icoe_util.Rng.t) ~scale () =
+  let a = 0.57 and b = 0.19 and c = 0.19 in
   let n = 1 lsl scale in
   let nedges = 16 * n in
   let edges = ref [] in

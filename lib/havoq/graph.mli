@@ -13,9 +13,7 @@ val degree : t -> int -> int
 val of_edges : n:int -> (int * int) list -> t
 (** Build an undirected graph (each edge stored in both directions). *)
 
-val rmat :
-  ?a:float -> ?b:float -> ?c:float ->
-  rng:Icoe_util.Rng.t -> scale:int -> unit -> t
+val rmat : rng:Icoe_util.Rng.t -> scale:int -> unit -> t
 (** RMAT generator: 2^scale vertices, 16 * 2^scale edges (the Graph500
     edge factor), Graph500 parameters (0.57, 0.19, 0.19). Self-loops
     dropped; multi-edges kept, as in Graph500. *)

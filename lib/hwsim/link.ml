@@ -74,7 +74,7 @@ let ib_dual_edr = { name = "IB-2xEDR"; latency_s = 1.0e-6; bw_gbs = 25.0 }
 (** NVMe burst tier on Sierra nodes (HavoqGT out-of-core runs). *)
 let nvme = { name = "NVMe"; latency_s = 90e-6; bw_gbs = 5.5 }
 
-(* --- exascale-generation links (ROADMAP item 3; Bauman et al. 2023,
+(* --- exascale-generation links (Bauman et al. 2023,
    Elwasif et al. 2022). Built through [make] so a typo in a machine
    model fails at module init, not in a report. --- *)
 

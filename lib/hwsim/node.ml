@@ -56,7 +56,7 @@ let cori_ii =
     nvme_gb = 0.0;
   }
 
-(* --- exascale-generation nodes (ROADMAP item 3) --- *)
+(* --- exascale-generation nodes --- *)
 
 (** Frontier node (Bauman et al. 2023): 1x Trento + 4x MI250X over
     Infinity Fabric, 2x 1.9 TB node-local NVMe. *)

@@ -128,10 +128,8 @@ let ablations () =
   Harness.section "Ablations — the design choices behind the lessons learned"
     (Buffer.contents buf)
 
-let harnesses =
-  [
-    Harness.make ~id:"ablations"
-      ~description:"Design-choice studies behind the lessons learned"
-      ~tags:[ "study"; "activity:ablations" ]
-      ablations;
-  ]
+let harness =
+  Harness.make ~id:"ablations"
+    ~description:"Design-choice studies behind the lessons learned"
+    ~tags:[ "study"; "activity:ablations" ]
+    ablations

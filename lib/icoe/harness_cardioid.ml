@@ -116,9 +116,7 @@ let cardioid_with_faults () =
   | None -> base
   | Some spec -> base ^ resilience_section spec
 
-let harnesses =
-  [
-    Harness.make ~id:"cardioid" ~description:"Cardioid DSL + placement (Sec 4.1)"
-      ~tags:[ "study"; "activity:cardioid" ]
-      cardioid_with_faults;
-  ]
+let harness =
+  Harness.make ~id:"cardioid" ~description:"Cardioid DSL + placement (Sec 4.1)"
+    ~tags:[ "study"; "activity:cardioid" ]
+    cardioid_with_faults

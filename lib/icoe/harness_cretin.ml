@@ -25,9 +25,7 @@ let cretin () =
     (Fmt.str "%sreal 24-zone gradient solve: mean excitation %.3f (1 eV) -> %.3f (50 eV)\n"
        (Table.render t) cold hot)
 
-let harnesses =
-  [
-    Harness.make ~id:"cretin" ~description:"Cretin node speedups (Sec 4.3)"
-      ~tags:[ "study"; "activity:cretin" ]
-      cretin;
-  ]
+let harness =
+  Harness.make ~id:"cretin" ~description:"Cretin node speedups (Sec 4.3)"
+    ~tags:[ "study"; "activity:cretin" ]
+    cretin

@@ -63,9 +63,7 @@ let md () =
        (Table.render t) drift)
   ^ overlap_section ()
 
-let harnesses =
-  [
-    Harness.make ~id:"md" ~description:"ddcMD vs GROMACS (Sec 4.6)"
-      ~tags:[ "study"; "activity:ddcmd" ]
-      md;
-  ]
+let harness =
+  Harness.make ~id:"md" ~description:"ddcMD vs GROMACS (Sec 4.6)"
+    ~tags:[ "study"; "activity:ddcmd" ]
+    md

@@ -1,2 +1,2 @@
-val harnesses : Harness.t list
-(** The harnesses this activity contributes to {!Harness_registry.all}. *)
+val harness : Harness.t
+(** This activity's entry in {!Harness_registry.all}. *)

@@ -1,2 +1,4 @@
-val harnesses : Harness.t list
-(** The harnesses this activity contributes to {!Harness_registry.all}. *)
+val table3 : Harness.t
+val fig3 : Harness.t
+val kavg : Harness.t
+(** This activity's entries in {!Harness_registry.all}. *)

@@ -97,10 +97,8 @@ let resilience () =
        (String.concat ", " backoffs)
        (Table.render yd))
 
-let harnesses =
-  [
-    Harness.make ~id:"resilience"
-      ~description:"Fault injection, retry and checkpointing (bring-up model)"
-      ~tags:[ "study"; "activity:fault"; "traced" ]
-      resilience;
-  ]
+let harness =
+  Harness.make ~id:"resilience"
+    ~description:"Fault injection, retry and checkpointing (bring-up model)"
+    ~tags:[ "study"; "activity:fault"; "traced" ]
+    resilience

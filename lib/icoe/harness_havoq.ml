@@ -48,9 +48,7 @@ let table2 () =
        (float_of_int td.Havoq.Bfs.edges_traversed /. float_of_int hy.Havoq.Bfs.edges_traversed)
        hy.Havoq.Bfs.switches)
 
-let harnesses =
-  [
-    Harness.make ~id:"table2" ~description:"Historical graph scale and GTEPS"
-      ~tags:[ "table"; "activity:havoqgt"; "traced" ]
-      table2;
-  ]
+let harness =
+  Harness.make ~id:"table2" ~description:"Historical graph scale and GTEPS"
+    ~tags:[ "table"; "activity:havoqgt"; "traced" ]
+    table2

@@ -20,9 +20,7 @@ let gpudirect () =
     (Fmt.str "%sCUDA Unified Memory moves 64 KiB blocks: %.2f us per block\n"
        (Table.render t) (um *. 1e6))
 
-let harnesses =
-  [
-    Harness.make ~id:"gpudirect" ~description:"GPUDirect crossover (Sec 4.11)"
-      ~tags:[ "study"; "activity:hwsim" ]
-      gpudirect;
-  ]
+let harness =
+  Harness.make ~id:"gpudirect" ~description:"GPUDirect crossover (Sec 4.11)"
+    ~tags:[ "study"; "activity:hwsim" ]
+    gpudirect

@@ -44,9 +44,7 @@ let hypre () =
        (Hypre.Boomeramg.operator_complexity amg) r.Linalg.Krylov.iters
        (gpu_t *. 1e3) (cpu_t *. 1e3) (cpu_t /. gpu_t))
 
-let harnesses =
-  [
-    Harness.make ~id:"hypre" ~description:"hypre BoxLoops + BoomerAMG (Sec 4.10.1)"
-      ~tags:[ "study"; "activity:hypre" ]
-      hypre;
-  ]
+let harness =
+  Harness.make ~id:"hypre" ~description:"hypre BoxLoops + BoomerAMG (Sec 4.10.1)"
+    ~tags:[ "study"; "activity:hypre" ]
+    hypre

@@ -38,9 +38,7 @@ let fig2 () =
        trace.(0) trace.(9) recovery (Table.render t)
        (Sparkle.Cluster.elapsed slow /. Sparkle.Cluster.elapsed fast))
 
-let harnesses =
-  [
-    Harness.make ~id:"fig2" ~description:"SparkPlug LDA default vs optimized"
-      ~tags:[ "figure"; "activity:sparkplug"; "traced" ]
-      fig2;
-  ]
+let harness =
+  Harness.make ~id:"fig2" ~description:"SparkPlug LDA default vs optimized"
+    ~tags:[ "figure"; "activity:sparkplug"; "traced" ]
+    fig2

@@ -41,9 +41,7 @@ let opt_sched () =
        design.Opt.Topopt.compliance
        (p100_no *. 1e3) (p100_tex *. 1e3) (v100_no *. 1e3) (v100_tex *. 1e3))
 
-let harnesses =
-  [
-    Harness.make ~id:"opt" ~description:"Opt scheduler + topology optimization (Sec 4.7)"
-      ~tags:[ "study"; "activity:opt" ]
-      opt_sched;
-  ]
+let harness =
+  Harness.make ~id:"opt" ~description:"Opt scheduler + topology optimization (Sec 4.7)"
+    ~tags:[ "study"; "activity:opt" ]
+    opt_sched

@@ -37,9 +37,7 @@ let fig6 () =
            (Table.render t) (t0 /. t1) (((t1 /. t2) -. 1.0) *. 100.0))
   | _ -> assert false
 
-let harnesses =
-  [
-    Harness.make ~id:"fig6" ~description:"ParaDyn SLNSP + dead-store elimination"
-      ~tags:[ "figure"; "activity:paradyn" ]
-      fig6;
-  ]
+let harness =
+  Harness.make ~id:"fig6" ~description:"ParaDyn SLNSP + dead-store elimination"
+    ~tags:[ "figure"; "activity:paradyn" ]
+    fig6

@@ -3,49 +3,17 @@
    tables and figures first (paper numbering), then the per-activity
    studies, ablations last. *)
 
-let pool =
-  List.concat
-    [
-      Harness_table1.harnesses;
-      Harness_lda.harnesses;
-      Harness_havoq.harnesses;
-      Harness_dlearn.harnesses;
-      Harness_paradyn.harnesses;
-      Harness_mfem.harnesses;
-      Harness_samrai.harnesses;
-      Harness_vbl.harnesses;
-      Harness_cretin.harnesses;
-      Harness_ddcmd.harnesses;
-      Harness_sw4.harnesses;
-      Harness_opt.harnesses;
-      Harness_hwsim.harnesses;
-      Harness_cardioid.harnesses;
-      Harness_hypre.harnesses;
-      Harness_fault.harnesses;
-      Harness_svc.harnesses;
-      Harness_topo.harnesses;
-      Harness_tune.harnesses;
-      Harness_ablations.harnesses;
-    ]
-
-let order =
-  [
-    "table1"; "fig2"; "table2"; "table3"; "fig3"; "fig6"; "fig8"; "table4";
-    "table5"; "fig9"; "cretin"; "md"; "sw4"; "opt"; "kavg"; "gpudirect";
-    "cardioid"; "hypre"; "resilience"; "svc"; "topo"; "tune"; "ablations";
-  ]
-
 let all =
-  let lookup id =
-    match List.find_opt (fun h -> h.Harness.id = id) pool with
-    | Some h -> h
-    | None -> invalid_arg ("Harness_registry: no harness registered for " ^ id)
-  in
-  let ordered = List.map lookup order in
-  let extra =
-    List.filter (fun h -> not (List.mem h.Harness.id order)) pool
-  in
-  ordered @ extra
+  [
+    Harness_table1.harness; Harness_lda.harness; Harness_havoq.harness;
+    Harness_dlearn.table3; Harness_dlearn.fig3; Harness_paradyn.harness;
+    Harness_mfem.fig8; Harness_mfem.table4; Harness_samrai.harness;
+    Harness_vbl.harness; Harness_cretin.harness; Harness_ddcmd.harness;
+    Harness_sw4.harness; Harness_opt.harness; Harness_dlearn.kavg;
+    Harness_hwsim.harness; Harness_cardioid.harness; Harness_hypre.harness;
+    Harness_fault.harness; Harness_svc.harness; Harness_topo.harness;
+    Harness_tune.harness; Harness_ablations.harness;
+  ]
 
 let ids () = List.map (fun h -> h.Harness.id) all
 

@@ -5,8 +5,7 @@
 val all : Harness.t list
 (** Every registered harness, in presentation order: paper tables and
     figures first, then the per-activity studies, ablations last. Ids
-    are unique. Raises [Invalid_argument] at module initialization if an
-    expected id is missing. *)
+    are unique. *)
 
 val ids : unit -> string list
 (** Ids of {!all}, in order. *)

@@ -23,9 +23,7 @@ let table5 () =
        (Table.render t) sim.Samrai.Cleverleaf.steps
        (Float.abs (m1 -. m0)) (Float.abs (e1 -. e0)))
 
-let harnesses =
-  [
-    Harness.make ~id:"table5" ~description:"CleverLeaf on SAMRAI"
-      ~tags:[ "table"; "activity:samrai" ]
-      table5;
-  ]
+let harness =
+  Harness.make ~id:"table5" ~description:"CleverLeaf on SAMRAI"
+    ~tags:[ "table"; "activity:samrai" ]
+    table5

@@ -138,10 +138,8 @@ let svc () =
        (bursty.Svc.Cluster.wait_p99 /. bursty.Svc.Cluster.mean_wait)
        (easy.Svc.Cluster.wait_p99 /. easy.Svc.Cluster.mean_wait))
 
-let harnesses =
-  [
-    Harness.make ~id:"svc"
-      ~description:"Multi-tenant machine-as-a-service job streams"
-      ~tags:[ "study"; "activity:svc" ]
-      svc;
-  ]
+let harness =
+  Harness.make ~id:"svc"
+    ~description:"Multi-tenant machine-as-a-service job streams"
+    ~tags:[ "study"; "activity:svc" ]
+    svc

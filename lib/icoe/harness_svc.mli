@@ -2,5 +2,5 @@
     reproduced workloads (generalizes the Sec 4.7 scheduler study to
     node allocations on the Sierra model). *)
 
-val harnesses : Harness.t list
+val harness : Harness.t
 (** The ["svc"] study. *)

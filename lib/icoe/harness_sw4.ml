@@ -155,9 +155,7 @@ let sw4_with_faults () =
   | None -> base
   | Some spec -> base ^ resilience_section spec
 
-let harnesses =
-  [
-    Harness.make ~id:"sw4" ~description:"SW4 variants and node throughput (Sec 4.9)"
-      ~tags:[ "study"; "activity:sw4" ]
-      sw4_with_faults;
-  ]
+let harness =
+  Harness.make ~id:"sw4" ~description:"SW4 variants and node throughput (Sec 4.9)"
+    ~tags:[ "study"; "activity:sw4" ]
+    sw4_with_faults

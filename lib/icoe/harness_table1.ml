@@ -2,10 +2,8 @@
 
 open Icoe_util
 
-let harnesses =
-  [
-    Harness.make ~id:"table1"
-      ~description:"Completed iCoE activities and approaches"
-      ~tags:[ "table"; "activity:icoe" ]
-      (fun () -> Table.render (Registry.table1 ()));
-  ]
+let harness =
+  Harness.make ~id:"table1"
+    ~description:"Completed iCoE activities and approaches"
+    ~tags:[ "table"; "activity:icoe" ]
+    (fun () -> Table.render (Registry.table1 ()))

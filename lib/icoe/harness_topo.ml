@@ -1,4 +1,4 @@
-(** Cross-generation interconnect study (ROADMAP item 3): the paper's
+(** Cross-generation interconnect study: the paper's
     flagship workloads re-priced on exascale-era hierarchical topologies
     — Sierra's flat dual-rail EDR against Frontier's Slingshot dragonfly
     and a Grace-Hopper NDR fat tree — under contiguous vs scattered
@@ -168,10 +168,8 @@ let kavg_section () =
 let topo () =
   zoo_section () ^ sw4_section () ^ md_section () ^ kavg_section ()
 
-let harnesses =
-  [
-    Harness.make ~id:"topo"
-      ~description:"Cross-generation topology/placement study (ROADMAP 3)"
-      ~tags:[ "study"; "activity:hwsim" ]
-      topo;
-  ]
+let harness =
+  Harness.make ~id:"topo"
+    ~description:"Cross-generation topology/placement study"
+    ~tags:[ "study"; "activity:hwsim" ]
+    topo

@@ -3,5 +3,5 @@
     Grace-Hopper fat tree) against the flat Sierra baseline, contiguous
     vs scattered placement. *)
 
-val harnesses : Harness.t list
+val harness : Harness.t
 (** The ["topo"] study. *)

@@ -1,4 +1,4 @@
-(** Heterogeneous work-partitioning auto-tuner study (ROADMAP item 2):
+(** Heterogeneous work-partitioning auto-tuner study:
     {!Opt.Autotune} applied to the paper's three overlap-wired step
     models — the SW4 production stencil, the ddcMD force pipeline and
     the KAVG backprop round — on a paper-era machine and both exascale
@@ -204,12 +204,10 @@ let anneal_section () =
 
 let tune () = exhaustive_section () ^ anneal_section ()
 
-let harnesses =
-  [
-    Harness.make ~id:"tune"
-      ~description:
-        "Heterogeneous work-partitioning auto-tuner: tuned vs paper-default \
-         placements (ROADMAP 2)"
-      ~tags:[ "study"; "activity:opt" ]
-      tune;
-  ]
+let harness =
+  Harness.make ~id:"tune"
+    ~description:
+      "Heterogeneous work-partitioning auto-tuner: tuned vs paper-default \
+       placements"
+    ~tags:[ "study"; "activity:opt" ]
+    tune

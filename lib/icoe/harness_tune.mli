@@ -3,7 +3,7 @@
     paper-era machine, Frontier and Grace-Hopper — tuned vs
     paper-default placements, exhaustive vs annealed search. *)
 
-val harnesses : Harness.t list
+val harness : Harness.t
 (** The ["tune"] study. *)
 
 type row = {

@@ -25,9 +25,7 @@ let fig9 () =
        (Table.render t) (c_def /. max 1e-9 c_clean)
        (t_raja *. 1e3) (t_cuda *. 1e3) (t_raja /. t_cuda))
 
-let harnesses =
-  [
-    Harness.make ~id:"fig9" ~description:"VBL phase-defect ripples"
-      ~tags:[ "figure"; "activity:vbl" ]
-      fig9;
-  ]
+let harness =
+  Harness.make ~id:"fig9" ~description:"VBL phase-defect ripples"
+    ~tags:[ "figure"; "activity:vbl" ]
+    fig9

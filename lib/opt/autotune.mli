@@ -1,4 +1,4 @@
-(** Heterogeneous work-partitioning auto-tuner (ROADMAP item 2).
+(** Heterogeneous work-partitioning auto-tuner.
 
     The paper's core lesson is deciding what runs where on a
     heterogeneous node; its placements were hand-picked. This module

@@ -19,9 +19,9 @@ type t = {
   mutable steps : int;
 }
 
-let create ?(patches = 4) ~nx ~ny ~lx ~ly () =
+let create ~nx ~ny ~lx ~ly () =
   let domain = Box.make ~ilo:0 ~jlo:0 ~ihi:(nx - 1) ~jhi:(ny - 1) in
-  let hier = Hierarchy.create ~ghosts:1 ~patches_per_level:patches ~fields domain in
+  let hier = Hierarchy.create ~ghosts:1 ~patches_per_level:4 ~fields domain in
   {
     hier;
     dx = lx /. float_of_int nx;

@@ -10,7 +10,9 @@ type t = {
   mutable steps : int;
 }
 
-val create : ?patches:int -> nx:int -> ny:int -> lx:float -> ly:float -> unit -> t
+val create : nx:int -> ny:int -> lx:float -> ly:float -> unit -> t
+(** The domain split into four patches along its longer axis, each with
+    one ghost cell. *)
 
 val init : t -> (x:float -> y:float -> float * float * float * float) -> unit
 (** Initialize from primitive variables (rho, u, v, p) at cell centres. *)

@@ -547,6 +547,77 @@ let prop_mlp_probs_normalized =
       Float.abs (Icoe_util.Stats.sum p -. 1.0) < 1e-9
       && Array.for_all (fun v -> v >= 0.0) p)
 
+(* The shapes the harnesses train (fig3/kavg learners, the Table 3
+   combiners), plus two wide ones whose widths hit the kernels' 8-lane
+   blocks, 2-lane remainders and scalar tails in every stage, at batch
+   sizes on both sides of the 32-example chunk. *)
+let test_mlp_harness_shapes () =
+  List.iter
+    (fun sizes ->
+      List.iter
+        (fun batch ->
+          let seed = (batch * 31) + Array.length sizes in
+          let r = Icoe_util.Rng.create seed in
+          let m = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+          let o = Ref_mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+          let name what =
+            Fmt.str "%a batch %d: %s" Fmt.(array ~sep:semi int) sizes batch what
+          in
+          for _ = 1 to 2 do
+            let xs, ls = random_batch r sizes batch in
+            let lm = Mlp.train_batch ~momentum:0.9 m ~lr:0.1 xs ls in
+            let lo = Ref_mlp.train_batch ~momentum:0.9 o ~lr:0.1 xs ls in
+            Alcotest.(check bool) (name "loss") true (same [| lm |] [| lo |])
+          done;
+          let x = random_input r sizes in
+          Alcotest.(check bool) (name "params") true
+            (same (Mlp.get_params m) (Ref_mlp.get_params o));
+          Alcotest.(check bool) (name "probs") true
+            (same (Mlp.predict_proba m x) (Ref_mlp.predict_proba o x)))
+        [ 1; 31; 32; 33 ])
+    [
+      [| 10; 8 |]; [| 24; 8 |]; [| 24; 16; 8 |]; [| 30; 12; 8 |];
+      [| 12; 16; 4 |]; [| 40; 36; 9 |]; [| 41; 37; 9 |];
+    ]
+
+(* A contraction canary. w*x = 1 + 2^-29 + 2^-60 exactly, so b + w*x is
+   0.0 when the product is rounded first, as OCaml does, and 2^-60 when a
+   fused multiply-add keeps it. Eleven hidden units (an 8-lane block, a
+   2-lane remainder and a scalar tail) feed one logit with weight 2^60:
+   any fused unit turns that logit from 0.0 into at least 1.0. *)
+let test_mlp_no_contraction () =
+  let w = 1.0 +. ldexp 1.0 (-30) and b = -.(1.0 +. ldexp 1.0 (-29)) in
+  let x = w in
+  Alcotest.(check bool) "the canary separates fused from unfused" true
+    (b +. (w *. x) = 0.0 && Float.fma w x b <> 0.0);
+  let hidden = 11 in
+  let m = Mlp.create ~rng:(rng ()) [| 1; hidden; 2 |] in
+  Mlp.set_params m
+    (Array.concat
+       [
+         Array.make hidden w; Array.make hidden b;
+         Array.make hidden (ldexp 1.0 60); Array.make hidden 0.0;
+         [| 0.0; 0.0 |];
+       ]);
+  (* the OCaml expressions: every hidden unit tanh (b + w*x) *)
+  let h = tanh (b +. (w *. x)) in
+  let z0 = ref 0.0 in
+  for _ = 1 to hidden do
+    z0 := !z0 +. (ldexp 1.0 60 *. h)
+  done;
+  let expect = Ref_mlp.softmax [| !z0; 0.0 |] in
+  Alcotest.(check bool) "one example, bit for bit" true
+    (same (Mlp.predict_proba m [| x |]) expect);
+  (* three examples: the 2-example blocks and the odd one *)
+  let loss = ref 0.0 in
+  for _ = 1 to 3 do
+    loss := !loss -. log expect.(0)
+  done;
+  Alcotest.(check bool) "a batch, bit for bit" true
+    (same
+       [| Mlp.eval_loss m [| [| x |]; [| x |]; [| x |] |] [| 0; 0; 0 |] |]
+       [| !loss /. 3.0 |])
+
 let () =
   Alcotest.run "dlearn"
     [
@@ -560,6 +631,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_mlp_matches_reference;
           QCheck_alcotest.to_alcotest prop_mlp_workspace_reuse;
           QCheck_alcotest.to_alcotest prop_mlp_backward_is_batch_of_one;
+          Alcotest.test_case "harness shapes match the oracle" `Quick
+            test_mlp_harness_shapes;
+          Alcotest.test_case "no fused multiply-add" `Quick
+            test_mlp_no_contraction;
         ] );
       ( "distributed",
         [

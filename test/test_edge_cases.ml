@@ -499,6 +499,29 @@ let expect_invalid name f =
   | exception Invalid_argument msg ->
       Alcotest.(check bool) (name ^ ": message") true (msg <> "")
 
+(* --- fault plans: a zero, negative or NaN mean time between failures is
+   rejected by name before any arrival stream is drawn --- *)
+
+let test_fault_plan_bad_mtbf () =
+  let module P = Icoe_fault.Plan in
+  let c = P.default_config in
+  List.iter
+    (fun (name, cfg) ->
+      List.iter
+        (fun v ->
+          expect_invalid_naming (Fmt.str "%s = %g" name v)
+            [ "Plan.generate"; name ]
+            (fun () -> P.generate ~seed:1 (cfg v)))
+        [ 0.0; -5.0; Float.nan ])
+    [
+      ("node_mtbf_s", fun v -> { c with P.node_mtbf_s = v });
+      ("link_mtbf_s", fun v -> { c with P.link_mtbf_s = v });
+      ("straggler_mtbf_s", fun v -> { c with P.straggler_mtbf_s = v });
+      ("kernel_fault_mtbf_s", fun v -> { c with P.kernel_fault_mtbf_s = v });
+    ];
+  (* infinity still disables a class *)
+  ignore (P.generate ~seed:1 { c with P.link_mtbf_s = infinity })
+
 let mlp () = Dlearn.Mlp.create ~rng:(Icoe_util.Rng.create 1) [| 3; 5; 2 |]
 
 let test_mlp_bad_sizes () =
@@ -717,6 +740,7 @@ let () =
           Alcotest.test_case "counters sample" `Quick test_counters_sample_monotone;
           Alcotest.test_case "patch get" `Quick test_patch_get_guard;
           Alcotest.test_case "patch set" `Quick test_patch_set_guard;
+          Alcotest.test_case "fault plan mtbf" `Quick test_fault_plan_bad_mtbf;
         ] );
       ( "cost models",
         [
