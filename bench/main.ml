@@ -580,6 +580,19 @@ let alloc_smoke () =
   pcg 10 ();
   report "hypre/amg-pcg-iter" ~budget:1024.0
     ((words (pcg 30) -. words (pcg 10)) /. 20.0);
+  (* the scheduling core through the Opt adapter: a 2 500-job batch under
+     each policy, in minor words per simulated job. The waits list and
+     the boxed times handed to the hooks cost ~16-18 words; the per-run
+     arrays are allocated directly in the major heap and do not count.
+     Persistent maps and per-event closures cost 500-1 500. *)
+  let batch = Opt.Scheduler.batch_workload ~rng:(Icoe_util.Rng.create 2) ~n:2500 () in
+  let simulate_all () =
+    List.iter
+      (fun pol -> ignore (Opt.Scheduler.simulate ~gpus:16 pol batch))
+      Opt.Scheduler.[ Fcfs; Fcfs_backfill; Sjf; Sjf_quota 0.5 ]
+  in
+  simulate_all ();
+  report "opt/core-run-per-job" ~budget:96.0 (words simulate_all /. (4.0 *. 2500.0));
   if !failures > 0 then begin
     Fmt.pr "alloc-smoke: %d kernel(s) over budget@." !failures;
     exit 1

@@ -16,7 +16,8 @@
     compute on 2-lane double vectors, in blocks of 8 lanes with 2-lane
     remainders and scalar tails:
     - forward: lanes over output rows, from a transposed copy of the
-      weights that each call refreshes ([wt]); 2 examples at a time. It
+      weights ([wt]), refreshed by the first forward after the weights
+      change; 2 examples at a time. It
       also runs the hidden layers' tanh and serves single-example
       inference; a fourth stub writes the softmax rows;
     - gradient: lanes over inputs, 2 output units at a time;
@@ -49,7 +50,7 @@ type layer = {
   nin : int;
   nout : int;
   w : Fbuf.t;  (** nout x nin, row-major *)
-  wt : Fbuf.t;  (** nin x nout: [w] transposed, refreshed by each forward *)
+  wt : Fbuf.t;  (** nin x nout: [w] transposed while [wt_stale] is false *)
   b : Fbuf.t;
   gw : Fbuf.t;  (** accumulated gradients *)
   gb : Fbuf.t;
@@ -85,6 +86,9 @@ type t = {
   loss : Fbuf.t;
       (** two slots, read unboxed: the batch's summed loss, and the last
           example's loss *)
+  mutable wt_stale : bool;
+      (** the weights changed since [wt] was last transposed: set by every
+          write to [w] (create, {!set_params}, {!sgd_step}) *)
 }
 
 let workspace sizes rows =
@@ -130,6 +134,7 @@ let alloc sizes ~init_w =
     one = [| [||] |];
     label = [| 0 |];
     loss = Fbuf.create 2;
+    wt_stale = true;
   }
 
 let create ~(rng : Icoe_util.Rng.t) sizes =
@@ -179,7 +184,8 @@ let set_params t buf =
         Fbuf.set l.b j buf.(!k + j)
       done;
       k := !k + l.nout)
-    t.layers
+    t.layers;
+  t.wt_stale <- true
 
 (* [Stdlib.max] on floats, without the polymorphic compare call *)
 let fmax (a : float) b = if a >= b then a else b
@@ -187,9 +193,15 @@ let fmax (a : float) b = if a >= b then a else b
 (* The kernels, in mlp_stubs.c. Each works on the first [n] rows of
    row-major buffers; sizes are untagged, bounds are the caller's. *)
 
+(* [transpose_kernel w wt nin nout]: wt[i,o] = w[o,i] *)
+external transpose_kernel :
+  Fbuf.t -> Fbuf.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "mlp_transpose_byte" "mlp_transpose"
+[@@noalloc]
+
 (* [forward_kernel w b wt src dst nin nout n hidden]: dst[k,o] =
    f (b[o] + sum_i w[o,i] src[k,i]), inputs ascending, f = tanh when
-   [hidden] is 1; refreshes [wt] with the transpose of [w] first *)
+   [hidden] is 1; [wt] is the transpose of [w] *)
 external forward_kernel :
   Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t ->
   (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
@@ -250,6 +262,10 @@ let src_of ws l = if l = 0 then ws.input else ws.act.(l - 1)
    probabilities into the top delta rows *)
 let forward t ~c =
   let nl = Array.length t.layers and ws = t.ws in
+  if t.wt_stale then begin
+    Array.iter (fun l -> transpose_kernel l.w l.wt l.nin l.nout) t.layers;
+    t.wt_stale <- false
+  end;
   for l = 0 to nl - 1 do
     let lay = t.layers.(l) in
     forward_kernel lay.w lay.b lay.wt (src_of ws l) ws.act.(l) lay.nin lay.nout
@@ -387,6 +403,7 @@ let sgd_step ?(momentum = 0.0) ?(weight_decay = 0.0) t ~lr ~batch =
         Fbuf.set b o (Fbuf.get b o +. Fbuf.get mb o)
       done)
     t.layers;
+  t.wt_stale <- true;
   zero_grads t
 
 (** One mini-batch step; returns mean loss. *)

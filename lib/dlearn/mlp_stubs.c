@@ -39,6 +39,22 @@ static inline v2d splat(double x) { return (v2d){x, x}; }
    V (1 or 4) as constants, so each call site unrolls into registers. */
 #define INLINE static inline __attribute__((always_inline))
 
+/* wt[i,o] = w[o,i]: the transposed weights the forward kernel reads, so
+   that adjacent output rows are adjacent */
+value mlp_transpose(value vw, value vwt, intnat nin, intnat nout)
+{
+  const double *w = F(vw);
+  double *wt = F(vwt);
+  for (intnat o = 0; o < nout; o++)
+    for (intnat i = 0; i < nin; i++) wt[i * nout + o] = w[o * nin + i];
+  return Val_unit;
+}
+
+value mlp_transpose_byte(value vw, value vwt, value nin, value nout)
+{
+  return mlp_transpose(vw, vwt, Long_val(nin), Long_val(nout));
+}
+
 /* Forward: y[k,o..o+2V) = b[o..] + sum_i wt[i,o..] x[k,i], inputs
    ascending, for examples k0..k0+E. */
 INLINE void fwd_block(int E, int V, const double *wt, const double *b,
@@ -65,10 +81,8 @@ value mlp_forward(value vw, value vb, value vwt, value vx, value vy,
                   intnat nin, intnat nout, intnat n, intnat hidden)
 {
   const double *w = F(vw), *b = F(vb), *x = F(vx);
-  double *wt = F(vwt), *y = F(vy);
-  /* the transposed weights, so that adjacent output rows are adjacent */
-  for (intnat o = 0; o < nout; o++)
-    for (intnat i = 0; i < nin; i++) wt[i * nout + o] = w[o * nin + i];
+  const double *wt = F(vwt);
+  double *y = F(vy);
   intnat o = 0;
   for (; o + 8 <= nout; o += 8) {
     intnat k = 0;

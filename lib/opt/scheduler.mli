@@ -88,9 +88,12 @@ module Core : sig
   val run : ?check:bool -> pool:int -> 'a hooks -> policy -> 'a list -> outcome
   (** Jobs wider than [pool] are dropped first and never complete.
       Events within 1e-12 s after the current time are simultaneous.
-      Each event, dispatch and pick costs O(log n) in the number of jobs
-      plus O(W) in the occupied (long?, width) classes; EASY's backfill
-      candidate scan alone walks the queue past the blocked head.
+      The run's state is a set of flat arrays sized once from [jobs]
+      (the running set grows on demand); an arrival costs O(1), or
+      O(log n) under SJF and EASY, a pick O(C) in the job classes plus
+      O(log n), a dispatch O(R) in the running jobs, and a finish O(1)
+      amortized. EASY's candidate search alone walks class members
+      past the blocked head.
       With [check] (default false) every EASY backfill re-derives the
       head's shadow with the candidate running and raises
       [Invalid_argument] if the reservation would move. *)

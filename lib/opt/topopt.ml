@@ -90,29 +90,14 @@ let stencil t =
   done;
   { snx = nx; sny = ny; left; right; down; up; diag; sink }
 
-(* a cell on the grid's edge: a sink is an identity row, any other cell
-   sums only the links it has, left, right, down, up *)
-let apply_edge s u y i j =
-  let nx = s.snx in
-  let k = i + (nx * j) in
-  if s.sink.(k) then y.(k) <- u.(k)
-  else begin
-    let acc = ref 0.0 in
-    if i > 0 then acc := !acc +. (s.left.(k) *. u.(k - 1));
-    if i < nx - 1 then acc := !acc +. (s.right.(k) *. u.(k + 1));
-    if j > 0 then acc := !acc +. (s.down.(k) *. u.(k - nx));
-    if j < s.sny - 1 then acc := !acc +. (s.up.(k) *. u.(k + nx));
-    y.(k) <- (s.diag.(k) *. u.(k)) -. !acc
-  end
-
 let get (v : float array) i = Array.unsafe_get v i
+let set (v : float array) i x = Array.unsafe_set v i x
 
 (* the interior cells of the row starting at [row]: all four links and
    no sink (sinks lie on the bottom edge), so they sum without a branch,
    from 0.0 in the edge cells' order, and every cell rounds as if summed
-   link by link. A leaf function, so the seven arrays stay in registers
-   (a loop beside the [apply_edge] calls reloads them from the stack on
-   every cell). *)
+   link by link. A leaf function, so the seven arrays stay in
+   registers. *)
 let apply_interior s u y row =
   let nx = s.snx in
   let left = s.left and right = s.right and down = s.down and up = s.up in
@@ -125,28 +110,62 @@ let apply_interior s u y row =
       +. (get down k *. get u (k - nx))
       +. (get up k *. get u (k + nx))
     in
-    Array.unsafe_set y k ((get diag k *. get u k) -. acc)
+    set y k ((get diag k *. get u k) -. acc)
   done
 
-(* y <- A u, row by row: edge cells branchy, interior cells branch-free *)
+(* y <- A u, row by row. An edge cell sums only the links it has, from
+   0.0 in the order left, right, down, up; a sink (bottom row only) is an
+   identity row. *)
 let apply s u y =
   let nx = s.snx and ny = s.sny in
   if Array.length u <> nx * ny || Array.length y <> nx * ny then
     invalid_arg
       (Printf.sprintf "Topopt.apply: u has length %d, y %d for a %dx%d grid"
          (Array.length u) (Array.length y) nx ny);
-  for i = 0 to nx - 1 do
-    apply_edge s u y i 0
+  let left = s.left and right = s.right and down = s.down and up = s.up in
+  let diag = s.diag and sink = s.sink in
+  (* bottom row: no down link *)
+  for k = 0 to nx - 1 do
+    if Array.unsafe_get sink k then set y k (get u k)
+    else begin
+      let acc = if k > 0 then 0.0 +. (get left k *. get u (k - 1)) else 0.0 in
+      let acc = if k < nx - 1 then acc +. (get right k *. get u (k + 1)) else acc in
+      let acc = if ny > 1 then acc +. (get up k *. get u (k + nx)) else acc in
+      set y k ((get diag k *. get u k) -. acc)
+    end
   done;
+  (* middle rows: both end cells have down and up links *)
   for j = 1 to ny - 2 do
-    apply_edge s u y 0 j;
-    apply_interior s u y (nx * j);
-    if nx > 1 then apply_edge s u y (nx - 1) j
+    let k = nx * j in
+    let acc = if nx > 1 then 0.0 +. (get right k *. get u (k + 1)) else 0.0 in
+    let acc =
+      acc +. (get down k *. get u (k - nx)) +. (get up k *. get u (k + nx))
+    in
+    set y k ((get diag k *. get u k) -. acc);
+    apply_interior s u y k;
+    if nx > 1 then begin
+      let k = k + nx - 1 in
+      let acc =
+        0.0
+        +. (get left k *. get u (k - 1))
+        +. (get down k *. get u (k - nx))
+        +. (get up k *. get u (k + nx))
+      in
+      set y k ((get diag k *. get u k) -. acc)
+    end
   done;
-  if ny > 1 then
-    for i = 0 to nx - 1 do
-      apply_edge s u y i (ny - 1)
+  (* top row: no up link *)
+  if ny > 1 then begin
+    let row = nx * (ny - 1) in
+    for k = row to row + nx - 1 do
+      let acc = if k > row then 0.0 +. (get left k *. get u (k - 1)) else 0.0 in
+      let acc =
+        if k < row + nx - 1 then acc +. (get right k *. get u (k + 1)) else acc
+      in
+      let acc = acc +. (get down k *. get u (k - nx)) in
+      set y k ((get diag k *. get u k) -. acc)
     done
+  end
 
 (* heat load: flux enters along the top edge and must funnel down to the
    small central sink — the classic geometry whose optima are funnel/tree

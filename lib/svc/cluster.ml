@@ -51,45 +51,77 @@ type metrics = {
    fragmented placement stretches *)
 let comm_fraction = 0.2
 
+(* a job as the core sees it: the dispatch time and the nodes it holds
+   ride along from dispatch to finish *)
+type slot = {
+  j : Workload.job;
+  mutable t0 : float;
+  mutable held : int list;
+}
+
 let simulate ?check ?topology ~nodes
     ~(classes : Workload.job_class array) policy jobs =
-  let price =
-    let memo = Hashtbl.create 64 in
-    fun (j : Workload.job) ->
-      match Hashtbl.find_opt memo (j.Workload.klass, j.Workload.nodes) with
-      | Some s -> s
-      | None ->
-          let s = classes.(j.Workload.klass).Workload.service ~nodes:j.Workload.nodes in
-          if not (Float.is_finite s) || s <= 0.0 then
-            invalid_arg
-              (Fmt.str "Cluster.simulate: class %s priced %.17g s at %d nodes"
-                 classes.(j.Workload.klass).Workload.name s j.Workload.nodes);
-          Hashtbl.add memo (j.Workload.klass, j.Workload.nodes) s;
-          s
+  (* one row of memoized prices per class, indexed by allocation size
+     and made on first use; NaN marks a size not yet priced (a price is
+     finite) *)
+  let memo = Array.make (Array.length classes) [||] in
+  let price (j : Workload.job) =
+    let k = j.Workload.klass and n = j.Workload.nodes in
+    let c = classes.(k) in
+    if Array.length memo.(k) = 0 then memo.(k) <- Array.make (nodes + 1) Float.nan;
+    let row = memo.(k) in
+    let cached = n >= 0 && n <= nodes in
+    if cached && not (Float.is_nan row.(n)) then row.(n)
+    else begin
+      let s = c.Workload.service ~nodes:n in
+      if not (Float.is_finite s) || s <= 0.0 then
+        invalid_arg
+          (Fmt.str "Cluster.simulate: class %s priced %.17g s at %d nodes"
+             c.Workload.name s n);
+      if cached then row.(n) <- s;
+      s
+    end
   in
-  (* lifecycle bookkeeping: concrete node ids (lowest-first placement)
-     so the occupancy export can draw jobs onto stable per-node rows,
-     plus queue-depth/free-node samples at every event time *)
+  (* lifecycle bookkeeping: concrete node ids (lowest-first placement
+     from a free-node bitmap) so the occupancy export can draw jobs onto
+     stable per-node rows, plus queue-depth/free-node samples at every
+     event time *)
   let source = "svc/" ^ policy_name policy in
-  let free_ids = ref (List.init nodes Fun.id) in
-  let live : (int, float * int list) Hashtbl.t = Hashtbl.create 64 in
+  let busy_node = Bytes.make nodes '\000' in
   let log = ref [] and samples = ref [] in
   let emit_job ev ~t_s (j : Workload.job) fields =
-    if Icoe_obs.Events.enabled () then
-      Icoe_obs.Events.emit ~t_s ~kind:"job" ~source
-        (Json.
-           [
-             ("ev", Str ev);
-             ("job", Num (float_of_int j.Workload.id));
-             ("class", Str classes.(j.Workload.klass).Workload.name);
-             ("nodes", Num (float_of_int j.Workload.nodes));
-           ]
-        @ fields)
+    Icoe_obs.Events.emit ~t_s ~kind:"job" ~source
+      (Json.
+         [
+           ("ev", Str ev);
+           ("job", Num (float_of_int j.Workload.id));
+           ("class", Str classes.(j.Workload.klass).Workload.name);
+           ("nodes", Num (float_of_int j.Workload.nodes));
+         ]
+      @ fields)
   in
-  let dispatch ~t (j : Workload.job) =
-    let n = j.Workload.nodes in
-    let placed = List.filteri (fun i _ -> i < n) !free_ids in
-    free_ids := List.filteri (fun i _ -> i >= n) !free_ids;
+  (* the [n] lowest free node ids, ascending, marked busy; every id below
+     [lowest] is busy *)
+  let picked = Array.make nodes 0 and lowest = ref 0 in
+  let place n =
+    let id = ref !lowest in
+    for k = 0 to n - 1 do
+      while Bytes.get busy_node !id <> '\000' do
+        incr id
+      done;
+      Bytes.set busy_node !id '\001';
+      picked.(k) <- !id
+    done;
+    if n > 0 then lowest := !id + 1;
+    let placed = ref [] in
+    for k = n - 1 downto 0 do
+      placed := picked.(k) :: !placed
+    done;
+    !placed
+  in
+  let dispatch ~t sl =
+    let j = sl.j in
+    let placed = place j.Workload.nodes in
     (* placement-aware pricing: a fragmented gang's communication climbs
        higher switch levels than the contiguous-best one, stretching the
        comm share of its service time. Without a topology the
@@ -106,19 +138,20 @@ let simulate ?check ?topology ~nodes
           if pen = 1.0 then s
           else s *. (1.0 +. (comm_fraction *. (pen -. 1.0)))
     in
-    Hashtbl.replace live j.Workload.id (t, placed);
-    emit_job "dispatch" ~t_s:t j
-      [ ("wait_s", Json.Num (t -. j.Workload.arrival)); ("service_s", Json.Num s) ];
+    sl.t0 <- t;
+    sl.held <- placed;
+    if Icoe_obs.Events.enabled () then
+      emit_job "dispatch" ~t_s:t j
+        [ ("wait_s", Json.Num (t -. j.Workload.arrival)); ("service_s", Json.Num s) ];
     s
   in
-  let on_finish ~t (j : Workload.job) =
-    let dispatched, placed =
-      Option.value (Hashtbl.find_opt live j.Workload.id) ~default:(0.0, [])
-    in
-    Hashtbl.remove live j.Workload.id;
-    free_ids := List.merge Int.compare placed !free_ids;
-    log := { job = j; dispatched; finished = t; placed } :: !log;
-    emit_job "finish" ~t_s:t j [ ("turnaround_s", Json.Num (t -. j.Workload.arrival)) ]
+  let on_finish ~t sl =
+    let j = sl.j in
+    List.iter (fun id -> Bytes.set busy_node id '\000') sl.held;
+    (match sl.held with id :: _ when id < !lowest -> lowest := id | _ -> ());
+    log := { job = j; dispatched = sl.t0; finished = t; placed = sl.held } :: !log;
+    if Icoe_obs.Events.enabled () then
+      emit_job "finish" ~t_s:t j [ ("turnaround_s", Json.Num (t -. j.Workload.arrival)) ]
   in
   let after_event ~t ~depth ~free =
     samples := (t, depth, free) :: !samples;
@@ -133,15 +166,19 @@ let simulate ?check ?topology ~nodes
   let { Core.makespan; busy; completed; waits } =
     Core.run ?check ~pool:nodes
       {
-        Core.width = (fun (j : Workload.job) -> j.Workload.nodes);
-        arrival = (fun j -> j.Workload.arrival);
-        estimate = price;
+        Core.width = (fun sl -> sl.j.Workload.nodes);
+        arrival = (fun sl -> sl.j.Workload.arrival);
+        estimate = (fun sl -> price sl.j);
         dispatch;
-        on_submit = (fun j -> emit_job "submit" ~t_s:j.Workload.arrival j []);
+        on_submit =
+          (fun sl ->
+            if Icoe_obs.Events.enabled () then
+              emit_job "submit" ~t_s:sl.j.Workload.arrival sl.j []);
         on_finish;
         after_event;
       }
-      policy jobs
+      policy
+      (List.map (fun j -> { j; t0 = 0.0; held = [] }) jobs)
   in
   let waits = Array.of_list (List.rev waits) in
   let log = List.rev !log in

@@ -1,8 +1,16 @@
 (** Small descriptive-statistics helpers used by experiment harnesses. *)
 
+(* the sum in index order from 0.0, unboxed *)
+let sum (a : float array) =
+  let s = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    s := !s +. Array.unsafe_get a i
+  done;
+  !s
+
 let mean a =
   let n = Array.length a in
-  if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 a /. float_of_int n
+  if n = 0 then 0.0 else sum a /. float_of_int n
 
 let variance a =
   let n = Array.length a in
@@ -14,22 +22,58 @@ let variance a =
 
 let stddev a = sqrt (variance a)
 
-let min_max a =
+(* [Stdlib.min]/[max] folded in index order, on unboxed floats *)
+let min_max (a : float array) =
   if Array.length a = 0 then invalid_arg "Stats.min_max: empty array";
-  Array.fold_left
-    (fun (lo, hi) x -> (min lo x, max hi x))
-    (a.(0), a.(0))
-    a
+  let lo = ref a.(0) and hi = ref a.(0) in
+  for i = 1 to Array.length a - 1 do
+    let x = Array.unsafe_get a i in
+    if not (!lo <= x) then lo := x;
+    if not (!hi >= x) then hi := x
+  done;
+  (!lo, !hi)
 
-let sum = Array.fold_left ( +. ) 0.0
+(* [Float.compare b a < 0], unboxed: [b] sorts strictly before [a] (NaN
+   first) *)
+let below (b : float) (a : float) = b < a || (b <> b && a = a)
 
-(** Sorted copy for repeated quantile queries. [Float.compare] (total
-    order, NaN first) keeps the sort monomorphic — the polymorphic
-    [compare] walks the runtime representation on every comparison. *)
+(* merge the sorted runs [lo, mid) and [mid, hi) of [src] into [dst],
+   taking from the left run on ties *)
+let merge (src : float array) (dst : float array) lo mid hi =
+  let i = ref lo and j = ref mid in
+  for k = lo to hi - 1 do
+    if !j >= hi || (!i < mid && not (below (Array.unsafe_get src !j) (Array.unsafe_get src !i)))
+    then begin
+      Array.unsafe_set dst k (Array.unsafe_get src !i);
+      incr i
+    end
+    else begin
+      Array.unsafe_set dst k (Array.unsafe_get src !j);
+      incr j
+    end
+  done
+
+(** Sorted copy for repeated quantile queries: a bottom-up stable merge
+    sort on unboxed floats in [Float.compare] order (total, NaN first),
+    which allocates only the copy and one buffer. *)
 let presort a =
-  let s = Array.copy a in
-  Array.sort Float.compare s;
-  s
+  let n = Array.length a in
+  let src = ref (Array.copy a) and dst = ref (Array.create_float n) in
+  let width = ref 1 in
+  while !width < n do
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) in
+      let hi = min n (mid + !width) in
+      merge !src !dst !lo mid hi;
+      lo := hi
+    done;
+    let t = !src in
+    src := !dst;
+    dst := t;
+    width := 2 * !width
+  done;
+  !src
 
 (** p in [0,1]; linear interpolation between the order statistics of an
     already-sorted array (see [presort]) — sort once, query many. *)

@@ -22,8 +22,13 @@ val percentile : float array -> float -> float
     @raise Invalid_argument on the empty array or [p] outside [0, 1]. *)
 
 val presort : float array -> float array
-(** Sorted copy ([Float.compare]: monomorphic, NaN-total). Sort once,
-    then query with {!percentile_sorted}. *)
+(** Sorted copy in [Float.compare] order (total, NaN first), by a stable
+    merge sort on unboxed floats. Sort once, then query with
+    {!percentile_sorted}. It is bit-identical to [Array.sort
+    Float.compare] on a copy except where elements compare equal but
+    differ in bits: a mix of [0.0] and [-0.0], or NaNs with different
+    payloads, keep their input order here and may land in another order
+    there. *)
 
 val percentile_sorted : float array -> float -> float
 (** [percentile] on an array already sorted by {!presort}; does not

@@ -336,6 +336,19 @@ module Ref_mlp = struct
          (fun l -> Array.to_list l.w @ [ l.b ])
          (Array.to_list layers))
 
+  let set_params layers buf =
+    let k = ref 0 in
+    Array.iter
+      (fun l ->
+        Array.iter
+          (fun row ->
+            Array.blit buf !k row 0 (Array.length row);
+            k := !k + Array.length row)
+          l.w;
+        Array.blit buf !k l.b 0 (Array.length l.b);
+        k := !k + Array.length l.b)
+      layers
+
   let softmax z =
     let mx = Array.fold_left max neg_infinity z in
     let e = Array.map (fun v -> exp (v -. mx)) z in
@@ -536,6 +549,49 @@ let prop_mlp_backward_is_batch_of_one =
       done;
       !ok)
 
+(* The forward kernel reads a transposed copy of the weights that is
+   refreshed only after they change: single-example inference between
+   set_params and sgd_step calls, in every order, must see the weights
+   of the moment, as the oracle does *)
+let prop_mlp_transpose_follows_weights =
+  QCheck.Test.make ~name:"mlp inference sees every weight change" ~count:100
+    QCheck.(pair (int_range 1 100_000) (int_range 2 4))
+    (fun (seed, depth) ->
+      let r = Icoe_util.Rng.create seed in
+      let sizes = random_sizes r ~depth ~max_width:12 in
+      let classes = sizes.(depth - 1) in
+      let m = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let o = Ref_mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let agree () =
+        let x = random_input r sizes in
+        same (Mlp.predict_proba m x) (Ref_mlp.predict_proba o x)
+      in
+      let step () =
+        let x = random_input r sizes and label = Icoe_util.Rng.int r classes in
+        ignore (Mlp.backward m x ~label);
+        ignore (Ref_mlp.backward o x ~label);
+        Mlp.sgd_step ~momentum:0.9 m ~lr:0.1 ~batch:1;
+        Ref_mlp.sgd_step ~momentum:0.9 o ~lr:0.1 ~batch:1
+      in
+      let set () =
+        let p =
+          Array.init (Mlp.num_params m) (fun _ -> Icoe_util.Rng.uniform r (-1.0) 1.0)
+        in
+        Mlp.set_params m p;
+        Ref_mlp.set_params o p
+      in
+      let ok = ref (agree ()) in
+      for _ = 1 to 6 do
+        (match Icoe_util.Rng.int r 3 with
+        | 0 -> step ()
+        | 1 -> set ()
+        | _ ->
+            set ();
+            step ());
+        ok := !ok && agree () && agree ()
+      done;
+      !ok)
+
 let prop_mlp_probs_normalized =
   QCheck.Test.make ~name:"softmax outputs normalized" ~count:50
     QCheck.(int_range 1 100_000)
@@ -631,6 +687,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_mlp_matches_reference;
           QCheck_alcotest.to_alcotest prop_mlp_workspace_reuse;
           QCheck_alcotest.to_alcotest prop_mlp_backward_is_batch_of_one;
+          QCheck_alcotest.to_alcotest prop_mlp_transpose_follows_weights;
           Alcotest.test_case "harness shapes match the oracle" `Quick
             test_mlp_harness_shapes;
           Alcotest.test_case "no fused multiply-add" `Quick

@@ -513,6 +513,40 @@ let prop_core_matches_oracle_overloaded =
       trace_core (fun ~check -> Scheduler.Core.run ~check) ~pool policy jobs
       = trace_core (fun ~check -> Ref_core.run ~check) ~pool policy jobs)
 
+(* service scale: wide pools, long streams drawn from a few width
+   classes, and arrivals and estimates on a coarse grid, so finishes
+   collide, the running set is deep and the class buckets hold long runs
+   of started jobs for the skips and the lazily pruned heaps to pass *)
+let prop_core_matches_oracle_service_scale =
+  let gen =
+    QCheck.Gen.(
+      let* pool = int_range 64 256 in
+      let* n = int_range 200 1500 in
+      let* widths =
+        list_size (int_range 2 5) (map (fun k -> 1 + (k * pool / 16)) (int_bound 16))
+      in
+      let* per_s = float_range 0.5 4.0 in
+      let job id =
+        let* width = oneofl widths in
+        let* arrival =
+          map (fun k -> float_of_int k) (int_bound (int_of_float (float_of_int n /. per_s)))
+        in
+        let* est = map (fun k -> 2.0 *. float_of_int (k + 1)) (int_bound 15) in
+        let* stretch = oneofl [ 1.0; 1.0; 1.0; 1.5; 0.5 ] in
+        return (id, width, arrival, est, est *. stretch)
+      in
+      let* jobs = flatten_l (List.init n job) in
+      let* policy =
+        oneofl
+          Scheduler.Core.[ Fcfs; Easy_backfill; Sjf_quota 0.5; Partition 0.5 ]
+      in
+      return (pool, policy, jobs))
+  in
+  QCheck.Test.make ~name:"core matches the oracle at service scale" ~count:12
+    (QCheck.make gen) (fun (pool, policy, jobs) ->
+      trace_core (fun ~check -> Scheduler.Core.run ~check) ~pool policy jobs
+      = trace_core (fun ~check -> Ref_core.run ~check) ~pool policy jobs)
+
 (* --- topopt --- *)
 
 let test_topopt_volume_constraint () =
@@ -1101,6 +1135,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_quota_share_bounded;
           QCheck_alcotest.to_alcotest prop_core_matches_list_oracle;
           QCheck_alcotest.to_alcotest prop_core_matches_oracle_overloaded;
+          QCheck_alcotest.to_alcotest prop_core_matches_oracle_service_scale;
         ] );
       ( "topopt",
         [

@@ -126,6 +126,33 @@ let prop_rng_float_unit =
       let x = Rng.float r in
       x >= 0.0 && x < 1.0)
 
+(* [presort] is a merge sort; on arrays without a 0.0/-0.0 mix (the only
+   equal-comparing floats of the generator with different bits) it must
+   give the bits [Array.sort Float.compare] gives. Short arrays take the
+   insertion runs alone, longer ones the merges; duplicates, infinities
+   and NaN exercise stability and the NaN-first order. *)
+let prop_presort_matches_array_sort =
+  let gen =
+    QCheck.Gen.(
+      let* zero = oneofl [ 0.0; -0.0 ] in
+      let value =
+        frequency
+          [
+            (4, map float_of_int (int_range (-20) 20));
+            (4, float_range (-1e6) 1e6);
+            (1, oneofl [ Float.nan; infinity; neg_infinity ]);
+          ]
+        |> map (fun x -> if x = 0.0 then zero else x)
+      in
+      array_size (int_bound 300) value)
+  in
+  QCheck.Test.make ~name:"presort is bit-identical to Array.sort" ~count:300
+    (QCheck.make gen) (fun a ->
+      let reference = Array.copy a in
+      Array.sort Float.compare reference;
+      let bits = Array.map Int64.bits_of_float in
+      bits (Stats.presort a) = bits reference)
+
 (* --- JSON writer --- *)
 
 let render_str s = Json.to_string (Json.Str s)
@@ -242,6 +269,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;
           Alcotest.test_case "percentile" `Quick test_percentile;
+          QCheck_alcotest.to_alcotest prop_presort_matches_array_sort;
           Alcotest.test_case "rel l2" `Quick test_rel_l2;
         ] );
       ( "table",
