@@ -531,6 +531,15 @@ let alloc_smoke () =
   let y = Array.make 1024 0.0 in
   measure "topopt/apply-seq" ~budget:seq_budget (fun () ->
       Opt.Topopt.apply s u y);
+  (* one state solve on the opt harness's final 20x16 design, 962 CG
+     iterations, in words per solve. Its vectors go straight to the major
+     heap; the ~7 500 words counted are the stencil build's boxed floats
+     and closures and the set-up's float arrays built by [Array.init]. An
+     allocation per iteration would add at least 2 x 962 words *)
+  let t = Opt.Topopt.create ~nx:20 ~ny:16 () in
+  ignore (Opt.Topopt.optimize ~iters:40 t);
+  measure "topopt/solve-state-20x16" ~budget:8192.0 (fun () ->
+      ignore (Opt.Topopt.solve_state t));
   (* Cleverleaf's per-cell loops go through Patch.get/set: one read of
      every cell of a 64x64 patch, in words per get. The float result is
      boxed on return (~2 words); the ghosted box and the field lookup

@@ -38,3 +38,8 @@ val cg :
     zero/negative-curvature direction, or, unpreconditioned, produces
     non-finite values.
     @raise Invalid_argument if [b] and [x0] differ in length. *)
+
+val record : [ `Cg | `Pcg ] -> result -> result
+(** [record m r] counts the finished solve [r] in the metrics registry
+    under [method=cg] or [method=pcg], as {!cg} does with its own, and
+    returns it: for a solver that runs the CG iteration itself. *)

@@ -46,7 +46,12 @@ module Core = struct
     Array.iteri
       (fun seq j ->
         wid_s.(seq) <- h.width j;
-        arr_s.(seq) <- h.arrival j;
+        (* a NaN arrival never comes due: the event loop would not end *)
+        let a = h.arrival j in
+        if Float.is_nan a then
+          invalid_arg
+            (Fmt.str "Scheduler.Core.run: job #%d has a NaN arrival" seq);
+        arr_s.(seq) <- a;
         est_s.(seq) <- h.estimate j)
       by_seq;
     (* the estimate median splits short from long for the quota *)
@@ -387,6 +392,11 @@ module Core = struct
         if not (is_long e) then decr shorts_queued;
         let now = clk.now in
         let s = h.dispatch ~t:now job.(e) in
+        (* a NaN finish never comes due either *)
+        if Float.is_nan s then
+          invalid_arg
+            (Fmt.str "Scheduler.Core.run: job #%d has a NaN service time"
+               order.(e));
         free := !free - wid.(e);
         if is_long e then long_used := !long_used + wid.(e);
         if is_wide e then wide_used := !wide_used + wid.(e);

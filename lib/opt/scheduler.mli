@@ -46,7 +46,8 @@ val simulate : ?gpus:int -> ?check:bool -> policy -> job list -> metrics
     binds. With [check] (default false), every EASY-backfill
     decision re-derives the blocked head's shadow time with the
     candidate hypothetically running and raises [Invalid_argument] if
-    the backfill would delay the head's reservation. *)
+    the backfill would delay the head's reservation.
+    @raise Invalid_argument if a job's arrival or duration is NaN. *)
 
 val simulate_schedule :
   ?gpus:int -> ?check:bool -> policy -> job list ->
@@ -96,5 +97,9 @@ module Core : sig
       past the blocked head.
       With [check] (default false) every EASY backfill re-derives the
       head's shadow with the candidate running and raises
-      [Invalid_argument] if the reservation would move. *)
+      [Invalid_argument] if the reservation would move.
+      @raise Invalid_argument naming the job if its arrival, or the
+      service time [dispatch] returns for it, is NaN (neither would ever
+      come due). Job #k is the k-th, from 0, of the jobs that fit the
+      pool, in submitted order. *)
 end

@@ -20,6 +20,15 @@ type t = {
 let rho_min = 1e-3
 
 let create ?(volfrac = 0.4) ?(penal = 3.0) ~nx ~ny () =
+  (* the solve's C kernel reads its vectors unchecked: sizes are
+     validated here, once *)
+  if nx < 1 || ny < 1 then
+    invalid_arg
+      (Printf.sprintf "Topopt.create: grid %dx%d, nx and ny must be >= 1" nx
+         ny);
+  if not (volfrac > 0.0 && volfrac <= 1.0) then
+    invalid_arg
+      (Printf.sprintf "Topopt.create: volfrac = %g outside (0, 1]" volfrac);
   {
     nx;
     ny;
@@ -90,82 +99,34 @@ let stencil t =
   done;
   { snx = nx; sny = ny; left; right; down; up; diag; sink }
 
-let get (v : float array) i = Array.unsafe_get v i
-let set (v : float array) i x = Array.unsafe_set v i x
+(* the kernels, in topopt_stubs.c; every vector has one entry per cell,
+   which the callers own *)
 
-(* the interior cells of the row starting at [row]: all four links and
-   no sink (sinks lie on the bottom edge), so they sum without a branch,
-   from 0.0 in the edge cells' order, and every cell rounds as if summed
-   link by link. A leaf function, so the seven arrays stay in
-   registers. *)
-let apply_interior s u y row =
-  let nx = s.snx in
-  let left = s.left and right = s.right and down = s.down and up = s.up in
-  let diag = s.diag in
-  for k = row + 1 to row + nx - 2 do
-    let acc =
-      0.0
-      +. (get left k *. get u (k - 1))
-      +. (get right k *. get u (k + 1))
-      +. (get down k *. get u (k - nx))
-      +. (get up k *. get u (k + nx))
-    in
-    set y k ((get diag k *. get u k) -. acc)
-  done
+(* [apply_kernel s u y]: y <- A u, each cell summed from 0.0 over its
+   links in the order left, right, down, up *)
+external apply_kernel : stencil -> float array -> float array -> unit
+  = "topopt_apply"
+[@@noalloc]
 
-(* y <- A u, row by row. An edge cell sums only the links it has, from
-   0.0 in the order left, right, down, up; a sink (bottom row only) is an
-   identity row. *)
+(* [cg_kernel s x r p ap io bnorm tol max_iter]: the iterations of
+   [Linalg.Krylov.cg] without a preconditioner, from x, r = b - A x,
+   p = r and io.(0) = r.r; returns the iterations done and leaves the
+   last r.r in io.(0) *)
+external cg_kernel :
+  stencil -> float array -> float array -> float array -> float array ->
+  float array -> (float[@unboxed]) -> (float[@unboxed]) -> (int[@untagged]) ->
+  (int[@untagged]) = "topopt_cg_byte" "topopt_cg"
+[@@noalloc]
+
+(* y <- A u; a sink (bottom row only) is an identity row *)
 let apply s u y =
   let nx = s.snx and ny = s.sny in
   if Array.length u <> nx * ny || Array.length y <> nx * ny then
     invalid_arg
       (Printf.sprintf "Topopt.apply: u has length %d, y %d for a %dx%d grid"
          (Array.length u) (Array.length y) nx ny);
-  let left = s.left and right = s.right and down = s.down and up = s.up in
-  let diag = s.diag and sink = s.sink in
-  (* bottom row: no down link *)
-  for k = 0 to nx - 1 do
-    if Array.unsafe_get sink k then set y k (get u k)
-    else begin
-      let acc = if k > 0 then 0.0 +. (get left k *. get u (k - 1)) else 0.0 in
-      let acc = if k < nx - 1 then acc +. (get right k *. get u (k + 1)) else acc in
-      let acc = if ny > 1 then acc +. (get up k *. get u (k + nx)) else acc in
-      set y k ((get diag k *. get u k) -. acc)
-    end
-  done;
-  (* middle rows: both end cells have down and up links *)
-  for j = 1 to ny - 2 do
-    let k = nx * j in
-    let acc = if nx > 1 then 0.0 +. (get right k *. get u (k + 1)) else 0.0 in
-    let acc =
-      acc +. (get down k *. get u (k - nx)) +. (get up k *. get u (k + nx))
-    in
-    set y k ((get diag k *. get u k) -. acc);
-    apply_interior s u y k;
-    if nx > 1 then begin
-      let k = k + nx - 1 in
-      let acc =
-        0.0
-        +. (get left k *. get u (k - 1))
-        +. (get down k *. get u (k - nx))
-        +. (get up k *. get u (k + nx))
-      in
-      set y k ((get diag k *. get u k) -. acc)
-    end
-  done;
-  (* top row: no up link *)
-  if ny > 1 then begin
-    let row = nx * (ny - 1) in
-    for k = row to row + nx - 1 do
-      let acc = if k > row then 0.0 +. (get left k *. get u (k - 1)) else 0.0 in
-      let acc =
-        if k < row + nx - 1 then acc +. (get right k *. get u (k + 1)) else acc
-      in
-      let acc = acc +. (get down k *. get u (k - nx)) in
-      set y k ((get diag k *. get u k) -. acc)
-    done
-  end
+  if u == y then invalid_arg "Topopt.apply: u and y are the same array";
+  apply_kernel s u y
 
 (* heat load: flux enters along the top edge and must funnel down to the
    small central sink — the classic geometry whose optima are funnel/tree
@@ -178,12 +139,27 @@ let load t =
 (** Solve the state equation; returns (temperature field, cg iterations). *)
 let solve_state ?(tol = 1e-8) t =
   let n = t.nx * t.ny in
-  let op = apply (stencil t) in
-  let r =
-    Linalg.Krylov.cg ~tol ~max_iter:(8 * n) ~op (load t) (Array.make n 0.0)
-  in
-  t.cg_iters_total <- t.cg_iters_total + r.Linalg.Krylov.iters;
-  (r.Linalg.Krylov.x, r.Linalg.Krylov.iters)
+  let s = stencil t in
+  (* CG from x0 = 0 as [Linalg.Krylov.cg] sets it up, allocation for
+     allocation, x0 and its copy included: these 320-float arrays go
+     straight to the major heap, and one fewer per solve paces the major
+     GC differently and raises the schedule workload's peak heap *)
+  let x0 = Array.make n 0.0 in
+  let b = load t in
+  let x = Array.copy x0 in
+  let ap = Array.make n 0.0 in
+  apply_kernel s x ap;
+  let r = Linalg.Vec.sub b ap in
+  let p = Array.copy r in
+  let bnorm = fmax (Linalg.Vec.nrm2 b) 1e-300 in
+  let io = [| Linalg.Vec.dot r r |] in
+  let iters = cg_kernel s x r p ap io bnorm tol (8 * n) in
+  let residual = sqrt io.(0) /. bnorm in
+  ignore
+    (Linalg.Krylov.record `Cg
+       { Linalg.Krylov.x; iters; residual; converged = residual <= tol });
+  t.cg_iters_total <- t.cg_iters_total + iters;
+  (x, iters)
 
 (* optimality-criteria update with sensitivity = -dC/drho per cell *)
 let oc_update t u =
@@ -244,6 +220,32 @@ let oc_update t u =
       filtered.(idx t i j) <- !acc /. float_of_int !cnt
     done
   done;
+  (* Per-cell thresholds on q = filtered/lam (the bisection's
+     sens/lam) that settle the move-limit clamp without the power: r * q^0.3 reaches the upper limit
+     min(r + 0.05, 1) once q >= (min(r + 0.05, 1) / r)^(1/0.3), and
+     stays under the lower one max(r - 0.05, rho_min) while
+     q <= (max(r - 0.05, rho_min) / r)^(1/0.3). The factors 1 +/- 1e-9
+     move each test ~3e-10 (relative) into its side, about 10^7 times
+     the rounding of the powers, so a cell settled here ends exactly
+     where the full expression puts it; every other q, NaN included,
+     takes the full expression, and so does a density outside
+     [rho_min, 1] (NaN thresholds). The thresholds reuse the unfiltered
+     [sens] and [b], dead by now: more 320-float arrays per call would
+     pace the major GC differently. *)
+  let q_hi = sens and q_lo = b in
+  for k = 0 to n - 1 do
+    let r = t.rho.(k) in
+    if r >= rho_min && r <= 1.0 then begin
+      q_hi.(k) <-
+        ((fmin (r +. 0.05) 1.0 /. r) ** (1.0 /. 0.3)) *. (1.0 +. 1e-9);
+      q_lo.(k) <-
+        ((fmax (r -. 0.05) rho_min /. r) ** (1.0 /. 0.3)) *. (1.0 -. 1e-9)
+    end
+    else begin
+      q_hi.(k) <- Float.nan;
+      q_lo.(k) <- Float.nan
+    end
+  done;
   let sens = filtered in
   (* bisection on the Lagrange multiplier to satisfy the volume constraint *)
   let total = float_of_int n *. t.volfrac in
@@ -253,11 +255,14 @@ let oc_update t u =
     let lam = 0.5 *. (!lo +. !hi) in
     let vol = ref 0.0 in
     for k = 0 to n - 1 do
-      let r = t.rho.(k) in
-      let scale = fmax 0.0 (sens.(k) /. lam) ** 0.3 in
+      let r = t.rho.(k) and q = sens.(k) /. lam in
       let v =
-        fmax rho_min
-          (fmin 1.0 (fmax (r -. 0.05) (fmin (r +. 0.05) (r *. scale))))
+        if q >= q_hi.(k) then fmax rho_min (fmin 1.0 (r +. 0.05))
+        else if q <= q_lo.(k) then fmax rho_min (fmin 1.0 (r -. 0.05))
+        else
+          fmax rho_min
+            (fmin 1.0
+               (fmax (r -. 0.05) (fmin (r +. 0.05) (r *. (fmax 0.0 q ** 0.3)))))
       in
       new_rho.(k) <- v;
       vol := !vol +. v

@@ -18,6 +18,10 @@ type t = {
 val rho_min : float
 
 val create : ?volfrac:float -> ?penal:float -> nx:int -> ny:int -> unit -> t
+(** A uniform design at [volfrac] (default 0.4), exponent [penal]
+    (default 3).
+    @raise Invalid_argument naming the field if [nx] or [ny] is below 1
+    or [volfrac] is outside (0, 1], NaN included. *)
 
 val idx : t -> int -> int -> int
 val is_sink : t -> int -> int -> bool
@@ -34,21 +38,36 @@ val stencil : t -> stencil
 
 val apply : stencil -> float array -> float array -> unit
 (** [apply s u y]: the matrix-free density-weighted 5-point operator
-    (the paper's CUDA matrix-free solve), writing [y] — the [~op] of
-    {!Linalg.Krylov.cg}. Interior cells sum their four links without a
-    branch, in the order edge cells use, so every cell rounds as if
-    summed link by link. Allocates nothing.
-    @raise Invalid_argument if [u] or [y] is not one entry per cell. *)
+    (the paper's CUDA matrix-free solve), writing [y]: the row functions
+    of [topopt_stubs.c] that {!solve_state} runs. Each cell sums the
+    links it has from 0.0 in the order left, right, down, up, then
+    takes diag·u minus that sum; a sink is an identity row. Allocates
+    nothing.
+    @raise Invalid_argument if [u] or [y] is not one entry per cell, or
+    if they are the same array. *)
 
 val load : t -> float array
 
 val solve_state : ?tol:float -> t -> float array * int
-(** In-place CG ({!Linalg.Krylov.cg}) over one {!stencil}:
-    (temperature field, iterations). *)
+(** The state solve from 0 at relative residual [tol] (default 1e-8),
+    at most 8·nx·ny iterations: (temperature field, iterations). It is
+    {!Linalg.Krylov.cg} without a preconditioner, run as one C loop over
+    one {!stencil}: p ← r + βp one row ahead of the apply that reads it,
+    p·Ap summed behind each row, then x, r and r·r in one pass. Every
+    sum keeps ascending order and every bail-out and the residual are
+    [cg]'s, so x and the iteration count are bit-identical to [cg] with
+    {!apply} as [~op]; the solve is recorded under [method=cg] like
+    one. It allocates what [cg] does, nothing per iteration. *)
 
 val oc_update : t -> float array -> unit
-(** Filtered optimality-criteria design update under the volume
-    constraint. *)
+(** [oc_update t u]: sets [t.compliance] from the state [u] and moves
+    the design by the filtered optimality-criteria update: each cell by
+    at most 0.05 within [rho_min, 1], r·(sens/λ)^0.3, with λ bisected
+    60 times to meet the volume constraint. A cell whose q = sens/λ is
+    past a per-cell threshold, computed once per call, is set to its
+    move limit without the power; the thresholds sit ~3e-10 (relative)
+    inside the exact crossing, about 10⁷ times the power's rounding, so
+    every density is bit-identical to the full expression's. *)
 
 val optimize : ?iters:int -> t -> float array
 (** SIMP iterations with penalization continuation; returns the

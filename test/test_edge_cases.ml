@@ -137,12 +137,29 @@ let test_stats_guards () =
   Alcotest.(check (float 0.0)) "max_abs_diff" 1.0
     (max_abs_diff [| 1.0; 2.0 |] [| 1.0; 3.0 |])
 
-(* the SIMP operator reads its vectors unchecked past one length test *)
+(* the SIMP kernels read their vectors unchecked: the grid is
+   validated once, at creation *)
+let test_topopt_create_guards () =
+  let create ?volfrac nx ny () = ignore (Opt.Topopt.create ?volfrac ~nx ~ny ()) in
+  expect_invalid_naming "nx 0" [ "Topopt.create"; "0x4"; "nx" ] (create 0 4);
+  expect_invalid_naming "ny -1" [ "Topopt.create"; "3x-1"; "ny" ] (create 3 (-1));
+  List.iter
+    (fun v ->
+      expect_invalid_naming (Fmt.str "volfrac %g" v)
+        [ "Topopt.create"; Fmt.str "volfrac = %g" v ]
+        (create ~volfrac:v 3 3))
+    [ 0.0; -0.1; 1.5; Float.nan; Float.infinity ];
+  create ~volfrac:1.0 1 1 ()
+
+(* the SIMP operator reads its vectors unchecked, and as distinct
+   arrays, past one length and one aliasing test *)
 let test_topopt_apply_guard () =
   let s = Opt.Topopt.stencil (Opt.Topopt.create ~nx:3 ~ny:2 ()) in
   expect_invalid_naming "apply" [ "Topopt.apply"; "5"; "6"; "3x2" ]
     (fun () -> Opt.Topopt.apply s (Array.make 5 0.0) (Array.make 6 0.0));
   let u = Array.make 6 1.0 and y = Array.make 6 0.0 in
+  expect_invalid_naming "aliased" [ "Topopt.apply"; "same array" ] (fun () ->
+      Opt.Topopt.apply s u u);
   Opt.Topopt.apply s u y;
   Alcotest.(check bool) "constant field: sinks 1, elsewhere 0" true
     (Array.for_all (fun v -> v = 0.0 || v = 1.0) y)
@@ -202,6 +219,19 @@ let test_scheduler_oversized_head_does_not_starve () =
         (Opt.Scheduler.policy_name pol ^ " completes the fitting jobs")
         2 m.Opt.Scheduler.completed)
     Opt.Scheduler.[ Fcfs; Fcfs_backfill; Sjf; Sjf_quota 0.5 ]
+
+(* a NaN arrival or duration never comes due: the event loop used to
+   run forever on one; it must raise, naming the job *)
+let test_scheduler_rejects_nan_times () =
+  let job id arrival duration = { Opt.Scheduler.id; arrival; duration; gpus = 1 } in
+  expect_invalid_naming "nan arrival" [ "Scheduler.Core.run"; "job #1"; "NaN arrival" ]
+    (fun () ->
+      Opt.Scheduler.simulate ~gpus:2 Opt.Scheduler.Fcfs
+        [ job 0 0.0 1.0; job 1 Float.nan 1.0 ]);
+  expect_invalid_naming "nan duration"
+    [ "Scheduler.Core.run"; "job #0"; "NaN service time" ] (fun () ->
+      Opt.Scheduler.simulate ~gpus:2 Opt.Scheduler.Fcfs
+        [ job 0 0.0 Float.nan; job 1 0.0 1.0 ])
 
 (* --- melodee --- *)
 
@@ -666,6 +696,7 @@ let () =
           Alcotest.test_case "csr size guards" `Quick test_csr_size_guards;
           Alcotest.test_case "stats guards" `Quick test_stats_guards;
           Alcotest.test_case "topopt apply guard" `Quick test_topopt_apply_guard;
+          Alcotest.test_case "topopt create guards" `Quick test_topopt_create_guards;
         ] );
       ("sundials", [ Alcotest.test_case "too much work" `Quick test_bdf_too_much_work ]);
       ( "fft",
@@ -679,6 +710,7 @@ let () =
           Alcotest.test_case "oversized job" `Quick test_scheduler_oversized_job;
           Alcotest.test_case "oversized head does not starve" `Quick
             test_scheduler_oversized_head_does_not_starve;
+          Alcotest.test_case "nan times" `Quick test_scheduler_rejects_nan_times;
         ] );
       ( "melodee",
         [

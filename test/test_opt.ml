@@ -639,10 +639,9 @@ module Ref_topopt = struct
     t.cg_iters_total <- t.cg_iters_total + r.Linalg.Krylov.iters;
     (r.Linalg.Krylov.x, r.Linalg.Krylov.iters)
 
-  let oc_update t u =
+  (* the filtered cell sensitivities -dC/drho *)
+  let sensitivities t u =
     let n = t.nx * t.ny in
-    let b = load t in
-    t.compliance <- Linalg.Vec.dot u b;
     let sens = Array.make n 0.0 in
     for j = 0 to t.ny - 1 do
       for i = 0 to t.nx - 1 do
@@ -680,7 +679,20 @@ module Ref_topopt = struct
         filtered.(idx t i j) <- !acc /. float_of_int !cnt
       done
     done;
-    let sens = filtered in
+    filtered
+
+  (* a cell's new density at q = sens/lam *)
+  let new_density r q =
+    let scale = max 0.0 q ** 0.3 in
+    max rho_min (min 1.0 (max (r -. 0.05) (min (r +. 0.05) (r *. scale))))
+
+  (* [on_eval r q] sees every bisection evaluation: the cell's density
+     and q *)
+  let oc_update ?(on_eval = fun _ _ -> ()) t u =
+    let n = t.nx * t.ny in
+    let b = load t in
+    t.compliance <- Linalg.Vec.dot u b;
+    let sens = sensitivities t u in
     let total = float_of_int n *. t.volfrac in
     let lo = ref 1e-12 and hi = ref (1.0 +. Array.fold_left max 0.0 sens) in
     let new_rho = Array.make n 0.0 in
@@ -688,13 +700,9 @@ module Ref_topopt = struct
       let lam = 0.5 *. (!lo +. !hi) in
       let vol = ref 0.0 in
       for k = 0 to n - 1 do
-        let scale = max 0.0 (sens.(k) /. lam) ** 0.3 in
-        let v =
-          max rho_min
-            (min 1.0
-               (max (t.rho.(k) -. 0.05)
-                  (min (t.rho.(k) +. 0.05) (t.rho.(k) *. scale))))
-        in
+        let q = sens.(k) /. lam in
+        on_eval t.rho.(k) q;
+        let v = new_density t.rho.(k) q in
         new_rho.(k) <- v;
         vol := !vol +. v
       done;
@@ -780,6 +788,110 @@ let prop_topopt_stencil_matches_oracle =
           && bits t.Topopt.rho = bits o.Topopt.rho
           && t.Topopt.cg_iters_total = o.Topopt.cg_iters_total)
         topopt_grids)
+
+(* the solve's bail-outs against [Ref_cg]'s: a density below zero at
+   an odd exponent gives negative links, and p.Ap turns negative at
+   the fourth iteration; a NaN density poisons p.Ap at the first. Both
+   solves must stop at the same iteration with the same x *)
+let test_topopt_cg_bailouts_match_oracle () =
+  let bits a = Array.map Int64.bits_of_float a in
+  List.iter
+    (fun (name, rho_of) ->
+      let design () =
+        let t = Topopt.create ~penal:3.0 ~nx:7 ~ny:5 () in
+        Array.iteri (fun k _ -> t.Topopt.rho.(k) <- rho_of k) t.Topopt.rho;
+        t
+      in
+      let x, it = Topopt.solve_state (design ())
+      and x', it' = Ref_topopt.solve_state (design ()) in
+      Alcotest.(check int) (name ^ ": iterations") it' it;
+      Alcotest.(check bool) (name ^ ": x") true (bits x = bits x'))
+    [
+      ("negative density", fun k -> if k = 17 then -0.6 else 0.5);
+      ("nan density", fun k -> if k = 17 then Float.nan else 0.5);
+    ]
+
+(* [Topopt.oc_update] settles a cell at a move limit without the power
+   when q = sens/lam is past a per-cell threshold; against the oracle's
+   full expression on designs with cells at exactly rho_min, 0.95 and
+   1.0, and cells whose r - 0.05 falls under rho_min or r + 0.05 passes
+   1, at exponents 1-5. Each design is updated under its state solve's
+   temperature field, then under a random one, then (from the same
+   start) at a volume fraction chosen so that the bisection closes in
+   on one cell's threshold: the volume of the update at lam = sens/T
+   for a cell and one of its thresholds T. The property prints how many
+   bisection evaluations fell within 1e-6 (relative) of a threshold. *)
+let prop_topopt_oc_matches_oracle =
+  QCheck.Test.make ~name:"oc_update matches the oracle" ~count:1
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Icoe_util.Rng.create seed in
+      let uniform = Icoe_util.Rng.uniform rng and rho_min = Topopt.rho_min in
+      let bits a = Array.map Int64.bits_of_float a in
+      let upper r = (Float.min (r +. 0.05) 1.0 /. r) ** (1.0 /. 0.3)
+      and lower r = (Float.max (r -. 0.05) rho_min /. r) ** (1.0 /. 0.3) in
+      let evals = ref 0 and near = ref 0 in
+      let on_eval r q =
+        incr evals;
+        let close a = Float.abs (q -. a) <= 1e-6 *. a in
+        if close (upper r) || close (lower r) then incr near
+      in
+      let case (nx, ny) =
+        let n = nx * ny in
+        let penal = uniform 1.0 5.0 in
+        let rho =
+          Array.init n (fun _ ->
+              match Icoe_util.Rng.int rng 6 with
+              | 0 -> rho_min
+              | 1 -> 1.0
+              | 2 -> 0.95
+              | 3 -> uniform rho_min (rho_min +. 0.05)
+              | 4 -> uniform 0.95 1.0
+              | _ -> uniform rho_min 1.0)
+        in
+        let design ?volfrac () =
+          let t = Topopt.create ?volfrac ~penal ~nx ~ny () in
+          Array.blit rho 0 t.Topopt.rho 0 n;
+          t
+        in
+        let same t o u =
+          Topopt.oc_update t u;
+          Ref_topopt.oc_update ~on_eval o u;
+          bits t.Topopt.rho = bits o.Topopt.rho
+          && Int64.equal
+               (Int64.bits_of_float t.Topopt.compliance)
+               (Int64.bits_of_float o.Topopt.compliance)
+        in
+        let t = design () and o = design () in
+        let u = fst (Topopt.solve_state t) in
+        let pinned =
+          let sens = Ref_topopt.sensitivities o u in
+          let k = Icoe_util.Rng.int rng n in
+          let thr = if Icoe_util.Rng.int rng 2 = 0 then upper else lower in
+          let lam = sens.(k) /. thr rho.(k) in
+          if not (lam > 0.0) then []
+          else begin
+            let vol = ref 0.0 in
+            Array.iteri
+              (fun j s -> vol := !vol +. Ref_topopt.new_density rho.(j) (s /. lam))
+              sens;
+            let volfrac = !vol /. float_of_int n in
+            [ (design ~volfrac (), design ~volfrac ()) ]
+          end
+        in
+        same t o u
+        && same t o (Array.init n (fun _ -> uniform 0.0 10.0))
+        && List.for_all (fun (t, o) -> same t o u) pinned
+      in
+      let ok =
+        List.for_all
+          (fun grid -> List.for_all (fun _ -> case grid) (List.init 10 Fun.id))
+          topopt_grids
+      in
+      Fmt.pr "oc_update: %d of %d bisection evaluations within 1e-6 of a \
+              threshold@."
+        !near !evals;
+      ok)
 
 let test_texture_cache_story () =
   (* Sec 4.7: texture path matters on the EA system (P100), not on Volta *)
@@ -1146,6 +1258,9 @@ let () =
           Alcotest.test_case "flat loops match the oracle" `Quick
             test_topopt_matches_oracle;
           QCheck_alcotest.to_alcotest prop_topopt_stencil_matches_oracle;
+          Alcotest.test_case "cg bail-outs match the oracle" `Quick
+            test_topopt_cg_bailouts_match_oracle;
+          QCheck_alcotest.to_alcotest prop_topopt_oc_matches_oracle;
         ] );
       ( "paradyn",
         [
