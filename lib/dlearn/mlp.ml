@@ -13,15 +13,16 @@
     public entry points validate sizes and labels before any kernel runs.
 
     One kernel per stage, each over a whole chunk, in mlp_stubs.c. They
-    compute on 2-lane double vectors, in blocks of 8 lanes with 2-lane
-    remainders and scalar tails:
+    compute on 4-lane double vectors, built twice on x86-64 (baseline
+    and AVX2, picked once from the CPU at load time), in blocks of 8
+    accumulators that are 16, 8 or 4 values wide, with scalar tails:
     - forward: lanes over output rows, from a transposed copy of the
       weights ([wt]), refreshed by the first forward after the weights
-      change; 2 examples at a time. It
-      also runs the hidden layers' tanh and serves single-example
-      inference; a fourth stub writes the softmax rows;
-    - gradient: lanes over inputs, 2 output units at a time;
-    - propagation: lanes over inputs, 2 examples at a time.
+      change; 2, 4 or 8 examples at a time. It also runs the hidden
+      layers' tanh and serves single-example inference; a fourth stub
+      writes the softmax rows;
+    - gradient: lanes over inputs, 2, 4 or 8 output units at a time;
+    - propagation: lanes over inputs, 2, 4 or 8 examples at a time.
     {!backward} is the batch path with one example.
 
     Exact-order contract: every floating-point operation happens in the
@@ -34,8 +35,10 @@
     - a pre-activation sums the bias first, then inputs in ascending
       order;
     - softmax folds [max] from [neg_infinity], then sums the [exp]s in
-      ascending order from [0.0] ({!Icoe_util.Stats.sum} order), and the
-      batch loss sums the examples in order from [0.0];
+      ascending order from [0.0] ({!Icoe_util.Stats.sum} order; an
+      exponent of +-0 is taken as exactly 1.0, which is what [exp]
+      returns), and the batch loss sums the examples in order from
+      [0.0];
     - a gradient entry starts from its accumulated value and adds one
       product per example in example order (the per-example
       load/add/store, kept in a register through a chunk and stored

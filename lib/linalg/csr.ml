@@ -19,6 +19,12 @@ let nnz t = t.row_ptr.(t.m)
 
 (** Build from (row, col, value) triplets; duplicates are summed. *)
 let of_triplets ~m ~n triplets =
+  List.iter
+    (fun (name, v) ->
+      if v < 0 then
+        invalid_arg
+          (Printf.sprintf "Csr.of_triplets: %s = %d is negative" name v))
+    [ ("m", m); ("n", n) ];
   let cnt = Array.make m 0 in
   List.iter
     (fun (i, j, _) ->

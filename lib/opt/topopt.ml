@@ -251,23 +251,32 @@ let oc_update t u =
   let total = float_of_int n *. t.volfrac in
   let lo = ref 1e-12 and hi = ref (1.0 +. Array.fold_left fmax 0.0 sens) in
   let new_rho = Array.make n 0.0 in
+  (* A step whose lam equals the step before (the bracket has closed to
+     adjacent floats) would rerun that step's pass and store that lam
+     again into the bound that already holds it, and so would every step
+     after it: those steps skip the pass. *)
+  let prev = ref Float.nan in
   for _ = 1 to 60 do
     let lam = 0.5 *. (!lo +. !hi) in
-    let vol = ref 0.0 in
-    for k = 0 to n - 1 do
-      let r = t.rho.(k) and q = sens.(k) /. lam in
-      let v =
-        if q >= q_hi.(k) then fmax rho_min (fmin 1.0 (r +. 0.05))
-        else if q <= q_lo.(k) then fmax rho_min (fmin 1.0 (r -. 0.05))
-        else
-          fmax rho_min
-            (fmin 1.0
-               (fmax (r -. 0.05) (fmin (r +. 0.05) (r *. (fmax 0.0 q ** 0.3)))))
-      in
-      new_rho.(k) <- v;
-      vol := !vol +. v
-    done;
-    if !vol > total then lo := lam else hi := lam
+    if lam <> !prev then begin
+      prev := lam;
+      let vol = ref 0.0 in
+      for k = 0 to n - 1 do
+        let r = t.rho.(k) and q = sens.(k) /. lam in
+        let v =
+          if q >= q_hi.(k) then fmax rho_min (fmin 1.0 (r +. 0.05))
+          else if q <= q_lo.(k) then fmax rho_min (fmin 1.0 (r -. 0.05))
+          else
+            fmax rho_min
+              (fmin 1.0
+                 (fmax (r -. 0.05)
+                    (fmin (r +. 0.05) (r *. (fmax 0.0 q ** 0.3)))))
+        in
+        new_rho.(k) <- v;
+        vol := !vol +. v
+      done;
+      if !vol > total then lo := lam else hi := lam
+    end
   done;
   Array.blit new_rho 0 t.rho 0 n
 

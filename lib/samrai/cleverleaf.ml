@@ -20,6 +20,14 @@ type t = {
 }
 
 let create ~nx ~ny ~lx ~ly () =
+  List.iter
+    (fun (name, v) ->
+      if not (Float.is_finite v && v > 0.0) then
+        invalid_arg
+          (Printf.sprintf
+             "Cleverleaf.create: %s must be finite and positive, got %g"
+             name v))
+    [ ("lx", lx); ("ly", ly) ];
   let domain = Box.make ~ilo:0 ~jlo:0 ~ihi:(nx - 1) ~jhi:(ny - 1) in
   let hier = Hierarchy.create ~ghosts:1 ~patches_per_level:4 ~fields domain in
   {

@@ -459,9 +459,10 @@ let random_batch r sizes n =
 let same a b = bits a = bits b
 
 let prop_mlp_matches_reference =
-  (* widths 1..20 and batches 1..40 hit every remainder of the kernels'
-     2-example, 4-row and 4-input blocks and span two workspace chunks;
-     1..4 weight layers; with and without momentum *)
+  (* widths 1..20 hit the kernels' 16-, 8- and 4-wide blocks and every
+     scalar tail, batches 1..40 every remainder of their 2-, 4- and
+     8-row groups, and span two workspace chunks; 1..4 weight layers;
+     with and without momentum *)
   QCheck.Test.make ~name:"flat mlp bit-identical to the array oracle"
     ~count:200
     QCheck.(
@@ -604,9 +605,11 @@ let prop_mlp_probs_normalized =
       && Array.for_all (fun v -> v >= 0.0) p)
 
 (* The shapes the harnesses train (fig3/kavg learners, the Table 3
-   combiners), plus two wide ones whose widths hit the kernels' 8-lane
-   blocks, 2-lane remainders and scalar tails in every stage, at batch
-   sizes on both sides of the 32-example chunk. *)
+   combiners), plus wide ones whose widths (>= 16, and 1, 2 or 3 past a
+   multiple of 4) run the kernels' 16-, 8- and 4-wide blocks and 1-,
+   2- and 3-wide scalar tails in every stage, at batch sizes that leave
+   every remainder of the 2-, 4- and 8-row groups, on both sides of the
+   32-example chunk. *)
 let test_mlp_harness_shapes () =
   List.iter
     (fun sizes ->
@@ -630,23 +633,67 @@ let test_mlp_harness_shapes () =
             (same (Mlp.get_params m) (Ref_mlp.get_params o));
           Alcotest.(check bool) (name "probs") true
             (same (Mlp.predict_proba m x) (Ref_mlp.predict_proba o x)))
-        [ 1; 31; 32; 33 ])
+        [ 1; 3; 31; 32; 33 ])
     [
       [| 10; 8 |]; [| 24; 8 |]; [| 24; 16; 8 |]; [| 30; 12; 8 |];
-      [| 12; 16; 4 |]; [| 40; 36; 9 |]; [| 41; 37; 9 |];
+      [| 12; 16; 4 |]; [| 40; 36; 9 |]; [| 41; 37; 9 |]; [| 42; 38; 11 |];
+      [| 43; 39; 7 |]; [| 17; 18; 13 |];
+    ]
+
+(* Softmax rows where z - max is +-0 beyond the maximum itself: ties,
+   all-equal rows, a -0 maximum beside +0 (the fold keeps the first, so
+   +0 - -0 is +0), -inf entries. The kernel takes exp(+-0) as 1.0
+   without calling exp; the oracle calls it. A one-layer net with zero
+   weights and input -1 has logits b + 0 * -1 = b exactly, -0 included. *)
+let test_mlp_softmax_rows () =
+  List.iter
+    (fun z ->
+      let c = Array.length z in
+      let params = Array.append (Array.make c 0.0) z in
+      let m = Mlp.create ~rng:(rng ()) [| 1; c |] in
+      let o = Ref_mlp.create ~rng:(rng ()) [| 1; c |] in
+      Mlp.set_params m params;
+      Ref_mlp.set_params o params;
+      let name = Fmt.str "%a" Fmt.(array ~sep:semi float) z in
+      let expect = Ref_mlp.predict_proba o [| -1.0 |] in
+      Alcotest.(check bool) (name ^ ": oracle logits are z") true
+        (same expect (Ref_mlp.softmax z));
+      Alcotest.(check bool) (name ^ ": one row") true
+        (same (Mlp.predict_proba m [| -1.0 |]) expect);
+      (* three rows in one kernel call *)
+      let loss = ref 0.0 in
+      for _ = 1 to 3 do
+        loss := !loss -. log (Float.max 1e-12 expect.(c - 1))
+      done;
+      Alcotest.(check bool) (name ^ ": three rows") true
+        (same
+           [|
+             Mlp.eval_loss m (Array.make 3 [| -1.0 |]) (Array.make 3 (c - 1));
+           |]
+           [| !loss /. 3.0 |]))
+    [
+      [| 1.0; 3.0; 3.0; -2.0 |];
+      [| 3.0; 1.0; -2.0; 3.0; 3.0 |];
+      [| 0.5; 0.5; 0.5; 0.5; 0.5; 0.5; 0.5 |];
+      [| -0.0; -1.0; 0.0; -3.0 |];
+      [| 0.0; -0.0; -2.0 |];
+      [| -0.0; -0.0 |];
+      [| Float.neg_infinity; 0.0; Float.neg_infinity; -0.0 |];
+      [| 2.5 |];
     ]
 
 (* A contraction canary. w*x = 1 + 2^-29 + 2^-60 exactly, so b + w*x is
    0.0 when the product is rounded first, as OCaml does, and 2^-60 when a
-   fused multiply-add keeps it. Eleven hidden units (an 8-lane block, a
-   2-lane remainder and a scalar tail) feed one logit with weight 2^60:
-   any fused unit turns that logit from 0.0 into at least 1.0. *)
+   fused multiply-add keeps it. 31 hidden units (a 16-, an 8- and a
+   4-wide block and a scalar tail) feed one logit with weight 2^60: any
+   fused unit turns that logit from 0.0 into at least 1.0. On an AVX2
+   host this checks the AVX2 build; test/baseline checks the other. *)
 let test_mlp_no_contraction () =
   let w = 1.0 +. ldexp 1.0 (-30) and b = -.(1.0 +. ldexp 1.0 (-29)) in
   let x = w in
   Alcotest.(check bool) "the canary separates fused from unfused" true
     (b +. (w *. x) = 0.0 && Float.fma w x b <> 0.0);
-  let hidden = 11 in
+  let hidden = 31 in
   let m = Mlp.create ~rng:(rng ()) [| 1; hidden; 2 |] in
   Mlp.set_params m
     (Array.concat
@@ -664,7 +711,7 @@ let test_mlp_no_contraction () =
   let expect = Ref_mlp.softmax [| !z0; 0.0 |] in
   Alcotest.(check bool) "one example, bit for bit" true
     (same (Mlp.predict_proba m [| x |]) expect);
-  (* three examples: the 2-example blocks and the odd one *)
+  (* three examples: a 2-row group and a single row in every block *)
   let loss = ref 0.0 in
   for _ = 1 to 3 do
     loss := !loss -. log expect.(0)
@@ -690,6 +737,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_mlp_transpose_follows_weights;
           Alcotest.test_case "harness shapes match the oracle" `Quick
             test_mlp_harness_shapes;
+          Alcotest.test_case "softmax rows with +-0 exponents" `Quick
+            test_mlp_softmax_rows;
           Alcotest.test_case "no fused multiply-add" `Quick
             test_mlp_no_contraction;
         ] );

@@ -102,6 +102,11 @@ let test_csr_size_guards () =
   let open Linalg.Csr in
   expect_invalid_naming "of_triplets" [ "Csr.of_triplets"; "(1, 3)"; "2x3" ]
     (fun () -> of_triplets ~m:2 ~n:3 [ (0, 0, 1.0); (1, 3, 1.0) ]);
+  expect_invalid_naming "of_triplets, m < 0" [ "Csr.of_triplets"; "m = -1" ]
+    (fun () -> of_triplets ~m:(-1) ~n:3 []);
+  expect_invalid_naming "of_triplets, n < 0" [ "Csr.of_triplets"; "n = -2" ]
+    (fun () -> of_triplets ~m:2 ~n:(-2) []);
+  Alcotest.(check int) "0x0 is empty" 0 (nnz (of_triplets ~m:0 ~n:0 []));
   let a = laplacian_2d 2 3 in
   let x = Array.make 6 1.0 and short = Array.make 5 0.0 in
   expect_invalid_naming "spmv_into" [ "Csr.spmv_into"; "5"; "6"; "6x6" ]
@@ -620,6 +625,19 @@ let test_monodomain_bad_sizes () =
     (fun dt -> expect_invalid (Fmt.str "dt = %g" dt) (create ~dt ()))
     [ 0.0; -0.02; Float.nan; Float.infinity ]
 
+let test_cleverleaf_bad_extent () =
+  let create ?(lx = 1.0) ?(ly = 1.0) () () =
+    Samrai.Cleverleaf.create ~nx:8 ~ny:8 ~lx ~ly ()
+  in
+  List.iter
+    (fun v ->
+      expect_invalid_naming (Fmt.str "lx = %g" v) [ "Cleverleaf.create"; "lx" ]
+        (create ~lx:v ());
+      expect_invalid_naming (Fmt.str "ly = %g" v) [ "Cleverleaf.create"; "ly" ]
+        (create ~ly:v ()))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -1.0 ];
+  ignore (create ~lx:2.0 ~ly:0.5 () ())
+
 let test_particles_bad_sizes () =
   List.iter
     (fun (n, box) ->
@@ -761,6 +779,8 @@ let () =
           Alcotest.test_case "sw4 grid" `Quick test_sw4_grid_bad_sizes;
           Alcotest.test_case "cardioid monodomain" `Quick
             test_monodomain_bad_sizes;
+          Alcotest.test_case "cleverleaf extent" `Quick
+            test_cleverleaf_bad_extent;
           Alcotest.test_case "ddcmd particles" `Quick test_particles_bad_sizes;
           Alcotest.test_case "ddcmd engine dt" `Quick test_md_engine_bad_dt;
         ] );
