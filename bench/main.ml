@@ -559,17 +559,17 @@ let alloc_smoke () =
   in
   read_all ();
   report "samrai/patch-get" ~budget:4.0 (words read_all /. 4096.0);
-  (* one structured BoxLoop Jacobi sweep (smooth, copy, their charges,
-     and a tenth of a residual check): the difference of a 20- and a
-     10-sweep solve cancels the per-solve setup. ~70 words here; a
-     boxed max-norm fold adds ~4 words per residual cell, ~1 500 per
-     sweep. *)
+  (* one structured BoxLoop Jacobi sweep of [Hypre.Pfmg.jacobi] on a
+     62^2 level (smooth, copy, their charges, and a tenth of a residual
+     check): the difference of a 20- and a 10-sweep solve cancels the
+     per-solve setup. ~66 words here; a boxed max-norm fold adds ~4
+     words per residual cell, ~1 500 per sweep. *)
   let clock = Hwsim.Clock.create () in
   let ctx = Prog.Exec.make_ctx ~policy:Prog.Policy.Cuda ~device:Hwsim.Device.v100 ~clock in
-  let st = Hypre.Boxloop.Struct_solver.create 64 64 in
-  st.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx st 32 32) <- 1.0;
+  let lvl = Hypre.Pfmg.create_level 62 62 in
+  lvl.Hypre.Pfmg.b.(Hypre.Pfmg.idx lvl 32 32) <- 1.0;
   let solve max_sweeps () =
-    ignore (Hypre.Boxloop.Struct_solver.solve ~tol:0.0 ~max_sweeps ctx st)
+    ignore (Hypre.Pfmg.jacobi ~tol:0.0 ~max_sweeps ctx lvl)
   in
   solve 10 ();
   report "hypre/struct-sweep-seq" ~budget:128.0

@@ -71,9 +71,9 @@ let ablations () =
   let run_jacobi () =
     let clock = Hwsim.Clock.create () in
     let ctx = Prog.Exec.make_ctx ~policy:Prog.Policy.Cuda ~device:Hwsim.Device.v100 ~clock in
-    let s = Hypre.Boxloop.Struct_solver.create 65 65 in
-    s.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx s 32 32) <- 1.0;
-    let sweeps, _ = Hypre.Boxloop.Struct_solver.solve ~tol:1e-8 ~max_sweeps:50000 ctx s in
+    let lvl = Hypre.Pfmg.create_level 63 63 in
+    lvl.Hypre.Pfmg.b.(Hypre.Pfmg.idx lvl 32 32) <- 1.0;
+    let sweeps, _ = Hypre.Pfmg.jacobi ~tol:1e-8 ~max_sweeps:50000 ctx lvl in
     (sweeps, Hwsim.Clock.total clock)
   in
   let pc, pt = run_pfmg () and jc, jt = run_jacobi () in

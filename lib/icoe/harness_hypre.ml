@@ -16,9 +16,10 @@ let hypre () =
         else Hwsim.Device.v100
       in
       let ctx = Prog.Exec.make_ctx ~policy ~device ~clock in
-      let s = Hypre.Boxloop.Struct_solver.create 64 64 in
-      s.Hypre.Boxloop.Struct_solver.b.(Hypre.Boxloop.Struct_solver.idx s 32 32) <- 1.0;
-      let sweeps, _ = Hypre.Boxloop.Struct_solver.solve ~tol:1e-6 ctx s in
+      (* 64^2 with its walls: a 62^2 interior *)
+      let lvl = Hypre.Pfmg.create_level 62 62 in
+      lvl.Hypre.Pfmg.b.(Hypre.Pfmg.idx lvl 32 32) <- 1.0;
+      let sweeps, _ = Hypre.Pfmg.jacobi ~tol:1e-6 ctx lvl in
       Table.add_row t
         [ Prog.Policy.name policy; string_of_int sweeps;
           Table.fcell ~prec:2 (Hwsim.Clock.total clock *. 1e3) ])

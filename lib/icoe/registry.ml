@@ -60,7 +60,7 @@ let activities =
       base_language = "C/C++";
       approaches = [ "DSL"; "RAJA"; "Kokkos"; "OCCA"; "OpenMP"; "CUDA" ];
       modules =
-        [ "Hypre.Boomeramg"; "Hypre.Boxloop"; "Sundials.Cvode"; "Mfem.Diffusion";
+        [ "Hypre.Boomeramg"; "Hypre.Pfmg"; "Sundials.Cvode"; "Mfem.Diffusion";
           "Mfem.Lor"; "Samrai.Hierarchy"; "Samrai.Cleverleaf" ];
     };
     {

@@ -22,23 +22,6 @@ let intersect a b =
 (** Grow by [n] cells in every direction (ghost region). *)
 let grow t n = { ilo = t.ilo - n; jlo = t.jlo - n; ihi = t.ihi + n; jhi = t.jhi + n }
 
-(** Refine indices by [ratio] (fine covers the same physical region). *)
-let refine t ratio =
-  {
-    ilo = t.ilo * ratio;
-    jlo = t.jlo * ratio;
-    ihi = ((t.ihi + 1) * ratio) - 1;
-    jhi = ((t.jhi + 1) * ratio) - 1;
-  }
-
-let coarsen t ratio =
-  {
-    ilo = (if t.ilo >= 0 then t.ilo / ratio else -(((-t.ilo) + ratio - 1) / ratio));
-    jlo = (if t.jlo >= 0 then t.jlo / ratio else -(((-t.jlo) + ratio - 1) / ratio));
-    ihi = (if t.ihi >= 0 then t.ihi / ratio else -(((-t.ihi) + ratio - 1) / ratio));
-    jhi = (if t.jhi >= 0 then t.jhi / ratio else -(((-t.jhi) + ratio - 1) / ratio));
-  }
-
 (** Split into at most [n] roughly equal sub-boxes along the long axis. *)
 let split t n =
   if n <= 1 then [ t ]

@@ -16,11 +16,6 @@ val intersect : t -> t -> t option
 val grow : t -> int -> t
 (** Grow by n cells in every direction (ghost region). *)
 
-val refine : t -> int -> t
-(** Refine indices by a ratio (the fine box covers the same region). *)
-
-val coarsen : t -> int -> t
-
 val split : t -> int -> t list
 (** At most n roughly equal sub-boxes along the long axis; the pieces
     partition the box exactly. *)

@@ -1,6 +1,6 @@
 (** CleverLeaf: the 2D compressible-Euler mini-app used to assess the
     SAMRAI port (Table 5). Ideal gas, conservative finite volumes with a
-    local Lax-Friedrichs (Rusanov) flux on the patch hierarchy's level 0.
+    local Lax-Friedrichs (Rusanov) flux on the patch hierarchy's one level.
 
     Fields: rho, mx, my (momenta), e (total energy density). The solver is
     deliberately structured as per-patch kernels over interior boxes — the
@@ -29,7 +29,7 @@ let create ~nx ~ny ~lx ~ly () =
              name v))
     [ ("lx", lx); ("ly", ly) ];
   let domain = Box.make ~ilo:0 ~jlo:0 ~ihi:(nx - 1) ~jhi:(ny - 1) in
-  let hier = Hierarchy.create ~ghosts:1 ~patches_per_level:4 ~fields domain in
+  let hier = Hierarchy.create ~fields domain in
   {
     hier;
     dx = lx /. float_of_int nx;
@@ -64,7 +64,7 @@ let init t f =
           Patch.set p "my" ~i ~j (rho *. v);
           Patch.set p "e" ~i ~j
             ((pr /. (gamma_gas -. 1.0)) +. (0.5 *. rho *. ((u *. u) +. (v *. v))))))
-    (Hierarchy.level t.hier 0).Hierarchy.patches
+    t.hier.Hierarchy.patches
 
 (** Max signal speed over the level (for the CFL step). *)
 let max_wave_speed t =
@@ -82,7 +82,7 @@ let max_wave_speed t =
             c +. max (Float.abs (mx /. rho)) (Float.abs (my /. rho))
           in
           if s > !vmax then vmax := s))
-    (Hierarchy.level t.hier 0).Hierarchy.patches;
+    t.hier.Hierarchy.patches;
   !vmax
 
 (* Rusanov flux in direction (dxn, dyn) between states l and r. *)
@@ -107,10 +107,10 @@ let flux_rusanov (rl, mxl, myl, el) (rr, mxr, myr, er) ~xdir =
 
 (** One explicit step at CFL [cfl]; returns dt. *)
 let step ?(cfl = 0.4) t =
-  List.iter (fun f -> Hierarchy.fill_level_ghosts t.hier 0 f) fields;
+  List.iter (fun f -> Hierarchy.fill_ghosts t.hier f) fields;
   let smax = max_wave_speed t in
   let dt = cfl *. min t.dx t.dy /. smax in
-  let level = Hierarchy.level t.hier 0 in
+  let patches = t.hier.Hierarchy.patches in
   let updates =
     List.map
       (fun p ->
@@ -141,7 +141,7 @@ let step ?(cfl = 0.4) t =
             upd.(!gi + 3) <- e -. (dt *. (dx4 +. dy4));
             gi := !gi + 4);
         (p, upd))
-      level.Hierarchy.patches
+      patches
   in
   List.iter
     (fun ((p : Patch.t), upd) ->
@@ -157,7 +157,7 @@ let step ?(cfl = 0.4) t =
   t.steps <- t.steps + 1;
   Icoe_obs.Metrics.inc m_steps;
   Icoe_obs.Metrics.inc
-    ~by:(float_of_int (List.length level.Hierarchy.patches))
+    ~by:(float_of_int (List.length patches))
     m_patch_updates;
   Icoe_obs.Metrics.set m_dt dt;
   dt
@@ -170,7 +170,7 @@ let run ?(cfl = 0.4) ?(max_steps = 100_000) t tstop =
     incr n
   done
 
-(** Total mass / x-momentum / energy over level 0 (conservation checks). *)
+(** Total mass / x-momentum / energy over the level (conservation checks). *)
 let totals t =
   let cell = t.dx *. t.dy in
   let acc = [| 0.0; 0.0; 0.0; 0.0 |] in
@@ -181,19 +181,19 @@ let totals t =
           acc.(1) <- acc.(1) +. (cell *. Patch.get p "mx" ~i ~j);
           acc.(2) <- acc.(2) +. (cell *. Patch.get p "my" ~i ~j);
           acc.(3) <- acc.(3) +. (cell *. Patch.get p "e" ~i ~j)))
-    (Hierarchy.level t.hier 0).Hierarchy.patches;
+    t.hier.Hierarchy.patches;
   (acc.(0), acc.(1), acc.(2), acc.(3))
 
 (** Sample density along y = const mid-line (Sod validation). *)
 let density_slice t =
-  let level = Hierarchy.level t.hier 0 in
+  let patches = t.hier.Hierarchy.patches in
   let jmid = (t.hier.Hierarchy.domain.Box.jhi + 1) / 2 in
   let nx = t.hier.Hierarchy.domain.Box.ihi + 1 in
   let out = Array.make nx nan in
   List.iter
     (fun p ->
       Patch.iter_interior p (fun ~i ~j -> if j = jmid then out.(i) <- Patch.get p "rho" ~i ~j))
-    level.Hierarchy.patches;
+    patches;
   out
 
 (** Flop/byte volume of one step over [cells] cells: 4 Rusanov fluxes

@@ -1,6 +1,6 @@
 (** CleverLeaf: the 2D compressible-Euler mini-app used to assess the
     SAMRAI port (Table 5). Ideal gas, conservative finite volumes with a
-    Rusanov flux on the patch hierarchy's level 0. *)
+    Rusanov flux on the patch hierarchy's one level. *)
 
 type t = {
   hier : Hierarchy.t;

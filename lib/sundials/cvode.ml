@@ -46,28 +46,6 @@ let dense_lsolve ~(jac : float -> float array -> Linalg.Dense.t) : lsolve =
   in
   Linalg.Dense.solve m b
 
-(** Dense direct lsolve with a finite-difference Jacobian of [rhs]. *)
-let fd_dense_lsolve ~(rhs : rhs) : lsolve =
- fun ~gamma ~t ~y ~b ->
-  let n = Array.length y in
-  let f0 = rhs t y in
-  let j = Linalg.Dense.create n n in
-  let yp = Array.copy y in
-  for c = 0 to n - 1 do
-    let h = max 1e-8 (1e-8 *. Float.abs y.(c)) in
-    yp.(c) <- y.(c) +. h;
-    let f1 = rhs t yp in
-    yp.(c) <- y.(c);
-    for r = 0 to n - 1 do
-      Linalg.Dense.set j r c ((f1.(r) -. f0.(r)) /. h)
-    done
-  done;
-  let m =
-    Linalg.Dense.init n n (fun r c ->
-        (if r = c then 1.0 else 0.0) -. (gamma *. Linalg.Dense.get j r c))
-  in
-  Linalg.Dense.solve m b
-
 (* --- Newton iteration for the implicit BDF stage --- *)
 
 (* Solve y = c + gamma * f(t, y) by modified Newton. Returns Some y or None

@@ -28,9 +28,6 @@ exception Too_much_work of string
 val dense_lsolve : jac:(float -> float array -> Linalg.Dense.t) -> lsolve
 (** Direct dense lsolve from an analytic Jacobian. *)
 
-val fd_dense_lsolve : rhs:rhs -> lsolve
-(** Direct dense lsolve with a finite-difference Jacobian of [rhs]. *)
-
 type result = { y : float array; t : float; stats : stats }
 
 val bdf :

@@ -1,8 +1,9 @@
-(* The closure-based BoxLoops that [Hypre.Boxloop] and [Hypre.Pfmg]
-   replaced: every sweep called a per-cell closure [f i j] from inside a
-   per-index closure, recovering (i, j) from a flat index with [mod] and
-   [/], and the residual max-norm folded through a boxed [~combine:max].
-   The [forall]/[reduce] loops ran the body, then priced it with
+(* The closure-based BoxLoops that [Hypre.Pfmg]'s row loops replaced, for
+   its Jacobi solve (once [Boxloop.Struct_solver]) and its V-cycle: every
+   sweep called a per-cell closure [f i j] from inside a per-index
+   closure, recovering (i, j) from a flat index with [mod] and [/], and
+   the residual max-norm folded through a boxed [~combine:max]. The
+   [forall]/[reduce] loops ran the body, then priced it with
    [Prog.Exec.charge] (plus the reduction's tree-combine tick). Kept,
    without the metrics registry, as the bit-exact oracle of the row-loop
    solvers: same [u], same counts, same clock phases. *)
@@ -27,9 +28,11 @@ let reduce ctx ~phase ~n ~flops_per ~bytes_per ~init ~combine f =
   Hwsim.Clock.tick ctx.Prog.Exec.clock ~phase (depth *. 0.2e-6);
   !acc
 
-let box_size (b : Boxloop.box) = (b.ihi - b.ilo + 1) * (b.jhi - b.jlo + 1)
+type box = { ilo : int; ihi : int; jlo : int; jhi : int }
 
-let boxloop2 ctx ~phase ~flops_per ~bytes_per (b : Boxloop.box) f =
+let box_size b = (b.ihi - b.ilo + 1) * (b.jhi - b.jlo + 1)
+
+let boxloop2 ctx ~phase ~flops_per ~bytes_per b f =
   let ni = b.ihi - b.ilo + 1 in
   let nj = b.jhi - b.jlo + 1 in
   forall ctx ~phase ~n:(ni * nj) ~flops_per ~bytes_per (fun k ->
@@ -37,17 +40,18 @@ let boxloop2 ctx ~phase ~flops_per ~bytes_per (b : Boxloop.box) f =
       let j = b.jlo + (k / ni) in
       f i j)
 
-module Struct_solver = struct
-  open Boxloop.Struct_solver
+let interior (lvl : Pfmg.level) = { ilo = 1; ihi = lvl.nx; jlo = 1; jhi = lvl.ny }
 
-  let interior t = { Boxloop.ilo = 1; ihi = t.nx - 2; jlo = 1; jhi = t.ny - 2 }
+module Struct_solver = struct
+  open Hypre.Pfmg
 
   let jacobi_sweep ctx ?(w = 0.8) t =
-    let { u; b; scratch; _ } = t in
+    let { u; b; r = scratch; _ } = t in
+    let stride = t.nx + 2 in
     boxloop2 ctx ~phase:"struct-smooth" ~flops_per:8.0 ~bytes_per:48.0
       (interior t) (fun i j ->
         let k = idx t i j in
-        let nb = u.(k - 1) +. u.(k + 1) +. u.(k - t.nx) +. u.(k + t.nx) in
+        let nb = u.(k - 1) +. u.(k + 1) +. u.(k - stride) +. u.(k + stride) in
         scratch.(k) <- u.(k) +. (w *. (((b.(k) +. nb) /. 4.0) -. u.(k))));
     boxloop2 ctx ~phase:"struct-copy" ~flops_per:0.0 ~bytes_per:16.0
       (interior t) (fun i j ->
@@ -56,6 +60,7 @@ module Struct_solver = struct
 
   let residual_norm ctx t =
     let { u; b; _ } = t in
+    let stride = t.nx + 2 in
     let box = interior t in
     reduce ctx ~phase:"struct-residual"
       ~n:(box_size box) ~flops_per:7.0 ~bytes_per:48.0 ~init:0.0 ~combine:max
@@ -64,7 +69,7 @@ module Struct_solver = struct
         let i = box.ilo + (k mod ni) in
         let j = box.jlo + (k / ni) in
         let kk = idx t i j in
-        let nb = u.(kk - 1) +. u.(kk + 1) +. u.(kk - t.nx) +. u.(kk + t.nx) in
+        let nb = u.(kk - 1) +. u.(kk + 1) +. u.(kk - stride) +. u.(kk + stride) in
         Float.abs (b.(kk) +. nb -. (4.0 *. u.(kk))))
 
   let solve ?(tol = 1e-8) ?(max_sweeps = 5000) ctx t =
@@ -83,25 +88,23 @@ end
 module Pfmg = struct
   open Hypre.Pfmg
 
-  let interior lvl = { Boxloop.ilo = 1; ihi = lvl.n; jlo = 1; jhi = lvl.n }
-
   let smooth ctx ?(w = 0.8) lvl =
     let u = lvl.u and b = lvl.b and r = lvl.r in
-    let stride = lvl.n + 2 in
-    boxloop2 ctx ~phase:"pfmg-smooth" ~flops_per:8.0 ~bytes_per:48.0
+    let stride = lvl.nx + 2 in
+    boxloop2 ctx ~phase:"struct-smooth" ~flops_per:8.0 ~bytes_per:48.0
       (interior lvl) (fun i j ->
         let k = idx lvl i j in
         let nb = u.(k - 1) +. u.(k + 1) +. u.(k - stride) +. u.(k + stride) in
         r.(k) <- u.(k) +. (w *. (((b.(k) +. nb) /. 4.0) -. u.(k))));
-    boxloop2 ctx ~phase:"pfmg-copy" ~flops_per:0.0 ~bytes_per:16.0
+    boxloop2 ctx ~phase:"struct-copy" ~flops_per:0.0 ~bytes_per:16.0
       (interior lvl) (fun i j ->
         let k = idx lvl i j in
         u.(k) <- r.(k))
 
   let residual ctx lvl =
     let u = lvl.u and b = lvl.b and r = lvl.r in
-    let stride = lvl.n + 2 in
-    boxloop2 ctx ~phase:"pfmg-residual" ~flops_per:7.0 ~bytes_per:48.0
+    let stride = lvl.nx + 2 in
+    boxloop2 ctx ~phase:"struct-residual" ~flops_per:7.0 ~bytes_per:48.0
       (interior lvl) (fun i j ->
         let k = idx lvl i j in
         let nb = u.(k - 1) +. u.(k + 1) +. u.(k - stride) +. u.(k + stride) in
@@ -109,8 +112,8 @@ module Pfmg = struct
 
   let restrict ctx ~(fine : level) ~(coarse : level) =
     let fr = fine.r in
-    let fs = fine.n + 2 in
-    boxloop2 ctx ~phase:"pfmg-restrict" ~flops_per:12.0 ~bytes_per:80.0
+    let fs = fine.nx + 2 in
+    boxloop2 ctx ~phase:"struct-restrict" ~flops_per:12.0 ~bytes_per:80.0
       (interior coarse) (fun ci cj ->
         let fi = 2 * ci and fj = 2 * cj in
         let k = fi + (fs * fj) in
@@ -120,14 +123,14 @@ module Pfmg = struct
           +. fr.(k - fs - 1) +. fr.(k - fs + 1) +. fr.(k + fs - 1)
           +. fr.(k + fs + 1)
         in
-        coarse.b.(ci + ((coarse.n + 2) * cj)) <- v /. 4.0)
+        coarse.b.(ci + ((coarse.nx + 2) * cj)) <- v /. 4.0)
 
   let prolong ctx ~(coarse : level) ~(fine : level) =
     let cu = coarse.u in
-    let cs = coarse.n + 2 in
-    let fs = fine.n + 2 in
+    let cs = coarse.nx + 2 in
+    let fs = fine.nx + 2 in
     let fu = fine.u in
-    boxloop2 ctx ~phase:"pfmg-prolong" ~flops_per:6.0 ~bytes_per:48.0
+    boxloop2 ctx ~phase:"struct-prolong" ~flops_per:6.0 ~bytes_per:48.0
       (interior fine) (fun fi fj ->
         let ci = fi / 2 and cj = fj / 2 in
         let v =
@@ -168,16 +171,7 @@ module Pfmg = struct
     in
     descend 0
 
-  let residual_norm ctx t =
-    let lvl = finest t in
-    residual ctx lvl;
-    let m = ref 0.0 in
-    for j = 1 to lvl.n do
-      for i = 1 to lvl.n do
-        m := max !m (Float.abs lvl.r.(idx lvl i j))
-      done
-    done;
-    !m
+  let residual_norm ctx t = Struct_solver.residual_norm ctx (finest t)
 
   let solve ?(tol = 1e-10) ?(max_cycles = 50) ctx t =
     let r0 = max (residual_norm ctx t) 1e-300 in

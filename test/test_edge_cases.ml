@@ -174,10 +174,11 @@ let test_topopt_apply_guard () =
 let test_bdf_too_much_work () =
   (* finite-time blow-up ODE with a tiny step cap must raise, not hang *)
   let rhs _t y = [| y.(0) *. y.(0) |] in
+  let jac _t y = Linalg.Dense.init 1 1 (fun _ _ -> 2.0 *. y.(0)) in
   Alcotest.(check bool) "raises Too_much_work" true
     (match
        Sundials.Cvode.bdf ~rtol:1e-10 ~atol:1e-12 ~max_steps:50 ~rhs
-         ~lsolve:(Sundials.Cvode.fd_dense_lsolve ~rhs) ~t0:0.0 ~y0:[| 1.0 |]
+         ~lsolve:(Sundials.Cvode.dense_lsolve ~jac) ~t0:0.0 ~y0:[| 1.0 |]
          2.0
      with
     | _ -> false
@@ -259,13 +260,14 @@ let test_pfmg_rejects_bad_size () =
       Hypre.Pfmg.create 0)
 
 let test_struct_solver_rejects_bad_size () =
-  (* a grid without interior cells used to price sweeps of a phantom cell *)
-  expect_invalid_naming "1 x 1" [ "Struct_solver.create"; "1 x 1" ] (fun () ->
-      Hypre.Boxloop.Struct_solver.create 1 1);
-  expect_invalid_naming "2 x 5" [ "Struct_solver.create"; "2 x 5" ] (fun () ->
-      Hypre.Boxloop.Struct_solver.create 2 5);
-  expect_invalid_naming "5 x 2" [ "Struct_solver.create"; "5 x 2" ] (fun () ->
-      Hypre.Boxloop.Struct_solver.create 5 2)
+  (* a level without interior cells would price sweeps of a phantom cell;
+     these are the 1 x 1, 2 x 5 and 5 x 2 grids with their walls *)
+  expect_invalid_naming "-1 x -1" [ "Pfmg.create_level"; "-1 x -1" ] (fun () ->
+      Hypre.Pfmg.create_level (-1) (-1));
+  expect_invalid_naming "0 x 3" [ "Pfmg.create_level"; "0 x 3" ] (fun () ->
+      Hypre.Pfmg.create_level 0 3);
+  expect_invalid_naming "3 x 0" [ "Pfmg.create_level"; "3 x 0" ] (fun () ->
+      Hypre.Pfmg.create_level 3 0)
 
 let test_boxloop_rejects_inverted_box () =
   expect_invalid_naming "inverted box" [ "Box.make"; "[5, 2]" ] (fun () ->

@@ -70,16 +70,6 @@ let test_adams_oscillator () =
   Alcotest.(check bool) "period return y'" true
     (Float.abs r.Sundials.Cvode.y.(1) < 1e-4)
 
-let test_fd_jacobian_matches_analytic () =
-  (* the FD lsolve must integrate the stiff problem about as well *)
-  let r =
-    Sundials.Cvode.bdf ~rtol:1e-6 ~atol:1e-9 ~h0:1e-5 ~rhs:stiff_rhs
-      ~lsolve:(Sundials.Cvode.fd_dense_lsolve ~rhs:stiff_rhs)
-      ~t0:0.0 ~y0:[| 0.0 |] 1.0
-  in
-  Alcotest.(check bool) "fd jacobian works" true
-    (Float.abs (r.Sundials.Cvode.y.(0) -. cos 1.0) < 1e-4)
-
 (* Robertson problem: the classic stiff kinetics benchmark. *)
 let robertson_rhs _t y =
   let a = -0.04 *. y.(0) +. (1e4 *. y.(1) *. y.(2)) in
@@ -173,7 +163,6 @@ let () =
           Alcotest.test_case "bdf tolerance" `Quick test_bdf_tolerance_scaling;
           Alcotest.test_case "bdf stiff" `Quick test_bdf_stiff;
           Alcotest.test_case "adams oscillator" `Quick test_adams_oscillator;
-          Alcotest.test_case "fd jacobian" `Quick test_fd_jacobian_matches_analytic;
           Alcotest.test_case "robertson" `Quick test_bdf_robertson_conservation;
           Alcotest.test_case "erk23 accuracy" `Quick test_erk23_accuracy_and_adaptivity;
           Alcotest.test_case "erk23 oscillator" `Quick test_erk23_oscillator_order;
