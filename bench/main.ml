@@ -224,17 +224,9 @@ let bench_easy_backfill =
     (Staged.stage (fun () ->
          ignore (Opt.Scheduler.simulate ~gpus:16 Opt.Scheduler.Fcfs_backfill jobs)))
 
-(* par/* benchmarks: the same engine kernels at sizes where the domain
-   pool engages (all of these clear the serial-fallback thresholds), so
-   the BENCH trajectory shows the wall-clock effect of ICOE_DOMAINS. *)
-
-let bench_par_spmv =
-  let a = Linalg.Csr.laplacian_2d 256 256 in
-  let n = 256 * 256 in
-  let x = Array.init n (fun i -> float_of_int (i mod 7)) in
-  let y = Array.make n 0.0 in
-  Test.make ~name:"par/spmv-256x256"
-    (Staged.stage (fun () -> Linalg.Csr.spmv_into a x y))
+(* par/* benchmarks: the three pooled engine kernels at sizes where the
+   domain pool engages, so the BENCH trajectory shows the wall-clock
+   effect of ICOE_DOMAINS. *)
 
 let bench_par_sw4_rhs =
   let g = Sw4.Grid.create ~nx:128 ~ny:128 ~h:100.0 in
@@ -242,11 +234,6 @@ let bench_par_sw4_rhs =
   let solver = Sw4.Solver.create g in
   Test.make ~name:"par/sw4-step-128x128"
     (Staged.stage (fun () -> Sw4.Solver.step solver))
-
-let bench_par_reaction =
-  let m = Cardioid.Monodomain.create ~nx:64 ~ny:64 () in
-  Test.make ~name:"par/cardioid-reaction-64x64"
-    (Staged.stage (fun () -> Cardioid.Monodomain.reaction_step m))
 
 let bench_par_md_forces =
   let rng = Icoe_util.Rng.create 9 in
@@ -309,8 +296,8 @@ let microbenchmarks () =
       bench_lda_estep; bench_rate_matrix; bench_cleverleaf; bench_mlp;
       bench_mlp_train; bench_shallow_nn_step;
       bench_paradyn; bench_topopt_apply; bench_topopt_optimize;
-      bench_easy_backfill; bench_par_spmv; bench_par_sw4_rhs;
-      bench_par_reaction; bench_par_md_forces; bench_par_lda_estep;
+      bench_easy_backfill; bench_par_sw4_rhs; bench_par_md_forces;
+      bench_par_lda_estep;
       bench_fault_plan; bench_fault_checkpoint; bench_fault_retry;
     ]
   in
@@ -478,16 +465,12 @@ let alloc_smoke () =
   let m = Cardioid.Monodomain.create ~nx:64 ~ny:64 () in
   Cardioid.Monodomain.stimulate m ~ilo:0 ~ihi:3 ~jlo:0 ~jhi:63 ~amplitude:60.0;
   measure "cardioid/reaction-seq" ~budget:seq_budget (fun () ->
-      Cardioid.Monodomain.reaction_step_seq m);
-  measure "cardioid/reaction-par" ~budget:par_budget (fun () ->
       Cardioid.Monodomain.reaction_step m);
   (* CSR SpMV *)
   let a = Linalg.Csr.laplacian_2d 64 64 in
   let x = Array.init 4096 (fun i -> float_of_int (i mod 7)) in
   let y = Array.make 4096 0.0 in
   measure "linalg/spmv-seq" ~budget:seq_budget (fun () ->
-      Linalg.Csr.spmv_seq_into a x y);
-  measure "linalg/spmv-par" ~budget:par_budget (fun () ->
       Linalg.Csr.spmv_into a x y);
   (* in-place CG: the solve's four vectors once, then nothing per
      iteration; tol 0 runs all 200 iterations *)
@@ -497,7 +480,7 @@ let alloc_smoke () =
     (fun () ->
       ignore
         (Linalg.Krylov.cg ~tol:0.0 ~max_iter:200
-           ~op:(Linalg.Csr.spmv_seq_into a) b x0));
+           ~op:(Linalg.Csr.spmv_into a) b x0));
   (* LDA E-step *)
   let rng = Icoe_util.Rng.create 6 in
   let corpus = Lda.Corpus.generate ~ndocs:16 ~rng () in
@@ -576,9 +559,9 @@ let alloc_smoke () =
     ((words (solve 20) -. words (solve 10)) /. 10.0);
   (* one PCG + AMG iteration on the 32x32 Laplacian (operator, V-cycle
      on the level workspaces, the CG passes): the difference of a 30-
-     and a 10-iteration solve cancels the per-solve vectors. What is
-     left is pool dispatch for the levels of >= 512 rows, ~200-300
-     words; a V-cycle that allocated its vectors again costs thousands *)
+     and a 10-iteration solve cancels the per-solve vectors. ~8 words
+     are left; a V-cycle that allocated its vectors again costs
+     thousands *)
   let a = Linalg.Csr.laplacian_2d 32 32 in
   let amg = Hypre.Boomeramg.setup a in
   let b = Linalg.Csr.spmv a (Array.init 1024 (fun i -> float_of_int (i mod 5))) in
@@ -587,7 +570,7 @@ let alloc_smoke () =
     assert (r.Linalg.Krylov.iters = max_iter)
   in
   pcg 10 ();
-  report "hypre/amg-pcg-iter" ~budget:1024.0
+  report "hypre/amg-pcg-iter" ~budget:64.0
     ((words (pcg 30) -. words (pcg 10)) /. 20.0);
   (* the scheduling core through the Opt adapter: a 2 500-job batch under
      each policy, in minor words per simulated job. The waits list and

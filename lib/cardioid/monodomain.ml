@@ -6,7 +6,7 @@
     component-major {!Icoe_util.Fbuf} (plane [c] at [c*n + k]), the
     voltage field in another, and the reaction kernel evaluates the
     stack-program form of the ionic model ({!Ionic.compile_kernel})
-    over per-chunk scratch slots drawn from a {!Prog.Scratch} arena —
+    through one scratch slot drawn from a {!Prog.Scratch} arena —
     so a steady-state step allocates nothing. The arithmetic is
     unchanged from the boxed row-per-cell layout, so results are
     bit-identical to the retained closure-tree reference
@@ -18,7 +18,6 @@
     every step — the configuration the team measured and rejected. *)
 
 module Fbuf = Icoe_util.Fbuf
-module Pool = Icoe_par.Pool
 
 type placement = All_gpu | All_cpu | Split_cpu_gpu
 
@@ -48,7 +47,7 @@ type t = {
   deriv : float array -> float array;
       (** boxed closure-tree derivative, retained as the correctness
           oracle ({!reaction_step_ref}) *)
-  arena : Prog.Scratch.t;  (** per-chunk reaction scratch slots *)
+  arena : Prog.Scratch.t;  (** the reaction's scratch slot *)
 }
 
 let create ?(nx = 32) ?(ny = 32) ?(dt = 0.02) ?(variant = Ionic.Rational) () =
@@ -102,66 +101,36 @@ let clear_stimulus t =
     Fbuf.set t.state (base + k) 0.0
   done
 
-(* The chunk body of the reaction half-step. Chunk [k]'s scratch slots
-   live at fixed offsets in the shared [env]/[out]/[stack] buffers, so
-   concurrent chunks never touch the same slot. Per cell: gather the
-   state planes into the env slot, evaluate the four derivative
-   programs, apply the explicit-Euler update back into the planes.
-   Allocation-free. *)
-let react_cells t ~env ~out ~stack k clo chi =
+(** Reaction half-step: per-cell ionic update, walked once over every
+    cell in the calling domain. Per cell: gather the state planes into
+    the env slot, evaluate the four derivative programs, apply the
+    explicit-Euler update back into the planes. The one scratch slot
+    ([n_planes] env, [n_state] out and [depth] stack words) comes from
+    the arena, so a steady-state step allocates nothing. *)
+let reaction_step t =
   let n = t.n in
   let progs = t.kernel.Ionic.progs in
-  let eoff = k * n_planes in
-  let ooff = k * Ionic.n_state in
-  let soff = k * t.kernel.Ionic.depth in
-  for c = clo to chi - 1 do
-    Fbuf.set env eoff (Fbuf.get t.v c);
+  let env = Prog.Scratch.get t.arena "react-env" n_planes in
+  let out = Prog.Scratch.get t.arena "react-out" Ionic.n_state in
+  let stack = Prog.Scratch.get t.arena "react-stack" t.kernel.Ionic.depth in
+  for c = 0 to n - 1 do
+    Fbuf.set env 0 (Fbuf.get t.v c);
     for p = 1 to n_planes - 1 do
-      Fbuf.set env (eoff + p) (Fbuf.get t.state ((p * n) + c))
+      Fbuf.set env p (Fbuf.get t.state ((p * n) + c))
     done;
     for d = 0 to Ionic.n_state - 1 do
       Melodee.exec_program_into
         (Array.unsafe_get progs d)
-        ~env ~env_off:eoff ~stack ~stack_off:soff ~out ~out_off:(ooff + d)
+        ~env ~env_off:0 ~stack ~stack_off:0 ~out ~out_off:d
     done;
     for p = 0 to Ionic.n_state - 1 do
       Fbuf.set t.state ((p * n) + c)
-        (Fbuf.get env (eoff + p) +. (t.dt *. Fbuf.get out (ooff + p)))
+        (Fbuf.get env p +. (t.dt *. Fbuf.get out p))
     done;
     Fbuf.set t.v c (Fbuf.get t.state c)
   done
 
-(* Scratch slots are acquired before entering the pooled region (the
-   arena is not thread-safe) and sized by the pool's chunk count, so a
-   steady-state step reuses the same buffers: zero allocation. *)
-let reaction_scratch t =
-  let nchunks = Pool.num_chunks ~lo:0 ~hi:t.n () in
-  let env = Prog.Scratch.get t.arena "react-env" (nchunks * n_planes) in
-  let out = Prog.Scratch.get t.arena "react-out" (nchunks * Ionic.n_state) in
-  let stack =
-    Prog.Scratch.get t.arena "react-stack" (nchunks * t.kernel.Ionic.depth)
-  in
-  (env, out, stack)
-
-(** Reaction half-step: per-cell ionic update, chunk-parallel on the
-    domain pool. Every cell touches only its own state columns, voltage
-    entry and its chunk's scratch slots, so the result is bit-identical
-    to {!reaction_step_seq} for any pool size. *)
-let reaction_step t =
-  let env, out, stack = reaction_scratch t in
-  Pool.parallel_for_chunks_i ~lo:0 ~hi:t.n (fun k clo chi ->
-      react_cells t ~env ~out ~stack k clo chi)
-
-(** Serial reference path for the reaction half-step: the same chunk
-    layout, walked in order in the calling domain. *)
-let reaction_step_seq t =
-  let env, out, stack = reaction_scratch t in
-  let csize = Pool.default_chunk t.n in
-  let nchunks = Pool.num_chunks ~lo:0 ~hi:t.n () in
-  for k = 0 to nchunks - 1 do
-    let clo = k * csize in
-    react_cells t ~env ~out ~stack k clo (min t.n (clo + csize))
-  done
+let reaction_step_seq = reaction_step
 
 (** Boxed closure-tree reference for the reaction half-step, retained
     from the row-per-cell layout: per-cell env arrays through
@@ -198,12 +167,10 @@ let diffuse_rows t alpha jlo jhi =
   done
 
 (** Diffusion half-step: explicit 5-point stencil with no-flux walls,
-    row-parallel into the scratch field (reads [v], writes [scratch] —
-    disjoint, so any pool size gives the serial answer). *)
+    read from [v] into the scratch field, then copied back. *)
 let diffusion_step t =
   let alpha = t.sigma *. t.dt /. (t.dx *. t.dx) in
-  Pool.parallel_for_chunks ~chunk:8 ~lo:0 ~hi:t.ny (fun jlo jhi ->
-      diffuse_rows t alpha jlo jhi);
+  diffuse_rows t alpha 0 t.ny;
   Fbuf.blit ~src:t.scratch ~dst:t.v
 
 let m_steps =

@@ -5,8 +5,8 @@
 
     Hot state is SoA: the ionic state lives in one flat component-major
     {!Icoe_util.Fbuf} (plane [c] at [c*n + k]), the voltage field in
-    another, and the reaction evaluates the stack-program kernel over
-    per-chunk scratch slots from a {!Prog.Scratch} arena — steady-state
+    another, and the reaction evaluates the stack-program kernel through
+    one scratch slot from a {!Prog.Scratch} arena — steady-state
     steps allocate nothing, and results are bit-identical to the
     retained closure-tree reference. *)
 
@@ -48,14 +48,14 @@ val stimulate : t -> ilo:int -> ihi:int -> jlo:int -> jhi:int -> amplitude:float
 val clear_stimulus : t -> unit
 
 val reaction_step : t -> unit
-(** Chunk-parallel on the {!Icoe_par.Pool}; allocation-free in steady
-    state and bit-identical to {!reaction_step_seq} and
-    {!reaction_step_ref} for any pool size (disjoint per-cell writes,
-    per-chunk scratch slots). *)
+(** One walk over every cell in the calling domain; allocation-free in
+    steady state and bit-identical to {!reaction_step_ref}. Serial on
+    purpose: at 2 domains on a 2-vCPU host, a chunk-parallel walk on the
+    domain pool was slower than this one at the harness tissue (24x8)
+    and at 64x64. *)
 
 val reaction_step_seq : t -> unit
-(** Serial reference path: the same chunk layout walked in order in the
-    calling domain. *)
+(** The same function as {!reaction_step}. *)
 
 val reaction_step_ref : t -> unit
 (** Boxed closure-tree reference retained from the row-per-cell layout;

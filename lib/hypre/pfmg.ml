@@ -84,8 +84,9 @@ let residual ctx lvl =
     ~flops_per:7.0 ~bytes_per:48.0
 
 (** Residual max-norm over a level's interior, fused (nothing is written)
-    and priced as the reduction it is. The fold is [Stdlib.max] written
-    out, which keeps the accumulator an unboxed float. *)
+    and priced as the reduction it is. The fold is written out, which
+    keeps the accumulator an unboxed float, and keeps a NaN cell: once
+    [acc] is NaN no comparison replaces it. *)
 let residual_norm ctx lvl =
   let u = lvl.u and b = lvl.b in
   let stride = lvl.nx + 2 in
@@ -95,7 +96,7 @@ let residual_norm ctx lvl =
       let k = idx lvl i j in
       let nb = u.(k - 1) +. u.(k + 1) +. u.(k - stride) +. u.(k + stride) in
       let a = Float.abs (b.(k) +. nb -. (4.0 *. u.(k))) in
-      acc := if !acc >= a then !acc else a
+      acc := if a > !acc || a <> a then a else !acc
     done
   done;
   Prog.Exec.charge_reduce ctx ~phase:"struct-residual" ~n:(lvl.nx * lvl.ny)
@@ -176,12 +177,19 @@ let v_cycle ctx t =
   in
   descend 0
 
+(* [residual_norm] for the solver [fn]: a NaN norm would read as
+   converged (every [r > tol] test is false), so it stops the solve *)
+let checked_norm fn ctx lvl =
+  let r = residual_norm ctx lvl in
+  if r <> r then invalid_arg (fn ^ ": residual norm is NaN");
+  r
+
 (** Solve to relative tolerance; returns (cycles, final relative norm). *)
 let solve ?(tol = 1e-10) ?(max_cycles = 50) ctx t =
   let f = finest t in
-  let r0 = max (residual_norm ctx f) 1e-300 in
+  let r0 = max (checked_norm "Pfmg.solve" ctx f) 1e-300 in
   let rec go c =
-    let r = residual_norm ctx f /. r0 in
+    let r = checked_norm "Pfmg.solve" ctx f /. r0 in
     if r <= tol || c >= max_cycles then begin
       Icoe_obs.Metrics.set m_residual r;
       (c, r)
@@ -196,14 +204,14 @@ let solve ?(tol = 1e-10) ?(max_cycles = 50) ctx t =
 (** Weighted Jacobi on one level; returns (sweeps, final relative
     residual). *)
 let jacobi ?(tol = 1e-8) ?(max_sweeps = 5000) ctx lvl =
-  let r0 = max (residual_norm ctx lvl) 1e-300 in
+  let r0 = max (checked_norm "Pfmg.jacobi" ctx lvl) 1e-300 in
   let sweeps = ref 0 in
   let r = ref r0 in
   while !r /. r0 > tol && !sweeps < max_sweeps do
     smooth ctx lvl;
     incr sweeps;
     (* residual check every 10 sweeps keeps reduction traffic modest *)
-    if !sweeps mod 10 = 0 then r := residual_norm ctx lvl
+    if !sweeps mod 10 = 0 then r := checked_norm "Pfmg.jacobi" ctx lvl
   done;
-  r := residual_norm ctx lvl;
+  r := checked_norm "Pfmg.jacobi" ctx lvl;
   (!sweeps, !r /. r0)

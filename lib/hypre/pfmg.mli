@@ -31,10 +31,13 @@ val finest : t -> level
 
 val solve : ?tol:float -> ?max_cycles:int -> Prog.Exec.ctx -> t -> int * float
 (** Iterate V-cycles to relative tolerance: (cycles, relative norm).
-    Converges in O(10) cycles independent of grid size. *)
+    Converges in O(10) cycles independent of grid size.
+    @raise Invalid_argument naming [Pfmg.solve] when the residual norm is
+    NaN. *)
 
 val jacobi : ?tol:float -> ?max_sweeps:int -> Prog.Exec.ctx -> level -> int * float
 (** Weighted-Jacobi sweeps to relative tolerance [tol] (default 1e-8) or
     [max_sweeps] (default 5000): (sweeps, final relative residual). The
     residual max-norm is checked before the first sweep, every 10 sweeps
-    and once at the end. *)
+    and once at the end.
+    @raise Invalid_argument naming [Pfmg.jacobi] when that norm is NaN. *)

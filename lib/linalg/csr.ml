@@ -99,7 +99,7 @@ let to_dense t =
    [s] accumulator is a non-escaping ref the compiler keeps in a
    register, and every access below compiles to a single load/store —
    this loop allocates nothing. Summation order per row is the storage
-   order, identical on every path. *)
+   order. *)
 let spmv_rows t x y lo hi =
   let row_ptr = t.row_ptr and col_idx = t.col_idx and values = t.values in
   for i = lo to hi - 1 do
@@ -123,25 +123,15 @@ let check_spmv fn t x y =
       (Printf.sprintf "Csr.%s: x has length %d, y %d for a %dx%d matrix" fn
          (Array.length x) (Array.length y) t.m t.n)
 
-(** y <- A x, strictly in the calling domain (the reference path). *)
+(** y <- A x into a preallocated output, in the calling domain. *)
+let spmv_into t x y =
+  check_spmv "spmv_into" t x y;
+  spmv_rows t x y 0 t.m
+
+(** [spmv_into] under its own name in the shape-check message. *)
 let spmv_seq_into t x y =
   check_spmv "spmv_seq_into" t x y;
   spmv_rows t x y 0 t.m
-
-(* Rows below this count don't amortize the pool's chunk dispatch (AMG
-   coarse levels live here). Row-disjoint writes with an unchanged
-   per-row summation order make the parallel path bit-identical to the
-   serial one, so the threshold only affects speed. *)
-let spmv_par_threshold = 512
-
-(** y <- A x into a preallocated output, row-parallel on the domain
-    pool for matrices large enough to amortize the dispatch. *)
-let spmv_into t x y =
-  check_spmv "spmv_into" t x y;
-  if t.m < spmv_par_threshold then spmv_rows t x y 0 t.m
-  else
-    Icoe_par.Pool.parallel_for_chunks ~lo:0 ~hi:t.m (fun lo hi ->
-        spmv_rows t x y lo hi)
 
 (** y <- A x (fresh array). *)
 let spmv t x =

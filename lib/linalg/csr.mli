@@ -28,19 +28,15 @@ val spmv : t -> float array -> float array
 (** y = A x, fresh output. *)
 
 val spmv_into : t -> float array -> float array -> unit
-(** y = A x into a preallocated output. Row-parallel on the
-    {!Icoe_par.Pool} for matrices with at least {!spmv_par_threshold}
-    rows; per-row summation order is unchanged, so the result is
-    bit-identical to {!spmv_seq_into} for any pool size.
+(** y = A x into a preallocated output, in the calling domain;
+    allocation-free. Serial at every size: at 2 domains on a 2-vCPU host
+    a row-parallel loop on the domain pool lost on every matrix the
+    harnesses build (up to 1 728 rows) and broke even near 4 096 rows.
     @raise Invalid_argument if [x] or [y] does not match the shape (one
     check per call). *)
 
 val spmv_seq_into : t -> float array -> float array -> unit
-(** y = A x, strictly in the calling domain — the reference path the
-    parallel one must match exactly. Checked like {!spmv_into}. *)
-
-val spmv_par_threshold : int
-(** Minimum row count before {!spmv_into} uses the pool. *)
+(** {!spmv_into}, naming [spmv_seq_into] in its shape-check message. *)
 
 val transpose : t -> t
 

@@ -343,143 +343,21 @@ let fa_storage_bytes (a : Linalg.Csr.t) = 12.0 *. float_of_int (Linalg.Csr.nnz a
 (* --- diagonal (collocated) mass matrix --- *)
 
 (** Diagonal mass matrix entries using GLL collocation (spectral-element
-    lumping): M_gg = sum over elements touching g of w_i w_j detJ. *)
-let mass_diagonal ?(rho = unit_coefficient) mesh (cbasis : Basis.t) =
+    lumping) at unit density: M_gg = sum over elements touching g of
+    w_i w_j detJ. *)
+let mass_diagonal mesh (cbasis : Basis.t) =
   let m = Array.make (Mesh.num_dofs mesh) 0.0 in
   let hx = Mesh.hx mesh and hy = Mesh.hy mesh in
   let detj = hx *. hy /. 4.0 in
   for ey = 0 to mesh.Mesh.ny - 1 do
     for ex = 0 to mesh.Mesh.nx - 1 do
-      let x0 = float_of_int ex *. hx and y0 = float_of_int ey *. hy in
       for j = 0 to cbasis.Basis.p do
         for i = 0 to cbasis.Basis.p do
           let g = Mesh.global_dof mesh ~ex ~ey ~i ~j in
-          let x = x0 +. ((cbasis.Basis.nodes.(i) +. 1.0) /. 2.0 *. hx) in
-          let y = y0 +. ((cbasis.Basis.nodes.(j) +. 1.0) /. 2.0 *. hy) in
           m.(g) <-
-            m.(g)
-            +. (cbasis.Basis.qwts.(i) *. cbasis.Basis.qwts.(j) *. detj
-               *. rho ~x ~y)
+            m.(g) +. (cbasis.Basis.qwts.(i) *. cbasis.Basis.qwts.(j) *. detj)
         done
       done
     done
   done;
   m
-
-(* --- consistent (non-lumped) mass operator, partial assembly --- *)
-
-module Pa_mass = struct
-  (** Matrix-free consistent mass operator M u = \int rho u v: interpolate
-      to quadrature points, scale by w detJ rho, project back — the same
-      sum-factorized shape as the diffusion operator but with B-only
-      contractions. *)
-  type t = {
-    mesh : Mesh.t;
-    basis : Basis.t;
-    d : float array array;  (** per element, nq^2 weights *)
-    u_loc : float array;
-    y_loc : float array;
-    tmp : float array;
-    uq : float array;
-  }
-
-  let setup ?(rho = unit_coefficient) mesh (basis : Basis.t) =
-    let ne = Mesh.num_elements mesh in
-    let nq = Basis.nq basis in
-    let p1 = basis.Basis.p + 1 in
-    let hx = Mesh.hx mesh and hy = Mesh.hy mesh in
-    let detj = hx *. hy /. 4.0 in
-    let d = Array.make ne [||] in
-    for ey = 0 to mesh.Mesh.ny - 1 do
-      for ex = 0 to mesh.Mesh.nx - 1 do
-        let e = (ey * mesh.Mesh.nx) + ex in
-        let w = Array.make (nq * nq) 0.0 in
-        let x0 = float_of_int ex *. hx and y0 = float_of_int ey *. hy in
-        for q2 = 0 to nq - 1 do
-          for q1 = 0 to nq - 1 do
-            let x = x0 +. ((basis.Basis.qpts.(q1) +. 1.0) /. 2.0 *. hx) in
-            let y = y0 +. ((basis.Basis.qpts.(q2) +. 1.0) /. 2.0 *. hy) in
-            w.((q2 * nq) + q1) <-
-              basis.Basis.qwts.(q1) *. basis.Basis.qwts.(q2) *. detj
-              *. rho ~x ~y
-          done
-        done;
-        d.(e) <- w
-      done
-    done;
-    {
-      mesh;
-      basis;
-      d;
-      u_loc = Array.make (p1 * p1) 0.0;
-      y_loc = Array.make (p1 * p1) 0.0;
-      tmp = Array.make (max (nq * p1) (nq * nq)) 0.0;
-      uq = Array.make (nq * nq) 0.0;
-    }
-
-  (* forward/backward value contractions (B in both directions) *)
-  let forward t src out =
-    let p1 = t.basis.Basis.p + 1 in
-    let nq = Basis.nq t.basis in
-    let b = t.basis.Basis.b in
-    for i2 = 0 to p1 - 1 do
-      for q1 = 0 to nq - 1 do
-        let s = ref 0.0 in
-        for i1 = 0 to p1 - 1 do
-          s := !s +. (b.(q1).(i1) *. src.((i2 * p1) + i1))
-        done;
-        t.tmp.((i2 * nq) + q1) <- !s
-      done
-    done;
-    for q2 = 0 to nq - 1 do
-      for q1 = 0 to nq - 1 do
-        let s = ref 0.0 in
-        for i2 = 0 to p1 - 1 do
-          s := !s +. (b.(q2).(i2) *. t.tmp.((i2 * nq) + q1))
-        done;
-        out.((q2 * nq) + q1) <- !s
-      done
-    done
-
-  let backward t src out =
-    let p1 = t.basis.Basis.p + 1 in
-    let nq = Basis.nq t.basis in
-    let b = t.basis.Basis.b in
-    for q2 = 0 to nq - 1 do
-      for j1 = 0 to p1 - 1 do
-        let s = ref 0.0 in
-        for q1 = 0 to nq - 1 do
-          s := !s +. (b.(q1).(j1) *. src.((q2 * nq) + q1))
-        done;
-        t.tmp.((q2 * p1) + j1) <- !s
-      done
-    done;
-    for j2 = 0 to p1 - 1 do
-      for j1 = 0 to p1 - 1 do
-        let s = ref 0.0 in
-        for q2 = 0 to nq - 1 do
-          s := !s +. (b.(q2).(j2) *. t.tmp.((q2 * p1) + j1))
-        done;
-        out.((j2 * p1) + j1) <- !s
-      done
-    done
-
-  (** y <- M u, matrix-free. *)
-  let apply t u y =
-    let mesh = t.mesh in
-    let nq = Basis.nq t.basis in
-    Array.fill y 0 (Array.length y) 0.0;
-    for ey = 0 to mesh.Mesh.ny - 1 do
-      for ex = 0 to mesh.Mesh.nx - 1 do
-        let e = (ey * mesh.Mesh.nx) + ex in
-        Mesh.gather mesh u ~ex ~ey t.u_loc;
-        forward t t.u_loc t.uq;
-        let d = t.d.(e) in
-        for qq = 0 to (nq * nq) - 1 do
-          t.uq.(qq) <- t.uq.(qq) *. d.(qq)
-        done;
-        backward t t.uq t.y_loc;
-        Mesh.scatter_add mesh t.y_loc ~ex ~ey y
-      done
-    done
-end

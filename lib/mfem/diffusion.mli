@@ -53,15 +53,7 @@ end
 val fa_work : Linalg.Csr.t -> Hwsim.Kernel.t
 val fa_storage_bytes : Linalg.Csr.t -> float
 
-val mass_diagonal : ?rho:coefficient -> Mesh.t -> Basis.t -> float array
-(** Diagonal mass matrix from GLL collocation (spectral-element lumping);
-    pass a basis from {!Basis.create_collocated}. *)
-
-(** Matrix-free consistent (non-lumped) mass operator, same
-    sum-factorized shape with value-only contractions. *)
-module Pa_mass : sig
-  type t
-
-  val setup : ?rho:coefficient -> Mesh.t -> Basis.t -> t
-  val apply : t -> float array -> float array -> unit
-end
+val mass_diagonal : Mesh.t -> Basis.t -> float array
+(** Diagonal mass matrix at unit density from GLL collocation
+    (spectral-element lumping); pass a basis from
+    {!Basis.create_collocated}. *)

@@ -52,7 +52,9 @@ val size : t -> int
 
 val get : unit -> t
 (** The global shared pool, created at the global default size on first
-    use and torn down [at_exit]. All engine kernels route through it. *)
+    use and torn down [at_exit]. Three engine kernels route through it:
+    the sw4 stencil, the ddcMD forces and the LDA E-step, the ones whose
+    pooled path beats the serial one at the sizes the harnesses run. *)
 
 val in_parallel_job : unit -> bool
 (** [true] while the calling domain is executing a chunk of a pool job

@@ -105,8 +105,12 @@ let flux_rusanov (rl, mxl, myl, el) (rr, mxr, myr, er) ~xdir =
     0.5 *. (f3l +. f3r) -. (0.5 *. alpha *. (myr -. myl)),
     0.5 *. (f4l +. f4r) -. (0.5 *. alpha *. (er -. el)) )
 
+(* the CFL number of every step, and the step cap of [run] *)
+let cfl = 0.4
+let max_steps = 100_000
+
 (** One explicit step at CFL [cfl]; returns dt. *)
-let step ?(cfl = 0.4) t =
+let step t =
   List.iter (fun f -> Hierarchy.fill_ghosts t.hier f) fields;
   let smax = max_wave_speed t in
   let dt = cfl *. min t.dx t.dy /. smax in
@@ -163,10 +167,10 @@ let step ?(cfl = 0.4) t =
   dt
 
 (** Run until [tstop] (bounded step count). *)
-let run ?(cfl = 0.4) ?(max_steps = 100_000) t tstop =
+let run t tstop =
   let n = ref 0 in
   while t.time < tstop && !n < max_steps do
-    ignore (step ~cfl t);
+    ignore (step t);
     incr n
   done
 

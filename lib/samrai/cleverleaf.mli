@@ -17,11 +17,11 @@ val create : nx:int -> ny:int -> lx:float -> ly:float -> unit -> t
 val init : t -> (x:float -> y:float -> float * float * float * float) -> unit
 (** Initialize from primitive variables (rho, u, v, p) at cell centres. *)
 
-val step : ?cfl:float -> t -> float
-(** One explicit step; returns dt. *)
+val step : t -> float
+(** One explicit step at CFL 0.4; returns dt. *)
 
-val run : ?cfl:float -> ?max_steps:int -> t -> float -> unit
-(** Advance to a physical time. *)
+val run : t -> float -> unit
+(** Advance to a physical time, stopping after at most 100 000 steps. *)
 
 val totals : t -> float * float * float * float
 (** (mass, x-momentum, y-momentum, energy) — conserved to rounding. *)

@@ -173,11 +173,10 @@ let prop_rational_fit_various_ranges =
       done;
       !ok)
 
-let prop_reaction_par_bits_exact =
-  (* the pooled stack-program reaction kernel must match both the serial
-     path and the boxed closure-tree oracle to the last bit, for random
-     grids and stimuli, under whatever ICOE_DOMAINS the suite runs with *)
-  QCheck.Test.make ~name:"pooled reaction bit-identical to serial and oracle"
+let prop_reaction_bits_exact =
+  (* the stack-program reaction kernel must match the boxed closure-tree
+     oracle to the last bit, for random grids and stimuli *)
+  QCheck.Test.make ~name:"reaction bit-identical to the oracle"
     ~count:15
     QCheck.(int_range 1 1000)
     (fun seed ->
@@ -193,10 +192,9 @@ let prop_reaction_par_bits_exact =
         Monodomain.stimulate m ~ilo:0 ~ihi ~jlo:0 ~jhi ~amplitude;
         m
       in
-      let m_par = mk () and m_seq = mk () and m_ref = mk () in
+      let m_kern = mk () and m_ref = mk () in
       for _ = 1 to steps do
-        Monodomain.reaction_step m_par;
-        Monodomain.reaction_step_seq m_seq;
+        Monodomain.reaction_step m_kern;
         Monodomain.reaction_step_ref m_ref
       done;
       let bits_eq a b =
@@ -204,10 +202,8 @@ let prop_reaction_par_bits_exact =
           (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
           (Icoe_util.Fbuf.to_array a) (Icoe_util.Fbuf.to_array b)
       in
-      bits_eq m_par.Monodomain.state m_seq.Monodomain.state
-      && bits_eq m_par.Monodomain.v m_seq.Monodomain.v
-      && bits_eq m_par.Monodomain.state m_ref.Monodomain.state
-      && bits_eq m_par.Monodomain.v m_ref.Monodomain.v)
+      bits_eq m_kern.Monodomain.state m_ref.Monodomain.state
+      && bits_eq m_kern.Monodomain.v m_ref.Monodomain.v)
 
 let () =
   Alcotest.run "cardioid"
@@ -234,6 +230,6 @@ let () =
           Alcotest.test_case "quiescence" `Quick test_no_stimulus_no_wave;
           Alcotest.test_case "placement" `Quick test_placement_all_gpu_wins;
           Alcotest.test_case "DSL speedup" `Quick test_rational_speeds_up_gpu_reaction;
-          QCheck_alcotest.to_alcotest prop_reaction_par_bits_exact;
+          QCheck_alcotest.to_alcotest prop_reaction_bits_exact;
         ] );
     ]

@@ -285,29 +285,6 @@ let test_specialized_apply_matches () =
   Alcotest.(check bool) "fallback identical" true
     (Icoe_util.Stats.max_abs_diff y1 y2 = 0.0)
 
-let test_pa_mass_operator () =
-  (* consistent mass: symmetric, positive, integrates the constant to the
-     domain area, and agrees with the lumped diagonal on totals *)
-  let mesh = Mfem.Mesh.create ~lx:2.0 ~ly:1.5 ~nx:4 ~ny:3 ~p:3 () in
-  let basis = Mfem.Basis.create 3 in
-  let m = Mfem.Diffusion.Pa_mass.setup mesh basis in
-  let n = Mfem.Mesh.num_dofs mesh in
-  let ones = Array.make n 1.0 in
-  let y = Array.make n 0.0 in
-  Mfem.Diffusion.Pa_mass.apply m ones y;
-  (* sum over M 1 = area *)
-  Alcotest.(check (float 1e-10)) "total mass = area" 3.0 (Icoe_util.Stats.sum y);
-  (* symmetry: u^T M v = v^T M u on random vectors *)
-  let rng = Icoe_util.Rng.create 88 in
-  let u = Array.init n (fun _ -> Icoe_util.Rng.uniform rng (-1.0) 1.0) in
-  let v = Array.init n (fun _ -> Icoe_util.Rng.uniform rng (-1.0) 1.0) in
-  let mu = Array.make n 0.0 and mv = Array.make n 0.0 in
-  Mfem.Diffusion.Pa_mass.apply m u mu;
-  Mfem.Diffusion.Pa_mass.apply m v mv;
-  Alcotest.(check (float 1e-10)) "symmetric"
-    (Linalg.Vec.dot u mv) (Linalg.Vec.dot v mu);
-  Alcotest.(check bool) "positive definite" true (Linalg.Vec.dot u mu > 0.0)
-
 (* --- LOR --- *)
 
 let test_lor_spectrally_close () =
@@ -442,7 +419,6 @@ let () =
           Alcotest.test_case "pa storage" `Quick test_pa_storage_beats_fa_at_high_order;
           Alcotest.test_case "mass volume" `Quick test_mass_diagonal_integrates_volume;
           Alcotest.test_case "jit specialization" `Quick test_specialized_apply_matches;
-          Alcotest.test_case "pa mass operator" `Quick test_pa_mass_operator;
         ] );
       ( "lor",
         [

@@ -6,10 +6,10 @@
      folded in chunk order, match the serial chunk-ordered fold bitwise
      for arbitrary range sizes (including empty), chunkings and pool
      sizes; and
-   - exact-agreement tests for every engine kernel routed through the
-     pool (spmv, SW4 acceleration, Cardioid reaction, ddcMD forces, LDA
-     E-step): the parallel path must equal its serial reference
-     float-for-float, whatever ICOE_DOMAINS says. *)
+   - exact-agreement tests for the three engine kernels routed through
+     the pool (SW4 acceleration, ddcMD forces, LDA E-step): the parallel
+     path must equal its serial reference float-for-float, whatever
+     ICOE_DOMAINS says. *)
 
 module Pool = Icoe_par.Pool
 
@@ -156,19 +156,6 @@ let check_float_array name a b =
         Alcotest.failf "%s differs at %d: %.17g vs %.17g" name i x b.(i))
     a
 
-let test_spmv_agreement () =
-  let a = Linalg.Csr.laplacian_2d 32 32 in
-  let n = 32 * 32 in
-  Alcotest.(check bool) "above the parallel threshold" true
-    (n >= Linalg.Csr.spmv_par_threshold);
-  let rng = Icoe_util.Rng.create 17 in
-  let x = Array.init n (fun _ -> Icoe_util.Rng.uniform rng (-1.0) 1.0) in
-  let y_par = Array.make n nan in
-  let y_seq = Array.make n nan in
-  Linalg.Csr.spmv_into a x y_par;
-  Linalg.Csr.spmv_seq_into a x y_seq;
-  check_float_array "spmv" y_par y_seq
-
 let test_sw4_acceleration_agreement () =
   let g = Sw4.Grid.create ~nx:48 ~ny:40 ~h:100.0 in
   Sw4.Grid.homogeneous g ~rho:2500.0 ~vp:5000.0 ~vs:2500.0;
@@ -183,32 +170,6 @@ let test_sw4_acceleration_agreement () =
   Sw4.Elastic.acceleration_seq g (Sw4.Elastic.make_scratch g) ~ux ~uy ~ax:ax_s ~ay:ay_s;
   check_float_array "sw4 ax" (Fbuf.to_array ax_p) (Fbuf.to_array ax_s);
   check_float_array "sw4 ay" (Fbuf.to_array ay_p) (Fbuf.to_array ay_s)
-
-let test_cardioid_reaction_agreement () =
-  let module Fbuf = Icoe_util.Fbuf in
-  let mk () =
-    let m = Cardioid.Monodomain.create ~nx:20 ~ny:12 () in
-    Cardioid.Monodomain.stimulate m ~ilo:0 ~ihi:2 ~jlo:0 ~jhi:11 ~amplitude:60.0;
-    m
-  in
-  let m_par = mk () and m_seq = mk () and m_ref = mk () in
-  for _ = 1 to 3 do
-    Cardioid.Monodomain.reaction_step m_par;
-    Cardioid.Monodomain.reaction_step_seq m_seq;
-    Cardioid.Monodomain.reaction_step_ref m_ref
-  done;
-  check_float_array "cardioid v" (Fbuf.to_array m_par.Cardioid.Monodomain.v)
-    (Fbuf.to_array m_seq.Cardioid.Monodomain.v);
-  check_float_array "cardioid state"
-    (Fbuf.to_array m_par.Cardioid.Monodomain.state)
-    (Fbuf.to_array m_seq.Cardioid.Monodomain.state);
-  (* the stack-program kernel must also match the boxed closure tree *)
-  check_float_array "cardioid v vs ref"
-    (Fbuf.to_array m_par.Cardioid.Monodomain.v)
-    (Fbuf.to_array m_ref.Cardioid.Monodomain.v);
-  check_float_array "cardioid state vs ref"
-    (Fbuf.to_array m_par.Cardioid.Monodomain.state)
-    (Fbuf.to_array m_ref.Cardioid.Monodomain.state)
 
 let test_md_forces_agreement () =
   let mk () =
@@ -296,9 +257,7 @@ let () =
         ] );
       ( "kernels-parallel-equals-serial",
         [
-          Alcotest.test_case "spmv" `Quick test_spmv_agreement;
           Alcotest.test_case "sw4 acceleration" `Quick test_sw4_acceleration_agreement;
-          Alcotest.test_case "cardioid reaction" `Quick test_cardioid_reaction_agreement;
           Alcotest.test_case "ddcmd forces" `Quick test_md_forces_agreement;
           Alcotest.test_case "lda e-step" `Quick test_lda_estep_agreement;
         ] );
