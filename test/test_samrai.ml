@@ -152,6 +152,40 @@ let test_cleverleaf_positivity () =
           Alcotest.(check bool) "rho > 0" true (Samrai.Patch.get p "rho" ~i ~j > 0.0)))
     t.Samrai.Cleverleaf.hier.Samrai.Hierarchy.patches
 
+let test_cleverleaf_cfl_step () =
+  (* Sod at rest: the fastest signal is the left state's sound speed
+     sqrt(1.4), so the first step is 0.4 dx / sqrt 1.4 *)
+  let t = Samrai.Cleverleaf.create ~nx:64 ~ny:8 ~lx:1.0 ~ly:0.125 () in
+  Samrai.Cleverleaf.init t sod_init;
+  let dt = Samrai.Cleverleaf.step t in
+  Alcotest.(check (float 1e-15)) "dt at CFL 0.4"
+    (0.4 *. (1.0 /. 64.0) /. sqrt 1.4) dt;
+  Alcotest.(check (float 0.0)) "time advanced by dt" dt
+    t.Samrai.Cleverleaf.time;
+  Alcotest.(check int) "one step" 1 t.Samrai.Cleverleaf.steps
+
+let test_cleverleaf_run_stops_past_tstop () =
+  (* [run] takes whole steps and stops at the first one that reaches the
+     stop time: the same steps as a hand loop on a twin *)
+  let mk () =
+    let t = Samrai.Cleverleaf.create ~nx:32 ~ny:4 ~lx:1.0 ~ly:0.125 () in
+    Samrai.Cleverleaf.init t sod_init;
+    t
+  in
+  let t = mk () and twin = mk () in
+  Samrai.Cleverleaf.run t 0.02;
+  while twin.Samrai.Cleverleaf.time < 0.02 do
+    ignore (Samrai.Cleverleaf.step twin)
+  done;
+  Alcotest.(check bool) "more than one step" true (t.Samrai.Cleverleaf.steps > 1);
+  Alcotest.(check int) "steps" twin.Samrai.Cleverleaf.steps
+    t.Samrai.Cleverleaf.steps;
+  Alcotest.(check (float 0.0)) "time" twin.Samrai.Cleverleaf.time
+    t.Samrai.Cleverleaf.time;
+  Samrai.Cleverleaf.run t 0.0;
+  Alcotest.(check int) "no step once past tstop" twin.Samrai.Cleverleaf.steps
+    t.Samrai.Cleverleaf.steps
+
 let test_cleverleaf_step_work_pricing () =
   (* Table 5's shape: full node ~7x, single P9 vs single V100 ~15x *)
   let (fc, fg), (sc, sg) =
@@ -199,6 +233,8 @@ let () =
           Alcotest.test_case "conservation" `Quick test_cleverleaf_conservation;
           Alcotest.test_case "sod structure" `Quick test_cleverleaf_sod_structure;
           Alcotest.test_case "positivity" `Quick test_cleverleaf_positivity;
+          Alcotest.test_case "cfl step" `Quick test_cleverleaf_cfl_step;
+          Alcotest.test_case "run stops past tstop" `Quick test_cleverleaf_run_stops_past_tstop;
           Alcotest.test_case "step work pricing" `Quick test_cleverleaf_step_work_pricing;
         ] );
     ]
