@@ -183,11 +183,12 @@ let shallow_nn_batch () =
   let labels = Array.init 960 (fun k -> k mod 8) in
   (m, xs, labels)
 
+(* one Shallow-NN epoch as Table 3 runs it: a step on the packed set *)
 let bench_shallow_nn_step =
   let m, xs, labels = shallow_nn_batch () in
+  let b = Dlearn.Mlp.batch xs labels in
   Test.make ~name:"table3/shallow-nn-step"
-    (Staged.stage (fun () ->
-         ignore (Dlearn.Mlp.train_batch ~momentum:0.9 m ~lr:0.05 xs labels)))
+    (Staged.stage (fun () -> Dlearn.Mlp.step ~momentum:0.9 m ~lr:0.05 b))
 
 let bench_paradyn =
   let rng = Icoe_util.Rng.create 8 in
@@ -500,6 +501,11 @@ let alloc_smoke () =
   let mlp, xs, labels = shallow_nn_batch () in
   measure "mlp/train-batch-960-seq" ~budget:seq_budget (fun () ->
       ignore (Dlearn.Mlp.train_batch ~momentum:0.9 mlp ~lr:0.05 xs labels));
+  (* the Table 3 epoch on a packed batch: it reads the chunks in place
+     and returns nothing, and measures 0 words *)
+  let packed = Dlearn.Mlp.batch xs labels in
+  measure "mlp/step-960-seq" ~budget:16.0 (fun () ->
+      Dlearn.Mlp.step ~momentum:0.9 mlp ~lr:0.05 packed);
   (* the chunked evaluation path, and the ASGD learner's single-example
      step: every way into the kernel stubs is gated *)
   measure "mlp/accuracy-960-seq" ~budget:seq_budget (fun () ->

@@ -207,29 +207,31 @@ let sync_sgd ~(rng : Icoe_util.Rng.t) ~learners ~steps ~batch ~lr sizes data =
     [staleness] updates old (round-robin model). Stale gradients force a
     small stable learning rate — the paper's core criticism. *)
 let asgd ~(rng : Icoe_util.Rng.t) ~learners ~steps ~batch ~lr ~staleness sizes data =
+  if staleness < 0 then
+    invalid_arg (Printf.sprintf "Distributed.asgd: staleness %d < 0" staleness);
   let server = Mlp.create ~rng sizes in
   let params = Mlp.num_params server in
-  (* history of recent parameter snapshots for staleness *)
-  let history = Queue.create () in
-  Queue.push (Mlp.get_params server) history;
+  (* the last [slots] parameter snapshots, snapshot [s] (from 0) in
+     slot [s mod slots]; [taken] snapshots so far *)
+  let slots = staleness + 2 in
+  let history = Array.init slots (fun _ -> Array.create_float params) in
+  Mlp.get_params_into server history.(0);
+  let taken = ref 1 in
   let worker = Mlp.clone server in
   let t = ref 0.0 in
   for _ = 1 to steps do
-    (* gradient computed at stale parameters *)
-    let snapshot =
-      let arr = Array.of_seq (Queue.to_seq history) in
-      let age = min (Array.length arr - 1) staleness in
-      arr.(Array.length arr - 1 - age)
-    in
-    Mlp.set_params worker snapshot;
+    (* gradient computed at stale parameters: [staleness] snapshots
+       back, or the oldest one kept *)
+    let age = min (!taken - 1) staleness in
+    Mlp.set_params worker history.((!taken - 1 - age) mod slots);
     let xs, ls = minibatch ~rng ~batch data in
     Array.iteri (fun k x -> ignore (Mlp.backward worker x ~label:ls.(k))) xs;
     (* apply the stale gradient at the server *)
     Mlp.copy_grads ~src:worker ~dst:server;
     Mlp.zero_grads worker;
     Mlp.sgd_step server ~lr ~batch;
-    Queue.push (Mlp.get_params server) history;
-    if Queue.length history > staleness + 2 then ignore (Queue.pop history);
+    Mlp.get_params_into server history.(!taken mod slots);
+    incr taken;
     (* learners overlap compute; server applies sequentially *)
     t := !t +. (compute_time_per_batch ~params ~batch /. float_of_int learners)
          +. ps_roundtrip_time ~params
@@ -258,9 +260,11 @@ let kavg ~(rng : Icoe_util.Rng.t) ~learners ~rounds ~k ~batch ~lr ?overlap
   let model = kavg_round_model ~overlap:overlapped ~learners ~k ~batch sizes in
   let workers = Array.map (fun _ -> Mlp.clone center) shards in
   let t = ref 0.0 in
+  let start = Array.create_float params and p = Array.create_float params in
+  let acc = Array.create_float params in
   for _ = 1 to rounds do
-    let start = Mlp.get_params center in
-    let acc = Array.make params 0.0 in
+    Mlp.get_params_into center start;
+    Array.fill acc 0 params 0.0;
     Array.iteri
       (fun wi sh ->
         let w = workers.(wi) in
@@ -269,7 +273,7 @@ let kavg ~(rng : Icoe_util.Rng.t) ~learners ~rounds ~k ~batch ~lr ?overlap
           let xs, ls = minibatch ~rng ~batch sh in
           ignore (Mlp.train_batch w ~lr xs ls)
         done;
-        let p = Mlp.get_params w in
+        Mlp.get_params_into w p;
         Linalg.Vec.axpy 1.0 p acc)
       shards;
     Linalg.Vec.scale (1.0 /. float_of_int learners) acc;

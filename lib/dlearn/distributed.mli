@@ -77,7 +77,8 @@ val asgd :
   rng:Icoe_util.Rng.t -> learners:int -> steps:int -> batch:int -> lr:float ->
   staleness:int -> int array -> dataset -> run
 (** Parameter-server ASGD; gradients are applied [staleness] updates late
-    (round-robin model) — the practical pathology the paper describes. *)
+    (round-robin model) — the practical pathology the paper describes.
+    Raises [Invalid_argument] on a negative [staleness]. *)
 
 val kavg :
   rng:Icoe_util.Rng.t -> learners:int -> rounds:int -> k:int -> batch:int ->

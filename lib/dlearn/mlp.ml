@@ -11,6 +11,9 @@
     The workspace grows when a larger chunk arrives and is reused
     afterwards, so a steady-state training step allocates nothing; the
     public entry points validate sizes and labels before any kernel runs.
+    A {!batch} holds a training set packed row-major once; {!step} reads
+    each chunk's rows from it in place, where {!train_batch} first copies
+    them from its [float array array] into the workspace input rows.
 
     One kernel per stage, each over a whole chunk, in mlp_stubs.c. They
     compute on 4-lane double vectors, built twice on x86-64 (baseline
@@ -22,6 +25,7 @@
       layers' tanh and serves single-example inference; a fourth stub
       writes the softmax rows;
     - gradient: lanes over inputs, 2, 4 or 8 output units at a time;
+      a last pair of inputs runs as one 2-lane vector;
     - propagation: lanes over inputs, 2, 4 or 8 examples at a time.
     {!backward} is the batch path with one example.
 
@@ -37,8 +41,8 @@
     - softmax folds [max] from [neg_infinity], then sums the [exp]s in
       ascending order from [0.0] ({!Icoe_util.Stats.sum} order; an
       exponent of +-0 is taken as exactly 1.0, which is what [exp]
-      returns), and the batch loss sums the examples in order from
-      [0.0];
+      returns), and the batch loss, where one is returned, sums the
+      examples in order from [0.0];
     - a gradient entry starts from its accumulated value and adds one
       product per example in example order (the per-example
       load/add/store, kept in a register through a chunk and stored
@@ -157,17 +161,38 @@ let clone t =
 let num_params t =
   Array.fold_left (fun acc l -> acc + (l.nout * (1 + l.nin))) 0 t.layers
 
-(* layer-major, each layer's weight rows then its biases *)
+(* [dst] <- layer-major, each layer's weight rows then its biases *)
+let flatten_into t dst pick =
+  let k = ref 0 in
+  Array.iter
+    (fun l ->
+      let w, b = pick l in
+      for j = 0 to Fbuf.length w - 1 do
+        Array.unsafe_set dst (!k + j) (Fbuf.get w j)
+      done;
+      k := !k + Fbuf.length w;
+      for j = 0 to l.nout - 1 do
+        Array.unsafe_set dst (!k + j) (Fbuf.get b j)
+      done;
+      k := !k + l.nout)
+    t.layers
+
 let flatten t pick =
-  Array.concat
-    (List.concat_map
-       (fun l ->
-         let w, b = pick l in
-         [ Fbuf.to_array w; Fbuf.to_array b ])
-       (Array.to_list t.layers))
+  let dst = Array.create_float (num_params t) in
+  flatten_into t dst pick;
+  dst
+
+let params l = (l.w, l.b)
+
+let get_params_into t dst =
+  if Array.length dst <> num_params t then
+    invalid_arg
+      (Printf.sprintf "Mlp.get_params_into: %d slots for %d parameters"
+         (Array.length dst) (num_params t));
+  flatten_into t dst params
 
 (** Flatten / restore parameters (for averaging in KAVG and ASGD). *)
-let get_params t = flatten t (fun l -> (l.w, l.b))
+let get_params t = flatten t params
 
 let get_grads t = flatten t (fun l -> (l.gw, l.gb))
 
@@ -202,11 +227,11 @@ external transpose_kernel :
   = "mlp_transpose_byte" "mlp_transpose"
 [@@noalloc]
 
-(* [forward_kernel w b wt src dst nin nout n hidden]: dst[k,o] =
-   f (b[o] + sum_i w[o,i] src[k,i]), inputs ascending, f = tanh when
-   [hidden] is 1; [wt] is the transpose of [w] *)
+(* [forward_kernel w b wt src k0 dst nin nout n hidden]: dst[k,o] =
+   f (b[o] + sum_i w[o,i] src[k0 + k,i]), inputs ascending, f = tanh
+   when [hidden] is 1; [wt] is the transpose of [w] *)
 external forward_kernel :
-  Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t ->
+  Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t -> (int[@untagged]) -> Fbuf.t ->
   (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) ->
   (int[@untagged]) -> unit = "mlp_forward_byte" "mlp_forward"
 [@@noalloc]
@@ -218,10 +243,10 @@ external softmax_kernel :
   = "mlp_softmax_byte" "mlp_softmax"
 [@@noalloc]
 
-(* [grads_kernel gw gb a d nin nout n]: gb[o] += sum_k d[k,o] and
-   gw[o,i] += sum_k d[k,o] a[k,i], examples in order *)
+(* [grads_kernel gw gb a k0 d nin nout n]: gb[o] += sum_k d[k,o] and
+   gw[o,i] += sum_k d[k,o] a[k0 + k,i], examples in order *)
 external grads_kernel :
-  Fbuf.t -> Fbuf.t -> Fbuf.t -> Fbuf.t ->
+  Fbuf.t -> Fbuf.t -> Fbuf.t -> (int[@untagged]) -> Fbuf.t ->
   (int[@untagged]) -> (int[@untagged]) -> (int[@untagged]) -> unit
   = "mlp_grads_byte" "mlp_grads"
 [@@noalloc]
@@ -258,12 +283,16 @@ let load t xs ~k0 ~c =
     done
   done
 
-(* layer [l]'s input rows *)
-let src_of ws l = if l = 0 then ws.input else ws.act.(l - 1)
+(* Layer [l]'s input rows, and the row its chunk starts at: layer 0
+   reads the chunk's inputs from rows [x0, x0 + c) of [x] (the workspace
+   input rows from 0, or a packed {!batch}), every other layer the
+   workspace activations below it from 0. *)
+let src_of ws x l = if l = 0 then x else ws.act.(l - 1)
+let row_of x0 l = if l = 0 then x0 else 0
 
-(* the first [c] loaded examples through every layer, then their class
-   probabilities into the top delta rows *)
-let forward t ~c =
+(* [c] examples, rows [x0, x0 + c) of [x], through every layer, then
+   their class probabilities into the top delta rows *)
+let forward t x ~x0 ~c =
   let nl = Array.length t.layers and ws = t.ws in
   if t.wt_stale then begin
     Array.iter (fun l -> transpose_kernel l.w l.wt l.nin l.nout) t.layers;
@@ -271,8 +300,8 @@ let forward t ~c =
   end;
   for l = 0 to nl - 1 do
     let lay = t.layers.(l) in
-    forward_kernel lay.w lay.b lay.wt (src_of ws l) ws.act.(l) lay.nin lay.nout
-      c
+    forward_kernel lay.w lay.b lay.wt (src_of ws x l) (row_of x0 l) ws.act.(l)
+      lay.nin lay.nout c
       (if l < nl - 1 then 1 else 0)
   done;
   softmax_kernel ws.act.(nl - 1) ws.delta.(nl - 1) c t.layers.(nl - 1).nout
@@ -285,7 +314,7 @@ let forward1 t x =
   t.one.(0) <- x;
   load t t.one ~k0:0 ~c:1;
   t.one.(0) <- [||];
-  forward t ~c:1
+  forward t t.ws.input ~x0:0 ~c:1
 
 (** Class probabilities for input [x]. *)
 let predict_proba t x =
@@ -336,35 +365,43 @@ let reset t params =
       Fbuf.fill l.mb 0.0)
     t.layers
 
-(* Accumulate the gradients of the [c] loaded examples [k0, k0 + c), with
-   checked [labels], into gw/gb; their losses are added to [t.loss]'s sum
-   in example order and the last one is kept beside it, both read
-   unboxed by the callers. *)
-let backprop t ~k0 ~c labels =
-  forward t ~c;
+(* The chunk core of every training step. Accumulate the gradients of
+   examples [k0, k0 + c), whose inputs are rows [x0, x0 + c) of [x] and
+   whose checked labels are [labels.(k0)] on, into gw/gb. With [loss],
+   their losses are added to [t.loss]'s sum in example order and the
+   last one is kept beside it, both read unboxed by the callers. *)
+let backprop t x ~x0 ~k0 ~c labels ~loss =
+  forward t x ~x0 ~c;
   let nl = Array.length t.layers and ws = t.ws in
   let top = ws.delta.(nl - 1) and classes = classes t in
   let total = ref (Fbuf.get t.loss 0) and last = ref 0.0 in
   for k = 0 to c - 1 do
     let j = (k * classes) + labels.(k0 + k) in
     let p = Fbuf.get top j in
-    last := -.log (fmax 1e-12 p);
-    total := !total +. !last;
+    if loss then begin
+      last := -.log (fmax 1e-12 p);
+      total := !total +. !last
+    end;
     (* output delta: probs - onehot (p -. 0.0 is p exactly) *)
     Fbuf.set top j (p -. 1.0)
   done;
-  Fbuf.set t.loss 0 !total;
-  Fbuf.set t.loss 1 !last;
+  if loss then begin
+    Fbuf.set t.loss 0 !total;
+    Fbuf.set t.loss 1 !last
+  end;
   for l = nl - 1 downto 0 do
-    let lay = t.layers.(l) and a = src_of ws l in
-    grads_kernel lay.gw lay.gb a ws.delta.(l) lay.nin lay.nout c;
+    let lay = t.layers.(l) and a = src_of ws x l in
+    grads_kernel lay.gw lay.gb a (row_of x0 l) ws.delta.(l) lay.nin lay.nout c;
+    (* layer 0's input is never propagated into, so [a] is the
+       workspace activations here, read from row 0 *)
     if l > 0 then
       propagate_kernel lay.w a ws.delta.(l) ws.delta.(l - 1) lay.nin lay.nout c
   done
 
-(* The gradients of a checked batch, [chunk] examples at a time; every
-   gradient entry still sees the examples in order. The summed loss ends
-   in [t.loss] slot 0, the last example's in slot 1. *)
+(* The gradients of a checked batch, [chunk] examples at a time, each
+   chunk copied into the workspace input rows; every gradient entry
+   still sees the examples in order. The summed loss ends in [t.loss]
+   slot 0, the last example's in slot 1. *)
 let accumulate t xs labels =
   let n = Array.length xs in
   Fbuf.set t.loss 0 0.0;
@@ -372,7 +409,7 @@ let accumulate t xs labels =
   while !k0 < n do
     let c = min chunk (n - !k0) in
     load t xs ~k0:!k0 ~c;
-    backprop t ~k0:!k0 ~c labels;
+    backprop t t.ws.input ~x0:0 ~k0:!k0 ~c labels ~loss:true;
     k0 := !k0 + c
   done
 
@@ -387,27 +424,32 @@ let backward t x ~label =
   t.one.(0) <- [||];
   Fbuf.get t.loss 1
 
-(** Apply accumulated gradients (scaled by 1/batch) with learning rate and
-    momentum, then clear them. *)
-let sgd_step ?(momentum = 0.0) ?(weight_decay = 0.0) t ~lr ~batch =
+(* Apply accumulated gradients (scaled by 1/batch) with learning rate and
+   momentum, then clear them. Labelled rather than optional, so that
+   {!step} passes its arguments on without boxing an option. *)
+let sgd t ~momentum ~weight_decay ~lr ~batch =
   let scale = 1.0 /. float_of_int (max 1 batch) in
-  Array.iter
-    (fun l ->
-      let w = l.w and gw = l.gw and mw = l.mw in
-      for k = 0 to Fbuf.length w - 1 do
-        let g = (Fbuf.get gw k *. scale) +. (weight_decay *. Fbuf.get w k) in
-        Fbuf.set mw k ((momentum *. Fbuf.get mw k) -. (lr *. g));
-        Fbuf.set w k (Fbuf.get w k +. Fbuf.get mw k)
-      done;
-      let b = l.b and gb = l.gb and mb = l.mb in
-      for o = 0 to l.nout - 1 do
-        let g = Fbuf.get gb o *. scale in
-        Fbuf.set mb o ((momentum *. Fbuf.get mb o) -. (lr *. g));
-        Fbuf.set b o (Fbuf.get b o +. Fbuf.get mb o)
-      done)
-    t.layers;
+  (* a loop, not [Array.iter]: a closure would box [scale] *)
+  for l = 0 to Array.length t.layers - 1 do
+    let l = t.layers.(l) in
+    let w = l.w and gw = l.gw and mw = l.mw in
+    for k = 0 to Fbuf.length w - 1 do
+      let g = (Fbuf.get gw k *. scale) +. (weight_decay *. Fbuf.get w k) in
+      Fbuf.set mw k ((momentum *. Fbuf.get mw k) -. (lr *. g));
+      Fbuf.set w k (Fbuf.get w k +. Fbuf.get mw k)
+    done;
+    let b = l.b and gb = l.gb and mb = l.mb in
+    for o = 0 to l.nout - 1 do
+      let g = Fbuf.get gb o *. scale in
+      Fbuf.set mb o ((momentum *. Fbuf.get mb o) -. (lr *. g));
+      Fbuf.set b o (Fbuf.get b o +. Fbuf.get mb o)
+    done
+  done;
   t.wt_stale <- true;
   zero_grads t
+
+let sgd_step ?(momentum = 0.0) ?(weight_decay = 0.0) t ~lr ~batch =
+  sgd t ~momentum ~weight_decay ~lr ~batch
 
 (** One mini-batch step; returns mean loss. *)
 let train_batch ?(momentum = 0.0) t ~lr xs labels =
@@ -421,8 +463,63 @@ let train_batch ?(momentum = 0.0) t ~lr xs labels =
     check_label t "train_batch" labels.(k)
   done;
   accumulate t xs labels;
-  sgd_step ~momentum t ~lr ~batch:n;
+  sgd t ~momentum ~weight_decay:0.0 ~lr ~batch:n;
   Fbuf.get t.loss 0 /. float_of_int n
+
+(* A training set packed once: [n] rows of [width] inputs, row-major,
+   their labels, and the largest label, so that {!step} checks a model
+   against it in O(1). *)
+type batch = {
+  n : int;
+  width : int;
+  top : int;
+  xs : Fbuf.t;
+  labels : int array;
+}
+
+let batch xs labels =
+  let n = Array.length xs in
+  if Array.length labels <> n then
+    invalid_arg
+      (Printf.sprintf "Mlp.batch: %d inputs but %d labels" n
+         (Array.length labels));
+  if n = 0 then invalid_arg "Mlp.batch: no examples";
+  let width = Array.length xs.(0) in
+  if width = 0 then invalid_arg "Mlp.batch: inputs of width 0";
+  Array.iteri
+    (fun k x ->
+      if Array.length x <> width then
+        invalid_arg
+          (Printf.sprintf "Mlp.batch: input %d has length %d, input 0 has %d"
+             k (Array.length x) width))
+    xs;
+  Array.iter
+    (fun l ->
+      if l < 0 then invalid_arg (Printf.sprintf "Mlp.batch: label %d < 0" l))
+    labels;
+  let packed = Fbuf.create (n * width) in
+  Array.iteri
+    (fun k x -> Array.iteri (fun i v -> Fbuf.set packed ((k * width) + i) v) x)
+    xs;
+  { n; width; top = Array.fold_left max 0 labels; xs = packed;
+    labels = Array.copy labels }
+
+(** {!train_batch} on a packed batch, without the loss: the chunks are
+    read in place. *)
+let step ~momentum t ~lr b =
+  if b.width <> t.sizes.(0) then
+    invalid_arg
+      (Printf.sprintf "Mlp.step: inputs of width %d, expected %d" b.width
+         t.sizes.(0));
+  check_label t "step" b.top;
+  reserve t (min chunk b.n);
+  let k0 = ref 0 in
+  while !k0 < b.n do
+    let c = min chunk (b.n - !k0) in
+    backprop t b.xs ~x0:!k0 ~k0:!k0 ~c b.labels ~loss:false;
+    k0 := !k0 + c
+  done;
+  sgd t ~momentum ~weight_decay:0.0 ~lr ~batch:b.n
 
 (** Classification accuracy over a dataset. *)
 let accuracy t xs labels =
@@ -432,7 +529,7 @@ let accuracy t xs labels =
   while !k0 < n do
     let c = min chunk (n - !k0) in
     load t xs ~k0:!k0 ~c;
-    forward t ~c;
+    forward t t.ws.input ~x0:0 ~c;
     for k = 0 to c - 1 do
       if argmax_probs t k = labels.(!k0 + k) then incr correct
     done;
@@ -451,7 +548,7 @@ let eval_loss t xs labels =
   while !k0 < n do
     let c = min chunk (n - !k0) in
     load t xs ~k0:!k0 ~c;
-    forward t ~c;
+    forward t t.ws.input ~x0:0 ~c;
     let p = probs t and classes = classes t in
     for k = 0 to c - 1 do
       let pk = Fbuf.get p ((k * classes) + labels.(!k0 + k)) in

@@ -8,9 +8,14 @@
     activation and delta rows for up to 32 examples) that grows to the
     largest chunk it has seen and is reused, so a steady-state training
     step allocates nothing. Training and inference share one C kernel
-    per stage (forward, gradient, propagation), each computing two
-    independent sums per 2-lane vector; {!backward} is {!train_batch}'s
-    path with a batch of one. Every floating-point operation keeps the
+    per stage (forward, gradient, propagation), each keeping independent
+    sums side by side in the lanes of 4-lane vectors (a gradient's last
+    pair of inputs in a 2-lane one), built on x86-64 for the baseline
+    ISA and for AVX2 and picked from the CPU at load time. {!step},
+    {!train_batch} and {!backward} share one chunk core: {!step} reads a
+    packed {!batch} in place, {!train_batch} copies its rows into the
+    workspace, {!backward} is a batch of one. Every floating-point
+    operation keeps the
     order of the plain per-example [float array array] formulation
     (pre-activations sum the bias first, then inputs ascending; softmax
     sums in {!Icoe_util.Stats.sum} order; gradients accumulate in
@@ -35,6 +40,10 @@ val num_params : t -> int
 val get_params : t -> float array
 (** Flattened parameters (layer-major, each layer's weight rows then its
     biases). *)
+
+val get_params_into : t -> float array -> unit
+(** {!get_params} into an array of {!num_params} entries, which it
+    overwrites; raises [Invalid_argument] on any other length. *)
 
 val set_params : t -> float array -> unit
 (** Inverse of {!get_params}; raises [Invalid_argument] unless the array
@@ -73,6 +82,25 @@ val train_batch :
 (** One mini-batch step; returns the mean loss. Raises
     [Invalid_argument], before touching the model, when [xs] and
     [labels] differ in length or any input or label is bad. *)
+
+type batch
+(** A training set packed once, for {!step}: its inputs row-major in
+    one {!Icoe_util.Fbuf.t}, a copy of its labels, its input width and
+    its largest label. *)
+
+val batch : float array array -> int array -> batch
+(** [batch xs labels]. Raises [Invalid_argument], before packing
+    anything, when [xs] and [labels] differ in length, are empty, when
+    the rows are ragged or of width 0, or on a negative label. *)
+
+val step : momentum:float -> t -> lr:float -> batch -> unit
+(** [step ~momentum t ~lr b] leaves the model as
+    [ignore (train_batch ~momentum t ~lr xs labels)] does, bit for bit,
+    for the [xs] and [labels] [b] was packed from: the same chunk core,
+    reading each chunk's rows of [b] in place, without taking the loss,
+    and allocating nothing. Raises [Invalid_argument], before touching
+    the model, unless [b]'s width is [in] and its largest label below
+    [out]. *)
 
 val accuracy : t -> float array array -> int array -> float
 val eval_loss : t -> float array array -> int array -> float

@@ -47,6 +47,15 @@ typedef double vdu __attribute__((vector_size(LANES * sizeof(double)),
 #define ld(p) (*(const vdu *)(p))
 #define st(p, v) (*(vdu *)(p) = (v))
 
+/* A 2-lane vector, for a gradient's last pair of inputs (see
+   mlp_grads); loads and stores through vd2u as above. */
+typedef double vd2 __attribute__((vector_size(2 * sizeof(double))));
+typedef double vd2u __attribute__((vector_size(2 * sizeof(double)),
+                                   aligned(sizeof(double))));
+
+#define ld2(p) (*(const vd2u *)(p))
+#define st2(p, v) (*(vd2u *)(p) = (v))
+
 #define F(v) ((double *)Caml_ba_data_val(v))
 
 /* Every block is inlined into the KERNEL that calls it, so it is
@@ -141,10 +150,12 @@ INLINE void fwd_tail(int E, const double *w, const double *b,
   for (int e = 0; e < E; e++) y[(k0 + e) * nout + o] = s[e];
 }
 
-KERNEL value mlp_forward(value vw, value vb, value vwt, value vx, value vy,
-                         intnat nin, intnat nout, intnat n, intnat hidden)
+/* x is read from row x0 on; y from row 0 */
+KERNEL value mlp_forward(value vw, value vb, value vwt, value vx, intnat x0,
+                         value vy, intnat nin, intnat nout, intnat n,
+                         intnat hidden)
 {
-  const double *w = F(vw), *b = F(vb), *x = F(vx);
+  const double *w = F(vw), *b = F(vb), *x = F(vx) + x0 * nin;
   const double *wt = F(vwt);
   double *y = F(vy);
   intnat o = 0;
@@ -159,9 +170,9 @@ KERNEL value mlp_forward(value vw, value vb, value vwt, value vx, value vy,
 value mlp_forward_byte(value *argv, int argn)
 {
   (void)argn;
-  return mlp_forward(argv[0], argv[1], argv[2], argv[3], argv[4],
-                     Long_val(argv[5]), Long_val(argv[6]), Long_val(argv[7]),
-                     Long_val(argv[8]));
+  return mlp_forward(argv[0], argv[1], argv[2], argv[3], Long_val(argv[4]),
+                     argv[5], Long_val(argv[6]), Long_val(argv[7]),
+                     Long_val(argv[8]), Long_val(argv[9]));
 }
 
 /* Softmax of each of the n rows of c values in src into dst (dst may be
@@ -231,29 +242,49 @@ INLINE void grad_tail(int E, double *gw, const double *a, const double *d,
   for (int e = 0; e < E; e++) gw[(o + e) * nin + i] = g[e];
 }
 
+/* the same chains for the two inputs i and i + 1, one per lane, E units
+   wide */
+INLINE void grad_pair(int E, double *gw, const double *a, const double *d,
+                      intnat nin, intnat nout, intnat n, intnat o, intnat i)
+{
+  vd2 g[8];
+  for (int e = 0; e < E; e++) g[e] = ld2(gw + (o + e) * nin + i);
+  for (intnat k = 0; k < n; k++) {
+    vd2 ak = ld2(a + k * nin + i);
+    for (int e = 0; e < E; e++) g[e] += d[k * nout + o + e] * ak;
+  }
+  for (int e = 0; e < E; e++) st2(gw + (o + e) * nin + i, g[e]);
+}
+
 /* gb[o] += sum_k d[k,o] and gw[o,i] += sum_k d[k,o] a[k,i], each sum
    starting from the accumulated value, examples in order; d is n x nout,
-   a n x nin. */
-KERNEL value mlp_grads(value vgw, value vgb, value va, value vd, intnat nin,
-                       intnat nout, intnat n)
+   a n x nin, read from row a0 on. When two or three inputs are left
+   past the 4-wide blocks, the last two run as one 2-lane pair (the
+   10-input streams, the 30-input end-to-end layer) rather than as two
+   scalar passes over the chunk. */
+KERNEL value mlp_grads(value vgw, value vgb, value va, intnat a0, value vd,
+                       intnat nin, intnat nout, intnat n)
 {
   double *gw = F(vgw), *gb = F(vgb);
-  const double *a = F(va), *d = F(vd);
+  const double *a = F(va) + a0 * nin, *d = F(vd);
   /* examples outside, so the compiler vectorizes over units */
   for (intnat k = 0; k < n; k++)
     for (intnat o = 0; o < nout; o++) gb[o] += d[k * nout + o];
-  intnat i = 0;
+  /* the pair starts at [pair], which is nin when there is none */
+  intnat i = 0, pair = nin % LANES >= 2 ? nin - 2 : nin;
 #define GRAD(V, E, o) grad_block(E, V, gw, a, d, nin, nout, n, o, i)
 #define GRAD_TAIL(V, E, o) grad_tail(E, gw, a, d, nin, nout, n, o, i)
-  WIDTHS(i, nin, nout, GRAD, GRAD_TAIL);
+#define GRAD_PAIR(V, E, o) grad_pair(E, gw, a, d, nin, nout, n, o, i)
+  WIDTHS(i, pair, nout, GRAD, GRAD_TAIL);
+  if (pair < nin) BLOCKS(8, nout, GRAD_PAIR, 0);
   return Val_unit;
 }
 
 value mlp_grads_byte(value *argv, int argn)
 {
   (void)argn;
-  return mlp_grads(argv[0], argv[1], argv[2], argv[3], Long_val(argv[4]),
-                   Long_val(argv[5]), Long_val(argv[6]));
+  return mlp_grads(argv[0], argv[1], argv[2], Long_val(argv[3]), argv[4],
+                   Long_val(argv[5]), Long_val(argv[6]), Long_val(argv[7]));
 }
 
 /* Propagation: nd[k,i..i+LANES*V) = (sum_o d[k,o] w[o,i..], o ascending

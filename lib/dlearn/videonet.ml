@@ -100,8 +100,9 @@ let split ~(frac : float) (d : dataset) =
 (* train a softmax regression (no hidden layer) on one stream *)
 let train_stream ~(rng : Icoe_util.Rng.t) (d : dataset) s =
   let m = Mlp.create ~rng [| d.dim; d.classes |] in
+  let b = Mlp.batch d.streams.(s) d.labels in
   for _ = 1 to 150 do
-    ignore (Mlp.train_batch m ~lr:0.1 d.streams.(s) d.labels)
+    Mlp.step ~momentum:0.0 m ~lr:0.1 b
   done;
   m
 
@@ -131,9 +132,9 @@ type study = {
   stream_accs : float array;  (** on train split, for weighting *)
   train : dataset;
   test : dataset;
-  stacked_train : float array array;
-      (** {!stacked_probs} of every train sample, shared by the stacking
-          combiners *)
+  stacked_train : Mlp.batch;
+      (** {!stacked_probs} of every train sample with its label, packed
+          once for both stacking combiners *)
   stacked_test : float array array;
 }
 
@@ -159,7 +160,7 @@ let prepare ~(rng : Icoe_util.Rng.t) difficulty =
   in
   {
     stream_models; stream_accs; train; test;
-    stacked_train = stacked train;
+    stacked_train = Mlp.batch (stacked train) train.labels;
     stacked_test = stacked test;
   }
 
@@ -209,11 +210,13 @@ let evaluate ~(rng : Icoe_util.Rng.t) st comb =
       let concat (d : dataset) i =
         Array.concat (List.init n_streams (fun s -> d.streams.(s).(i)))
       in
-      let xs = Array.init ntrain (concat train) in
-      let labels = Array.sub train.labels 0 ntrain in
+      let b =
+        Mlp.batch (Array.init ntrain (concat train))
+          (Array.sub train.labels 0 ntrain)
+      in
       let m = Mlp.create ~rng [| n_streams * train.dim; 12; train.classes |] in
       for _ = 1 to 120 do
-        ignore (Mlp.train_batch ~momentum:0.9 m ~lr:0.03 xs labels)
+        Mlp.step ~momentum:0.9 m ~lr:0.03 b
       done;
       let test = st.test in
       let txs = Array.init (Array.length test.labels) (concat test) in
@@ -227,9 +230,7 @@ let evaluate ~(rng : Icoe_util.Rng.t) st comb =
       in
       let m = Mlp.create ~rng sizes in
       for _ = 1 to 400 do
-        ignore
-          (Mlp.train_batch ~momentum:0.9 m ~lr:0.05 st.stacked_train
-             train.labels)
+        Mlp.step ~momentum:0.9 m ~lr:0.05 st.stacked_train
       done;
       Mlp.accuracy m st.stacked_test test.labels
 

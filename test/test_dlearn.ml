@@ -336,6 +336,12 @@ module Ref_mlp = struct
          (fun l -> Array.to_list l.w @ [ l.b ])
          (Array.to_list layers))
 
+  let get_grads layers =
+    Array.concat
+      (List.concat_map
+         (fun l -> Array.to_list l.gw @ [ l.gb ])
+         (Array.to_list layers))
+
   let set_params layers buf =
     let k = ref 0 in
     Array.iter
@@ -550,6 +556,80 @@ let prop_mlp_backward_is_batch_of_one =
       done;
       !ok)
 
+(* [step] on a packed batch runs train_batch's chunk core on the batch's
+   rows in place and skips the loss: k steps leave the parameters, and
+   the momentum a later train_batch reads, bit-equal to k train_batch
+   calls on the arrays it was packed from. Batch sizes on both sides of
+   the 32-example chunk; every other case has an input width of 2 mod 4,
+   where the gradient kernel runs its 2-lane pair. *)
+let prop_mlp_step_is_train_batch =
+  QCheck.Test.make ~name:"mlp step on a packed batch = train_batch"
+    ~count:100
+    QCheck.(
+      quad (int_range 1 100_000) (int_range 2 4) (int_range 0 4) bool)
+    (fun (seed, depth, which, momentum) ->
+      let n = [| 1; 31; 32; 33; 65 |].(which) in
+      let r = Icoe_util.Rng.create seed in
+      let sizes = random_sizes r ~depth ~max_width:20 in
+      if seed mod 2 = 0 then sizes.(0) <- 2 + (4 * Icoe_util.Rng.int r 5);
+      let momentum = if momentum then 0.9 else 0.0 in
+      let a = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let b = Mlp.clone a in
+      let xs, ls = random_batch r sizes n in
+      let packed = Mlp.batch xs ls in
+      for _ = 1 to 1 + Icoe_util.Rng.int r 3 do
+        Mlp.step ~momentum a ~lr:0.2 packed;
+        ignore (Mlp.train_batch ~momentum b ~lr:0.2 xs ls)
+      done;
+      let stepped = same (Mlp.get_params a) (Mlp.get_params b) in
+      let xs, ls = random_batch r sizes n in
+      let la = Mlp.train_batch ~momentum a ~lr:0.2 xs ls in
+      let lb = Mlp.train_batch ~momentum b ~lr:0.2 xs ls in
+      stepped
+      && same [| la |] [| lb |]
+      && same (Mlp.get_params a) (Mlp.get_params b))
+
+(* The gradient kernel runs the last two inputs past its 4-wide blocks
+   as one 2-lane pair when two or three are left: the Table 3 streams
+   (10 -> 8) and end-to-end model (30 -> 12 -> 8), and widths where the
+   pair is all there is or follows a scalar tail. Gradients after
+   single-example backward calls, then losses and parameters after
+   chunked steps, bit for bit against the oracle. *)
+let test_mlp_gradient_pairs () =
+  List.iter
+    (fun sizes ->
+      let seed = Array.fold_left ( + ) 0 sizes in
+      let r = Icoe_util.Rng.create seed in
+      let m = Mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let o = Ref_mlp.create ~rng:(Icoe_util.Rng.create seed) sizes in
+      let name what =
+        Fmt.str "%a: %s" Fmt.(array ~sep:semi int) sizes what
+      in
+      let xs, ls = random_batch r sizes 5 in
+      Array.iteri
+        (fun k x ->
+          ignore (Mlp.backward m x ~label:ls.(k));
+          ignore (Ref_mlp.backward o x ~label:ls.(k)))
+        xs;
+      Alcotest.(check bool) (name "grads") true
+        (same (Mlp.get_grads m) (Ref_mlp.get_grads o));
+      Mlp.sgd_step ~momentum:0.9 m ~lr:0.1 ~batch:5;
+      Ref_mlp.sgd_step ~momentum:0.9 o ~lr:0.1 ~batch:5;
+      List.iter
+        (fun n ->
+          let xs, ls = random_batch r sizes n in
+          let lm = Mlp.train_batch ~momentum:0.9 m ~lr:0.1 xs ls in
+          let lo = Ref_mlp.train_batch ~momentum:0.9 o ~lr:0.1 xs ls in
+          Alcotest.(check bool) (name (Fmt.str "loss, batch %d" n)) true
+            (same [| lm |] [| lo |]))
+        [ 1; 31; 32; 33; 65 ];
+      Alcotest.(check bool) (name "params") true
+        (same (Mlp.get_params m) (Ref_mlp.get_params o)))
+    [
+      [| 10; 8 |]; [| 30; 12; 8 |]; [| 2; 3 |]; [| 3; 4 |]; [| 6; 5; 2 |];
+      [| 11; 7; 3 |]; [| 18; 10; 2 |];
+    ]
+
 (* The forward kernel reads a transposed copy of the weights that is
    refreshed only after they change: single-example inference between
    set_params and sgd_step calls, in every order, must see the weights
@@ -735,6 +815,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_mlp_workspace_reuse;
           QCheck_alcotest.to_alcotest prop_mlp_backward_is_batch_of_one;
           QCheck_alcotest.to_alcotest prop_mlp_transpose_follows_weights;
+          QCheck_alcotest.to_alcotest prop_mlp_step_is_train_batch;
+          Alcotest.test_case "gradient pairs match the oracle" `Quick
+            test_mlp_gradient_pairs;
           Alcotest.test_case "harness shapes match the oracle" `Quick
             test_mlp_harness_shapes;
           Alcotest.test_case "softmax rows with +-0 exponents" `Quick

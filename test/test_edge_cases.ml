@@ -602,6 +602,48 @@ let test_mlp_batch_length_mismatch () =
   expect_invalid "1 input, 2 labels" (fun () ->
       Dlearn.Mlp.train_batch m ~lr:0.1 [| x |] [| 0; 1 |])
 
+(* Mlp.batch checks the set it packs; Mlp.step checks the model against
+   the batch, and a rejected step leaves the model as it was *)
+let test_mlp_packed_batch () =
+  let x = [| 0.1; 0.2; 0.3 |] in
+  List.iter
+    (fun (name, parts, xs, ls) ->
+      expect_invalid_naming name ("Mlp.batch" :: parts) (fun () ->
+          Dlearn.Mlp.batch xs ls))
+    [
+      ("2 inputs, 1 label", [ "2"; "1" ], [| x; x |], [| 0 |]);
+      ("1 input, 2 labels", [ "1"; "2" ], [| x |], [| 0; 1 |]);
+      ("no examples", [], [||], [||]);
+      ("ragged rows", [ "input 1"; "2"; "3" ], [| x; [| 0.1; 0.2 |] |], [| 0; 1 |]);
+      ("zero-width rows", [ "0" ], [| [||]; [||] |], [| 0; 1 |]);
+      ("negative label", [ "-1" ], [| x; x |], [| 0; -1 |]);
+    ];
+  let m = mlp () in
+  let before = Dlearn.Mlp.get_params m in
+  List.iter
+    (fun (name, parts, xs, ls) ->
+      expect_invalid_naming name ("Mlp.step" :: parts) (fun () ->
+          Dlearn.Mlp.step ~momentum:0.9 m ~lr:0.1 (Dlearn.Mlp.batch xs ls)))
+    [
+      ("width 2 for 3 inputs", [ "2"; "3" ], [| [| 0.1; 0.2 |] |], [| 0 |]);
+      ("width 4 for 3 inputs", [ "4"; "3" ], [| Array.make 4 0.5 |], [| 0 |]);
+      ("label = classes", [ "2" ], [| x; x; x |], [| 0; 2; 1 |]);
+    ];
+  Alcotest.(check bool) "params untouched" true
+    (before = Dlearn.Mlp.get_params m);
+  (* and the model still trains *)
+  Dlearn.Mlp.step ~momentum:0.9 m ~lr:0.1 (Dlearn.Mlp.batch [| x; x |] [| 0; 1 |]);
+  Alcotest.(check bool) "a good step moves the params" true
+    (before <> Dlearn.Mlp.get_params m)
+
+let test_asgd_negative_staleness () =
+  let data =
+    Dlearn.Distributed.make_task ~rng:(Icoe_util.Rng.create 1) ~n:32 ()
+  in
+  expect_invalid_naming "staleness -1" [ "Distributed.asgd"; "-1" ] (fun () ->
+      Dlearn.Distributed.asgd ~rng:(Icoe_util.Rng.create 1) ~learners:2
+        ~steps:1 ~batch:4 ~lr:0.1 ~staleness:(-1) [| 12; 4 |] data)
+
 (* --- engine constructors: the Fbuf kernels behind them index through
    unchecked Bigarray access, so a bad size must never get that far --- *)
 
@@ -775,6 +817,10 @@ let () =
           Alcotest.test_case "mlp bad input" `Quick test_mlp_bad_input;
           Alcotest.test_case "mlp batch length mismatch" `Quick
             test_mlp_batch_length_mismatch;
+          Alcotest.test_case "mlp packed batch and step" `Quick
+            test_mlp_packed_batch;
+          Alcotest.test_case "asgd negative staleness" `Quick
+            test_asgd_negative_staleness;
         ] );
       ( "engine sizes",
         [
