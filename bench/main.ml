@@ -68,20 +68,16 @@ let bench_pa_apply =
   let y = Array.make n 0.0 in
   Test.make ~name:"table4/pa-apply-p4" (Staged.stage (fun () -> Mfem.Diffusion.Pa.apply pa u y))
 
-(* the JIT-specialization ablation as a kernel-row pair: the generic
-   sum-factorized contraction against the unrolled p=2 kernel on the
-   same 24x24 mesh and vectors *)
-let bench_pa_apply_p2, bench_pa_apply_specialized_p2 =
+(* the generic sum-factorized contraction at p=2 on a 24x24 mesh *)
+let bench_pa_apply_p2 =
   let mesh = Mfem.Mesh.create ~nx:24 ~ny:24 ~p:2 () in
   let basis = Mfem.Basis.create 2 in
   let pa = Mfem.Diffusion.Pa.setup mesh basis in
   let n = Mfem.Mesh.num_dofs mesh in
   let u = Array.init n (fun i -> sin (float_of_int i)) in
   let y = Array.make n 0.0 in
-  ( Test.make ~name:"ablations/pa-apply-p2"
-      (Staged.stage (fun () -> Mfem.Diffusion.Pa.apply pa u y)),
-    Test.make ~name:"ablations/pa-apply-specialized-p2"
-      (Staged.stage (fun () -> Mfem.Diffusion.Pa.apply_specialized pa u y)) )
+  Test.make ~name:"ablations/pa-apply-p2"
+    (Staged.stage (fun () -> Mfem.Diffusion.Pa.apply pa u y))
 
 let bench_sw4_step =
   let g = Sw4.Grid.create ~nx:64 ~ny:64 ~h:100.0 in
@@ -292,7 +288,7 @@ let microbenchmarks () =
   let tests =
     [
       bench_spmv; bench_amg_vcycle; bench_pa_apply; bench_pa_apply_p2;
-      bench_pa_apply_specialized_p2; bench_sw4_step;
+      bench_sw4_step;
       bench_md_forces; bench_reaction_kernel; bench_fft; bench_bfs;
       bench_lda_estep; bench_rate_matrix; bench_cleverleaf; bench_mlp;
       bench_mlp_train; bench_shallow_nn_step;

@@ -151,10 +151,11 @@ let initial_state () =
   env.(iw) <- w_inf v_rest;
   env
 
-(** Integrate a single cell with forward Euler at [dt] (ms) for [steps],
-    applying [stim] during the first 100 steps. Returns the voltage
-    trace. *)
-let single_cell_trace ?(dt = 0.02) ?(steps = 20_000) ?(stim = 40.0) deriv =
+(** Integrate a single cell with forward Euler at dt = 0.02 ms for 20 000
+    steps, applying [stim] during the first 100 steps. Returns the
+    voltage trace. *)
+let single_cell_trace ?(stim = 40.0) deriv =
+  let dt = 0.02 and steps = 20_000 in
   let env = initial_state () in
   let trace = Array.make steps 0.0 in
   for s = 0 to steps - 1 do

@@ -35,8 +35,7 @@ val variant_loads : variant -> int
 val initial_state : unit -> float array
 (** Rest state with gates at steady state. *)
 
-val single_cell_trace :
-  ?dt:float -> ?steps:int -> ?stim:float -> (float array -> float array) ->
-  float array
-(** Forward-Euler single-cell integration, stimulated for the first 100
-    steps; returns the voltage trace (an action potential by default). *)
+val single_cell_trace : ?stim:float -> (float array -> float array) -> float array
+(** Forward-Euler single-cell integration (dt = 0.02 ms, 20 000 steps),
+    stimulated for the first 100 steps; returns the voltage trace (an
+    action potential by default). *)

@@ -23,17 +23,17 @@ type t = { name : string; levels : level array; transitions : transition list }
 
 let n_levels t = Array.length t.levels
 
-(** Hydrogen-like ladder model with [n] levels: energies E_k = E0 (1 - 1/k^2),
-    weights 2k^2, collisional + radiative transitions between adjacent
-    levels and radiative decay to ground. Scales from toy to "large atomic
-    model" by [n]. *)
-let ladder ?(name = "ladder") ?(e0 = 13.6) n =
+(** Hydrogen-like ladder model with [n] levels: energies
+    E_k = 13.6 (1 - 1/k^2) eV, weights 2k^2, collisional + radiative
+    transitions between adjacent levels and radiative decay to ground.
+    Scales from toy to "large atomic model" by [n]. *)
+let ladder n =
   if not (n >= 2) then
     invalid_arg (Printf.sprintf "Atomic.ladder: n = %d levels, need >= 2" n);
   let levels =
     Array.init n (fun k ->
         let kk = float_of_int (k + 1) in
-        { energy = e0 *. (1.0 -. (1.0 /. (kk *. kk))); weight = 2.0 *. kk *. kk })
+        { energy = 13.6 *. (1.0 -. (1.0 /. (kk *. kk))); weight = 2.0 *. kk *. kk })
   in
   let transitions = ref [] in
   for u = 1 to n - 1 do
@@ -45,16 +45,16 @@ let ladder ?(name = "ladder") ?(e0 = 13.6) n =
       Radiative { upper = u; lower = 0; a = 1.0e8 /. float_of_int (u * u) }
       :: !transitions
   done;
-  { name; levels; transitions = !transitions }
+  { name = "ladder"; levels; transitions = !transitions }
 
 (** A richer model with photoexcitation, for the photo-rate code path. *)
 let ladder_with_photo ?(photo_strength = 1.0e3) n =
-  let base = ladder ~name:"ladder+photo" n in
+  let base = ladder n in
   let photo =
     List.init (n - 1) (fun u ->
         Photo { upper = u + 1; lower = 0; strength = photo_strength })
   in
-  { base with transitions = base.transitions @ photo }
+  { base with name = "ladder+photo"; transitions = base.transitions @ photo }
 
 (** Boltzmann (LTE) populations at electron temperature [te] (eV),
     normalized to sum 1 — the reference the non-LTE solution deviates

@@ -17,10 +17,10 @@ type t = { name : string; levels : level array; transitions : transition list }
 
 val n_levels : t -> int
 
-val ladder : ?name:string -> ?e0:float -> int -> t
-(** Hydrogen-like ladder with the given number of levels (>= 2):
-    collisional coupling (c0 = 1e-8) between neighbours, radiative decay
-    to ground.
+val ladder : int -> t
+(** Hydrogen-like ladder (ground-state binding 13.6 eV) with the given
+    number of levels (>= 2): collisional coupling (c0 = 1e-8) between
+    neighbours, radiative decay to ground.
     Scales from toy to "large atomic model" by the level count. *)
 
 val ladder_with_photo : ?photo_strength:float -> int -> t

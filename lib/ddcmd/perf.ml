@@ -22,6 +22,9 @@ let scenario_name = function
    membrane-patch size (~136.5k beads). *)
 let flops_per_particle = 68_000.0
 
+(* beads in the MuMMI membrane patch *)
+let patch_beads = 136_500
+
 let v100_dp = Hwsim.Device.v100.Hwsim.Device.peak_gflops *. 1e9 *. 0.6
 let p9_dp = Hwsim.Device.power9.Hwsim.Device.peak_gflops *. 1e9 *. 0.4
 
@@ -44,7 +47,7 @@ let kernel_count = 46
     expression ([compute + 46 launches], with the 0.85 scaling factor
     folded into compute for [Four_gpu]); the schedule's item durations
     sum to the same cost. *)
-let ddcmd_step_model ?(particles = 136_500) ?overlap ?trace ?node
+let ddcmd_step_model ?(particles = patch_beads) ?overlap ?trace ?node
     ?(gpu_frac = 1.0) ?(comm = Hwsim.Split.Dedicated) scenario =
   Hwsim.Split.validate gpu_frac;
   let n = float_of_int particles in
@@ -119,12 +122,12 @@ let ddcmd_step_model ?(particles = 136_500) ?overlap ?trace ?node
   let step_s = if Hwsim.Sched.overlap sched then overlapped_s else serial_s in
   { serial_s; overlapped_s; step_s; dag = Hwsim.Sched.dag sched }
 
-(** (ddcmd_s, gromacs_s) per MD step for [particles] beads. The ddcMD
+(** (ddcmd_s, gromacs_s) per MD step of the membrane patch. The ddcMD
     side overlaps launches/halo under the kernel pipeline unless
     [ICOE_OVERLAP=0] (or [~overlap:false]); GROMACS' per-step host
     transfers are inherently synchronous and stay serialized. *)
-let step_times ?(particles = 136_500) ?overlap scenario =
-  let n = float_of_int particles in
+let step_times ?overlap scenario =
+  let n = float_of_int patch_beads in
   let work_dp = n *. flops_per_particle in
   let launch k = float_of_int k *. Hwsim.Device.v100.Hwsim.Device.launch_overhead_s in
   let xfer =
@@ -136,7 +139,7 @@ let step_times ?(particles = 136_500) ?overlap scenario =
   let cpu_frac = 0.065 in
   let gro_gpu work gpus = work *. (1.0 -. cpu_frac) /. (2.0 *. v100_dp) /. gpus in
   let gro_cpu work sockets busy = work *. cpu_frac /. p9_dp /. sockets *. busy in
-  let ddc = (ddcmd_step_model ~particles ?overlap scenario).step_s in
+  let ddc = (ddcmd_step_model ?overlap scenario).step_s in
   match scenario with
   | One_gpu ->
       let gro =

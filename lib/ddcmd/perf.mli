@@ -33,6 +33,7 @@ val ddcmd_step_model :
   ?node:Hwsim.Node.t -> ?gpu_frac:float -> ?comm:Hwsim.Split.comm ->
   scenario -> step_model
 (** Per-step launch/kernel/halo pipeline model for the ddcMD side.
+    [particles] defaults to the MuMMI membrane patch (136 500 beads).
     [overlap] defaults to {!Hwsim.Sched.overlap_enabled}; a bound
     [trace] receives one step's items.
 
@@ -46,10 +47,10 @@ val ddcmd_step_model :
     inline on the compute stream. At the defaults the model is
     bit-identical to the pre-split one. *)
 
-val step_times : ?particles:int -> ?overlap:bool -> scenario -> float * float
-(** (ddcmd_seconds, gromacs_seconds) per MD step. The ddcMD side uses
-    {!ddcmd_step_model}'s charged time; GROMACS' synchronous per-step
-    host transfers stay serialized. *)
+val step_times : ?overlap:bool -> scenario -> float * float
+(** (ddcmd_seconds, gromacs_seconds) per MD step of the membrane patch.
+    The ddcMD side uses {!ddcmd_step_model}'s charged time; GROMACS'
+    synchronous per-step host transfers stay serialized. *)
 
 val ddcmd_peak_fraction : unit -> float
 (** Fraction of V100 DP peak the calibrated step achieves (paper: >30%). *)

@@ -85,8 +85,9 @@ let martini ~(epsilon : float array array) ~(sigma : float array array)
         end);
   }
 
-(** Purely repulsive soft sphere (for fast smoke tests). *)
-let soft_sphere ?(epsilon = 1.0) ?(sigma = 1.0) () =
+(** Purely repulsive soft sphere of unit strength (for fast smoke
+    tests). *)
+let soft_sphere ?(sigma = 1.0) () =
   {
     name = "soft";
     cutoff = sigma;
@@ -100,7 +101,7 @@ let soft_sphere ?(epsilon = 1.0) ?(sigma = 1.0) () =
         else begin
           let r = sqrt r2 in
           let overlap = 1.0 -. (r /. sigma) in
-          Fbuf.set out (off + 1) (epsilon *. overlap *. overlap);
-          Fbuf.set out (off + 2) (2.0 *. epsilon *. overlap /. (sigma *. r))
+          Fbuf.set out (off + 1) (overlap *. overlap);
+          Fbuf.set out (off + 2) (2.0 *. overlap /. (sigma *. r))
         end);
   }

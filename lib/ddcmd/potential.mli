@@ -32,5 +32,5 @@ val martini :
 (** Coarse-grained LJ with per-species-pair parameters (the Martini-style
     force field the MuMMI micro model uses). *)
 
-val soft_sphere : ?epsilon:float -> ?sigma:float -> unit -> t
-(** Purely repulsive (fast smoke tests). *)
+val soft_sphere : ?sigma:float -> unit -> t
+(** Purely repulsive, unit strength (fast smoke tests). *)

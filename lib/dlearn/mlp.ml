@@ -458,6 +458,7 @@ let train_batch ?(momentum = 0.0) t ~lr xs labels =
     invalid_arg
       (Printf.sprintf "Mlp.train_batch: %d inputs but %d labels" n
          (Array.length labels));
+  if n = 0 then invalid_arg "Mlp.train_batch: no examples";
   for k = 0 to n - 1 do
     check_input t "train_batch" xs.(k);
     check_label t "train_batch" labels.(k)

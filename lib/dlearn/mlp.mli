@@ -81,7 +81,8 @@ val train_batch :
   ?momentum:float -> t -> lr:float -> float array array -> int array -> float
 (** One mini-batch step; returns the mean loss. Raises
     [Invalid_argument], before touching the model, when [xs] and
-    [labels] differ in length or any input or label is bad. *)
+    [labels] differ in length, are empty, or any input or label is
+    bad. *)
 
 type batch
 (** A training set packed once, for {!step}: its inputs row-major in

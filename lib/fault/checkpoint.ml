@@ -1,5 +1,4 @@
 module Metrics = Icoe_obs.Metrics
-module Trace = Hwsim.Trace
 
 type report = {
   steps : int;
@@ -57,35 +56,21 @@ let m_lost =
   Metrics.histogram ~help:"Simulated seconds of work lost per failure"
     "fault_lost_work_seconds"
 
-let run ~plan ?(start = 0.0) ?(restart_cost_s = 0.0) ?trace ~step_cost_s
-    ~checkpoint_cost_s ~interval ~steps ~snapshot ~restore ~step () =
+let run ~plan ?(restart_cost_s = 0.0) ~step_cost_s ~checkpoint_cost_s
+    ~interval ~steps ~snapshot ~restore ~step () =
   if interval < 1 then invalid_arg "Checkpoint.run: interval must be >= 1";
   if steps < 0 then invalid_arg "Checkpoint.run: steps must be >= 0";
   if not (step_cost_s > 0.0) then
     invalid_arg "Checkpoint.run: step_cost_s must be > 0";
   if not (checkpoint_cost_s >= 0.0 && restart_cost_s >= 0.0) then
     invalid_arg "Checkpoint.run: costs must be >= 0";
-  let t = ref start in
+  let t = ref 0.0 in
   let completed = ref 0 in
   let high_water = ref 0 in
   let ck_state = ref (snapshot ()) in
   let ck_step = ref 0 in
   let injected = ref 0 and recovered = ref 0 and checkpoints = ref 0 in
   let lost = ref 0.0 and overhead = ref 0.0 in
-  let charge phase dt =
-    match trace with
-    | Some tr -> if dt > 0.0 then Trace.charge tr ~phase dt
-    | None -> ()
-  in
-  (* bulk-charge step time between events so the span count is bounded
-     by the number of checkpoint/fault events, not the step count *)
-  let pending_compute = ref 0.0 and pending_rework = ref 0.0 in
-  let flush () =
-    charge "compute" !pending_compute;
-    pending_compute := 0.0;
-    charge "fault:rework" !pending_rework;
-    pending_rework := 0.0
-  in
   while !completed < steps do
     match Plan.next_node_failure plan ~after:!t with
     | Some f when f.Plan.at < !t +. step_cost_s ->
@@ -104,10 +89,6 @@ let run ~plan ?(start = 0.0) ?(restart_cost_s = 0.0) ?trace ~step_cost_s
                 ("downtime_s", Num f.Plan.downtime);
                 ("restart_s", Num restart_cost_s);
               ];
-        flush ();
-        charge "fault:lost-step" partial;
-        charge "fault:downtime" f.Plan.downtime;
-        charge "fault:restart" restart_cost_s;
         restore !ck_state;
         Metrics.observe m_lost
           (partial
@@ -120,18 +101,11 @@ let run ~plan ?(start = 0.0) ?(restart_cost_s = 0.0) ?trace ~step_cost_s
         Metrics.observe m_recovery (f.Plan.downtime +. restart_cost_s)
     | _ ->
         step !completed;
-        let rework = !completed < !high_water in
+        if !completed < !high_water then lost := !lost +. step_cost_s;
         t := !t +. step_cost_s;
         incr completed;
-        if rework then begin
-          lost := !lost +. step_cost_s;
-          pending_rework := !pending_rework +. step_cost_s
-        end
-        else pending_compute := !pending_compute +. step_cost_s;
         high_water := max !high_water !completed;
         if !completed < steps && !completed mod interval = 0 then begin
-          flush ();
-          charge "checkpoint" checkpoint_cost_s;
           t := !t +. checkpoint_cost_s;
           overhead := !overhead +. checkpoint_cost_s;
           ck_state := snapshot ();
@@ -149,7 +123,6 @@ let run ~plan ?(start = 0.0) ?(restart_cost_s = 0.0) ?trace ~step_cost_s
                 ]
         end
   done;
-  flush ();
   {
     steps;
     interval;
@@ -158,7 +131,7 @@ let run ~plan ?(start = 0.0) ?(restart_cost_s = 0.0) ?trace ~step_cost_s
     recovered = !recovered;
     checkpoints = !checkpoints;
     ideal_s = float_of_int steps *. step_cost_s;
-    achieved_s = !t -. start;
+    achieved_s = !t;
     checkpoint_overhead_s = !overhead;
     lost_work_s = !lost;
   }

@@ -40,9 +40,7 @@ val young_daly_steps :
 
 val run :
   plan:Plan.t ->
-  ?start:float ->
   ?restart_cost_s:float ->
-  ?trace:Hwsim.Trace.t ->
   step_cost_s:float ->
   checkpoint_cost_s:float ->
   interval:int ->
@@ -53,11 +51,7 @@ val run :
   unit ->
   report
 (** Drive [step i] for [i] in [0, steps), checkpointing and recovering
-    as above.  [start] (default 0) is the simulated time origin used
-    against the plan.  When [trace] is given, compute/rework windows
-    and every fault event are charged as [compute] / [checkpoint] /
-    [fault:*] phases (compute is charged in bulk between events so the
-    span count stays bounded by the number of fault/checkpoint
-    events).  The report satisfies
+    as above, with simulated time starting at 0 against the plan.  The
+    report satisfies
     [achieved_s = ideal_s +. checkpoint_overhead_s +. lost_work_s]
     up to float tolerance. *)

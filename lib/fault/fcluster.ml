@@ -6,7 +6,6 @@ module Metrics = Icoe_obs.Metrics
 type t = {
   cl : Cluster.t;
   plan : Plan.t;
-  policy : Retry.policy;
   rng : Rng.t;
   mutable injected : int;
   mutable recovered : int;
@@ -34,11 +33,10 @@ let m_recovery =
     ~help:"Simulated seconds from failure strike to collective completion"
     "fault_cluster_recovery_seconds"
 
-let create ?(policy = Retry.default_policy) plan config =
+let create plan config =
   {
     cl = Cluster.create config;
     plan;
-    policy;
     (* jitter stream derived from the plan seed: same plan, same run *)
     rng = Rng.create (Plan.seed plan lxor 0x5eed);
     injected = 0;
@@ -86,7 +84,7 @@ let survive_failures t ~e0 ~dt =
     Metrics.inc m_failures;
     let trace = Cluster.trace t.cl in
     let result, (out : Retry.outcome) =
-      Retry.run ~policy:t.policy ~rng:t.rng
+      Retry.run ~rng:t.rng
         ~charge:(fun d -> Trace.charge trace ~phase:"fault:backoff" d)
         (fun ~attempt:_ ->
           let a = Cluster.elapsed t.cl in

@@ -5,11 +5,11 @@
     episodes stretch compute, link degradations stretch the network
     collectives, and a node failure inside a collective's window
     forces a {!Retry} cycle (backoff + re-execution, giving up after
-    the policy's attempt budget).  All excess time lands in [fault:*]
-    trace phases on the cluster's own tracer, so [breakdown]/rollups
-    show exactly what the faults cost.  Deterministic: the only
-    randomness is the plan and the retry jitter stream, both seeded
-    from the plan. *)
+    {!Retry.default_policy}'s attempt budget).  All excess time lands
+    in [fault:*] trace phases on the cluster's own tracer, so
+    [breakdown]/rollups show exactly what the faults cost.
+    Deterministic: the only randomness is the plan and the retry jitter
+    stream, both seeded from the plan. *)
 
 type t
 
@@ -20,7 +20,7 @@ type stats = {
   gave_up : int;  (** collectives abandoned after the attempt budget *)
 }
 
-val create : ?policy:Retry.policy -> Plan.t -> Sparkle.Cluster.config -> t
+val create : Plan.t -> Sparkle.Cluster.config -> t
 val cluster : t -> Sparkle.Cluster.t
 val elapsed : t -> float
 val stats : t -> stats

@@ -35,9 +35,8 @@ let backoff_s p ~rng ~attempt =
   let j = p.jitter *. Rng.uniform rng (-1.0) 1.0 in
   Float.max 0.0 (base *. (1.0 +. j))
 
-let run ?(policy = default_policy) ~rng ~charge f =
-  if policy.max_attempts < 1 then
-    invalid_arg "Retry.run: max_attempts must be >= 1";
+let run ~rng ~charge f =
+  let policy = default_policy in
   let backoff_total = ref 0.0 in
   let rec go attempt =
     match f ~attempt with

@@ -26,13 +26,13 @@ type outcome = {
 }
 
 val run :
-  ?policy:policy ->
   rng:Icoe_util.Rng.t ->
   charge:(float -> unit) ->
   (attempt:int -> ('a, 'e) result) ->
   ('a, 'e) result * outcome
 (** Run [f ~attempt:1], retrying on [Error] after charging the backoff
-    delay, until success or [max_attempts] is exhausted (giving-up
+    delay, until success or {!default_policy}'s [max_attempts] is
+    exhausted (giving-up
     semantics: the last [Error] is returned with [gave_up = true]).
     Updates the [fault_retries_total] / [fault_giveups_total] counters
     and the [fault_backoff_seconds] histogram. *)

@@ -53,9 +53,3 @@ let time_and_bound ?(eff = default_eff) ?lanes_used (d : Device.t)
     if compute_t >= mem_t then Compute_bound else Bandwidth_bound )
 
 let time ?eff ?lanes_used d k = fst (time_and_bound ?eff ?lanes_used d k)
-
-(* Delegates to [time_and_bound] so the two can never disagree: the
-   bound is derived under the same efficiency and lane scaling as the
-   priced time (re-deriving the roofs here once ignored [lanes_used]). *)
-let binding ?eff ?lanes_used (d : Device.t) (k : Kernel.t) =
-  snd (time_and_bound ?eff ?lanes_used d k)

@@ -31,9 +31,3 @@ val time_and_bound :
   ?eff:efficiency -> ?lanes_used:int -> Device.t -> Kernel.t -> float * bound
 (** [time] plus which roof bound the kernel under the same scaling; the
     tracer records this per span. *)
-
-val binding :
-  ?eff:efficiency -> ?lanes_used:int -> Device.t -> Kernel.t -> bound
-(** Which roof binds for this kernel on this device. Delegates to
-    {!time_and_bound} (same efficiency and lane scaling), so the two can
-    never disagree. *)

@@ -1,8 +1,8 @@
 (** Event-driven stream/queue scheduler: comm/compute overlap for the
     simulated machine.
 
-    Engines enqueue work items (roofline-priced kernels, link transfers,
-    raw charges) on named streams with explicit dependencies. A stream is
+    Engines enqueue work items (durations they priced themselves) on
+    named streams with explicit dependencies. A stream is
     an in-order queue (a CUDA stream, a NIC, a core set): items on the
     same stream execute in enqueue order; items on different streams run
     concurrently once their dependencies have finished. [run] advances
@@ -26,9 +26,6 @@ type item = {
   device : string;
   dur : float;
   deps : item list;
-  i_flops : float;
-  i_bytes : float;
-  i_bound : Roofline.bound option;
   mutable start_s : float;  (** schedule-relative; valid after [run] *)
   mutable finish_s : float;
 }
@@ -60,7 +57,8 @@ let create ?overlap ?trace () =
 
 let overlap t = t.overlap
 
-let add t ~stream ~phase ~device ~dur ~deps ~flops ~bytes ~bound =
+let work t ~stream ?(deps = []) ?device ~phase dur =
+  let device = Option.value device ~default:stream in
   if t.ran <> None then
     invalid_arg "Sched: cannot enqueue after run";
   if dur < 0.0 || not (Float.is_finite dur) then
@@ -74,9 +72,6 @@ let add t ~stream ~phase ~device ~dur ~deps ~flops ~bytes ~bound =
       device;
       dur;
       deps;
-      i_flops = flops;
-      i_bytes = bytes;
-      i_bound = bound;
       start_s = 0.0;
       finish_s = dur;
     }
@@ -84,23 +79,6 @@ let add t ~stream ~phase ~device ~dur ~deps ~flops ~bytes ~bound =
   t.items <- it :: t.items;
   t.nitems <- t.nitems + 1;
   it
-
-let work t ~stream ?(deps = []) ?device ~phase dur =
-  let device = Option.value device ~default:stream in
-  add t ~stream ~phase ~device ~dur ~deps ~flops:0.0 ~bytes:0.0 ~bound:None
-
-let kernel t ~stream ?(deps = []) ?eff ?lanes_used ?phase (d : Device.t)
-    (k : Kernel.t) =
-  let dur, bound = Roofline.time_and_bound ?eff ?lanes_used d k in
-  let phase = match phase with Some p -> p | None -> k.Kernel.name in
-  add t ~stream ~phase ~device:d.Device.name ~dur ~deps ~flops:k.Kernel.flops
-    ~bytes:k.Kernel.bytes ~bound:(Some bound)
-
-let transfer t ~stream ?(deps = []) ?phase (l : Link.t) ~bytes =
-  let dur = Link.transfer_time l ~bytes in
-  let phase = match phase with Some p -> p | None -> l.Link.name in
-  add t ~stream ~phase ~device:l.Link.name ~dur ~deps ~flops:0.0 ~bytes
-    ~bound:None
 
 let duration it = it.dur
 let stream_of it = it.stream
@@ -143,8 +121,7 @@ let run t =
           if t.overlap then begin
             List.iter
               (fun it ->
-                Trace.scheduled_span tr ~device:it.device ~flops:it.i_flops
-                  ~bytes:it.i_bytes ?bound:it.i_bound ~phase:it.phase
+                Trace.scheduled_span tr ~device:it.device ~phase:it.phase
                   ~start:(t0 +. it.start_s) it.dur)
               order;
             Trace.advance tr makespan
@@ -154,8 +131,7 @@ let run t =
                span at now, clock tick (total + phase) *)
             List.iter
               (fun it ->
-                Trace.scheduled_span tr ~device:it.device ~flops:it.i_flops
-                  ~bytes:it.i_bytes ?bound:it.i_bound ~phase:it.phase
+                Trace.scheduled_span tr ~device:it.device ~phase:it.phase
                   ~start:(Trace.now tr) it.dur;
                 Trace.advance tr it.dur)
               order);

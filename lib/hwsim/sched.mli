@@ -3,18 +3,17 @@
     The paper's biggest single-node wins come from hiding data movement
     behind compute — GPUDirect transfers, ddcMD's overlapped force/halo
     pipeline, collectives under backprop. This module lets engines model
-    that: enqueue work items (roofline kernels, link transfers, raw
-    charges) on named streams with explicit dependencies, then {!run}
+    that: enqueue work items (durations the engine priced with
+    {!Roofline} or {!Link}) on named streams with explicit dependencies,
+    then {!run}
     advances simulated time by the dependency DAG's critical path
     instead of the serial sum.
 
     A stream is an in-order queue (a CUDA stream, a NIC, a core set):
     items on one stream execute in enqueue order, items on different
-    streams overlap once their [deps] have finished. Durations are
-    priced by the same cost model as serialized charging
-    ({!Roofline.time_and_bound}, {!Link.transfer_time}), so the serial
-    sum of a schedule equals what the engine would have charged without
-    the scheduler.
+    streams overlap once their [deps] have finished. The serial sum of a
+    schedule equals what the engine would have charged without the
+    scheduler.
 
     Charging: when a {!Trace.t} is bound, {!run} places one leaf span
     per item at its scheduled simulated time ({!Trace.scheduled_span}),
@@ -52,21 +51,8 @@ val overlap : t -> bool
 val work :
   t -> stream:string -> ?deps:item list -> ?device:string ->
   phase:string -> float -> item
-(** Raw charge of a precomputed duration (seconds) on a stream. The
-    span's device defaults to the stream name. *)
-
-val kernel :
-  t -> stream:string -> ?deps:item list -> ?eff:Roofline.efficiency ->
-  ?lanes_used:int -> ?phase:string -> Device.t -> Kernel.t -> item
-(** Roofline-priced kernel ({!Roofline.time_and_bound}); the span
-    carries flops/bytes/bound attributes like {!Trace.charge_kernel}.
-    [phase] defaults to the kernel's name. *)
-
-val transfer :
-  t -> stream:string -> ?deps:item list -> ?phase:string -> Link.t ->
-  bytes:float -> item
-(** Link transfer ({!Link.transfer_time}); [phase] defaults to the
-    link's name. *)
+(** Charge of a precomputed duration (seconds) on a stream. The span's
+    device defaults to the stream name. *)
 
 val duration : item -> float
 val stream_of : item -> string

@@ -61,9 +61,8 @@ let make ~name levels =
 
 (** The degenerate one-level topology: the whole machine behind a single
     flat link, as every pre-topology machine model assumed. *)
-let flat ?name link =
-  let name = match name with Some n -> n | None -> "flat/" ^ link.Link.name in
-  make ~name
+let flat link =
+  make ~name:("flat/" ^ link.Link.name)
     [ { name = "fabric"; link; radix = max_int; contention = 1.0 } ]
 
 (** Three-level fat tree: nodes under leaf switches, leaves under pods,

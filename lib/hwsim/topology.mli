@@ -34,9 +34,10 @@ val make : name:string -> level list -> t
     list, a radix < 2, a contention < 1 or non-finite, or an invalid
     link (re-checked through {!Link.make}). *)
 
-val flat : ?name:string -> Link.t -> t
+val flat : Link.t -> t
 (** The degenerate one-level topology every pre-topology machine model
-    assumed: the whole machine behind one flat link. *)
+    assumed: the whole machine behind one flat link, named
+    ["flat/<link>"]. *)
 
 val fat_tree :
   name:string -> leaf:Link.t -> spine:Link.t -> leaf_radix:int ->

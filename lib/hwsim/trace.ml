@@ -111,18 +111,14 @@ let charge t ?device ~phase dt =
    rather than at the clock's now. Busy seconds go to the clock's phase
    breakdown, but the clock total does NOT move — the scheduler
    advances it once, by the critical path, via [advance]. *)
-let scheduled_span t ?device ?(flops = 0.0) ?(bytes = 0.0) ?bound ~phase
-    ~start dur =
+let scheduled_span t ?device ~phase ~start dur =
   if not (dur >= 0.0) then
     invalid_arg
       (Printf.sprintf "Trace.scheduled_span %s: duration %g is not >= 0" phase dur);
   let sp = mk_span ?device ~start phase in
   sp.stop <- start +. dur;
-  sp.flops <- flops;
-  sp.bytes <- bytes;
-  sp.bound <- bound;
   Clock.attribute t.clock ~phase dur;
-  emit_span_event ?device ~flops ~bytes ~phase ~start dur;
+  emit_span_event ?device ~phase ~start dur;
   add_child t (current t) sp
 
 let advance t dt = Clock.advance t.clock dt
@@ -131,8 +127,8 @@ let register_device t (d : Device.t) =
   if not (List.mem_assoc d.Device.name t.devices) then
     t.devices <- (d.Device.name, d) :: t.devices
 
-let charge_kernel t ?eff ?lanes_used ?phase (d : Device.t) (k : Kernel.t) =
-  let dt, bound = Roofline.time_and_bound ?eff ?lanes_used d k in
+let charge_kernel t ?phase (d : Device.t) (k : Kernel.t) =
+  let dt, bound = Roofline.time_and_bound d k in
   let phase = match phase with Some p -> p | None -> k.Kernel.name in
   register_device t d;
   let sp = mk_span ~device:d.Device.name ~start:(now t) phase in
@@ -213,13 +209,13 @@ let rollup_by key_of t =
 let by_phase t = rollup_by (fun sp -> sp.name) t
 let by_device t = rollup_by (fun sp -> Option.value sp.device ~default:"-") t
 
-let top_spans ?(n = 5) t =
+let top_spans t =
   let all = ref [] in
   iter_spans t (fun sp -> all := sp :: !all);
   let sorted =
     List.stable_sort (fun a b -> Float.compare (duration b) (duration a)) !all
   in
-  List.filteri (fun i _ -> i < n) sorted
+  List.filteri (fun i _ -> i < 5) sorted
 
 (* --- table rendering --- *)
 
@@ -270,7 +266,7 @@ let bound_name = function
   | Some Roofline.Bandwidth_bound -> "bandwidth"
   | None -> "-"
 
-let span_table ?(title = "top spans") ?(n = 5) t =
+let span_table ?(title = "top spans") t =
   let open Icoe_util in
   let tbl =
     Table.create ~title
@@ -282,7 +278,7 @@ let span_table ?(title = "top spans") ?(n = 5) t =
       Table.add_row tbl
         [ sp.name; Option.value sp.device ~default:"-";
           Fmt.str "%.3e" (duration sp); bound_name sp.bound ])
-    (top_spans ~n t);
+    (top_spans t);
   tbl
 
 (* --- Chrome trace-event export --- *)

@@ -11,7 +11,7 @@
     with the clock breakdown the harnesses already print.
 
     On top of the raw tree sit an aggregation pass (per-device and
-    per-phase rollups, top-N spans, rendered with {!Icoe_util.Table}) and
+    per-phase rollups, top spans, rendered with {!Icoe_util.Table}) and
     a Chrome trace-event JSON exporter, so any run can be opened in
     [chrome://tracing] or Perfetto. *)
 
@@ -56,15 +56,7 @@ val charge : t -> ?device:string -> phase:string -> float -> unit
     the innermost open span. *)
 
 val scheduled_span :
-  t ->
-  ?device:string ->
-  ?flops:float ->
-  ?bytes:float ->
-  ?bound:Roofline.bound ->
-  phase:string ->
-  start:float ->
-  float ->
-  unit
+  t -> ?device:string -> phase:string -> start:float -> float -> unit
 (** [scheduled_span t ~phase ~start dur] records a leaf span pinned at
     absolute simulated time [start .. start +. dur] under the innermost
     open span, charging [dur] busy seconds to the clock's [phase]
@@ -77,14 +69,7 @@ val advance : t -> float -> unit
 (** Advance the bound clock's total by nonnegative seconds without
     charging any phase ({!Clock.advance}). *)
 
-val charge_kernel :
-  t ->
-  ?eff:Roofline.efficiency ->
-  ?lanes_used:int ->
-  ?phase:string ->
-  Device.t ->
-  Kernel.t ->
-  float
+val charge_kernel : t -> ?phase:string -> Device.t -> Kernel.t -> float
 (** Trace-emitting variant of {!Roofline.time}: price the kernel on the
     device, [charge] the result to [phase] (default: the kernel's name),
     and record flops/bytes/binding attributes on the span. Returns the
@@ -119,8 +104,8 @@ val by_phase : t -> rollup list
 val by_device : t -> rollup list
 (** Leaf spans grouped by device name (["-"] when unattributed). *)
 
-val top_spans : ?n:int -> t -> span list
-(** The [n] (default 5) longest non-root spans, longest first. *)
+val top_spans : t -> span list
+(** The 5 longest non-root spans, longest first. *)
 
 val device_table : ?title:string -> t -> Icoe_util.Table.t
 (** Per-device rollup: time, share, achieved GF/s and GB/s, and — for
@@ -129,8 +114,8 @@ val device_table : ?title:string -> t -> Icoe_util.Table.t
 val phase_table : ?title:string -> t -> Icoe_util.Table.t
 (** Per-phase rollup: time, share, span count. *)
 
-val span_table : ?title:string -> ?n:int -> t -> Icoe_util.Table.t
-(** Top-N spans with device, duration and roofline bound. *)
+val span_table : ?title:string -> t -> Icoe_util.Table.t
+(** The {!top_spans} with device, duration and roofline bound. *)
 
 (** {1 Chrome trace-event export} *)
 

@@ -166,6 +166,6 @@ let rollup_report = function
                (Hwsim.Trace.phase_table ~title:(name ^ ": per-phase rollup") tr));
           Buffer.add_string buf
             (Table.render
-               (Hwsim.Trace.span_table ~title:(name ^ ": top spans") ~n:5 tr)))
+               (Hwsim.Trace.span_table ~title:(name ^ ": top spans") tr)))
         ts;
       Buffer.contents buf

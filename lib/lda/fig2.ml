@@ -32,15 +32,15 @@ let charge_iteration (cluster : Sparkle.Cluster.t) w =
   (* all-to-one combine of each node's model slice *)
   Sparkle.Cluster.charge_aggregate cluster ~bytes_per_node:(lambda_bytes /. nodes)
 
-(** Run [iters] charged iterations under a stack configuration; returns
-    the cluster (read the clock for the breakdown). *)
-let run ?(iters = 5) ?(nodes = 32) ~optimized w =
+(** Run 5 charged iterations under a stack configuration on 32 nodes;
+    returns the cluster (read the clock for the breakdown). *)
+let run ~optimized w =
   let cfg =
-    if optimized then Sparkle.Cluster.optimized_config ~nodes ()
-    else Sparkle.Cluster.default_config ~nodes ()
+    if optimized then Sparkle.Cluster.optimized_config ~nodes:32 ()
+    else Sparkle.Cluster.default_config ~nodes:32 ()
   in
   let cluster = Sparkle.Cluster.create cfg in
-  for _ = 1 to iters do
+  for _ = 1 to 5 do
     charge_iteration cluster w
   done;
   cluster

@@ -16,6 +16,6 @@ val wikipedia : workload
 
 val charge_iteration : Sparkle.Cluster.t -> workload -> unit
 
-val run : ?iters:int -> ?nodes:int -> optimized:bool -> workload -> Sparkle.Cluster.t
-(** Run charged iterations under a stack configuration; read the
-    returned cluster's clock for the breakdown. *)
+val run : optimized:bool -> workload -> Sparkle.Cluster.t
+(** Run 5 charged iterations under a stack configuration on 32 nodes;
+    read the returned cluster's clock for the breakdown. *)

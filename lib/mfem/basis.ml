@@ -32,12 +32,12 @@ let lagrange_eval nodes i x =
   done;
   (!v, !dv)
 
-(** Basis of order [p] tabulated at an [nq]-point Gauss rule
-    (default nq = p+2, full accuracy for the diffusion bilinear form). *)
-let create ?nq p =
+(** Basis of order [p] tabulated at a (p+2)-point Gauss rule (full
+    accuracy for the diffusion bilinear form). *)
+let create p =
   if not (p >= 1) then
     invalid_arg (Printf.sprintf "Basis.create: order p = %d is not >= 1" p);
-  let nq = match nq with Some n -> n | None -> p + 2 in
+  let nq = p + 2 in
   let nodes, _ = Quadrature.gauss_lobatto (p + 1) in
   let qpts, qwts = Quadrature.gauss_legendre nq in
   let b = Array.make_matrix nq (p + 1) 0.0 in

@@ -11,9 +11,9 @@ type t = {
   g : float array array;  (** g.(q).(i) = phi_i'(x_q) *)
 }
 
-val create : ?nq:int -> int -> t
-(** Order-p basis at an nq-point Gauss rule (default p+2, full accuracy
-    for the diffusion form). *)
+val create : int -> t
+(** Order-p basis at a (p+2)-point Gauss rule (full accuracy for the
+    diffusion form). *)
 
 val create_collocated : int -> t
 (** Quadrature at the GLL nodes themselves — makes the mass matrix

@@ -236,83 +236,6 @@ module Pa = struct
       done
     done
 
-  (** "JIT"-specialized operator application for order p = 2: the inner
-      contraction loops are fully unrolled with the basis-table extents
-      known at compile time — the Acrotensor/OCCA lesson of Sec 4.10.3
-      ("the loop bounds must be known at compile time"). Falls back to the
-      generic [apply] for other orders. Results are identical to [apply]
-      (tested); only the speed differs. *)
-  let apply_specialized t u y =
-    if t.basis.Basis.p <> 2 || Basis.nq t.basis <> 4 then apply t u y
-    else begin
-      let mesh = t.mesh and basis = t.basis in
-      let b = basis.Basis.b and g = basis.Basis.g in
-      Array.fill y 0 (Array.length y) 0.0;
-      let u_loc = t.u_loc and y_loc = t.y_loc in
-      let gx = t.gx and gy = t.gy in
-      let tmpa = Array.make 12 0.0 and tmpb = Array.make 12 0.0 in
-      for ey = 0 to mesh.Mesh.ny - 1 do
-        for ex = 0 to mesh.Mesh.nx - 1 do
-          let e = (ey * mesh.Mesh.nx) + ex in
-          Mesh.gather mesh u ~ex ~ey u_loc;
-          (* forward contractions, unrolled over i1/i2 in {0,1,2}, q in 0..3 *)
-          for i2 = 0 to 2 do
-            let base = i2 * 3 in
-            let u0 = u_loc.(base) and u1 = u_loc.(base + 1) and u2 = u_loc.(base + 2) in
-            for q1 = 0 to 3 do
-              tmpa.((i2 * 4) + q1) <-
-                (g.(q1).(0) *. u0) +. (g.(q1).(1) *. u1) +. (g.(q1).(2) *. u2);
-              tmpb.((i2 * 4) + q1) <-
-                (b.(q1).(0) *. u0) +. (b.(q1).(1) *. u1) +. (b.(q1).(2) *. u2)
-            done
-          done;
-          for q2 = 0 to 3 do
-            let b0 = b.(q2).(0) and b1 = b.(q2).(1) and b2 = b.(q2).(2) in
-            let g0 = g.(q2).(0) and g1 = g.(q2).(1) and g2 = g.(q2).(2) in
-            for q1 = 0 to 3 do
-              gx.((q2 * 4) + q1) <-
-                (b0 *. tmpa.(q1)) +. (b1 *. tmpa.(4 + q1)) +. (b2 *. tmpa.(8 + q1));
-              gy.((q2 * 4) + q1) <-
-                (g0 *. tmpb.(q1)) +. (g1 *. tmpb.(4 + q1)) +. (g2 *. tmpb.(8 + q1))
-            done
-          done;
-          let d00 = t.d00.(e) and d11 = t.d11.(e) in
-          for qq = 0 to 15 do
-            gx.(qq) <- gx.(qq) *. d00.(qq);
-            gy.(qq) <- gy.(qq) *. d11.(qq)
-          done;
-          (* backward contractions *)
-          for q2 = 0 to 3 do
-            for j1 = 0 to 2 do
-              tmpa.((q2 * 3) + j1) <-
-                (g.(0).(j1) *. gx.(q2 * 4))
-                +. (g.(1).(j1) *. gx.((q2 * 4) + 1))
-                +. (g.(2).(j1) *. gx.((q2 * 4) + 2))
-                +. (g.(3).(j1) *. gx.((q2 * 4) + 3));
-              tmpb.((q2 * 3) + j1) <-
-                (b.(0).(j1) *. gy.(q2 * 4))
-                +. (b.(1).(j1) *. gy.((q2 * 4) + 1))
-                +. (b.(2).(j1) *. gy.((q2 * 4) + 2))
-                +. (b.(3).(j1) *. gy.((q2 * 4) + 3))
-            done
-          done;
-          for j2 = 0 to 2 do
-            for j1 = 0 to 2 do
-              y_loc.((j2 * 3) + j1) <-
-                (b.(0).(j2) *. tmpa.(j1)) +. (b.(1).(j2) *. tmpa.(3 + j1))
-                +. (b.(2).(j2) *. tmpa.(6 + j1))
-                +. (b.(3).(j2) *. tmpa.(9 + j1))
-                +. (g.(0).(j2) *. tmpb.(j1))
-                +. (g.(1).(j2) *. tmpb.(3 + j1))
-                +. (g.(2).(j2) *. tmpb.(6 + j1))
-                +. (g.(3).(j2) *. tmpb.(9 + j1))
-            done
-          done;
-          Mesh.scatter_add mesh y_loc ~ex ~ey y
-        done
-      done
-    end
-
   (** Flop/byte volume of one full-mesh operator application. *)
   let work t =
     let p1 = float_of_int (t.basis.Basis.p + 1) in

@@ -36,11 +36,6 @@ module Pa : sig
   val apply : t -> float array -> float array -> unit
   (** y <- K u by sum-factorized tensor contractions. *)
 
-  val apply_specialized : t -> float array -> float array -> unit
-  (** "JIT"-specialized kernel for p = 2 with unrolled contractions (the
-      Sec 4.10.3 compile-time-bounds lesson); identical results, falls
-      back to [apply] for other orders. *)
-
   val update_coefficients : t -> kappa_of_u:(float -> float) -> u:float array -> unit
   (** Rebuild the factors for a solution-dependent coefficient. *)
 

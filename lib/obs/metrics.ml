@@ -116,8 +116,8 @@ let gauge ?(registry = default) ?(help = "") ?(labels = []) name =
       (Pgauge r, r))
     (function Pgauge r -> Some r | _ -> None)
 
-let histogram ?(registry = default) ?(help = "") ?(labels = []) name =
-  register registry ~help ~labels name
+let histogram ?(registry = default) ?(help = "") name =
+  register registry ~help ~labels:[] name
     (fun () ->
       let h = new_hist () in
       (Phist h, h))

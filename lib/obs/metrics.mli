@@ -50,9 +50,8 @@ val gauge :
   ?registry:registry -> ?help:string -> ?labels:(string * string) list ->
   string -> gauge
 
-val histogram :
-  ?registry:registry -> ?help:string -> ?labels:(string * string) list ->
-  string -> histogram
+val histogram : ?registry:registry -> ?help:string -> string -> histogram
+(** Histograms carry no labels. *)
 
 (** {1 Hot-path operations}
 

@@ -195,5 +195,5 @@ let tune ?splits ?(comms = [ Hwsim.Split.Dedicated; Hwsim.Split.Inline ]) mode
 
 let exhaustive ?splits ?comms obj = tune ?splits ?comms Exhaustive obj
 
-let anneal ?(seed = 42) ?(iters = 160) ?splits ?comms obj =
-  tune ?splits ?comms (Anneal { seed; iters }) obj
+let anneal ?(seed = 42) ?(iters = 160) ?splits obj =
+  tune ?splits (Anneal { seed; iters }) obj

@@ -54,6 +54,6 @@ val exhaustive :
 (** [tune Exhaustive]. *)
 
 val anneal :
-  ?seed:int -> ?iters:int -> ?splits:float array ->
-  ?comms:Hwsim.Split.comm list -> objective -> result
-(** [tune (Anneal { seed; iters })] with [seed = 42], [iters = 160]. *)
+  ?seed:int -> ?iters:int -> ?splits:float array -> objective -> result
+(** [tune (Anneal { seed; iters })] with [seed = 42], [iters = 160],
+    over both placements. *)

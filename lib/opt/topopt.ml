@@ -136,8 +136,10 @@ let load t =
       let j = k / t.nx in
       if j = t.ny - 1 then 1.0 else 0.0)
 
-(** Solve the state equation; returns (temperature field, cg iterations). *)
-let solve_state ?(tol = 1e-8) t =
+(** Solve the state equation to relative residual 1e-8; returns
+    (temperature field, cg iterations). *)
+let solve_state t =
+  let tol = 1e-8 in
   let n = t.nx * t.ny in
   let s = stencil t in
   (* CG from x0 = 0 as [Linalg.Krylov.cg] sets it up, allocation for

@@ -48,8 +48,8 @@ val apply : stencil -> float array -> float array -> unit
 
 val load : t -> float array
 
-val solve_state : ?tol:float -> t -> float array * int
-(** The state solve from 0 at relative residual [tol] (default 1e-8),
+val solve_state : t -> float array * int
+(** The state solve from 0 at relative residual 1e-8,
     at most 8·nx·ny iterations: (temperature field, iterations). It is
     {!Linalg.Krylov.cg} without a preconditioner, run as one C loop over
     one {!stencil}: p ← r + βp one row ahead of the apply that reads it,

@@ -14,25 +14,24 @@ type config = {
   adaptive_shuffle : bool;
   tree_aggregate : bool;
   topology : Hwsim.Topology.t;
-      (** the interconnect under the collectives; the default flat
-          dual-rail EDR prices them bit-identically to the old single
-          [fabric : Link.t] field *)
+      (** the interconnect under the collectives; both configs start from
+          a flat dual-rail EDR, which prices them bit-identically to the
+          old single [fabric : Link.t] field *)
 }
 
-let default_config ?(nodes = 32)
-    ?(topology = Hwsim.Topology.flat Hwsim.Link.ib_dual_edr) () =
+let default_config ?(nodes = 32) () =
   {
     nodes;
     cores_per_node = 40;
     jvm_optimized = false;
     adaptive_shuffle = false;
     tree_aggregate = false;
-    topology;
+    topology = Hwsim.Topology.flat Hwsim.Link.ib_dual_edr;
   }
 
-let optimized_config ?(nodes = 32) ?topology () =
+let optimized_config ?(nodes = 32) () =
   {
-    (default_config ~nodes ?topology ()) with
+    (default_config ~nodes ()) with
     jvm_optimized = true;
     adaptive_shuffle = true;
     tree_aggregate = true;

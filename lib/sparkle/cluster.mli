@@ -13,19 +13,17 @@ type config = {
   adaptive_shuffle : bool;
   tree_aggregate : bool;
   topology : Hwsim.Topology.t;
-      (** the interconnect under the collectives. The default
-          [Topology.flat Link.ib_dual_edr] prices every collective
+      (** the interconnect under the collectives. Both configs below use
+          [Topology.flat Link.ib_dual_edr], which prices every collective
           bit-identically to the old flat [fabric : Link.t] model;
           hierarchical topologies charge per-level hop and contention
           costs (tree rounds climb switch levels, the shuffle is
           throttled by the most contended crossed level). *)
 }
 
-val default_config :
-  ?nodes:int -> ?topology:Hwsim.Topology.t -> unit -> config
+val default_config : ?nodes:int -> unit -> config
 
-val optimized_config :
-  ?nodes:int -> ?topology:Hwsim.Topology.t -> unit -> config
+val optimized_config : ?nodes:int -> unit -> config
 
 type t = { config : config; clock : Hwsim.Clock.t; trace : Hwsim.Trace.t }
 

@@ -239,8 +239,8 @@ let bdf ?(rtol = 1e-6) ?(atol = 1e-9) ?(h0 = 1e-4) ?(max_steps = 200_000)
 
 (* --- Adams-Bashforth-Moulton 2 with functional iteration (non-stiff) --- *)
 
-let adams ?(rtol = 1e-6) ?(atol = 1e-9) ?(h0 = 1e-4) ?(max_steps = 500_000)
-    ~(rhs : rhs) ~t0 ~y0 tstop =
+let adams ?(rtol = 1e-6) ?(atol = 1e-9) ~(rhs : rhs) ~t0 ~y0 tstop =
+  let h0 = 1e-4 and max_steps = 500_000 in
   let stats = new_stats () in
   let t = ref t0 in
   let h = ref (min h0 (tstop -. t0)) in
@@ -304,8 +304,8 @@ let adams ?(rtol = 1e-6) ?(atol = 1e-9) ?(h0 = 1e-4) ?(max_steps = 500_000)
 (** Adaptive explicit Bogacki-Shampine RK3(2) — the ERK path of a
     SUNDIALS-style suite (ARKODE's small sibling) for non-stiff problems
     with error control but no nonlinear solves. *)
-let erk23 ?(rtol = 1e-6) ?(atol = 1e-9) ?(h0 = 1e-4) ?(max_steps = 500_000)
-    ~(rhs : rhs) ~t0 ~y0 tstop =
+let erk23 ?(rtol = 1e-6) ?(atol = 1e-9) ~(rhs : rhs) ~t0 ~y0 tstop =
+  let h0 = 1e-4 and max_steps = 500_000 in
   let stats = new_stats () in
   let n = Array.length y0 in
   let t = ref t0 in

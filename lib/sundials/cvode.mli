@@ -48,25 +48,23 @@ val bdf :
 val adams :
   ?rtol:float ->
   ?atol:float ->
-  ?h0:float ->
-  ?max_steps:int ->
   rhs:rhs ->
   t0:float ->
   y0:float array ->
   float ->
   result
 (** Adams-Bashforth/Moulton predictor-corrector with functional
-    iteration, for non-stiff problems. *)
+    iteration, for non-stiff problems. Starts at step 1e-4 and raises
+    {!Too_much_work} after 500 000 steps. *)
 
 val erk23 :
   ?rtol:float ->
   ?atol:float ->
-  ?h0:float ->
-  ?max_steps:int ->
   rhs:rhs ->
   t0:float ->
   y0:float array ->
   float ->
   result
 (** Adaptive explicit Bogacki-Shampine RK3(2) with an embedded error
-    estimate (FSAL) — the ERK path for non-stiff problems. *)
+    estimate (FSAL) — the ERK path for non-stiff problems. Starts at
+    step 1e-4 and raises {!Too_much_work} after 500 000 steps. *)

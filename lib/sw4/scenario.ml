@@ -249,23 +249,20 @@ let production_step_model ?overlap ?trace
     Cori-II". Wall-clock hours of the campaign on [nodes] nodes of a
     machine, including a surface-to-volume halo exchange per step
     (overlapped with interior compute unless [ICOE_OVERLAP=0]). *)
-let production_run_hours ?overlap ?placement (machine : Hwsim.Node.machine)
-    ~nodes ~grid_points ~steps =
-  let m =
-    production_step_model ?overlap ?placement machine ~nodes ~grid_points
-  in
+let production_run_hours ?overlap (machine : Hwsim.Node.machine) ~nodes
+    ~grid_points ~steps =
+  let m = production_step_model ?overlap machine ~nodes ~grid_points in
   float_of_int steps *. m.step_s /. 3600.0
 
 (** Nodes of [machine] needed to finish the same campaign in [hours]. *)
-let nodes_for_deadline ?overlap ?placement
-    (machine : Hwsim.Node.machine) ~grid_points ~steps ~hours =
+let nodes_for_deadline (machine : Hwsim.Node.machine) ~grid_points ~steps
+    ~hours =
   let rec search lo hi =
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if production_run_hours ?overlap ?placement machine ~nodes:mid ~grid_points ~steps <= hours
-      then
-        search lo mid
+      if production_run_hours machine ~nodes:mid ~grid_points ~steps <= hours
+      then search lo mid
       else search (mid + 1) hi
   in
   search 1 machine.Hwsim.Node.nodes

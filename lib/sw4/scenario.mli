@@ -75,15 +75,15 @@ val production_step_model :
     split. *)
 
 val production_run_hours :
-  ?overlap:bool -> ?placement:Hwsim.Topology.placement -> Hwsim.Node.machine ->
-  nodes:int -> grid_points:float -> steps:int -> float
-(** Wall-clock hours of the 26B-point campaign on a machine partition,
-    including halo exchange (overlapped with interior compute unless
-    disabled). A fixed 280x multiplier calibrates the 2D model kernel to
+  ?overlap:bool -> Hwsim.Node.machine -> nodes:int -> grid_points:float ->
+  steps:int -> float
+(** Wall-clock hours of the 26B-point campaign on a contiguous machine
+    partition, including halo exchange (overlapped with interior compute
+    unless disabled). A fixed 280x multiplier calibrates the 2D model kernel to
     the 3D production kernel's per-point work so the 256-node Sierra run
     lands at the paper's ~10 h. *)
 
 val nodes_for_deadline :
-  ?overlap:bool -> ?placement:Hwsim.Topology.placement -> Hwsim.Node.machine ->
-  grid_points:float -> steps:int -> hours:float -> int
-(** Nodes needed to finish the campaign within a deadline. *)
+  Hwsim.Node.machine -> grid_points:float -> steps:int -> hours:float -> int
+(** Nodes needed to finish the campaign within a deadline, overlap
+    following {!Hwsim.Sched.overlap_enabled}. *)

@@ -51,9 +51,10 @@ let fluence t =
 
 let total_power t = Icoe_util.Stats.sum (fluence t)
 
-(** Fluence modulation contrast over the central [frac] of the aperture:
+(** Fluence modulation contrast over the central 40% of the aperture:
     (max - min) / mean. The Fig 9 ripple metric. *)
-let center_contrast ?(frac = 0.4) t =
+let center_contrast t =
+  let frac = 0.4 in
   let f = fluence t in
   (* round (don't truncate) the window edge, and mirror it for the upper
      edge, so [lo, hi) is symmetric about the grid centre: the ripple

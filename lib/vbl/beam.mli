@@ -25,6 +25,6 @@ val fluence : t -> float array
 
 val total_power : t -> float
 
-val center_contrast : ?frac:float -> t -> float
-(** Fluence modulation (max - min)/mean over the central [frac] of the
+val center_contrast : t -> float
+(** Fluence modulation (max - min)/mean over the central 40% of the
     aperture — the Fig 9 ripple metric. *)

@@ -602,6 +602,19 @@ let test_mlp_batch_length_mismatch () =
   expect_invalid "1 input, 2 labels" (fun () ->
       Dlearn.Mlp.train_batch m ~lr:0.1 [| x |] [| 0; 1 |])
 
+(* an empty batch has no mean loss: after a real step, whose momentum
+   would move the parameters again, the empty call is rejected and
+   leaves the model as it was *)
+let test_mlp_empty_train_batch () =
+  let m = mlp () in
+  let x = [| 0.1; 0.2; 0.3 |] in
+  ignore (Dlearn.Mlp.train_batch ~momentum:0.9 m ~lr:0.1 [| x; x |] [| 0; 1 |]);
+  let before = Dlearn.Mlp.get_params m in
+  expect_invalid_naming "empty batch" [ "Mlp.train_batch"; "no examples" ]
+    (fun () -> Dlearn.Mlp.train_batch ~momentum:0.9 m ~lr:0.1 [||] [||]);
+  Alcotest.(check bool) "params untouched" true
+    (before = Dlearn.Mlp.get_params m)
+
 (* Mlp.batch checks the set it packs; Mlp.step checks the model against
    the batch, and a rejected step leaves the model as it was *)
 let test_mlp_packed_batch () =
@@ -817,6 +830,8 @@ let () =
           Alcotest.test_case "mlp bad input" `Quick test_mlp_bad_input;
           Alcotest.test_case "mlp batch length mismatch" `Quick
             test_mlp_batch_length_mismatch;
+          Alcotest.test_case "mlp empty train batch" `Quick
+            test_mlp_empty_train_batch;
           Alcotest.test_case "mlp packed batch and step" `Quick
             test_mlp_packed_batch;
           Alcotest.test_case "asgd negative staleness" `Quick

@@ -8,7 +8,7 @@ let test_roofline_bandwidth_bound () =
   (* stream-like kernel: 1 flop per 24 bytes => bandwidth bound everywhere *)
   let k = Kernel.make ~name:"stream" ~flops:1e9 ~bytes:24e9 () in
   Alcotest.(check bool) "bw bound on V100" true
-    (Roofline.binding Device.v100 k = Roofline.Bandwidth_bound);
+    (snd (Roofline.time_and_bound Device.v100 k) = Roofline.Bandwidth_bound);
   let eff = Roofline.eff ~compute:1.0 ~bandwidth:1.0 () in
   let t = Roofline.time ~eff Device.v100 k in
   let expected = Device.v100.Device.launch_overhead_s +. (24e9 /. (900.0 *. 1e9)) in
@@ -17,7 +17,7 @@ let test_roofline_bandwidth_bound () =
 let test_roofline_compute_bound () =
   let k = Kernel.make ~name:"dgemm" ~flops:1e12 ~bytes:1e6 () in
   Alcotest.(check bool) "compute bound" true
-    (Roofline.binding Device.v100 k = Roofline.Compute_bound)
+    (snd (Roofline.time_and_bound Device.v100 k) = Roofline.Compute_bound)
 
 let test_roofline_lanes_scale () =
   let k = Kernel.make ~name:"k" ~flops:1e9 ~bytes:0.0 ~launches:0 () in
@@ -220,46 +220,18 @@ let test_sched_serial_charging_matches_charge () =
   Alcotest.(check int)
     "span counts equal" (Trace.span_count t2) (Trace.span_count t1)
 
-let test_sched_kernel_and_transfer_pricing () =
-  (* scheduler items are priced by the same cost model as serialized
-     charging *)
-  let k = Kernel.make ~name:"k" ~flops:1e9 ~bytes:24e9 () in
-  let sched = Sched.create ~overlap:true () in
-  let ki = Sched.kernel sched ~stream:"gpu" Device.v100 k in
-  let ti = Sched.transfer sched ~stream:"nic" Link.nvlink2 ~bytes:1e6 in
-  check_float "kernel priced by roofline" (Roofline.time Device.v100 k)
-    (Sched.duration ki);
-  check_float "transfer priced by link"
-    (Link.transfer_time Link.nvlink2 ~bytes:1e6)
-    (Sched.duration ti)
-
-let test_binding_delegates_to_time_and_bound () =
-  (* regression: binding used to re-derive the roofs itself and did not
-     accept [lanes_used], so it could disagree with the roof that
-     actually priced the time. It must equal [snd time_and_bound] under
-     every efficiency/lane scaling. *)
+let test_efficiency_flips_the_roof () =
+  (* the efficiency surface can flip the roof that binds *)
   let k = Kernel.make ~name:"k" ~flops:1e9 ~bytes:1e9 () in
-  List.iter
-    (fun (eff, lanes_used) ->
-      Alcotest.(check bool)
-        "binding = snd time_and_bound" true
-        (Roofline.binding ?eff ?lanes_used Device.power9 k
-        = snd (Roofline.time_and_bound ?eff ?lanes_used Device.power9 k)))
-    [
-      (None, None);
-      (Some (Roofline.eff ~compute:0.05 ~bandwidth:1.0 ()), None);
-      (None, Some 1);
-      (Some (Roofline.eff ~compute:1.0 ~bandwidth:0.05 ()), Some 3);
-    ];
-  (* the efficiency surface can flip the roof; both views agree on it *)
   Alcotest.(check bool)
     "bandwidth bound at default eff" true
-    (Roofline.binding Device.power9 k = Roofline.Bandwidth_bound);
+    (snd (Roofline.time_and_bound Device.power9 k) = Roofline.Bandwidth_bound);
   Alcotest.(check bool)
     "low compute eff flips to compute bound" true
-    (Roofline.binding
-       ~eff:(Roofline.eff ~compute:0.05 ~bandwidth:1.0 ())
-       Device.power9 k
+    (snd
+       (Roofline.time_and_bound
+          ~eff:(Roofline.eff ~compute:0.05 ~bandwidth:1.0 ())
+          Device.power9 k)
     = Roofline.Compute_bound)
 
 (* Random DAGs: each item gets a stream, a duration, and possibly a
@@ -386,10 +358,8 @@ let () =
             test_sched_trace_overlap_charging;
           Alcotest.test_case "serial fallback matches Trace.charge" `Quick
             test_sched_serial_charging_matches_charge;
-          Alcotest.test_case "cost-model pricing" `Quick
-            test_sched_kernel_and_transfer_pricing;
-          Alcotest.test_case "binding delegates (lanes_used)" `Quick
-            test_binding_delegates_to_time_and_bound;
+          Alcotest.test_case "efficiency flips the roof" `Quick
+            test_efficiency_flips_the_roof;
           QCheck_alcotest.to_alcotest prop_sched_makespan_bounds;
           QCheck_alcotest.to_alcotest prop_sched_critical_path;
           QCheck_alcotest.to_alcotest prop_sched_conservation;

@@ -97,6 +97,20 @@ let test_basis_collocated_kronecker () =
     done
   done
 
+(* the tabulation rule has p+2 Gauss points, so it integrates x^(2p+2)
+   exactly; a (p+1)-point rule stops at degree 2p+1 *)
+let test_basis_gauss_rule_p_plus_2 () =
+  for p = 1 to 5 do
+    let b = Mfem.Basis.create p in
+    Alcotest.(check int) "nq = p + 2" (p + 2) (Mfem.Basis.nq b);
+    let d = float_of_int ((2 * p) + 2) in
+    let integral = ref 0.0 in
+    Array.iteri
+      (fun q x -> integral := !integral +. (b.Mfem.Basis.qwts.(q) *. (x ** d)))
+      b.Mfem.Basis.qpts;
+    Alcotest.(check (float 1e-12)) "x^(2p+2) exact" (2.0 /. (d +. 1.0)) !integral
+  done
+
 let test_basis_reproduces_polynomials () =
   (* order-p basis interpolates x^p exactly at the quadrature points *)
   let p = 3 in
@@ -257,34 +271,6 @@ let test_mass_diagonal_integrates_volume () =
   let m = Mfem.Diffusion.mass_diagonal mesh cb in
   Alcotest.(check (float 1e-10)) "sum M = area" 6.0 (Icoe_util.Stats.sum m)
 
-let test_specialized_apply_matches () =
-  (* the "JIT" unrolled p=2 kernel must equal the generic path exactly *)
-  let mesh = Mfem.Mesh.create ~nx:5 ~ny:4 ~p:2 () in
-  let basis = Mfem.Basis.create 2 in
-  let kappa ~x ~y = 1.0 +. x +. (y *. y) in
-  let pa = Mfem.Diffusion.Pa.setup ~kappa mesh basis in
-  let n = Mfem.Mesh.num_dofs mesh in
-  let rng = Icoe_util.Rng.create 77 in
-  for _ = 1 to 5 do
-    let u = Array.init n (fun _ -> Icoe_util.Rng.uniform rng (-1.0) 1.0) in
-    let y1 = Array.make n 0.0 and y2 = Array.make n 0.0 in
-    Mfem.Diffusion.Pa.apply pa u y1;
-    Mfem.Diffusion.Pa.apply_specialized pa u y2;
-    Alcotest.(check bool) "identical" true
-      (Icoe_util.Stats.max_abs_diff y1 y2 < 1e-13)
-  done;
-  (* falls back to generic for other orders *)
-  let mesh3 = Mfem.Mesh.create ~nx:3 ~ny:3 ~p:3 () in
-  let basis3 = Mfem.Basis.create 3 in
-  let pa3 = Mfem.Diffusion.Pa.setup mesh3 basis3 in
-  let n3 = Mfem.Mesh.num_dofs mesh3 in
-  let u = Array.init n3 (fun i -> float_of_int i) in
-  let y1 = Array.make n3 0.0 and y2 = Array.make n3 0.0 in
-  Mfem.Diffusion.Pa.apply pa3 u y1;
-  Mfem.Diffusion.Pa.apply_specialized pa3 u y2;
-  Alcotest.(check bool) "fallback identical" true
-    (Icoe_util.Stats.max_abs_diff y1 y2 = 0.0)
-
 (* --- LOR --- *)
 
 let test_lor_spectrally_close () =
@@ -402,6 +388,7 @@ let () =
           Alcotest.test_case "partition of unity" `Quick test_basis_partition_of_unity;
           Alcotest.test_case "collocated kronecker" `Quick test_basis_collocated_kronecker;
           Alcotest.test_case "reproduces polynomials" `Quick test_basis_reproduces_polynomials;
+          Alcotest.test_case "gauss rule of p+2 points" `Quick test_basis_gauss_rule_p_plus_2;
         ] );
       ( "mesh",
         [
@@ -418,7 +405,6 @@ let () =
           Alcotest.test_case "poisson convergence" `Quick test_poisson_convergence;
           Alcotest.test_case "pa storage" `Quick test_pa_storage_beats_fa_at_high_order;
           Alcotest.test_case "mass volume" `Quick test_mass_diagonal_integrates_volume;
-          Alcotest.test_case "jit specialization" `Quick test_specialized_apply_matches;
         ] );
       ( "lor",
         [

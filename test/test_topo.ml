@@ -49,6 +49,18 @@ let test_topology_make_guards () =
 
 let gh_topo = Node.grace_hopper.Node.topology (* leaf 32, pod 16, core *)
 
+(* Topology.flat names the machine after its one link and keeps that
+   link, uncontended, as its single level *)
+let test_flat_topology_shape () =
+  let l = Link.ib_dual_edr in
+  let t = Topology.flat l in
+  Alcotest.(check string) "name" ("flat/" ^ l.Link.name) t.Topology.name;
+  Alcotest.(check int) "one level" 1 (Topology.depth t);
+  Alcotest.(check bool) "is flat" true (Topology.is_flat t);
+  Alcotest.(check bool) "leaf link is the link" true (Topology.leaf_link t = l);
+  Alcotest.(check (float 0.0)) "uncontended" 1.0
+    t.Topology.levels.(0).Topology.contention
+
 let test_crossing_levels () =
   let check name exp got = Alcotest.(check int) name exp got in
   check "1 node crosses nothing" 0
@@ -265,6 +277,7 @@ let () =
         [
           Alcotest.test_case "link make" `Quick test_link_make_guards;
           Alcotest.test_case "topology make" `Quick test_topology_make_guards;
+          Alcotest.test_case "flat topology shape" `Quick test_flat_topology_shape;
         ] );
       ( "crossing",
         [

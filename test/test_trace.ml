@@ -103,11 +103,13 @@ let test_charge_kernel_attributes () =
 
 let test_top_spans_sorted () =
   let tr = Trace.create (Clock.create ()) in
-  Trace.charge tr ~phase:"short" 1.0;
-  Trace.charge tr ~phase:"long" 5.0;
-  Trace.charge tr ~phase:"mid" 3.0;
-  let top = Trace.top_spans ~n:2 tr in
-  Alcotest.(check (list string)) "longest first" [ "long"; "mid" ]
+  List.iter
+    (fun (phase, dt) -> Trace.charge tr ~phase dt)
+    [ ("short", 1.0); ("long", 6.0); ("mid", 3.0); ("tiny", 0.5);
+      ("big", 5.0); ("small", 2.0) ];
+  let top = Trace.top_spans tr in
+  Alcotest.(check (list string)) "five longest, longest first"
+    [ "long"; "big"; "mid"; "small"; "short" ]
     (List.map (fun s -> s.Trace.name) top)
 
 let test_annotate_counters () =
